@@ -6,6 +6,11 @@ for 5G SA — with a control-plane trace.  Every UE event launches its
 network function (a FIFO worker pool), is serviced, and hands off to
 the next step after an inter-NF link delay.
 
+The procedure map is lowered once per simulator to flat per-step
+tables, and all service-time jitter is drawn in one batch, so a run is
+a single loop over messages with heaps only for the worker pools and
+the in-flight follow-up steps.
+
 Outputs answer the questions the paper's generator exists to answer:
 which function saturates first, what the end-to-end procedure latencies
 look like under realistic bursty load, and how the 4G and 5G cores
@@ -16,8 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import itertools
-from typing import Dict, List, Mapping, Optional, Tuple
+from array import array
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -69,27 +74,74 @@ class CoreReport:
         return max(self.functions.values(), key=lambda f: f.utilization).name
 
 
-class _FunctionQueue:
-    """A FIFO pool of ``workers`` servers for one network function."""
+def check_trace_columns(trace: Trace) -> None:
+    """Reject columns a simulator cannot index or order.
 
-    __slots__ = ("name", "free_at", "busy", "waits")
+    ``Trace(..., validate=False)`` skips the constructor's checks, so
+    the simulators re-check the two columns they index by and sort on
+    before any lookup: a non-finite time has no place in the event
+    order, and an event code outside :class:`EventType` would wrap or
+    overrun the lowered lookup arrays.
+    """
+    if not np.isfinite(trace.times).all():
+        raise ValueError("trace column 'times' contains non-finite values")
+    codes = trace.event_types
+    if len(codes) and (codes.min() < 0 or codes.max() > max(EventType)):
+        raise ValueError(
+            f"trace column 'event_types' contains codes outside EventType "
+            f"(0..{int(max(EventType))})"
+        )
 
-    def __init__(self, name: str, workers: int, start: float) -> None:
-        self.name = name
-        self.free_at = [start] * workers
-        heapq.heapify(self.free_at)
-        self.busy = 0.0
-        self.waits: List[float] = []
 
-    def serve(self, arrival: float, service: float) -> float:
-        """Admit a message; return its completion time."""
-        free = heapq.heappop(self.free_at)
-        start = max(arrival, free)
-        finish = start + service
-        heapq.heappush(self.free_at, finish)
-        self.waits.append(start - arrival)
-        self.busy += service
-        return finish
+class _LoweredCore(NamedTuple):
+    """A procedure map lowered to flat per-step tables.
+
+    Steps of every distinct procedure are numbered consecutively; a
+    step is identified by one integer ``g`` for the whole core.
+    """
+
+    proc_of_event: np.ndarray       #: (len(EventType),) procedure index, -1 if unhandled
+    first_step: np.ndarray          #: (P,) ``g`` of each procedure's first step
+    step_counts: np.ndarray         #: (P,) steps per procedure
+    step_nf: List[int]              #: NF index of step ``g``
+    step_mean: List[float]          #: mean service time of step ``g``
+    next_step: List[int]            #: ``g + 1`` inside a procedure, -1 after its last step
+    step_latency: List[int]         #: latency bucket (procedure name) of step ``g``
+    latency_names: Tuple[str, ...]  #: procedure names, in procedure-map order
+
+
+def _lower(
+    procedures: Mapping[EventType, Procedure], function_names: Tuple[str, ...]
+) -> _LoweredCore:
+    nf_index = {nf: i for i, nf in enumerate(function_names)}
+    distinct = list(dict.fromkeys(procedures.values()))
+    names = tuple(dict.fromkeys(p.name for p in distinct))
+    proc_of_event = np.full(len(EventType), -1, dtype=np.int64)
+    for event, procedure in procedures.items():
+        proc_of_event[int(event)] = distinct.index(procedure)
+    step_counts = np.array([len(p.steps) for p in distinct], dtype=np.int64)
+    first_step = np.concatenate(([0], np.cumsum(step_counts)[:-1])).astype(np.int64)
+    step_nf: List[int] = []
+    step_mean: List[float] = []
+    next_step: List[int] = []
+    step_latency: List[int] = []
+    for procedure in distinct:
+        last = len(step_nf) + len(procedure.steps) - 1
+        for step in procedure.steps:
+            step_nf.append(nf_index[step.nf])
+            step_mean.append(float(step.service_mean))
+            next_step.append(len(next_step) + 1 if len(next_step) < last else -1)
+            step_latency.append(names.index(procedure.name))
+    return _LoweredCore(
+        proc_of_event=proc_of_event,
+        first_step=first_step,
+        step_counts=step_counts,
+        step_nf=step_nf,
+        step_mean=step_mean,
+        next_step=next_step,
+        step_latency=step_latency,
+        latency_names=names,
+    )
 
 
 class CoreNetworkSimulator:
@@ -135,6 +187,7 @@ class CoreNetworkSimulator:
         self.link_delay = link_delay
         self.service_jitter = service_jitter
         self.seed = seed
+        self._lowered = _lower(self.procedures, self.function_names)
 
     # ------------------------------------------------------------------
     def process(
@@ -150,12 +203,13 @@ class CoreNetworkSimulator:
         """
         tele = telemetry if telemetry is not None else get_telemetry()
         with tele.span("mcn-drive"):
-            report = self._process(trace, rng=np.random.default_rng(self.seed))
+            report = self._process(trace)
         tele.count("mcn_events", report.num_events)
         tele.count("mcn_messages", report.num_messages)
         return report
 
-    def _process(self, trace: Trace, *, rng: np.random.Generator) -> CoreReport:
+    def _process(self, trace: Trace) -> CoreReport:
+        check_trace_columns(trace)
         if len(trace) == 0:
             return CoreReport(
                 core=self.core,
@@ -165,67 +219,81 @@ class CoreNetworkSimulator:
                 functions={},
                 procedures={},
             )
+        low = self._lowered
+        proc = low.proc_of_event[trace.event_types]
+        # Initial steps stream in (time, trace index) order: exactly the
+        # order a heap keyed (time, push counter) pops them in.
+        order = np.argsort(trace.times, kind="stable")
+        order = order[proc[order] >= 0]
+        num_events = len(order)
+        num_messages = int(low.step_counts[proc[order]].sum())
+        arrivals = memoryview(trace.times[order])
+        first_steps = memoryview(low.first_step[proc[order]])
+        # One jitter factor per message, consumed in service order; the
+        # batch holds the same doubles as one scalar draw per message.
+        if self.service_jitter == 0:
+            factors = np.ones(num_messages)
+        else:
+            factors = np.random.default_rng(self.seed).uniform(
+                1.0 - self.service_jitter, 1.0 + self.service_jitter, num_messages
+            )
+
         t0 = float(trace.times[0])
-        queues = {
-            nf: _FunctionQueue(nf, self.workers[nf], t0)
-            for nf in self.function_names
-        }
-        latencies: Dict[str, List[float]] = {
-            p.name: [] for p in self.procedures.values()
-        }
-        skipped = 0
+        pools = [[t0] * self.workers[nf] for nf in self.function_names]
+        busy = [0.0] * len(pools)
+        waits = [array("d") for _ in pools]
+        latencies = [array("d") for _ in low.latency_names]
+        step_nf, step_mean, next_step = low.step_nf, low.step_mean, low.next_step
+        wait_of = [waits[nf].append for nf in step_nf]
+        pool_of = [pools[nf] for nf in step_nf]
+        latency_of = [latencies[b].append for b in low.step_latency]
+        link_delay = self.link_delay
 
-        # Event heap entries: (time, tiebreak, procedure, step_idx, event_t0)
-        counter = itertools.count()
-        heap: List[Tuple[float, int, Procedure, int, float]] = []
-        for i in range(len(trace)):
-            event = EventType(int(trace.event_types[i]))
-            procedure = self.procedures.get(event)
-            if procedure is None:
-                skipped += 1  # e.g. TAU driven into a 5GC
-                continue
-            t = float(trace.times[i])
-            heapq.heappush(heap, (t, next(counter), procedure, 0, t))
-
-        num_messages = 0
-        while heap:
-            t, _, procedure, step_idx, started = heapq.heappop(heap)
-            step = procedure.steps[step_idx]
-            service = self._service_time(step.service_mean, rng)
-            finish = queues[step.nf].serve(t, service)
-            num_messages += 1
-            if step_idx + 1 < len(procedure.steps):
-                heapq.heappush(
-                    heap,
-                    (
-                        finish + self.link_delay,
-                        next(counter),
-                        procedure,
-                        step_idx + 1,
-                        started,
-                    ),
-                )
+        # In-flight follow-up steps: (time, counter, step, event time).
+        # An initial step wins a time tie: its counter would be smaller.
+        pending: List[Tuple[float, int, int, float]] = []
+        counter = 0
+        i = 0
+        for factor in memoryview(factors):
+            if i < num_events and (not pending or arrivals[i] <= pending[0][0]):
+                t = started = arrivals[i]
+                g = first_steps[i]
+                i += 1
             else:
-                latencies[procedure.name].append(finish - started)
+                t, _, g, started = heapq.heappop(pending)
+            service = step_mean[g] * factor
+            pool = pool_of[g]
+            free = pool[0]
+            start = t if t >= free else free
+            finish = start + service
+            heapq.heapreplace(pool, finish)
+            wait_of[g](start - t)
+            busy[step_nf[g]] += service
+            following = next_step[g]
+            if following >= 0:
+                heapq.heappush(pending, (finish + link_delay, counter, following, started))
+                counter += 1
+            else:
+                latency_of[g](finish - started)
 
         span = float(trace.times[-1] - trace.times[0])
-        capacity = {nf: self.workers[nf] * max(span, 1e-9) for nf in queues}
         functions = {}
-        for nf, queue in queues.items():
-            waits = np.asarray(queue.waits) if queue.waits else np.zeros(1)
-            functions[nf] = FunctionReport(
-                name=nf,
-                messages=len(queue.waits),
-                utilization=min(1.0, queue.busy / capacity[nf]),
-                mean_wait=float(waits.mean()),
-                p95_wait=float(np.percentile(waits, 95.0)),
-                max_wait=float(waits.max()),
+        for nf, name in enumerate(self.function_names):
+            values = np.frombuffer(waits[nf]) if waits[nf] else np.zeros(1)
+            capacity = self.workers[name] * max(span, 1e-9)
+            functions[name] = FunctionReport(
+                name=name,
+                messages=len(waits[nf]),
+                utilization=min(1.0, busy[nf] / capacity),
+                mean_wait=float(values.mean()),
+                p95_wait=float(np.percentile(values, 95.0)),
+                max_wait=float(values.max()),
             )
         procedures = {}
-        for name, values in latencies.items():
+        for name, values in zip(low.latency_names, latencies):
             if not values:
                 continue
-            arr = np.asarray(values)
+            arr = np.frombuffer(values)
             procedures[name] = ProcedureReport(
                 name=name,
                 count=arr.size,
@@ -236,14 +304,9 @@ class CoreNetworkSimulator:
             )
         return CoreReport(
             core=self.core,
-            num_events=len(trace) - skipped,
+            num_events=num_events,
             num_messages=num_messages,
             span=span,
             functions=functions,
             procedures=procedures,
         )
-
-    def _service_time(self, mean: float, rng: np.random.Generator) -> float:
-        if self.service_jitter == 0:
-            return mean
-        return mean * rng.uniform(1.0 - self.service_jitter, 1.0 + self.service_jitter)

@@ -28,6 +28,7 @@ explicit ``telemetry=`` argument that wins over the ambient one.
 from __future__ import annotations
 
 import contextlib
+import math
 import sys
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -141,7 +142,9 @@ class RunTelemetry:
         """
         if min_interval < 0:
             raise ValueError("min_interval must be non-negative")
-        self._callbacks.append((callback, float(min_interval), [0.0]))
+        # Never fired yet: the first tick is due whatever the monotonic
+        # clock's origin (on Linux it counts from boot).
+        self._callbacks.append((callback, float(min_interval), [-math.inf]))
 
     def progress(self, phase: str, done: int, total: int = 0) -> None:
         """Report progress; fan out to registered callbacks (rate-limited)."""

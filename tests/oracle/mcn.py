@@ -1,0 +1,209 @@
+"""Per-message reference walks of the MCN simulators.
+
+These are the original event-heap implementations of
+``CoreNetworkSimulator`` and ``MmeSimulator``: one ``heapq`` entry per
+message, one scalar ``rng.uniform`` call per service time, and a
+per-UE dict walk of the two-level machine for MME protocol checks.
+The production engines in :mod:`repro.mcn` lower the same simulation
+to arrays and batched draws; their reports must equal these exactly.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.mcn.mme import MmeReport, MmeSimulator
+from repro.mcn.network import (
+    CoreNetworkSimulator,
+    CoreReport,
+    FunctionReport,
+    ProcedureReport,
+)
+from repro.mcn.procedures import Procedure
+from repro.statemachines.lte import two_level_machine
+from repro.statemachines.replay import _canonical_source_for
+from repro.trace.events import EventType
+from repro.trace.trace import Trace
+
+
+class _FunctionQueue:
+    """A FIFO pool of ``workers`` servers for one network function."""
+
+    __slots__ = ("name", "free_at", "busy", "waits")
+
+    def __init__(self, name: str, workers: int, start: float) -> None:
+        self.name = name
+        self.free_at = [start] * workers
+        heapq.heapify(self.free_at)
+        self.busy = 0.0
+        self.waits: List[float] = []
+
+    def serve(self, arrival: float, service: float) -> float:
+        """Admit a message; return its completion time."""
+        free = heapq.heappop(self.free_at)
+        start = max(arrival, free)
+        finish = start + service
+        heapq.heappush(self.free_at, finish)
+        self.waits.append(start - arrival)
+        self.busy += service
+        return finish
+
+
+def core_report(sim: CoreNetworkSimulator, trace: Trace) -> CoreReport:
+    """Drive ``trace`` through ``sim``'s core one heap step per message."""
+    rng = np.random.default_rng(sim.seed)
+
+    def service_time(mean: float) -> float:
+        if sim.service_jitter == 0:
+            return mean
+        return mean * rng.uniform(1.0 - sim.service_jitter, 1.0 + sim.service_jitter)
+
+    if len(trace) == 0:
+        return CoreReport(
+            core=sim.core,
+            num_events=0,
+            num_messages=0,
+            span=0.0,
+            functions={},
+            procedures={},
+        )
+    t0 = float(trace.times[0])
+    queues = {
+        nf: _FunctionQueue(nf, sim.workers[nf], t0) for nf in sim.function_names
+    }
+    latencies: Dict[str, List[float]] = {p.name: [] for p in sim.procedures.values()}
+    skipped = 0
+
+    # Event heap entries: (time, tiebreak, procedure, step_idx, event_t0)
+    counter = itertools.count()
+    heap: List[Tuple[float, int, Procedure, int, float]] = []
+    for i in range(len(trace)):
+        event = EventType(int(trace.event_types[i]))
+        procedure = sim.procedures.get(event)
+        if procedure is None:
+            skipped += 1  # e.g. TAU driven into a 5GC
+            continue
+        t = float(trace.times[i])
+        heapq.heappush(heap, (t, next(counter), procedure, 0, t))
+
+    num_messages = 0
+    while heap:
+        t, _, procedure, step_idx, started = heapq.heappop(heap)
+        step = procedure.steps[step_idx]
+        service = service_time(step.service_mean)
+        finish = queues[step.nf].serve(t, service)
+        num_messages += 1
+        if step_idx + 1 < len(procedure.steps):
+            heapq.heappush(
+                heap,
+                (finish + sim.link_delay, next(counter), procedure, step_idx + 1, started),
+            )
+        else:
+            latencies[procedure.name].append(finish - started)
+
+    span = float(trace.times[-1] - trace.times[0])
+    capacity = {nf: sim.workers[nf] * max(span, 1e-9) for nf in queues}
+    functions = {}
+    for nf, queue in queues.items():
+        waits = np.asarray(queue.waits) if queue.waits else np.zeros(1)
+        functions[nf] = FunctionReport(
+            name=nf,
+            messages=len(queue.waits),
+            utilization=min(1.0, queue.busy / capacity[nf]),
+            mean_wait=float(waits.mean()),
+            p95_wait=float(np.percentile(waits, 95.0)),
+            max_wait=float(waits.max()),
+        )
+    procedures = {}
+    for name, values in latencies.items():
+        if not values:
+            continue
+        arr = np.asarray(values)
+        procedures[name] = ProcedureReport(
+            name=name,
+            count=arr.size,
+            mean_latency=float(arr.mean()),
+            p95_latency=float(np.percentile(arr, 95.0)),
+            p99_latency=float(np.percentile(arr, 99.0)),
+            max_latency=float(arr.max()),
+        )
+    return CoreReport(
+        core=sim.core,
+        num_events=len(trace) - skipped,
+        num_messages=num_messages,
+        span=span,
+        functions=functions,
+        procedures=procedures,
+    )
+
+
+def mme_report(sim: MmeSimulator, trace: Trace) -> MmeReport:
+    """Drive ``trace`` through ``sim``'s worker pool one event at a time."""
+    n = len(trace)
+    if n == 0:
+        raise ValueError("cannot process an empty trace")
+    rng = np.random.default_rng(sim.seed)
+    machine = two_level_machine()
+
+    def service_time(event: EventType) -> float:
+        mean = sim.service_means.get(event, 0.005)
+        if sim.service_jitter == 0:
+            return mean
+        return mean * rng.uniform(1.0 - sim.service_jitter, 1.0 + sim.service_jitter)
+
+    workers: List[float] = [float(trace.times[0])] * sim.num_workers
+    heapq.heapify(workers)
+
+    waits = np.empty(n, dtype=np.float64)
+    latencies = np.empty(n, dtype=np.float64)
+    busy = 0.0
+    violations = 0
+    ue_state: Dict[int, Optional[str]] = {}
+    events_by_type: Dict[EventType, int] = {e: 0 for e in EventType}
+
+    for i in range(n):
+        arrival = float(trace.times[i])
+        event = EventType(int(trace.event_types[i]))
+        ue = int(trace.ue_ids[i])
+        events_by_type[event] += 1
+
+        # Per-UE protocol check (lenient: unknown start state).
+        state = ue_state.get(ue)
+        if state is None:
+            state = _canonical_source_for(machine, event)
+        if machine.can_fire(state, event):
+            state = machine.next_state(state, event)
+        else:
+            violations += 1
+            state = machine.next_state(_canonical_source_for(machine, event), event)
+        ue_state[ue] = state
+
+        free = heapq.heappop(workers)
+        start = max(arrival, free)
+        service = service_time(event)
+        heapq.heappush(workers, start + service)
+        waits[i] = start - arrival
+        latencies[i] = waits[i] + service
+        busy += service
+
+    span = float(trace.times[-1] - trace.times[0])
+    capacity = sim.num_workers * max(span, 1e-9)
+    p50, p95, p99 = np.percentile(waits, [50.0, 95.0, 99.0])
+    return MmeReport(
+        num_events=n,
+        span=span,
+        mean_wait=float(waits.mean()),
+        p50_wait=float(p50),
+        p95_wait=float(p95),
+        p99_wait=float(p99),
+        max_wait=float(waits.max()),
+        mean_latency=float(latencies.mean()),
+        utilization=min(1.0, busy / capacity),
+        throughput=n / max(span, 1e-9),
+        protocol_violations=violations,
+        events_by_type=events_by_type,
+    )

@@ -1,7 +1,11 @@
 """Tests for the procedure-level core simulator (repro.mcn.network)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.mcn import (
     EPC_FUNCTIONS,
@@ -10,12 +14,14 @@ from repro.mcn import (
     FIVEGC_FUNCTIONS,
     FIVEGC_PROCEDURES,
     CoreNetworkSimulator,
+    MmeSimulator,
     functions_for,
     procedures_for,
 )
 from repro.trace import DeviceType, EventType, Trace
 
 from conftest import make_trace
+from oracle.mcn import core_report, mme_report
 
 E = EventType
 P = DeviceType.PHONE
@@ -147,3 +153,126 @@ class TestProcessing:
             ground_truth_trace.window(0, 900.0)
         )
         assert "registration" in report.procedures or "service_request" in report.procedures
+
+
+def _raw_trace(ues, times, codes, *, sort=False):
+    """A phone trace built without the constructor's checks."""
+    return Trace(
+        np.asarray(ues, dtype=np.int64),
+        np.asarray(times, dtype=np.float64),
+        np.asarray(codes, dtype=np.int8),
+        np.zeros(len(times), dtype=np.int8),
+        sort=sort,
+        validate=False,
+    )
+
+
+#: Every MCN simulator, built fresh per call.
+_SIMULATORS = {
+    "epc": lambda: CoreNetworkSimulator("epc", seed=1),
+    "5gc": lambda: CoreNetworkSimulator("5gc", seed=1),
+    "mme": lambda: MmeSimulator(seed=1),
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("simulator", sorted(_SIMULATORS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_name_the_column(self, simulator, bad):
+        tr = _raw_trace(range(3), [0.0, bad, 2.0], [E.SRV_REQ] * 3)
+        with pytest.raises(ValueError, match="'times'"):
+            _SIMULATORS[simulator]().process(tr)
+
+    @pytest.mark.parametrize("simulator", sorted(_SIMULATORS))
+    @pytest.mark.parametrize("code", [-1, 6, 127])
+    def test_unknown_event_codes_name_the_column(self, simulator, code):
+        tr = _raw_trace(range(3), [0.0, 1.0, 2.0], [E.SRV_REQ, code, E.HO])
+        with pytest.raises(ValueError, match="'event_types'"):
+            _SIMULATORS[simulator]().process(tr)
+
+
+# ----------------------------------------------------------------------
+# Exact equality with the per-message reference walks (tests/oracle)
+# ----------------------------------------------------------------------
+def _assert_core_equal(sim, trace):
+    assert dataclasses.asdict(sim.process(trace)) == dataclasses.asdict(
+        core_report(sim, trace)
+    )
+
+
+def _assert_mme_equal(sim, trace):
+    report = sim.process(trace)
+    assert dataclasses.asdict(report) == dataclasses.asdict(mme_report(sim, trace))
+    return report
+
+
+#: Few distinct times on a 0.5 ms grid, so arrivals tie with each other
+#: and with follow-up steps (service means and link delays sit on the
+#: same grid).
+_rows = st.lists(
+    st.tuples(
+        st.integers(0, 5),                       # UE
+        st.integers(0, 12).map(lambda k: k * 0.0005),
+        st.integers(0, len(EventType) - 1),
+    ),
+    min_size=1,
+    max_size=60,
+)
+_workers = st.one_of(
+    st.integers(1, 3),
+    st.dictionaries(
+        st.sampled_from(EPC_FUNCTIONS + FIVEGC_FUNCTIONS), st.integers(1, 3)
+    ),
+)
+_jitter = st.sampled_from([0.0, 0.3])
+
+
+class TestOracleEquality:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=_rows,
+        sort=st.booleans(),
+        core=st.sampled_from(["epc", "5gc"]),
+        workers=_workers,
+        jitter=_jitter,
+        link_delay=st.sampled_from([0.0, 0.0005]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_core_equals_oracle(self, rows, sort, core, workers, jitter, link_delay, seed):
+        sim = CoreNetworkSimulator(
+            core, workers=workers, link_delay=link_delay, service_jitter=jitter, seed=seed
+        )
+        _assert_core_equal(sim, _raw_trace(*zip(*rows), sort=sort))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        rows=_rows,
+        sort=st.booleans(),
+        workers=st.integers(1, 3),
+        jitter=_jitter,
+        seed=st.integers(0, 2**16),
+    )
+    def test_mme_equals_oracle(self, rows, sort, workers, jitter, seed):
+        sim = MmeSimulator(workers, service_jitter=jitter, seed=seed)
+        _assert_mme_equal(sim, _raw_trace(*zip(*rows), sort=sort))
+
+    @pytest.mark.parametrize("core", ["epc", "5gc"])
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_core_ground_truth(self, ground_truth_trace, core, workers, jitter):
+        sim = CoreNetworkSimulator(core, workers=workers, service_jitter=jitter, seed=3)
+        _assert_core_equal(sim, ground_truth_trace)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_mme_ground_truth(self, ground_truth_trace, workers, jitter):
+        sim = MmeSimulator(workers, service_jitter=jitter, seed=3)
+        assert _assert_mme_equal(sim, ground_truth_trace).protocol_violations == 0
+
+    def test_base_traffic_with_violations(self, base_model_set):
+        from repro.generator import TrafficGenerator
+
+        tr = TrafficGenerator(base_model_set).generate(60, start_hour=18, seed=4)
+        assert _assert_mme_equal(MmeSimulator(seed=2), tr).protocol_violations > 0
+        for core in ("epc", "5gc"):
+            _assert_core_equal(CoreNetworkSimulator(core, seed=2), tr)

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.generator import TrafficGenerator, generate_parallel, stream_events
-from repro.mcn import CoreNetworkSimulator
+from repro.mcn import CoreNetworkSimulator, MmeSimulator
 from repro.telemetry import (
     REPORT_FORMAT,
     REPORT_VERSION,
@@ -372,6 +372,18 @@ class TestGenerationCounters:
         assert tele.counters["mcn_events"] == report.num_events
         assert tele.counters["mcn_messages"] == report.num_messages
         assert "mcn-drive" in tele.spans
+
+    def test_mme_counters(self, ours_model_set):
+        trace = TrafficGenerator(ours_model_set).generate(POP, **RUN)
+        tele, ambient = RunTelemetry(), RunTelemetry()
+        report = MmeSimulator().process(trace, telemetry=tele)
+        assert tele.counters["mme_events"] == report.num_events == len(trace)
+        assert "mme-drive" in tele.spans
+        # Without an explicit collector the ambient one records the run.
+        with use_telemetry(ambient):
+            MmeSimulator().process(trace)
+        assert ambient.counters["mme_events"] == len(trace)
+        assert "mme-drive" in ambient.spans
 
     def test_explicit_telemetry_wins_over_ambient(self, ours_model_set):
         ambient, mine = RunTelemetry(), RunTelemetry()
