@@ -1,18 +1,22 @@
-"""Compiled vs reference engine throughput.
+"""Generation engine vs the per-UE reference generator.
 
-Measures per-UE-hour synthesis cost for every device type under both
-generation engines at two population sizes, and writes the results as
-machine-readable JSON (``benchmarks/results/BENCH_generator.json``) so
-regressions can be tracked across commits.  The compiled engine's win
-grows with population size: vectorized cohort stepping amortizes its
-per-round cost over every active UE, while the reference engine pays
-Python-level interpreter work per event.
+Measures per-UE-hour synthesis cost for every device type under the
+generation engine and the test-only reference generator
+(``tests/oracle/generator.py``) at two population sizes, and writes the
+results as machine-readable JSON
+(``benchmarks/results/BENCH_generator.json``) so regressions can be
+tracked across commits.  The engine's win grows with population size:
+vectorized cohort stepping amortizes its per-round cost over every
+active UE, while the reference generator pays Python-level interpreter
+work per event.
 """
 
 import json
 import time
+from functools import partial
 
-from repro.generator import ENGINES, TrafficGenerator
+from oracle import generator as oracle_generator
+from repro.generator import TrafficGenerator
 from repro.trace import DeviceType
 from repro.validation import format_table
 
@@ -22,15 +26,12 @@ POPULATIONS = (200, 2000)
 REPEATS = 2
 
 
-def _best_time(generator, num_ues, device, hour, engine):
+def _best_time(generate, num_ues, device, hour):
     best = float("inf")
     events = 0
     for _ in range(REPEATS):
         start = time.perf_counter()
-        trace = generator.generate(
-            {device: num_ues}, start_hour=hour, num_hours=1, seed=3,
-            engine=engine,
-        )
+        trace = generate({device: num_ues}, start_hour=hour, num_hours=1, seed=3)
         best = min(best, time.perf_counter() - start)
         events = len(trace)
     return best, events
@@ -39,6 +40,10 @@ def _best_time(generator, num_ues, device, hour, engine):
 def test_compiled_vs_reference_speed(method_models, busy_hour):
     generator = TrafficGenerator(method_models["ours"])
     generator.generate(10, start_hour=busy_hour, num_hours=1, seed=1)
+    engines = {
+        "compiled": generator.generate,
+        "reference": partial(oracle_generator.generate, method_models["ours"]),
+    }
 
     results = {
         "bench": "generator_engines",
@@ -50,10 +55,8 @@ def test_compiled_vs_reference_speed(method_models, busy_hour):
         pop = {}
         for device in DeviceType:
             per_device = {}
-            for engine in ENGINES:
-                elapsed, events = _best_time(
-                    generator, num_ues, device, busy_hour, engine
-                )
+            for engine, generate in engines.items():
+                elapsed, events = _best_time(generate, num_ues, device, busy_hour)
                 per_device[engine] = {
                     "per_ue_hour_ms": elapsed / num_ues * 1e3,
                     "events": events,

@@ -1,15 +1,17 @@
-"""Compiled vs reference evaluation-pipeline throughput.
+"""Evaluation engine vs the per-event reference metrics.
 
 Runs ``evaluate_methods`` on the same phone-cohort train/validation
-pair with both engines at several population sizes and writes
+pair at several population sizes, once as shipped and once with the
+per-event reference replay (``tests/oracle/replay.py``) swapped into
+the Table-4/5 metrics, and writes
 machine-readable JSON (``benchmarks/results/BENCH_evaluation.json``),
 mirroring ``BENCH_fitting.json``.  Models are pre-fitted once (outside
-the clock, with the compiled fitter) and passed in, so the timings
-isolate what the evaluation tentpole changed: generation plus the
-Table-4/5 metric computation — whole-cohort array replays and
-``bincount``-based count CDFs versus the per-event reference walk.
-Also measured: the compiled engine with per-(method × device) metric
-jobs fanned across all CPUs.
+the clock) and passed in, so the timings isolate generation plus the
+Table-4/5 metric computation — whole-cohort array replays versus the
+per-event reference walk.  Also measured: per-(method × device) metric
+jobs fanned across all CPUs.  The timed engine runs report to the
+bench's ambient telemetry collector, so ``evaluation_speed.telemetry.json``
+carries their ``evaluate`` and ``eval-*`` spans.
 
 ``REPRO_BENCH_EVAL_UES`` overrides the population ladder
 (comma-separated phone counts); the ``>= 5x`` speedup assertion only
@@ -17,16 +19,19 @@ applies at 20,000 UEs and above, where the vectorized replay has data
 to amortize its setup over.
 """
 
+import contextlib
 import json
 import os
 import time
+from functools import partial
 
+from oracle import replay as oracle_replay
 from repro.baselines import fit_method
 from repro.groundtruth import simulate_ground_truth
-from repro.harness import EVAL_ENGINES, evaluate_methods
+from repro.harness import evaluate_methods
 from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType
-from repro.validation import format_table
+from repro.validation import breakdown, format_table, microscopic
 
 from conftest import RESULTS_DIR, write_result
 
@@ -49,8 +54,8 @@ ASSERT_FLOOR = 20_000
 SPEEDUP_FLOOR = 5.0
 
 
-def _timed_eval(train, real, models, engine, **kwargs):
-    telemetry = RunTelemetry()
+def _timed_eval(train, real, models, **kwargs):
+    """Time one ``evaluate_methods`` run (ambient telemetry by default)."""
     start = time.perf_counter()
     report = evaluate_methods(
         train,
@@ -58,15 +63,38 @@ def _timed_eval(train, real, models, engine, **kwargs):
         methods=METHODS,
         models=models,
         generation_hour=BENCH_START_HOUR,
-        engine=engine,
-        telemetry=telemetry,
         **kwargs,
     )
     return time.perf_counter() - start, report
 
 
-def test_evaluation_engine_speed():
-    # Warm both engines (imports, machine lowering) outside the clock.
+@contextlib.contextmanager
+def _reference_metrics(monkeypatch):
+    """Swap the per-event reference replay into the metrics."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            breakdown,
+            "classify_category2_events",
+            oracle_replay.classify_category2_events,
+        )
+        patch.setattr(
+            microscopic, "device_sojourns", oracle_replay.device_sojourns
+        )
+        yield
+
+
+def _timed_reference_eval(monkeypatch, train, real, models):
+    # A private collector keeps the reference arm out of the report.
+    with _reference_metrics(monkeypatch):
+        return _timed_eval(train, real, models, telemetry=RunTelemetry())
+
+
+def test_evaluation_engine_speed(monkeypatch):
+    evaluators = {
+        "compiled": _timed_eval,
+        "reference": partial(_timed_reference_eval, monkeypatch),
+    }
+    # Warm both arms (imports, machine lowering) outside the clock.
     warm_train = simulate_ground_truth(
         {DeviceType.PHONE: 50},
         duration=7200.0,
@@ -84,8 +112,8 @@ def test_evaluation_engine_speed():
                       trace_start_hour=BENCH_START_HOUR)
         for m in METHODS
     }
-    for engine in EVAL_ENGINES:
-        _timed_eval(warm_train, warm_real, warm_models, engine)
+    _timed_eval(warm_train, warm_real, warm_models, telemetry=RunTelemetry())
+    _timed_reference_eval(monkeypatch, warm_train, warm_real, warm_models)
 
     results = {
         "bench": "evaluation_engines",
@@ -116,29 +144,25 @@ def test_evaluation_engine_speed():
 
         per_engine = {}
         reports = {}
-        for engine in EVAL_ENGINES:
+        for engine, evaluate in evaluators.items():
             elapsed = float("inf")
             for _ in range(REPEATS):
-                once, report = _timed_eval(train, real, models, engine)
+                once, report = evaluate(train, real, models)
                 elapsed = min(elapsed, once)
             per_engine[engine] = {"seconds": elapsed}
             reports[engine] = report
-        # The tentpole guarantee, re-checked where it matters most.
+        # The exact-equality guarantee, re-checked where it matters most.
         assert (
-            reports["compiled"].to_dict()["methods"]
-            == reports["reference"].to_dict()["methods"]
-        ), f"engines diverged at {num_ues} UEs"
+            reports["compiled"].to_dict() == reports["reference"].to_dict()
+        ), f"engine and reference diverged at {num_ues} UEs"
         speedup = (
             per_engine["reference"]["seconds"]
             / per_engine["compiled"]["seconds"]
         )
 
-        par_elapsed, par_report = _timed_eval(
-            train, real, models, "compiled", processes=0
-        )
+        par_elapsed, par_report = _timed_eval(train, real, models, processes=0)
         assert (
-            par_report.to_dict()["methods"]
-            == reports["compiled"].to_dict()["methods"]
+            par_report.to_dict() == reports["compiled"].to_dict()
         ), f"parallel metrics diverged at {num_ues} UEs"
 
         results["populations"][str(num_ues)] = {
@@ -177,6 +201,6 @@ def test_evaluation_engine_speed():
     text = format_table(
         ["phone UEs", "reference", "compiled", "speedup", "parallel"],
         rows,
-        title="Evaluation speed: 1-hour phone validation, both engines",
+        title="Evaluation speed: 1-hour phone validation, engine vs reference",
     )
     write_result("evaluation_speed", text + f"\n[json in {json_path}]")

@@ -1,10 +1,11 @@
-"""Compiled vs reference fitting-pipeline throughput.
+"""Fitting engine vs the per-segment reference fit.
 
-Fits the same phone-cohort trace with both ``fit_model_set`` engines at
+Fits the same phone-cohort trace with ``fit_model_set`` and with the
+test-only per-segment reference fit (``tests/oracle/fit.py``) at
 several population sizes and writes machine-readable JSON
 (``benchmarks/results/BENCH_fitting.json``) so regressions can be
 tracked across commits, mirroring ``BENCH_generator.json``.  Also
-measured: the compiled engine with per-(device, hour) process fan-out
+measured: the engine with per-(device, hour) process fan-out
 (wall-clock wins require more than one core and more hour-jobs than
 workers), and the content-addressed model cache (a warm hit skips the
 whole pipeline and must cost a small fraction of the cold fit).
@@ -19,8 +20,9 @@ import json
 import os
 import time
 
+from oracle import fit as oracle_fit
 from repro.groundtruth import simulate_ground_truth
-from repro.model import FIT_ENGINES, fit_model_set
+from repro.model import fit_model_set
 from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType
 from repro.validation import format_table
@@ -61,16 +63,28 @@ def _timed_fit(trace, theta_n, **kwargs):
     return time.perf_counter() - start, model_set, telemetry
 
 
+def _timed_reference_fit(trace, theta_n):
+    start = time.perf_counter()
+    model_set = oracle_fit.fit_model_set(
+        trace, theta_n=theta_n, trace_start_hour=BENCH_START_HOUR
+    )
+    return time.perf_counter() - start, model_set, None
+
+
+#: The two timed arms: the production fitter and the oracle.
+FITTERS = {"compiled": _timed_fit, "reference": _timed_reference_fit}
+
+
 def test_fitting_engine_speed(tmp_path):
-    # Warm both engines (imports, machine lowering) outside the clock.
+    # Warm both fitters (imports, machine lowering) outside the clock.
     warmup = simulate_ground_truth(
         {DeviceType.PHONE: 50},
         duration=3600.0,
         seed=2,
         start_hour=BENCH_START_HOUR,
     )
-    for engine in FIT_ENGINES:
-        _timed_fit(warmup, 25, engine=engine)
+    for fit in FITTERS.values():
+        fit(warmup, 25)
 
     results = {
         "bench": "fitting_engines",
@@ -91,17 +105,17 @@ def test_fitting_engine_speed(tmp_path):
 
         per_engine = {}
         fitted = {}
-        for engine in FIT_ENGINES:
+        for engine, fit in FITTERS.items():
             elapsed = float("inf")
             for _ in range(REPEATS):
-                once, model_set, _ = _timed_fit(trace, theta_n, engine=engine)
+                once, model_set, _ = fit(trace, theta_n)
                 elapsed = min(elapsed, once)
             per_engine[engine] = {
                 "seconds": elapsed,
                 "per_ue_hour_ms": elapsed / ue_hours * 1e3,
             }
             fitted[engine] = model_set
-        # The tentpole guarantee, re-checked where it matters most.
+        # The exact-equality guarantee, re-checked where it matters most.
         assert (
             fitted["compiled"].to_dict() == fitted["reference"].to_dict()
         ), f"engines diverged at {num_ues} UEs"
@@ -110,16 +124,14 @@ def test_fitting_engine_speed(tmp_path):
             / per_engine["compiled"]["seconds"]
         )
 
-        par_elapsed, _, _ = _timed_fit(
-            trace, theta_n, engine="compiled", processes=0
-        )
+        par_elapsed, _, _ = _timed_fit(trace, theta_n, processes=0)
 
         cache_dir = tmp_path / f"cache-{num_ues}"
         cold_elapsed, cold_model, cold_tele = _timed_fit(
-            trace, theta_n, engine="compiled", cache_dir=cache_dir
+            trace, theta_n, cache_dir=cache_dir
         )
         warm_elapsed, warm_model, warm_tele = _timed_fit(
-            trace, theta_n, engine="compiled", cache_dir=cache_dir
+            trace, theta_n, cache_dir=cache_dir
         )
         assert cold_tele.counters.get("cache_misses") == 1
         assert warm_tele.counters.get("cache_hits") == 1
@@ -171,6 +183,6 @@ def test_fitting_engine_speed(tmp_path):
         ["phone UEs", "reference", "compiled", "speedup",
          "parallel", "warm cache"],
         rows,
-        title=f"Fitting speed: {HOURS}-hour phone trace, both engines",
+        title=f"Fitting speed: {HOURS}-hour phone trace, engine vs reference",
     )
     write_result("fitting_speed", text + f"\n[json in {json_path}]")

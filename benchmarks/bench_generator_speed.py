@@ -10,8 +10,10 @@ well under a second and phones (the busiest devices) cost the most.
 
 import contextlib
 import time
+from functools import partial
 
-from repro.generator import ENGINES, TrafficGenerator
+from oracle import generator as oracle_generator
+from repro.generator import TrafficGenerator
 from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType
 from repro.validation import format_table
@@ -42,11 +44,13 @@ def test_generator_per_ue_speed(benchmark, method_models, busy_hour):
     for dt in DeviceType:
         per_engine = {}
         events = 0
-        for engine in ENGINES:
+        for engine, generate in (
+            ("compiled", generator.generate),
+            ("reference", partial(oracle_generator.generate, generator.model_set)),
+        ):
             start = time.perf_counter()
-            tr = generator.generate(
-                {dt: UES_PER_DEVICE}, start_hour=busy_hour, num_hours=1,
-                seed=3, engine=engine,
+            tr = generate(
+                {dt: UES_PER_DEVICE}, start_hour=busy_hour, num_hours=1, seed=3
             )
             per_engine[engine] = time.perf_counter() - start
             events = len(tr)
@@ -83,65 +87,53 @@ class _NullTelemetry(RunTelemetry):
 
 
 def test_telemetry_overhead(method_models, busy_hour):
-    """The tentpole's always-on-counters contract: telemetry collection
+    """The always-on-counters contract: telemetry collection
     must add <3% to generation time on this bench's workload."""
     generator = TrafficGenerator(method_models["ours"])
-    rows = []
-    for engine, pop in (("compiled", 1000), ("reference", UES_PER_DEVICE)):
-        timings = {}
-        for label, make_tele in (
-            ("off", _NullTelemetry),
-            ("on", RunTelemetry),
-        ):
-            generator.generate(  # warm caches before timing
-                {DeviceType.PHONE: pop},
-                start_hour=busy_hour,
-                num_hours=1,
-                seed=3,
-                engine=engine,
-                telemetry=make_tele(),
-            )
-            best = min(
-                _timed(
-                    generator,
-                    {DeviceType.PHONE: pop},
-                    busy_hour,
-                    engine,
-                    make_tele(),
-                )
-                for _ in range(5)
-            )
-            timings[label] = best
-        overhead = timings["on"] / timings["off"] - 1.0
-        rows.append(
-            [
-                engine,
-                f"{pop:,}",
-                f"{timings['off'] * 1e3:,.1f} ms",
-                f"{timings['on'] * 1e3:,.1f} ms",
-                f"{overhead * 100.0:+.2f}%",
-            ]
+    pop = 1000
+    timings = {}
+    for label, make_tele in (
+        ("off", _NullTelemetry),
+        ("on", RunTelemetry),
+    ):
+        generator.generate(  # warm caches before timing
+            {DeviceType.PHONE: pop},
+            start_hour=busy_hour,
+            num_hours=1,
+            seed=3,
+            telemetry=make_tele(),
         )
-        assert overhead < 0.03, (
-            f"{engine}: telemetry overhead {overhead:.1%} breaches the "
-            "<3% always-on budget"
+        timings[label] = min(
+            _timed(generator, {DeviceType.PHONE: pop}, busy_hour, make_tele())
+            for _ in range(5)
         )
+    overhead = timings["on"] / timings["off"] - 1.0
+    rows = [
+        [
+            f"{pop:,}",
+            f"{timings['off'] * 1e3:,.1f} ms",
+            f"{timings['on'] * 1e3:,.1f} ms",
+            f"{overhead * 100.0:+.2f}%",
+        ]
+    ]
+    assert overhead < 0.03, (
+        f"telemetry overhead {overhead:.1%} breaches the <3% always-on budget"
+    )
     text = format_table(
-        ["Engine", "UEs", "telemetry no-op", "telemetry on", "overhead"],
+        ["UEs", "telemetry no-op", "telemetry on", "overhead"],
         rows,
         title="Telemetry overhead: always-on counters vs no-op collector",
     )
     write_result("telemetry_overhead", text)
 
 
-def _timed(generator, population, busy_hour, engine, telemetry):
+def _timed(generator, population, busy_hour, telemetry):
     start = time.perf_counter()
     generator.generate(
         population,
         start_hour=busy_hour,
         num_hours=1,
         seed=3,
-        engine=engine,
         telemetry=telemetry,
     )
     return time.perf_counter() - start

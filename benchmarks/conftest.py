@@ -14,6 +14,7 @@ artifacts end to end.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,10 @@ from repro.generator import TrafficGenerator
 from repro.groundtruth import simulate_ground_truth
 from repro.telemetry import RunTelemetry, get_telemetry, use_telemetry
 from repro.trace import DeviceType, Trace, busiest_hour
+
+# The speed benches time the test-only reference implementations
+# (``tests/oracle``) as their baseline arm.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from ..distributions.exponential import Exponential
 from ..statemachines import lte
-from ..statemachines.lte import two_level_machine
-from ..statemachines.replay import replay_trace, top_level_intervals
+from ..statemachines.compiled_replay import replay_trace
 from ..stats.variance_time import (
     DEFAULT_SCALES,
     VarianceTimeCurve,
@@ -44,17 +43,9 @@ def quantity_samples(
     """
     sub = trace.filter_device(device_type)
     if quantity in (lte.CONNECTED, lte.IDLE):
-        machine = two_level_machine()
-        durations: List[float] = []
-        entries: List[float] = []
-        for result in replay_trace(sub).values():
-            for interval in top_level_intervals(result.records, machine):
-                if interval.state == quantity and interval.complete:
-                    durations.append(interval.duration)
-                    entries.append(interval.start)
-        return np.asarray(durations), np.asarray(entries)
+        return replay_trace(sub).state_visits(quantity)
     event = EventType[quantity]
-    durations = []
+    durations: List[float] = []
     arrivals: List[float] = []
     for _, ue_sub in sub.per_ue():
         times = ue_sub.times[ue_sub.event_types == int(event)]

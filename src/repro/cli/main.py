@@ -28,10 +28,9 @@ Model sets are JSON, gzipped when the path ends in ``.gz``.  The
 ``--telemetry PATH`` to write a versioned, schema-validated
 observability report of the run (see :mod:`repro.telemetry`);
 ``repro telemetry summarize PATH`` renders its per-phase breakdown.
-``fit`` and ``evaluate`` default to the compiled engine and the
-content-addressed model cache under ``~/.cache/repro`` (``--engine
-reference``, ``--no-cache``, ``--cache-dir`` override); ``evaluate``
-additionally fans per-(method × device) metric jobs across
+``fit`` and ``evaluate`` use the content-addressed model cache under
+``~/.cache/repro`` (``--no-cache`` and ``--cache-dir`` override);
+``evaluate`` additionally fans per-(method × device) metric jobs across
 ``--processes`` workers and can emit the full report as ``--json``.
 """
 
@@ -48,9 +47,8 @@ from ..generator import TrafficGenerator
 from ..generator.parallel import generate_parallel
 from ..groundtruth import simulate_ground_truth
 from ..mcn import CoreNetworkSimulator, MmeSimulator
-from ..harness import EVAL_ENGINES, evaluate_methods
+from ..harness import evaluate_methods
 from ..model import (
-    FIT_ENGINES,
     ModelSet,
     default_cache_dir,
     scale_to_nsa,
@@ -150,7 +148,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "command": "fit",
             "trace": args.trace,
             "method": args.method,
-            "engine": args.engine,
             "processes": args.processes if args.processes is not None else 1,
         }
     )
@@ -168,7 +165,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         theta_n=args.theta_n,
         trace_start_hour=args.start_hour,
         max_cdf_points=args.max_cdf_points,
-        engine=args.engine,
         processes=args.processes,
         cache_dir=cache_dir,
         telemetry=tele,
@@ -177,7 +173,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         model.save(args.out)
     cached = " (cache hit)" if tele.counters.get("cache_hits") else ""
     print(
-        f"fitted {model.num_models} models ({args.method}, {args.engine})"
+        f"fitted {model.num_models} models ({args.method})"
         f"{cached} -> {args.out}"
     )
     if args.telemetry:
@@ -278,7 +274,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             "train": args.train,
             "real": args.real,
             "methods": args.methods,
-            "engine": args.engine,
             "generation_hour": args.hour,
             "seed": args.seed,
             "processes": args.processes,
@@ -299,7 +294,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         trace_start_hour=args.train_start_hour,
         generation_hour=args.hour,
         seed=args.seed,
-        engine=args.engine,
         processes=args.processes,
         cache_dir=cache_dir,
         telemetry=tele,
@@ -499,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-n", type=int, default=1000)
     p.add_argument("--start-hour", type=int, default=0)
     p.add_argument("--max-cdf-points", type=int, default=512)
-    p.add_argument("--engine", choices=FIT_ENGINES, default="compiled",
-                   help="fitting engine (both produce identical models)")
     p.add_argument("--processes", type=int, default=None,
                    help="fit worker processes (0 = all CPUs; default serial)")
     p.add_argument("--cache-dir", default=None,
@@ -554,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-start-hour", type=int, default=0)
     p.add_argument("--hour", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", choices=EVAL_ENGINES, default="compiled",
-                   help="evaluation engine (both produce identical reports)")
     p.add_argument("--processes", type=int, default=None,
                    help="metric/fit worker processes (0 = all CPUs; "
                         "default serial)")

@@ -57,7 +57,7 @@ class Distribution(abc.ABC):
 
     # -- compilation ---------------------------------------------------
     def compile_sojourn(self) -> tuple:
-        """Lower the distribution to a flat table for the compiled engine.
+        """Lower the distribution to a flat table for the generation engine.
 
         Returns either ``("empirical", probs, values)`` — piecewise-
         linear inverse-CDF knots such that ``ppf(u) == interp(u, probs,

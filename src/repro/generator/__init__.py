@@ -6,14 +6,17 @@ from .checkpoint import (
     GenerationCheckpoint,
     RunKey,
 )
-from .compiled import CompiledModelSet, CompiledPopulation, compile_model_set
+from .compiled import (
+    MAX_EVENTS_PER_HOUR,
+    CompiledModelSet,
+    CompiledPopulation,
+    compile_model_set,
+)
 from .parallel import ChunkFailedError, generate_parallel
 from .streaming import stream_events, stream_to_trace
-from .traffgen import ENGINES, MAX_SEED, TrafficGenerator, validate_run_args
-from .ue_generator import MAX_EVENTS_PER_HOUR, UeSession, generate_ue_events
+from .traffgen import MAX_SEED, TrafficGenerator, validate_run_args
 
 __all__ = [
-    "ENGINES",
     "MAX_EVENTS_PER_HOUR",
     "MAX_SEED",
     "CheckpointError",
@@ -26,8 +29,6 @@ __all__ = [
     "TrafficGenerator",
     "compile_model_set",
     "generate_parallel",
-    "UeSession",
-    "generate_ue_events",
     "stream_events",
     "stream_to_trace",
     "validate_run_args",

@@ -10,18 +10,13 @@ replaced atomically (write-to-temp + ``os.replace``), so a crash at any
 instant leaves either the previous checkpoint or the new one, never a
 torn file.
 
-Because both engines derive every random draw from a per-UE substream
-that is a pure function of ``(seed, ue position)`` — a Philox counter
-for the compiled engine, ``SeedSequence(seed, spawn_key=(i,))`` for the
-reference engine — the carryover needed for bit-identical continuation
-is tiny:
+Because every random draw comes from a Philox counter that is a pure
+function of ``(seed, ue position)``, the carryover needed for
+bit-identical continuation is tiny:
 
-- **compiled**: the per-UE chain-state array plus the hour counter
-  (:meth:`CompiledPopulation.snapshot`); personas and Philox keys are
-  replayed from the seed.
-- **reference**: the per-UE chain state *and* the exact PCG64
-  bit-generator state (:meth:`UeSession.snapshot`), since the reference
-  RNG stream is stateful.
+- **serial / stream**: the per-UE chain-state array plus the hour
+  counter (:meth:`CompiledPopulation.snapshot`); personas and Philox
+  keys are replayed from the seed.
 - **parallel**: completed chunks are independent pure functions of the
   run parameters, so the checkpoint simply stores their finished event
   columns and the remaining chunks are (re)generated.
@@ -48,7 +43,6 @@ from ..model.model_set import ModelSet
 from ..trace.events import DeviceType
 from ..trace.trace import Trace
 from .compiled import population_for_counts
-from .ue_generator import UeSession
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -58,7 +52,7 @@ __all__ = [
     "RunKey",
 ]
 
-CHECKPOINT_FORMAT = "repro-generation-checkpoint-v1"
+CHECKPOINT_FORMAT = "repro-generation-checkpoint-v2"
 
 #: Four event columns: (ue_ids, times, event_types, device_types).
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -75,16 +69,9 @@ class CheckpointMismatchError(CheckpointError):
     """A checkpoint was produced by a run with different parameters."""
 
 
-def _rng_provenance(engine: str) -> Dict[str, str]:
+def _rng_provenance() -> Dict[str, str]:
     """What produced the random streams (recorded, checked by humans)."""
-    return {
-        "numpy": np.__version__,
-        "rng": (
-            "philox4x64-10 counter"
-            if engine == "compiled"
-            else "pcg64 + seedsequence spawn_key"
-        ),
-    }
+    return {"numpy": np.__version__, "rng": "philox4x64-10 counter"}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +79,6 @@ class RunKey:
     """Everything that determines a generation run's output bits."""
 
     kind: str                #: "generate" | "parallel" | "stream"
-    engine: str
     seed: int
     start_hour: int
     num_hours: int
@@ -108,7 +94,6 @@ class RunKey:
         counts: Dict[DeviceType, int],
         *,
         kind: str,
-        engine: str,
         seed: int,
         start_hour: int,
         num_hours: int,
@@ -117,7 +102,6 @@ class RunKey:
     ) -> "RunKey":
         return cls(
             kind=kind,
-            engine=engine,
             seed=int(seed),
             start_hour=int(start_hour),
             num_hours=int(num_hours),
@@ -147,16 +131,15 @@ class GenerationCheckpoint:
     """One run's resumable progress (see module docstring).
 
     Only the fields relevant to the run ``kind`` are populated:
-    ``columns`` + one carryover field for ``generate``, a carryover
-    field + ``events_emitted`` for ``stream``, ``chunk_columns`` for
-    ``parallel``.
+    ``columns`` + ``population_state`` for ``generate``,
+    ``population_state`` + ``events_emitted`` for ``stream``,
+    ``chunk_columns`` for ``parallel``.
     """
 
     key: RunKey
     hours_done: int = 0
     events_emitted: int = 0  #: stream runs: events yielded so far
-    population_state: Optional[np.ndarray] = None   # compiled carryover
-    sessions: Optional[List[dict]] = None           # reference carryover
+    population_state: Optional[np.ndarray] = None   # per-UE chain states
     columns: Optional[Columns] = None               # accumulated events
     chunk_columns: Dict[int, Columns] = dataclasses.field(default_factory=dict)
     provenance: Dict[str, Any] = dataclasses.field(default_factory=dict)
@@ -186,7 +169,6 @@ class GenerationCheckpoint:
             "key": dataclasses.asdict(self.key),
             "hours_done": int(self.hours_done),
             "events_emitted": int(self.events_emitted),
-            "sessions": self.sessions,
             "completed_chunks": sorted(self.chunk_columns),
             "has_population_state": self.population_state is not None,
             "has_columns": self.columns is not None,
@@ -249,18 +231,21 @@ class GenerationCheckpoint:
                         np.asarray(data[f"chunk{idx}_{name}"], dtype=dtype)
                         for name, dtype in zip(_COLUMN_NAMES, _COLUMN_DTYPES)
                     )
+            # A key with unknown or missing fields is malformed too.
+            key = RunKey(**meta["key"])
         except CheckpointError:
             raise
-        except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        except (
+            OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile
+        ) as exc:
             raise CheckpointError(
                 f"cannot read checkpoint {path}: {exc}"
             ) from exc
         return cls(
-            key=RunKey(**meta["key"]),
+            key=key,
             hours_done=int(meta["hours_done"]),
             events_emitted=int(meta["events_emitted"]),
             population_state=population_state,
-            sessions=meta["sessions"],
             columns=columns,
             chunk_columns=chunk_columns,
             provenance=meta.get("provenance", {}),
@@ -281,71 +266,10 @@ class GenerationCheckpoint:
 # ---------------------------------------------------------------------------
 
 
-def build_reference_sessions(
-    model_set: ModelSet,
-    counts: Dict[DeviceType, int],
-    *,
-    seed: int,
-    start_hour: int,
-) -> List[UeSession]:
-    """One :class:`UeSession` per UE, in generation order.
-
-    Substream ``i`` of ``SeedSequence(seed).spawn(total)`` is derived
-    directly as ``SeedSequence(seed, spawn_key=(i,))`` — O(1) per UE —
-    exactly as the batch and parallel reference paths do, so all three
-    consume identical randomness.
-    """
-    machine = model_set.machine()
-    sessions: List[UeSession] = []
-    idx = 0
-    for device_type in sorted(counts, key=int):
-        personas = np.asarray(
-            model_set.device_ues.get(device_type, []), dtype=np.int64
-        )
-        if counts[device_type] > 0 and personas.size == 0:
-            raise ValueError(
-                f"no fitted model for device type {device_type.name}"
-            )
-        for _ in range(counts[device_type]):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(idx,))
-            )
-            idx += 1
-            persona = int(personas[rng.integers(personas.size)])
-            sessions.append(
-                UeSession(
-                    model_set,
-                    device_type,
-                    persona,
-                    start_hour=start_hour,
-                    rng=rng,
-                    machine=machine,
-                )
-            )
-    return sessions
-
-
-def restore_reference_sessions(
-    model_set: ModelSet,
-    snapshots: List[dict],
-    *,
-    start_hour: int,
-) -> List[UeSession]:
-    """Rebuild the session list from checkpointed snapshots."""
-    machine = model_set.machine()
-    return [
-        UeSession.from_snapshot(
-            model_set, snap, start_hour=start_hour, machine=machine
-        )
-        for snap in snapshots
-    ]
-
-
 def generate_checkpointed(
     model_set: ModelSet,
     counts: Dict[DeviceType, int],
     *,
-    engine: str,
     start_hour: int,
     num_hours: int,
     seed: int,
@@ -357,10 +281,7 @@ def generate_checkpointed(
 
     Produces output bit-identical to
     :meth:`TrafficGenerator.generate` with the same arguments and no
-    checkpointing: the compiled path runs the very same per-hour cohort
-    stepping, and the reference path emits the same per-UE event
-    sequences (hour-major instead of UE-major, which the trace's stable
-    ``(time, ue)`` sort normalizes away).
+    checkpointing: it runs the very same per-hour cohort stepping.
     """
     if checkpoint_path is None:
         raise ValueError("resume=True requires checkpoint_path")
@@ -368,7 +289,6 @@ def generate_checkpointed(
         model_set,
         counts,
         kind="generate",
-        engine=engine,
         seed=seed,
         start_hour=start_hour,
         num_hours=num_hours,
@@ -383,14 +303,13 @@ def generate_checkpointed(
         if checkpoint.columns is not None and len(checkpoint.columns[0]):
             parts.append(checkpoint.columns)
 
-    def _save(carryover_state=None, sessions=None) -> None:
+    def _save(population_state) -> None:
         GenerationCheckpoint(
             key=key,
             hours_done=hours_done,
-            population_state=carryover_state,
-            sessions=sessions,
+            population_state=population_state,
             columns=_concat_columns(parts),
-            provenance=_rng_provenance(engine),
+            provenance=_rng_provenance(),
         ).save(checkpoint_path)
 
     from ..telemetry import get_telemetry
@@ -398,73 +317,35 @@ def generate_checkpointed(
     tele = get_telemetry()
     total_ues = sum(counts.values())
 
-    if engine == "compiled":
-        population = population_for_counts(
-            model_set, counts, seed=seed, start_hour=start_hour
-        )
-        if checkpoint is not None:
-            if checkpoint.population_state is None:
-                raise CheckpointError(
-                    f"{checkpoint_path}: compiled-engine checkpoint is "
-                    "missing the population carryover state"
-                )
-            population.restore(checkpoint.population_state, hours_done)
-        elif hours_done == 0:
-            _save(carryover_state=population.snapshot()[0])
-        draws_before = population.rng_draws
-        for _ in range(hours_done, num_hours):
-            rows, times, events = population.advance_hour()
-            if len(rows):
-                parts.append(
-                    (
-                        first_ue_id + rows,
-                        times,
-                        events.astype(np.int8),
-                        population.device_codes[rows],
-                    )
-                )
-            hours_done += 1
-            tele.count("ue_hours", total_ues)
-            tele.progress("generate", hours_done, num_hours)
-            _save(carryover_state=population.snapshot()[0])
-        tele.count("rng_draws", population.rng_draws - draws_before)
-    else:
-        if checkpoint is not None:
-            if checkpoint.sessions is None:
-                raise CheckpointError(
-                    f"{checkpoint_path}: reference-engine checkpoint is "
-                    "missing the per-UE session snapshots"
-                )
-            sessions = restore_reference_sessions(
-                model_set, checkpoint.sessions, start_hour=start_hour
+    population = population_for_counts(
+        model_set, counts, seed=seed, start_hour=start_hour
+    )
+    if checkpoint is not None:
+        if checkpoint.population_state is None:
+            raise CheckpointError(
+                f"{checkpoint_path}: checkpoint is missing the population "
+                "carryover state"
             )
-        else:
-            sessions = build_reference_sessions(
-                model_set, counts, seed=seed, start_hour=start_hour
+        population.restore(checkpoint.population_state, hours_done)
+    elif hours_done == 0:
+        _save(population.snapshot()[0])
+    draws_before = population.rng_draws
+    for _ in range(hours_done, num_hours):
+        rows, times, events = population.advance_hour()
+        if len(rows):
+            parts.append(
+                (
+                    first_ue_id + rows,
+                    times,
+                    events.astype(np.int8),
+                    population.device_codes[rows],
+                )
             )
-            # One persona draw per freshly created session (see traffgen).
-            tele.count("rng_draws", len(sessions))
-            _save(sessions=[s.snapshot() for s in sessions])
-        for _ in range(hours_done, num_hours):
-            rng_draws = 0
-            for position, session in enumerate(sessions):
-                times, events = session.advance_hour()
-                rng_draws += 2 * len(times)  # estimate, see traffgen
-                if times:
-                    k = len(times)
-                    parts.append(
-                        (
-                            np.full(k, first_ue_id + position, dtype=np.int64),
-                            np.asarray(times, dtype=np.float64),
-                            np.asarray(events, dtype=np.int8),
-                            np.full(k, int(session.device_type), dtype=np.int8),
-                        )
-                    )
-            hours_done += 1
-            tele.count("ue_hours", total_ues)
-            tele.count("rng_draws", rng_draws)
-            tele.progress("generate", hours_done, num_hours)
-            _save(sessions=[s.snapshot() for s in sessions])
+        hours_done += 1
+        tele.count("ue_hours", total_ues)
+        tele.progress("generate", hours_done, num_hours)
+        _save(population.snapshot()[0])
+    tele.count("rng_draws", population.rng_draws - draws_before)
 
     columns = _concat_columns(parts)
     if len(columns[0]) == 0:

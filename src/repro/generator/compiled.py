@@ -1,7 +1,7 @@
-"""Compiled vectorized generation engine (the ``engine="compiled"`` path).
+"""The generation engine: whole cohorts stepped through flat array tables.
 
-The reference generator walks one Python-level :meth:`SemiMarkovChain.step`
-per event: it re-reads the edge list, draws the edge with ``rng`` calls and
+A per-UE generator would walk one Python-level :meth:`SemiMarkovChain.step`
+per event: re-read the edge list, draw the edge with ``rng`` calls and
 the dwell with a scalar ``np.interp`` — tens of microseconds of interpreter
 work per event.  This module lowers every (device, hour) model of a
 :class:`~repro.model.model_set.ModelSet` into flat NumPy arrays once
@@ -33,10 +33,13 @@ vectorized array operations shared by the whole cohort:
   bit-identical by construction, and per-worker setup is O(chunk), not
   O(population).
 
-The engine is statistically equivalent to the reference path (same fitted
-edge probabilities, identical inverse-transform dwell curves, same
-first-event and overlay models) but does not reproduce its RNG stream;
-``engine="reference"`` remains the oracle.
+Each UE follows the paper's per-UE generator (§7): the first hour's
+event comes from the first-event model, then the cluster's semi-Markov
+chain runs hour after hour.  At every hour boundary the pending event is
+dropped and the dwell re-sampled from the new hour's model; a UE whose
+chain parks in a state with no fitted transitions stays silent until a
+later hour's model moves it again.  EMM–ECM baselines additionally
+overlay state-oblivious Poisson ``HO``/``TAU`` events.
 """
 
 from __future__ import annotations
@@ -56,14 +59,17 @@ from ..trace.events import (
     EventType,
     quantize_times,
 )
-from . import ue_generator
-
 __all__ = [
     "CompiledModelSet",
     "CompiledPopulation",
     "compile_model_set",
     "philox4x64",
 ]
+
+#: Hard per-UE-per-hour event cap; a guard against degenerate fitted
+#: chains (e.g. a self-loop with near-zero sojourn), far above any
+#: realistic per-UE volume.  Read at every step, so tests may lower it.
+MAX_EVENTS_PER_HOUR = 100_000
 
 # ---------------------------------------------------------------------------
 # Vectorized Philox-4x64-10 (Random123 / np.random.Philox constants)
@@ -247,7 +253,7 @@ def _pad_knots(
     A single-knot empirical CDF (one fitted sample) evaluates to that
     value for *every* ``u`` under ``np.interp``; two equal-valued knots
     interpolate to exactly the same constant, so padding preserves the
-    reference semantics while letting :func:`_interp_knots` assume every
+    ``np.interp`` semantics while letting :func:`_interp_knots` assume every
     segment has an interior.
     """
     if len(probs) == 1:
@@ -609,7 +615,7 @@ def compile_model_set(model_set: ModelSet) -> CompiledModelSet:
 
 
 class CompiledPopulation:
-    """A batch of UEs advanced one hour at a time by the compiled engine.
+    """A batch of UEs advanced one hour at a time, whole cohorts at once.
 
     ``ue_indices`` are the UEs' positions in the whole generation order —
     they parameterize each UE's random substream, so any partition of the
@@ -783,7 +789,7 @@ class CompiledPopulation:
             acoh, ast, at = acoh[keep], ast[keep], at[keep]
             ak0, ak1, aemit = ak0[keep], ak1[keep], aemit[keep]
 
-        max_events = ue_generator.MAX_EVENTS_PER_HOUR
+        max_events = MAX_EVENTS_PER_HOUR
         hour_end = hour_start + SECONDS_PER_HOUR
         r = 0
         abr = ue_blk = ud_blk = None

@@ -6,12 +6,10 @@ GNU ``parallel``.  Here the same fan-out uses a
 into contiguous chunks, each worker generates its chunk with the *same*
 per-UE random substreams the serial path would use, and the chunks are
 merged in plan order.  The output is bit-identical to
-:meth:`TrafficGenerator.generate` with the same arguments and engine.
+:meth:`TrafficGenerator.generate` with the same arguments.
 
-Per-UE substreams are derived directly from the UE's position in the
-generation order — ``SeedSequence(seed, spawn_key=(position,))`` for
-the reference engine, a Philox counter keyed on the position for the
-compiled engine — so per-worker setup is O(chunk), not O(population).
+Per-UE substreams are Philox counters keyed on the UE's position in the
+generation order, so per-worker setup is O(chunk), not O(population).
 
 **Fault tolerance.**  Chunks are pure functions of the run parameters,
 which makes worker failure cheap to mask:
@@ -51,7 +49,7 @@ from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType
 from ..trace.trace import Trace
 from .compiled import CompiledPopulation, generate_columns
-from .traffgen import DeviceCounts, TrafficGenerator, _check_engine, validate_run_args
+from .traffgen import DeviceCounts, TrafficGenerator, validate_run_args
 
 #: Environment knob for fault-injection tests (see
 #: :func:`_maybe_inject_fault`).  Format:
@@ -158,17 +156,8 @@ def _maybe_inject_fault(chunk_idx: int) -> None:
         )
 
 
-def _empty_columns() -> tuple:
-    return (
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float64),
-        np.empty(0, dtype=np.int8),
-        np.empty(0, dtype=np.int8),
-    )
-
-
 def _generate_chunk(
-    args: Tuple[int, int, int, int, int, int, int, int, str]
+    args: Tuple[int, int, int, int, int, int, int, int]
 ) -> Tuple[tuple, dict]:
     """Generate one chunk inside a worker process.
 
@@ -177,30 +166,9 @@ def _generate_chunk(
     into the run's collector.  Checkpoints store columns only, so the
     record shape never touches the checkpoint format.
     """
-    (
-        chunk_idx,
-        device_code,
-        start_idx,
-        n,
-        first_ue_id,
-        seed,
-        start_hour,
-        num_hours,
-        engine,
-    ) = args
     tele = RunTelemetry()
     with use_telemetry(tele):
-        columns = _generate_chunk_columns(
-            chunk_idx,
-            device_code,
-            start_idx,
-            n,
-            first_ue_id,
-            seed,
-            start_hour,
-            num_hours,
-            engine,
-        )
+        columns = _generate_chunk_columns(*args)
     return columns, tele.child_record()
 
 
@@ -213,7 +181,6 @@ def _generate_chunk_columns(
     seed: int,
     start_hour: int,
     num_hours: int,
-    engine: str,
 ) -> tuple:
     assert _WORKER_MODEL is not None, "worker not initialized"
     if _WORKER_SCRATCH is not None:
@@ -227,58 +194,14 @@ def _generate_chunk_columns(
         except OSError:
             pass
     _maybe_inject_fault(chunk_idx)
-    from .ue_generator import generate_ue_events
-
-    model_set = _WORKER_MODEL
-    device_type = DeviceType(device_code)
-
-    if engine == "compiled":
-        population = CompiledPopulation(
-            model_set,
-            np.full(n, device_code, dtype=np.int8),
-            start_idx + np.arange(n, dtype=np.int64),
-            seed=seed,
-            start_hour=start_hour,
-        )
-        return generate_columns(population, num_hours, first_ue_id)
-
-    machine = model_set.machine()
-    personas = np.asarray(model_set.device_ues[device_type], dtype=np.int64)
-    tele = get_telemetry()
-    rng_draws = 0
-
-    ue_col, time_col, event_col, device_col = [], [], [], []
-    for offset in range(n):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(start_idx + offset,))
-        )
-        persona = int(personas[rng.integers(personas.size)])
-        times, events = generate_ue_events(
-            model_set,
-            device_type,
-            persona,
-            start_hour=start_hour,
-            num_hours=num_hours,
-            rng=rng,
-            machine=machine,
-        )
-        rng_draws += 2 * len(times) + 1  # estimate, see traffgen
-        if times:
-            k = len(times)
-            ue_col.append(np.full(k, first_ue_id + offset, dtype=np.int64))
-            time_col.append(np.asarray(times, dtype=np.float64))
-            event_col.append(np.asarray(events, dtype=np.int8))
-            device_col.append(np.full(k, device_code, dtype=np.int8))
-    tele.count("ue_hours", n * num_hours)
-    tele.count("rng_draws", rng_draws)
-    if not ue_col:
-        return _empty_columns()
-    return (
-        np.concatenate(ue_col),
-        np.concatenate(time_col),
-        np.concatenate(event_col),
-        np.concatenate(device_col),
+    population = CompiledPopulation(
+        _WORKER_MODEL,
+        np.full(n, device_code, dtype=np.int8),
+        start_idx + np.arange(n, dtype=np.int64),
+        seed=seed,
+        start_hour=start_hour,
     )
+    return generate_columns(population, num_hours, first_ue_id)
 
 
 def generate_parallel(
@@ -291,7 +214,6 @@ def generate_parallel(
     first_ue_id: int = 0,
     processes: Optional[int] = None,
     chunk_size: int = 500,
-    engine: str = "compiled",
     checkpoint_path: "Optional[str | os.PathLike[str]]" = None,
     resume: bool = False,
     max_retries: int = 2,
@@ -302,8 +224,8 @@ def generate_parallel(
 ) -> Trace:
     """Generate a trace using a process pool.
 
-    Produces output identical to ``TrafficGenerator(model_set,
-    engine=engine).generate`` with the same parameters.
+    Produces output identical to ``TrafficGenerator(model_set).generate``
+    with the same parameters.
     ``processes=None`` uses all CPUs; pass ``processes=1`` to run the
     chunked path in-process (useful for tests and debugging).
 
@@ -322,7 +244,6 @@ def generate_parallel(
     collector) as chunks finish; retries bump ``chunk_retries`` and
     chunks restored from a checkpoint bump ``chunks_resumed``.
     """
-    _check_engine(engine)
     validate_run_args(
         start_hour=start_hour,
         num_hours=num_hours,
@@ -351,7 +272,6 @@ def generate_parallel(
             first_ue_id=first_ue_id,
             processes=processes,
             chunk_size=chunk_size,
-            engine=engine,
             checkpoint_path=checkpoint_path,
             resume=resume,
             max_retries=max_retries,
@@ -374,7 +294,6 @@ def _run_parallel(
     first_ue_id: int,
     processes: Optional[int],
     chunk_size: int,
-    engine: str,
     checkpoint_path: "Optional[str | os.PathLike[str]]",
     resume: bool,
     max_retries: int,
@@ -389,7 +308,7 @@ def _run_parallel(
     counts = generator.resolve_counts(num_ues)
     chunks = _plan_chunks(counts, chunk_size, first_ue_id)
     tasks = {
-        i: (i, device, start_idx, n, ue0, seed, start_hour, num_hours, engine)
+        i: (i, device, start_idx, n, ue0, seed, start_hour, num_hours)
         for i, (device, start_idx, n, ue0) in enumerate(chunks)
     }
 
@@ -400,7 +319,6 @@ def _run_parallel(
             model_set,
             counts,
             kind="parallel",
-            engine=engine,
             seed=seed,
             start_hour=start_hour,
             num_hours=num_hours,
@@ -418,7 +336,7 @@ def _run_parallel(
         GenerationCheckpoint(
             key=key,
             chunk_columns=results,
-            provenance=_rng_provenance(engine),
+            provenance=_rng_provenance(),
         ).save(checkpoint_path)
 
     pending = sorted(i for i in tasks if i not in results)

@@ -3,17 +3,14 @@
 Driving a live MCN (or a real-time monitoring pipeline) needs events in
 timestamp order as they "happen", not a materialized trace.  The
 streaming generator produces exactly the same events as
-:meth:`TrafficGenerator.generate` with the same arguments and engine,
-but yields them one at a time in global time order, holding one hour of
-the population's traffic (plus one light per-UE state record) in
-memory.
+:meth:`TrafficGenerator.generate` with the same arguments, but yields
+them one at a time in global time order, holding one hour of the
+population's traffic (plus one light per-UE state record) in memory.
 
-With the compiled engine the whole population advances through
+The whole population advances through
 :class:`~repro.generator.compiled.CompiledPopulation` in vectorized
-cohort batches; with the reference engine each UE is a resumable
-:class:`~repro.generator.ue_generator.UeSession`.  Either way the
-per-UE randomness matches batch generation, so stream and batch outputs
-match event for event.
+cohort batches; its per-UE randomness matches batch generation, so
+stream and batch outputs match event for event.
 
 **Checkpointing.**  With ``checkpoint_path`` the stream snapshots its
 carryover state after each fully yielded hour; ``resume=True`` restarts
@@ -29,14 +26,14 @@ uninterrupted stream event for event (see
 from __future__ import annotations
 
 import os
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional
 
 from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType, EventType
 from ..trace.trace import Event, Trace
 from .compiled import population_for_counts
-from .traffgen import DeviceCounts, TrafficGenerator, _check_engine, validate_run_args
+from .traffgen import DeviceCounts, TrafficGenerator, validate_run_args
 
 
 def stream_events(
@@ -47,7 +44,6 @@ def stream_events(
     num_hours: int = 1,
     seed: int = 0,
     first_ue_id: int = 0,
-    engine: str = "compiled",
     checkpoint_path: "Optional[str | os.PathLike[str]]" = None,
     resume: bool = False,
     telemetry: Optional[RunTelemetry] = None,
@@ -55,14 +51,13 @@ def stream_events(
     """Yield the population's events in global time order.
 
     Equivalent to iterating the trace from
-    ``TrafficGenerator(model_set, engine=engine).generate(...)`` with
+    ``TrafficGenerator(model_set).generate(...)`` with
     identical arguments, hour by hour.  Arguments are validated eagerly
     (before the first event is requested).  ``telemetry`` is captured
     here (not at first ``next()``), so the stream reports to the
     collector that was ambient at call time unless one is passed
     explicitly.
     """
-    _check_engine(engine)
     validate_run_args(
         start_hour=start_hour,
         num_hours=num_hours,
@@ -88,7 +83,6 @@ def stream_events(
         num_hours=num_hours,
         seed=seed,
         first_ue_id=first_ue_id,
-        engine=engine,
         checkpoint_path=checkpoint_path,
         resume=resume,
         tele=tele,
@@ -103,7 +97,6 @@ def _stream(
     num_hours: int,
     seed: int,
     first_ue_id: int,
-    engine: str,
     checkpoint_path,
     resume: bool,
     tele: RunTelemetry,
@@ -113,8 +106,6 @@ def _stream(
         GenerationCheckpoint,
         RunKey,
         _rng_provenance,
-        build_reference_sessions,
-        restore_reference_sessions,
     )
 
     key: Optional[RunKey] = None
@@ -126,7 +117,6 @@ def _stream(
             model_set,
             counts,
             kind="stream",
-            engine=engine,
             seed=seed,
             start_hour=start_hour,
             num_hours=num_hours,
@@ -137,7 +127,7 @@ def _stream(
             hours_done = checkpoint.hours_done
             events_emitted = checkpoint.events_emitted
 
-    def _save(population_state=None, sessions=None) -> None:
+    def _save(population_state) -> None:
         if checkpoint_path is None:
             return
         # The consumer controls which collector is ambient at next()
@@ -148,89 +138,42 @@ def _stream(
                 hours_done=hours_done,
                 events_emitted=events_emitted,
                 population_state=population_state,
-                sessions=sessions,
-                provenance=_rng_provenance(engine),
+                provenance=_rng_provenance(),
             ).save(checkpoint_path)
 
-    if engine == "compiled":
-        population = population_for_counts(
-            model_set, counts, seed=seed, start_hour=start_hour
-        )
-        if checkpoint is not None:
-            if checkpoint.population_state is None:
-                raise CheckpointError(
-                    f"{checkpoint_path}: compiled-engine checkpoint is "
-                    "missing the population carryover state"
-                )
-            population.restore(checkpoint.population_state, hours_done)
-        else:
-            _save(population_state=population.snapshot()[0])
-        total_ues = sum(counts.values())
-        draws_before = population.rng_draws
-        for _ in range(hours_done, num_hours):
-            with tele.span("stream"):
-                rows, times, events = population.advance_hour()
-                devices = population.device_codes[rows]
-            for row, t, ev, dev in zip(rows, times, events, devices):
-                yield Event(
-                    ue_id=first_ue_id + int(row),
-                    time=float(t),
-                    event_type=EventType(int(ev)),
-                    device_type=DeviceType(int(dev)),
-                )
-            hours_done += 1
-            events_emitted += len(rows)
-            tele.count("events_emitted", len(rows))
-            tele.count("ue_hours", total_ues)
-            tele.count("rng_draws", population.rng_draws - draws_before)
-            draws_before = population.rng_draws
-            tele.progress("stream", hours_done, num_hours)
-            _save(population_state=population.snapshot()[0])
-        return
-
+    population = population_for_counts(
+        model_set, counts, seed=seed, start_hour=start_hour
+    )
     if checkpoint is not None:
-        if checkpoint.sessions is None:
+        if checkpoint.population_state is None:
             raise CheckpointError(
-                f"{checkpoint_path}: reference-engine checkpoint is "
-                "missing the per-UE session snapshots"
+                f"{checkpoint_path}: checkpoint is missing the population "
+                "carryover state"
             )
-        sessions = restore_reference_sessions(
-            model_set, checkpoint.sessions, start_hour=start_hour
-        )
+        population.restore(checkpoint.population_state, hours_done)
     else:
-        sessions = build_reference_sessions(
-            model_set, counts, seed=seed, start_hour=start_hour
-        )
-        # One persona draw per freshly created session (see traffgen).
-        tele.count("rng_draws", len(sessions))
-        _save(sessions=[s.snapshot() for s in sessions])
-
+        _save(population.snapshot()[0])
+    total_ues = sum(counts.values())
+    draws_before = population.rng_draws
     for _ in range(hours_done, num_hours):
-        batch: List[Tuple[float, int, int, int]] = []
-        rng_draws = 0
         with tele.span("stream"):
-            for position, session in enumerate(sessions):
-                times, events = session.advance_hour()
-                rng_draws += 2 * len(times)  # estimate, see traffgen
-                device = int(session.device_type)
-                uid = first_ue_id + position
-                for t, ev in zip(times, events):
-                    batch.append((t, uid, ev, device))
-            batch.sort()
-        for t, uid, ev, dev in batch:
+            rows, times, events = population.advance_hour()
+            devices = population.device_codes[rows]
+        for row, t, ev, dev in zip(rows, times, events, devices):
             yield Event(
-                ue_id=uid,
-                time=t,
-                event_type=EventType(ev),
-                device_type=DeviceType(dev),
+                ue_id=first_ue_id + int(row),
+                time=float(t),
+                event_type=EventType(int(ev)),
+                device_type=DeviceType(int(dev)),
             )
         hours_done += 1
-        events_emitted += len(batch)
-        tele.count("events_emitted", len(batch))
-        tele.count("ue_hours", len(sessions))
-        tele.count("rng_draws", rng_draws)
+        events_emitted += len(rows)
+        tele.count("events_emitted", len(rows))
+        tele.count("ue_hours", total_ues)
+        tele.count("rng_draws", population.rng_draws - draws_before)
+        draws_before = population.rng_draws
         tele.progress("stream", hours_done, num_hours)
-        _save(sessions=[s.snapshot() for s in sessions])
+        _save(population.snapshot()[0])
 
 
 def stream_to_trace(events: Iterator[Event]) -> Trace:

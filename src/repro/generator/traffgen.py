@@ -19,32 +19,13 @@ import os
 from numbers import Integral
 from typing import Dict, Mapping, Optional, Union
 
-import numpy as np
-
 from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType
 from ..trace.trace import Trace
 from .compiled import generate_columns, population_for_counts
-from .ue_generator import generate_ue_events
 
 DeviceCounts = Union[int, Mapping[DeviceType, int]]
-
-#: Generation engines: "compiled" batches whole cluster-hour cohorts
-#: through flat array tables (see :mod:`repro.generator.compiled`);
-#: "reference" walks one Python-level chain step per event and serves as
-#: the statistical oracle.  Both draw from per-UE substreams, so output
-#: is invariant to generation order; their RNG streams differ, so the
-#: two engines produce *statistically* equivalent but not bit-identical
-#: traces.
-ENGINES = ("compiled", "reference")
-
-
-def _check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    return engine
-
 
 #: Seeds parameterize ``SeedSequence`` entropy and the Philox root key;
 #: both are specified for unsigned 64-bit words.
@@ -91,11 +72,10 @@ def validate_run_args(
 class TrafficGenerator:
     """Synthesizes control-plane traces from a fitted :class:`ModelSet`."""
 
-    def __init__(self, model_set: ModelSet, *, engine: str = "compiled") -> None:
+    def __init__(self, model_set: ModelSet) -> None:
         if not model_set.models:
             raise ValueError("model set contains no fitted models")
         self.model_set = model_set
-        self.engine = _check_engine(engine)
 
     # ------------------------------------------------------------------
     def resolve_counts(self, num_ues: DeviceCounts) -> Dict[DeviceType, int]:
@@ -138,7 +118,6 @@ class TrafficGenerator:
         num_hours: int = 1,
         seed: int = 0,
         first_ue_id: int = 0,
-        engine: Optional[str] = None,
         checkpoint_path: "Optional[str | os.PathLike[str]]" = None,
         resume: bool = False,
         telemetry: Optional[RunTelemetry] = None,
@@ -147,8 +126,7 @@ class TrafficGenerator:
 
         Every UE gets an independent, reproducible random substream, so
         the output is invariant to generation order and amenable to
-        parallel generation.  ``engine`` overrides the generator's
-        default (see :data:`ENGINES`).
+        parallel generation (see :mod:`repro.generator.compiled`).
 
         With ``checkpoint_path`` the run snapshots its progress after
         every generated hour (atomically — see
@@ -160,7 +138,6 @@ class TrafficGenerator:
         counters, progress — see :mod:`repro.telemetry`); by default the
         ambient collector is used, so counters are always on.
         """
-        engine = self.engine if engine is None else _check_engine(engine)
         validate_run_args(
             start_hour=start_hour,
             num_hours=num_hours,
@@ -181,7 +158,6 @@ class TrafficGenerator:
         with use_telemetry(tele), tele.span("generate"):
             trace = self._generate_trace(
                 counts,
-                engine=engine,
                 start_hour=start_hour,
                 num_hours=num_hours,
                 seed=seed,
@@ -198,7 +174,6 @@ class TrafficGenerator:
         self,
         counts: Dict[DeviceType, int],
         *,
-        engine: str,
         start_hour: int,
         num_hours: int,
         seed: int,
@@ -212,7 +187,6 @@ class TrafficGenerator:
             return generate_checkpointed(
                 self.model_set,
                 counts,
-                engine=engine,
                 start_hour=start_hour,
                 num_hours=num_hours,
                 seed=seed,
@@ -220,76 +194,13 @@ class TrafficGenerator:
                 checkpoint_path=checkpoint_path,
                 resume=resume,
             )
-
-        if engine == "compiled":
-            population = population_for_counts(
-                self.model_set, counts, seed=seed, start_hour=start_hour
-            )
-            columns = generate_columns(population, num_hours, first_ue_id)
-            if len(columns[0]) == 0:
-                return Trace.empty()
-            return Trace(*columns, validate=False)
-
-        machine = self.model_set.machine()
-        tele = get_telemetry()
-        total_ues = sum(counts.values())
-        rng_draws = 0
-        done = 0
-
-        ue_col = []
-        time_col = []
-        event_col = []
-        device_col = []
-        ue_id = first_ue_id
-        stream_idx = 0
-        for device_type in sorted(counts, key=int):
-            personas = np.asarray(
-                self.model_set.device_ues.get(device_type, []), dtype=np.int64
-            )
-            for _ in range(counts[device_type]):
-                # Substream i of SeedSequence(seed).spawn(total) is
-                # SeedSequence(seed, spawn_key=(i,)) — deriving it
-                # directly keeps setup O(1) per UE instead of
-                # O(population) per call.
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(seed, spawn_key=(stream_idx,))
-                )
-                stream_idx += 1
-                persona = int(personas[rng.integers(personas.size)])
-                times, events = generate_ue_events(
-                    self.model_set,
-                    device_type,
-                    persona,
-                    start_hour=start_hour,
-                    num_hours=num_hours,
-                    rng=rng,
-                    machine=machine,
-                )
-                n = len(times)
-                if n:
-                    ue_col.append(np.full(n, ue_id, dtype=np.int64))
-                    time_col.append(np.asarray(times, dtype=np.float64))
-                    event_col.append(np.asarray(events, dtype=np.int8))
-                    device_col.append(np.full(n, int(device_type), dtype=np.int8))
-                ue_id += 1
-                # ~2 draws per chain event (edge + dwell) plus the
-                # persona draw: the reference stream is stateful, so the
-                # counter is an estimate here (exact for "compiled").
-                rng_draws += 2 * n + 1
-                done += 1
-                tele.progress("generate", done, total_ues)
-
-        tele.count("ue_hours", total_ues * num_hours)
-        tele.count("rng_draws", rng_draws)
-        if not ue_col:
-            return Trace.empty()
-        return Trace(
-            np.concatenate(ue_col),
-            np.concatenate(time_col),
-            np.concatenate(event_col),
-            np.concatenate(device_col),
-            validate=False,
+        population = population_for_counts(
+            self.model_set, counts, seed=seed, start_hour=start_hour
         )
+        columns = generate_columns(population, num_hours, first_ue_id)
+        if len(columns[0]) == 0:
+            return Trace.empty()
+        return Trace(*columns, validate=False)
 
     # ------------------------------------------------------------------
     def generate_hour(

@@ -2,7 +2,6 @@
 
 from .evaluation import (
     DEFAULT_METHODS,
-    EVAL_ENGINES,
     MICRO_QUANTITIES,
     EvalJobFailedError,
     EvaluationReport,
@@ -12,7 +11,6 @@ from .evaluation import (
 
 __all__ = [
     "DEFAULT_METHODS",
-    "EVAL_ENGINES",
     "EvalJobFailedError",
     "EvaluationReport",
     "MICRO_QUANTITIES",

@@ -7,14 +7,11 @@ microscopic (Table 5) fidelity metrics against a held-out real trace.
 The benchmark suite and the CLI both build on it; downstream users can
 run the identical evaluation on their own traces.
 
-Two engines compute the metrics: ``"compiled"`` (default) replays whole
-cohorts as flat arrays via
-:mod:`repro.statemachines.compiled_replay` and drives the compiled
-fitter; ``"reference"`` keeps the original per-event Python paths as
-the exact-equality oracle.  Both produce identical reports.  With
-``processes`` the per-(method × device) metric jobs additionally fan
-out over the fault-tolerant pool of :mod:`repro.generator.parallel`,
-sharing the traces with workers as memory-mapped uncompressed NPZ.
+The metrics replay whole cohorts as flat arrays via
+:mod:`repro.statemachines.compiled_replay`.  With ``processes`` the
+per-(method × device) metric jobs fan out over the fault-tolerant pool
+of :mod:`repro.generator.parallel`, sharing the traces with workers as
+memory-mapped uncompressed NPZ.
 
 Micro-metrics are measured **per quantity**: a quantity that cannot be
 computed (say, no complete IDLE sojourn in a short trace) lands in
@@ -50,10 +47,6 @@ from ..validation.report import format_table
 
 DEFAULT_METHODS = ("base", "v1", "v2", "ours")
 
-#: Available evaluation engines (mirrors ``model.FIT_ENGINES`` and
-#: ``statemachines.REPLAY_ENGINES``).
-EVAL_ENGINES = ("compiled", "reference")
-
 
 @dataclasses.dataclass
 class MethodResult:
@@ -80,7 +73,6 @@ class EvaluationReport:
     num_ues: int
     generation_hour: int
     results: Dict[str, MethodResult]
-    engine: str = "reference"
 
     def winner(self, device_type: DeviceType) -> str:
         """Method with the smallest macroscopic error for a device.
@@ -108,9 +100,7 @@ class EvaluationReport:
         for device_type in DeviceType:
             if len(self.real.filter_device(device_type)) == 0:
                 continue
-            real_bd = breakdown_with_states(
-                self.real, device_type, engine=self.engine
-            )
+            real_bd = breakdown_with_states(self.real, device_type)
             rows = []
             for row_key in BREAKDOWN_ROWS:
                 rows.append(
@@ -162,7 +152,6 @@ class EvaluationReport:
         return {
             "num_ues": self.num_ues,
             "generation_hour": self.generation_hour,
-            "engine": self.engine,
             "methods": {
                 method: {
                     "macro_diff": {
@@ -211,14 +200,11 @@ def _device_metrics(
     synthesized: Trace,
     device_type: DeviceType,
     *,
-    engine: str,
     real_num_ues: Optional[int],
     syn_num_ues: Optional[int],
 ) -> Tuple[Dict[str, float], float, Dict[str, float], Dict[str, str]]:
     """All metrics of one (method, device) cell of Tables 4/5."""
-    macro_diff = breakdown_difference(
-        real, synthesized, device_type, engine=engine
-    )
+    macro_diff = breakdown_difference(real, synthesized, device_type)
     macro_max = max(abs(v) for v in macro_diff.values())
     micro, skipped = micro_comparison_partial(
         real,
@@ -226,7 +212,6 @@ def _device_metrics(
         device_type,
         real_num_ues=real_num_ues,
         syn_num_ues=syn_num_ues,
-        engine=engine,
     )
     return macro_diff, macro_max, micro, skipped
 
@@ -236,7 +221,6 @@ def _device_metrics(
 _EVAL_WORKER: dict = {
     "real": None,
     "syn_paths": None,
-    "engine": None,
     "real_num_ues": None,
     "syn_num_ues": None,
     "scratch": None,
@@ -249,7 +233,6 @@ def _init_eval_worker(payload: dict, scratch_dir: Optional[str] = None) -> None:
 
     _EVAL_WORKER["real"] = read_npz(payload["real_path"], mmap=True)
     _EVAL_WORKER["syn_paths"] = payload["syn_paths"]
-    _EVAL_WORKER["engine"] = payload["engine"]
     _EVAL_WORKER["real_num_ues"] = payload["real_num_ues"]
     _EVAL_WORKER["syn_num_ues"] = payload["syn_num_ues"]
     _EVAL_WORKER["scratch"] = scratch_dir
@@ -288,7 +271,6 @@ def _eval_job_metrics(job_idx: int, method: str, device_code: int):
         real,
         synthesized,
         DeviceType(device_code),
-        engine=_EVAL_WORKER["engine"],
         real_num_ues=_EVAL_WORKER["real_num_ues"].get(device_code),
         syn_num_ues=_EVAL_WORKER["syn_num_ues"][method].get(device_code),
     )
@@ -299,7 +281,6 @@ def _run_eval_jobs(
     synthesized: Mapping[str, Trace],
     jobs: Sequence[Tuple[str, int]],
     *,
-    engine: str,
     processes: Optional[int],
     real_num_ues: Dict[int, int],
     syn_num_ues: Dict[str, Dict[int, int]],
@@ -329,7 +310,6 @@ def _run_eval_jobs(
         payload = {
             "real_path": real_path,
             "syn_paths": syn_paths,
-            "engine": engine,
             "real_num_ues": dict(real_num_ues),
             "syn_num_ues": {m: dict(v) for m, v in syn_num_ues.items()},
         }
@@ -380,7 +360,6 @@ def evaluate_methods(
     generation_hour: int = 0,
     seed: int = 0,
     models: Optional[Mapping[str, ModelSet]] = None,
-    engine: str = "compiled",
     processes: Optional[int] = None,
     cache_dir: "Optional[str | os.PathLike[str]]" = None,
     telemetry: Optional[RunTelemetry] = None,
@@ -402,10 +381,6 @@ def evaluate_methods(
     models:
         Pre-fitted model sets by method name — skips fitting for the
         methods present (useful when sweeping scenarios).
-    engine:
-        ``"compiled"`` (default) or ``"reference"``; selects both the
-        fitting engine and the metric/replay engine.  Both produce
-        identical reports.
     processes:
         ``None`` or ``1`` computes metrics serially in-process; ``0``
         fans per-(method × device) jobs across all CPUs; ``>= 2`` uses
@@ -417,10 +392,6 @@ def evaluate_methods(
         Explicit collector; defaults to the ambient one.  Phases appear
         as ``eval-fit`` / ``eval-generate`` / ``eval-metrics`` spans.
     """
-    if engine not in EVAL_ENGINES:
-        raise ValueError(
-            f"unknown evaluation engine {engine!r}; expected one of {EVAL_ENGINES}"
-        )
     if processes is not None and processes < 0:
         raise ValueError(f"processes must be non-negative, got {processes}")
     if num_ues is None:
@@ -439,7 +410,6 @@ def evaluate_methods(
             generation_hour=generation_hour,
             seed=seed,
             models=models,
-            engine=engine,
             processes=processes,
             cache_dir=cache_dir,
         )
@@ -459,7 +429,6 @@ def _evaluate_methods(
     generation_hour: int,
     seed: int,
     models: Optional[Mapping[str, ModelSet]],
-    engine: str,
     processes: Optional[int],
     cache_dir: "Optional[str | os.PathLike[str]]",
 ) -> EvaluationReport:
@@ -488,7 +457,6 @@ def _evaluate_methods(
                     theta_f=theta_f,
                     theta_n=theta_n,
                     trace_start_hour=trace_start_hour,
-                    engine=engine,
                     processes=processes,
                     cache_dir=cache_dir,
                 )
@@ -515,7 +483,6 @@ def _evaluate_methods(
                 real,
                 synthesized,
                 jobs,
-                engine=engine,
                 processes=processes if processes else None,
                 real_num_ues=real_num_ues,
                 syn_num_ues=syn_num_ues,
@@ -527,7 +494,6 @@ def _evaluate_methods(
                     real,
                     synthesized[method],
                     DeviceType(device_code),
-                    engine=engine,
                     real_num_ues=real_num_ues.get(device_code),
                     syn_num_ues=syn_num_ues[method].get(device_code),
                 )
@@ -560,5 +526,4 @@ def _evaluate_methods(
         num_ues=num_ues,
         generation_hour=generation_hour,
         results=results,
-        engine=engine,
     )

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..statemachines.compiled_replay import replay_trace_compiled
+from ..statemachines.compiled_replay import replay_trace
 from ..telemetry import RunTelemetry, get_telemetry
 from ..trace.events import EventType
 from ..trace.trace import Trace
@@ -114,8 +114,7 @@ class MmeSimulator:
 
         # Lenient per-UE protocol check: a UE's first event starts from
         # its canonical source; every later forced step is a violation.
-        replay = replay_trace_compiled(trace)
-        violations = int(np.count_nonzero(replay.forced & ~replay.first))
+        violations = replay_trace(trace).violations
         counts = np.bincount(codes, minlength=len(EventType))
 
         workers = [float(trace.times[0])] * self.num_workers

@@ -13,9 +13,9 @@ from .inspect import (
     summarize_cluster,
     summarize_model_set,
 )
-from .compiled_fit import vectorized_replay
+from ..statemachines.compiled_replay import vectorized_replay
 from .fit_cache import default_cache_dir, fit_cache_key
-from .fitting import FIT_ENGINES, fit_model_set
+from .fitting import fit_model_set
 from .model_set import ClusterModel, HourModel, ModelSet, build_machine
 from .scaling import (
     NSA_HO_SCALE,
@@ -39,7 +39,6 @@ __all__ = [
     "summarize_cluster",
     "summarize_model_set",
     "Edge",
-    "FIT_ENGINES",
     "FirstEventModel",
     "HourModel",
     "ModelSet",

@@ -1,13 +1,11 @@
-"""Compiled fitting fast path: array-at-a-time replay and model fitting.
+"""The fitting engine: array-at-a-time replay and model fitting.
 
-The reference pipeline in :mod:`repro.model.fitting` walks every
-(UE, hour-slot) segment event by event through
+Walking every (UE, hour-slot) segment event by event through
 :func:`repro.statemachines.replay.replay_ue`, building Python
-``TransitionRecord`` objects.  At the ROADMAP's "millions of UEs" scale
-that per-object work dominates the paper's whole loop.  This module
-lowers each state machine to small integer lookup tables once
-(:func:`machine_table`) and replays entire device cohorts as flat
-arrays:
+``TransitionRecord`` objects, dominates the paper's whole loop at
+"millions of UEs" scale.  This module lowers each state machine to
+small integer lookup tables once (:func:`machine_table`) and replays
+entire device cohorts as flat arrays:
 
 * events are sorted by ``(ue, time)`` and bucketed into hour slots with
   one ``searchsorted``;
@@ -18,9 +16,10 @@ arrays:
   ``(cluster, source, event)`` keys, sojourn samples from grouped
   diffs, and the first-event / overlay models from boundary masks.
 
-The compiled fitter is **exactly** equivalent to the reference one —
-same transition probabilities, same CDF knots, same cluster assignment
-— because every reduction preserves the reference's sample *order*
+The fitter is **exactly** equivalent to the per-segment reference
+pipeline kept as a test oracle (``tests/oracle/fit.py``) — same
+transition probabilities, same CDF knots, same cluster assignment —
+because every reduction preserves the reference's sample *order*
 (``np.mean``/``np.std`` are order-dependent in floating point) and
 performs divisions on Python ints exactly as the reference does.
 
@@ -48,12 +47,10 @@ from ..clustering.quadtree import ClusteringResult, adaptive_cluster, single_clu
 from ..distributions.base import FitError
 from ..distributions.empirical import EmpiricalCDF
 from ..distributions.exponential import Exponential
-from ..statemachines.compiled_replay import (  # noqa: F401  (re-exported)
+from ..statemachines.compiled_replay import (
     MachineTable,
-    VectorizedReplay,
     _replay_codes,
     lower_machine,
-    vectorized_replay,
 )
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
@@ -62,8 +59,8 @@ from .first_event import FirstEventModel
 from .model_set import ClusterModel, HourModel, build_machine
 from .semi_markov import Edge, SemiMarkovChain, StateModel
 
-#: Mirror of ``fitting._FALLBACK_MEAN_SOJOURN`` (no import: fitting
-#: imports this module).
+#: Fallback sojourn when a transition was observed but never with a
+#: known entry time (e.g. always the first event of a segment).
 _FALLBACK_MEAN_SOJOURN = 60.0
 
 _CATEGORY1_CODES = np.asarray(
@@ -87,10 +84,8 @@ _NUM_EVENTS = int(max(EventType)) + 1
 # Machine lowering
 # ---------------------------------------------------------------------------
 # The lowering itself (MachineTable, lower_machine) and the segmented
-# replay scan (_replay_codes, vectorized_replay) live in
-# :mod:`repro.statemachines.compiled_replay` — they are state-machine
-# primitives shared with the compiled evaluation engine — and are
-# re-exported here for backwards compatibility.
+# replay scan (_replay_codes) live in
+# :mod:`repro.statemachines.compiled_replay`, shared with evaluation.
 
 @lru_cache(maxsize=None)
 def machine_table(machine_kind: str) -> MachineTable:
@@ -197,7 +192,7 @@ def _fit_sojourn_arrays(
     family: str,
     max_cdf_points: int,
 ):
-    """Array twin of ``fitting._fit_sojourn`` (same fallback ladder)."""
+    """Fit one F_xy, falling back through pooled samples to a default."""
     source = samples if samples.size else event_pool
     if source.size == 0:
         return Exponential(rate=1.0 / _FALLBACK_MEAN_SOJOURN)
@@ -367,7 +362,7 @@ def _cluster_device_hour(
     src: np.ndarray,
     tgt: np.ndarray,
 ) -> ClusteringResult:
-    """Vectorized twin of ``fitting._cluster_ues`` for one device-hour."""
+    """Cluster one device-hour's UEs on their pooled §5.3 features."""
     ues_list = [int(u) for u in dev.ues.tolist()]
     if not clustered:
         return single_cluster(ues_list, NUM_FEATURES)
@@ -474,7 +469,7 @@ def _cluster_overlay(
     seg_key: np.ndarray,
     num_segments: int,
 ) -> Dict[EventType, float]:
-    """Vectorized twin of ``fitting._fit_overlay`` for one cluster."""
+    """One cluster's Poisson HO/TAU overlay rates (EMM–ECM baselines)."""
     rates: Dict[EventType, float] = {}
     for event in _OVERLAY_EVENTS:
         rows = np.flatnonzero(in_cluster & (events == int(event)))
@@ -558,31 +553,11 @@ def _fit_job_model(job_idx: int, device_code: int, slots: Tuple[int, ...]):
                 pass
         except OSError:
             pass
-    device_type = DeviceType(device_code)
-    engine = params["engine"]
-    if engine == "reference":
-        from .fitting import _reference_device_context, _reference_fit_device_hour
-
-        context = _FIT_WORKER["devices"].get(device_code)
-        if context is None:
-            context = _reference_device_context(trace, device_type)
-            _FIT_WORKER["devices"][device_code] = context
-        ues, per_ue = context
-        return _reference_fit_device_hour(
-            per_ue,
-            ues,
-            list(slots),
-            machine=None,
-            machine_kind=params["machine_kind"],
-            family=params["family"],
-            clustered=params["clustered"],
-            theta_f=params["theta_f"],
-            theta_n=params["theta_n"],
-            max_cdf_points=params["max_cdf_points"],
-        )
     dev = _FIT_WORKER["devices"].get(device_code)
     if dev is None:
-        dev = device_arrays(trace, device_type, params["total_slots"])
+        dev = device_arrays(
+            trace, DeviceType(device_code), params["total_slots"]
+        )
         _FIT_WORKER["devices"][device_code] = dev
     return fit_device_hour(
         dev,
@@ -610,7 +585,7 @@ def run_fit_jobs(
     """Fan per-(device, hour) fit jobs across a process pool.
 
     ``jobs`` is a sequence of ``(device_code, hour, slots)``; ``params``
-    carries the fit parameters plus ``engine`` and ``total_slots``.
+    carries the fit parameters plus ``total_slots``.
     The trace is written once as an *uncompressed* NPZ that every
     worker memory-maps, so the cohort arrays are shared through the
     page cache instead of being pickled per job.  Worker crashes and

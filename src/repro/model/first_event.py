@@ -27,7 +27,7 @@ class FirstEventModel:
     offset: EmpiricalCDF                    #: first-event time within the hour
 
     #: Cached (event, cumulative-probability) table so sampling is a
-    #: single ``searchsorted`` and the compiled engine can lower the
+    #: single ``searchsorted`` and the generation engine can lower the
     #: model without re-sorting dicts.
     _events: Tuple[EventType, ...] = dataclasses.field(
         init=False, repr=False, compare=False

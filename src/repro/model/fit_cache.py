@@ -7,9 +7,7 @@ traces for 15+ tables and figures, so ``fit_model_set`` can skip the
 whole pipeline when a prior run already produced the answer.
 
 The cache key is a SHA-256 over the trace's content hash plus every
-fit parameter plus :data:`FIT_CACHE_SCHEMA`; the fit *engine* is
-deliberately excluded because the compiled and reference fitters
-produce exactly equal model sets.  Entries are pickled ModelSet
+fit parameter plus :data:`FIT_CACHE_SCHEMA`.  Entries are pickled ModelSet
 objects — bit-exact by construction and an order of magnitude faster
 to load than the JSON persistence format at large model sizes, which
 is what makes a warm hit a small fraction of the cold fit.  They are

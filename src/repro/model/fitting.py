@@ -13,12 +13,12 @@ The pipeline mirrors the paper end to end:
 4. for the EMM–ECM baselines, additionally fit per-UE Poisson overlay
    rates for the ``HO``/``TAU`` events the machine cannot express.
 
-Two engines implement the pipeline: ``"compiled"`` (default; the
-array-at-a-time fast path in :mod:`repro.model.compiled_fit`, optionally
-fanned across processes) and ``"reference"`` (the original per-segment
-Python code below, kept as the exact-equality oracle).  Both produce
-*exactly* equal model sets.  ``cache_dir`` additionally enables the
-content-addressed disk cache (:mod:`repro.model.fit_cache`).
+Steps 2–4 run array-at-a-time per (device, hour) in
+:mod:`repro.model.compiled_fit`, optionally fanned across processes;
+``cache_dir`` additionally enables the content-addressed disk cache
+(:mod:`repro.model.fit_cache`).  The per-segment helpers kept below
+(:func:`_build_segments`, :func:`_replay_segments`,
+:func:`_hour_features`) serve the §4 goodness-of-fit study.
 """
 
 from __future__ import annotations
@@ -26,54 +26,25 @@ from __future__ import annotations
 import dataclasses
 import math
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..clustering.quadtree import (
-    DEFAULT_THETA_F,
-    DEFAULT_THETA_N,
-    ClusteringResult,
-    adaptive_cluster,
-    single_cluster,
-)
-from ..distributions.base import FitError
-from ..distributions.empirical import EmpiricalCDF
-from ..distributions.exponential import Exponential
+from ..clustering.quadtree import DEFAULT_THETA_F, DEFAULT_THETA_N
 from ..statemachines import lte
 from ..statemachines.fsm import StateMachine
 from ..statemachines.replay import TransitionRecord, replay_ue, top_level_intervals
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
-from ..trace.events import (
-    SECONDS_PER_HOUR,
-    DeviceType,
-    EventType,
-)
+from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
 from ..trace.trace import Trace
 from . import compiled_fit
-from .first_event import FirstEventModel
 from .fit_cache import fit_cache_key, load_cached, store_cached
-from .model_set import (
-    ClusterModel,
-    HourModel,
-    ModelSet,
-    build_machine,
-)
-from .semi_markov import Edge, SemiMarkovChain, StateModel
-
-#: Available fitting engines: the compiled fast path (default) and the
-#: original per-segment reference oracle.
-FIT_ENGINES = ("compiled", "reference")
-
-#: Fallback sojourn when a transition was observed but never with a
-#: known entry time (e.g. always the first event of a segment).
-_FALLBACK_MEAN_SOJOURN = 60.0
+from .model_set import HourModel, ModelSet
 
 #: Events the EMM–ECM machine can express; the rest are overlaid.
 _CATEGORY1_SET = frozenset(
     {EventType.ATCH, EventType.DTCH, EventType.SRV_REQ, EventType.S1_CONN_REL}
 )
-_OVERLAY_EVENTS = (EventType.HO, EventType.TAU)
 
 
 @dataclasses.dataclass
@@ -97,7 +68,6 @@ def fit_model_set(
     theta_n: int = DEFAULT_THETA_N,
     trace_start_hour: int = 0,
     max_cdf_points: int = 512,
-    engine: str = "compiled",
     processes: Optional[int] = None,
     cache_dir: "Optional[str | Path]" = None,
     telemetry: Optional[RunTelemetry] = None,
@@ -123,10 +93,6 @@ def fit_model_set(
         clock correctly.
     max_cdf_points:
         Compression limit for stored empirical CDFs.
-    engine:
-        ``"compiled"`` (array-at-a-time fast path, default) or
-        ``"reference"`` (original per-segment oracle).  Both produce
-        exactly equal model sets.
     processes:
         ``None`` or ``1`` fits serially in-process; ``0`` fans
         per-(device, hour) jobs across all CPUs; ``>= 2`` uses that
@@ -145,10 +111,6 @@ def fit_model_set(
         raise ValueError(f"unknown machine_kind {machine_kind!r}")
     if family not in ("empirical", "poisson"):
         raise ValueError(f"unknown sojourn family {family!r}")
-    if engine not in FIT_ENGINES:
-        raise ValueError(
-            f"unknown fit engine {engine!r}; expected one of {FIT_ENGINES}"
-        )
     if processes is not None and processes < 0:
         raise ValueError(f"processes must be non-negative, got {processes}")
     if len(trace) == 0:
@@ -184,7 +146,6 @@ def fit_model_set(
             theta_n=theta_n,
             trace_start_hour=trace_start_hour,
             max_cdf_points=max_cdf_points,
-            engine=engine,
             processes=processes,
         )
 
@@ -204,7 +165,6 @@ def _fit_all(
     theta_n: int,
     trace_start_hour: int,
     max_cdf_points: int,
-    engine: str,
     processes: Optional[int],
 ) -> ModelSet:
     """Plan and run the per-(device, hour) fit jobs for one model set."""
@@ -230,7 +190,6 @@ def _fit_all(
             for hour, slots in hour_plan
         ]
         params = {
-            "engine": engine,
             "machine_kind": machine_kind,
             "family": family,
             "clustered": clustered,
@@ -244,41 +203,23 @@ def _fit_all(
         )
     else:
         models = {}
-        machine = build_machine(machine_kind)
+        table = compiled_fit.machine_table(machine_kind)
         done, total_jobs = 0, len(device_ues) * len(hour_plan)
-        for device_type, ues in device_ues.items():
-            if engine == "compiled":
-                dev = compiled_fit.device_arrays(trace, device_type, total_slots)
-                table = compiled_fit.machine_table(machine_kind)
-            else:
-                ues, per_ue = _reference_device_context(trace, device_type)
+        for device_type in device_ues:
+            dev = compiled_fit.device_arrays(trace, device_type, total_slots)
             device_models: Dict[int, HourModel] = {}
             for hour, slots in hour_plan:
-                if engine == "compiled":
-                    device_models[hour] = compiled_fit.fit_device_hour(
-                        dev,
-                        slots,
-                        table=table,
-                        machine_kind=machine_kind,
-                        family=family,
-                        clustered=clustered,
-                        theta_f=theta_f,
-                        theta_n=theta_n,
-                        max_cdf_points=max_cdf_points,
-                    )
-                else:
-                    device_models[hour] = _reference_fit_device_hour(
-                        per_ue,
-                        ues,
-                        slots,
-                        machine=machine,
-                        machine_kind=machine_kind,
-                        family=family,
-                        clustered=clustered,
-                        theta_f=theta_f,
-                        theta_n=theta_n,
-                        max_cdf_points=max_cdf_points,
-                    )
+                device_models[hour] = compiled_fit.fit_device_hour(
+                    dev,
+                    slots,
+                    table=table,
+                    machine_kind=machine_kind,
+                    family=family,
+                    clustered=clustered,
+                    theta_f=theta_f,
+                    theta_n=theta_n,
+                    max_cdf_points=max_cdf_points,
+                )
                 done += 1
                 tele.progress("fit", done, total_jobs)
             models[device_type] = device_models
@@ -291,51 +232,6 @@ def _fit_all(
         device_ues=device_ues,
         theta_f=theta_f,
         theta_n=theta_n,
-    )
-
-
-def _reference_device_context(
-    trace: Trace, device_type: DeviceType
-) -> Tuple[List[int], Dict[int, Trace]]:
-    """Per-device inputs of the reference pipeline (UE list, per-UE traces)."""
-    sub = trace.filter_device(device_type)
-    ues = [int(u) for u in sub.unique_ues()]
-    per_ue = {ue: seg for ue, seg in sub.per_ue()}
-    return ues, per_ue
-
-
-def _reference_fit_device_hour(
-    per_ue: Mapping[int, Trace],
-    ues: Sequence[int],
-    slots: Sequence[int],
-    *,
-    machine: Optional[StateMachine],
-    machine_kind: str,
-    family: str,
-    clustered: bool,
-    theta_f: float,
-    theta_n: int,
-    max_cdf_points: int,
-) -> HourModel:
-    """One (device, hour) of the original per-segment pipeline."""
-    tele = get_telemetry()
-    if machine is None:
-        machine = build_machine(machine_kind)
-    segments = _build_segments(per_ue, ues, slots)
-    _replay_segments(segments, machine, machine_kind)
-    tele.count("segments_replayed", len(segments))
-    tele.count("transitions_counted", sum(len(seg.records) for seg in segments))
-    return _fit_hour(
-        segments,
-        ues,
-        num_slots=len(slots),
-        machine=machine,
-        machine_kind=machine_kind,
-        family=family,
-        clustered=clustered,
-        theta_f=theta_f,
-        theta_n=theta_n,
-        max_cdf_points=max_cdf_points,
     )
 
 
@@ -386,61 +282,8 @@ def _replay_segments(
 
 
 # ---------------------------------------------------------------------------
-# Per-hour fitting
+# Clustering features
 # ---------------------------------------------------------------------------
-
-def _fit_hour(
-    segments: List[_Segment],
-    ues: Sequence[int],
-    *,
-    num_slots: int,
-    machine: StateMachine,
-    machine_kind: str,
-    family: str,
-    clustered: bool,
-    theta_f: float,
-    theta_n: int,
-    max_cdf_points: int,
-) -> HourModel:
-    clustering = _cluster_ues(segments, ues, clustered, theta_f, theta_n, machine)
-    by_cluster: Dict[int, List[_Segment]] = {c.cluster_id: [] for c in clustering.clusters}
-    for seg in segments:
-        by_cluster[clustering.assignment[seg.ue_id]].append(seg)
-
-    cluster_models = []
-    for cluster in clustering.clusters:
-        cluster_models.append(
-            _fit_cluster(
-                by_cluster[cluster.cluster_id],
-                num_ues=cluster.size,
-                num_segments=cluster.size * num_slots,
-                machine=machine,
-                machine_kind=machine_kind,
-                family=family,
-                max_cdf_points=max_cdf_points,
-            )
-        )
-    return HourModel(
-        clusters=cluster_models,
-        assignment=dict(clustering.assignment),
-    )
-
-
-def _cluster_ues(
-    segments: Sequence[_Segment],
-    ues: Sequence[int],
-    clustered: bool,
-    theta_f: float,
-    theta_n: int,
-    machine: StateMachine,
-) -> ClusteringResult:
-    from ..clustering.features import NUM_FEATURES
-
-    if not clustered:
-        return single_cluster(ues, NUM_FEATURES)
-    features = _hour_features(segments, ues, machine)
-    return adaptive_cluster(features, theta_f=theta_f, theta_n=theta_n)
-
 
 def _hour_features(
     segments: Sequence[_Segment], ues: Sequence[int], machine: StateMachine
@@ -490,155 +333,3 @@ def _hour_features(
             dtype=np.float64,
         )
     return features
-
-
-def _fit_cluster(
-    segments: Sequence[_Segment],
-    *,
-    num_ues: int,
-    num_segments: int,
-    machine: StateMachine,
-    machine_kind: str,
-    family: str,
-    max_cdf_points: int,
-) -> ClusterModel:
-    chain = _fit_chain(segments, machine, family, max_cdf_points)
-    first_event = _fit_first_event(
-        segments, num_segments, max_cdf_points, machine_kind=machine_kind
-    )
-    overlay = (
-        _fit_overlay(segments, num_segments)
-        if machine_kind == "emm_ecm"
-        else {}
-    )
-    return ClusterModel(
-        chain=chain,
-        first_event=first_event,
-        overlay_rates=overlay,
-        num_ues=num_ues,
-        num_segments=num_segments,
-    )
-
-
-def _fit_chain(
-    segments: Sequence[_Segment],
-    machine: StateMachine,
-    family: str,
-    max_cdf_points: int,
-) -> SemiMarkovChain:
-    counts: Dict[Tuple[str, EventType, str], int] = {}
-    sojourns: Dict[Tuple[str, EventType], List[float]] = {}
-    by_event: Dict[EventType, List[float]] = {}
-
-    for seg in segments:
-        for rec in seg.records:
-            if rec.forced and rec.enter_time is not None:
-                continue  # mid-stream violation: untrustworthy transition
-            key = (rec.source, rec.event, rec.target)
-            counts[key] = counts.get(key, 0) + 1
-            if rec.sojourn is not None and not rec.forced:
-                sojourns.setdefault((rec.source, rec.event), []).append(rec.sojourn)
-                by_event.setdefault(rec.event, []).append(rec.sojourn)
-
-    states: Dict[str, StateModel] = {}
-    sources = sorted({src for (src, _, _) in counts})
-    for source in sources:
-        outgoing = [
-            (event, target, n)
-            for (src, event, target), n in counts.items()
-            if src == source
-        ]
-        total = sum(n for _, _, n in outgoing)
-        edges = []
-        for event, target, n in sorted(outgoing, key=lambda x: int(x[0])):
-            samples = sojourns.get((source, event), [])
-            dist = _fit_sojourn(
-                samples, by_event.get(event, []), family, max_cdf_points
-            )
-            edges.append(
-                Edge(
-                    event=event,
-                    target=target,
-                    probability=n / total,
-                    sojourn=dist,
-                )
-            )
-        states[source] = StateModel(edges=tuple(edges))
-    return SemiMarkovChain(states)
-
-
-def _fit_sojourn(
-    samples: Sequence[float],
-    event_pool: Sequence[float],
-    family: str,
-    max_cdf_points: int,
-):
-    """Fit one F_xy, falling back through pooled samples to a default."""
-    source = samples if samples else event_pool
-    if not source:
-        return Exponential(rate=1.0 / _FALLBACK_MEAN_SOJOURN)
-    if family == "empirical":
-        return EmpiricalCDF.fit(source, max_points=max_cdf_points)
-    try:
-        return Exponential.fit(source)
-    except FitError:
-        return Exponential(rate=1.0 / _FALLBACK_MEAN_SOJOURN)
-
-
-def _fit_first_event(
-    segments: Sequence[_Segment],
-    num_segments: int,
-    max_cdf_points: int,
-    *,
-    machine_kind: str = "two_level",
-) -> FirstEventModel:
-    first_events = []
-    for seg in segments:
-        events = seg.event_types
-        times = seg.times
-        if machine_kind == "emm_ecm":
-            # The EMM-ECM machine cannot start on HO/TAU (those come
-            # from the overlay); its first event is the first Category-1.
-            mask = np.isin(events, [int(e) for e in _CATEGORY1_SET])
-            events = events[mask]
-            times = times[mask]
-        if len(times) > 0:
-            first_events.append((EventType(int(events[0])), float(times[0])))
-    # Guard: clustering counts UEs once, but a UE contributes one segment
-    # per slot; num_segments can undercount if data is inconsistent.
-    num_segments = max(num_segments, len(first_events))
-    return FirstEventModel.fit(
-        first_events, num_segments, max_cdf_points=max_cdf_points
-    )
-
-
-def _fit_overlay(
-    segments: Sequence[_Segment], num_segments: int
-) -> Dict[EventType, float]:
-    """Poisson rates for the events the EMM–ECM machine cannot express.
-
-    Following the paper's baseline: merge the per-UE inter-arrival
-    times of each event type across UEs and fit an exponential by MLE;
-    the resulting rate drives an independent per-UE Poisson process.
-    UEs with fewer than two events contribute no inter-arrival sample,
-    so bursty traffic inflates the rate — the source of the baseline's
-    large breakdown error in Tables 4/11.
-    """
-    rates: Dict[EventType, float] = {}
-    for event in _OVERLAY_EVENTS:
-        interarrivals: List[float] = []
-        count = 0
-        for seg in segments:
-            mask = seg.event_types == int(event)
-            times = seg.times[mask]
-            count += int(times.size)
-            if times.size >= 2:
-                interarrivals.extend(np.diff(times).tolist())
-        if interarrivals:
-            mean = float(np.mean(interarrivals))
-            rates[event] = 1.0 / max(mean, 1e-3)
-        elif count > 0 and num_segments > 0:
-            rates[event] = count / (num_segments * SECONDS_PER_HOUR)
-        else:
-            rates[event] = 0.0
-    return rates

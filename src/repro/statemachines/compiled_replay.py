@@ -1,12 +1,11 @@
-"""Compiled trace replay: array-at-a-time state reconstruction.
+"""Whole-trace replay: array-at-a-time state reconstruction.
 
-The reference :func:`repro.statemachines.replay.replay_trace` walks
-every UE's events one Python object at a time, which makes the §8
-evaluation harness the slowest remaining stage at the ROADMAP's
-"millions of users" scale.  This module lowers each state machine to
-small integer lookup tables once (:class:`MachineTable`, shared with
-:mod:`repro.model.compiled_fit`, which historically owned them) and
-replays a whole trace as flat arrays:
+Walking every UE's events one Python object at a time
+(:func:`repro.statemachines.replay.replay_ue`) would make the §8
+evaluation the slowest stage at "millions of users" scale.  This module
+lowers each state machine to small integer lookup tables once
+(:class:`MachineTable`, shared with :mod:`repro.model.compiled_fit`)
+and replays a whole trace as flat arrays:
 
 * rows are sorted by ``(ue, time)`` with one stable argsort (traces are
   already time-sorted);
@@ -19,11 +18,12 @@ replays a whole trace as flat arrays:
   ``bincount`` / ``searchsorted`` group-bys instead of per-record dict
   appends.
 
-Every extraction is **exactly** equal to the reference replay's —
-same keys, same counts, same sample values in the same order — because
-the ``(ue, time)`` sort reproduces the reference's iteration order and
-every group-by uses a stable argsort.  The reference path is kept as
-the oracle; equality is pinned per machine × device in the tests.
+Every extraction is **exactly** equal to a per-UE ``replay_ue`` walk's
+— same keys, same counts, same sample values in the same order —
+because the ``(ue, time)`` sort reproduces the per-UE iteration order
+and every group-by uses a stable argsort.  The per-event walks are kept
+as a test oracle (``tests/oracle/replay.py``); equality is pinned per
+machine × device in the tests.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class MachineTable:
     """A state machine lowered to integer lookup tables.
 
     State codes index ``names`` (sorted state names, so code order ==
-    the reference fitter's name-sorted source order).  ``-1`` marks
+    the fitter's name-sorted source order).  ``-1`` marks
     invalid entries throughout.
     """
 
@@ -230,7 +230,7 @@ class VectorizedReplay:
     final_state: Optional[str]
 
     def records(self) -> List[TransitionRecord]:
-        """Decode to the reference :class:`TransitionRecord` stream."""
+        """Decode to the :class:`TransitionRecord` stream of ``replay_ue``."""
         out: List[TransitionRecord] = []
         names = self.state_names
         for i in range(len(self.events)):
@@ -305,10 +305,10 @@ def _group_arrays(
 class TraceReplay:
     """Every UE of one trace replayed, kept as flat arrays.
 
-    Rows are in ``(ue, time)`` order — the exact order the reference
-    :func:`repro.statemachines.replay.replay_trace` visits records in —
-    segmented by ``first`` flags at UE boundaries.  All derived
-    quantities are exactly equal to the reference's (same keys, same
+    Rows are in ``(ue, time)`` order — the order a per-UE
+    :func:`~repro.statemachines.replay.replay_ue` walk visits records in
+    — segmented by ``first`` flags at UE boundaries.  All derived
+    quantities are exactly equal to that walk's (same keys, same
     values, same in-group sample order).
     """
 
@@ -329,12 +329,17 @@ class TraceReplay:
     def num_ues(self) -> int:
         return len(self.ues)
 
-    # -- reference decoding -------------------------------------------
-    def to_results(self) -> Dict[int, ReplayResult]:
-        """Decode to the reference ``{ue: ReplayResult}`` mapping.
+    @property
+    def violations(self) -> int:
+        """Forced steps after a UE's first event, summed over UEs."""
+        return int(np.count_nonzero(self.forced & ~self.first))
 
-        This is the oracle bridge: the output compares equal to
-        ``replay_trace(trace, machine, engine="reference")``.
+    # -- record decoding ----------------------------------------------
+    def to_results(self) -> Dict[int, ReplayResult]:
+        """Decode to a ``{ue: ReplayResult}`` mapping.
+
+        Each UE's entry compares equal to ``replay_ue`` on that UE's
+        events.
         """
         out: Dict[int, ReplayResult] = {}
         names = self.table.names
@@ -369,11 +374,11 @@ class TraceReplay:
     def sojourn_samples(
         self, *, include_forced: bool = False
     ) -> Dict[Tuple[str, EventType], np.ndarray]:
-        """Sojourns grouped by (source, event); == reference ``sojourn_samples``.
+        """Sojourn durations grouped by (source state, triggering event).
 
         Forced records never carry an enter time, so they are excluded
-        regardless of ``include_forced`` — exactly like the reference,
-        where a forced record's ``sojourn`` is ``None``.
+        regardless of ``include_forced`` — a forced
+        :class:`TransitionRecord`'s ``sojourn`` is ``None``.
         """
         del include_forced  # forced records have no enter time either way
         valid = np.flatnonzero(~self.forced)
@@ -393,7 +398,7 @@ class TraceReplay:
         }
 
     def transition_counts(self) -> Dict[Tuple[str, EventType, str], int]:
-        """(source, event, target) counts; == reference ``transition_counts``."""
+        """Count observed (source, event, target) transitions across UEs."""
         num_states = self.table.num_states
         num_events = self.table.num_events
         keys = (
@@ -415,47 +420,70 @@ class TraceReplay:
         return out
 
     def _interval_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Complete top-level intervals as (ue_code, state_parent, duration).
+        """Complete top-level intervals as (state_parent, start, duration).
 
         Consecutive parent-boundary records within one UE open and close
         an interval whose state is the opening boundary's target parent
-        (the ``current`` the reference tracks).  A UE's leading interval
-        starts at an unknown time and its trailing one never ends, so
-        neither is complete — pairing consecutive boundaries drops both.
+        (the ``current`` that :func:`~repro.statemachines.replay.
+        top_level_intervals` tracks).  A UE's leading interval starts at
+        an unknown time and its trailing one never ends, so neither is
+        complete — pairing consecutive boundaries drops both.
         """
         src_par = self.table.parent_code[self.sources]
         tgt_par = self.table.parent_code[self.targets]
         bpos = np.flatnonzero(src_par != tgt_par)
         if bpos.size < 2:
             return (
-                np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int16),
+                np.empty(0, dtype=np.float64),
                 np.empty(0, dtype=np.float64),
             )
         same_ue = self.ue_code[bpos[1:]] == self.ue_code[bpos[:-1]]
         open_b = bpos[:-1][same_ue]
         close_b = bpos[1:][same_ue]
         return (
-            self.ue_code[open_b],
             tgt_par[open_b],
+            self.times[open_b],
             self.times[close_b] - self.times[open_b],
         )
 
     def top_state_sojourns(self) -> Dict[str, np.ndarray]:
-        """Complete top-level sojourns by state; == reference ``top_state_sojourns``."""
-        _, states, durations = self._interval_arrays()
+        """Durations of complete top-level state visits, grouped by state.
+
+        This yields the CONNECTED / IDLE / DEREGISTERED sojourn samples
+        the paper fits and compares (Figs. 3-4, Table 5).
+        """
+        states, _, durations = self._interval_arrays()
         present, groups = _group_arrays(states.astype(np.int64), durations)
         names = self.table.parent_names
         return {names[int(code)]: group for code, group in zip(present, groups)}
 
+    def state_visits(self, state: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``(durations, entry_times)`` of complete visits to ``state``.
 
-def replay_trace_compiled(trace: Trace, machine=None) -> TraceReplay:
-    """Replay every UE of ``trace`` as flat arrays (see :class:`TraceReplay`)."""
+        Visits are in ``(ue, time)`` order; ``state`` is a top-level
+        state name (e.g. ``"CONNECTED"``).
+        """
+        states, starts, durations = self._interval_arrays()
+        names = self.table.parent_names
+        code = names.index(state) if state in names else -1
+        keep = states == code
+        return durations[keep], starts[keep]
+
+
+def replay_trace(trace: Trace, machine=None) -> TraceReplay:
+    """Replay every UE of ``trace`` independently, as flat arrays.
+
+    ``machine`` defaults to the LTE two-level machine.  Each UE replays
+    like a :func:`~repro.statemachines.replay.replay_ue` call with
+    unknown initial state; see :class:`TraceReplay` for the derived
+    quantities.
+    """
     if machine is None:
         machine = lte.two_level_machine()
     table = table_for(machine)
     # Trace rows are already time-sorted, so one stable UE sort yields
-    # the (ue, time) order the reference replay visits records in.
+    # the (ue, time) order a per-UE walk visits records in.
     order = np.argsort(trace.ue_ids, kind="stable")
     ue = trace.ue_ids[order]
     times = trace.times[order]
@@ -487,7 +515,7 @@ def replay_trace_compiled(trace: Trace, machine=None) -> TraceReplay:
 #: Top-level state codes used by the classification arrays.
 _CONN, _IDLE, _DEREG = 0, 1, 2
 
-#: State after a Category-1 event (the lenient tracker of the reference).
+#: Top-level state after a Category-1 event (the lenient tracker).
 _FORCE_TO = np.full(_NUM_EVENTS, -1, dtype=np.int64)
 _FORCE_TO[int(EventType.ATCH)] = _CONN
 _FORCE_TO[int(EventType.DTCH)] = _DEREG
@@ -495,7 +523,7 @@ _FORCE_TO[int(EventType.SRV_REQ)] = _CONN
 _FORCE_TO[int(EventType.S1_CONN_REL)] = _IDLE
 
 #: Initial top-level state back-inferred from a UE's first Category-1
-#: event (mirrors ``replay._infer_initial_top_state``).
+#: event.
 _INIT_FROM = np.full(_NUM_EVENTS, -1, dtype=np.int64)
 _INIT_FROM[int(EventType.ATCH)] = _DEREG
 _INIT_FROM[int(EventType.SRV_REQ)] = _IDLE
@@ -503,12 +531,19 @@ _INIT_FROM[int(EventType.S1_CONN_REL)] = _CONN
 _INIT_FROM[int(EventType.DTCH)] = _CONN
 
 
-def classify_category2_arrays(trace: Trace) -> Dict[Tuple[EventType, str], int]:
-    """Vectorized twin of the reference ``classify_category2_events``.
+def classify_category2_events(
+    trace: Trace,
+) -> Dict[Tuple[EventType, str], int]:
+    """Count ``HO``/``TAU`` events by the top-level state they occur in.
 
-    Tracks each UE's top-level state from Category-1 events only (a
-    forward fill over per-UE segments) and bin-counts the ``HO``/``TAU``
-    rows by that state, with ``DEREGISTERED`` counted as ``IDLE``.
+    This backs the ``HO (CONN.)`` / ``HO (IDLE)`` / ``TAU (CONN.)`` /
+    ``TAU (IDLE)`` rows of Tables 4 and 11.  Each UE's top-level state
+    is tracked leniently from Category-1 events only (a forward fill
+    over per-UE segments), so traces violating the two-level machine
+    (e.g. Base-synthesized traces with ``HO`` in IDLE) are classified
+    faithfully rather than corrected.  Before its first Category-1
+    event a UE is in the state that event implies, else CONNECTED when
+    it has any ``HO``, else IDLE; ``DEREGISTERED`` counts as ``IDLE``.
     """
     counts: Dict[Tuple[EventType, str], int] = {
         (EventType.HO, lte.CONNECTED): 0,

@@ -1,4 +1,4 @@
-"""Replaying traces through state machines.
+"""Replaying one UE's events through a state machine.
 
 The modeling pipeline never observes UE states directly — only events.
 Replay reconstructs the state trajectory of each UE by walking its
@@ -17,17 +17,19 @@ baseline-synthesized trace firing ``HO`` in IDLE) does not abort the
 replay.  Instead the decoder forces the state to a canonical source for
 the offending event, counts a violation, and marks the produced record
 as ``forced`` so fitting can exclude it.
+
+:func:`replay_ue` walks one UE record by record; whole traces replay
+as flat arrays through
+:func:`repro.statemachines.compiled_replay.replay_trace`, which
+produces exactly the same transitions.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from ..trace.events import EventType
-from ..trace.trace import Trace
 from . import lte
 from .fsm import HierarchicalStateMachine
 
@@ -164,91 +166,9 @@ def _canonical_source_for(
     raise ValueError(f"event {event.name} has no source state in {machine.name}")
 
 
-#: Available whole-trace replay engines.
-REPLAY_ENGINES = ("reference", "compiled")
-
-
-def replay_trace(
-    trace: Trace,
-    machine: Optional[HierarchicalStateMachine] = None,
-    *,
-    engine: str = "reference",
-):
-    """Replay every UE of ``trace`` independently.
-
-    ``engine="reference"`` walks each UE event by event and returns the
-    ``{ue: ReplayResult}`` mapping; ``engine="compiled"`` lowers the
-    machine to integer tables and replays the whole trace as flat
-    arrays, returning an equivalent
-    :class:`repro.statemachines.compiled_replay.TraceReplay` (its
-    ``to_results()`` decodes to exactly the reference mapping).  The
-    derived functions in this module accept either shape.
-    """
-    if engine not in REPLAY_ENGINES:
-        raise ValueError(
-            f"unknown replay engine {engine!r}; expected one of {REPLAY_ENGINES}"
-        )
-    if engine == "compiled":
-        from .compiled_replay import replay_trace_compiled
-
-        return replay_trace_compiled(trace, machine)
-    if machine is None:
-        machine = lte.two_level_machine()
-    return {
-        ue: replay_ue(sub.event_types, sub.times, machine)
-        for ue, sub in trace.per_ue()
-    }
-
-
 # ---------------------------------------------------------------------------
 # Derived quantities
 # ---------------------------------------------------------------------------
-
-def sojourn_samples(
-    results,
-    *,
-    include_forced: bool = False,
-) -> Dict[Tuple[str, EventType], np.ndarray]:
-    """Group sojourn durations by (source state, triggering event).
-
-    Records whose enter time is unknown, or that the decoder had to
-    force (unless ``include_forced``), are skipped.  Accepts either the
-    reference ``{ue: ReplayResult}`` mapping or a compiled
-    ``TraceReplay``.
-    """
-    if not isinstance(results, dict):
-        return results.sojourn_samples(include_forced=include_forced)
-    grouped: Dict[Tuple[str, EventType], List[float]] = {}
-    for result in results.values():
-        for rec in result.records:
-            if rec.sojourn is None:
-                continue
-            if rec.forced and not include_forced:
-                continue
-            grouped.setdefault((rec.source, rec.event), []).append(rec.sojourn)
-    return {
-        key: np.asarray(values, dtype=np.float64)
-        for key, values in grouped.items()
-    }
-
-
-def transition_counts(
-    results,
-) -> Dict[Tuple[str, EventType, str], int]:
-    """Count observed (source, event, target) transitions across UEs.
-
-    Accepts either the reference ``{ue: ReplayResult}`` mapping or a
-    compiled ``TraceReplay``.
-    """
-    if not isinstance(results, dict):
-        return results.transition_counts()
-    counts: Dict[Tuple[str, EventType, str], int] = {}
-    for result in results.values():
-        for rec in result.records:
-            key = (rec.source, rec.event, rec.target)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
 
 def top_level_intervals(
     records: Sequence[TransitionRecord],
@@ -284,97 +204,3 @@ def top_level_intervals(
     if current is not None:
         intervals.append(StateInterval(state=current, start=current_start, end=end_time))
     return intervals
-
-
-def top_state_sojourns(
-    results,
-    machine: Optional[HierarchicalStateMachine] = None,
-) -> Dict[str, np.ndarray]:
-    """Durations of complete top-level state visits, grouped by state.
-
-    This yields the CONNECTED / IDLE / DEREGISTERED sojourn samples the
-    paper fits and compares (Figs. 3-4, Table 5).  Accepts either the
-    reference ``{ue: ReplayResult}`` mapping or a compiled
-    ``TraceReplay`` (which already carries its machine's tables).
-    """
-    if not isinstance(results, dict):
-        return results.top_state_sojourns()
-    if machine is None:
-        machine = lte.two_level_machine()
-    grouped: Dict[str, List[float]] = {}
-    for result in results.values():
-        for interval in top_level_intervals(result.records, machine):
-            if interval.complete:
-                grouped.setdefault(interval.state, []).append(interval.duration)
-    return {
-        state: np.asarray(values, dtype=np.float64)
-        for state, values in grouped.items()
-    }
-
-
-def classify_category2_events(
-    trace: Trace,
-    *,
-    engine: str = "compiled",
-) -> Dict[Tuple[EventType, str], int]:
-    """Count ``HO``/``TAU`` events by the top-level state they occur in.
-
-    This backs the ``HO (CONN.)`` / ``HO (IDLE)`` / ``TAU (CONN.)`` /
-    ``TAU (IDLE)`` rows of Tables 4 and 11.  The top-level state is
-    tracked leniently from Category-1 events only, so traces violating
-    the two-level machine (e.g. Base-synthesized traces with ``HO`` in
-    IDLE) are classified faithfully rather than corrected.
-
-    Both engines return identical counts; ``"compiled"`` replaces the
-    per-event Python loop with a vectorized per-UE forward fill and the
-    ``"reference"`` loop is kept as the oracle.
-    """
-    if engine not in REPLAY_ENGINES:
-        raise ValueError(
-            f"unknown replay engine {engine!r}; expected one of {REPLAY_ENGINES}"
-        )
-    if engine == "compiled":
-        from .compiled_replay import classify_category2_arrays
-
-        return classify_category2_arrays(trace)
-    counts: Dict[Tuple[EventType, str], int] = {
-        (EventType.HO, lte.CONNECTED): 0,
-        (EventType.HO, lte.IDLE): 0,
-        (EventType.TAU, lte.CONNECTED): 0,
-        (EventType.TAU, lte.IDLE): 0,
-    }
-    force_to = {
-        EventType.ATCH: lte.CONNECTED,
-        EventType.DTCH: lte.DEREGISTERED,
-        EventType.SRV_REQ: lte.CONNECTED,
-        EventType.S1_CONN_REL: lte.IDLE,
-    }
-    for _, sub in trace.per_ue():
-        state = _infer_initial_top_state(sub.event_types)
-        for raw in sub.event_types:
-            event = EventType(int(raw))
-            if event in force_to:
-                state = force_to[event]
-            else:
-                key = (event, state if state != lte.DEREGISTERED else lte.IDLE)
-                if key in counts:
-                    counts[key] += 1
-    return counts
-
-
-def _infer_initial_top_state(event_types: Sequence[int]) -> str:
-    """Back-infer a UE's top-level state before its first Category-1 event."""
-    for raw in event_types:
-        event = EventType(int(raw))
-        if event == EventType.ATCH:
-            return lte.DEREGISTERED
-        if event == EventType.SRV_REQ:
-            return lte.IDLE
-        if event in (EventType.S1_CONN_REL, EventType.DTCH):
-            return lte.CONNECTED
-    # Only HO/TAU events: HO implies CONNECTED; an all-TAU UE could be in
-    # either state, and CONNECTED is the conservative choice for HO counting.
-    for raw in event_types:
-        if EventType(int(raw)) == EventType.HO:
-            return lte.CONNECTED
-    return lte.IDLE

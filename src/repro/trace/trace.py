@@ -37,6 +37,15 @@ class Event:
             raise ValueError(f"event time must be non-negative, got {self.time}")
 
 
+def _check_codes(raw, column: str, kind: str, top: int) -> None:
+    """Reject codes outside ``[0, top]`` (NaN included) in a raw column."""
+    raw = np.asarray(raw)
+    if raw.size and not (raw.min() >= 0 and raw.max() <= top):
+        raise ValueError(
+            f"trace column {column!r} contains unknown {kind} types"
+        )
+
+
 class Trace:
     """An ordered collection of control-plane events.
 
@@ -67,6 +76,25 @@ class Trace:
     ) -> None:
         ue_ids = np.asarray(ue_ids, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
+        if validate:
+            # Range-check the codes before the int8 cast, which would
+            # silently wrap e.g. 258 to 2.
+            _check_codes(event_types, "event_types", "event", max(EventType))
+            _check_codes(
+                device_types, "device_types", "device", max(DeviceType)
+            )
+            if len(times) > 0:
+                # NaN propagates through min(), so two reductions catch
+                # NaN and both infinities.
+                lo, hi = times.min(), times.max()
+                if not (np.isfinite(lo) and np.isfinite(hi)):
+                    raise ValueError(
+                        "trace column 'times' contains non-finite timestamps"
+                    )
+                if lo < 0:
+                    raise ValueError(
+                        "trace column 'times' contains negative timestamps"
+                    )
         event_types = np.asarray(event_types, dtype=np.int8)
         device_types = np.asarray(device_types, dtype=np.int8)
 
@@ -80,14 +108,6 @@ class Trace:
             times = times[order]
             event_types = event_types[order]
             device_types = device_types[order]
-
-        if validate and len(times) > 0:
-            if times.min() < 0:
-                raise ValueError("trace contains negative timestamps")
-            if event_types.min() < 0 or event_types.max() > max(EventType):
-                raise ValueError("trace contains unknown event types")
-            if device_types.min() < 0 or device_types.max() > max(DeviceType):
-                raise ValueError("trace contains unknown device types")
 
         self.ue_ids = ue_ids
         self.times = times

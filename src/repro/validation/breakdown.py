@@ -18,7 +18,7 @@ from typing import Dict, Mapping, Sequence, Tuple
 import numpy as np
 
 from ..statemachines import lte
-from ..statemachines.replay import classify_category2_events
+from ..statemachines.compiled_replay import classify_category2_events
 from ..trace.events import DeviceType, EventType
 from ..trace.trace import Trace
 
@@ -38,15 +38,13 @@ BREAKDOWN_ROWS: Tuple[str, ...] = (
 def breakdown_with_states(
     trace: Trace,
     device_type: DeviceType,
-    *,
-    engine: str = "compiled",
 ) -> Dict[str, float]:
     """Eight-row event breakdown (fractions of all events) for one device."""
     sub = trace.filter_device(device_type)
     total = len(sub)
     if total == 0:
         return {row: 0.0 for row in BREAKDOWN_ROWS}
-    cat2 = classify_category2_events(sub, engine=engine)
+    cat2 = classify_category2_events(sub)
     counts = {
         "ATCH": int(np.count_nonzero(sub.event_types == int(EventType.ATCH))),
         "DTCH": int(np.count_nonzero(sub.event_types == int(EventType.DTCH))),
@@ -66,12 +64,10 @@ def breakdown_difference(
     real: Trace,
     synthesized: Trace,
     device_type: DeviceType,
-    *,
-    engine: str = "compiled",
 ) -> Dict[str, float]:
     """Signed per-row difference (synthesized - real), in fractions."""
-    rb = breakdown_with_states(real, device_type, engine=engine)
-    sb = breakdown_with_states(synthesized, device_type, engine=engine)
+    rb = breakdown_with_states(real, device_type)
+    sb = breakdown_with_states(synthesized, device_type)
     return {row: sb[row] - rb[row] for row in BREAKDOWN_ROWS}
 
 
@@ -79,11 +75,9 @@ def max_abs_breakdown_difference(
     real: Trace,
     synthesized: Trace,
     device_type: DeviceType,
-    *,
-    engine: str = "compiled",
 ) -> float:
     """The largest |row difference| — the headline number of §8.1.1."""
-    diffs = breakdown_difference(real, synthesized, device_type, engine=engine)
+    diffs = breakdown_difference(real, synthesized, device_type)
     return max(abs(v) for v in diffs.values())
 
 

@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..stats.ecdf import max_y_distance
-from ..statemachines.replay import replay_trace, top_state_sojourns
+from ..statemachines.compiled_replay import replay_trace
 from ..trace.events import DeviceType, EventType
 from ..trace.trace import Trace
 
@@ -75,8 +75,6 @@ def count_ydistance(
 def device_sojourns(
     trace: Trace,
     device_type: DeviceType,
-    *,
-    engine: str = "reference",
 ) -> Dict[str, np.ndarray]:
     """Complete top-level sojourns of one device cohort, by state.
 
@@ -84,22 +82,16 @@ def device_sojourns(
     and IDLE should use this instead of calling :func:`state_sojourns`
     per state, which replays the cohort each time.
     """
-    sub = trace.filter_device(device_type)
-    results = replay_trace(sub, engine=engine)
-    return top_state_sojourns(results)
+    return replay_trace(trace.filter_device(device_type)).top_state_sojourns()
 
 
 def state_sojourns(
     trace: Trace,
     device_type: DeviceType,
     state: str,
-    *,
-    engine: str = "reference",
 ) -> np.ndarray:
     """All complete sojourn durations in a top-level state, across UEs."""
-    return device_sojourns(trace, device_type, engine=engine).get(
-        state, np.empty(0)
-    )
+    return device_sojourns(trace, device_type).get(state, np.empty(0))
 
 
 def sojourn_ydistance(
@@ -107,12 +99,10 @@ def sojourn_ydistance(
     synthesized: Trace,
     device_type: DeviceType,
     state: str,
-    *,
-    engine: str = "reference",
 ) -> float:
     """Max y-distance between sojourn CDFs (Table 5, bottom half)."""
-    real_s = state_sojourns(real, device_type, state, engine=engine)
-    syn_s = state_sojourns(synthesized, device_type, state, engine=engine)
+    real_s = state_sojourns(real, device_type, state)
+    syn_s = state_sojourns(synthesized, device_type, state)
     if real_s.size == 0 or syn_s.size == 0:
         raise ValueError(
             f"no complete {state} sojourns for {device_type.name} "
@@ -175,7 +165,6 @@ def micro_comparison_partial(
     *,
     real_num_ues: Optional[int] = None,
     syn_num_ues: Optional[int] = None,
-    engine: str = "reference",
 ) -> Tuple[Dict[str, float], Dict[str, str]]:
     """One Table-5 column, reporting every computable quantity.
 
@@ -204,8 +193,8 @@ def micro_comparison_partial(
             )
         except ValueError as exc:
             skipped[name] = str(exc)
-    real_soj = device_sojourns(real, device_type, engine=engine)
-    syn_soj = device_sojourns(synthesized, device_type, engine=engine)
+    real_soj = device_sojourns(real, device_type)
+    syn_soj = device_sojourns(synthesized, device_type)
     for state in (lte.CONNECTED, lte.IDLE):
         real_s = real_soj.get(state, np.empty(0))
         syn_s = syn_soj.get(state, np.empty(0))
@@ -226,7 +215,6 @@ def micro_comparison(
     *,
     real_num_ues: Optional[int] = None,
     syn_num_ues: Optional[int] = None,
-    engine: str = "reference",
 ) -> Dict[str, float]:
     """One Table-5 column: count and sojourn y-distances for a method.
 
@@ -239,7 +227,6 @@ def micro_comparison(
         device_type,
         real_num_ues=real_num_ues,
         syn_num_ues=syn_num_ues,
-        engine=engine,
     )
     for name in MICRO_QUANTITIES:
         if name in skipped:

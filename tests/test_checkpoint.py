@@ -2,13 +2,15 @@
 
 The contract under test: a run interrupted at *any* point and resumed
 from its checkpoint produces output bit-identical to an uninterrupted
-run with the same arguments — for both engines, across the serial,
-streaming, and parallel entry points — and worker failures in
+run with the same arguments — across the serial, streaming, and
+parallel entry points — and worker failures in
 ``generate_parallel`` are either masked transparently or reported as a
 structured :class:`ChunkFailedError`.
 """
 
+import dataclasses
 import itertools
+import json
 import os
 
 import numpy as np
@@ -19,18 +21,17 @@ from repro.generator import (
     CheckpointMismatchError,
     ChunkFailedError,
     GenerationCheckpoint,
+    RunKey,
     TrafficGenerator,
-    UeSession,
     generate_parallel,
     stream_events,
 )
+from repro.generator.checkpoint import CHECKPOINT_FORMAT
 from repro.generator.compiled import CompiledPopulation
 from repro.generator.parallel import FAULT_ENV
 from repro.trace import DeviceType
 
 from conftest import TRACE_START_HOUR
-
-ENGINES = ("compiled", "reference")
 
 RUN = dict(start_hour=TRACE_START_HOUR, num_hours=3, seed=7)
 POP = 40
@@ -49,12 +50,9 @@ def generator(ours_model_set):
 
 
 @pytest.fixture(scope="module")
-def baselines(generator):
-    """Uninterrupted serial traces per engine — the bit-identity oracle."""
-    return {
-        engine: generator.generate(POP, engine=engine, **RUN)
-        for engine in ENGINES
-    }
+def baseline(generator):
+    """The uninterrupted serial trace — the bit-identity oracle."""
+    return generator.generate(POP, **RUN)
 
 
 class TestModelHash:
@@ -72,58 +70,44 @@ class TestModelHash:
 
 
 class TestSerialCheckpoint:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_checkpointed_run_matches_plain(
-        self, generator, baselines, engine, tmp_path
+        self, generator, baseline, tmp_path
     ):
         path = tmp_path / "run.npz"
-        trace = generator.generate(
-            POP, engine=engine, checkpoint_path=path, **RUN
-        )
-        assert_traces_equal(baselines[engine], trace)
+        trace = generator.generate(POP, checkpoint_path=path, **RUN)
+        assert_traces_equal(baseline, trace)
         assert path.exists()
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_interrupt_and_resume_bit_identical(
-        self, generator, baselines, engine, tmp_path, monkeypatch
+        self, generator, baseline, tmp_path, monkeypatch
     ):
         path = tmp_path / "run.npz"
         calls = itertools.count()
-
-        # Kill the run partway through the second hour.
-        if engine == "compiled":
-            target, name = CompiledPopulation, "advance_hour"
-            kill_after = 1
-        else:
-            target, name = UeSession, "advance_hour"
-            kill_after = POP + POP // 2
-        original = getattr(target, name)
+        original = CompiledPopulation.advance_hour
 
         def dying(self, *args, **kwargs):
-            if next(calls) >= kill_after:
+            # Kill the run in the second hour.
+            if next(calls) >= 1:
                 raise KeyboardInterrupt
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(target, name, dying)
+        monkeypatch.setattr(CompiledPopulation, "advance_hour", dying)
         with pytest.raises(KeyboardInterrupt):
-            generator.generate(POP, engine=engine, checkpoint_path=path, **RUN)
-        monkeypatch.setattr(target, name, original)
+            generator.generate(POP, checkpoint_path=path, **RUN)
+        monkeypatch.setattr(CompiledPopulation, "advance_hour", original)
 
         resumed = generator.generate(
-            POP, engine=engine, checkpoint_path=path, resume=True, **RUN
+            POP, checkpoint_path=path, resume=True, **RUN
         )
-        assert_traces_equal(baselines[engine], resumed)
+        assert_traces_equal(baseline, resumed)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_resume_after_completion(
-        self, generator, baselines, engine, tmp_path
-    ):
+    def test_resume_after_completion(self, generator, baseline, tmp_path):
         path = tmp_path / "run.npz"
-        generator.generate(POP, engine=engine, checkpoint_path=path, **RUN)
+        generator.generate(POP, checkpoint_path=path, **RUN)
         again = generator.generate(
-            POP, engine=engine, checkpoint_path=path, resume=True, **RUN
+            POP, checkpoint_path=path, resume=True, **RUN
         )
-        assert_traces_equal(baselines[engine], again)
+        assert_traces_equal(baseline, again)
 
     def test_checkpoint_written_before_first_hour(
         self, generator, tmp_path, monkeypatch
@@ -197,19 +181,80 @@ class TestSerialCheckpoint:
             generator.generate(POP, checkpoint_path=path, resume=True, **RUN)
 
 
+def _write_meta(path, meta):
+    """Hand-write a checkpoint file holding only ``meta``."""
+    np.savez_compressed(path, meta=np.asarray(json.dumps(meta)))
+
+
+def _meta(ours_model_set, **overrides):
+    key = RunKey.for_run(
+        ours_model_set,
+        {DeviceType.PHONE: POP},
+        kind="generate",
+        seed=RUN["seed"],
+        start_hour=RUN["start_hour"],
+        num_hours=RUN["num_hours"],
+        first_ue_id=0,
+    )
+    meta = {
+        "format": CHECKPOINT_FORMAT,
+        "key": dataclasses.asdict(key),
+        "hours_done": 0,
+        "events_emitted": 0,
+        "completed_chunks": [],
+        "has_population_state": False,
+        "has_columns": False,
+        "provenance": {},
+    }
+    meta.update(overrides)
+    return meta
+
+
+class TestCheckpointFormat:
+    def test_hand_written_current_format_loads(self, ours_model_set, tmp_path):
+        path = tmp_path / "ok.npz"
+        _write_meta(path, _meta(ours_model_set))
+        assert GenerationCheckpoint.load(path).key.kind == "generate"
+
+    def test_v1_file_rejected(self, ours_model_set, tmp_path):
+        """A v1 checkpoint (with the removed ``engine`` key field and
+        reference ``sessions``) is an unknown format."""
+        meta = _meta(
+            ours_model_set,
+            format="repro-generation-checkpoint-v1",
+            sessions=None,
+        )
+        meta["key"]["engine"] = "compiled"
+        path = tmp_path / "v1.npz"
+        _write_meta(path, meta)
+        with pytest.raises(CheckpointError, match="unknown checkpoint format"):
+            GenerationCheckpoint.load(path)
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_malformed_key_rejected(self, ours_model_set, tmp_path, change):
+        """A key with an unknown or a missing field is a CheckpointError,
+        not a bare TypeError from the RunKey constructor."""
+        meta = _meta(ours_model_set)
+        if change == "extra":
+            meta["key"]["engine"] = "compiled"
+        else:
+            del meta["key"]["model_hash"]
+        path = tmp_path / "malformed.npz"
+        _write_meta(path, meta)
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            GenerationCheckpoint.load(path)
+
+
 class TestStreamingCheckpoint:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_interrupted_stream_plus_resumed_equals_whole(
-        self, ours_model_set, engine, tmp_path
+        self, ours_model_set, tmp_path
     ):
         """Kill a stream mid-hour; concatenated streams match end to end."""
         path = tmp_path / "stream.npz"
-        whole = list(
-            stream_events(ours_model_set, POP, engine=engine, **RUN)
-        )
+        whole = list(stream_events(ours_model_set, POP, **RUN))
 
         stream = stream_events(
-            ours_model_set, POP, engine=engine, checkpoint_path=path, **RUN
+            ours_model_set, POP, checkpoint_path=path, **RUN
         )
         # Consume into the middle of the second hour, then drop the stream
         # (simulating a crash between checkpoints).
@@ -225,7 +270,6 @@ class TestStreamingCheckpoint:
             stream_events(
                 ours_model_set,
                 POP,
-                engine=engine,
                 checkpoint_path=path,
                 resume=True,
                 **RUN,
@@ -233,13 +277,10 @@ class TestStreamingCheckpoint:
         )
         assert consumed[:replay_from] + resumed == whole
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_stream_checkpoint_written_eagerly(
-        self, ours_model_set, engine, tmp_path
-    ):
+    def test_stream_checkpoint_written_eagerly(self, ours_model_set, tmp_path):
         path = tmp_path / "stream.npz"
         stream = stream_events(
-            ours_model_set, POP, engine=engine, checkpoint_path=path, **RUN
+            ours_model_set, POP, checkpoint_path=path, **RUN
         )
         next(stream)  # killed in the very first hour
         stream.close()
@@ -269,24 +310,22 @@ class TestStreamingCheckpoint:
 
 
 class TestParallelCheckpoint:
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_checkpointed_parallel_matches_serial(
-        self, ours_model_set, baselines, engine, tmp_path
+        self, ours_model_set, baseline, tmp_path
     ):
         path = tmp_path / "par.npz"
         trace = generate_parallel(
             ours_model_set,
             POP,
-            engine=engine,
             processes=1,
             chunk_size=7,
             checkpoint_path=path,
             **RUN,
         )
-        assert_traces_equal(baselines[engine], trace)
+        assert_traces_equal(baseline, trace)
 
     def test_interrupted_parallel_resumes(
-        self, ours_model_set, baselines, tmp_path
+        self, ours_model_set, baseline, tmp_path
     ):
         path = tmp_path / "par.npz"
 
@@ -316,10 +355,10 @@ class TestParallelCheckpoint:
             resume=True,
             **RUN,
         )
-        assert_traces_equal(baselines["compiled"], resumed)
+        assert_traces_equal(baseline, resumed)
 
     def test_inline_retry_masks_transient_failure(
-        self, ours_model_set, baselines
+        self, ours_model_set, baseline
     ):
         failures = {"left": 2}
 
@@ -339,7 +378,7 @@ class TestParallelCheckpoint:
             **RUN,
         )
         assert failures["left"] == 0
-        assert_traces_equal(baselines["compiled"], trace)
+        assert_traces_equal(baseline, trace)
 
     def test_inline_poisoned_chunk_fails_structured(self, ours_model_set):
         def poisoned(chunk_idx, attempt):
@@ -384,24 +423,24 @@ class TestParallelWorkerCrash:
         )
 
     def test_killed_worker_recovers_bit_identical(
-        self, ours_model_set, baselines, tmp_path, monkeypatch
+        self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(
             FAULT_ENV, f"chunk=2;fails=1;mode=exit;dir={tmp_path}"
         )
         trace = self._run(ours_model_set)
-        assert_traces_equal(baselines["compiled"], trace)
+        assert_traces_equal(baseline, trace)
         # Exactly one injected death.
         assert sorted(os.listdir(tmp_path)) == ["fault-2-0"]
 
     def test_raising_worker_recovers_bit_identical(
-        self, ours_model_set, baselines, tmp_path, monkeypatch
+        self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(
             FAULT_ENV, f"chunk=0;fails=2;mode=raise;dir={tmp_path}"
         )
         trace = self._run(ours_model_set, max_retries=2)
-        assert_traces_equal(baselines["compiled"], trace)
+        assert_traces_equal(baseline, trace)
 
     def test_poisoned_raising_chunk_names_itself(
         self, ours_model_set, tmp_path, monkeypatch
@@ -428,7 +467,7 @@ class TestParallelWorkerCrash:
         assert "died" in str(excinfo.value)
 
     def test_crash_then_resume_from_checkpoint(
-        self, ours_model_set, baselines, tmp_path, monkeypatch
+        self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
         path = tmp_path / "par.npz"
         monkeypatch.setenv(
@@ -440,4 +479,4 @@ class TestParallelWorkerCrash:
         resumed = self._run(
             ours_model_set, checkpoint_path=path, resume=True
         )
-        assert_traces_equal(baselines["compiled"], resumed)
+        assert_traces_equal(baseline, resumed)

@@ -7,6 +7,8 @@ from repro.cli import build_parser, main
 from repro.model import ModelSet
 from repro.trace import read_npz
 
+from oracle import fit as oracle_fit
+
 
 @pytest.fixture()
 def workspace(tmp_path, ground_truth_trace, ours_model_set):
@@ -24,6 +26,17 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    def test_engine_flag_removed(self, command, capsys):
+        stubs = {
+            "fit": _minimal_args("fit"),
+            "evaluate": ["evaluate", "--train", "a.npz", "--real", "b.npz"],
+        }
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(stubs[command] + ["--engine", "compiled"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_all_commands_registered(self):
         parser = build_parser()
@@ -289,15 +302,14 @@ class TestFitFlags:
             "--out", str(out), *extra,
         ]
 
-    def test_engines_produce_equal_models(self, workspace):
+    def test_engines_produce_equal_models(self, workspace, ground_truth_trace):
+        """``repro fit`` equals the per-segment reference fit exactly."""
         ref_out = workspace / "ref.json.gz"
         comp_out = workspace / "comp.json.gz"
-        assert main(self._fit_args(
-            workspace, ref_out, ["--engine", "reference", "--no-cache"]
-        )) == 0
-        assert main(self._fit_args(
-            workspace, comp_out, ["--engine", "compiled", "--no-cache"]
-        )) == 0
+        oracle_fit.fit_model_set(
+            ground_truth_trace, theta_n=25, trace_start_hour=17
+        ).save(ref_out)
+        assert main(self._fit_args(workspace, comp_out, ["--no-cache"])) == 0
         assert (
             ModelSet.load(ref_out).to_dict() == ModelSet.load(comp_out).to_dict()
         )
@@ -330,7 +342,7 @@ class TestFitFlags:
         )) == 0
         report = json.loads(report_path.read_text())
         assert report["run"]["command"] == "fit"
-        assert report["run"]["engine"] == "compiled"
+        assert "engine" not in report["run"]
         assert report["counters"]["segments_replayed"] > 0
         assert report["counters"]["transitions_counted"] > 0
 

@@ -1,12 +1,13 @@
-"""The compiled generation engine: correctness against the reference.
+"""The generation engine: correctness against the reference oracle.
 
 Three layers of guarantees, mirroring the engine's design:
 
 - the vectorized Philox implementation is bit-validated against
   ``np.random.Philox``;
-- compiled output is *statistically* equivalent to the reference engine
-  (two-sample KS on sojourn and per-UE volume distributions, alpha=0.01
-  with fixed seeds, so the tests are deterministic);
+- compiled output is *statistically* equivalent to the per-UE reference
+  generator in ``oracle.generator`` (two-sample KS on sojourn and
+  per-UE volume distributions, alpha=0.01 with fixed seeds, so the
+  tests are deterministic);
 - compiled output is *bit-identical* across serial, process-parallel and
   streaming production, including the scalar drain path for long-tail
   UEs, and respects the same structural limits (hour boundaries,
@@ -17,9 +18,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import repro.generator
 from repro.baselines import METHOD_NAMES, fit_method
 from repro.generator import (
-    ENGINES,
     TrafficGenerator,
     generate_parallel,
     stream_events,
@@ -30,6 +31,7 @@ from repro.model import scale_to_nsa, scale_to_sa
 from repro.trace import DeviceType, EventType
 
 from conftest import TRACE_START_HOUR, make_trace
+from oracle import generator as oracle_generator
 
 P = DeviceType.PHONE
 E = EventType
@@ -67,11 +69,10 @@ class TestStatisticalEquivalence:
 
     @pytest.fixture(scope="class")
     def traces(self, ours_model_set):
-        gen = TrafficGenerator(ours_model_set)
         kwargs = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=5)
         return (
-            gen.generate(300, engine="compiled", **kwargs),
-            gen.generate(300, engine="reference", **kwargs),
+            TrafficGenerator(ours_model_set).generate(300, **kwargs),
+            oracle_generator.generate(ours_model_set, 300, **kwargs),
         )
 
     def test_volume_is_comparable(self, traces):
@@ -154,27 +155,22 @@ class TestBitIdentity:
         for ue in small.unique_ues():
             assert small.ue_trace(int(ue)) == large.ue_trace(int(ue))
 
-    def test_reference_engine_unchanged_by_switch(self, ours_model_set):
-        by_ctor = TrafficGenerator(
-            ours_model_set, engine="reference"
-        ).generate(40, **self.KWARGS)
-        by_call = TrafficGenerator(ours_model_set).generate(
-            40, engine="reference", **self.KWARGS
-        )
-        assert by_ctor == by_call
-
 
 class TestEngineSelection:
+    """Generation has one engine: no switch, no constant to pick one."""
+
     def test_engines_tuple(self):
-        assert ENGINES == ("compiled", "reference")
+        assert not hasattr(repro.generator, "ENGINES")
 
     def test_unknown_engine_rejected(self, ours_model_set):
-        with pytest.raises(ValueError, match="unknown engine"):
-            TrafficGenerator(ours_model_set, engine="turbo")
-        with pytest.raises(ValueError, match="unknown engine"):
-            TrafficGenerator(ours_model_set).generate(10, engine="turbo")
-        with pytest.raises(ValueError, match="unknown engine"):
-            generate_parallel(ours_model_set, 10, engine="turbo")
+        with pytest.raises(TypeError, match="engine"):
+            TrafficGenerator(ours_model_set, engine="compiled")
+        with pytest.raises(TypeError, match="engine"):
+            TrafficGenerator(ours_model_set).generate(10, engine="compiled")
+        with pytest.raises(TypeError, match="engine"):
+            generate_parallel(ours_model_set, 10, engine="compiled")
+        with pytest.raises(TypeError, match="engine"):
+            stream_events(ours_model_set, 10, engine="compiled")
 
     def test_non_positive_hours_rejected(self, ours_model_set):
         with pytest.raises(ValueError, match="num_hours"):
@@ -198,11 +194,10 @@ class TestStructuralLimits:
         assert np.array_equal(ms, trace.times)
 
     def test_max_events_per_hour_cap(self, ours_model_set, monkeypatch):
-        # The compiled engine reads the cap dynamically, so the same
-        # monkeypatch that limits the reference engine limits it too.
-        from repro.generator import ue_generator
+        # The engine reads the cap at every step (as does the oracle).
+        from repro.generator import compiled
 
-        monkeypatch.setattr(ue_generator, "MAX_EVENTS_PER_HOUR", 3)
+        monkeypatch.setattr(compiled, "MAX_EVENTS_PER_HOUR", 3)
         trace = TrafficGenerator(ours_model_set).generate(
             100, start_hour=TRACE_START_HOUR, num_hours=2, seed=9
         )
@@ -294,10 +289,9 @@ def sweep_traces(sweep_model_sets):
     """``(method, rat) -> (compiled_trace, reference_trace)``."""
     traces = {}
     for combo, model_set in sweep_model_sets.items():
-        gen = TrafficGenerator(model_set)
         traces[combo] = (
-            gen.generate(_SWEEP_POP, engine="compiled", **_SWEEP_KWARGS),
-            gen.generate(_SWEEP_POP, engine="reference", **_SWEEP_KWARGS),
+            TrafficGenerator(model_set).generate(_SWEEP_POP, **_SWEEP_KWARGS),
+            oracle_generator.generate(model_set, _SWEEP_POP, **_SWEEP_KWARGS),
         )
     return traces
 
@@ -310,7 +304,7 @@ def _per_transition_gaps(trace, cap=20, min_group=4):
     The raw gap populations are dominated by heavy-tail noise: baseline
     fits produce near-singleton clusters whose overlay rates reach
     hundreds of events per UE-hour, so a single UE landing in such a
-    cluster (the engines use independent RNG streams for persona draws)
+    cluster (engine and oracle draw personas from independent streams)
     swings a transition's sample by thousands of points.  Two
     robustness measures make the statistic compare dwell *shapes*
     instead of which UE drew which persona: each (UE, transition)
@@ -357,8 +351,8 @@ def _per_ue_counts(trace):
 class TestDifferentialSweep:
     """Compiled vs reference across method x RAT x device type.
 
-    The two engines share the fitted model but draw from different RNG
-    streams, so equivalence is statistical: for every combination the
+    The engine and the oracle share the fitted model but draw from
+    different RNG streams, so equivalence is statistical: for every combination the
     per-transition dwell distributions must agree under two-sample KS
     on the capped, mean-normalized gap statistic (see
     :func:`_per_transition_gaps`).  Seeds are fixed, so every assertion
@@ -398,9 +392,9 @@ class TestDifferentialSweep:
 
     @pytest.mark.parametrize("method,rat", _SWEEP_COMBOS)
     def test_volume_is_comparable(self, sweep_traces, method, rat):
-        """The typical UE emits a comparable number of events under
-        either engine.  The *median* per-UE count is the right volume
-        statistic: raw totals are swung by single UEs landing in
+        """The typical UE emits a comparable number of events from the
+        engine and the oracle.  The *median* per-UE count is the right
+        volume statistic: raw totals are swung by single UEs landing in
         extreme-rate overlay clusters (different persona RNG streams),
         which is rate noise, not an engine divergence."""
         compiled, reference = sweep_traces[(method, rat)]
@@ -414,22 +408,22 @@ class TestDifferentialSweep:
     def test_event_totals_identical_per_seed(
         self, sweep_model_sets, sweep_traces, method, rat
     ):
-        """Same seed, same engine => identical traces (hence identical
+        """Same seed, same generator => identical traces (hence identical
         per-device event-count totals), for every combination."""
         compiled, reference = sweep_traces[(method, rat)]
-        gen = TrafficGenerator(sweep_model_sets[(method, rat)])
-        assert compiled == gen.generate(
-            _SWEEP_POP, engine="compiled", **_SWEEP_KWARGS
+        model_set = sweep_model_sets[(method, rat)]
+        assert compiled == TrafficGenerator(model_set).generate(
+            _SWEEP_POP, **_SWEEP_KWARGS
         )
-        assert reference == gen.generate(
-            _SWEEP_POP, engine="reference", **_SWEEP_KWARGS
+        assert reference == oracle_generator.generate(
+            model_set, _SWEEP_POP, **_SWEEP_KWARGS
         )
 
     @pytest.mark.parametrize("device", list(DeviceType))
     def test_sa_emits_only_nr_event_codes(self, sweep_traces, device):
         """SA has no tracking-area-update procedure: every emitted code
         must be a valid :class:`NrEventType` member (which has no TAU),
-        for any device type and either engine."""
+        for any device type, from the engine and the oracle alike."""
         from repro.trace import NrEventType
 
         valid = {int(code) for code in NrEventType}

@@ -1,11 +1,11 @@
-"""Compiled fitting fast path: exact equivalence, cache, parallel jobs.
+"""The fitting engine: exact equivalence, cache, parallel jobs.
 
-The tentpole guarantee is *exact* equality — the compiled engine must
-produce a ModelSet whose ``to_dict()`` compares equal (bit-identical
-floats) to the reference engine's, for every machine kind, sojourn
-family, and clustering mode.  The fast sweep runs on the hand-written
-tiny trace in tier-1; the slow sweep repeats it on the shared
-ground-truth trace.
+The central guarantee is *exact* equality — the fitter must produce a
+ModelSet whose ``to_dict()`` compares equal (bit-identical floats) to
+the per-segment reference fit in ``oracle.fit``, for every machine
+kind, sojourn family, and clustering mode.  The fast sweep runs on the
+hand-written tiny trace in tier-1; the slow sweep repeats it on the
+shared ground-truth trace.
 """
 
 import numpy as np
@@ -13,12 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.model import (
-    FIT_ENGINES,
-    fit_cache_key,
-    fit_model_set,
-    vectorized_replay,
-)
+import repro.model
+from repro.model import fit_cache_key, fit_model_set, vectorized_replay
 from repro.model.compiled_fit import FitJobFailedError, machine_table
 from repro.model.fit_cache import CACHE_DIR_ENV, default_cache_dir
 from repro.statemachines.lte import emm_ecm_machine, two_level_machine
@@ -28,6 +24,7 @@ from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType, EventType, Trace
 
 from conftest import TRACE_START_HOUR
+from oracle import fit as oracle_fit
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -105,7 +102,7 @@ class TestVectorizedReplay:
 
 
 # ---------------------------------------------------------------------------
-# Exact ModelSet equality, compiled vs reference
+# Exact ModelSet equality, fitter vs reference oracle
 # ---------------------------------------------------------------------------
 
 
@@ -126,8 +123,8 @@ class TestExactEquivalence:
             clustered=clustered,
             **FIT_KWARGS,
         )
-        ref = fit_model_set(tiny_trace, engine="reference", **kwargs)
-        fast = fit_model_set(tiny_trace, engine="compiled", **kwargs)
+        ref = oracle_fit.fit_model_set(tiny_trace, **kwargs)
+        fast = fit_model_set(tiny_trace, **kwargs)
         assert_model_sets_equal(fast, ref)
 
     @pytest.mark.slow
@@ -142,35 +139,34 @@ class TestExactEquivalence:
             theta_n=25,
             trace_start_hour=TRACE_START_HOUR,
         )
-        ref = fit_model_set(ground_truth_trace, engine="reference", **kwargs)
-        fast = fit_model_set(ground_truth_trace, engine="compiled", **kwargs)
+        ref = oracle_fit.fit_model_set(ground_truth_trace, **kwargs)
+        fast = fit_model_set(ground_truth_trace, **kwargs)
         assert_model_sets_equal(fast, ref)
 
     def test_nr_sa_raises_identically_on_lte_trace(self, tiny_trace):
         # The tiny trace carries TAU events, which NR-SA cannot source.
         with pytest.raises(ValueError) as ref_err:
-            fit_model_set(
-                tiny_trace, machine_kind="nr_sa", engine="reference", **FIT_KWARGS
+            oracle_fit.fit_model_set(
+                tiny_trace, machine_kind="nr_sa", **FIT_KWARGS
             )
         with pytest.raises(ValueError) as fast_err:
-            fit_model_set(
-                tiny_trace, machine_kind="nr_sa", engine="compiled", **FIT_KWARGS
-            )
+            fit_model_set(tiny_trace, machine_kind="nr_sa", **FIT_KWARGS)
         assert str(fast_err.value) == str(ref_err.value)
 
 
 # ---------------------------------------------------------------------------
-# Engine / processes validation
+# Argument validation
 # ---------------------------------------------------------------------------
 
 
 class TestValidation:
     def test_engines_tuple(self):
-        assert FIT_ENGINES == ("compiled", "reference")
+        """Fitting has one engine: no constant to pick one."""
+        assert not hasattr(repro.model, "FIT_ENGINES")
 
     def test_unknown_engine_rejected(self, tiny_trace):
-        with pytest.raises(ValueError, match="engine"):
-            fit_model_set(tiny_trace, engine="turbo")
+        with pytest.raises(TypeError, match="engine"):
+            fit_model_set(tiny_trace, engine="compiled")
 
     def test_negative_processes_rejected(self, tiny_trace):
         with pytest.raises(ValueError, match="processes"):
@@ -198,12 +194,11 @@ class TestParallelFit:
         assert_model_sets_equal(par, serial)
 
     def test_parallel_reference_matches_compiled(self, ground_truth_trace):
+        """Pooled fit jobs equal the per-segment reference fit."""
         kwargs = dict(theta_n=25, trace_start_hour=TRACE_START_HOUR)
-        compiled = fit_model_set(ground_truth_trace, **kwargs)
-        par_ref = fit_model_set(
-            ground_truth_trace, engine="reference", processes=2, **kwargs
-        )
-        assert_model_sets_equal(par_ref, compiled)
+        reference = oracle_fit.fit_model_set(ground_truth_trace, **kwargs)
+        par = fit_model_set(ground_truth_trace, processes=2, **kwargs)
+        assert_model_sets_equal(par, reference)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +220,6 @@ class TestModelCache:
             tiny_trace, cache_dir=tmp_path, telemetry=warm_tele, **FIT_KWARGS
         )
         assert warm_tele.counters.get("cache_hits") == 1
-        assert_model_sets_equal(warm, cold)
-
-    def test_reference_engine_hits_compiled_entry(self, tiny_trace, tmp_path):
-        # The key excludes the engine: both produce exactly equal models.
-        cold = fit_model_set(tiny_trace, cache_dir=tmp_path, **FIT_KWARGS)
-        tele = RunTelemetry()
-        warm = fit_model_set(
-            tiny_trace,
-            engine="reference",
-            cache_dir=tmp_path,
-            telemetry=tele,
-            **FIT_KWARGS,
-        )
-        assert tele.counters.get("cache_hits") == 1
         assert_model_sets_equal(warm, cold)
 
     def test_corrupt_entry_is_a_miss(self, tiny_trace, tmp_path):

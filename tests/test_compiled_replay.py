@@ -1,8 +1,8 @@
-"""Compiled whole-trace replay: exact equivalence with the reference.
+"""Whole-trace replay: exact equivalence with the reference oracle.
 
-The evaluation tentpole guarantee mirrors the fitting one: the compiled
-``replay_trace(engine="compiled")`` path must produce *identical*
-outputs to the reference per-event walk — same decoded records, same
+The evaluation guarantee mirrors the fitting one: ``replay_trace``
+must produce *identical* outputs to the per-event walk in
+``oracle.replay`` — same decoded records, same
 sojourn samples in the same order, same transition counts, same
 top-level intervals, same Category-2 classification — for every
 machine kind and device cohort, including traces that violate the
@@ -14,15 +14,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.statemachines
 from repro.statemachines import (
-    REPLAY_ENGINES,
     TraceReplay,
     classify_category2_events,
     replay_trace,
     replay_ue,
-    sojourn_samples,
-    top_state_sojourns,
-    transition_counts,
+    top_level_intervals,
 )
 from repro.statemachines.compiled_replay import table_for
 from repro.statemachines.lte import emm_ecm_machine, two_level_machine
@@ -30,6 +28,7 @@ from repro.statemachines.nr import nr_sa_machine
 from repro.trace import DeviceType, EventType, Trace
 
 from conftest import make_trace
+from oracle import replay as oracle
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -57,9 +56,9 @@ def _filter_events(trace, codes):
 
 
 def assert_replays_equal(trace, machine):
-    """Pin compiled == reference for one (trace, machine) pair."""
-    ref = replay_trace(trace, machine, engine="reference")
-    comp = replay_trace(trace, machine, engine="compiled")
+    """Pin replay == oracle for one (trace, machine) pair."""
+    ref = oracle.replay_trace(trace, machine)
+    comp = replay_trace(trace, machine)
     assert isinstance(comp, TraceReplay)
     decoded = comp.to_results()
     assert set(decoded) == set(ref)
@@ -67,46 +66,59 @@ def assert_replays_equal(trace, machine):
         assert decoded[ue].records == ref[ue].records
         assert decoded[ue].violations == ref[ue].violations
         assert decoded[ue].final_state == ref[ue].final_state
-    ref_soj, comp_soj = sojourn_samples(ref), sojourn_samples(comp)
+    ref_soj, comp_soj = oracle.sojourn_samples(ref), comp.sojourn_samples()
     assert set(ref_soj) == set(comp_soj)
     for key in ref_soj:
         assert np.array_equal(ref_soj[key], comp_soj[key])
-    assert transition_counts(ref) == transition_counts(comp)
-    ref_top = top_state_sojourns(ref, machine)
-    comp_top = top_state_sojourns(comp)
+    assert oracle.transition_counts(ref) == comp.transition_counts()
+    ref_top = oracle.top_state_sojourns(ref, machine)
+    comp_top = comp.top_state_sojourns()
     assert set(ref_top) == set(comp_top)
     for state in ref_top:
         assert np.array_equal(ref_top[state], comp_top[state])
+        durations, starts = comp.state_visits(state)
+        assert np.array_equal(durations, ref_top[state])
+        ref_starts = [
+            interval.start
+            for result in ref.values()
+            for interval in top_level_intervals(result.records, machine)
+            if interval.complete and interval.state == state
+        ]
+        assert np.array_equal(starts, np.asarray(ref_starts))
 
 
 class TestEngineDispatch:
+    """Replay has one engine: no switch, no constant to pick one."""
+
     def test_engines_listed(self):
-        assert REPLAY_ENGINES == ("reference", "compiled")
+        assert not hasattr(repro.statemachines, "REPLAY_ENGINES")
+        assert not hasattr(repro.statemachines, "replay_trace_compiled")
 
     def test_unknown_engine_rejected(self, tiny_trace):
-        with pytest.raises(ValueError, match="unknown replay engine"):
-            replay_trace(tiny_trace, engine="gpu")
-        with pytest.raises(ValueError, match="unknown replay engine"):
-            classify_category2_events(tiny_trace, engine="gpu")
+        with pytest.raises(TypeError, match="engine"):
+            replay_trace(tiny_trace, engine="compiled")
+        with pytest.raises(TypeError, match="engine"):
+            classify_category2_events(tiny_trace, engine="compiled")
 
     def test_compiled_returns_trace_replay(self, tiny_trace):
-        result = replay_trace(tiny_trace, engine="compiled")
+        result = replay_trace(tiny_trace)
         assert isinstance(result, TraceReplay)
         assert result.num_ues == tiny_trace.num_ues
         assert len(result) == len(tiny_trace)
 
     def test_empty_trace(self):
         empty = Trace.empty()
-        assert replay_trace(empty, engine="reference") == {}
-        comp = replay_trace(empty, engine="compiled")
+        assert oracle.replay_trace(empty) == {}
+        comp = replay_trace(empty)
         assert comp.to_results() == {}
-        assert sojourn_samples(comp) == {}
-        assert transition_counts(comp) == {}
-        assert top_state_sojourns(comp) == {}
+        assert comp.sojourn_samples() == {}
+        assert comp.transition_counts() == {}
+        assert comp.top_state_sojourns() == {}
+        assert all(part.size == 0 for part in comp.state_visits("IDLE"))
 
 
 class TestMachineDeviceEquality:
-    """The pinned machine × device equality grid of the tentpole."""
+    """The pinned machine × device equality grid."""
 
     @pytest.mark.parametrize("kind", sorted(MACHINES))
     @pytest.mark.parametrize("device_type", list(DeviceType))
@@ -151,8 +163,8 @@ class TestForcedViolations:
 
     def test_violations_counted(self):
         trace = make_trace(self.VIOLATING_ROWS)
-        ref = replay_trace(trace, engine="reference")
-        comp = replay_trace(trace, engine="compiled").to_results()
+        ref = oracle.replay_trace(trace)
+        comp = replay_trace(trace).to_results()
         assert sum(r.violations for r in ref.values()) > 0
         for ue in ref:
             assert comp[ue].violations == ref[ue].violations
@@ -184,7 +196,7 @@ class TestHypothesisEquality:
             per_ue[ue] = (events, times)
             rows.extend((ue, t, e, 0) for t, e in zip(times, events))
         trace = make_trace(rows)
-        decoded = replay_trace(trace, machine, engine="compiled").to_results()
+        decoded = replay_trace(trace, machine).to_results()
         assert set(decoded) == set(per_ue)
         for ue, (events, times) in per_ue.items():
             ref = replay_ue(events, times, machine)
@@ -195,13 +207,13 @@ class TestHypothesisEquality:
 
 class TestCategory2Classification:
     def test_ground_truth_equality(self, ground_truth_trace):
-        ref = classify_category2_events(ground_truth_trace, engine="reference")
-        comp = classify_category2_events(ground_truth_trace, engine="compiled")
+        ref = oracle.classify_category2_events(ground_truth_trace)
+        comp = classify_category2_events(ground_truth_trace)
         assert ref == comp
         assert sum(ref.values()) > 0
 
     def test_empty_trace(self):
-        counts = classify_category2_events(Trace.empty(), engine="compiled")
+        counts = classify_category2_events(Trace.empty())
         assert set(counts.values()) == {0}
 
     def test_all_tau_and_lone_ho_ues(self):
@@ -214,8 +226,8 @@ class TestCategory2Classification:
                 (2, 2.0, E.HO, P),
             ]
         )
-        ref = classify_category2_events(trace, engine="reference")
-        comp = classify_category2_events(trace, engine="compiled")
+        ref = oracle.classify_category2_events(trace)
+        comp = classify_category2_events(trace)
         assert ref == comp
 
     @SETTINGS
@@ -232,9 +244,9 @@ class TestCategory2Classification:
         if not rows:
             return
         trace = make_trace(rows)
-        assert classify_category2_events(
-            trace, engine="reference"
-        ) == classify_category2_events(trace, engine="compiled")
+        assert oracle.classify_category2_events(
+            trace
+        ) == classify_category2_events(trace)
 
 
 class TestTableCache:

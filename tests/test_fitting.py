@@ -126,7 +126,7 @@ class TestSojournFidelity:
     def test_fitted_cdf_reproduces_observed_sojourns(self, ground_truth_trace):
         """The fitted F_xy spans the observed sojourn range (§4.2's gap
         between data and Poisson fits is what the empirical CDF fixes)."""
-        from repro.statemachines import replay_trace, sojourn_samples
+        from repro.statemachines import replay_trace
 
         ms = fit_model_set(
             ground_truth_trace,
@@ -135,7 +135,7 @@ class TestSojournFidelity:
         )
         hour = TRACE_START_HOUR
         sub = ground_truth_trace.filter_device(P).window(0.0, 3600.0)
-        samples = sojourn_samples(replay_trace(sub))
+        samples = replay_trace(sub).sojourn_samples()
         key = (lte.SRV_REQ_S, E.S1_CONN_REL)
         if key not in samples or len(samples[key]) < 30:
             pytest.skip("not enough sojourn samples in this window")

@@ -143,8 +143,7 @@ class TestSimulateGroundTruth:
         assert 0.9 * 25 <= mix[DeviceType.TABLET] <= 25
 
     def test_machine_validity(self, ground_truth_trace):
-        results = replay_trace(ground_truth_trace)
-        assert sum(r.violations for r in results.values()) == 0
+        assert replay_trace(ground_truth_trace).violations == 0
 
     def test_no_ho_in_idle(self, ground_truth_trace):
         counts = classify_category2_events(ground_truth_trace)

@@ -2,11 +2,14 @@
 
 import pytest
 
+import repro.harness
 from repro.generator import TrafficGenerator
-from repro.harness import DEFAULT_METHODS, EVAL_ENGINES, evaluate_methods
+from repro.harness import DEFAULT_METHODS, evaluate_methods
 from repro.trace import DeviceType, EventType
+from repro.validation import breakdown, microscopic
 
 from conftest import TRACE_START_HOUR, make_trace
+from oracle import replay as oracle_replay
 
 E = EventType
 P = DeviceType.PHONE
@@ -87,46 +90,49 @@ class TestEvaluateMethods:
 
 class TestEvaluationEngines:
     def test_engines_listed(self):
-        assert EVAL_ENGINES == ("compiled", "reference")
+        """Evaluation has one engine: no constant to pick one."""
+        assert not hasattr(repro.harness, "EVAL_ENGINES")
 
     def test_unknown_engine_rejected(self, ground_truth_trace, holdout_trace):
-        with pytest.raises(ValueError, match="unknown evaluation engine"):
-            evaluate_methods(ground_truth_trace, holdout_trace, engine="gpu")
+        with pytest.raises(TypeError, match="engine"):
+            evaluate_methods(ground_truth_trace, holdout_trace, engine="compiled")
 
     def test_negative_processes_rejected(self, ground_truth_trace, holdout_trace):
         with pytest.raises(ValueError, match="non-negative"):
             evaluate_methods(ground_truth_trace, holdout_trace, processes=-1)
 
     def test_engines_and_parallel_agree(
-        self, ground_truth_trace, holdout_trace, ours_model_set
+        self, ground_truth_trace, holdout_trace, ours_model_set, monkeypatch
     ):
+        """Serial and pooled reports equal the one computed with the
+        per-event reference replay swapped into the metrics."""
         kwargs = dict(
             methods=("ours",),
             models={"ours": ours_model_set},
             generation_hour=TRACE_START_HOUR + 1,
         )
-        compiled = evaluate_methods(
-            ground_truth_trace, holdout_trace, engine="compiled", **kwargs
-        )
-        reference = evaluate_methods(
-            ground_truth_trace, holdout_trace, engine="reference", **kwargs
-        )
+        compiled = evaluate_methods(ground_truth_trace, holdout_trace, **kwargs)
         parallel = evaluate_methods(
-            ground_truth_trace,
-            holdout_trace,
-            engine="compiled",
-            processes=2,
-            **kwargs,
+            ground_truth_trace, holdout_trace, processes=2, **kwargs
         )
-        assert (
-            compiled.to_dict()["methods"]
-            == reference.to_dict()["methods"]
-            == parallel.to_dict()["methods"]
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                breakdown,
+                "classify_category2_events",
+                oracle_replay.classify_category2_events,
+            )
+            patch.setattr(
+                microscopic, "device_sojourns", oracle_replay.device_sojourns
+            )
+            reference = evaluate_methods(
+                ground_truth_trace, holdout_trace, **kwargs
+            )
+        assert compiled.to_dict() == reference.to_dict() == parallel.to_dict()
+        assert compiled.to_text() == reference.to_text()
 
     def test_to_dict_shape(self, report):
         data = report.to_dict()
-        assert data["engine"] in EVAL_ENGINES
+        assert set(data) == {"num_ues", "generation_hour", "methods"}
         assert set(data["methods"]) == {"base", "ours"}
         ours = data["methods"]["ours"]
         assert set(ours) == {
@@ -205,7 +211,7 @@ class TestBugfixRegressions:
         seen = {}
 
         def spy(real, syn, device_type, *, real_num_ues=None,
-                syn_num_ues=None, engine="reference"):
+                syn_num_ues=None):
             seen[device_type] = (real_num_ues, syn_num_ues)
             return real_fn(
                 real,
@@ -213,7 +219,6 @@ class TestBugfixRegressions:
                 device_type,
                 real_num_ues=real_num_ues,
                 syn_num_ues=syn_num_ues,
-                engine=engine,
             )
 
         monkeypatch.setattr(ev, "micro_comparison_partial", spy)

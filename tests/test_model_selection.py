@@ -77,10 +77,10 @@ class TestRankFamilies:
 
     def test_sojourn_samples_prefer_heavy_tails(self, ground_truth_trace):
         """On real CONNECTED sojourns, Poisson never ranks first."""
-        from repro.statemachines import replay_trace, top_state_sojourns
+        from repro.statemachines import replay_trace
         from repro.trace import DeviceType
 
         sub = ground_truth_trace.filter_device(DeviceType.PHONE)
-        sojourns = top_state_sojourns(replay_trace(sub))["CONNECTED"]
+        sojourns = replay_trace(sub).top_state_sojourns()["CONNECTED"]
         best = rank_families(sojourns)[0]
         assert best.family != "poisson"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.clustering import adaptive_cluster
 from repro.clustering.quadtree import DEFAULT_THETA_F
 from repro.distributions import EmpiricalCDF, Exponential, Pareto, Weibull
-from repro.generator import TrafficGenerator, UeSession, generate_parallel
+from repro.generator import TrafficGenerator, generate_parallel
 from repro.generator.compiled import CompiledPopulation
 from repro.stats import ecdf, kolmogorov_sf, ks_distance_to, max_y_distance
 from repro.statemachines import replay_ue, two_level_machine
@@ -260,50 +260,40 @@ CK_SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: ``advance_hour`` call counts per engine for ``CK_POP`` UEs over the
-#: run: the compiled engine steps once per hour for the whole
-#: population, the reference engine once per (UE, hour).
-_CK_CALLS = {
-    "compiled": CK_RUN["num_hours"],
-    "reference": CK_POP * CK_RUN["num_hours"],
-}
-
 
 class TestCheckpointRoundTripProperties:
     """An interrupted checkpointed run, resumed, is bit-identical to an
     uninterrupted run with the same arguments — wherever the interrupt
-    lands (hypothesis draws the kill point), for either engine."""
+    lands (hypothesis draws the kill point)."""
 
     _clean = {}
 
-    def _clean_trace(self, model_set, engine, seed):
+    def _clean_trace(self, model_set, seed):
         """Uninterrupted serial oracle, cached across examples.  The
         parallel path is specified to be bit-identical to serial, so
         one oracle serves both round-trip properties."""
-        key = (engine, seed)
-        if key not in self._clean:
-            self._clean[key] = TrafficGenerator(model_set).generate(
-                CK_POP, engine=engine, seed=seed, **CK_RUN
+        if seed not in self._clean:
+            self._clean[seed] = TrafficGenerator(model_set).generate(
+                CK_POP, seed=seed, **CK_RUN
             )
-        return self._clean[key]
+        return self._clean[seed]
 
     @CK_SETTINGS
     @given(
-        engine=st.sampled_from(["compiled", "reference"]),
         seed=st.integers(min_value=0, max_value=5),
         kill_frac=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_interrupt_any_hour_resume_bit_identical(
-        self, ours_model_set, engine, seed, kill_frac
+        self, ours_model_set, seed, kill_frac
     ):
         gen = TrafficGenerator(ours_model_set)
-        clean = self._clean_trace(ours_model_set, engine, seed)
-        # kill_frac == 1.0 maps past the last call: the run completes
-        # and resume-after-completion must still reproduce it.
-        kill_after = int(kill_frac * _CK_CALLS[engine])
+        clean = self._clean_trace(ours_model_set, seed)
+        # The population steps once per hour.  kill_frac == 1.0 maps
+        # past the last call: the run completes and
+        # resume-after-completion must still reproduce it.
+        kill_after = int(kill_frac * CK_RUN["num_hours"])
 
-        target = CompiledPopulation if engine == "compiled" else UeSession
-        original = target.advance_hour
+        original = CompiledPopulation.advance_hour
         calls = itertools.count()
 
         def dying(self, *args, **kwargs):
@@ -313,45 +303,33 @@ class TestCheckpointRoundTripProperties:
 
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "run.npz"
-            target.advance_hour = dying
+            CompiledPopulation.advance_hour = dying
             try:
                 try:
                     gen.generate(
-                        CK_POP,
-                        engine=engine,
-                        seed=seed,
-                        checkpoint_path=path,
-                        **CK_RUN,
+                        CK_POP, seed=seed, checkpoint_path=path, **CK_RUN
                     )
                 except KeyboardInterrupt:
                     pass
             finally:
-                target.advance_hour = original
+                CompiledPopulation.advance_hour = original
             resumed = gen.generate(
-                CK_POP,
-                engine=engine,
-                seed=seed,
-                checkpoint_path=path,
-                resume=True,
-                **CK_RUN,
+                CK_POP, seed=seed, checkpoint_path=path, resume=True, **CK_RUN
             )
         assert resumed == clean
 
     @CK_SETTINGS
     @given(
-        engine=st.sampled_from(["compiled", "reference"]),
         seed=st.integers(min_value=0, max_value=5),
         kill_chunk=st.integers(min_value=0, max_value=3),
     )
     def test_parallel_interrupt_any_chunk_resume_bit_identical(
-        self, ours_model_set, engine, seed, kill_chunk
+        self, ours_model_set, seed, kill_chunk
     ):
         """``generate_parallel`` killed after an arbitrary number of
         completed chunks resumes to the serial oracle bit-for-bit."""
-        clean = self._clean_trace(ours_model_set, engine, seed)
-        kwargs = dict(
-            engine=engine, seed=seed, processes=1, chunk_size=4, **CK_RUN
-        )
+        clean = self._clean_trace(ours_model_set, seed)
+        kwargs = dict(seed=seed, processes=1, chunk_size=4, **CK_RUN)
 
         def interrupt_hook(chunk_idx, attempt):
             # Chunks run in index order inline; >= kill_chunk means

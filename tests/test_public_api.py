@@ -48,6 +48,39 @@ class TestExportIntegrity:
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert inspect.getdoc(obj), f"{name}.{symbol} undocumented"
 
+    @pytest.mark.parametrize("name", SUBPACKAGES)
+    def test_no_engine_parameter(self, name):
+        """Each stage has one engine: no export takes an ``engine``
+        switch (classes are checked through their public methods)."""
+        module = importlib.import_module(name)
+        for symbol in module.__all__:
+            obj = getattr(module, symbol)
+            if inspect.isclass(obj):
+                callables = [obj] + [
+                    member
+                    for attr, member in inspect.getmembers(obj, inspect.isfunction)
+                    if not attr.startswith("_")
+                ]
+            elif callable(obj):
+                callables = [obj]
+            else:
+                continue
+            for fn in callables:
+                try:
+                    params = inspect.signature(fn).parameters
+                except (TypeError, ValueError):
+                    continue  # builtins without a signature
+                assert "engine" not in params, f"{name}.{symbol}: {fn}"
+
+    def test_engine_constants_removed(self):
+        for name, constant in (
+            ("repro.generator", "ENGINES"),
+            ("repro.model", "FIT_ENGINES"),
+            ("repro.statemachines", "REPLAY_ENGINES"),
+            ("repro.harness", "EVAL_ENGINES"),
+        ):
+            assert not hasattr(importlib.import_module(name), constant)
+
     def test_top_level_exports(self):
         for symbol in repro.__all__:
             assert hasattr(repro, symbol)

@@ -11,10 +11,7 @@ from repro.statemachines import (
     emm_ecm_machine,
     replay_trace,
     replay_ue,
-    sojourn_samples,
     top_level_intervals,
-    top_state_sojourns,
-    transition_counts,
     two_level_machine,
 )
 from repro.trace import DeviceType, EventType
@@ -76,22 +73,27 @@ class TestReplayUe:
 
 class TestDerivedQuantities:
     @pytest.fixture()
-    def results(self, tiny_trace):
+    def replay(self, tiny_trace):
         return replay_trace(tiny_trace)
 
-    def test_replay_trace_covers_all_ues(self, results, tiny_trace):
-        assert set(results) == {1, 2}
-        total_records = sum(len(r.records) for r in results.values())
-        assert total_records == len(tiny_trace)
+    @pytest.fixture()
+    def results(self, replay):
+        return replay.to_results()
 
-    def test_sojourn_samples_grouped(self, results):
-        samples = sojourn_samples(results)
+    def test_replay_trace_covers_all_ues(self, replay, results, tiny_trace):
+        assert set(results) == {1, 2}
+        assert replay.num_ues == 2
+        total_records = sum(len(r.records) for r in results.values())
+        assert total_records == len(replay) == len(tiny_trace)
+
+    def test_sojourn_samples_grouped(self, replay):
+        samples = replay.sojourn_samples()
         # UE1: HO fired 9.5s after entering SRV_REQ_S via ATCH.
         assert ("SRV_REQ_S", E.HO) in samples
         assert samples[("SRV_REQ_S", E.HO)][0] == pytest.approx(9.5)
 
-    def test_transition_counts(self, results):
-        counts = transition_counts(results)
+    def test_transition_counts(self, replay):
+        counts = replay.transition_counts()
         # UE2 fires SRV_REQ twice, UE1 once: but UE2's first SRV_REQ and
         # second both come from S1_REL_S_1; UE1's once.
         assert counts[("S1_REL_S_1", E.SRV_REQ, "SRV_REQ_S")] >= 2
@@ -104,8 +106,8 @@ class TestDerivedQuantities:
         assert intervals[0].start is None
         assert intervals[-1].end == 200.0
 
-    def test_top_state_sojourns(self, results):
-        sojourns = top_state_sojourns(results)
+    def test_top_state_sojourns(self, replay):
+        sojourns = replay.top_state_sojourns()
         # UE1 CONNECTED from 0.5 (ATCH) to 30.0 (S1_CONN_REL).
         assert CONNECTED in sojourns
         assert 29.5 in [pytest.approx(v) for v in sojourns[CONNECTED]]
@@ -160,5 +162,4 @@ class TestClassifyCategory2:
         assert counts[(E.HO, CONNECTED)] > 0
 
     def test_ground_truth_replay_is_violation_free(self, ground_truth_trace):
-        results = replay_trace(ground_truth_trace)
-        assert sum(r.violations for r in results.values()) == 0
+        assert replay_trace(ground_truth_trace).violations == 0

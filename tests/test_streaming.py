@@ -3,21 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.generator import (
-    TrafficGenerator,
-    UeSession,
-    stream_events,
-    stream_to_trace,
-)
+from repro.generator import TrafficGenerator, stream_events, stream_to_trace
 from repro.trace import DeviceType, Event
 
 from conftest import TRACE_START_HOUR
+from oracle.generator import UeSession, generate_ue_events
 
 
 class TestUeSession:
     def test_session_matches_batch_function(self, ours_model_set):
-        from repro.generator import generate_ue_events
-
         persona = ours_model_set.device_ues[DeviceType.PHONE][0]
         rng_a = np.random.default_rng(42)
         rng_b = np.random.default_rng(42)

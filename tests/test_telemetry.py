@@ -305,16 +305,15 @@ class TestSummary:
 # ---------------------------------------------------------------------------
 
 
-def _generate_with_telemetry(model_set, mode, engine):
+def _generate_with_telemetry(model_set, mode):
     tele = RunTelemetry()
     gen = TrafficGenerator(model_set)
     if mode == "serial":
-        trace = gen.generate(POP, engine=engine, telemetry=tele, **RUN)
+        trace = gen.generate(POP, telemetry=tele, **RUN)
     elif mode == "parallel":
         trace = generate_parallel(
             model_set,
             POP,
-            engine=engine,
             processes=1,
             chunk_size=8,
             telemetry=tele,
@@ -322,33 +321,30 @@ def _generate_with_telemetry(model_set, mode, engine):
         )
     else:
         with use_telemetry(tele):
-            chunks = list(stream_events(model_set, POP, engine=engine, **RUN))
+            chunks = list(stream_events(model_set, POP, **RUN))
         trace = None if not chunks else chunks
     return tele, trace
 
 
 class TestGenerationCounters:
-    @pytest.mark.parametrize("engine", ("compiled", "reference"))
-    def test_serial_counters(self, ours_model_set, engine):
-        tele, trace = _generate_with_telemetry(ours_model_set, "serial", engine)
+    def test_serial_counters(self, ours_model_set):
+        tele, trace = _generate_with_telemetry(ours_model_set, "serial")
         assert tele.counters["events_emitted"] == len(trace)
         assert tele.counters["ue_hours"] == POP * RUN["num_hours"]
         assert tele.counters["rng_draws"] > 0
         assert "generate" in tele.spans
         assert tele.gauges.get("peak_rss_bytes", 0) > 0
 
-    @pytest.mark.parametrize("engine", ("compiled", "reference"))
-    def test_parallel_agrees_with_serial(self, ours_model_set, engine):
-        serial, _ = _generate_with_telemetry(ours_model_set, "serial", engine)
-        par, _ = _generate_with_telemetry(ours_model_set, "parallel", engine)
+    def test_parallel_agrees_with_serial(self, ours_model_set):
+        serial, _ = _generate_with_telemetry(ours_model_set, "serial")
+        par, _ = _generate_with_telemetry(ours_model_set, "parallel")
         for counter in ("events_emitted", "ue_hours", "rng_draws"):
             assert par.counters[counter] == serial.counters[counter], counter
         assert par.gauges["active_workers"] >= 1
 
-    @pytest.mark.parametrize("engine", ("compiled", "reference"))
-    def test_streaming_agrees_with_serial(self, ours_model_set, engine):
-        serial, _ = _generate_with_telemetry(ours_model_set, "serial", engine)
-        stream, _ = _generate_with_telemetry(ours_model_set, "stream", engine)
+    def test_streaming_agrees_with_serial(self, ours_model_set):
+        serial, _ = _generate_with_telemetry(ours_model_set, "serial")
+        stream, _ = _generate_with_telemetry(ours_model_set, "stream")
         for counter in ("events_emitted", "ue_hours", "rng_draws"):
             assert stream.counters[counter] == serial.counters[counter], counter
 

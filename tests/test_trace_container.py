@@ -45,6 +45,40 @@ class TestConstruction:
                 np.array([0], dtype=np.int8),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match="'times'.*non-finite"):
+            Trace(
+                np.array([1, 2]),
+                np.array([1.0, bad]),
+                np.array([0, 0]),
+                np.array([0, 0]),
+            )
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [
+            ("event_types", 258),     # would wrap to the valid code 2
+            ("device_types", 256),    # would wrap to the valid code 0
+            ("event_types", np.nan),
+        ],
+    )
+    def test_bad_code_rejected_before_cast(self, column, value):
+        columns = {"event_types": np.array([0]), "device_types": np.array([0])}
+        columns[column] = np.array([value])
+        with pytest.raises(ValueError, match=f"'{column}'"):
+            Trace(np.array([1]), np.array([1.0]), **columns)
+
+    def test_validate_false_skips_checks(self):
+        tr = Trace(
+            np.array([1]),
+            np.array([np.nan]),
+            np.array([0], dtype=np.int8),
+            np.array([0], dtype=np.int8),
+            validate=False,
+        )
+        assert len(tr) == 1
+
     def test_from_events_roundtrip(self):
         events = [
             Event(1, 2.0, E.SRV_REQ, P),

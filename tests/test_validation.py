@@ -7,6 +7,7 @@ import pytest
 
 from repro.statemachines import lte
 from repro.trace import DeviceType, EventType
+from repro.validation import breakdown, microscopic
 from repro.validation import (
     BREAKDOWN_ROWS,
     activity_split_ydistance,
@@ -25,6 +26,7 @@ from repro.validation import (
 )
 
 from conftest import make_trace
+from oracle import replay as oracle_replay
 
 E = EventType
 P = DeviceType.PHONE
@@ -178,15 +180,22 @@ class TestMicroComparisonPartial:
         with pytest.raises(ValueError, match="CONNECTED"):
             micro_comparison(real, syn, P)
 
-    def test_engines_agree(self, ground_truth_trace, synthesized_trace):
+    def test_engines_agree(self, ground_truth_trace, synthesized_trace, monkeypatch):
+        """Macro and micro metrics equal those computed with the
+        per-event reference replay swapped in."""
         real = ground_truth_trace.window(3600.0, 7200.0)
-        ref = micro_comparison_partial(
-            real, synthesized_trace, P, engine="reference"
+        comp_micro = micro_comparison_partial(real, synthesized_trace, P)
+        comp_macro = breakdown_difference(real, synthesized_trace, P)
+        monkeypatch.setattr(
+            microscopic, "device_sojourns", oracle_replay.device_sojourns
         )
-        comp = micro_comparison_partial(
-            real, synthesized_trace, P, engine="compiled"
+        monkeypatch.setattr(
+            breakdown,
+            "classify_category2_events",
+            oracle_replay.classify_category2_events,
         )
-        assert ref == comp
+        assert micro_comparison_partial(real, synthesized_trace, P) == comp_micro
+        assert breakdown_difference(real, synthesized_trace, P) == comp_macro
 
 
 class TestReportFormatting:
