@@ -28,10 +28,11 @@ Model sets are JSON, gzipped when the path ends in ``.gz``.  The
 ``--telemetry PATH`` to write a versioned, schema-validated
 observability report of the run (see :mod:`repro.telemetry`);
 ``repro telemetry summarize PATH`` renders its per-phase breakdown.
+``fit``, ``generate`` and ``evaluate`` fan their jobs across
+``--processes`` workers (``0`` = all CPUs; default ``1``, in-process).
 ``fit`` and ``evaluate`` use the content-addressed model cache under
 ``~/.cache/repro`` (``--no-cache`` and ``--cache-dir`` override);
-``evaluate`` additionally fans per-(method × device) metric jobs across
-``--processes`` workers and can emit the full report as ``--json``.
+``evaluate`` can emit the full report as ``--json``.
 """
 
 from __future__ import annotations
@@ -148,7 +149,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             "command": "fit",
             "trace": args.trace,
             "method": args.method,
-            "processes": args.processes if args.processes is not None else 1,
+            "processes": args.processes,
         }
     )
     if args.progress:
@@ -213,7 +214,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             start_hour=args.start_hour,
             num_hours=args.hours,
             seed=args.seed,
-            processes=args.processes or None,  # 0 = all CPUs
+            processes=args.processes,
             checkpoint_path=args.checkpoint,
             resume=args.resume,
             telemetry=tele,
@@ -470,6 +471,25 @@ def _add_population_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tablets", type=int, default=0)
 
 
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """``--processes``, ``--telemetry`` and ``--progress`` for the
+    commands that run jobs through :func:`repro.jobs.run_jobs`."""
+    parser.add_argument("--processes", type=int, default=1,
+                        help="worker processes (0 = all CPUs)")
+    parser.add_argument("--telemetry", default=None, metavar="PATH",
+                        help="write a schema-validated JSON telemetry "
+                             "report of the run to PATH")
+    parser.add_argument("--progress", action="store_true",
+                        help="print rate-limited progress lines to stderr")
+
+
+def _add_cache_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--cache-dir", default=None,
+                        help="model cache directory (default ~/.cache/repro)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="skip the content-addressed model cache")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with all subcommands registered."""
     parser = argparse.ArgumentParser(
@@ -493,16 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-n", type=int, default=1000)
     p.add_argument("--start-hour", type=int, default=0)
     p.add_argument("--max-cdf-points", type=int, default=512)
-    p.add_argument("--processes", type=int, default=None,
-                   help="fit worker processes (0 = all CPUs; default serial)")
-    p.add_argument("--cache-dir", default=None,
-                   help="model cache directory (default ~/.cache/repro)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="skip the content-addressed model cache")
-    p.add_argument("--telemetry", default=None,
-                   help="write a JSON telemetry report of the fit")
-    p.add_argument("--progress", action="store_true",
-                   help="print fit progress to stderr")
+    _add_run_args(p)
+    _add_cache_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -512,19 +524,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-hour", type=int, default=0)
     p.add_argument("--hours", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--processes", type=int, default=1,
-                   help="process pool size (0 = all CPUs)")
+    _add_run_args(p)
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="snapshot run progress to PATH (atomic) so an "
                         "interrupted run can be resumed")
     p.add_argument("--resume", action="store_true",
                    help="resume an interrupted run from --checkpoint; "
                         "output is bit-identical to an uninterrupted run")
-    p.add_argument("--telemetry", default=None, metavar="PATH",
-                   help="write a schema-validated JSON telemetry report "
-                        "of the run to PATH")
-    p.add_argument("--progress", action="store_true",
-                   help="print rate-limited progress lines to stderr")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -546,20 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-start-hour", type=int, default=0)
     p.add_argument("--hour", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--processes", type=int, default=None,
-                   help="metric/fit worker processes (0 = all CPUs; "
-                        "default serial)")
-    p.add_argument("--cache-dir", default=None,
-                   help="model cache directory (default ~/.cache/repro)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="skip the content-addressed model cache")
+    _add_run_args(p)
+    _add_cache_args(p)
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the report as JSON to PATH")
-    p.add_argument("--telemetry", default=None, metavar="PATH",
-                   help="write a schema-validated JSON telemetry report "
-                        "of the run to PATH")
-    p.add_argument("--progress", action="store_true",
-                   help="print rate-limited progress lines to stderr")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("check", help="audit a fitted model set")

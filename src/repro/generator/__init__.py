@@ -12,7 +12,7 @@ from .compiled import (
     CompiledPopulation,
     compile_model_set,
 )
-from .parallel import ChunkFailedError, generate_parallel
+from .parallel import generate_parallel
 from .streaming import stream_events, stream_to_trace
 from .traffgen import MAX_SEED, TrafficGenerator, validate_run_args
 
@@ -21,7 +21,6 @@ __all__ = [
     "MAX_SEED",
     "CheckpointError",
     "CheckpointMismatchError",
-    "ChunkFailedError",
     "CompiledModelSet",
     "CompiledPopulation",
     "GenerationCheckpoint",

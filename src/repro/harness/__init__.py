@@ -3,7 +3,6 @@
 from .evaluation import (
     DEFAULT_METHODS,
     MICRO_QUANTITIES,
-    EvalJobFailedError,
     EvaluationReport,
     MethodResult,
     evaluate_methods,
@@ -11,7 +10,6 @@ from .evaluation import (
 
 __all__ = [
     "DEFAULT_METHODS",
-    "EvalJobFailedError",
     "EvaluationReport",
     "MICRO_QUANTITIES",
     "MethodResult",

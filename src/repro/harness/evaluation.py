@@ -8,10 +8,9 @@ The benchmark suite and the CLI both build on it; downstream users can
 run the identical evaluation on their own traces.
 
 The metrics replay whole cohorts as flat arrays via
-:mod:`repro.statemachines.compiled_replay`.  With ``processes`` the
-per-(method × device) metric jobs fan out over the fault-tolerant pool
-of :mod:`repro.generator.parallel`, sharing the traces with workers as
-memory-mapped uncompressed NPZ.
+:mod:`repro.statemachines.compiled_replay`.  Each (method × device)
+cell is one :func:`repro.jobs.run_jobs` job; with ``processes`` they
+fan out over worker processes that memory-map the traces.
 
 Micro-metrics are measured **per quantity**: a quantity that cannot be
 computed (say, no complete IDLE sojourn in a short trace) lands in
@@ -27,12 +26,11 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import shutil
-import tempfile
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..baselines import fit_method
 from ..generator import TrafficGenerator
+from ..jobs import Job, check_processes, run_jobs
 from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType
@@ -180,21 +178,6 @@ def _fmt_pct(value: Optional[float]) -> str:
     return "-" if value is None else f"{100 * value:.1f}%"
 
 
-class EvalJobFailedError(RuntimeError):
-    """A (method, device) metric job failed deterministically after retries."""
-
-    def __init__(
-        self, method: str, device_type: DeviceType, attempts: int, reason: str
-    ) -> None:
-        self.method = method
-        self.device_type = device_type
-        self.attempts = attempts
-        super().__init__(
-            f"evaluation job for method {method!r}, device {device_type.name} "
-            f"failed after {attempts} attempt(s): {reason}"
-        )
-
-
 def _device_metrics(
     real: Trace,
     synthesized: Trace,
@@ -216,136 +199,15 @@ def _device_metrics(
     return macro_diff, macro_max, micro, skipped
 
 
-# Worker-global state for parallel metric jobs, installed once per
-# process by _init_eval_worker (same pattern as the fit workers).
-_EVAL_WORKER: dict = {
-    "real": None,
-    "syn_paths": None,
-    "real_num_ues": None,
-    "syn_num_ues": None,
-    "scratch": None,
-    "syn": {},
-}
-
-
-def _init_eval_worker(payload: dict, scratch_dir: Optional[str] = None) -> None:
-    from ..trace.io import read_npz
-
-    _EVAL_WORKER["real"] = read_npz(payload["real_path"], mmap=True)
-    _EVAL_WORKER["syn_paths"] = payload["syn_paths"]
-    _EVAL_WORKER["real_num_ues"] = payload["real_num_ues"]
-    _EVAL_WORKER["syn_num_ues"] = payload["syn_num_ues"]
-    _EVAL_WORKER["scratch"] = scratch_dir
-    _EVAL_WORKER["syn"] = {}
-
-
-def _eval_job(args: Tuple[int, str, int]) -> Tuple[tuple, dict]:
-    """Compute one (method, device) cell inside a worker process."""
-    job_idx, method, device_code = args
-    tele = RunTelemetry()
-    with use_telemetry(tele):
-        metrics = _eval_job_metrics(job_idx, method, device_code)
-    return (method, device_code, metrics), tele.child_record()
-
-
-def _eval_job_metrics(job_idx: int, method: str, device_code: int):
-    from ..trace.io import read_npz
-
-    real = _EVAL_WORKER["real"]
-    assert real is not None, "evaluation worker not initialized"
-    if _EVAL_WORKER["scratch"] is not None:
-        # Started-marker: lets the parent attribute a pool crash to the
-        # jobs that were actually in flight (see run_tasks_pool).
-        try:
-            with open(
-                os.path.join(_EVAL_WORKER["scratch"], f"started-{job_idx}"), "w"
-            ):
-                pass
-        except OSError:
-            pass
-    synthesized = _EVAL_WORKER["syn"].get(method)
-    if synthesized is None:
-        synthesized = read_npz(_EVAL_WORKER["syn_paths"][method], mmap=True)
-        _EVAL_WORKER["syn"][method] = synthesized
+def _metrics_job(ctx: dict, method: str, device_code: int):
+    """One (method, device) cell as a :func:`repro.jobs.run_jobs` job."""
     return _device_metrics(
-        real,
-        synthesized,
+        ctx["real"],
+        ctx[f"syn-{method}"],
         DeviceType(device_code),
-        real_num_ues=_EVAL_WORKER["real_num_ues"].get(device_code),
-        syn_num_ues=_EVAL_WORKER["syn_num_ues"][method].get(device_code),
+        real_num_ues=ctx["real_num_ues"].get(device_code),
+        syn_num_ues=ctx["syn_num_ues"][method].get(device_code),
     )
-
-
-def _run_eval_jobs(
-    real: Trace,
-    synthesized: Mapping[str, Trace],
-    jobs: Sequence[Tuple[str, int]],
-    *,
-    processes: Optional[int],
-    real_num_ues: Dict[int, int],
-    syn_num_ues: Dict[str, Dict[int, int]],
-    max_retries: int = 2,
-) -> Dict[Tuple[str, int], tuple]:
-    """Fan the (method, device) metric jobs across a process pool.
-
-    The real and synthesized traces are written once each as
-    *uncompressed* NPZ that every worker memory-maps, so the columns
-    are shared through the page cache instead of being pickled per job.
-    Failures reuse the generation pool's retry/fault-attribution loop
-    (bumping ``eval_retries``); a job that keeps failing raises
-    :class:`EvalJobFailedError`.
-    """
-    from ..generator.parallel import _Backoff, run_tasks_pool
-    from ..trace.io import write_npz
-
-    tmp = tempfile.mkdtemp(prefix="repro-eval-")
-    results: Dict[int, tuple] = {}
-    try:
-        real_path = os.path.join(tmp, "real.npz")
-        write_npz(real, real_path, compress=False)
-        syn_paths = {}
-        for method, trace in synthesized.items():
-            syn_paths[method] = os.path.join(tmp, f"syn-{method}.npz")
-            write_npz(trace, syn_paths[method], compress=False)
-        payload = {
-            "real_path": real_path,
-            "syn_paths": syn_paths,
-            "real_num_ues": dict(real_num_ues),
-            "syn_num_ues": {m: dict(v) for m, v in syn_num_ues.items()},
-        }
-        tasks = {
-            i: (i, method, int(device_code))
-            for i, (method, device_code) in enumerate(jobs)
-        }
-
-        def _failed(idx: int, attempts: int, reason: str) -> EvalJobFailedError:
-            method, device_code = jobs[idx]
-            return EvalJobFailedError(
-                method, DeviceType(device_code), attempts, reason
-            )
-
-        run_tasks_pool(
-            _eval_job,
-            payload,
-            _init_eval_worker,
-            tasks,
-            list(range(len(jobs))),
-            results,
-            processes=processes,
-            max_retries=max_retries,
-            backoff=_Backoff(0.5, 30.0),
-            task_failed=_failed,
-            phase="eval-metrics",
-            retry_counter="eval_retries",
-        )
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    out: Dict[Tuple[str, int], tuple] = {}
-    for i in range(len(jobs)):
-        method, device_code, metrics = results[i]
-        out[(method, int(device_code))] = metrics
-    return out
 
 
 def evaluate_methods(
@@ -384,7 +246,9 @@ def evaluate_methods(
     processes:
         ``None`` or ``1`` computes metrics serially in-process; ``0``
         fans per-(method × device) jobs across all CPUs; ``>= 2`` uses
-        that many worker processes (fitting fans out the same way).
+        that many worker processes (fitting fans out the same way).  A
+        job that keeps failing raises :class:`repro.jobs.JobFailedError`
+        (stage ``"eval"``).
     cache_dir:
         Content-addressed model-cache directory passed to the fitter
         (``None`` disables caching).
@@ -392,8 +256,7 @@ def evaluate_methods(
         Explicit collector; defaults to the ambient one.  Phases appear
         as ``eval-fit`` / ``eval-generate`` / ``eval-metrics`` spans.
     """
-    if processes is not None and processes < 0:
-        raise ValueError(f"processes must be non-negative, got {processes}")
+    check_processes(processes)
     if num_ues is None:
         num_ues = real.num_ues
 
@@ -475,29 +338,29 @@ def _evaluate_methods(
             )
     tele.count("eval_methods", len(methods))
 
-    jobs = [(method, int(device_type)) for method in methods for device_type in devices]
-    tele.count("eval_metric_jobs", len(jobs))
+    cells = [(method, int(device_type)) for method in methods for device_type in devices]
+    tele.count("eval_metric_jobs", len(cells))
+    jobs = [
+        Job(cell, {"method": cell[0], "device": DeviceType(cell[1]).name})
+        for cell in cells
+    ]
+    shared = {
+        "real": real,
+        "real_num_ues": real_num_ues,
+        "syn_num_ues": syn_num_ues,
+        **{f"syn-{method}": synthesized[method] for method in methods},
+    }
     with tele.span("eval-metrics"):
-        if processes is not None and processes != 1:
-            metrics = _run_eval_jobs(
-                real,
-                synthesized,
+        metrics = {
+            cells[i]: cell_metrics
+            for i, cell_metrics in run_jobs(
+                _metrics_job,
                 jobs,
-                processes=processes if processes else None,
-                real_num_ues=real_num_ues,
-                syn_num_ues=syn_num_ues,
+                shared=shared,
+                processes=processes,
+                stage="eval",
             )
-        else:
-            metrics = {}
-            for done, (method, device_code) in enumerate(jobs, start=1):
-                metrics[(method, device_code)] = _device_metrics(
-                    real,
-                    synthesized[method],
-                    DeviceType(device_code),
-                    real_num_ues=real_num_ues.get(device_code),
-                    syn_num_ues=syn_num_ues[method].get(device_code),
-                )
-                tele.progress("eval-metrics", done, len(jobs))
+        }
 
     results: Dict[str, MethodResult] = {}
     for method in methods:

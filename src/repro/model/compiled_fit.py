@@ -23,20 +23,14 @@ because every reduction preserves the reference's sample *order*
 (``np.mean``/``np.std`` are order-dependent in floating point) and
 performs divisions on Python ints exactly as the reference does.
 
-Per-(device, hour) fit jobs can additionally fan out across a
-``ProcessPoolExecutor`` via :func:`run_fit_jobs`, reusing the
-retry/fault-attribution machinery of
-:func:`repro.generator.parallel.run_tasks_pool`; the training trace is
-shared with workers through an uncompressed NPZ that every worker
-memory-maps (page-cache-shared) instead of pickling per job.
+Each (device, hour) fit is one :func:`fit_job` of
+:func:`repro.jobs.run_jobs`, which runs the jobs inline or fans them
+across worker processes that memory-map the training trace.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-import shutil
-import tempfile
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -52,7 +46,7 @@ from ..statemachines.compiled_replay import (
     _replay_codes,
     lower_machine,
 )
-from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
+from ..telemetry import get_telemetry
 from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
 from ..trace.trace import Trace
 from .first_event import FirstEventModel
@@ -490,148 +484,24 @@ def _cluster_overlay(
 
 
 # ---------------------------------------------------------------------------
-# Parallel fit jobs
+# The fit job
 # ---------------------------------------------------------------------------
 
-class FitJobFailedError(RuntimeError):
-    """A (device, hour) fit job failed deterministically after retries."""
+def fit_job(ctx: dict, device_code: int, slots: Tuple[int, ...]) -> HourModel:
+    """Fit one (device, hour) job for :func:`repro.jobs.run_jobs`.
 
-    def __init__(
-        self, device_type: DeviceType, hour: int, attempts: int, reason: str
-    ) -> None:
-        self.device_type = device_type
-        self.hour = hour
-        self.attempts = attempts
-        super().__init__(
-            f"fit job for device {device_type.name}, hour {hour} "
-            f"failed after {attempts} attempt(s): {reason}"
-        )
-
-
-_FIT_WORKER: dict = {
-    "trace": None,
-    "params": None,
-    "scratch": None,
-    "devices": {},
-}
-
-
-def _init_fit_worker(payload: dict, scratch_dir: Optional[str] = None) -> None:
-    from ..trace.io import read_npz
-
-    _FIT_WORKER["trace"] = read_npz(payload["trace_path"], mmap=True)
-    _FIT_WORKER["params"] = payload["params"]
-    _FIT_WORKER["scratch"] = scratch_dir
-    _FIT_WORKER["devices"] = {}
-
-
-def _fit_job(args: Tuple[int, int, int, Tuple[int, ...]]) -> Tuple[tuple, dict]:
-    """Fit one (device, hour) job inside a worker process.
-
-    Returns ``((device_code, hour, HourModel), telemetry_record)``; the
-    model objects round-trip bit-exactly through pickling (plain
-    ``__dict__`` state, no ``__init__`` re-run).
+    ``ctx`` carries the training ``trace``, its ``total_slots`` and the
+    :func:`fit_device_hour` keywords under ``fit``.  Jobs arrive
+    device-major, so the device's arrays are memoized in ``ctx`` until
+    the next device comes up.
     """
-    job_idx, device_code, hour, slots = args
-    tele = RunTelemetry()
-    with use_telemetry(tele):
-        hour_model = _fit_job_model(job_idx, device_code, slots)
-    return (device_code, hour, hour_model), tele.child_record()
-
-
-def _fit_job_model(job_idx: int, device_code: int, slots: Tuple[int, ...]):
-    trace = _FIT_WORKER["trace"]
-    params = _FIT_WORKER["params"]
-    assert trace is not None and params is not None, "fit worker not initialized"
-    if _FIT_WORKER["scratch"] is not None:
-        # Started-marker: lets the parent attribute a pool crash to the
-        # jobs that were actually in flight (see run_tasks_pool).
-        try:
-            with open(
-                os.path.join(_FIT_WORKER["scratch"], f"started-{job_idx}"), "w"
-            ):
-                pass
-        except OSError:
-            pass
-    dev = _FIT_WORKER["devices"].get(device_code)
-    if dev is None:
-        dev = device_arrays(
-            trace, DeviceType(device_code), params["total_slots"]
+    memo = ctx.get("device_arrays")
+    if memo is None or memo[0] != device_code:
+        arrays = device_arrays(
+            ctx["trace"], DeviceType(device_code), ctx["total_slots"]
         )
-        _FIT_WORKER["devices"][device_code] = dev
+        memo = ctx["device_arrays"] = (device_code, arrays)
+    fit = ctx["fit"]
     return fit_device_hour(
-        dev,
-        slots,
-        table=machine_table(params["machine_kind"]),
-        machine_kind=params["machine_kind"],
-        family=params["family"],
-        clustered=params["clustered"],
-        theta_f=params["theta_f"],
-        theta_n=params["theta_n"],
-        max_cdf_points=params["max_cdf_points"],
+        memo[1], slots, table=machine_table(fit["machine_kind"]), **fit
     )
-
-
-def run_fit_jobs(
-    trace: Trace,
-    jobs: Sequence[Tuple[int, int, Tuple[int, ...]]],
-    params: dict,
-    *,
-    processes: Optional[int],
-    max_retries: int = 2,
-    retry_backoff: float = 0.5,
-    max_backoff: float = 30.0,
-) -> Dict[DeviceType, Dict[int, HourModel]]:
-    """Fan per-(device, hour) fit jobs across a process pool.
-
-    ``jobs`` is a sequence of ``(device_code, hour, slots)``; ``params``
-    carries the fit parameters plus ``total_slots``.
-    The trace is written once as an *uncompressed* NPZ that every
-    worker memory-maps, so the cohort arrays are shared through the
-    page cache instead of being pickled per job.  Worker crashes and
-    exceptions reuse the generation pool's retry/fault-attribution loop
-    (bumping the ``fit_retries`` counter); a job that keeps failing
-    raises :class:`FitJobFailedError`.
-    """
-    from ..generator.parallel import _Backoff, run_tasks_pool
-    from ..trace.io import write_npz
-
-    tmp = tempfile.mkdtemp(prefix="repro-fit-")
-    results: Dict[int, tuple] = {}
-    try:
-        trace_path = os.path.join(tmp, "trace.npz")
-        write_npz(trace, trace_path, compress=False)
-        payload = {"trace_path": trace_path, "params": dict(params)}
-        tasks = {
-            i: (i, int(device_code), int(hour), tuple(slots))
-            for i, (device_code, hour, slots) in enumerate(jobs)
-        }
-
-        def _failed(idx: int, attempts: int, reason: str) -> FitJobFailedError:
-            device_code, hour, _ = jobs[idx]
-            return FitJobFailedError(
-                DeviceType(device_code), hour, attempts, reason
-            )
-
-        run_tasks_pool(
-            _fit_job,
-            payload,
-            _init_fit_worker,
-            tasks,
-            list(range(len(jobs))),
-            results,
-            processes=processes,
-            max_retries=max_retries,
-            backoff=_Backoff(retry_backoff, max_backoff),
-            task_failed=_failed,
-            phase="fit-parallel",
-            retry_counter="fit_retries",
-        )
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-
-    models: Dict[DeviceType, Dict[int, HourModel]] = {}
-    for i in range(len(jobs)):
-        device_code, hour, hour_model = results[i]
-        models.setdefault(DeviceType(device_code), {})[hour] = hour_model
-    return models

@@ -14,7 +14,8 @@ The pipeline mirrors the paper end to end:
    rates for the ``HO``/``TAU`` events the machine cannot express.
 
 Steps 2–4 run array-at-a-time per (device, hour) in
-:mod:`repro.model.compiled_fit`, optionally fanned across processes;
+:mod:`repro.model.compiled_fit`, one :func:`repro.jobs.run_jobs` job
+each, optionally fanned across processes;
 ``cache_dir`` additionally enables the content-addressed disk cache
 (:mod:`repro.model.fit_cache`).  The per-segment helpers kept below
 (:func:`_build_segments`, :func:`_replay_segments`,
@@ -31,6 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..clustering.quadtree import DEFAULT_THETA_F, DEFAULT_THETA_N
+from ..jobs import Job, check_processes, run_jobs
 from ..statemachines import lte
 from ..statemachines.fsm import StateMachine
 from ..statemachines.replay import TransitionRecord, replay_ue, top_level_intervals
@@ -96,7 +98,9 @@ def fit_model_set(
     processes:
         ``None`` or ``1`` fits serially in-process; ``0`` fans
         per-(device, hour) jobs across all CPUs; ``>= 2`` uses that
-        many worker processes.
+        many worker processes (see :func:`repro.jobs.run_jobs`).  A job
+        that keeps failing raises :class:`repro.jobs.JobFailedError`
+        (stage ``"fit"``).
     cache_dir:
         Directory of the content-addressed model cache.  ``None``
         (default) disables caching; a hit returns the stored model set
@@ -111,8 +115,7 @@ def fit_model_set(
         raise ValueError(f"unknown machine_kind {machine_kind!r}")
     if family not in ("empirical", "poisson"):
         raise ValueError(f"unknown sojourn family {family!r}")
-    if processes is not None and processes < 0:
-        raise ValueError(f"processes must be non-negative, got {processes}")
+    check_processes(processes)
     if len(trace) == 0:
         raise ValueError("cannot fit a model set to an empty trace")
 
@@ -168,7 +171,6 @@ def _fit_all(
     processes: Optional[int],
 ) -> ModelSet:
     """Plan and run the per-(device, hour) fit jobs for one model set."""
-    tele = get_telemetry()
     total_slots = int(math.ceil((float(trace.times.max()) + 1e-9) / SECONDS_PER_HOUR))
     total_slots = max(total_slots, 1)
     slots_by_hour: Dict[int, List[int]] = {}
@@ -183,46 +185,35 @@ def _fit_all(
             continue
         device_ues[device_type] = [int(u) for u in sub.unique_ues()]
 
-    if processes is not None and processes != 1:
-        jobs = [
-            (int(device_type), hour, tuple(slots))
-            for device_type in device_ues
-            for hour, slots in hour_plan
-        ]
-        params = {
+    plan = [(dt, hour, slots) for dt in device_ues for hour, slots in hour_plan]
+    jobs = [
+        Job((int(dt), tuple(slots)), {"device": dt.name, "hour": hour})
+        for dt, hour, slots in plan
+    ]
+    shared = {
+        "trace": trace,
+        "total_slots": total_slots,
+        "fit": {
             "machine_kind": machine_kind,
             "family": family,
             "clustered": clustered,
             "theta_f": theta_f,
             "theta_n": theta_n,
             "max_cdf_points": max_cdf_points,
-            "total_slots": total_slots,
-        }
-        models = compiled_fit.run_fit_jobs(
-            trace, jobs, params, processes=processes if processes else None
+        },
+    }
+    fitted = dict(
+        run_jobs(
+            compiled_fit.fit_job,
+            jobs,
+            shared=shared,
+            processes=processes,
+            stage="fit",
         )
-    else:
-        models = {}
-        table = compiled_fit.machine_table(machine_kind)
-        done, total_jobs = 0, len(device_ues) * len(hour_plan)
-        for device_type in device_ues:
-            dev = compiled_fit.device_arrays(trace, device_type, total_slots)
-            device_models: Dict[int, HourModel] = {}
-            for hour, slots in hour_plan:
-                device_models[hour] = compiled_fit.fit_device_hour(
-                    dev,
-                    slots,
-                    table=table,
-                    machine_kind=machine_kind,
-                    family=family,
-                    clustered=clustered,
-                    theta_f=theta_f,
-                    theta_n=theta_n,
-                    max_cdf_points=max_cdf_points,
-                )
-                done += 1
-                tele.progress("fit", done, total_jobs)
-            models[device_type] = device_models
+    )
+    models: Dict[DeviceType, Dict[int, HourModel]] = {}
+    for i, (dt, hour, _) in enumerate(plan):
+        models.setdefault(dt, {})[hour] = fitted[i]
 
     return ModelSet(
         machine_kind=machine_kind,

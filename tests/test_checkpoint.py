@@ -5,7 +5,7 @@ from its checkpoint produces output bit-identical to an uninterrupted
 run with the same arguments — across the serial, streaming, and
 parallel entry points — and worker failures in
 ``generate_parallel`` are either masked transparently or reported as a
-structured :class:`ChunkFailedError`.
+structured :class:`repro.jobs.JobFailedError`.
 """
 
 import dataclasses
@@ -19,7 +19,6 @@ import pytest
 from repro.generator import (
     CheckpointError,
     CheckpointMismatchError,
-    ChunkFailedError,
     GenerationCheckpoint,
     RunKey,
     TrafficGenerator,
@@ -28,13 +27,22 @@ from repro.generator import (
 )
 from repro.generator.checkpoint import CHECKPOINT_FORMAT
 from repro.generator.compiled import CompiledPopulation
-from repro.generator.parallel import FAULT_ENV
+from repro import jobs
+from repro.jobs import FAULT_ENV, JobFailedError
 from repro.trace import DeviceType
 
 from conftest import TRACE_START_HOUR
 
 RUN = dict(start_hour=TRACE_START_HOUR, num_hours=3, seed=7)
 POP = 40
+
+
+def inject_fault(monkeypatch, tmp_path, job, fails, mode="raise"):
+    """Fail the first ``fails`` attempts of generation job ``job``."""
+    monkeypatch.setenv(
+        FAULT_ENV,
+        f"stage=generate;job={job};fails={fails};mode={mode};dir={tmp_path}",
+    )
 
 
 def assert_traces_equal(a, b):
@@ -325,27 +333,23 @@ class TestParallelCheckpoint:
         assert_traces_equal(baseline, trace)
 
     def test_interrupted_parallel_resumes(
-        self, ours_model_set, baseline, tmp_path
+        self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
         path = tmp_path / "par.npz"
-
-        def bomb(chunk_idx, attempt):
-            if chunk_idx == 3:
-                raise RuntimeError("interrupted")
-
-        with pytest.raises(ChunkFailedError):
+        inject_fault(monkeypatch, tmp_path, job=3, fails=99)
+        monkeypatch.setattr(jobs, "RETRIES", 0)
+        with pytest.raises(JobFailedError):
             generate_parallel(
                 ours_model_set,
                 POP,
                 processes=1,
                 chunk_size=7,
                 checkpoint_path=path,
-                max_retries=0,
-                fault_hook=bomb,
                 **RUN,
             )
         # Chunks 0-2 are in the checkpoint; the resume regenerates the rest.
         assert len(GenerationCheckpoint.load(path).chunk_columns) == 3
+        monkeypatch.delenv(FAULT_ENV)
         resumed = generate_parallel(
             ours_model_set,
             POP,
@@ -358,58 +362,53 @@ class TestParallelCheckpoint:
         assert_traces_equal(baseline, resumed)
 
     def test_inline_retry_masks_transient_failure(
-        self, ours_model_set, baseline
+        self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
-        failures = {"left": 2}
-
-        def flaky(chunk_idx, attempt):
-            if chunk_idx == 1 and failures["left"] > 0:
-                failures["left"] -= 1
-                raise RuntimeError("transient")
-
+        inject_fault(monkeypatch, tmp_path, job=1, fails=2)
+        monkeypatch.setattr(jobs, "BACKOFF", (0.0, 0.0))
         trace = generate_parallel(
             ours_model_set,
             POP,
             processes=1,
             chunk_size=7,
-            max_retries=2,
-            retry_backoff=0.0,
-            fault_hook=flaky,
             **RUN,
         )
-        assert failures["left"] == 0
+        assert sorted(os.listdir(tmp_path)) == ["fault-1-0", "fault-1-1"]
         assert_traces_equal(baseline, trace)
 
-    def test_inline_poisoned_chunk_fails_structured(self, ours_model_set):
-        def poisoned(chunk_idx, attempt):
-            if chunk_idx == 2:
-                raise RuntimeError("always broken")
-
-        with pytest.raises(ChunkFailedError) as excinfo:
+    def test_inline_poisoned_chunk_fails_structured(
+        self, ours_model_set, tmp_path, monkeypatch
+    ):
+        inject_fault(monkeypatch, tmp_path, job=2, fails=99)
+        monkeypatch.setattr(jobs, "RETRIES", 1)
+        monkeypatch.setattr(jobs, "BACKOFF", (0.0, 0.0))
+        with pytest.raises(JobFailedError) as excinfo:
             generate_parallel(
                 ours_model_set,
                 POP,
                 processes=1,
                 chunk_size=7,
-                max_retries=1,
-                retry_backoff=0.0,
-                fault_hook=poisoned,
                 **RUN,
             )
         err = excinfo.value
-        assert err.ue_range == (14, 21)
-        assert err.device_type == DeviceType.PHONE
+        assert err.stage == "generate"
+        assert err.labels == {
+            "device": DeviceType.PHONE.name,
+            "UEs": (14, 21),
+            "hours": (RUN["start_hour"], RUN["start_hour"] + RUN["num_hours"]),
+        }
         assert err.attempts == 2
-        assert err.hour_range == (
-            RUN["start_hour"],
-            RUN["start_hour"] + RUN["num_hours"],
-        )
         assert "UEs [14, 21)" in str(err)
+        assert isinstance(err.__cause__, RuntimeError)
 
 
 @pytest.mark.slow
 class TestParallelWorkerCrash:
     """Real multiprocess fault injection via the env knob."""
+
+    @pytest.fixture(autouse=True)
+    def _short_backoff(self, monkeypatch):
+        monkeypatch.setattr(jobs, "BACKOFF", (0.01, 30.0))
 
     def _run(self, model_set, **kwargs):
         return generate_parallel(
@@ -417,7 +416,6 @@ class TestParallelWorkerCrash:
             POP,
             processes=2,
             chunk_size=7,
-            retry_backoff=0.01,
             **RUN,
             **kwargs,
         )
@@ -425,9 +423,7 @@ class TestParallelWorkerCrash:
     def test_killed_worker_recovers_bit_identical(
         self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv(
-            FAULT_ENV, f"chunk=2;fails=1;mode=exit;dir={tmp_path}"
-        )
+        inject_fault(monkeypatch, tmp_path, job=2, fails=1, mode="exit")
         trace = self._run(ours_model_set)
         assert_traces_equal(baseline, trace)
         # Exactly one injected death.
@@ -436,45 +432,41 @@ class TestParallelWorkerCrash:
     def test_raising_worker_recovers_bit_identical(
         self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv(
-            FAULT_ENV, f"chunk=0;fails=2;mode=raise;dir={tmp_path}"
-        )
-        trace = self._run(ours_model_set, max_retries=2)
+        inject_fault(monkeypatch, tmp_path, job=0, fails=2)
+        monkeypatch.setattr(jobs, "RETRIES", 2)
+        trace = self._run(ours_model_set)
         assert_traces_equal(baseline, trace)
 
     def test_poisoned_raising_chunk_names_itself(
         self, ours_model_set, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv(
-            FAULT_ENV, f"chunk=1;fails=99;mode=raise;dir={tmp_path}"
-        )
-        with pytest.raises(ChunkFailedError) as excinfo:
-            self._run(ours_model_set, max_retries=1)
-        assert excinfo.value.ue_range == (7, 14)
-        assert excinfo.value.device_type == DeviceType.PHONE
+        inject_fault(monkeypatch, tmp_path, job=1, fails=99)
+        monkeypatch.setattr(jobs, "RETRIES", 1)
+        with pytest.raises(JobFailedError) as excinfo:
+            self._run(ours_model_set)
+        assert excinfo.value.labels["UEs"] == (7, 14)
+        assert excinfo.value.labels["device"] == DeviceType.PHONE.name
 
     def test_poisoned_crashing_chunk_isolated_and_named(
         self, ours_model_set, tmp_path, monkeypatch
     ):
         """A chunk that always kills its worker is confirmed via the
         single-worker isolation round, never a bare BrokenProcessPool."""
-        monkeypatch.setenv(
-            FAULT_ENV, f"chunk=0;fails=99;mode=exit;dir={tmp_path}"
-        )
-        with pytest.raises(ChunkFailedError) as excinfo:
-            self._run(ours_model_set, max_retries=1)
-        assert excinfo.value.ue_range == (0, 7)
+        inject_fault(monkeypatch, tmp_path, job=0, fails=99, mode="exit")
+        monkeypatch.setattr(jobs, "RETRIES", 1)
+        with pytest.raises(JobFailedError) as excinfo:
+            self._run(ours_model_set)
+        assert excinfo.value.labels["UEs"] == (0, 7)
         assert "died" in str(excinfo.value)
 
     def test_crash_then_resume_from_checkpoint(
         self, ours_model_set, baseline, tmp_path, monkeypatch
     ):
         path = tmp_path / "par.npz"
-        monkeypatch.setenv(
-            FAULT_ENV, f"chunk=3;fails=99;mode=raise;dir={tmp_path}"
-        )
-        with pytest.raises(ChunkFailedError):
-            self._run(ours_model_set, max_retries=0, checkpoint_path=path)
+        inject_fault(monkeypatch, tmp_path, job=3, fails=99)
+        monkeypatch.setattr(jobs, "RETRIES", 0)
+        with pytest.raises(JobFailedError):
+            self._run(ours_model_set, checkpoint_path=path)
         monkeypatch.delenv(FAULT_ENV)
         resumed = self._run(
             ours_model_set, checkpoint_path=path, resume=True

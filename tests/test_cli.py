@@ -38,6 +38,17 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
+    def test_run_flags_shared(self):
+        """fit, generate and evaluate parse the run flags identically."""
+        parser = build_parser()
+        for command in ("fit", "generate", "evaluate"):
+            stub = _minimal_args(command)
+            default = parser.parse_args(stub)
+            assert (default.processes, default.telemetry, default.progress) == (
+                1, None, False,
+            )
+            assert parser.parse_args(stub + ["--processes", "0"]).processes == 0
+
     def test_all_commands_registered(self):
         parser = build_parser()
         for command in (
@@ -59,6 +70,7 @@ def _minimal_args(command):
         "gof": ["gof", "--trace", "x.npz"],
         "mme": ["mme", "--trace", "x.npz"],
         "dot": ["dot"],
+        "evaluate": ["evaluate", "--train", "a.npz", "--real", "b.npz"],
     }
     return stubs[command]
 

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 import repro.model
 from repro.model import fit_cache_key, fit_model_set, vectorized_replay
-from repro.model.compiled_fit import FitJobFailedError, machine_table
+from repro import jobs
+from repro.jobs import JobFailedError
+from repro.model.compiled_fit import machine_table
 from repro.model.fit_cache import CACHE_DIR_ENV, default_cache_dir
 from repro.statemachines.lte import emm_ecm_machine, two_level_machine
 from repro.statemachines.nr import nr_sa_machine
@@ -144,14 +146,40 @@ class TestExactEquivalence:
         assert_model_sets_equal(fast, ref)
 
     def test_nr_sa_raises_identically_on_lte_trace(self, tiny_trace):
-        # The tiny trace carries TAU events, which NR-SA cannot source.
+        # The tiny trace carries TAU events, which NR-SA cannot source;
+        # the machine kind is rejected before any job runs.
         with pytest.raises(ValueError) as ref_err:
             oracle_fit.fit_model_set(
                 tiny_trace, machine_kind="nr_sa", **FIT_KWARGS
             )
-        with pytest.raises(ValueError) as fast_err:
-            fit_model_set(tiny_trace, machine_kind="nr_sa", **FIT_KWARGS)
-        assert str(fast_err.value) == str(ref_err.value)
+        for processes in (1, 2):
+            with pytest.raises(ValueError) as fast_err:
+                fit_model_set(
+                    tiny_trace,
+                    machine_kind="nr_sa",
+                    processes=processes,
+                    **FIT_KWARGS,
+                )
+            assert str(fast_err.value) == str(ref_err.value)
+
+    @pytest.mark.slow
+    def test_failing_job_raises_identically_inline_and_pooled(
+        self, tiny_trace, monkeypatch
+    ):
+        """A job's own error surfaces the same way serial and pooled:
+        a fit-stage JobFailedError chained from the oracle's error."""
+        monkeypatch.setattr(jobs, "BACKOFF", (0.0, 0.0))
+        with pytest.raises(ValueError) as ref_err:
+            oracle_fit.fit_model_set(tiny_trace, max_cdf_points=0, **FIT_KWARGS)
+        for processes in (1, 2):
+            with pytest.raises(JobFailedError) as err:
+                fit_model_set(
+                    tiny_trace, max_cdf_points=0, processes=processes, **FIT_KWARGS
+                )
+            assert err.value.stage == "fit"
+            assert err.value.attempts == jobs.RETRIES + 1
+            assert type(err.value.__cause__) is ValueError
+            assert str(err.value.__cause__) == str(ref_err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +201,16 @@ class TestValidation:
             fit_model_set(tiny_trace, processes=-1)
 
     def test_fit_job_failed_error_attributes(self):
-        err = FitJobFailedError(DeviceType.PHONE, 17, 3, "boom")
-        assert err.device_type is DeviceType.PHONE
-        assert err.hour == 17
+        err = JobFailedError(
+            "fit", {"device": DeviceType.PHONE.name, "hour": 17}, 3, "boom"
+        )
+        assert err.stage == "fit"
+        assert err.labels == {"device": "PHONE", "hour": 17}
         assert err.attempts == 3
-        assert "PHONE" in str(err) and "boom" in str(err)
+        assert err.reason == "boom"
+        assert str(err) == (
+            "fit job (device PHONE, hour 17) failed after 3 attempt(s): boom"
+        )
 
 
 # ---------------------------------------------------------------------------

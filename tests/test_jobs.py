@@ -1,0 +1,146 @@
+"""The job runner (:mod:`repro.jobs`) behind generation, fitting and
+evaluation.
+
+All three stages share one ``processes`` contract and one failure
+policy.  These tests pin the contract on every entry point and drive
+the retry paths of the fit and eval stages with real worker deaths and
+poisoned jobs; the generation stage's crash and resume tests live in
+``test_checkpoint.py``.
+"""
+
+import os
+
+import pytest
+
+from repro import jobs
+from repro.generator import generate_parallel
+from repro.harness import evaluate_methods
+from repro.jobs import FAULT_ENV, JobFailedError
+from repro.model import fit_model_set
+from repro.telemetry import RunTelemetry
+
+from conftest import TRACE_START_HOUR
+
+FIT = dict(theta_n=25, trace_start_hour=TRACE_START_HOUR)
+EVAL = dict(
+    methods=("base", "ours"),
+    theta_n=25,
+    trace_start_hour=TRACE_START_HOUR,
+    generation_hour=TRACE_START_HOUR + 1,
+    seed=5,
+)
+GENERATE = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=3, chunk_size=7)
+
+
+def inject_fault(monkeypatch, tmp_path, stage, job, fails, mode):
+    monkeypatch.setenv(
+        FAULT_ENV,
+        f"stage={stage};job={job};fails={fails};mode={mode};dir={tmp_path}",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _short_backoff(monkeypatch):
+    monkeypatch.setattr(jobs, "BACKOFF", (0.01, 30.0))
+
+
+@pytest.fixture
+def run_stage(ground_truth_trace, holdout_trace, ours_model_set):
+    """``run_stage(stage, processes, telemetry=None)`` -> a comparable result."""
+
+    def run(stage, processes, telemetry=None):
+        if stage == "generate":
+            return generate_parallel(
+                ours_model_set,
+                40,
+                processes=processes,
+                telemetry=telemetry,
+                **GENERATE,
+            )
+        if stage == "fit":
+            return fit_model_set(
+                ground_truth_trace,
+                processes=processes,
+                telemetry=telemetry,
+                **FIT,
+            ).to_dict()
+        return evaluate_methods(
+            ground_truth_trace,
+            holdout_trace,
+            processes=processes,
+            telemetry=telemetry,
+            **EVAL,
+        ).to_dict()
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def serial_results(ground_truth_trace, holdout_trace, ours_model_set):
+    return {
+        "generate": generate_parallel(
+            ours_model_set, 40, processes=1, **GENERATE
+        ),
+        "fit": fit_model_set(ground_truth_trace, **FIT).to_dict(),
+        "eval": evaluate_methods(
+            ground_truth_trace, holdout_trace, **EVAL
+        ).to_dict(),
+    }
+
+
+STAGES = ("generate", "fit", "eval")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("stage", STAGES)
+def test_all_cpus_equals_serial_and_negative_rejected(
+    stage, run_stage, serial_results
+):
+    """``processes=0`` means all CPUs on every entry point (generation
+    used to hand 0 to the pool and crash); a negative count is an error
+    that names ``processes``."""
+    assert run_stage(stage, 0) == serial_results[stage]
+    with pytest.raises(ValueError, match="processes"):
+        run_stage(stage, -1)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("stage, counter", [("fit", "fit_retries"), ("eval", "eval_retries")])
+def test_killed_worker_recovers_exactly(
+    stage, counter, run_stage, serial_results, tmp_path, monkeypatch
+):
+    inject_fault(monkeypatch, tmp_path, stage, job=1, fails=1, mode="exit")
+    tele = RunTelemetry()
+    assert run_stage(stage, 2, telemetry=tele) == serial_results[stage]
+    # Exactly one injected death, counted as a retry of that stage.
+    assert os.listdir(tmp_path) == ["fault-1-0"]
+    assert tele.counters[counter] >= 1
+
+
+#: Job 1 of each stage: the second 7-UE phone chunk; the phone fit of
+#: the second hour; the base method on the second device type.
+POISONED_LABELS = {
+    "generate": {
+        "device": "PHONE",
+        "UEs": (7, 14),
+        "hours": (TRACE_START_HOUR, TRACE_START_HOUR + 2),
+    },
+    "fit": {"device": "PHONE", "hour": TRACE_START_HOUR + 1},
+    "eval": {"method": "base", "device": "CONNECTED_CAR"},
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("stage", STAGES)
+def test_poisoned_job_names_stage_and_labels(
+    stage, run_stage, tmp_path, monkeypatch
+):
+    inject_fault(monkeypatch, tmp_path, stage, job=1, fails=99, mode="raise")
+    monkeypatch.setattr(jobs, "RETRIES", 1)
+    with pytest.raises(JobFailedError) as excinfo:
+        run_stage(stage, 2)
+    err = excinfo.value
+    assert err.stage == stage
+    assert err.labels == POISONED_LABELS[stage]
+    assert err.attempts == 2
+    assert "injected fault" in str(err.__cause__)

@@ -3,6 +3,7 @@
 import itertools
 import pathlib
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from repro.clustering import adaptive_cluster
 from repro.clustering.quadtree import DEFAULT_THETA_F
 from repro.distributions import EmpiricalCDF, Exponential, Pareto, Weibull
-from repro.generator import TrafficGenerator, generate_parallel
+from repro.generator import TrafficGenerator, generate_parallel, parallel
 from repro.generator.compiled import CompiledPopulation
 from repro.stats import ecdf, kolmogorov_sf, ks_distance_to, max_y_distance
 from repro.statemachines import replay_ue, two_level_machine
@@ -331,22 +332,26 @@ class TestCheckpointRoundTripProperties:
         clean = self._clean_trace(ours_model_set, seed)
         kwargs = dict(seed=seed, processes=1, chunk_size=4, **CK_RUN)
 
-        def interrupt_hook(chunk_idx, attempt):
+        original = parallel._generate_chunk
+        calls = itertools.count()
+
+        def dying(*args):
             # Chunks run in index order inline; >= kill_chunk means
             # exactly kill_chunk chunks have checkpointed results.
-            if chunk_idx >= kill_chunk:
+            if next(calls) >= kill_chunk:
                 raise KeyboardInterrupt
+            return original(*args)
 
         with tempfile.TemporaryDirectory() as tmp:
             path = pathlib.Path(tmp) / "run.npz"
             try:
-                generate_parallel(
-                    ours_model_set,
-                    CK_POP,
-                    checkpoint_path=path,
-                    fault_hook=interrupt_hook,
-                    **kwargs,
-                )
+                with mock.patch.object(parallel, "_generate_chunk", dying):
+                    generate_parallel(
+                        ours_model_set,
+                        CK_POP,
+                        checkpoint_path=path,
+                        **kwargs,
+                    )
             except KeyboardInterrupt:
                 pass
             resumed = generate_parallel(

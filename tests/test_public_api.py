@@ -28,6 +28,7 @@ SUBPACKAGES = (
     "repro.harness",
     "repro.workloads",
     "repro.cli",
+    "repro.jobs",
 )
 
 
@@ -80,6 +81,29 @@ class TestExportIntegrity:
             ("repro.harness", "EVAL_ENGINES"),
         ):
             assert not hasattr(importlib.import_module(name), constant)
+
+    def test_one_job_failure_error(self):
+        """The per-stage failure classes gave way to JobFailedError."""
+        for name, old in (
+            ("repro.generator", "ChunkFailedError"),
+            ("repro.generator.parallel", "ChunkFailedError"),
+            ("repro.model.compiled_fit", "FitJobFailedError"),
+            ("repro.harness", "EvalJobFailedError"),
+            ("repro.harness.evaluation", "EvalJobFailedError"),
+        ):
+            assert not hasattr(importlib.import_module(name), old)
+        from repro.jobs import JobFailedError
+
+        assert issubclass(JobFailedError, RuntimeError)
+
+    def test_generate_parallel_has_no_retry_knobs(self):
+        """Retries, backoff and fault injection are repro.jobs constants."""
+        from repro.generator import generate_parallel
+
+        params = inspect.signature(generate_parallel).parameters
+        for knob in ("max_retries", "retry_backoff", "max_backoff", "fault_hook"):
+            assert knob not in params
+        assert params["processes"].default == 0
 
     def test_top_level_exports(self):
         for symbol in repro.__all__:
