@@ -45,7 +45,6 @@ from typing import List, Optional
 from ..analysis import TESTS, gof_study
 from ..baselines import METHOD_NAMES, fit_method
 from ..generator import TrafficGenerator
-from ..generator.parallel import generate_parallel
 from ..groundtruth import simulate_ground_truth
 from ..mcn import CoreNetworkSimulator, MmeSimulator
 from ..harness import evaluate_methods
@@ -207,28 +206,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     counts = _device_counts(args)
     if args.resume and not args.checkpoint:
         raise SystemExit("--resume requires --checkpoint")
-    if args.processes != 1:
-        trace = generate_parallel(
-            model,
-            counts,
-            start_hour=args.start_hour,
-            num_hours=args.hours,
-            seed=args.seed,
-            processes=args.processes,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            telemetry=tele,
-        )
-    else:
-        trace = TrafficGenerator(model).generate(
-            counts,
-            start_hour=args.start_hour,
-            num_hours=args.hours,
-            seed=args.seed,
-            checkpoint_path=args.checkpoint,
-            resume=args.resume,
-            telemetry=tele,
-        )
+    trace = TrafficGenerator(model).generate(
+        counts,
+        start_hour=args.start_hour,
+        num_hours=args.hours,
+        seed=args.seed,
+        processes=args.processes,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        telemetry=tele,
+    )
     with tele.span("trace-write"):
         _save_trace(trace, args.out)
     print(f"synthesized {len(trace):,} events / {trace.num_ues} UEs -> {args.out}")

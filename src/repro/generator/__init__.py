@@ -12,7 +12,6 @@ from .compiled import (
     CompiledPopulation,
     compile_model_set,
 )
-from .parallel import generate_parallel
 from .streaming import stream_events, stream_to_trace
 from .traffgen import MAX_SEED, TrafficGenerator, validate_run_args
 
@@ -27,7 +26,6 @@ __all__ = [
     "RunKey",
     "TrafficGenerator",
     "compile_model_set",
-    "generate_parallel",
     "stream_events",
     "stream_to_trace",
     "validate_run_args",

@@ -3,29 +3,31 @@
 The paper's week-long 37K-UE traces (§7) assume multi-hour generation
 that real infrastructure cannot promise to keep alive; this module
 makes runs *restartable* instead.  A :class:`GenerationCheckpoint`
-snapshots run progress — completed hours (or, for the parallel path,
-completed chunks), the per-UE carryover state, RNG provenance, and the
-content hash of the fitted model set — to a single file that is always
-replaced atomically (write-to-temp + ``os.replace``), so a crash at any
-instant leaves either the previous checkpoint or the new one, never a
-torn file.
+snapshots run progress — the chunk plan and completed chunks of a
+materialized run, or the completed hours and per-UE carryover state of
+a stream — plus RNG provenance and the content hash of the fitted model
+set, to a single file that is always replaced atomically
+(write-to-temp + ``os.replace``), so a crash at any instant leaves
+either the previous checkpoint or the new one, never a torn file.
 
 Because every random draw comes from a Philox counter that is a pure
 function of ``(seed, ue position)``, the carryover needed for
-bit-identical continuation is tiny:
+bit-identical continuation is small:
 
-- **serial / stream**: the per-UE chain-state array plus the hour
-  counter (:meth:`CompiledPopulation.snapshot`); personas and Philox
-  keys are replayed from the seed.
-- **parallel**: completed chunks are independent pure functions of the
-  run parameters, so the checkpoint simply stores their finished event
-  columns and the remaining chunks are (re)generated.
+- **generate**: chunks are independent pure functions of the run
+  parameters, so the checkpoint stores the plan (UEs per chunk, per
+  device type) and the finished chunks' event columns; a resume reruns
+  the saved plan's missing chunks under any ``processes``.
+- **stream**: the per-UE chain-state array plus the hour counter
+  (:meth:`CompiledPopulation.snapshot`); personas and Philox keys are
+  replayed from the seed.
 
 A checkpoint is bound to its run by a :class:`RunKey` — every
 generation parameter plus :meth:`ModelSet.content_hash`.  Resuming with
 *any* differing parameter (or a re-fitted model set) raises
 :class:`CheckpointMismatchError` instead of silently producing a trace
-that is not bit-identical to the uninterrupted run.
+that is not bit-identical to the uninterrupted run.  :func:`open_run`
+is the one place both entry points key, load and snapshot a run.
 """
 
 from __future__ import annotations
@@ -35,14 +37,13 @@ import json
 import os
 import tempfile
 import zipfile
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..model.model_set import ModelSet
+from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType
-from ..trace.trace import Trace
-from .compiled import population_for_counts
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -52,7 +53,7 @@ __all__ = [
     "RunKey",
 ]
 
-CHECKPOINT_FORMAT = "repro-generation-checkpoint-v2"
+CHECKPOINT_FORMAT = "repro-generation-checkpoint-v3"
 
 #: Four event columns: (ue_ids, times, event_types, device_types).
 Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -78,14 +79,13 @@ def _rng_provenance() -> Dict[str, str]:
 class RunKey:
     """Everything that determines a generation run's output bits."""
 
-    kind: str                #: "generate" | "parallel" | "stream"
+    kind: str                #: "generate" | "stream"
     seed: int
     start_hour: int
     num_hours: int
     first_ue_id: int
     counts: Dict[str, int]   #: device name -> UE count
     model_hash: str
-    chunk_size: int = 0      #: parallel runs only (0 otherwise)
 
     @classmethod
     def for_run(
@@ -98,7 +98,6 @@ class RunKey:
         start_hour: int,
         num_hours: int,
         first_ue_id: int,
-        chunk_size: int = 0,
     ) -> "RunKey":
         return cls(
             kind=kind,
@@ -108,7 +107,6 @@ class RunKey:
             first_ue_id=int(first_ue_id),
             counts={dt.name: int(n) for dt, n in counts.items()},
             model_hash=model_set.content_hash(),
-            chunk_size=int(chunk_size),
         )
 
     def validate_against(self, run: "RunKey") -> None:
@@ -131,16 +129,17 @@ class GenerationCheckpoint:
     """One run's resumable progress (see module docstring).
 
     Only the fields relevant to the run ``kind`` are populated:
-    ``columns`` + ``population_state`` for ``generate``,
-    ``population_state`` + ``events_emitted`` for ``stream``,
-    ``chunk_columns`` for ``parallel``.
+    ``chunk_ues`` + ``chunk_columns`` for ``generate``,
+    ``hours_done`` + ``events_emitted`` + ``population_state`` for
+    ``stream``.
     """
 
     key: RunKey
     hours_done: int = 0
     events_emitted: int = 0  #: stream runs: events yielded so far
     population_state: Optional[np.ndarray] = None   # per-UE chain states
-    columns: Optional[Columns] = None               # accumulated events
+    #: The chunk plan: UEs per chunk, by device name.
+    chunk_ues: Dict[str, int] = dataclasses.field(default_factory=dict)
     chunk_columns: Dict[int, Columns] = dataclasses.field(default_factory=dict)
     provenance: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
@@ -152,8 +151,6 @@ class GenerationCheckpoint:
         a ``checkpoint`` span entry plus the ``checkpoint_snapshots``
         and ``checkpoint_bytes`` counters.
         """
-        from ..telemetry import get_telemetry
-
         with get_telemetry().span("checkpoint"):
             self._save(path)
         tele = get_telemetry()
@@ -169,9 +166,9 @@ class GenerationCheckpoint:
             "key": dataclasses.asdict(self.key),
             "hours_done": int(self.hours_done),
             "events_emitted": int(self.events_emitted),
+            "chunk_ues": self.chunk_ues,
             "completed_chunks": sorted(self.chunk_columns),
             "has_population_state": self.population_state is not None,
-            "has_columns": self.columns is not None,
             "provenance": self.provenance,
         }
         arrays: Dict[str, np.ndarray] = {"meta": np.asarray(json.dumps(meta))}
@@ -179,9 +176,6 @@ class GenerationCheckpoint:
             arrays["population_state"] = np.asarray(
                 self.population_state, dtype=np.int32
             )
-        if self.columns is not None:
-            for name, col in zip(_COLUMN_NAMES, self.columns):
-                arrays[f"col_{name}"] = col
         for idx, cols in self.chunk_columns.items():
             for name, col in zip(_COLUMN_NAMES, cols):
                 arrays[f"chunk{idx}_{name}"] = col
@@ -219,24 +213,22 @@ class GenerationCheckpoint:
                     if meta["has_population_state"]
                     else None
                 )
-                columns: Optional[Columns] = None
-                if meta["has_columns"]:
-                    columns = tuple(
-                        np.asarray(data[f"col_{name}"], dtype=dtype)
-                        for name, dtype in zip(_COLUMN_NAMES, _COLUMN_DTYPES)
-                    )
                 chunk_columns: Dict[int, Columns] = {}
                 for idx in meta["completed_chunks"]:
                     chunk_columns[int(idx)] = tuple(
                         np.asarray(data[f"chunk{idx}_{name}"], dtype=dtype)
                         for name, dtype in zip(_COLUMN_NAMES, _COLUMN_DTYPES)
                     )
+            chunk_ues = {
+                str(name): int(n) for name, n in meta["chunk_ues"].items()
+            }
             # A key with unknown or missing fields is malformed too.
             key = RunKey(**meta["key"])
         except CheckpointError:
             raise
         except (
-            OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile
+            AttributeError, OSError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile,
         ) as exc:
             raise CheckpointError(
                 f"cannot read checkpoint {path}: {exc}"
@@ -246,7 +238,7 @@ class GenerationCheckpoint:
             hours_done=int(meta["hours_done"]),
             events_emitted=int(meta["events_emitted"]),
             population_state=population_state,
-            columns=columns,
+            chunk_ues=chunk_ues,
             chunk_columns=chunk_columns,
             provenance=meta.get("provenance", {}),
         )
@@ -261,104 +253,46 @@ class GenerationCheckpoint:
         return checkpoint
 
 
-# ---------------------------------------------------------------------------
-# Shared run machinery for the serial / streaming entry points
-# ---------------------------------------------------------------------------
-
-
-def generate_checkpointed(
+def open_run(
+    path: "Optional[str | os.PathLike[str]]",
     model_set: ModelSet,
     counts: Dict[DeviceType, int],
     *,
+    kind: str,
+    resume: bool,
+    telemetry: RunTelemetry,
+    seed: int,
     start_hour: int,
     num_hours: int,
-    seed: int,
     first_ue_id: int,
-    checkpoint_path: "str | os.PathLike[str]",
-    resume: bool,
-) -> Trace:
-    """Materialize a trace hour by hour, checkpointing after each hour.
+) -> Tuple[Optional[GenerationCheckpoint], Callable[..., None]]:
+    """Key a run and open its checkpoint file.
 
-    Produces output bit-identical to
-    :meth:`TrafficGenerator.generate` with the same arguments and no
-    checkpointing: it runs the very same per-hour cohort stepping.
+    Returns the checkpoint to resume from (``None`` for a fresh run or
+    no ``path``) and ``save(**fields)``, which snapshots the run's
+    progress to ``path`` under ``telemetry`` (a no-op without ``path``).
     """
-    if checkpoint_path is None:
-        raise ValueError("resume=True requires checkpoint_path")
+    if path is None:
+        if resume:
+            raise ValueError("resume=True requires checkpoint_path")
+        return None, lambda **fields: None
     key = RunKey.for_run(
         model_set,
         counts,
-        kind="generate",
+        kind=kind,
         seed=seed,
         start_hour=start_hour,
         num_hours=num_hours,
         first_ue_id=first_ue_id,
     )
-    hours_done = 0
-    parts: List[Columns] = []
-    checkpoint: Optional[GenerationCheckpoint] = None
-    if resume:
-        checkpoint = GenerationCheckpoint.load_for_run(checkpoint_path, key)
-        hours_done = checkpoint.hours_done
-        if checkpoint.columns is not None and len(checkpoint.columns[0]):
-            parts.append(checkpoint.columns)
+    resumed = GenerationCheckpoint.load_for_run(path, key) if resume else None
 
-    def _save(population_state) -> None:
-        GenerationCheckpoint(
-            key=key,
-            hours_done=hours_done,
-            population_state=population_state,
-            columns=_concat_columns(parts),
-            provenance=_rng_provenance(),
-        ).save(checkpoint_path)
+    def save(**fields: Any) -> None:
+        # A stream's consumer controls which collector is ambient at
+        # next() time; snapshots report to the run's own.
+        with use_telemetry(telemetry):
+            GenerationCheckpoint(
+                key=key, provenance=_rng_provenance(), **fields
+            ).save(path)
 
-    from ..telemetry import get_telemetry
-
-    tele = get_telemetry()
-    total_ues = sum(counts.values())
-
-    population = population_for_counts(
-        model_set, counts, seed=seed, start_hour=start_hour
-    )
-    if checkpoint is not None:
-        if checkpoint.population_state is None:
-            raise CheckpointError(
-                f"{checkpoint_path}: checkpoint is missing the population "
-                "carryover state"
-            )
-        population.restore(checkpoint.population_state, hours_done)
-    elif hours_done == 0:
-        _save(population.snapshot()[0])
-    draws_before = population.rng_draws
-    for _ in range(hours_done, num_hours):
-        rows, times, events = population.advance_hour()
-        if len(rows):
-            parts.append(
-                (
-                    first_ue_id + rows,
-                    times,
-                    events.astype(np.int8),
-                    population.device_codes[rows],
-                )
-            )
-        hours_done += 1
-        tele.count("ue_hours", total_ues)
-        tele.progress("generate", hours_done, num_hours)
-        _save(population.snapshot()[0])
-    tele.count("rng_draws", population.rng_draws - draws_before)
-
-    columns = _concat_columns(parts)
-    if len(columns[0]) == 0:
-        return Trace.empty()
-    return Trace(*columns, validate=False)
-
-
-def _concat_columns(parts: List[Columns]) -> Columns:
-    """Concatenate per-hour column blocks (typed empties when none)."""
-    if not parts:
-        return tuple(
-            np.empty(0, dtype=dtype) for dtype in _COLUMN_DTYPES
-        )
-    return tuple(
-        np.concatenate([p[i] for p in parts]) for i in range(4)
-    )
+    return resumed, save

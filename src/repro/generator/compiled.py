@@ -1034,7 +1034,7 @@ class CompiledPopulation:
 
 
 # ---------------------------------------------------------------------------
-# Whole-trace production helpers (used by traffgen / parallel / streaming)
+# Whole-trace production helpers (used by traffgen / streaming)
 # ---------------------------------------------------------------------------
 
 
@@ -1076,10 +1076,9 @@ def generate_columns(
     num_ues = len(population.device_codes)
     draws_before = population.rng_draws
     ue_col, time_col, event_col, device_col = [], [], [], []
-    for hour in range(num_hours):
+    for _ in range(num_hours):
         rows, times, events = population.advance_hour()
         tele.count("ue_hours", num_ues)
-        tele.progress("generate", hour + 1, num_hours)
         if len(rows) == 0:
             continue
         ue_col.append(first_ue_id + rows)

@@ -13,26 +13,27 @@ cohort batches; its per-UE randomness matches batch generation, so
 stream and batch outputs match event for event.
 
 **Checkpointing.**  With ``checkpoint_path`` the stream snapshots its
-carryover state after each fully yielded hour; ``resume=True`` restarts
-from the last completed hour and yields the remaining events.  Delivery
-is *at least once* with an exact replay boundary: the checkpoint's
-``events_emitted`` counts the events yielded up to the snapshot, so a
-consumer that kept the first ``events_emitted`` events of the
-interrupted stream and then concatenates the resumed stream gets the
-uninterrupted stream event for event (see
-:mod:`repro.generator.checkpoint`).
+carryover state when it starts and after each fully yielded hour;
+``resume=True`` restarts from the last completed hour and yields the
+remaining events.  Delivery is *at least once* with an exact replay
+boundary: the checkpoint's ``events_emitted`` counts the events yielded
+up to the snapshot, so a consumer that kept the first
+``events_emitted`` events of the interrupted stream and then
+concatenates the resumed stream gets the uninterrupted stream event for
+event (see :mod:`repro.generator.checkpoint`).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from ..model.model_set import ModelSet
-from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
+from ..telemetry import RunTelemetry, get_telemetry
 from ..trace.events import DeviceType, EventType
 from ..trace.trace import Event, Trace
-from .compiled import population_for_counts
+from .checkpoint import CheckpointError, open_run
+from .compiled import CompiledPopulation, population_for_counts
 from .traffgen import DeviceCounts, TrafficGenerator, validate_run_args
 
 
@@ -52,11 +53,11 @@ def stream_events(
 
     Equivalent to iterating the trace from
     ``TrafficGenerator(model_set).generate(...)`` with
-    identical arguments, hour by hour.  Arguments are validated eagerly
-    (before the first event is requested).  ``telemetry`` is captured
-    here (not at first ``next()``), so the stream reports to the
-    collector that was ambient at call time unless one is passed
-    explicitly.
+    identical arguments, hour by hour.  Arguments are validated, and a
+    checkpoint to resume from is loaded, eagerly (before the first
+    event is requested).  ``telemetry`` is captured here (not at first
+    ``next()``), so the stream reports to the collector that was
+    ambient at call time unless one is passed explicitly.
     """
     validate_run_args(
         start_hour=start_hour,
@@ -64,96 +65,51 @@ def stream_events(
         seed=seed,
         first_ue_id=first_ue_id,
     )
-    generator = TrafficGenerator(model_set)
-    counts = generator.resolve_counts(num_ues)
-    for device_type in sorted(counts, key=int):
-        if counts[device_type] > 0 and not model_set.device_ues.get(
-            device_type
-        ):
-            raise ValueError(
-                f"no fitted model for device type {device_type.name}"
-            )
-    if resume and checkpoint_path is None:
-        raise ValueError("resume=True requires checkpoint_path")
+    counts = TrafficGenerator(model_set).resolve_counts(num_ues)
     tele = telemetry if telemetry is not None else get_telemetry()
-    return _stream(
+    resumed, save = open_run(
+        checkpoint_path,
         model_set,
         counts,
+        kind="stream",
+        resume=resume,
+        telemetry=tele,
+        seed=seed,
         start_hour=start_hour,
         num_hours=num_hours,
-        seed=seed,
         first_ue_id=first_ue_id,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        tele=tele,
+    )
+    population = population_for_counts(
+        model_set, counts, seed=seed, start_hour=start_hour
+    )
+    hours_done = events_emitted = 0
+    if resumed is None:
+        save(population_state=population.snapshot()[0])
+    elif resumed.population_state is None:
+        raise CheckpointError(
+            f"{checkpoint_path}: checkpoint is missing the population "
+            "carryover state"
+        )
+    else:
+        hours_done = resumed.hours_done
+        events_emitted = resumed.events_emitted
+        population.restore(resumed.population_state, hours_done)
+    return _stream(
+        population, hours_done, events_emitted, num_hours, first_ue_id,
+        save, tele,
     )
 
 
 def _stream(
-    model_set: ModelSet,
-    counts,
-    *,
-    start_hour: int,
+    population: CompiledPopulation,
+    hours_done: int,
+    events_emitted: int,
     num_hours: int,
-    seed: int,
     first_ue_id: int,
-    checkpoint_path,
-    resume: bool,
+    save: Callable[..., None],
     tele: RunTelemetry,
 ) -> Iterator[Event]:
-    from .checkpoint import (
-        CheckpointError,
-        GenerationCheckpoint,
-        RunKey,
-        _rng_provenance,
-    )
-
-    key: Optional[RunKey] = None
-    checkpoint: Optional[GenerationCheckpoint] = None
-    hours_done = 0
-    events_emitted = 0
-    if checkpoint_path is not None:
-        key = RunKey.for_run(
-            model_set,
-            counts,
-            kind="stream",
-            seed=seed,
-            start_hour=start_hour,
-            num_hours=num_hours,
-            first_ue_id=first_ue_id,
-        )
-        if resume:
-            checkpoint = GenerationCheckpoint.load_for_run(checkpoint_path, key)
-            hours_done = checkpoint.hours_done
-            events_emitted = checkpoint.events_emitted
-
-    def _save(population_state) -> None:
-        if checkpoint_path is None:
-            return
-        # The consumer controls which collector is ambient at next()
-        # time; snapshots must report to the stream's captured one.
-        with use_telemetry(tele):
-            GenerationCheckpoint(
-                key=key,
-                hours_done=hours_done,
-                events_emitted=events_emitted,
-                population_state=population_state,
-                provenance=_rng_provenance(),
-            ).save(checkpoint_path)
-
-    population = population_for_counts(
-        model_set, counts, seed=seed, start_hour=start_hour
-    )
-    if checkpoint is not None:
-        if checkpoint.population_state is None:
-            raise CheckpointError(
-                f"{checkpoint_path}: checkpoint is missing the population "
-                "carryover state"
-            )
-        population.restore(checkpoint.population_state, hours_done)
-    else:
-        _save(population.snapshot()[0])
-    total_ues = sum(counts.values())
+    total_ues = len(population.device_codes)
     draws_before = population.rng_draws
     for _ in range(hours_done, num_hours):
         with tele.span("stream"):
@@ -173,7 +129,11 @@ def _stream(
         tele.count("rng_draws", population.rng_draws - draws_before)
         draws_before = population.rng_draws
         tele.progress("stream", hours_done, num_hours)
-        _save(population.snapshot()[0])
+        save(
+            hours_done=hours_done,
+            events_emitted=events_emitted,
+            population_state=population.snapshot()[0],
+        )
 
 
 def stream_to_trace(events: Iterator[Event]) -> Trace:

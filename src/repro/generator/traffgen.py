@@ -11,25 +11,50 @@ Cluster X").
 Population sizes are unconstrained: scaling past the training
 population (the paper's 380K-UE Scenario 2) simply samples personas
 with replacement.
+
+:meth:`TrafficGenerator.generate` is the one driver that materializes a
+trace.  The paper ran its per-UE generator instances across 12 CPUs
+with GNU ``parallel``; here each device type's UEs are split into
+contiguous chunks, each chunk is one job of :func:`repro.jobs.run_jobs`
+(inline or on a process pool), and the chunks are merged in plan order.
+Every UE draws from a Philox substream keyed on its position in the
+whole generation order, so any chunk plan and any ``processes`` give the
+same bits.  A chunk that keeps failing raises
+:class:`repro.jobs.JobFailedError` (stage ``"generate"``) whose labels
+name the device, UE range and hour range.
 """
 
 from __future__ import annotations
 
 import os
 from numbers import Integral
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
+from ..jobs import Job, check_processes, run_jobs
 from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType
 from ..trace.trace import Trace
-from .compiled import generate_columns, population_for_counts
+from .checkpoint import CheckpointError, open_run
+from .compiled import CompiledPopulation, compile_model_set, generate_columns
 
 DeviceCounts = Union[int, Mapping[DeviceType, int]]
 
 #: Seeds parameterize ``SeedSequence`` entropy and the Philox root key;
 #: both are specified for unsigned 64-bit words.
 MAX_SEED = 2 ** 64
+
+#: Most UE-hours one generation chunk holds.  A chunk is the unit of
+#: pool jobs, checkpoint snapshots and progress ticks, so this bounds
+#: the work a crash can lose however long the run (5-25 s of serial
+#: generation on a 2-vCPU VM, busy hours costing the most).  Cohort
+#: stepping costs the same per UE-hour from about 4,000 UEs per chunk
+#: up and more below (+10% at 2,000, +17% at 1,000 UEs), so the budget
+#: leaves one-hour runs unchunked up to 524,288 UEs per device type and
+#: still gives a week-long run chunks of 3,120 UEs.
+MAX_CHUNK_UE_HOURS = 2 ** 19
 
 
 def validate_run_args(
@@ -41,10 +66,9 @@ def validate_run_args(
 ) -> None:
     """Validate the parameter quartet shared by every generation entry.
 
-    ``TrafficGenerator.generate``, :func:`~repro.generator.parallel.
-    generate_parallel` and :func:`~repro.generator.streaming.
+    ``TrafficGenerator.generate`` and :func:`~repro.generator.streaming.
     stream_events` accept the same run parameters; this is the single
-    place their domains are enforced, so every entry point rejects the
+    place their domains are enforced, so both entry points reject the
     same bad inputs with the same message.
     """
     for name, value in (
@@ -69,6 +93,66 @@ def validate_run_args(
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
+def _chunk_ues(
+    counts: Dict[DeviceType, int], workers: int, num_hours: int
+) -> Dict[str, int]:
+    """UEs per chunk, by device name: each device type's ``n`` UEs are
+    spread over ``workers`` chunks, each at most ``MAX_CHUNK_UE_HOURS``
+    UE-hours (and at least one UE)."""
+    cap = max(1, MAX_CHUNK_UE_HOURS // num_hours)
+    return {
+        dt.name: min(-(-n // workers), cap)
+        for dt, n in counts.items()
+        if n > 0
+    }
+
+
+def _plan_chunks(
+    counts: Dict[DeviceType, int], chunk_ues: Dict[str, int], first_ue_id: int
+) -> List[Tuple[int, int, int, int]]:
+    """Split the population into (device, start_idx, n, first_ue_id) chunks.
+
+    ``chunk_ues`` maps each device name to its UEs per chunk.
+    ``start_idx`` is the UE's position in the whole generation order,
+    which indexes the seed substream — this is what keeps any chunk plan
+    bit-identical to any other.
+    """
+    chunks = []
+    position = 0
+    for device_type in sorted(counts, key=int):
+        end = position + counts[device_type]
+        if end > position:
+            size = chunk_ues[device_type.name]
+            for start in range(position, end, size):
+                n = min(size, end - start)
+                chunks.append(
+                    (int(device_type), start, n, first_ue_id + start)
+                )
+        position = end
+    return chunks
+
+
+def _generate_chunk(
+    ctx: dict,
+    device_code: int,
+    start_idx: int,
+    n: int,
+    first_ue_id: int,
+    seed: int,
+    start_hour: int,
+    num_hours: int,
+) -> tuple:
+    """One chunk job: the four trace columns of ``n`` UEs of one device."""
+    population = CompiledPopulation(
+        ctx["model"],
+        np.full(n, device_code, dtype=np.int8),
+        start_idx + np.arange(n, dtype=np.int64),
+        seed=seed,
+        start_hour=start_hour,
+    )
+    return generate_columns(population, num_hours, first_ue_id)
+
+
 class TrafficGenerator:
     """Synthesizes control-plane traces from a fitted :class:`ModelSet`."""
 
@@ -79,7 +163,13 @@ class TrafficGenerator:
 
     # ------------------------------------------------------------------
     def resolve_counts(self, num_ues: DeviceCounts) -> Dict[DeviceType, int]:
-        """Split a total UE count by the training trace's device mix."""
+        """Split a total UE count by the training trace's device mix.
+
+        This is where every entry point checks its population: a
+        negative count, or a device type the model set has no fitted
+        UEs for, raises ``ValueError`` before any job runs.
+        """
+        device_ues = self.model_set.device_ues
         if isinstance(num_ues, Mapping):
             counts = {DeviceType(k): int(v) for k, v in num_ues.items()}
             negative = {dt.name: n for dt, n in counts.items() if n < 0}
@@ -87,26 +177,28 @@ class TrafficGenerator:
                 raise ValueError(
                     f"device counts must be non-negative, got {negative}"
                 )
-            unknown = set(counts) - set(self.model_set.device_ues)
-            if unknown:
+        else:
+            total = int(num_ues)
+            if total <= 0:
                 raise ValueError(
-                    f"no fitted model for device types {sorted(d.name for d in unknown)}"
+                    f"population size must be positive, got {num_ues}"
                 )
-            return counts
-        total = int(num_ues)
-        if total <= 0:
-            raise ValueError(f"population size must be positive, got {num_ues}")
-        training = {
-            dt: len(ues) for dt, ues in self.model_set.device_ues.items()
-        }
-        training_total = sum(training.values())
-        counts = {
-            dt: int(round(total * n / training_total))
-            for dt, n in training.items()
-        }
-        drift = total - sum(counts.values())
-        largest = max(counts, key=lambda d: counts[d])
-        counts[largest] += drift
+            training = {dt: len(ues) for dt, ues in device_ues.items()}
+            training_total = sum(training.values())
+            counts = {
+                dt: int(round(total * n / training_total))
+                for dt, n in training.items()
+            }
+            drift = total - sum(counts.values())
+            largest = max(counts, key=lambda d: counts[d])
+            counts[largest] += drift
+        unfitted = sorted(
+            dt.name
+            for dt, n in counts.items()
+            if dt not in device_ues or (n > 0 and not device_ues[dt])
+        )
+        if unfitted:
+            raise ValueError(f"no fitted model for device types {unfitted}")
         return counts
 
     # ------------------------------------------------------------------
@@ -118,6 +210,7 @@ class TrafficGenerator:
         num_hours: int = 1,
         seed: int = 0,
         first_ue_id: int = 0,
+        processes: Optional[int] = 1,
         checkpoint_path: "Optional[str | os.PathLike[str]]" = None,
         resume: bool = False,
         telemetry: Optional[RunTelemetry] = None,
@@ -125,18 +218,23 @@ class TrafficGenerator:
         """Synthesize a trace for ``num_ues`` UEs over ``num_hours`` hours.
 
         Every UE gets an independent, reproducible random substream, so
-        the output is invariant to generation order and amenable to
-        parallel generation (see :mod:`repro.generator.compiled`).
+        the output is the same bits for every ``processes``: ``None`` or
+        ``1`` runs the chunks in this process, ``0`` uses all CPUs and
+        ``>= 2`` that many worker processes (see :mod:`repro.jobs` for
+        the retry policy).
 
-        With ``checkpoint_path`` the run snapshots its progress after
-        every generated hour (atomically — see
-        :mod:`repro.generator.checkpoint`); ``resume=True`` picks up an
-        interrupted run from that file and returns the *complete* trace,
-        bit-identical to an uninterrupted run with the same arguments.
+        With ``checkpoint_path`` the run snapshots its chunk plan before
+        the first chunk and every finished chunk after it (atomically —
+        see :mod:`repro.generator.checkpoint`); ``resume=True`` reruns
+        the saved plan's missing chunks, under any ``processes``, and
+        returns the *complete* trace, bit-identical to an uninterrupted
+        run with the same arguments.
 
         ``telemetry`` selects the collector the run reports to (spans,
         counters, progress — see :mod:`repro.telemetry`); by default the
-        ambient collector is used, so counters are always on.
+        ambient collector is used, so counters are always on.  Retries
+        bump ``chunk_retries`` and chunks restored from a checkpoint bump
+        ``chunks_resumed``.
         """
         validate_run_args(
             start_hour=start_hour,
@@ -144,63 +242,81 @@ class TrafficGenerator:
             seed=seed,
             first_ue_id=first_ue_id,
         )
+        workers = check_processes(processes)
         counts = self.resolve_counts(num_ues)
-
-        for device_type in sorted(counts, key=int):
-            if counts[device_type] > 0 and not self.model_set.device_ues.get(
-                device_type
-            ):
-                raise ValueError(
-                    f"no fitted model for device type {device_type.name}"
-                )
-
         tele = telemetry if telemetry is not None else get_telemetry()
         with use_telemetry(tele), tele.span("generate"):
-            trace = self._generate_trace(
+            # A model that does not compile is the caller's error: raise
+            # it here, not as a retried job failure.
+            compile_model_set(self.model_set)
+            resumed, save = open_run(
+                checkpoint_path,
+                self.model_set,
                 counts,
+                kind="generate",
+                resume=resume,
+                telemetry=tele,
+                seed=seed,
                 start_hour=start_hour,
                 num_hours=num_hours,
-                seed=seed,
                 first_ue_id=first_ue_id,
-                checkpoint_path=checkpoint_path,
-                resume=resume,
             )
+            fresh = _chunk_ues(counts, workers, num_hours)
+            if resumed is None:
+                chunk_ues, results = fresh, {}
+                save(chunk_ues=chunk_ues)
+            else:
+                chunk_ues = resumed.chunk_ues
+                results = dict(resumed.chunk_columns)
+                if set(chunk_ues) != set(fresh) or min(
+                    chunk_ues.values(), default=1
+                ) < 1:
+                    raise CheckpointError(
+                        f"{checkpoint_path}: chunk plan {chunk_ues} does "
+                        "not fit this run's population"
+                    )
+                tele.count("chunks_resumed", len(results))
+
+            chunks = _plan_chunks(counts, chunk_ues, first_ue_id)
+            pending = [i for i in range(len(chunks)) if i not in results]
+            jobs = [
+                Job(
+                    chunks[i] + (seed, start_hour, num_hours),
+                    {
+                        "device": DeviceType(chunks[i][0]).name,
+                        "UEs": (chunks[i][3], chunks[i][3] + chunks[i][2]),
+                        "hours": (start_hour, start_hour + num_hours),
+                    },
+                )
+                for i in pending
+            ]
+            for pos, columns in run_jobs(
+                _generate_chunk,
+                jobs,
+                shared={"model": self.model_set},
+                processes=processes,
+                stage="generate",
+            ):
+                results[pending[pos]] = columns
+                save(chunk_ues=chunk_ues, chunk_columns=results)
+
+            parts = [results.pop(i) for i in range(len(chunks))]
+            parts = [part for part in parts if len(part[0])]
+            if not parts:
+                trace = Trace.empty()
+            else:
+                # Merge (a lone part as is) and drop the parts before
+                # the trace sorts: peak memory stays at two copies.
+                columns = (
+                    parts[0]
+                    if len(parts) == 1
+                    else [np.concatenate(column) for column in zip(*parts)]
+                )
+                del parts
+                trace = Trace(*columns, validate=False)
         tele.count("events_emitted", len(trace))
         tele.record_peak_rss()
         return trace
-
-    # ------------------------------------------------------------------
-    def _generate_trace(
-        self,
-        counts: Dict[DeviceType, int],
-        *,
-        start_hour: int,
-        num_hours: int,
-        seed: int,
-        first_ue_id: int,
-        checkpoint_path: "Optional[str | os.PathLike[str]]",
-        resume: bool,
-    ) -> Trace:
-        if checkpoint_path is not None or resume:
-            from .checkpoint import generate_checkpointed
-
-            return generate_checkpointed(
-                self.model_set,
-                counts,
-                start_hour=start_hour,
-                num_hours=num_hours,
-                seed=seed,
-                first_ue_id=first_ue_id,
-                checkpoint_path=checkpoint_path,
-                resume=resume,
-            )
-        population = population_for_counts(
-            self.model_set, counts, seed=seed, start_hour=start_hour
-        )
-        columns = generate_columns(population, num_hours, first_ue_id)
-        if len(columns[0]) == 0:
-            return Trace.empty()
-        return Trace(*columns, validate=False)
 
     # ------------------------------------------------------------------
     def generate_hour(

@@ -246,9 +246,9 @@ def evaluate_methods(
     processes:
         ``None`` or ``1`` computes metrics serially in-process; ``0``
         fans per-(method × device) jobs across all CPUs; ``>= 2`` uses
-        that many worker processes (fitting fans out the same way).  A
-        job that keeps failing raises :class:`repro.jobs.JobFailedError`
-        (stage ``"eval"``).
+        that many worker processes (fitting and generation fan out the
+        same way).  A job that keeps failing raises
+        :class:`repro.jobs.JobFailedError` (stage ``"eval"``).
     cache_dir:
         Content-addressed model-cache directory passed to the fitter
         (``None`` disables caching).
@@ -334,7 +334,11 @@ def _evaluate_methods(
                 for dt, n in generator.resolve_counts(num_ues).items()
             }
             synthesized[method] = generator.generate(
-                num_ues, start_hour=generation_hour, num_hours=1, seed=seed
+                num_ues,
+                start_hour=generation_hour,
+                num_hours=1,
+                seed=seed,
+                processes=processes,
             )
     tele.count("eval_methods", len(methods))
 

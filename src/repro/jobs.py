@@ -96,7 +96,7 @@ FAULT_ENV = "REPRO_TEST_FAULT"
 
 #: stage -> (progress phase, retry counter).
 _STAGES = {
-    "generate": ("generate-parallel", "chunk_retries"),
+    "generate": ("generate", "chunk_retries"),
     "fit": ("fit", "fit_retries"),
     "eval": ("eval-metrics", "eval_retries"),
 }
@@ -143,12 +143,14 @@ class JobFailedError(RuntimeError):
         )
 
 
-def check_processes(processes: Optional[int]) -> None:
-    """Reject a negative ``processes`` (``None``/``1`` inline, ``0`` all CPUs)."""
+def check_processes(processes: Optional[int]) -> int:
+    """The worker count ``processes`` asks for: ``None``/``1`` inline,
+    ``0`` all CPUs; a negative count raises ``ValueError``."""
     if processes is not None and processes < 0:
         raise ValueError(
             f"processes must be non-negative (0 = all CPUs), got {processes}"
         )
+    return 1 if processes is None else (processes or os.cpu_count() or 1)
 
 
 def run_jobs(
@@ -167,12 +169,10 @@ def run_jobs(
     ``shared`` and the failure policy; ``stage`` names the progress
     phase, the retry counter and the stage in :class:`JobFailedError`.
     """
-    check_processes(processes)
     phase, retry_counter = _STAGES[stage]
     jobs = list(jobs)
     shared = dict(shared or {})
-    wanted = 1 if processes is None else (processes or os.cpu_count() or 1)
-    workers = max(1, min(wanted, len(jobs)))
+    workers = max(1, min(check_processes(processes), len(jobs)))
     tele = get_telemetry()
     if jobs:
         tele.max_gauge("active_workers", workers)

@@ -149,6 +149,13 @@ class ModelSet:
     def machine(self) -> StateMachine:
         return build_machine(self.machine_kind)
 
+    def __getstate__(self) -> dict:
+        # The compiled generator tables (``_compiled_cache``) are derived
+        # data that a worker process rebuilds faster than it unpickles.
+        state = dict(self.__dict__)
+        state.pop("_compiled_cache", None)
+        return state
+
     def content_hash(self) -> str:
         """SHA-256 over the canonical JSON serialization of this model set.
 

@@ -2,10 +2,11 @@
 
 The contract under test: a run interrupted at *any* point and resumed
 from its checkpoint produces output bit-identical to an uninterrupted
-run with the same arguments — across the serial, streaming, and
-parallel entry points — and worker failures in
-``generate_parallel`` are either masked transparently or reported as a
-structured :class:`repro.jobs.JobFailedError`.
+run with the same arguments — for ``TrafficGenerator.generate`` under
+any ``processes`` (also when the resume uses a different one than the
+interrupted run) and for ``stream_events`` — and failed generation
+chunks are either masked transparently or reported as a structured
+:class:`repro.jobs.JobFailedError`.
 """
 
 import dataclasses
@@ -22,13 +23,14 @@ from repro.generator import (
     GenerationCheckpoint,
     RunKey,
     TrafficGenerator,
-    generate_parallel,
     stream_events,
+    traffgen,
 )
 from repro.generator.checkpoint import CHECKPOINT_FORMAT
 from repro.generator.compiled import CompiledPopulation
 from repro import jobs
 from repro.jobs import FAULT_ENV, JobFailedError
+from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType
 
 from conftest import TRACE_START_HOUR
@@ -43,6 +45,12 @@ def inject_fault(monkeypatch, tmp_path, job, fails, mode="raise"):
         FAULT_ENV,
         f"stage=generate;job={job};fails={fails};mode={mode};dir={tmp_path}",
     )
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Seven-UE chunks: a 40-UE run plans 7 jobs (24/9/7 UEs by device)."""
+    monkeypatch.setattr(traffgen, "MAX_CHUNK_UE_HOURS", 7 * RUN["num_hours"])
 
 
 def assert_traces_equal(a, b):
@@ -94,8 +102,10 @@ class TestSerialCheckpoint:
         original = CompiledPopulation.advance_hour
 
         def dying(self, *args, **kwargs):
-            # Kill the run in the second hour.
-            if next(calls) >= 1:
+            # The default serial plan is one chunk per device type, each
+            # stepping once per hour: kill the run in the second hour of
+            # the second chunk, after the first chunk was checkpointed.
+            if next(calls) >= RUN["num_hours"] + 1:
                 raise KeyboardInterrupt
             return original(self, *args, **kwargs)
 
@@ -103,6 +113,7 @@ class TestSerialCheckpoint:
         with pytest.raises(KeyboardInterrupt):
             generator.generate(POP, checkpoint_path=path, **RUN)
         monkeypatch.setattr(CompiledPopulation, "advance_hour", original)
+        assert set(GenerationCheckpoint.load(path).chunk_columns) == {0}
 
         resumed = generator.generate(
             POP, checkpoint_path=path, resume=True, **RUN
@@ -120,7 +131,8 @@ class TestSerialCheckpoint:
     def test_checkpoint_written_before_first_hour(
         self, generator, tmp_path, monkeypatch
     ):
-        """A kill before any hour completes still leaves a resumable file."""
+        """A kill before any hour completes still leaves a resumable
+        file: the chunk plan, with no chunk done."""
         path = tmp_path / "run.npz"
 
         def dying(self, *args, **kwargs):
@@ -129,8 +141,9 @@ class TestSerialCheckpoint:
         monkeypatch.setattr(CompiledPopulation, "advance_hour", dying)
         with pytest.raises(KeyboardInterrupt):
             generator.generate(POP, checkpoint_path=path, **RUN)
-        assert path.exists()
-        assert GenerationCheckpoint.load(path).hours_done == 0
+        saved = GenerationCheckpoint.load(path)
+        assert saved.chunk_ues == {"PHONE": 24, "CONNECTED_CAR": 9, "TABLET": 7}
+        assert saved.chunk_columns == {}
 
     def test_mismatched_seed_rejected(self, generator, tmp_path):
         path = tmp_path / "run.npz"
@@ -209,9 +222,9 @@ def _meta(ours_model_set, **overrides):
         "key": dataclasses.asdict(key),
         "hours_done": 0,
         "events_emitted": 0,
+        "chunk_ues": {"PHONE": POP},
         "completed_chunks": [],
         "has_population_state": False,
-        "has_columns": False,
         "provenance": {},
     }
     meta.update(overrides)
@@ -223,6 +236,21 @@ class TestCheckpointFormat:
         path = tmp_path / "ok.npz"
         _write_meta(path, _meta(ours_model_set))
         assert GenerationCheckpoint.load(path).key.kind == "generate"
+
+    def test_v2_file_rejected(self, ours_model_set, tmp_path):
+        """A v2 checkpoint (hourly ``columns``, a ``chunk_size`` key field
+        and no chunk plan) is an unknown format."""
+        meta = _meta(
+            ours_model_set,
+            format="repro-generation-checkpoint-v2",
+            has_columns=False,
+        )
+        meta["key"]["chunk_size"] = 0
+        del meta["chunk_ues"]
+        path = tmp_path / "v2.npz"
+        _write_meta(path, meta)
+        with pytest.raises(CheckpointError, match="unknown checkpoint format"):
+            GenerationCheckpoint.load(path)
 
     def test_v1_file_rejected(self, ours_model_set, tmp_path):
         """A v1 checkpoint (with the removed ``engine`` key field and
@@ -317,79 +345,60 @@ class TestStreamingCheckpoint:
             )
 
 
+@pytest.mark.usefixtures("small_chunks")
 class TestParallelCheckpoint:
     def test_checkpointed_parallel_matches_serial(
-        self, ours_model_set, baseline, tmp_path
+        self, generator, baseline, tmp_path
     ):
         path = tmp_path / "par.npz"
-        trace = generate_parallel(
-            ours_model_set,
-            POP,
-            processes=1,
-            chunk_size=7,
-            checkpoint_path=path,
-            **RUN,
+        trace = generator.generate(
+            POP, processes=1, checkpoint_path=path, **RUN
         )
         assert_traces_equal(baseline, trace)
+        assert len(GenerationCheckpoint.load(path).chunk_columns) == 7
 
     def test_interrupted_parallel_resumes(
-        self, ours_model_set, baseline, tmp_path, monkeypatch
+        self, generator, baseline, tmp_path, monkeypatch
     ):
         path = tmp_path / "par.npz"
         inject_fault(monkeypatch, tmp_path, job=3, fails=99)
         monkeypatch.setattr(jobs, "RETRIES", 0)
         with pytest.raises(JobFailedError):
-            generate_parallel(
-                ours_model_set,
-                POP,
-                processes=1,
-                chunk_size=7,
-                checkpoint_path=path,
-                **RUN,
+            generator.generate(
+                POP, processes=1, checkpoint_path=path, **RUN
             )
         # Chunks 0-2 are in the checkpoint; the resume regenerates the rest.
         assert len(GenerationCheckpoint.load(path).chunk_columns) == 3
         monkeypatch.delenv(FAULT_ENV)
-        resumed = generate_parallel(
-            ours_model_set,
+        tele = RunTelemetry()
+        resumed = generator.generate(
             POP,
             processes=1,
-            chunk_size=7,
             checkpoint_path=path,
             resume=True,
+            telemetry=tele,
             **RUN,
         )
         assert_traces_equal(baseline, resumed)
+        assert tele.counters["chunks_resumed"] == 3
 
     def test_inline_retry_masks_transient_failure(
-        self, ours_model_set, baseline, tmp_path, monkeypatch
+        self, generator, baseline, tmp_path, monkeypatch
     ):
         inject_fault(monkeypatch, tmp_path, job=1, fails=2)
         monkeypatch.setattr(jobs, "BACKOFF", (0.0, 0.0))
-        trace = generate_parallel(
-            ours_model_set,
-            POP,
-            processes=1,
-            chunk_size=7,
-            **RUN,
-        )
+        trace = generator.generate(POP, processes=1, **RUN)
         assert sorted(os.listdir(tmp_path)) == ["fault-1-0", "fault-1-1"]
         assert_traces_equal(baseline, trace)
 
     def test_inline_poisoned_chunk_fails_structured(
-        self, ours_model_set, tmp_path, monkeypatch
+        self, generator, tmp_path, monkeypatch
     ):
         inject_fault(monkeypatch, tmp_path, job=2, fails=99)
         monkeypatch.setattr(jobs, "RETRIES", 1)
         monkeypatch.setattr(jobs, "BACKOFF", (0.0, 0.0))
         with pytest.raises(JobFailedError) as excinfo:
-            generate_parallel(
-                ours_model_set,
-                POP,
-                processes=1,
-                chunk_size=7,
-                **RUN,
-            )
+            generator.generate(POP, processes=1, **RUN)
         err = excinfo.value
         assert err.stage == "generate"
         assert err.labels == {
@@ -401,8 +410,20 @@ class TestParallelCheckpoint:
         assert "UEs [14, 21)" in str(err)
         assert isinstance(err.__cause__, RuntimeError)
 
+    def test_corrupt_chunk_plan_rejected(self, generator, tmp_path):
+        path = tmp_path / "par.npz"
+        generator.generate(POP, processes=1, checkpoint_path=path, **RUN)
+        checkpoint = GenerationCheckpoint.load(path)
+        checkpoint.chunk_ues["PHONE"] = 0
+        checkpoint.save(path)
+        with pytest.raises(CheckpointError, match="chunk plan"):
+            generator.generate(
+                POP, checkpoint_path=path, resume=True, **RUN
+            )
+
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("small_chunks")
 class TestParallelWorkerCrash:
     """Real multiprocess fault injection via the env knob."""
 
@@ -411,13 +432,8 @@ class TestParallelWorkerCrash:
         monkeypatch.setattr(jobs, "BACKOFF", (0.01, 30.0))
 
     def _run(self, model_set, **kwargs):
-        return generate_parallel(
-            model_set,
-            POP,
-            processes=2,
-            chunk_size=7,
-            **RUN,
-            **kwargs,
+        return TrafficGenerator(model_set).generate(
+            POP, processes=2, **RUN, **kwargs
         )
 
     def test_killed_worker_recovers_bit_identical(
@@ -472,3 +488,33 @@ class TestParallelWorkerCrash:
             ours_model_set, checkpoint_path=path, resume=True
         )
         assert_traces_equal(baseline, resumed)
+
+
+@pytest.mark.slow
+class TestResumeAcrossProcesses:
+    """The checkpoint stores the chunk plan, so a run interrupted under
+    one ``processes`` resumes under another to the same bits."""
+
+    @pytest.mark.parametrize("first, then", [(1, 2), (2, 1)])
+    def test_resume_under_other_processes_bit_identical(
+        self, generator, baseline, tmp_path, monkeypatch, first, then
+    ):
+        path = tmp_path / "run.npz"
+        # Job 1: the car chunk at processes=1 (24/9/7 UEs), the second
+        # phone chunk at processes=2 (12/12, 5/4, 4/3 UEs).
+        inject_fault(monkeypatch, tmp_path, job=1, fails=99)
+        monkeypatch.setattr(jobs, "RETRIES", 0)
+        monkeypatch.setattr(jobs, "BACKOFF", (0.0, 0.0))
+        with pytest.raises(JobFailedError):
+            generator.generate(
+                POP, processes=first, checkpoint_path=path, **RUN
+            )
+        interrupted = GenerationCheckpoint.load(path)
+        assert len(interrupted.chunk_columns) < (3 if first == 1 else 6)
+        monkeypatch.delenv(FAULT_ENV)
+        resumed = generator.generate(
+            POP, processes=then, checkpoint_path=path, resume=True, **RUN
+        )
+        assert_traces_equal(baseline, resumed)
+        # The resume ran the interrupted run's plan, not its own.
+        assert GenerationCheckpoint.load(path).chunk_ues == interrupted.chunk_ues

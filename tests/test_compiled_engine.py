@@ -22,9 +22,9 @@ import repro.generator
 from repro.baselines import METHOD_NAMES, fit_method
 from repro.generator import (
     TrafficGenerator,
-    generate_parallel,
     stream_events,
     stream_to_trace,
+    traffgen,
 )
 from repro.generator.compiled import philox4x64
 from repro.model import scale_to_nsa, scale_to_sa
@@ -128,17 +128,25 @@ class TestBitIdentity:
         again = TrafficGenerator(ours_model_set).generate(150, **self.KWARGS)
         assert serial == again
 
-    def test_parallel_single_process_small_chunks(self, ours_model_set, serial):
-        # chunk_size below the drain threshold forces every chunk through
-        # the scalar path, proving it bit-matches vectorized stepping.
-        par = generate_parallel(
-            ours_model_set, 150, processes=1, chunk_size=7, **self.KWARGS
+    def test_parallel_single_process_small_chunks(
+        self, ours_model_set, serial, monkeypatch
+    ):
+        # Chunks below the drain threshold force every chunk through the
+        # scalar path, proving it bit-matches vectorized stepping.
+        monkeypatch.setattr(
+            traffgen, "MAX_CHUNK_UE_HOURS", 7 * self.KWARGS["num_hours"]
+        )
+        par = TrafficGenerator(ours_model_set).generate(
+            150, processes=1, **self.KWARGS
         )
         assert serial == par
 
-    def test_parallel_multiprocess(self, ours_model_set, serial):
-        par = generate_parallel(
-            ours_model_set, 150, processes=2, chunk_size=64, **self.KWARGS
+    def test_parallel_multiprocess(self, ours_model_set, serial, monkeypatch):
+        monkeypatch.setattr(
+            traffgen, "MAX_CHUNK_UE_HOURS", 64 * self.KWARGS["num_hours"]
+        )
+        par = TrafficGenerator(ours_model_set).generate(
+            150, processes=2, **self.KWARGS
         )
         assert serial == par
 
@@ -167,8 +175,6 @@ class TestEngineSelection:
             TrafficGenerator(ours_model_set, engine="compiled")
         with pytest.raises(TypeError, match="engine"):
             TrafficGenerator(ours_model_set).generate(10, engine="compiled")
-        with pytest.raises(TypeError, match="engine"):
-            generate_parallel(ours_model_set, 10, engine="compiled")
         with pytest.raises(TypeError, match="engine"):
             stream_events(ours_model_set, 10, engine="compiled")
 
@@ -210,7 +216,7 @@ class TestStructuralLimits:
             # at most: one first event + the capped chain steps
             assert per_ue.max() <= 4
 
-    def test_degenerate_fit_still_bit_identical(self, tiny_trace):
+    def test_degenerate_fit_still_bit_identical(self, tiny_trace, monkeypatch):
         """A tiny fit exercises absorbing states and silent hours; the
         three production modes must still agree event for event."""
         from repro.baselines import fit_method
@@ -218,9 +224,10 @@ class TestStructuralLimits:
         ms = fit_method("ours", tiny_trace, theta_n=5, trace_start_hour=0)
         kwargs = dict(start_hour=0, num_hours=3, seed=4)
         serial = TrafficGenerator(ms).generate({P: 50}, **kwargs)
-        par = generate_parallel(
-            ms, {P: 50}, processes=1, chunk_size=9, **kwargs
+        monkeypatch.setattr(
+            traffgen, "MAX_CHUNK_UE_HOURS", 9 * kwargs["num_hours"]
         )
+        par = TrafficGenerator(ms).generate({P: 50}, processes=1, **kwargs)
         streamed = stream_to_trace(stream_events(ms, {P: 50}, **kwargs))
         assert serial == par
         assert serial == streamed

@@ -193,18 +193,12 @@ class TestRunArgumentValidation:
 
     @staticmethod
     def entry_points(model_set):
-        from repro.generator import (
-            TrafficGenerator,
-            generate_parallel,
-            stream_events,
-        )
+        from repro.generator import TrafficGenerator, stream_events
 
         gen = TrafficGenerator(model_set)
         return [
             lambda **kw: gen.generate({P: 5}, **kw),
-            lambda **kw: generate_parallel(
-                model_set, {P: 5}, processes=1, **kw
-            ),
+            lambda **kw: gen.generate({P: 5}, processes=2, **kw),
             lambda **kw: stream_events(model_set, {P: 5}, **kw),
         ]
 
@@ -255,13 +249,69 @@ class TestRunArgumentValidation:
         with pytest.raises(ValueError, match="num_hours"):
             stream_events(ours_model_set, {P: 5}, num_hours=0)
 
-    def test_parallel_rejects_bad_chunk_size(self, ours_model_set):
-        from repro.generator import generate_parallel
+    def test_parallel_rejects_bad_chunk_size(self, ours_model_set, tmp_path):
+        """The chunk size is derived, never passed: ``generate`` has no
+        ``chunk_size`` argument, and a resumed run rejects a saved chunk
+        plan whose chunk size is not positive."""
+        from repro.generator import CheckpointError, TrafficGenerator
+        from repro.generator.checkpoint import GenerationCheckpoint
 
-        with pytest.raises(ValueError, match="chunk_size"):
-            generate_parallel(
-                ours_model_set,
+        gen = TrafficGenerator(ours_model_set)
+        with pytest.raises(TypeError, match="chunk_size"):
+            gen.generate(
+                {P: 5}, start_hour=TRACE_START_HOUR, processes=2, chunk_size=0
+            )
+
+        path = tmp_path / "run.npz"
+        gen.generate(
+            {P: 5}, start_hour=TRACE_START_HOUR, processes=2, checkpoint_path=path
+        )
+        checkpoint = GenerationCheckpoint.load(path)
+        checkpoint.chunk_ues[P.name] = 0
+        checkpoint.save(path)
+        with pytest.raises(CheckpointError, match="chunk plan"):
+            gen.generate(
                 {P: 5},
                 start_hour=TRACE_START_HOUR,
-                chunk_size=0,
+                processes=2,
+                checkpoint_path=path,
+                resume=True,
             )
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_unfitted_device_rejected_before_any_job(
+        self, ours_model_set, monkeypatch, processes
+    ):
+        """A device type with no fitted UEs, or a model that does not
+        compile, is a plain ValueError raised before any job runs: no
+        retry, no backoff and no JobFailedError."""
+        from repro import jobs
+        from repro.generator import TrafficGenerator, stream_events
+        from repro.model import ModelSet
+
+        model_set = ModelSet.from_dict(ours_model_set.to_dict())
+        model_set.device_ues[DeviceType.TABLET] = []
+
+        def no_backoff(seconds):
+            raise AssertionError("generation backed off")
+
+        monkeypatch.setattr(jobs.time, "sleep", no_backoff)
+        with pytest.raises(ValueError, match="TABLET") as excinfo:
+            TrafficGenerator(model_set).generate(
+                {DeviceType.TABLET: 5},
+                start_hour=TRACE_START_HOUR,
+                processes=processes,
+            )
+        assert type(excinfo.value) is ValueError
+        with pytest.raises(ValueError, match="TABLET"):
+            stream_events(model_set, {DeviceType.TABLET: 5})
+
+        # A two-level fit read as a 5G SA model: its first-event types
+        # have no source state in that machine.
+        mislabeled = ModelSet.from_dict(ours_model_set.to_dict())
+        mislabeled.machine_kind = "nr_sa"
+        with pytest.raises(ValueError, match="canonical source") as excinfo:
+            TrafficGenerator(mislabeled).generate(
+                5, start_hour=TRACE_START_HOUR, processes=processes
+            )
+        assert type(excinfo.value) is ValueError

@@ -105,15 +105,30 @@ class TestEvaluationEngines:
         self, ground_truth_trace, holdout_trace, ours_model_set, monkeypatch
     ):
         """Serial and pooled reports equal the one computed with the
-        per-event reference replay swapped into the metrics."""
+        per-event reference replay swapped into the metrics.  The pooled
+        run generates on the pool too."""
         kwargs = dict(
             methods=("ours",),
             models={"ours": ours_model_set},
             generation_hour=TRACE_START_HOUR + 1,
         )
         compiled = evaluate_methods(ground_truth_trace, holdout_trace, **kwargs)
-        parallel = evaluate_methods(
-            ground_truth_trace, holdout_trace, processes=2, **kwargs
+        generate_processes = []
+        generate = TrafficGenerator.generate
+
+        def spy(self, *args, **kw):
+            generate_processes.append(kw.get("processes"))
+            return generate(self, *args, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TrafficGenerator, "generate", spy)
+            parallel = evaluate_methods(
+                ground_truth_trace, holdout_trace, processes=2, **kwargs
+            )
+        assert generate_processes == [2]
+        assert (
+            parallel.results["ours"].synthesized
+            == compiled.results["ours"].synthesized
         )
         with monkeypatch.context() as patch:
             patch.setattr(

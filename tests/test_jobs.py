@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro import jobs
-from repro.generator import generate_parallel
+from repro.generator import TrafficGenerator, traffgen
 from repro.harness import evaluate_methods
 from repro.jobs import FAULT_ENV, JobFailedError
 from repro.model import fit_model_set
@@ -29,7 +29,7 @@ EVAL = dict(
     generation_hour=TRACE_START_HOUR + 1,
     seed=5,
 )
-GENERATE = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=3, chunk_size=7)
+GENERATE = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=3)
 
 
 def inject_fault(monkeypatch, tmp_path, stage, job, fails, mode):
@@ -44,14 +44,21 @@ def _short_backoff(monkeypatch):
     monkeypatch.setattr(jobs, "BACKOFF", (0.01, 30.0))
 
 
+@pytest.fixture(autouse=True)
+def _small_chunks(monkeypatch):
+    """Seven-UE generation chunks, so 40 UEs make several jobs."""
+    monkeypatch.setattr(
+        traffgen, "MAX_CHUNK_UE_HOURS", 7 * GENERATE["num_hours"]
+    )
+
+
 @pytest.fixture
 def run_stage(ground_truth_trace, holdout_trace, ours_model_set):
     """``run_stage(stage, processes, telemetry=None)`` -> a comparable result."""
 
     def run(stage, processes, telemetry=None):
         if stage == "generate":
-            return generate_parallel(
-                ours_model_set,
+            return TrafficGenerator(ours_model_set).generate(
                 40,
                 processes=processes,
                 telemetry=telemetry,
@@ -78,8 +85,8 @@ def run_stage(ground_truth_trace, holdout_trace, ours_model_set):
 @pytest.fixture(scope="module")
 def serial_results(ground_truth_trace, holdout_trace, ours_model_set):
     return {
-        "generate": generate_parallel(
-            ours_model_set, 40, processes=1, **GENERATE
+        "generate": TrafficGenerator(ours_model_set).generate(
+            40, **GENERATE
         ),
         "fit": fit_model_set(ground_truth_trace, **FIT).to_dict(),
         "eval": evaluate_methods(

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.clustering import adaptive_cluster
 from repro.clustering.quadtree import DEFAULT_THETA_F
 from repro.distributions import EmpiricalCDF, Exponential, Pareto, Weibull
-from repro.generator import TrafficGenerator, generate_parallel, parallel
+from repro.generator import TrafficGenerator, traffgen
 from repro.generator.compiled import CompiledPopulation
 from repro.stats import ecdf, kolmogorov_sf, ks_distance_to, max_y_distance
 from repro.statemachines import replay_ue, two_level_machine
@@ -289,10 +289,17 @@ class TestCheckpointRoundTripProperties:
     ):
         gen = TrafficGenerator(ours_model_set)
         clean = self._clean_trace(ours_model_set, seed)
-        # The population steps once per hour.  kill_frac == 1.0 maps
-        # past the last call: the run completes and
-        # resume-after-completion must still reproduce it.
-        kill_after = int(kill_frac * CK_RUN["num_hours"])
+        # Each chunk of the default serial plan (one per device type
+        # here) steps once per hour; kill_frac spans every step of the
+        # run, so the kill can land in any hour of any chunk.
+        # kill_frac == 1.0 maps past the last step: the run completes
+        # and resume-after-completion must still reproduce it.
+        counts = gen.resolve_counts(CK_POP)
+        num_hours = CK_RUN["num_hours"]
+        plan = traffgen._plan_chunks(
+            counts, traffgen._chunk_ues(counts, 1, num_hours), 0
+        )
+        kill_after = int(kill_frac * len(plan) * num_hours)
 
         original = CompiledPopulation.advance_hour
         calls = itertools.count()
@@ -327,12 +334,13 @@ class TestCheckpointRoundTripProperties:
     def test_parallel_interrupt_any_chunk_resume_bit_identical(
         self, ours_model_set, seed, kill_chunk
     ):
-        """``generate_parallel`` killed after an arbitrary number of
+        """``generate(processes=1)`` killed after an arbitrary number of
         completed chunks resumes to the serial oracle bit-for-bit."""
         clean = self._clean_trace(ours_model_set, seed)
-        kwargs = dict(seed=seed, processes=1, chunk_size=4, **CK_RUN)
+        gen = TrafficGenerator(ours_model_set)
+        kwargs = dict(seed=seed, processes=1, **CK_RUN)
 
-        original = parallel._generate_chunk
+        original = traffgen._generate_chunk
         calls = itertools.count()
 
         def dying(*args):
@@ -342,23 +350,18 @@ class TestCheckpointRoundTripProperties:
                 raise KeyboardInterrupt
             return original(*args)
 
-        with tempfile.TemporaryDirectory() as tmp:
+        # Four-UE chunks: the 12-UE population (7/3/2 UEs by device)
+        # plans four jobs.
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            traffgen, "MAX_CHUNK_UE_HOURS", 4 * CK_RUN["num_hours"]
+        ):
             path = pathlib.Path(tmp) / "run.npz"
             try:
-                with mock.patch.object(parallel, "_generate_chunk", dying):
-                    generate_parallel(
-                        ours_model_set,
-                        CK_POP,
-                        checkpoint_path=path,
-                        **kwargs,
-                    )
+                with mock.patch.object(traffgen, "_generate_chunk", dying):
+                    gen.generate(CK_POP, checkpoint_path=path, **kwargs)
             except KeyboardInterrupt:
                 pass
-            resumed = generate_parallel(
-                ours_model_set,
-                CK_POP,
-                checkpoint_path=path,
-                resume=True,
-                **kwargs,
+            resumed = gen.generate(
+                CK_POP, checkpoint_path=path, resume=True, **kwargs
             )
         assert resumed == clean

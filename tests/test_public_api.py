@@ -4,6 +4,7 @@ The re-export lists are the library's contract; these tests catch
 accidental removals and undocumented additions.
 """
 
+import dataclasses
 import importlib
 import inspect
 
@@ -86,7 +87,6 @@ class TestExportIntegrity:
         """The per-stage failure classes gave way to JobFailedError."""
         for name, old in (
             ("repro.generator", "ChunkFailedError"),
-            ("repro.generator.parallel", "ChunkFailedError"),
             ("repro.model.compiled_fit", "FitJobFailedError"),
             ("repro.harness", "EvalJobFailedError"),
             ("repro.harness.evaluation", "EvalJobFailedError"),
@@ -96,14 +96,40 @@ class TestExportIntegrity:
 
         assert issubclass(JobFailedError, RuntimeError)
 
-    def test_generate_parallel_has_no_retry_knobs(self):
-        """Retries, backoff and fault injection are repro.jobs constants."""
-        from repro.generator import generate_parallel
+    def test_one_generation_driver(self):
+        """``TrafficGenerator.generate(processes=)`` is the one driver
+        that materializes a trace: the parallel and hourly-checkpointed
+        drivers are gone, and so is the caller-set chunk size."""
+        from repro.generator import TrafficGenerator, checkpoint
 
-        params = inspect.signature(generate_parallel).parameters
+        for name, old in (
+            ("repro.generator", "generate_parallel"),
+            ("repro.generator.checkpoint", "generate_checkpointed"),
+            ("repro.generator.checkpoint", "_concat_columns"),
+        ):
+            assert not hasattr(importlib.import_module(name), old)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.generator.parallel")
+        assert not hasattr(TrafficGenerator, "_generate_trace")
+        fields = {f.name for f in dataclasses.fields(checkpoint.GenerationCheckpoint)}
+        assert "columns" not in fields
+        assert "chunk_size" not in {
+            f.name for f in dataclasses.fields(checkpoint.RunKey)
+        }
+        params = inspect.signature(TrafficGenerator.generate).parameters
+        assert "chunk_size" not in params
+        assert params["processes"].default == 1
+
+    def test_generate_parallel_has_no_retry_knobs(self):
+        """Retries, backoff and fault injection are repro.jobs constants;
+        the pooled driver, ``TrafficGenerator.generate(processes=)``,
+        takes none of them."""
+        from repro.generator import TrafficGenerator
+
+        params = inspect.signature(TrafficGenerator.generate).parameters
+        assert "processes" in params
         for knob in ("max_retries", "retry_backoff", "max_backoff", "fault_hook"):
             assert knob not in params
-        assert params["processes"].default == 0
 
     def test_top_level_exports(self):
         for symbol in repro.__all__:

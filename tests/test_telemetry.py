@@ -3,8 +3,8 @@
 Covers the collector primitives (spans, counters, gauges, progress,
 child-record merging), the versioned schema-validated report format,
 the operator summary rendering, and the counters the generation entry
-points maintain — including that serial, parallel, and streaming runs
-of the same workload agree on them.
+points maintain — including that serial, pooled and streaming runs of
+the same workload agree on them.
 """
 
 import json
@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.generator import TrafficGenerator, generate_parallel, stream_events
+from repro.generator import TrafficGenerator, stream_events, traffgen
 from repro.mcn import CoreNetworkSimulator, MmeSimulator
 from repro.telemetry import (
     REPORT_FORMAT,
@@ -306,29 +306,26 @@ class TestSummary:
 
 
 def _generate_with_telemetry(model_set, mode):
+    """Run the workload as ``serial`` (``processes=1``), ``parallel``
+    (``processes=2``) or ``stream``; returns (collector, progress ticks)."""
     tele = RunTelemetry()
-    gen = TrafficGenerator(model_set)
-    if mode == "serial":
-        trace = gen.generate(POP, telemetry=tele, **RUN)
-    elif mode == "parallel":
-        trace = generate_parallel(
-            model_set,
-            POP,
-            processes=1,
-            chunk_size=8,
-            telemetry=tele,
-            **RUN,
-        )
-    else:
+    ticks = []
+    tele.on_progress(lambda *tick: ticks.append(tick), min_interval=0.0)
+    if mode == "stream":
         with use_telemetry(tele):
-            chunks = list(stream_events(model_set, POP, **RUN))
-        trace = None if not chunks else chunks
-    return tele, trace
+            list(stream_events(model_set, POP, **RUN))
+    else:
+        processes = 1 if mode == "serial" else 2
+        TrafficGenerator(model_set).generate(
+            POP, processes=processes, telemetry=tele, **RUN
+        )
+    return tele, ticks
 
 
 class TestGenerationCounters:
     def test_serial_counters(self, ours_model_set):
-        tele, trace = _generate_with_telemetry(ours_model_set, "serial")
+        tele, _ = _generate_with_telemetry(ours_model_set, "serial")
+        trace = TrafficGenerator(ours_model_set).generate(POP, **RUN)
         assert tele.counters["events_emitted"] == len(trace)
         assert tele.counters["ue_hours"] == POP * RUN["num_hours"]
         assert tele.counters["rng_draws"] > 0
@@ -336,11 +333,17 @@ class TestGenerationCounters:
         assert tele.gauges.get("peak_rss_bytes", 0) > 0
 
     def test_parallel_agrees_with_serial(self, ours_model_set):
-        serial, _ = _generate_with_telemetry(ours_model_set, "serial")
-        par, _ = _generate_with_telemetry(ours_model_set, "parallel")
+        serial, serial_ticks = _generate_with_telemetry(ours_model_set, "serial")
+        par, par_ticks = _generate_with_telemetry(ours_model_set, "parallel")
         for counter in ("events_emitted", "ue_hours", "rng_draws"):
             assert par.counters[counter] == serial.counters[counter], counter
-        assert par.gauges["active_workers"] >= 1
+        assert par.gauges["active_workers"] == 2
+        # One span and one progress phase, whatever ``processes`` is.
+        for tele, ticks in ((serial, serial_ticks), (par, par_ticks)):
+            assert tele.spans["generate"]["count"] == 1
+            assert "generate-parallel" not in tele.spans
+            assert {phase for phase, _, _ in ticks} == {"generate"}
+            assert ticks[-1][1] == ticks[-1][2]
 
     def test_streaming_agrees_with_serial(self, ours_model_set):
         serial, _ = _generate_with_telemetry(ours_model_set, "serial")
@@ -348,7 +351,13 @@ class TestGenerationCounters:
         for counter in ("events_emitted", "ue_hours", "rng_draws"):
             assert stream.counters[counter] == serial.counters[counter], counter
 
-    def test_checkpointed_run_counts_snapshots(self, ours_model_set, tmp_path):
+    def test_checkpointed_run_counts_snapshots(
+        self, ours_model_set, tmp_path, monkeypatch
+    ):
+        # Seven-UE chunks: 30 UEs (18/7/5 by device) plan five chunks.
+        monkeypatch.setattr(
+            traffgen, "MAX_CHUNK_UE_HOURS", 7 * RUN["num_hours"]
+        )
         tele = RunTelemetry()
         TrafficGenerator(ours_model_set).generate(
             POP,
@@ -356,8 +365,8 @@ class TestGenerationCounters:
             checkpoint_path=tmp_path / "ck.npz",
             **RUN,
         )
-        # One snapshot before the first hour plus one per completed hour.
-        assert tele.counters["checkpoint_snapshots"] == RUN["num_hours"] + 1
+        # One snapshot before the first chunk plus one per chunk.
+        assert tele.counters["checkpoint_snapshots"] == 5 + 1
         assert tele.counters["checkpoint_bytes"] > 0
         assert "checkpoint" in tele.spans
 
