@@ -13,30 +13,38 @@ Anderson–Darling test for the Poisson/exponential case).  The reported
 number is the percentage of (hour, cluster) combinations whose samples
 pass at the 5% significance level — the paper finds close to 0% nearly
 everywhere, which is the motivation for the empirical-CDF model.
+
+Each (device, hour) is replayed with the fitter's array replay and
+clustered by the fitter's own clustering code
+(:func:`repro.model.compiled_fit._cluster_device_hour`), so the study's
+clusters are the fitted model's by construction.  Samples are pooled
+per cluster with stable group-bys, in the per-segment
+``(ue, slot, time)`` order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 
-from ..clustering.quadtree import (
-    DEFAULT_THETA_F,
-    DEFAULT_THETA_N,
-    adaptive_cluster,
-    single_cluster,
-)
+from ..clustering.quadtree import DEFAULT_THETA_F, DEFAULT_THETA_N
 from ..distributions import CLASSIC_FAMILIES
 from ..distributions.base import FitError
-from ..model.fitting import _build_segments, _hour_features, _replay_segments
-from ..statemachines import lte
+from ..model.compiled_fit import _cluster_device_hour, device_arrays
+from ..model.fitting import plan_hour_slots
+from ..statemachines.compiled_replay import (
+    MachineTable,
+    _group_arrays,
+    _interval_bounds,
+    _replay_codes,
+    table_for,
+)
 from ..statemachines.lte import SECOND_LEVEL_TRANSITIONS, two_level_machine
-from ..statemachines.replay import top_level_intervals
 from ..stats.anderson import anderson_exponential
 from ..stats.ks import fit_and_ks_test
-from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
+from ..trace.events import DeviceType, EventType
 from ..trace.trace import Trace
 
 #: The four EMM/ECM states whose sojourn the paper fits (§4.1.1).
@@ -50,6 +58,9 @@ TESTS = ("poisson_ks", "poisson_ad", "pareto_ks", "weibull_ks", "tcplib_ks")
 #: meaningless (the paper's trace gives every combination thousands of
 #: samples).
 MIN_SAMPLES = 50
+
+#: One quantity's samples of one hour: (name, per-sample cluster, values).
+_Samples = Tuple[str, np.ndarray, np.ndarray]
 
 
 @dataclasses.dataclass
@@ -65,56 +76,78 @@ class GofResult:
     combos: Dict[str, int]
 
 
-def _interarrivals_by_event(
-    segments,
-) -> Dict[EventType, List[float]]:
-    """Merge within-UE inter-arrival times per event type (§4.1.1)."""
-    pooled: Dict[EventType, List[float]] = {e: [] for e in EventType}
-    for seg in segments:
-        for event in EventType:
-            times = seg.times[seg.event_types == int(event)]
-            if times.size >= 2:
-                pooled[event].extend(np.diff(times).tolist())
-    return pooled
+def _event_and_state_samples(
+    table: MachineTable,
+    cid: np.ndarray,
+    events: np.ndarray,
+    t: np.ndarray,
+    seg_key: np.ndarray,
+    first: np.ndarray,
+    src: np.ndarray,
+    tgt: np.ndarray,
+) -> Iterator[_Samples]:
+    """Inter-arrivals of the six events, then the four state sojourns."""
+    # Within-segment inter-arrival times per event type (§4.1.1).
+    for event in EventType:
+        idx = np.flatnonzero(events == int(event))
+        same = seg_key[idx[1:]] == seg_key[idx[:-1]]
+        later = idx[1:][same]
+        yield event.name, cid[later], t[later] - t[idx[:-1][same]]
+
+    parent_src = table.parent_code[src]
+    parent_tgt = table.parent_code[tgt]
+    in_registered = np.isin(
+        np.arange(len(table.parent_names)), [table.connected_code, table.idle_code]
+    )
+
+    # REGISTERED spans maximal runs of CONNECTED+IDLE intervals.  Lay
+    # out every segment's intervals in order: its leading interval (the
+    # first row's source state, entered at an unknown time), then one
+    # interval per boundary row.  A run is complete when a DEREGISTERED
+    # interval of the same segment ends it and it did not begin with the
+    # leading interval.
+    firsts = np.flatnonzero(first)
+    bounds = np.flatnonzero(parent_src != parent_tgt)
+    order = np.argsort(np.concatenate([2 * firsts, 2 * bounds + 1]), kind="stable")
+    row = np.concatenate([firsts, bounds])[order]
+    lead = (np.arange(len(row)) < len(firsts))[order]
+    registered = in_registered[np.where(lead, parent_src[row], parent_tgt[row])]
+    after_registered = np.zeros(len(row), dtype=bool)
+    after_registered[1:] = registered[:-1] & ~lead[1:]
+    run_start = np.maximum.accumulate(
+        np.where(registered & ~after_registered, np.arange(len(row)), -1)
+    )
+    close = np.flatnonzero(~registered & after_registered)
+    opened = run_start[close - 1]
+    known = ~lead[opened]
+    close_row, open_row = row[close[known]], row[opened[known]]
+    yield "REGISTERED", cid[close_row], t[close_row] - t[open_row]
+
+    # DEREGISTERED / CONNECTED / IDLE: complete top-level intervals.
+    open_b, close_b = _interval_bounds(table, src, tgt, seg_key)
+    state = parent_tgt[open_b]
+    durations = t[close_b] - t[open_b]
+    for name in EMM_ECM_STATES[1:]:
+        keep = state == table.parent_names.index(name)
+        yield name, cid[open_b[keep]], durations[keep]
 
 
-def _state_sojourns(segments, machine) -> Dict[str, List[float]]:
-    """Pool sojourn durations of the four EMM/ECM states."""
-    pooled: Dict[str, List[float]] = {s: [] for s in EMM_ECM_STATES}
-    for seg in segments:
-        intervals = top_level_intervals(seg.records, machine)
-        # CONNECTED / IDLE / DEREGISTERED come straight from the replay;
-        # REGISTERED spans maximal runs of CONNECTED+IDLE.
-        run_start: Optional[float] = None
-        run_ok = True
-        for interval in intervals:
-            if interval.complete:
-                if interval.state in (lte.CONNECTED, lte.IDLE):
-                    pooled[interval.state].append(interval.duration)
-                elif interval.state == lte.DEREGISTERED:
-                    pooled["DEREGISTERED"].append(interval.duration)
-            if interval.state in (lte.CONNECTED, lte.IDLE):
-                if run_start is None:
-                    run_start = interval.start
-                    run_ok = interval.start is not None
-            else:
-                if run_start is not None and run_ok and interval.start is not None:
-                    pooled["REGISTERED"].append(interval.start - run_start)
-                run_start = None
-                run_ok = True
-    return pooled
-
-
-def _transition_sojourns(segments) -> Dict[Tuple[str, EventType], List[float]]:
-    """Pool sojourns of the nine second-level transitions (Table 10)."""
-    wanted = set(SECOND_LEVEL_TRANSITIONS)
-    pooled: Dict[Tuple[str, EventType], List[float]] = {k: [] for k in wanted}
-    for seg in segments:
-        for rec in seg.records:
-            key = (rec.source, rec.event)
-            if key in wanted and rec.sojourn is not None and not rec.forced:
-                pooled[key].append(rec.sojourn)
-    return pooled
+def _transition_samples(
+    table: MachineTable,
+    cid: np.ndarray,
+    events: np.ndarray,
+    t: np.ndarray,
+    forced: np.ndarray,
+    src: np.ndarray,
+) -> Iterator[_Samples]:
+    """Sojourns of the nine second-level transitions (Table 10)."""
+    valid = np.flatnonzero(~forced)
+    sojourns = t[valid] - t[valid - 1]
+    for source, event in SECOND_LEVEL_TRANSITIONS:
+        keep = (src[valid] == table.names.index(source)) & (
+            events[valid] == int(event)
+        )
+        yield f"{source}-{event.name}", cid[valid[keep]], sojourns[keep]
 
 
 def _run_tests(samples: Sequence[float]) -> Dict[str, bool]:
@@ -158,61 +191,61 @@ def gof_study(
     """
     if quantities not in ("events_and_states", "transitions"):
         raise ValueError(f"unknown quantities {quantities!r}")
-    machine = two_level_machine()
-    sub = trace.filter_device(device_type)
-    if len(sub) == 0:
+    total_slots, hour_plan = plan_hour_slots(trace, trace_start_hour)
+    dev = device_arrays(trace, device_type, total_slots)
+    if dev is None:
         raise ValueError(f"trace has no {device_type.name} events")
-    ues = [int(u) for u in sub.unique_ues()]
-    per_ue = {ue: seg for ue, seg in sub.per_ue()}
-
-    import math
-
-    total_slots = max(
-        1, int(math.ceil((float(trace.times.max()) + 1e-9) / SECONDS_PER_HOUR))
-    )
-    slots_by_hour: Dict[int, List[int]] = {}
-    for slot in range(total_slots):
-        slots_by_hour.setdefault((trace_start_hour + slot) % 24, []).append(slot)
+    table = table_for(two_level_machine())
 
     passes: Dict[str, Dict[str, int]] = {t: {} for t in TESTS}
     combos: Dict[str, int] = {}
 
-    for hour, slots in sorted(slots_by_hour.items()):
-        segments = _build_segments(per_ue, ues, slots)
-        if not segments:
+    for _, slots in hour_plan:
+        ue_code, events, t_rel, seg_key, first = dev.hour_rows(slots)
+        if len(events) == 0:
             continue
-        _replay_segments(segments, machine, "two_level")
-        if clustered:
-            features = _hour_features(segments, ues, machine)
-            clustering = adaptive_cluster(features, theta_f=theta_f, theta_n=theta_n)
+        src, tgt, forced = _replay_codes(events, first, table)
+        clustering = _cluster_device_hour(
+            dev,
+            table,
+            clustered=clustered,
+            theta_f=theta_f,
+            theta_n=theta_n,
+            ue_code=ue_code,
+            events=events,
+            first_raw=first,
+            f_ue=ue_code,
+            f_t=t_rel,
+            f_seg=seg_key,
+            src=src,
+            tgt=tgt,
+        )
+        cluster_of = np.asarray(
+            [clustering.assignment[ue] for ue in dev.ues.tolist()], dtype=np.int64
+        )
+        cid = cluster_of[ue_code]
+        if quantities == "events_and_states":
+            samples = _event_and_state_samples(
+                table, cid, events, t_rel, seg_key, first, src, tgt
+            )
         else:
-            clustering = single_cluster(ues, 4)
-        by_cluster: Dict[int, List] = {c.cluster_id: [] for c in clustering.clusters}
-        for seg in segments:
-            by_cluster[clustering.assignment[seg.ue_id]].append(seg)
+            samples = _transition_samples(table, cid, events, t_rel, forced, src)
+        by_cluster = [
+            (quantity, dict(zip(*_group_arrays(keys, values))))
+            for quantity, keys, values in samples
+        ]
+        active = np.bincount(cid, minlength=len(clustering.clusters)) > 0
+        empty = np.empty(0, dtype=np.float64)
 
-        for cluster_segments in by_cluster.values():
-            if not cluster_segments:
+        for cluster in clustering.clusters:
+            if not active[cluster.cluster_id]:
                 continue
-            if quantities == "events_and_states":
-                pooled: Dict[str, List[float]] = {}
-                for event, values in _interarrivals_by_event(cluster_segments).items():
-                    pooled[event.name] = values
-                for state, values in _state_sojourns(cluster_segments, machine).items():
-                    pooled[state] = values
-            else:
-                pooled = {
-                    f"{src}-{ev.name}": values
-                    for (src, ev), values in _transition_sojourns(
-                        cluster_segments
-                    ).items()
-                }
-            for quantity, values in pooled.items():
+            for quantity, groups in by_cluster:
+                values = groups.get(cluster.cluster_id, empty)
                 if len(values) < min_samples:
                     continue
                 combos[quantity] = combos.get(quantity, 0) + 1
-                outcomes = _run_tests(values)
-                for test, ok in outcomes.items():
+                for test, ok in _run_tests(values).items():
                     if ok:
                         passes[test][quantity] = passes[test].get(quantity, 0) + 1
 

@@ -1,6 +1,6 @@
 """Adaptive quadtree clustering of UEs by traffic similarity (§5.3)."""
 
-from .features import FEATURE_NAMES, NUM_FEATURES, extract_features, ue_features
+from .features import FEATURE_NAMES, NUM_FEATURES
 from .quadtree import (
     DEFAULT_THETA_F,
     DEFAULT_THETA_N,
@@ -18,7 +18,5 @@ __all__ = [
     "FEATURE_NAMES",
     "NUM_FEATURES",
     "adaptive_cluster",
-    "extract_features",
     "single_cluster",
-    "ue_features",
 ]

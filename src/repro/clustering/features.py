@@ -7,19 +7,12 @@ type (``SRV_REQ`` and ``S1_CONN_REL``, 84.1%-93.0% of all events):
 2. the standard deviation of the sojourn time in the state the event
    enters (``CONNECTED`` for ``SRV_REQ``, ``IDLE`` for ``S1_CONN_REL``),
 
-giving a 4-dimensional feature vector per UE.
+giving a 4-dimensional feature vector per UE.  The fitter computes
+these per (device type, hour) from its array replay, pooled over the
+hour's slots (:func:`repro.model.compiled_fit._cluster_device_hour`).
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
-
-import numpy as np
-
-from ..statemachines import lte
-from ..statemachines.replay import replay_ue, top_level_intervals
-from ..trace.events import EventType
-from ..trace.trace import Trace
 
 #: Names of the feature dimensions, in vector order.
 FEATURE_NAMES = (
@@ -30,48 +23,3 @@ FEATURE_NAMES = (
 )
 
 NUM_FEATURES = len(FEATURE_NAMES)
-
-
-def ue_features(event_types: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Feature vector of one UE's chronological event sequence."""
-    result = replay_ue(event_types, times)
-    srv_req = 0
-    s1_rel = 0
-    for raw in event_types:
-        event = EventType(int(raw))
-        if event == EventType.SRV_REQ:
-            srv_req += 1
-        elif event == EventType.S1_CONN_REL:
-            s1_rel += 1
-
-    connected: list = []
-    idle: list = []
-    for interval in top_level_intervals(result.records):
-        if not interval.complete:
-            continue
-        if interval.state == lte.CONNECTED:
-            connected.append(interval.duration)
-        elif interval.state == lte.IDLE:
-            idle.append(interval.duration)
-
-    def _std(values: list) -> float:
-        if len(values) < 2:
-            return 0.0
-        return float(np.std(np.asarray(values, dtype=np.float64)))
-
-    return np.asarray(
-        [float(srv_req), float(s1_rel), _std(connected), _std(idle)],
-        dtype=np.float64,
-    )
-
-
-def extract_features(trace: Trace) -> Dict[int, np.ndarray]:
-    """Feature vectors for every UE in ``trace``.
-
-    The caller is expected to pre-slice the trace to one (device type,
-    hour-of-day) combination — clustering is performed independently per
-    combination (§5.3).
-    """
-    return {
-        ue: ue_features(sub.event_types, sub.times) for ue, sub in trace.per_ue()
-    }

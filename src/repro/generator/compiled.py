@@ -52,7 +52,7 @@ import numpy as np
 
 from ..model.model_set import ClusterModel, HourModel, ModelSet
 from ..model.semi_markov import MIN_SOJOURN
-from ..statemachines.replay import _canonical_source_for
+from ..statemachines.compiled_replay import _canonical_source_for
 from ..trace.events import (
     SECONDS_PER_HOUR,
     DeviceType,

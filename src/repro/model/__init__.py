@@ -13,7 +13,6 @@ from .inspect import (
     summarize_cluster,
     summarize_model_set,
 )
-from ..statemachines.compiled_replay import vectorized_replay
 from .fit_cache import default_cache_dir, fit_cache_key
 from .fitting import fit_model_set
 from .model_set import ClusterModel, HourModel, ModelSet, build_machine
@@ -44,7 +43,6 @@ __all__ = [
     "ModelSet",
     "default_cache_dir",
     "fit_cache_key",
-    "vectorized_replay",
     "NSA_HO_SCALE",
     "SA_HO_SCALE",
     "SemiMarkovChain",

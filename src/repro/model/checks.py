@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..statemachines.replay import _canonical_source_for
+from ..statemachines.compiled_replay import _canonical_source_for
 from ..trace.events import EventType
 from .model_set import ModelSet
 

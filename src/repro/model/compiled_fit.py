@@ -1,11 +1,10 @@
 """The fitting engine: array-at-a-time replay and model fitting.
 
-Walking every (UE, hour-slot) segment event by event through
-:func:`repro.statemachines.replay.replay_ue`, building Python
-``TransitionRecord`` objects, dominates the paper's whole loop at
-"millions of UEs" scale.  This module lowers each state machine to
-small integer lookup tables once (:func:`machine_table`) and replays
-entire device cohorts as flat arrays:
+Walking every (UE, hour-slot) segment event by event, building one
+Python record per transition, would dominate the paper's whole loop at
+"millions of UEs" scale.  This module replays entire device cohorts as
+flat arrays through each state machine's integer lookup tables
+(:func:`repro.statemachines.compiled_replay.table_for`):
 
 * events are sorted by ``(ue, time)`` and bucketed into hour slots with
   one ``searchsorted``;
@@ -31,7 +30,6 @@ across worker processes that memory-map the training trace.
 from __future__ import annotations
 
 import dataclasses
-from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,8 +41,9 @@ from ..distributions.empirical import EmpiricalCDF
 from ..distributions.exponential import Exponential
 from ..statemachines.compiled_replay import (
     MachineTable,
+    _interval_bounds,
     _replay_codes,
-    lower_machine,
+    table_for,
 )
 from ..telemetry import get_telemetry
 from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
@@ -75,19 +74,6 @@ _NUM_EVENTS = int(max(EventType)) + 1
 
 
 # ---------------------------------------------------------------------------
-# Machine lowering
-# ---------------------------------------------------------------------------
-# The lowering itself (MachineTable, lower_machine) and the segmented
-# replay scan (_replay_codes) live in
-# :mod:`repro.statemachines.compiled_replay`, shared with evaluation.
-
-@lru_cache(maxsize=None)
-def machine_table(machine_kind: str) -> MachineTable:
-    """Cached :func:`lower_machine` for a named machine kind."""
-    return lower_machine(build_machine(machine_kind))
-
-
-# ---------------------------------------------------------------------------
 # Device cohorts as flat arrays
 # ---------------------------------------------------------------------------
 
@@ -101,6 +87,26 @@ class DeviceArrays:
     slots: np.ndarray     #: per-row hour-slot index
     t_rel: np.ndarray     #: per-row slot-relative time, in [0, 3600)
     total_slots: int
+
+    def hour_rows(
+        self, hour_slots: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One hour's rows as ``(ue_code, events, t_rel, seg_key, first)``.
+
+        Rows keep the ``(ue, slot, time)`` order; ``seg_key`` names each
+        row's (UE, slot) segment and ``first`` flags every segment's
+        first row.
+        """
+        mask = np.isin(self.slots, np.asarray(hour_slots, dtype=np.int64))
+        ue_code = self.ue_code[mask]
+        seg_key = ue_code * self.total_slots + self.slots[mask]
+        return (
+            ue_code,
+            self.events[mask],
+            self.t_rel[mask],
+            seg_key,
+            _segment_firsts(seg_key),
+        )
 
 
 def device_arrays(
@@ -212,18 +218,12 @@ def fit_device_hour(
 ) -> HourModel:
     """Fit one (device, hour-of-day) :class:`HourModel` from flat arrays.
 
-    Exactly equivalent to the reference ``_fit_hour`` over the segments
-    ``_build_segments`` would produce for ``hour_slots``.
+    Exactly equivalent to the per-segment oracle fit
+    (``tests/oracle/fit.py``) of the same ``hour_slots``.
     """
     tele = get_telemetry()
-    slots_arr = np.asarray(sorted(int(s) for s in hour_slots), dtype=np.int64)
-    num_slots = len(slots_arr)
-    mask = np.isin(dev.slots, slots_arr)
-    ue_code = dev.ue_code[mask]
-    events = dev.events[mask]
-    t_rel = dev.t_rel[mask]
-    seg_key = ue_code * dev.total_slots + dev.slots[mask]
-    first_raw = _segment_firsts(seg_key)
+    num_slots = len(hour_slots)
+    ue_code, events, t_rel, seg_key, first_raw = dev.hour_rows(hour_slots)
     num_ues = len(dev.ues)
     tele.count("segments_replayed", int(np.count_nonzero(first_raw)))
 
@@ -369,25 +369,10 @@ def _cluster_device_hour(
     )
     slots_seen = np.bincount(ue_code[first_raw], minlength=num_ues)
 
-    # Complete top-level intervals: consecutive parent-boundary records
-    # within one segment open/close an interval whose state is the
-    # opening boundary's target parent (matching top_level_intervals'
-    # `current` tracking; the segment's first interval starts at an
-    # unknown time and is never complete).
-    src_par = table.parent_code[src]
-    tgt_par = table.parent_code[tgt]
-    bpos = np.flatnonzero(src_par != tgt_par)
-    if bpos.size >= 2:
-        same = f_seg[bpos[1:]] == f_seg[bpos[:-1]]
-        open_b = bpos[:-1][same]
-        close_b = bpos[1:][same]
-        durations = f_t[close_b] - f_t[open_b]
-        interval_state = tgt_par[open_b]
-        interval_ue = f_ue[open_b]
-    else:
-        durations = np.empty(0, dtype=np.float64)
-        interval_state = np.empty(0, dtype=np.int16)
-        interval_ue = np.empty(0, dtype=np.int64)
+    open_b, close_b = _interval_bounds(table, src, tgt, f_seg)
+    durations = f_t[close_b] - f_t[open_b]
+    interval_state = table.parent_code[tgt[open_b]]
+    interval_ue = f_ue[open_b]
     conn = interval_state == table.connected_code
     idle = interval_state == table.idle_code
     std_conn = _group_std(interval_ue[conn], durations[conn], num_ues)
@@ -503,5 +488,5 @@ def fit_job(ctx: dict, device_code: int, slots: Tuple[int, ...]) -> HourModel:
         memo = ctx["device_arrays"] = (device_code, arrays)
     fit = ctx["fit"]
     return fit_device_hour(
-        memo[1], slots, table=machine_table(fit["machine_kind"]), **fit
+        memo[1], slots, table=table_for(build_machine(fit["machine_kind"])), **fit
     )

@@ -17,47 +17,24 @@ Steps 2–4 run array-at-a-time per (device, hour) in
 :mod:`repro.model.compiled_fit`, one :func:`repro.jobs.run_jobs` job
 each, optionally fanned across processes;
 ``cache_dir`` additionally enables the content-addressed disk cache
-(:mod:`repro.model.fit_cache`).  The per-segment helpers kept below
-(:func:`_build_segments`, :func:`_replay_segments`,
-:func:`_hour_features`) serve the §4 goodness-of-fit study.
+(:mod:`repro.model.fit_cache`).  The hour-slot planner
+(:func:`plan_hour_slots`) is shared with the §4 goodness-of-fit study.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple
 
 from ..clustering.quadtree import DEFAULT_THETA_F, DEFAULT_THETA_N
 from ..jobs import Job, check_processes, run_jobs
-from ..statemachines import lte
-from ..statemachines.fsm import StateMachine
-from ..statemachines.replay import TransitionRecord, replay_ue, top_level_intervals
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
-from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
+from ..trace.events import SECONDS_PER_HOUR, DeviceType
 from ..trace.trace import Trace
 from . import compiled_fit
 from .fit_cache import fit_cache_key, load_cached, store_cached
 from .model_set import HourModel, ModelSet
-
-#: Events the EMM–ECM machine can express; the rest are overlaid.
-_CATEGORY1_SET = frozenset(
-    {EventType.ATCH, EventType.DTCH, EventType.SRV_REQ, EventType.S1_CONN_REL}
-)
-
-
-@dataclasses.dataclass
-class _Segment:
-    """One (UE, hour-slot) piece of the trace, in slot-relative time."""
-
-    ue_id: int
-    slot: int
-    event_types: np.ndarray
-    times: np.ndarray  #: relative to the slot start, in [0, 3600)
-    records: List[TransitionRecord] = dataclasses.field(default_factory=list)
 
 
 def fit_model_set(
@@ -171,12 +148,7 @@ def _fit_all(
     processes: Optional[int],
 ) -> ModelSet:
     """Plan and run the per-(device, hour) fit jobs for one model set."""
-    total_slots = int(math.ceil((float(trace.times.max()) + 1e-9) / SECONDS_PER_HOUR))
-    total_slots = max(total_slots, 1)
-    slots_by_hour: Dict[int, List[int]] = {}
-    for slot in range(total_slots):
-        slots_by_hour.setdefault((trace_start_hour + slot) % 24, []).append(slot)
-    hour_plan = sorted(slots_by_hour.items())
+    total_slots, hour_plan = plan_hour_slots(trace, trace_start_hour)
 
     device_ues: Dict[DeviceType, List[int]] = {}
     for device_type in DeviceType:
@@ -226,101 +198,19 @@ def _fit_all(
     )
 
 
-# ---------------------------------------------------------------------------
-# Segment construction and replay
-# ---------------------------------------------------------------------------
+def plan_hour_slots(
+    trace: Trace, trace_start_hour: int
+) -> Tuple[int, List[Tuple[int, List[int]]]]:
+    """Group the trace's one-hour slots by hour of day.
 
-def _build_segments(
-    per_ue: Mapping[int, Trace],
-    ues: Sequence[int],
-    slots: Sequence[int],
-) -> List[_Segment]:
-    """Slice each UE's events into the requested hour slots."""
-    segments: List[_Segment] = []
-    for ue in ues:
-        sub = per_ue[ue]
-        times = sub.times
-        for slot in slots:
-            start = slot * SECONDS_PER_HOUR
-            lo = int(np.searchsorted(times, start, side="left"))
-            hi = int(np.searchsorted(times, start + SECONDS_PER_HOUR, side="left"))
-            if lo == hi:
-                continue
-            segments.append(
-                _Segment(
-                    ue_id=ue,
-                    slot=slot,
-                    event_types=sub.event_types[lo:hi],
-                    times=times[lo:hi] - start,
-                )
-            )
-    return segments
-
-
-def _replay_segments(
-    segments: Sequence[_Segment], machine: StateMachine, machine_kind: str
-) -> None:
-    """Replay every segment in place (filtering to Category-1 for EMM–ECM)."""
-    for seg in segments:
-        if machine_kind == "emm_ecm":
-            mask = np.isin(seg.event_types, [int(e) for e in _CATEGORY1_SET])
-            events = seg.event_types[mask]
-            times = seg.times[mask]
-        else:
-            events = seg.event_types
-            times = seg.times
-        seg.records = replay_ue(events, times, machine).records
-
-
-# ---------------------------------------------------------------------------
-# Clustering features
-# ---------------------------------------------------------------------------
-
-def _hour_features(
-    segments: Sequence[_Segment], ues: Sequence[int], machine: StateMachine
-) -> Dict[int, np.ndarray]:
-    """Per-UE clustering features pooled over the hour's slots.
-
-    Counts are per-slot averages (so multi-day traces stay on the same
-    scale as single hours); sojourn stds pool complete CONNECTED/IDLE
-    intervals across slots.
+    Slot ``k`` covers trace time ``[k*3600, (k+1)*3600)`` and falls on
+    hour ``(trace_start_hour + k) % 24``, so a multi-day trace pools
+    the same hour of day across days.  Returns ``(total_slots,
+    [(hour, slots), ...])`` sorted by hour.
     """
-    srv_counts: Dict[int, int] = {ue: 0 for ue in ues}
-    rel_counts: Dict[int, int] = {ue: 0 for ue in ues}
-    slots_seen: Dict[int, set] = {ue: set() for ue in ues}
-    connected: Dict[int, List[float]] = {ue: [] for ue in ues}
-    idle: Dict[int, List[float]] = {ue: [] for ue in ues}
-
-    for seg in segments:
-        ue = seg.ue_id
-        slots_seen[ue].add(seg.slot)
-        srv_counts[ue] += int(np.count_nonzero(seg.event_types == int(EventType.SRV_REQ)))
-        rel_counts[ue] += int(
-            np.count_nonzero(seg.event_types == int(EventType.S1_CONN_REL))
-        )
-        for interval in top_level_intervals(seg.records, machine):
-            if not interval.complete:
-                continue
-            if interval.state == lte.CONNECTED:
-                connected[ue].append(interval.duration)
-            elif interval.state == lte.IDLE:
-                idle[ue].append(interval.duration)
-
-    def _std(values: List[float]) -> float:
-        if len(values) < 2:
-            return 0.0
-        return float(np.std(np.asarray(values)))
-
-    features = {}
-    for ue in ues:
-        slots = max(1, len(slots_seen[ue]))
-        features[ue] = np.asarray(
-            [
-                srv_counts[ue] / slots,
-                rel_counts[ue] / slots,
-                _std(connected[ue]),
-                _std(idle[ue]),
-            ],
-            dtype=np.float64,
-        )
-    return features
+    total_slots = int(math.ceil((float(trace.times.max()) + 1e-9) / SECONDS_PER_HOUR))
+    total_slots = max(total_slots, 1)
+    slots_by_hour: Dict[int, List[int]] = {}
+    for slot in range(total_slots):
+        slots_by_hour.setdefault((trace_start_hour + slot) % 24, []).append(slot)
+    return total_slots, sorted(slots_by_hour.items())

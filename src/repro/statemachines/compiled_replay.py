@@ -1,11 +1,16 @@
 """Whole-trace replay: array-at-a-time state reconstruction.
 
-Walking every UE's events one Python object at a time
-(:func:`repro.statemachines.replay.replay_ue`) would make the §8
-evaluation the slowest stage at "millions of users" scale.  This module
-lowers each state machine to small integer lookup tables once
-(:class:`MachineTable`, shared with :mod:`repro.model.compiled_fit`)
-and replays a whole trace as flat arrays:
+The modeling pipeline never observes UE states directly — only events.
+Replay reconstructs each UE's state trajectory by walking its events
+through a state machine.  Replays are *lenient*: an event that is
+invalid in the current (or unknown) state forces the state to a
+canonical source for that event, counts a violation, and marks the
+step ``forced`` so fitting can exclude it.
+
+This module lowers each state machine to small integer lookup tables
+once (:class:`MachineTable`, shared with :mod:`repro.model.compiled_fit`
+and :mod:`repro.analysis.gof`) and replays a whole trace as flat
+arrays:
 
 * rows are sorted by ``(ue, time)`` with one stable argsort (traces are
   already time-sorted);
@@ -18,29 +23,25 @@ and replays a whole trace as flat arrays:
   ``bincount`` / ``searchsorted`` group-bys instead of per-record dict
   appends.
 
-Every extraction is **exactly** equal to a per-UE ``replay_ue`` walk's
+Every extraction is **exactly** equal to a per-UE, per-event walk's
 — same keys, same counts, same sample values in the same order —
 because the ``(ue, time)`` sort reproduces the per-UE iteration order
-and every group-by uses a stable argsort.  The per-event walks are kept
-as a test oracle (``tests/oracle/replay.py``); equality is pinned per
-machine × device in the tests.
+and every group-by uses a stable argsort.  That walk is kept as a test
+oracle (``tests/oracle/replay.py``); equality is pinned per machine ×
+device in the tests.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..trace.events import EventType
 from ..trace.trace import Trace
 from . import lte
-from .replay import (
-    ReplayResult,
-    TransitionRecord,
-    _canonical_source_for,
-)
+from .fsm import HierarchicalStateMachine
 
 _NUM_EVENTS = int(max(EventType)) + 1
 
@@ -77,6 +78,33 @@ class MachineTable:
     @property
     def num_events(self) -> int:
         return _NUM_EVENTS
+
+
+# Canonical source state to force when an event is invalid in the
+# current (or unknown) state of the two-level machine.
+_CANONICAL_SOURCE = {
+    EventType.ATCH: lte.DEREGISTERED,
+    EventType.DTCH: lte.S1_REL_S_1,
+    EventType.SRV_REQ: lte.S1_REL_S_1,
+    EventType.S1_CONN_REL: lte.SRV_REQ_S,
+    EventType.HO: lte.SRV_REQ_S,
+    EventType.TAU: lte.S1_REL_S_1,
+}
+
+
+def _canonical_source_for(
+    machine: HierarchicalStateMachine, event: EventType
+) -> str:
+    """A state from which ``event`` is guaranteed valid in ``machine``."""
+    candidate = _CANONICAL_SOURCE.get(event)
+    if candidate is not None and candidate in machine.states:
+        if machine.can_fire(candidate, event):
+            return candidate
+    # Fall back to any state with an outgoing edge for this event.
+    for state in sorted(machine.states):
+        if machine.can_fire(state, event):
+            return state
+    raise ValueError(f"event {event.name} has no source state in {machine.name}")
 
 
 def lower_machine(machine) -> MachineTable:
@@ -162,8 +190,8 @@ def _replay_codes(
     """Replay a segmented event stream; returns (source, target, forced).
 
     ``events`` is an int array of event codes, ``first`` flags the first
-    event of each segment (each segment replays like an independent
-    ``replay_ue`` call with unknown initial state).
+    event of each segment (each segment replays independently, from an
+    unknown initial state).
 
     The state trajectory is reconstructed with a segmented
     Hillis–Steele scan over *function* rows: row ``i`` is the total
@@ -216,77 +244,29 @@ def _replay_codes(
     return source, state_after.astype(np.int16), forced
 
 
-@dataclasses.dataclass
-class VectorizedReplay:
-    """Array-valued result of :func:`vectorized_replay` for one UE."""
-
-    sources: np.ndarray    #: (n,) source state codes
-    targets: np.ndarray    #: (n,) target state codes
-    events: np.ndarray     #: (n,) event codes
-    times: np.ndarray      #: (n,) fire times
-    forced: np.ndarray     #: (n,) bool, True where the decoder forced
-    state_names: Tuple[str, ...]
-    violations: int
-    final_state: Optional[str]
-
-    def records(self) -> List[TransitionRecord]:
-        """Decode to the :class:`TransitionRecord` stream of ``replay_ue``."""
-        out: List[TransitionRecord] = []
-        names = self.state_names
-        for i in range(len(self.events)):
-            forced = bool(self.forced[i])
-            out.append(
-                TransitionRecord(
-                    source=names[int(self.sources[i])],
-                    event=EventType(int(self.events[i])),
-                    target=names[int(self.targets[i])],
-                    enter_time=None if forced else float(self.times[i - 1]),
-                    fire_time=float(self.times[i]),
-                    forced=forced,
-                )
-            )
-        return out
-
-
-def vectorized_replay(
-    event_types: Sequence[int],
-    times: Sequence[float],
-    machine=None,
-) -> VectorizedReplay:
-    """Array-at-a-time equivalent of :func:`repro.statemachines.replay.replay_ue`.
-
-    Produces the identical transition stream (source, event, target,
-    enter/fire times, forced flags) for one UE's chronological event
-    sequence, with unknown initial state.
-    """
-    if machine is None:
-        machine = lte.two_level_machine()
-    events = np.asarray(event_types, dtype=np.int64).ravel()
-    fire_times = np.asarray(times, dtype=np.float64).ravel()
-    if len(events) != len(fire_times):
-        raise ValueError("event_types and times must have equal length")
-    table = lower_machine(machine)
-    first = np.zeros(len(events), dtype=bool)
-    if len(events):
-        first[0] = True
-    sources, targets, forced = _replay_codes(events, first, table)
-    violations = int(np.count_nonzero(forced & ~first))
-    final_state = table.names[int(targets[-1])] if len(events) else None
-    return VectorizedReplay(
-        sources=sources,
-        targets=targets,
-        events=events,
-        times=fire_times,
-        forced=forced,
-        state_names=table.names,
-        violations=violations,
-        final_state=final_state,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Whole-trace replay
 # ---------------------------------------------------------------------------
+
+def _interval_bounds(
+    table: MachineTable,
+    sources: np.ndarray,
+    targets: np.ndarray,
+    segment: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows that open and close every complete top-level interval.
+
+    A row whose source and target have different top-level parents is a
+    boundary.  Consecutive boundaries within one ``segment`` open and
+    close an interval whose state is the opening row's target parent.
+    A segment's leading interval starts at an unknown time and its
+    trailing one never ends, so neither is complete — pairing
+    consecutive boundaries drops both.
+    """
+    bpos = np.flatnonzero(table.parent_code[sources] != table.parent_code[targets])
+    same = segment[bpos[1:]] == segment[bpos[:-1]]
+    return bpos[:-1][same], bpos[1:][same]
+
 
 def _group_arrays(
     keys: np.ndarray, values: np.ndarray
@@ -305,11 +285,10 @@ def _group_arrays(
 class TraceReplay:
     """Every UE of one trace replayed, kept as flat arrays.
 
-    Rows are in ``(ue, time)`` order — the order a per-UE
-    :func:`~repro.statemachines.replay.replay_ue` walk visits records in
-    — segmented by ``first`` flags at UE boundaries.  All derived
-    quantities are exactly equal to that walk's (same keys, same
-    values, same in-group sample order).
+    Rows are in ``(ue, time)`` order — the order a per-UE, per-event
+    walk visits records in — segmented by ``first`` flags at UE
+    boundaries.  All derived quantities are exactly equal to that
+    walk's (same keys, same values, same in-group sample order).
     """
 
     ues: np.ndarray        #: sorted distinct UE ids
@@ -334,53 +313,13 @@ class TraceReplay:
         """Forced steps after a UE's first event, summed over UEs."""
         return int(np.count_nonzero(self.forced & ~self.first))
 
-    # -- record decoding ----------------------------------------------
-    def to_results(self) -> Dict[int, ReplayResult]:
-        """Decode to a ``{ue: ReplayResult}`` mapping.
-
-        Each UE's entry compares equal to ``replay_ue`` on that UE's
-        events.
-        """
-        out: Dict[int, ReplayResult] = {}
-        names = self.table.names
-        starts = np.flatnonzero(self.first)
-        bounds = np.append(starts, len(self.events))
-        for seg in range(len(starts)):
-            lo, hi = int(bounds[seg]), int(bounds[seg + 1])
-            records: List[TransitionRecord] = []
-            violations = 0
-            for i in range(lo, hi):
-                forced = bool(self.forced[i])
-                if forced and i > lo:
-                    violations += 1
-                records.append(
-                    TransitionRecord(
-                        source=names[int(self.sources[i])],
-                        event=EventType(int(self.events[i])),
-                        target=names[int(self.targets[i])],
-                        enter_time=None if forced else float(self.times[i - 1]),
-                        fire_time=float(self.times[i]),
-                        forced=forced,
-                    )
-                )
-            out[int(self.ues[seg])] = ReplayResult(
-                records=records,
-                violations=violations,
-                final_state=names[int(self.targets[hi - 1])],
-            )
-        return out
-
     # -- derived quantities (flat-array group-bys) --------------------
-    def sojourn_samples(
-        self, *, include_forced: bool = False
-    ) -> Dict[Tuple[str, EventType], np.ndarray]:
+    def sojourn_samples(self) -> Dict[Tuple[str, EventType], np.ndarray]:
         """Sojourn durations grouped by (source state, triggering event).
 
-        Forced records never carry an enter time, so they are excluded
-        regardless of ``include_forced`` — a forced
-        :class:`TransitionRecord`'s ``sojourn`` is ``None``.
+        Forced records are excluded: the decoder reset their source, so
+        their enter time is unknown.
         """
-        del include_forced  # forced records have no enter time either way
         valid = np.flatnonzero(~self.forced)
         durations = self.times[valid] - self.times[valid - 1]
         keys = (
@@ -420,29 +359,12 @@ class TraceReplay:
         return out
 
     def _interval_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Complete top-level intervals as (state_parent, start, duration).
-
-        Consecutive parent-boundary records within one UE open and close
-        an interval whose state is the opening boundary's target parent
-        (the ``current`` that :func:`~repro.statemachines.replay.
-        top_level_intervals` tracks).  A UE's leading interval starts at
-        an unknown time and its trailing one never ends, so neither is
-        complete — pairing consecutive boundaries drops both.
-        """
-        src_par = self.table.parent_code[self.sources]
-        tgt_par = self.table.parent_code[self.targets]
-        bpos = np.flatnonzero(src_par != tgt_par)
-        if bpos.size < 2:
-            return (
-                np.empty(0, dtype=np.int16),
-                np.empty(0, dtype=np.float64),
-                np.empty(0, dtype=np.float64),
-            )
-        same_ue = self.ue_code[bpos[1:]] == self.ue_code[bpos[:-1]]
-        open_b = bpos[:-1][same_ue]
-        close_b = bpos[1:][same_ue]
+        """Complete top-level intervals as (state_parent, start, duration)."""
+        open_b, close_b = _interval_bounds(
+            self.table, self.sources, self.targets, self.ue_code
+        )
         return (
-            tgt_par[open_b],
+            self.table.parent_code[self.targets[open_b]],
             self.times[open_b],
             self.times[close_b] - self.times[open_b],
         )
@@ -475,9 +397,8 @@ def replay_trace(trace: Trace, machine=None) -> TraceReplay:
     """Replay every UE of ``trace`` independently, as flat arrays.
 
     ``machine`` defaults to the LTE two-level machine.  Each UE replays
-    like a :func:`~repro.statemachines.replay.replay_ue` call with
-    unknown initial state; see :class:`TraceReplay` for the derived
-    quantities.
+    from an unknown initial state; see :class:`TraceReplay` for the
+    derived quantities.
     """
     if machine is None:
         machine = lte.two_level_machine()

@@ -25,8 +25,8 @@ from ..generator.traffgen import DeviceCounts, TrafficGenerator
 from ..groundtruth.forecast import project_population
 from ..model.model_set import ModelSet
 from ..statemachines import lte
-from ..statemachines.replay import replay_ue
-from ..trace.events import EventType, quantize_timestamp
+from ..statemachines.compiled_replay import replay_trace
+from ..trace.events import EventType, quantize_timestamp, quantize_times
 from ..trace.trace import Trace
 
 
@@ -111,54 +111,45 @@ def inject_reattach_storm(
     rng = np.random.default_rng(seed)
     ues = trace.unique_ues()
     num_affected = max(1, int(round(fraction * len(ues))))
-    affected = set(
-        int(u) for u in rng.choice(ues, size=num_affected, replace=False)
+    affected = np.sort(rng.choice(ues, size=num_affected, replace=False))
+    keep = ~np.isin(trace.ue_ids, affected) | (trace.times < at)
+
+    # Was each affected UE registered when coverage dropped?  Its state
+    # is the target of its last pre-outage event; a UE with no events
+    # before the outage is assumed registered-idle (the overwhelmingly
+    # common steady state).
+    pre = replay_trace(trace.window(0.0, at).filter_ues(affected))
+    registered = np.ones(num_affected, dtype=bool)
+    if len(pre):
+        last = np.append(np.flatnonzero(pre.first)[1:], len(pre)) - 1
+        deregistered = pre.table.names.index(lte.DEREGISTERED)
+        registered[np.searchsorted(affected, pre.ues)] = (
+            pre.targets[last] != deregistered
+        )
+    reattach_at = at + outage_duration + rng.uniform(
+        0.0, max(reattach_spread, 1e-3), size=num_affected
     )
     device_of = trace.device_of()
-
-    ue_col, time_col, event_col, device_col = [], [], [], []
-
-    def _append(ue: int, t: float, event: EventType) -> None:
-        ue_col.append(ue)
-        time_col.append(quantize_timestamp(t))
-        event_col.append(int(event))
-        device_col.append(int(device_of[ue]))
-
-    for ue, sub in trace.per_ue():
-        if ue not in affected:
-            ue_col.extend(sub.ue_ids.tolist())
-            time_col.extend(sub.times.tolist())
-            event_col.extend(sub.event_types.tolist())
-            device_col.extend(sub.device_types.tolist())
-            continue
-        cut = int(np.searchsorted(sub.times, at, side="left"))
-        kept_events = sub.event_types[:cut]
-        kept_times = sub.times[:cut]
-        ue_col.extend([ue] * cut)
-        time_col.extend(kept_times.tolist())
-        event_col.extend(kept_events.tolist())
-        device_col.extend(sub.device_types[:cut].tolist())
-
-        # Was the UE registered when coverage dropped?
-        result = replay_ue(kept_events, kept_times)
-        state = result.final_state
-        registered = state is not None and state != lte.DEREGISTERED
-        if cut == 0:
-            # No events before the outage: assume registered-idle (the
-            # overwhelmingly common steady state).
-            registered = True
-        if registered:
-            _append(ue, at, EventType.DTCH)
-        reattach_at = at + outage_duration + float(
-            rng.uniform(0.0, max(reattach_spread, 1e-3))
-        )
-        _append(ue, reattach_at, EventType.ATCH)
+    devices = np.asarray([int(device_of[int(u)]) for u in affected], dtype=np.int8)
+    num_detached = int(np.count_nonzero(registered))
 
     return Trace(
-        np.asarray(ue_col, dtype=np.int64),
-        np.asarray(time_col, dtype=np.float64),
-        np.asarray(event_col, dtype=np.int8),
-        np.asarray(device_col, dtype=np.int8),
+        np.concatenate([trace.ue_ids[keep], affected[registered], affected]),
+        np.concatenate(
+            [
+                trace.times[keep],
+                np.full(num_detached, quantize_timestamp(at)),
+                quantize_times(reattach_at),
+            ]
+        ),
+        np.concatenate(
+            [
+                trace.event_types[keep],
+                np.full(num_detached, int(EventType.DTCH), dtype=np.int8),
+                np.full(num_affected, int(EventType.ATCH), dtype=np.int8),
+            ]
+        ),
+        np.concatenate([trace.device_types[keep], devices[registered], devices]),
         validate=False,
     )
 

@@ -9,13 +9,14 @@ fitter (:mod:`repro.model.compiled_fit`) computes the same reductions
 as flat-array group-bys and must produce a ``ModelSet`` whose
 ``to_dict()`` compares equal to this one's.
 
-The segment helpers shared with the §4 goodness-of-fit study
-(``_build_segments``, ``_replay_segments``, ``_hour_features``) stay in
-:mod:`repro.model.fitting` and are imported from there.
+The segment helpers (``_build_segments``, ``_replay_segments``,
+``_hour_features``) are shared with the §4 goodness-of-fit oracle
+(``oracle.gof``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -33,24 +34,36 @@ from repro.distributions.base import FitError
 from repro.distributions.empirical import EmpiricalCDF
 from repro.distributions.exponential import Exponential
 from repro.model.first_event import FirstEventModel
-from repro.model.fitting import (
-    _CATEGORY1_SET,
-    _build_segments,
-    _hour_features,
-    _replay_segments,
-    _Segment,
-)
 from repro.model.model_set import ClusterModel, HourModel, ModelSet, build_machine
 from repro.model.semi_markov import Edge, SemiMarkovChain, StateModel
+from repro.statemachines import lte
 from repro.statemachines.fsm import StateMachine
 from repro.trace.events import SECONDS_PER_HOUR, DeviceType, EventType
 from repro.trace.trace import Trace
+
+from .replay import TransitionRecord, replay_ue, top_level_intervals
 
 #: Fallback sojourn when a transition was observed but never with a
 #: known entry time (e.g. always the first event of a segment).
 _FALLBACK_MEAN_SOJOURN = 60.0
 
 _OVERLAY_EVENTS = (EventType.HO, EventType.TAU)
+
+#: Events the EMM–ECM machine can express; the rest are overlaid.
+_CATEGORY1_SET = frozenset(
+    {EventType.ATCH, EventType.DTCH, EventType.SRV_REQ, EventType.S1_CONN_REL}
+)
+
+
+@dataclasses.dataclass
+class _Segment:
+    """One (UE, hour-slot) piece of the trace, in slot-relative time."""
+
+    ue_id: int
+    slot: int
+    event_types: np.ndarray
+    times: np.ndarray  #: relative to the slot start, in [0, 3600)
+    records: List[TransitionRecord] = dataclasses.field(default_factory=list)
 
 
 def fit_model_set(
@@ -69,12 +82,7 @@ def fit_model_set(
         raise ValueError(f"unknown machine_kind {machine_kind!r}")
     if family not in ("empirical", "poisson"):
         raise ValueError(f"unknown sojourn family {family!r}")
-    total_slots = int(math.ceil((float(trace.times.max()) + 1e-9) / SECONDS_PER_HOUR))
-    total_slots = max(total_slots, 1)
-    slots_by_hour: Dict[int, List[int]] = {}
-    for slot in range(total_slots):
-        slots_by_hour.setdefault((trace_start_hour + slot) % 24, []).append(slot)
-
+    slots_by_hour = _slots_by_hour(trace, trace_start_hour)
     machine = build_machine(machine_kind)
     models: Dict[DeviceType, Dict[int, HourModel]] = {}
     device_ues: Dict[DeviceType, List[int]] = {}
@@ -107,6 +115,16 @@ def fit_model_set(
         theta_f=theta_f,
         theta_n=theta_n,
     )
+
+
+def _slots_by_hour(trace: Trace, trace_start_hour: int) -> Dict[int, List[int]]:
+    """The trace's one-hour slots, grouped by hour of day."""
+    total_slots = int(math.ceil((float(trace.times.max()) + 1e-9) / SECONDS_PER_HOUR))
+    total_slots = max(total_slots, 1)
+    slots_by_hour: Dict[int, List[int]] = {}
+    for slot in range(total_slots):
+        slots_by_hour.setdefault((trace_start_hour + slot) % 24, []).append(slot)
+    return slots_by_hour
 
 
 def _reference_device_context(
@@ -351,3 +369,99 @@ def _fit_overlay(
         else:
             rates[event] = 0.0
     return rates
+
+
+# ---------------------------------------------------------------------------
+# Segment construction, replay and clustering features
+# ---------------------------------------------------------------------------
+
+def _build_segments(
+    per_ue: Mapping[int, Trace],
+    ues: Sequence[int],
+    slots: Sequence[int],
+) -> List[_Segment]:
+    """Slice each UE's events into the requested hour slots."""
+    segments: List[_Segment] = []
+    for ue in ues:
+        sub = per_ue[ue]
+        times = sub.times
+        for slot in slots:
+            start = slot * SECONDS_PER_HOUR
+            lo = int(np.searchsorted(times, start, side="left"))
+            hi = int(np.searchsorted(times, start + SECONDS_PER_HOUR, side="left"))
+            if lo == hi:
+                continue
+            segments.append(
+                _Segment(
+                    ue_id=ue,
+                    slot=slot,
+                    event_types=sub.event_types[lo:hi],
+                    times=times[lo:hi] - start,
+                )
+            )
+    return segments
+
+
+def _replay_segments(
+    segments: Sequence[_Segment], machine: StateMachine, machine_kind: str
+) -> None:
+    """Replay every segment in place (filtering to Category-1 for EMM–ECM)."""
+    for seg in segments:
+        if machine_kind == "emm_ecm":
+            mask = np.isin(seg.event_types, [int(e) for e in _CATEGORY1_SET])
+            events = seg.event_types[mask]
+            times = seg.times[mask]
+        else:
+            events = seg.event_types
+            times = seg.times
+        seg.records = replay_ue(events, times, machine).records
+
+
+def _hour_features(
+    segments: Sequence[_Segment], ues: Sequence[int], machine: StateMachine
+) -> Dict[int, np.ndarray]:
+    """Per-UE clustering features pooled over the hour's slots.
+
+    Counts are per-slot averages (so multi-day traces stay on the same
+    scale as single hours); sojourn stds pool complete CONNECTED/IDLE
+    intervals across slots.
+    """
+    srv_counts: Dict[int, int] = {ue: 0 for ue in ues}
+    rel_counts: Dict[int, int] = {ue: 0 for ue in ues}
+    slots_seen: Dict[int, set] = {ue: set() for ue in ues}
+    connected: Dict[int, List[float]] = {ue: [] for ue in ues}
+    idle: Dict[int, List[float]] = {ue: [] for ue in ues}
+
+    for seg in segments:
+        ue = seg.ue_id
+        slots_seen[ue].add(seg.slot)
+        srv_counts[ue] += int(np.count_nonzero(seg.event_types == int(EventType.SRV_REQ)))
+        rel_counts[ue] += int(
+            np.count_nonzero(seg.event_types == int(EventType.S1_CONN_REL))
+        )
+        for interval in top_level_intervals(seg.records, machine):
+            if not interval.complete:
+                continue
+            if interval.state == lte.CONNECTED:
+                connected[ue].append(interval.duration)
+            elif interval.state == lte.IDLE:
+                idle[ue].append(interval.duration)
+
+    def _std(values: List[float]) -> float:
+        if len(values) < 2:
+            return 0.0
+        return float(np.std(np.asarray(values)))
+
+    features = {}
+    for ue in ues:
+        slots = max(1, len(slots_seen[ue]))
+        features[ue] = np.asarray(
+            [
+                srv_counts[ue] / slots,
+                rel_counts[ue] / slots,
+                _std(connected[ue]),
+                _std(idle[ue]),
+            ],
+            dtype=np.float64,
+        )
+    return features

@@ -29,7 +29,7 @@ from repro.generator import TrafficGenerator, compiled
 from repro.generator.traffgen import DeviceCounts, validate_run_args
 from repro.model.model_set import ModelSet
 from repro.statemachines.fsm import StateMachine
-from repro.statemachines.replay import _canonical_source_for
+from repro.statemachines.compiled_replay import _canonical_source_for
 from repro.trace.events import (
     SECONDS_PER_HOUR,
     DeviceType,

@@ -25,7 +25,7 @@ from repro.mcn.network import (
 )
 from repro.mcn.procedures import Procedure
 from repro.statemachines.lte import two_level_machine
-from repro.statemachines.replay import _canonical_source_for
+from repro.statemachines.compiled_replay import _canonical_source_for
 from repro.trace.events import EventType
 from repro.trace.trace import Trace
 

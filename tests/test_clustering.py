@@ -9,16 +9,30 @@ from repro.clustering import (
     FEATURE_NAMES,
     NUM_FEATURES,
     adaptive_cluster,
-    extract_features,
     single_cluster,
-    ue_features,
 )
+from repro.statemachines import two_level_machine
 from repro.trace import DeviceType, EventType
 
 from conftest import make_trace
+from oracle import fit as oracle_fit
 
 E = EventType
 P = DeviceType.PHONE
+
+
+def _segment_features(events, times):
+    """Clustering features of one UE's events, as one one-slot segment
+    through the fit oracle's per-segment feature pipeline."""
+    machine = two_level_machine()
+    segment = oracle_fit._Segment(
+        ue_id=1,
+        slot=0,
+        event_types=np.asarray(events),
+        times=np.asarray(times, dtype=np.float64),
+    )
+    oracle_fit._replay_segments([segment], machine, "two_level")
+    return oracle_fit._hour_features([segment], [1], machine)[1]
 
 
 class TestFeatures:
@@ -34,14 +48,14 @@ class TestFeatures:
     def test_counts(self):
         events = np.array([int(E.SRV_REQ), int(E.S1_CONN_REL), int(E.SRV_REQ)])
         times = np.array([1.0, 5.0, 10.0])
-        f = ue_features(events, times)
+        f = _segment_features(events, times)
         assert f[0] == 2.0  # SRV_REQ count
         assert f[1] == 1.0  # S1_CONN_REL count
 
     def test_sojourn_std_zero_with_single_visit(self):
         events = np.array([int(E.SRV_REQ), int(E.S1_CONN_REL)])
         times = np.array([1.0, 5.0])
-        f = ue_features(events, times)
+        f = _segment_features(events, times)
         assert f[2] == 0.0
         assert f[3] == 0.0
 
@@ -55,12 +69,16 @@ class TestFeatures:
             ]
         )
         times = np.array([0.0, 4.0, 10.0, 20.0, 30.0, 31.0])
-        f = ue_features(events, times)
+        f = _segment_features(events, times)
         connected = np.array([4.0, 10.0, 1.0])
         assert f[2] == pytest.approx(connected.std())
 
-    def test_extract_features_all_ues(self, tiny_trace):
-        feats = extract_features(tiny_trace)
+    def test_hour_features_all_ues(self, tiny_trace):
+        per_ue = dict(tiny_trace.per_ue())
+        segments = oracle_fit._build_segments(per_ue, [1, 2], [0])
+        machine = two_level_machine()
+        oracle_fit._replay_segments(segments, machine, "two_level")
+        feats = oracle_fit._hour_features(segments, [1, 2], machine)
         assert set(feats) == {1, 2}
         assert all(v.shape == (4,) for v in feats.values())
 

@@ -14,19 +14,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.model
-from repro.model import fit_cache_key, fit_model_set, vectorized_replay
+from repro.model import build_machine, fit_cache_key, fit_model_set
 from repro import jobs
 from repro.jobs import JobFailedError
-from repro.model.compiled_fit import machine_table
 from repro.model.fit_cache import CACHE_DIR_ENV, default_cache_dir
+from repro.statemachines import replay_trace
+from repro.statemachines.compiled_replay import table_for
 from repro.statemachines.lte import emm_ecm_machine, two_level_machine
 from repro.statemachines.nr import nr_sa_machine
-from repro.statemachines.replay import replay_ue
 from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType, EventType, Trace
 
 from conftest import TRACE_START_HOUR
 from oracle import fit as oracle_fit
+from oracle.replay import ReplayResult, decode, replay_ue
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -48,8 +49,25 @@ def assert_model_sets_equal(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized replay vs replay_ue
+# Array replay of one-UE traces vs replay_ue
 # ---------------------------------------------------------------------------
+
+
+def one_ue_trace(events, times):
+    """A trace of one UE (id 0) firing ``events`` at ``times``."""
+    n = len(events)
+    return Trace(
+        np.zeros(n, dtype=np.int64),
+        np.asarray(times, dtype=np.float64),
+        np.asarray([int(e) for e in events], dtype=np.int8),
+        np.zeros(n, dtype=np.int8),
+    )
+
+
+def replay_one_ue(events, times, machine=None):
+    """``replay_trace`` of a one-UE trace, decoded to a ``ReplayResult``."""
+    decoded = decode(replay_trace(one_ue_trace(events, times), machine))
+    return decoded.get(0, ReplayResult(records=[], violations=0, final_state=None))
 
 
 class TestVectorizedReplay:
@@ -68,39 +86,45 @@ class TestVectorizedReplay:
             )
         )
         times = np.cumsum(np.asarray(deltas, dtype=np.float64))
-        ref = replay_ue(events, times, machine)
-        vec = vectorized_replay(events, times, machine)
-        assert vec.records() == ref.records
-        assert vec.violations == ref.violations
-        assert vec.final_state == ref.final_state
+        assert replay_one_ue(events, times, machine) == replay_ue(
+            events, times, machine
+        )
 
     def test_default_machine_is_two_level(self):
         events = [EventType.ATCH, EventType.SRV_REQ, EventType.S1_CONN_REL]
         times = [1.0, 5.0, 9.0]
-        ref = replay_ue(events, times)
-        vec = vectorized_replay(events, times)
-        assert vec.records() == ref.records
+        assert replay_one_ue(events, times) == replay_ue(events, times)
 
     def test_nr_sa_rejects_tau_with_reference_message(self):
         machine = nr_sa_machine()
         with pytest.raises(ValueError) as ref_err:
             replay_ue([EventType.TAU], [1.0], machine)
         with pytest.raises(ValueError) as vec_err:
-            vectorized_replay([EventType.TAU], [1.0], machine)
+            replay_trace(one_ue_trace([EventType.TAU], [1.0]), machine)
         assert str(vec_err.value) == str(ref_err.value)
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="equal length"):
-            vectorized_replay([EventType.ATCH], [1.0, 2.0])
+        with pytest.raises(ValueError, match="column lengths differ"):
+            replay_trace(
+                Trace(
+                    np.zeros(1, dtype=np.int64),
+                    np.asarray([1.0, 2.0]),
+                    np.asarray([int(EventType.ATCH)], dtype=np.int8),
+                    np.zeros(1, dtype=np.int8),
+                )
+            )
 
     def test_empty_sequence(self):
-        vec = vectorized_replay([], [])
-        assert vec.records() == []
-        assert vec.violations == 0
-        assert vec.final_state is None
+        replay = replay_trace(Trace.empty())
+        assert len(replay) == 0
+        assert replay.violations == 0
+        assert decode(replay) == {}
 
     def test_machine_table_cached(self):
-        assert machine_table("two_level") is machine_table("two_level")
+        """The fitter lowers each machine kind through the one shared
+        ``table_for`` cache."""
+        for kind in MACHINES:
+            assert table_for(build_machine(kind)) is table_for(build_machine(kind))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ from repro.statemachines import (
     TraceReplay,
     classify_category2_events,
     replay_trace,
-    replay_ue,
-    top_level_intervals,
 )
 from repro.statemachines.compiled_replay import table_for
 from repro.statemachines.lte import emm_ecm_machine, two_level_machine
@@ -29,6 +27,7 @@ from repro.trace import DeviceType, EventType, Trace
 
 from conftest import make_trace
 from oracle import replay as oracle
+from oracle.replay import decode, replay_ue, top_level_intervals
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -60,7 +59,7 @@ def assert_replays_equal(trace, machine):
     ref = oracle.replay_trace(trace, machine)
     comp = replay_trace(trace, machine)
     assert isinstance(comp, TraceReplay)
-    decoded = comp.to_results()
+    decoded = decode(comp)
     assert set(decoded) == set(ref)
     for ue in ref:
         assert decoded[ue].records == ref[ue].records
@@ -110,7 +109,7 @@ class TestEngineDispatch:
         empty = Trace.empty()
         assert oracle.replay_trace(empty) == {}
         comp = replay_trace(empty)
-        assert comp.to_results() == {}
+        assert decode(comp) == {}
         assert comp.sojourn_samples() == {}
         assert comp.transition_counts() == {}
         assert comp.top_state_sojourns() == {}
@@ -164,7 +163,7 @@ class TestForcedViolations:
     def test_violations_counted(self):
         trace = make_trace(self.VIOLATING_ROWS)
         ref = oracle.replay_trace(trace)
-        comp = replay_trace(trace).to_results()
+        comp = decode(replay_trace(trace))
         assert sum(r.violations for r in ref.values()) > 0
         for ue in ref:
             assert comp[ue].violations == ref[ue].violations
@@ -196,7 +195,7 @@ class TestHypothesisEquality:
             per_ue[ue] = (events, times)
             rows.extend((ue, t, e, 0) for t, e in zip(times, events))
         trace = make_trace(rows)
-        decoded = replay_trace(trace, machine).to_results()
+        decoded = decode(replay_trace(trace, machine))
         assert set(decoded) == set(per_ue)
         for ue, (events, times) in per_ue.items():
             ref = replay_ue(events, times, machine)

@@ -114,13 +114,12 @@ class TestSimulateUe:
             assert tr.times.max() < 1800.0
 
     def test_sequence_is_machine_valid(self, rng):
-        from repro.statemachines import replay_ue
+        from repro.statemachines import replay_trace
 
         tr = simulate_ue(
             0, DEFAULT_PROFILES[DeviceType.CONNECTED_CAR], 6 * 3600.0, rng=rng
         )
-        result = replay_ue(tr.event_types, tr.times)
-        assert result.violations == 0
+        assert replay_trace(tr).violations == 0
 
 
 class TestSimulateGroundTruth:

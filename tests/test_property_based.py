@@ -15,7 +15,7 @@ from repro.distributions import EmpiricalCDF, Exponential, Pareto, Weibull
 from repro.generator import TrafficGenerator, traffgen
 from repro.generator.compiled import CompiledPopulation
 from repro.stats import ecdf, kolmogorov_sf, ks_distance_to, max_y_distance
-from repro.statemachines import replay_ue, two_level_machine
+from repro.statemachines import replay_trace, two_level_machine
 from repro.trace import DeviceType, EventType, Trace
 
 from conftest import TRACE_START_HOUR
@@ -203,23 +203,33 @@ valid_event_walks = st.lists(
 )
 
 
+def _one_ue_trace(events) -> Trace:
+    """One UE firing ``events`` one second apart."""
+    n = len(events)
+    return Trace(
+        np.zeros(n, dtype=np.int64),
+        np.arange(n, dtype=np.float64),
+        np.asarray([int(e) for e in events], dtype=np.int8),
+        np.zeros(n, dtype=np.int8),
+    )
+
+
 class TestReplayInvariants:
     @SETTINGS
     @given(valid_event_walks)
     def test_replay_never_crashes_and_counts_records(self, events):
-        times = [float(i) for i in range(len(events))]
-        result = replay_ue(events, times)
-        assert len(result.records) == len(events)
-        assert result.violations >= 0
+        replay = replay_trace(_one_ue_trace(events))
+        assert len(replay) == len(events)
+        assert replay.violations >= 0
 
     @SETTINGS
     @given(valid_event_walks)
     def test_replay_respects_machine_for_unforced_records(self, events):
         machine = two_level_machine()
-        times = [float(i) for i in range(len(events))]
-        result = replay_ue(events, times)
-        for rec in result.records:
-            assert machine.next_state(rec.source, rec.event) == rec.target
+        replay = replay_trace(_one_ue_trace(events))
+        names = replay.table.names
+        for src, event, tgt in zip(replay.sources, replay.events, replay.targets):
+            assert machine.next_state(names[src], EventType(int(event))) == names[tgt]
 
 
 class TestTraceInvariants:

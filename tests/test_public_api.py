@@ -120,6 +120,44 @@ class TestExportIntegrity:
         assert "chunk_size" not in params
         assert params["processes"].default == 1
 
+    def test_one_replay_engine(self):
+        """``replay_trace`` is the one replay in the library: the
+        per-event walk, its record types, the one-UE array wrapper, the
+        per-UE clustering features, the fitter's per-segment helpers and
+        the second machine-table cache are gone."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.statemachines.replay")
+        for name, old in (
+            ("repro.statemachines", "replay_ue"),
+            ("repro.statemachines", "top_level_intervals"),
+            ("repro.statemachines", "TransitionRecord"),
+            ("repro.statemachines", "StateInterval"),
+            ("repro.statemachines", "ReplayResult"),
+            ("repro.statemachines", "VectorizedReplay"),
+            ("repro.statemachines", "vectorized_replay"),
+            ("repro.statemachines.compiled_replay", "VectorizedReplay"),
+            ("repro.statemachines.compiled_replay", "vectorized_replay"),
+            ("repro.model", "vectorized_replay"),
+            ("repro.clustering", "ue_features"),
+            ("repro.clustering", "extract_features"),
+            ("repro.clustering.features", "ue_features"),
+            ("repro.clustering.features", "extract_features"),
+            ("repro.model.fitting", "_Segment"),
+            ("repro.model.fitting", "_build_segments"),
+            ("repro.model.fitting", "_replay_segments"),
+            ("repro.model.fitting", "_hour_features"),
+            ("repro.model.fitting", "_CATEGORY1_SET"),
+            ("repro.model.compiled_fit", "machine_table"),
+        ):
+            module = importlib.import_module(name)
+            assert not hasattr(module, old), f"{name}.{old}"
+            assert old not in getattr(module, "__all__", ())
+        from repro.statemachines import TraceReplay
+
+        assert not hasattr(TraceReplay, "to_results")
+        params = inspect.signature(TraceReplay.sojourn_samples).parameters
+        assert "include_forced" not in params
+
     def test_generate_parallel_has_no_retry_knobs(self):
         """Retries, backoff and fault injection are repro.jobs constants;
         the pooled driver, ``TrafficGenerator.generate(processes=)``,

@@ -1,4 +1,5 @@
-"""Tests for trace replay (repro.statemachines.replay)."""
+"""Tests for trace replay: the per-event oracle walk (``oracle.replay``)
+and the whole-trace array replay (``repro.statemachines.replay_trace``)."""
 
 import numpy as np
 import pytest
@@ -10,13 +11,12 @@ from repro.statemachines import (
     classify_category2_events,
     emm_ecm_machine,
     replay_trace,
-    replay_ue,
-    top_level_intervals,
     two_level_machine,
 )
 from repro.trace import DeviceType, EventType
 
 from conftest import make_trace
+from oracle.replay import decode, replay_ue, top_level_intervals
 
 E = EventType
 P = DeviceType.PHONE
@@ -78,7 +78,7 @@ class TestDerivedQuantities:
 
     @pytest.fixture()
     def results(self, replay):
-        return replay.to_results()
+        return decode(replay)
 
     def test_replay_trace_covers_all_ues(self, replay, results, tiny_trace):
         assert set(results) == {1, 2}

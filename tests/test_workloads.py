@@ -101,6 +101,39 @@ class TestReattachStorm:
         for ue in some:
             assert storm.ue_trace(ue) == base_trace.ue_trace(ue)
 
+    #: ``Trace.content_hash`` of the storm for pinned arguments, so its
+    #: output cannot drift.  ``at=0.0`` and ``at=60.0`` cover affected
+    #: UEs with no event before the outage (assumed registered).
+    PINNED = (
+        (
+            dict(at=3600.0, fraction=0.5, seed=2),
+            "ce15722398af5854243f7d1c5a96d1d43dbbc72cbdb2c9a2f5dcdc39ece7906f",
+        ),
+        (
+            dict(at=1800.0, fraction=1.0, seed=7),
+            "2189b405136c7e77ba7bd7d55ff4de95685ee0a0b99874a48382df846ff4a296",
+        ),
+        (
+            dict(at=0.0, fraction=0.3, seed=1),
+            "74edcc46be5df74357e5116981e3310af598b24de4a6e518a9228d05dd848af9",
+        ),
+        (
+            dict(at=60.0, fraction=1.0, seed=3),
+            "53cc25c7fd55d5d3c1acf47ec476fc49ffe2a479cffa00619feb21efab560a07",
+        ),
+        (
+            dict(
+                at=5000.0, fraction=0.25, seed=11,
+                outage_duration=30.0, reattach_spread=0.0,
+            ),
+            "123867027bcf9f63d07e8b264ce53930f0c6d2d9698534ae634f9c373a1d18bb",
+        ),
+    )
+
+    @pytest.mark.parametrize("kwargs,digest", PINNED)
+    def test_pinned_content_hash(self, base_trace, kwargs, digest):
+        assert inject_reattach_storm(base_trace, **kwargs).content_hash() == digest
+
     def test_parameter_validation(self, base_trace):
         with pytest.raises(ValueError):
             inject_reattach_storm(base_trace, at=10.0, fraction=0.0)
