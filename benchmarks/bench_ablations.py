@@ -14,11 +14,7 @@ from repro.generator import TrafficGenerator
 from repro.model import fit_model_set
 from repro.statemachines import lte
 from repro.trace import DeviceType
-from repro.validation import (
-    format_table,
-    max_abs_breakdown_difference,
-    sojourn_ydistance,
-)
+from repro.validation import compare, format_table, summarize
 
 from conftest import START_HOUR, THETA_N, write_result
 
@@ -29,9 +25,8 @@ def _fidelity(model_set, scenario, busy_hour):
     syn = TrafficGenerator(model_set).generate(
         scenario["num_ues"], start_hour=busy_hour, num_hours=1, seed=99
     )
-    macro = max_abs_breakdown_difference(scenario["real"], syn, P)
-    micro = sojourn_ydistance(scenario["real"], syn, P, lte.CONNECTED)
-    return macro, micro
+    result = compare(summarize(scenario["real"], P), summarize(syn, P))
+    return result.macro_max_error, result.micro[lte.CONNECTED]
 
 
 def test_ablation_theta_n(benchmark, collection_trace, scenario1, busy_hour):

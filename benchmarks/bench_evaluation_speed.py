@@ -8,8 +8,8 @@ machine-readable JSON (``benchmarks/results/BENCH_evaluation.json``),
 mirroring ``BENCH_fitting.json``.  Models are pre-fitted once (outside
 the clock) and passed in, so the timings isolate generation plus the
 Table-4/5 metric computation — whole-cohort array replays versus the
-per-event reference walk.  Also measured: per-(method × device) metric
-jobs fanned across all CPUs.  The timed engine runs report to the
+per-event reference walk.  Also measured: the per-trace summary jobs
+fanned across all CPUs.  The timed engine runs report to the
 bench's ambient telemetry collector, so ``evaluation_speed.telemetry.json``
 carries their ``evaluate`` and ``eval-*`` spans.
 
@@ -31,7 +31,7 @@ from repro.groundtruth import simulate_ground_truth
 from repro.harness import evaluate_methods
 from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType
-from repro.validation import breakdown, format_table, microscopic
+from repro.validation import breakdown, format_table, summary
 
 from conftest import RESULTS_DIR, write_result
 
@@ -77,9 +77,7 @@ def _reference_metrics(monkeypatch):
             "classify_category2_events",
             oracle_replay.classify_category2_events,
         )
-        patch.setattr(
-            microscopic, "device_sojourns", oracle_replay.device_sojourns
-        )
+        patch.setattr(summary, "replay_trace", oracle_replay.ReferenceReplay)
         yield
 
 

@@ -10,21 +10,21 @@ y-distance is smaller than Base's for every device and both events.
 import numpy as np
 
 from repro.trace import DeviceType, EventType
-from repro.validation import count_ydistance, format_table, per_ue_counts
+from repro.validation import format_table, per_ue_counts
 
+from _macro import compare_methods
 from conftest import write_result
 
 EVENTS = (EventType.SRV_REQ, EventType.S1_CONN_REL)
 
 
 def _distances(scenario):
-    real = scenario["real"]
     out = {}
-    for method in ("base", "ours"):
-        syn = scenario["synthesized"][method]
-        for dt in DeviceType:
+    for dt in DeviceType:
+        _, results = compare_methods(scenario, dt, ("base", "ours"))
+        for method, result in results.items():
             for event in EVENTS:
-                out[(method, dt, event)] = count_ydistance(real, syn, dt, event)
+                out[(method, dt, event)] = result.micro[event.name]
     return out
 
 

@@ -6,10 +6,9 @@ and Scenario 2 agree: the model's fidelity does not depend on the
 population size.
 """
 
-from _macro import assert_macro_shape, run_macro_table
+from _macro import assert_macro_shape, compare_methods, run_macro_table
 from conftest import write_result
 from repro.trace import DeviceType
-from repro.validation import max_abs_breakdown_difference
 
 
 def test_table11_macroscopic_scenario1(benchmark, scenario1, scenario2):
@@ -24,10 +23,8 @@ def test_table11_macroscopic_scenario1(benchmark, scenario1, scenario2):
 
     # Scenario agreement: our method's error is population-size stable.
     for dt in DeviceType:
-        e1 = max_abs_breakdown_difference(
-            scenario1["real"], scenario1["synthesized"]["ours"], dt
-        )
-        e2 = max_abs_breakdown_difference(
-            scenario2["real"], scenario2["synthesized"]["ours"], dt
+        e1, e2 = (
+            compare_methods(s, dt, ("ours",))[1]["ours"].macro_max_error
+            for s in (scenario1, scenario2)
         )
         assert abs(e1 - e2) < 0.10, f"{dt.name}: scenario drift {e1:.3f} vs {e2:.3f}"

@@ -9,33 +9,21 @@ distances are substantially smaller than V2's (the paper reports e.g.
 """
 
 from repro.statemachines import lte
-from repro.trace import DeviceType, EventType
-from repro.validation import (
-    count_ydistance,
-    format_table,
-    sojourn_ydistance,
-)
+from repro.trace import DeviceType
+from repro.validation import format_table
 
+from _macro import compare_methods
 from conftest import write_result
 
 ROWS = ("SRV_REQ", "S1_CONN_REL", "CONNECTED", "IDLE")
 
 
 def _micro_table(scenario):
-    real = scenario["real"]
     out = {}
-    for method in ("v2", "ours"):
-        syn = scenario["synthesized"][method]
-        for dt in DeviceType:
-            metrics = {}
-            for event in (EventType.SRV_REQ, EventType.S1_CONN_REL):
-                metrics[event.name] = count_ydistance(
-                    real, syn, dt, event,
-                    real_num_ues=None, syn_num_ues=None,
-                )
-            for state in (lte.CONNECTED, lte.IDLE):
-                metrics[state] = sojourn_ydistance(real, syn, dt, state)
-            out[(method, dt)] = metrics
+    for dt in DeviceType:
+        _, results = compare_methods(scenario, dt, ("v2", "ours"))
+        for method, result in results.items():
+            out[(method, dt)] = result.micro
     return out
 
 

@@ -10,7 +10,7 @@ smaller than the inactive-group distance.
 import math
 
 from repro.trace import DeviceType, EventType
-from repro.validation import activity_split_ydistance, format_table
+from repro.validation import activity_split_ydistance, format_table, summarize
 
 from conftest import write_result
 
@@ -23,8 +23,9 @@ def _split_table(scenario):
     syn = scenario["synthesized"]["ours"]
     out = {}
     for dt in DEVICES:
+        real_dt, syn_dt = summarize(real, dt), summarize(syn, dt)
         for event in EVENTS:
-            out[(dt, event)] = activity_split_ydistance(real, syn, dt, event)
+            out[(dt, event)] = activity_split_ydistance(real_dt, syn_dt, event)
     return out
 
 

@@ -76,13 +76,7 @@ from ..trace import (
     write_csv,
     write_npz,
 )
-from ..validation import (
-    BREAKDOWN_ROWS,
-    breakdown_difference,
-    breakdown_with_states,
-    format_table,
-    micro_comparison,
-)
+from ..validation import compare, format_comparison, format_table, summarize
 
 _MACHINES = {
     "two_level": two_level_machine,
@@ -235,22 +229,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     real = _load_trace(args.real)
     synthesized = _load_trace(args.synthesized)
     for device_type in DeviceType:
-        if len(real.filter_device(device_type)) == 0:
+        if not (real.device_types == device_type).any():
             continue
-        real_bd = breakdown_with_states(real, device_type)
-        diff = breakdown_difference(real, synthesized, device_type)
-        rows = [
-            [row, f"{100 * real_bd[row]:.1f}%", f"{100 * diff[row]:+.1f}%"]
-            for row in BREAKDOWN_ROWS
-        ]
-        print(format_table(["Event", "Real", "Diff"], rows,
-                           title=f"Breakdown - {device_type.name}"))
-        try:
-            micro = micro_comparison(real, synthesized, device_type)
-            rows = [[k, f"{100 * v:.1f}%"] for k, v in micro.items()]
-            print(format_table(["Quantity", "max y-distance"], rows))
-        except ValueError as exc:
-            print(f"(microscopic comparison skipped: {exc})")
+        real_summary = summarize(real, device_type)
+        comparison = compare(real_summary, summarize(synthesized, device_type))
+        print(format_comparison(real_summary, {"synthesized": comparison}))
         print()
     return 0
 

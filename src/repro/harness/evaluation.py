@@ -7,10 +7,12 @@ microscopic (Table 5) fidelity metrics against a held-out real trace.
 The benchmark suite and the CLI both build on it; downstream users can
 run the identical evaluation on their own traces.
 
-The metrics replay whole cohorts as flat arrays via
-:mod:`repro.statemachines.compiled_replay`.  Each (method × device)
-cell is one :func:`repro.jobs.run_jobs` job; with ``processes`` they
-fan out over worker processes that memory-map the traces.
+Each trace — the real one and one per method — is one
+:func:`repro.jobs.run_jobs` job that summarizes it once per device
+(:func:`repro.validation.summarize`: one filter, one flat-array
+replay); with ``processes`` they fan out over worker processes that
+memory-map the traces.  The parent then compares each method's
+summaries with the real ones (:func:`repro.validation.compare`).
 
 Micro-metrics are measured **per quantity**: a quantity that cannot be
 computed (say, no complete IDLE sojourn in a short trace) lands in
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..baselines import fit_method
 from ..generator import TrafficGenerator
@@ -35,13 +37,9 @@ from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType
 from ..trace.trace import Trace
-from ..validation.breakdown import (
-    BREAKDOWN_ROWS,
-    breakdown_difference,
-    breakdown_with_states,
-)
-from ..validation.microscopic import MICRO_QUANTITIES, micro_comparison_partial
-from ..validation.report import format_table
+from ..validation.microscopic import MICRO_QUANTITIES
+from ..validation.report import format_comparison
+from ..validation.summary import Comparison, DeviceSummary, compare, summarize
 
 DEFAULT_METHODS = ("base", "v1", "v2", "ours")
 
@@ -53,14 +51,35 @@ class MethodResult:
     method: str
     model: ModelSet
     synthesized: Trace
-    macro_diff: Dict[DeviceType, Dict[str, float]]
-    macro_max_error: Dict[DeviceType, float]
-    micro: Dict[DeviceType, Dict[str, float]]
-    #: Micro quantities that could not be measured, with the reason —
-    #: always disjoint from ``micro[device]``'s keys.
-    micro_skipped: Dict[DeviceType, Dict[str, str]] = dataclasses.field(
-        default_factory=dict
-    )
+    #: The synthesized trace scored against the real one, per device
+    #: type of the real trace.
+    comparisons: Dict[DeviceType, Comparison]
+
+    @property
+    def macro_diff(self) -> Dict[DeviceType, Dict[str, float]]:
+        """Signed Table-4 row differences (synthesized - real)."""
+        return {dt: c.macro_diff for dt, c in self.comparisons.items()}
+
+    @property
+    def macro_max_error(self) -> Dict[DeviceType, float]:
+        """Largest absolute Table-4 row difference."""
+        return {dt: c.macro_max_error for dt, c in self.comparisons.items()}
+
+    @property
+    def micro(self) -> Dict[DeviceType, Dict[str, float]]:
+        """Table-5 max y-distances of the measurable quantities."""
+        return {dt: c.micro for dt, c in self.comparisons.items()}
+
+    @property
+    def micro_skipped(self) -> Dict[DeviceType, Dict[str, str]]:
+        """Micro quantities that could not be measured, with the reason
+        (devices with none are left out) — always disjoint from
+        ``micro[device]``'s keys."""
+        return {
+            dt: c.micro_skipped
+            for dt, c in self.comparisons.items()
+            if c.micro_skipped
+        }
 
 
 @dataclasses.dataclass
@@ -71,6 +90,9 @@ class EvaluationReport:
     num_ues: int
     generation_hour: int
     results: Dict[str, MethodResult]
+    #: The real trace's summary per device type it contains, in
+    #: ``DeviceType`` order.
+    real_summary: Dict[DeviceType, DeviceSummary]
 
     def winner(self, device_type: DeviceType) -> str:
         """Method with the smallest macroscopic error for a device.
@@ -93,57 +115,13 @@ class EvaluationReport:
 
     def to_text(self) -> str:
         """Render the macro and micro tables for every device type."""
-        methods = list(self.results)
-        blocks: List[str] = []
-        for device_type in DeviceType:
-            if len(self.real.filter_device(device_type)) == 0:
-                continue
-            real_bd = breakdown_with_states(self.real, device_type)
-            rows = []
-            for row_key in BREAKDOWN_ROWS:
-                rows.append(
-                    [row_key, f"{100 * real_bd[row_key]:.1f}%"]
-                    + [
-                        f"{100 * self.results[m].macro_diff[device_type][row_key]:+.1f}%"
-                        for m in methods
-                    ]
-                )
-            blocks.append(
-                format_table(
-                    ["Event", "Real"] + [m.capitalize() for m in methods],
-                    rows,
-                    title=f"Macroscopic breakdown - {device_type.name}",
-                )
+        return "\n\n".join(
+            format_comparison(
+                real,
+                {m: r.comparisons[device_type] for m, r in self.results.items()},
             )
-            micro_rows = []
-            for quantity in MICRO_QUANTITIES:
-                micro_rows.append(
-                    [quantity]
-                    + [
-                        _fmt_pct(self.results[m].micro[device_type].get(quantity))
-                        for m in methods
-                    ]
-                )
-            blocks.append(
-                format_table(
-                    ["Quantity"] + [m.capitalize() for m in methods],
-                    micro_rows,
-                    title=f"Microscopic max y-distance - {device_type.name}",
-                )
-            )
-            skip_lines = [
-                f"  [{m}] {quantity}: {reason}"
-                for m in methods
-                for quantity, reason in self.results[m]
-                .micro_skipped.get(device_type, {})
-                .items()
-            ]
-            if skip_lines:
-                blocks.append(
-                    f"Skipped quantities - {device_type.name}:\n"
-                    + "\n".join(skip_lines)
-                )
-        return "\n\n".join(blocks)
+            for device_type, real in self.real_summary.items()
+        )
 
     def to_dict(self) -> dict:
         """JSON-ready view of the report (no traces or model objects)."""
@@ -174,40 +152,17 @@ class EvaluationReport:
         }
 
 
-def _fmt_pct(value: Optional[float]) -> str:
-    return "-" if value is None else f"{100 * value:.1f}%"
-
-
-def _device_metrics(
-    real: Trace,
-    synthesized: Trace,
-    device_type: DeviceType,
-    *,
-    real_num_ues: Optional[int],
-    syn_num_ues: Optional[int],
-) -> Tuple[Dict[str, float], float, Dict[str, float], Dict[str, str]]:
-    """All metrics of one (method, device) cell of Tables 4/5."""
-    macro_diff = breakdown_difference(real, synthesized, device_type)
-    macro_max = max(abs(v) for v in macro_diff.values())
-    micro, skipped = micro_comparison_partial(
-        real,
-        synthesized,
-        device_type,
-        real_num_ues=real_num_ues,
-        syn_num_ues=syn_num_ues,
-    )
-    return macro_diff, macro_max, micro, skipped
-
-
-def _metrics_job(ctx: dict, method: str, device_code: int):
-    """One (method, device) cell as a :func:`repro.jobs.run_jobs` job."""
-    return _device_metrics(
-        ctx["real"],
-        ctx[f"syn-{method}"],
-        DeviceType(device_code),
-        real_num_ues=ctx["real_num_ues"].get(device_code),
-        syn_num_ues=ctx["syn_num_ues"][method].get(device_code),
-    )
+def _summary_job(ctx: dict, name: str) -> Dict[DeviceType, DeviceSummary]:
+    """Summarize one trace (``"real"`` or a method's) per real device."""
+    populations = ctx["populations"].get(name, {})
+    return {
+        device_type: summarize(
+            ctx[f"trace-{name}"],
+            device_type,
+            num_ues=populations.get(device_type),
+        )
+        for device_type in ctx["devices"]
+    }
 
 
 def evaluate_methods(
@@ -244,17 +199,19 @@ def evaluate_methods(
         Pre-fitted model sets by method name — skips fitting for the
         methods present (useful when sweeping scenarios).
     processes:
-        ``None`` or ``1`` computes metrics serially in-process; ``0``
-        fans per-(method × device) jobs across all CPUs; ``>= 2`` uses
-        that many worker processes (fitting and generation fan out the
-        same way).  A job that keeps failing raises
+        ``None`` or ``1`` summarizes the traces serially in-process;
+        ``0`` fans the per-trace summary jobs across all CPUs; ``>= 2``
+        uses that many worker processes (fitting and generation fan out
+        the same way).  A job that keeps failing raises
         :class:`repro.jobs.JobFailedError` (stage ``"eval"``).
     cache_dir:
         Content-addressed model-cache directory passed to the fitter
         (``None`` disables caching).
     telemetry:
         Explicit collector; defaults to the ambient one.  Phases appear
-        as ``eval-fit`` / ``eval-generate`` / ``eval-metrics`` spans.
+        as ``eval-fit`` / ``eval-generate`` / ``eval-metrics`` spans;
+        ``eval-metrics`` splits into ``eval-summarize`` (the summary
+        jobs) and ``eval-compare`` (the comparisons).
     """
     check_processes(processes)
     if num_ues is None:
@@ -296,19 +253,11 @@ def _evaluate_methods(
     cache_dir: "Optional[str | os.PathLike[str]]",
 ) -> EvaluationReport:
     tele = get_telemetry()
-    devices = [
-        device_type
-        for device_type in DeviceType
-        if len(real.filter_device(device_type)) > 0
-    ]
-    real_num_ues = {
-        int(device_type): real.filter_device(device_type).num_ues
-        for device_type in devices
-    }
+    devices = [dt for dt in DeviceType if (real.device_types == dt).any()]
 
     fitted: Dict[str, ModelSet] = {}
     synthesized: Dict[str, Trace] = {}
-    syn_num_ues: Dict[str, Dict[int, int]] = {}
+    populations: Dict[str, Dict[DeviceType, int]] = {}
     with tele.span("eval-fit"):
         for method in methods:
             if models is not None and method in models:
@@ -329,10 +278,7 @@ def _evaluate_methods(
             # The nominal per-device populations the generator will
             # materialize — the count CDFs must be padded to these, not
             # to the UEs that happened to emit events (Scenario 2).
-            syn_num_ues[method] = {
-                int(dt): n
-                for dt, n in generator.resolve_counts(num_ues).items()
-            }
+            populations[method] = generator.resolve_counts(num_ues)
             synthesized[method] = generator.generate(
                 num_ues,
                 start_hour=generation_hour,
@@ -342,55 +288,47 @@ def _evaluate_methods(
             )
     tele.count("eval_methods", len(methods))
 
-    cells = [(method, int(device_type)) for method in methods for device_type in devices]
-    tele.count("eval_metric_jobs", len(cells))
-    jobs = [
-        Job(cell, {"method": cell[0], "device": DeviceType(cell[1]).name})
-        for cell in cells
-    ]
+    names = ["real", *methods]
+    tele.count("eval_metric_jobs", len(names))
     shared = {
-        "real": real,
-        "real_num_ues": real_num_ues,
-        "syn_num_ues": syn_num_ues,
-        **{f"syn-{method}": synthesized[method] for method in methods},
+        "devices": devices,
+        "populations": populations,
+        "trace-real": real,
+        **{f"trace-{method}": synthesized[method] for method in methods},
     }
     with tele.span("eval-metrics"):
-        metrics = {
-            cells[i]: cell_metrics
-            for i, cell_metrics in run_jobs(
-                _metrics_job,
-                jobs,
-                shared=shared,
-                processes=processes,
-                stage="eval",
-            )
-        }
-
-    results: Dict[str, MethodResult] = {}
-    for method in methods:
-        macro_diff: Dict[DeviceType, Dict[str, float]] = {}
-        macro_max: Dict[DeviceType, float] = {}
-        micro: Dict[DeviceType, Dict[str, float]] = {}
-        micro_skipped: Dict[DeviceType, Dict[str, str]] = {}
-        for device_type in devices:
-            diff, max_err, values, skipped = metrics[(method, int(device_type))]
-            macro_diff[device_type] = diff
-            macro_max[device_type] = max_err
-            micro[device_type] = values
-            if skipped:
-                micro_skipped[device_type] = skipped
-        results[method] = MethodResult(
-            method=method,
-            model=fitted[method],
-            synthesized=synthesized[method],
-            macro_diff=macro_diff,
-            macro_max_error=macro_max,
-            micro=micro,
-            micro_skipped=micro_skipped,
-        )
+        with tele.span("eval-summarize"):
+            summaries = {
+                names[i]: summary
+                for i, summary in run_jobs(
+                    _summary_job,
+                    [Job((name,), {"trace": name}) for name in names],
+                    shared=shared,
+                    processes=processes,
+                    stage="eval",
+                )
+            }
+        with tele.span("eval-compare"):
+            results = {
+                method: MethodResult(
+                    method=method,
+                    model=fitted[method],
+                    synthesized=synthesized[method],
+                    comparisons={
+                        device_type: compare(
+                            summaries["real"][device_type],
+                            summaries[method][device_type],
+                        )
+                        for device_type in devices
+                    },
+                )
+                for method in methods
+            }
     return EvaluationReport(
         real=real,
         num_ues=num_ues,
         generation_hour=generation_hour,
         results=results,
+        real_summary=summaries["real"],
     )
+

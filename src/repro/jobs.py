@@ -2,7 +2,7 @@
 
 The paper fans its per-UE generator instances over 12 CPUs with one
 tool, GNU ``parallel`` (§8.1).  Here generation chunks, per-(device,
-hour) fit jobs and per-(method, device) metric jobs fan out through one
+hour) fit jobs and per-trace evaluation summary jobs fan out through one
 function, :func:`run_jobs`, and fail with one error,
 :class:`JobFailedError`.
 

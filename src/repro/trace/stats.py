@@ -152,17 +152,3 @@ def hourly_event_counts(trace: Trace) -> np.ndarray:
     hours = (trace.times // SECONDS_PER_HOUR).astype(np.int64)
     return np.bincount(hours)
 
-
-def events_per_ue_counts(
-    trace: Trace,
-    device_type: DeviceType,
-    event_type: EventType,
-) -> np.ndarray:
-    """Array of per-UE counts of one event type (for CDF comparisons).
-
-    Every UE of the device type contributes a value, including zero.
-    This is the quantity whose CDFs are compared in Table 5 / Figure 7.
-    """
-    sub = trace.filter_device(device_type)
-    counts = sub.events_per_ue(event_type)
-    return np.asarray(sorted(counts.values()), dtype=np.float64)

@@ -1,26 +1,21 @@
-"""Validation metrics: macroscopic breakdowns and microscopic CDF distances."""
+"""Validation metrics: macroscopic breakdowns and microscopic CDF distances.
+
+Tables 4-6 compare one :class:`DeviceSummary` per (trace, device):
+``compare(summarize(real, dt), summarize(synthesized, dt, num_ues=n))``.
+"""
 
 from .aggregate import AggregateComparison, compare_aggregate, rate_curve
-from .breakdown import (
-    BREAKDOWN_ROWS,
-    breakdown_difference,
-    breakdown_with_states,
-    macro_comparison,
-    max_abs_breakdown_difference,
-)
-from .microscopic import (
+from .breakdown import BREAKDOWN_ROWS, breakdown_with_states
+from .microscopic import MICRO_QUANTITIES, per_ue_counts
+from .report import format_comparison, format_percent, format_ratio, format_table
+from .summary import (
     ACTIVITY_THRESHOLD,
-    MICRO_QUANTITIES,
+    Comparison,
+    DeviceSummary,
     activity_split_ydistance,
-    count_ydistance,
-    device_sojourns,
-    micro_comparison,
-    micro_comparison_partial,
-    per_ue_counts,
-    sojourn_ydistance,
-    state_sojourns,
+    compare,
+    summarize,
 )
-from .report import format_percent, format_ratio, format_table
 
 __all__ = [
     "ACTIVITY_THRESHOLD",
@@ -28,20 +23,16 @@ __all__ = [
     "compare_aggregate",
     "rate_curve",
     "BREAKDOWN_ROWS",
+    "Comparison",
+    "DeviceSummary",
     "MICRO_QUANTITIES",
     "activity_split_ydistance",
-    "breakdown_difference",
     "breakdown_with_states",
-    "count_ydistance",
-    "device_sojourns",
+    "compare",
+    "format_comparison",
     "format_percent",
     "format_ratio",
     "format_table",
-    "macro_comparison",
-    "max_abs_breakdown_difference",
-    "micro_comparison",
-    "micro_comparison_partial",
     "per_ue_counts",
-    "sojourn_ydistance",
-    "state_sojourns",
+    "summarize",
 ]

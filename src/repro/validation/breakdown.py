@@ -8,12 +8,12 @@ TAU (IDLE)``
 
 each as a percentage of all events of that device type.  A method's
 error is the signed difference between its synthesized percentages and
-the real trace's.
+the real trace's (:func:`repro.validation.summary.compare`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -40,7 +40,11 @@ def breakdown_with_states(
     device_type: DeviceType,
 ) -> Dict[str, float]:
     """Eight-row event breakdown (fractions of all events) for one device."""
-    sub = trace.filter_device(device_type)
+    return _cohort_breakdown(trace.filter_device(device_type))
+
+
+def _cohort_breakdown(sub: Trace) -> Dict[str, float]:
+    """:func:`breakdown_with_states` of a trace already cut to one device."""
     total = len(sub)
     if total == 0:
         return {row: 0.0 for row in BREAKDOWN_ROWS}
@@ -58,46 +62,3 @@ def breakdown_with_states(
         "TAU (IDLE)": cat2[(EventType.TAU, lte.IDLE)],
     }
     return {row: counts[row] / total for row in BREAKDOWN_ROWS}
-
-
-def breakdown_difference(
-    real: Trace,
-    synthesized: Trace,
-    device_type: DeviceType,
-) -> Dict[str, float]:
-    """Signed per-row difference (synthesized - real), in fractions."""
-    rb = breakdown_with_states(real, device_type)
-    sb = breakdown_with_states(synthesized, device_type)
-    return {row: sb[row] - rb[row] for row in BREAKDOWN_ROWS}
-
-
-def max_abs_breakdown_difference(
-    real: Trace,
-    synthesized: Trace,
-    device_type: DeviceType,
-) -> float:
-    """The largest |row difference| — the headline number of §8.1.1."""
-    diffs = breakdown_difference(real, synthesized, device_type)
-    return max(abs(v) for v in diffs.values())
-
-
-def macro_comparison(
-    real: Trace,
-    synthesized_by_method: Mapping[str, Trace],
-    device_types: Sequence[DeviceType] = tuple(DeviceType),
-) -> Dict[DeviceType, Dict[str, Dict[str, float]]]:
-    """Full Table 4/11 structure.
-
-    Returns ``{device: {"real": breakdown, method: differences...}}``
-    with every value a fraction (multiply by 100 for the paper's
-    percentage view).
-    """
-    out: Dict[DeviceType, Dict[str, Dict[str, float]]] = {}
-    for device_type in device_types:
-        per_device: Dict[str, Dict[str, float]] = {
-            "real": breakdown_with_states(real, device_type)
-        }
-        for method, trace in synthesized_by_method.items():
-            per_device[method] = breakdown_difference(real, trace, device_type)
-        out[device_type] = per_device
-    return out

@@ -264,9 +264,16 @@ def top_state_sojourns(
     }
 
 
-def device_sojourns(trace: Trace, device_type) -> Dict[str, np.ndarray]:
-    """Reference twin of :func:`repro.validation.microscopic.device_sojourns`."""
-    return top_state_sojourns(replay_trace(trace.filter_device(device_type)))
+class ReferenceReplay:
+    """The per-event replay of a trace, behind the one
+    :class:`~repro.statemachines.TraceReplay` method the §8 summary
+    reads; patch it in for ``repro.validation.summary.replay_trace``."""
+
+    def __init__(self, trace: Trace) -> None:
+        self.results = replay_trace(trace)
+
+    def top_state_sojourns(self) -> Dict[str, np.ndarray]:
+        return top_state_sojourns(self.results)
 
 
 def classify_category2_events(trace: Trace) -> Dict[Tuple[EventType, str], int]:

@@ -7,6 +7,7 @@ from repro.cli import build_parser, main
 from repro.model import ModelSet
 from repro.trace import read_npz
 
+from conftest import make_trace
 from oracle import fit as oracle_fit
 
 
@@ -212,7 +213,40 @@ class TestOtherCommands:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "Breakdown - PHONE" in out
+        assert "Macroscopic breakdown - PHONE" in out
+        assert "Microscopic max y-distance - PHONE" in out
+
+    def test_validate_reports_measurable_quantities(self, tmp_path, capsys):
+        """One quantity missing (no complete CONNECTED sojourn in the
+        real trace) no longer drops the measurable ones; the skip is
+        listed with its reason, as ``repro evaluate`` lists it."""
+        from repro.trace import DeviceType, EventType, write_npz
+
+        E, P = EventType, DeviceType.PHONE
+        rows = [
+            (1, 10.0, E.S1_CONN_REL, P),
+            (1, 20.0, E.SRV_REQ, P),
+            (2, 5.0, E.S1_CONN_REL, P),
+            (2, 50.0, E.SRV_REQ, P),
+        ]
+        released = rows + [(1, 30.0, E.S1_CONN_REL, P), (2, 60.0, E.S1_CONN_REL, P)]
+        write_npz(make_trace(rows), tmp_path / "real.npz")
+        write_npz(make_trace(released), tmp_path / "syn.npz")
+        rc = main(
+            ["validate", "--real", str(tmp_path / "real.npz"),
+             "--synthesized", str(tmp_path / "syn.npz")]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        micro = out.split("Microscopic max y-distance - PHONE")[1]
+        table = dict(line.split() for line in micro.splitlines()[4:8])
+        assert table["CONNECTED"] == "-"
+        for quantity in ("SRV_REQ", "S1_CONN_REL", "IDLE"):
+            assert table[quantity].endswith("%")
+        assert (
+            "Skipped quantities - PHONE:\n  [synthesized] CONNECTED: "
+            "no complete CONNECTED sojourns for PHONE in one of the traces"
+        ) in out
 
     def test_scale5g(self, workspace, capsys):
         out = workspace / "sa.json.gz"

@@ -120,10 +120,10 @@ class TestModelSetBoundaries:
 
 class TestValidationBoundaries:
     def test_breakdown_difference_of_trace_with_itself(self, tiny_trace):
-        from repro.validation import breakdown_difference
+        from repro.validation import compare, summarize
 
-        diff = breakdown_difference(tiny_trace, tiny_trace, P)
-        assert all(v == 0.0 for v in diff.values())
+        result = compare(summarize(tiny_trace, P), summarize(tiny_trace, P))
+        assert all(v == 0.0 for v in result.macro_diff.values())
 
     def test_max_y_distance_single_samples(self):
         from repro.stats import max_y_distance

@@ -5,8 +5,9 @@ import pytest
 import repro.harness
 from repro.generator import TrafficGenerator
 from repro.harness import DEFAULT_METHODS, evaluate_methods
+from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType, EventType
-from repro.validation import breakdown, microscopic
+from repro.validation import breakdown, summary
 
 from conftest import TRACE_START_HOUR, make_trace
 from oracle import replay as oracle_replay
@@ -137,7 +138,7 @@ class TestEvaluationEngines:
                 oracle_replay.classify_category2_events,
             )
             patch.setattr(
-                microscopic, "device_sojourns", oracle_replay.device_sojourns
+                summary, "replay_trace", oracle_replay.ReferenceReplay
             )
             reference = evaluate_methods(
                 ground_truth_trace, holdout_trace, **kwargs
@@ -217,27 +218,18 @@ class TestBugfixRegressions:
         # Regression (bug 2): the harness used to call count_ydistance
         # without populations, so zero-event UEs were never padded and
         # Table-5 numbers were biased whenever the synthesized
-        # population differed from the real one (Scenario 2).
+        # population differed from the real one (Scenario 2).  The real
+        # side is padded to the UEs present, i.e. not at all.
         from repro.harness import evaluation as ev
-        from repro.validation.microscopic import (
-            micro_comparison_partial as real_fn,
-        )
 
-        seen = {}
+        seen = []
 
-        def spy(real, syn, device_type, *, real_num_ues=None,
-                syn_num_ues=None):
-            seen[device_type] = (real_num_ues, syn_num_ues)
-            return real_fn(
-                real,
-                syn,
-                device_type,
-                real_num_ues=real_num_ues,
-                syn_num_ues=syn_num_ues,
-            )
+        def spy(trace, device_type, *, num_ues=None):
+            seen.append((len(trace), device_type, num_ues))
+            return summary.summarize(trace, device_type, num_ues=num_ues)
 
-        monkeypatch.setattr(ev, "micro_comparison_partial", spy)
-        evaluate_methods(
+        monkeypatch.setattr(ev, "summarize", spy)
+        report = evaluate_methods(
             ground_truth_trace,
             holdout_trace,
             num_ues=60,
@@ -246,7 +238,54 @@ class TestBugfixRegressions:
             generation_hour=TRACE_START_HOUR + 1,
         )
         resolved = TrafficGenerator(ours_model_set).resolve_counts(60)
-        assert seen
-        for device_type, (real_n, syn_n) in seen.items():
-            assert real_n == holdout_trace.filter_device(device_type).num_ues
-            assert syn_n == resolved[device_type]
+        devices = list(report.real_summary)
+        synthesized = report.results["ours"].synthesized
+        assert seen == [
+            (len(holdout_trace), dt, None) for dt in devices
+        ] + [(len(synthesized), dt, resolved[dt]) for dt in devices]
+
+
+class TestOneSummaryPerTrace:
+    def test_replays_each_trace_once_per_device(
+        self, monkeypatch, ground_truth_trace, holdout_trace, ours_model_set
+    ):
+        """M methods over D real devices replay (1 + M) * D cohorts: each
+        (trace, device) once, the real side shared by every method."""
+        calls = []
+        replay = summary.replay_trace
+
+        def spy(trace, *args, **kwargs):
+            calls.append(len(trace))
+            return replay(trace, *args, **kwargs)
+
+        monkeypatch.setattr(summary, "replay_trace", spy)
+        methods = ("base", "ours")
+        report = evaluate_methods(
+            ground_truth_trace,
+            holdout_trace,
+            methods=methods,
+            models={"base": ours_model_set, "ours": ours_model_set},
+            generation_hour=TRACE_START_HOUR + 1,
+        )
+        num_devices = len(report.real_summary)
+        assert num_devices == len(DeviceType)
+        assert len(calls) == (1 + len(methods)) * num_devices
+
+    def test_metric_spans_cover_eval_metrics(
+        self, ground_truth_trace, holdout_trace, ours_model_set
+    ):
+        """``eval-metrics`` splits into ``eval-summarize`` (one job per
+        trace) and ``eval-compare``, which cover its wall time."""
+        tele = RunTelemetry()
+        evaluate_methods(
+            ground_truth_trace,
+            holdout_trace,
+            methods=("ours",),
+            models={"ours": ours_model_set},
+            generation_hour=TRACE_START_HOUR + 1,
+            telemetry=tele,
+        )
+        spans = tele.spans
+        children = spans["eval-summarize"]["wall_s"] + spans["eval-compare"]["wall_s"]
+        assert children >= 0.95 * spans["eval-metrics"]["wall_s"]
+        assert tele.counters["eval_metric_jobs"] == 2

@@ -14,16 +14,18 @@ from repro.generator import TrafficGenerator
 from repro.groundtruth import simulate_ground_truth
 from repro.statemachines import lte
 from repro.trace import DeviceType, EventType
-from repro.validation import (
-    breakdown_with_states,
-    count_ydistance,
-    max_abs_breakdown_difference,
-    sojourn_ydistance,
-)
+from repro.validation import breakdown_with_states, compare, summarize
 
 E = EventType
 P = DeviceType.PHONE
 START = 18
+
+
+def _compare(real, synthesized, device_type=P, *, real_num_ues=None):
+    return compare(
+        summarize(real, device_type, num_ues=real_num_ues),
+        summarize(synthesized, device_type),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -55,14 +57,14 @@ class TestMacroscopic:
         """§8.1.1: our breakdown errors stay small (paper: <~5%)."""
         _, real, syn = pipeline
         for dt in DeviceType:
-            err = max_abs_breakdown_difference(real, syn["ours"], dt)
+            err = _compare(real, syn["ours"], dt).macro_max_error
             assert err < 0.10, f"{dt.name}: {err:.3f}"
 
     def test_ours_beats_base_by_wide_margin(self, pipeline):
         _, real, syn = pipeline
         for dt in (P, DeviceType.CONNECTED_CAR):
-            ours = max_abs_breakdown_difference(real, syn["ours"], dt)
-            base = max_abs_breakdown_difference(real, syn["base"], dt)
+            ours = _compare(real, syn["ours"], dt).macro_max_error
+            base = _compare(real, syn["base"], dt).macro_max_error
             assert base > 2.0 * ours, f"{dt.name}: base={base:.3f} ours={ours:.3f}"
 
     def test_base_generates_ho_in_idle_ours_does_not(self, pipeline):
@@ -85,22 +87,20 @@ class TestMicroscopic:
     def test_ours_beats_v2_on_sojourns(self, pipeline):
         """Table 5: empirical CDFs beat Poisson sojourns for CONNECTED."""
         _, real, syn = pipeline
-        ours = sojourn_ydistance(real, syn["ours"], P, lte.CONNECTED)
-        v2 = sojourn_ydistance(real, syn["v2"], P, lte.CONNECTED)
+        ours = _compare(real, syn["ours"]).micro[lte.CONNECTED]
+        v2 = _compare(real, syn["v2"]).micro[lte.CONNECTED]
         assert ours < v2, f"ours={ours:.3f} v2={v2:.3f}"
 
     def test_ours_sojourn_fidelity_absolute(self, pipeline):
         _, real, syn = pipeline
+        micro = _compare(real, syn["ours"]).micro
         for state in (lte.CONNECTED, lte.IDLE):
-            d = sojourn_ydistance(real, syn["ours"], P, state)
+            d = micro[state]
             assert d < 0.20, f"{state}: {d:.3f}"
 
     def test_count_cdf_fidelity(self, pipeline):
         _, real, syn = pipeline
-        d = count_ydistance(
-            real, syn["ours"], P, E.SRV_REQ,
-            real_num_ues=100, syn_num_ues=None,
-        )
+        d = _compare(real, syn["ours"], real_num_ues=100).micro["SRV_REQ"]
         assert d < 0.30
 
 
@@ -167,7 +167,6 @@ class TestModelStability:
         reproduce the same macroscopic mix (the generator is a fixed
         point of the modeling pipeline up to sampling noise)."""
         from repro.baselines import fit_method
-        from repro.validation import max_abs_breakdown_difference
 
         train, _, syn = pipeline
         first_gen = syn["ours"]
@@ -177,7 +176,7 @@ class TestModelStability:
         second_gen = TrafficGenerator(ms2).generate(
             170, start_hour=START + 1, num_hours=1, seed=9
         )
-        err = max_abs_breakdown_difference(first_gen, second_gen, P)
+        err = _compare(first_gen, second_gen).macro_max_error
         assert err < 0.08, f"refit drift {err:.3f}"
 
     def test_model_set_audit_clean_for_all_methods(self, pipeline):

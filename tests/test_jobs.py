@@ -125,7 +125,7 @@ def test_killed_worker_recovers_exactly(
 
 
 #: Job 1 of each stage: the second 7-UE phone chunk; the phone fit of
-#: the second hour; the base method on the second device type.
+#: the second hour; the base method's trace (job 0 is the real one).
 POISONED_LABELS = {
     "generate": {
         "device": "PHONE",
@@ -133,7 +133,7 @@ POISONED_LABELS = {
         "hours": (TRACE_START_HOUR, TRACE_START_HOUR + 2),
     },
     "fit": {"device": "PHONE", "hour": TRACE_START_HOUR + 1},
-    "eval": {"method": "base", "device": "CONNECTED_CAR"},
+    "eval": {"trace": "base"},
 }
 
 

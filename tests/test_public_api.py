@@ -158,6 +158,37 @@ class TestExportIntegrity:
         params = inspect.signature(TraceReplay.sojourn_samples).parameters
         assert "include_forced" not in params
 
+    def test_one_summary_per_trace(self):
+        """Tables 4/5 compare two ``DeviceSummary`` objects: the pairwise
+        trace-vs-trace metrics and the duplicate per-UE counter are gone."""
+        for name, old in (
+            ("repro.validation", "breakdown_difference"),
+            ("repro.validation", "max_abs_breakdown_difference"),
+            ("repro.validation", "macro_comparison"),
+            ("repro.validation", "count_ydistance"),
+            ("repro.validation", "sojourn_ydistance"),
+            ("repro.validation", "state_sojourns"),
+            ("repro.validation", "device_sojourns"),
+            ("repro.validation", "micro_comparison"),
+            ("repro.validation", "micro_comparison_partial"),
+            ("repro.validation.breakdown", "breakdown_difference"),
+            ("repro.validation.breakdown", "max_abs_breakdown_difference"),
+            ("repro.validation.breakdown", "macro_comparison"),
+            ("repro.validation.microscopic", "count_ydistance"),
+            ("repro.validation.microscopic", "sojourn_ydistance"),
+            ("repro.validation.microscopic", "state_sojourns"),
+            ("repro.validation.microscopic", "device_sojourns"),
+            ("repro.validation.microscopic", "micro_comparison"),
+            ("repro.validation.microscopic", "micro_comparison_partial"),
+            ("repro.harness.evaluation", "_device_metrics"),
+            ("repro.harness.evaluation", "_metrics_job"),
+            ("repro.trace", "events_per_ue_counts"),
+            ("repro.trace.stats", "events_per_ue_counts"),
+        ):
+            module = importlib.import_module(name)
+            assert not hasattr(module, old), f"{name}.{old}"
+            assert old not in getattr(module, "__all__", ())
+
     def test_generate_parallel_has_no_retry_knobs(self):
         """Retries, backoff and fault injection are repro.jobs constants;
         the pooled driver, ``TrafficGenerator.generate(processes=)``,

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.trace import (
@@ -14,7 +13,6 @@ from repro.trace import (
     diurnal_box_stats,
     event_breakdown,
     events_per_device_hour,
-    events_per_ue_counts,
     hourly_event_counts,
     peak_to_trough_ratio,
 )
@@ -138,13 +136,3 @@ class TestHourly:
         with pytest.raises(ValueError):
             busiest_hour(Trace.empty())
 
-
-class TestEventsPerUeCounts:
-    def test_includes_zero_count_ues(self):
-        tr = make_trace([(1, 1.0, E.SRV_REQ, P), (2, 2.0, E.HO, P)])
-        counts = events_per_ue_counts(tr, P, E.SRV_REQ)
-        assert list(counts) == [0.0, 1.0]
-
-    def test_sorted_output(self, ground_truth_trace):
-        counts = events_per_ue_counts(ground_truth_trace, P, E.SRV_REQ)
-        assert np.all(np.diff(counts) >= 0)

@@ -6,23 +6,21 @@ import numpy as np
 import pytest
 
 from repro.statemachines import lte
+from repro.statemachines.compiled_replay import replay_trace
+from repro.stats.ecdf import max_y_distance
 from repro.trace import DeviceType, EventType
-from repro.validation import breakdown, microscopic
+from repro.validation import breakdown, summary
 from repro.validation import (
     BREAKDOWN_ROWS,
+    MICRO_QUANTITIES,
     activity_split_ydistance,
-    breakdown_difference,
     breakdown_with_states,
-    count_ydistance,
+    compare,
     format_percent,
     format_ratio,
     format_table,
-    macro_comparison,
-    max_abs_breakdown_difference,
-    micro_comparison,
-    micro_comparison_partial,
     per_ue_counts,
-    sojourn_ydistance,
+    summarize,
 )
 
 from conftest import make_trace
@@ -59,24 +57,30 @@ class TestBreakdownWithStates:
         assert all(v == 0.0 for v in bd.values())
 
     def test_difference_is_signed(self, ground_truth_trace, synthesized_trace):
-        diff = breakdown_difference(ground_truth_trace, synthesized_trace, P)
-        assert set(diff) == set(BREAKDOWN_ROWS)
+        diff = _compare(ground_truth_trace, synthesized_trace).macro_diff
+        assert list(diff) == list(BREAKDOWN_ROWS)
         # Differences must cancel: both breakdowns sum to 1.
         assert sum(diff.values()) == pytest.approx(0.0, abs=1e-9)
 
     def test_max_abs_difference(self, ground_truth_trace, synthesized_trace):
-        value = max_abs_breakdown_difference(
-            ground_truth_trace, synthesized_trace, P
+        result = _compare(ground_truth_trace, synthesized_trace)
+        assert result.macro_max_error == max(
+            abs(v) for v in result.macro_diff.values()
         )
-        diffs = breakdown_difference(ground_truth_trace, synthesized_trace, P)
-        assert value == max(abs(v) for v in diffs.values())
 
-    def test_macro_comparison_structure(self, ground_truth_trace, synthesized_trace):
-        table = macro_comparison(
-            ground_truth_trace, {"ours": synthesized_trace}, [P]
-        )
-        assert set(table) == {P}
-        assert set(table[P]) == {"real", "ours"}
+    def test_macro_comparison_structure(self, ground_truth_trace):
+        real = summarize(ground_truth_trace, P)
+        assert real.device_type == P
+        assert real.breakdown == breakdown_with_states(ground_truth_trace, P)
+        assert list(real.breakdown) == list(BREAKDOWN_ROWS)
+        assert list(real.samples) == list(MICRO_QUANTITIES)
+
+
+def _compare(real, synthesized, device_type=P, *, syn_num_ues=None):
+    return compare(
+        summarize(real, device_type),
+        summarize(synthesized, device_type, num_ues=syn_num_ues),
+    )
 
 
 class TestPerUeCounts:
@@ -89,54 +93,54 @@ class TestPerUeCounts:
         tr = make_trace([(1, 1.0, E.SRV_REQ, P), (2, 2.0, E.SRV_REQ, P)])
         with pytest.raises(ValueError, match="smaller"):
             per_ue_counts(tr, P, E.SRV_REQ, num_ues=1)
+        with pytest.raises(ValueError, match="smaller"):
+            summarize(tr, P, num_ues=1)
+
+    def test_includes_zero_count_ues(self):
+        tr = make_trace([(1, 1.0, E.SRV_REQ, P), (2, 2.0, E.HO, P)])
+        counts = per_ue_counts(tr, P, E.SRV_REQ)
+        assert list(counts) == [0.0, 1.0]
+
+    def test_sorted_output(self, ground_truth_trace):
+        counts = per_ue_counts(ground_truth_trace, P, E.SRV_REQ)
+        assert np.all(np.diff(counts) >= 0)
 
 
 class TestYdistances:
     def test_identical_traces_zero_distance(self, ground_truth_trace):
-        assert (
-            count_ydistance(
-                ground_truth_trace, ground_truth_trace, P, E.SRV_REQ
-            )
-            == 0.0
-        )
+        micro = _compare(ground_truth_trace, ground_truth_trace).micro
+        assert micro["SRV_REQ"] == 0.0
 
     def test_count_ydistance_range(self, ground_truth_trace, synthesized_trace):
-        d = count_ydistance(
-            ground_truth_trace.window(3600.0, 7200.0),
-            synthesized_trace,
-            P,
-            E.SRV_REQ,
-        )
+        d = _compare(
+            ground_truth_trace.window(3600.0, 7200.0), synthesized_trace
+        ).micro["SRV_REQ"]
         assert 0.0 <= d <= 1.0
 
     def test_sojourn_ydistance_identical(self, ground_truth_trace):
-        assert (
-            sojourn_ydistance(
-                ground_truth_trace, ground_truth_trace, P, lte.CONNECTED
-            )
-            == 0.0
-        )
+        micro = _compare(ground_truth_trace, ground_truth_trace).micro
+        assert micro[lte.CONNECTED] == 0.0
 
     def test_sojourn_ydistance_missing_state(self, tiny_trace):
         silent = make_trace([(9, 1.0, E.ATCH, P)])
-        with pytest.raises(ValueError, match="sojourns"):
-            sojourn_ydistance(tiny_trace, silent, P, lte.CONNECTED)
+        skipped = _compare(tiny_trace, silent).micro_skipped
+        assert "sojourns" in skipped[lte.CONNECTED]
 
     def test_activity_split(self, ground_truth_trace, synthesized_trace):
         inactive, active = activity_split_ydistance(
-            ground_truth_trace.window(3600.0, 7200.0),
-            synthesized_trace,
-            P,
+            summarize(ground_truth_trace.window(3600.0, 7200.0), P),
+            summarize(synthesized_trace, P),
             E.SRV_REQ,
         )
         for v in (inactive, active):
             assert math.isnan(v) or 0.0 <= v <= 1.0
 
     def test_micro_comparison_keys(self, ground_truth_trace, synthesized_trace):
-        metrics = micro_comparison(
-            ground_truth_trace.window(3600.0, 7200.0), synthesized_trace, P
+        result = _compare(
+            ground_truth_trace.window(3600.0, 7200.0), synthesized_trace
         )
-        assert set(metrics) == {"SRV_REQ", "S1_CONN_REL", "CONNECTED", "IDLE"}
+        assert list(result.micro) == list(MICRO_QUANTITIES)
+        assert result.micro_skipped == {}
 
     def test_count_padding_changes_distance(self):
         # Regression (Scenario 2 bias): without population padding two
@@ -144,10 +148,8 @@ class TestYdistances:
         # look indistinguishable; the zero-event UEs are the difference.
         real = make_trace([(1, 1.0, E.SRV_REQ, P), (2, 2.0, E.SRV_REQ, P)])
         syn = make_trace([(7, 1.5, E.SRV_REQ, P)])
-        assert count_ydistance(real, syn, P, E.SRV_REQ) == 0.0
-        assert (
-            count_ydistance(real, syn, P, E.SRV_REQ, syn_num_ues=2) == 0.5
-        )
+        assert _compare(real, syn).micro["SRV_REQ"] == 0.0
+        assert _compare(real, syn, syn_num_ues=2).micro["SRV_REQ"] == 0.5
 
 
 #: Each UE closes an IDLE sojourn (release -> service request) but its
@@ -168,34 +170,78 @@ class TestMicroComparisonPartial:
         # micro-metric for the device.
         real = make_trace(_NO_CONNECTED_ROWS)
         syn = ground_truth_trace.window(3600.0, 7200.0)
-        values, skipped = micro_comparison_partial(real, syn, P)
-        assert set(values) == {"SRV_REQ", "S1_CONN_REL", "IDLE"}
-        assert set(skipped) == {"CONNECTED"}
-        assert "CONNECTED" in skipped["CONNECTED"]
-        assert "PHONE" in skipped["CONNECTED"]
+        result = _compare(real, syn)
+        assert list(result.micro) == ["SRV_REQ", "S1_CONN_REL", "IDLE"]
+        assert set(result.micro_skipped) == {"CONNECTED"}
+        assert "CONNECTED" in result.micro_skipped["CONNECTED"]
+        assert "PHONE" in result.micro_skipped["CONNECTED"]
 
     def test_strict_comparison_raises(self, ground_truth_trace):
-        real = make_trace(_NO_CONNECTED_ROWS)
-        syn = ground_truth_trace.window(3600.0, 7200.0)
-        with pytest.raises(ValueError, match="CONNECTED"):
-            micro_comparison(real, syn, P)
+        """Summaries of different device types are not comparable."""
+        with pytest.raises(ValueError, match="CONNECTED_CAR"):
+            compare(
+                summarize(ground_truth_trace, P),
+                summarize(ground_truth_trace, DeviceType.CONNECTED_CAR),
+            )
 
     def test_engines_agree(self, ground_truth_trace, synthesized_trace, monkeypatch):
         """Macro and micro metrics equal those computed with the
         per-event reference replay swapped in."""
         real = ground_truth_trace.window(3600.0, 7200.0)
-        comp_micro = micro_comparison_partial(real, synthesized_trace, P)
-        comp_macro = breakdown_difference(real, synthesized_trace, P)
-        monkeypatch.setattr(
-            microscopic, "device_sojourns", oracle_replay.device_sojourns
-        )
+        compiled = _compare(real, synthesized_trace)
+        monkeypatch.setattr(summary, "replay_trace", oracle_replay.ReferenceReplay)
         monkeypatch.setattr(
             breakdown,
             "classify_category2_events",
             oracle_replay.classify_category2_events,
         )
-        assert micro_comparison_partial(real, synthesized_trace, P) == comp_micro
-        assert breakdown_difference(real, synthesized_trace, P) == comp_macro
+        assert _compare(real, synthesized_trace) == compiled
+
+
+class TestSummaryComparison:
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("device_type", list(DeviceType), ids=lambda dt: dt.name)
+    def test_compare_equals_primitives(
+        self, ground_truth_trace, synthesized_trace, device_type, padded
+    ):
+        """``compare`` of two summaries equals the Table 4/5 numbers
+        built directly from the primitives, key order included."""
+        real = ground_truth_trace.window(3600.0, 7200.0)
+        syn_n = None
+        if padded:
+            syn_n = synthesized_trace.filter_device(device_type).num_ues + 7
+        result = compare(
+            summarize(real, device_type),
+            summarize(synthesized_trace, device_type, num_ues=syn_n),
+        )
+
+        real_bd = breakdown_with_states(real, device_type)
+        syn_bd = breakdown_with_states(synthesized_trace, device_type)
+        diff = {row: syn_bd[row] - real_bd[row] for row in BREAKDOWN_ROWS}
+        samples = []
+        for trace, n in ((real, None), (synthesized_trace, syn_n)):
+            sojourns = replay_trace(
+                trace.filter_device(device_type)
+            ).top_state_sojourns()
+            samples.append(
+                {
+                    "SRV_REQ": per_ue_counts(trace, device_type, E.SRV_REQ, num_ues=n),
+                    "S1_CONN_REL": per_ue_counts(
+                        trace, device_type, E.S1_CONN_REL, num_ues=n
+                    ),
+                    "CONNECTED": sojourns[lte.CONNECTED],
+                    "IDLE": sojourns[lte.IDLE],
+                }
+            )
+        micro = {
+            q: max_y_distance(samples[0][q], samples[1][q])
+            for q in MICRO_QUANTITIES
+        }
+
+        assert list(result.macro_diff.items()) == list(diff.items())
+        assert result.macro_max_error == max(abs(v) for v in diff.values())
+        assert list(result.micro.items()) == list(micro.items())
+        assert result.micro_skipped == {}
 
 
 class TestReportFormatting:
