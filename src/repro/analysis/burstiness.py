@@ -44,15 +44,10 @@ def quantity_samples(
     sub = trace.filter_device(device_type)
     if quantity in (lte.CONNECTED, lte.IDLE):
         return replay_trace(sub).state_visits(quantity)
-    event = EventType[quantity]
-    durations: List[float] = []
-    arrivals: List[float] = []
-    for _, ue_sub in sub.per_ue():
-        times = ue_sub.times[ue_sub.event_types == int(event)]
-        arrivals.extend(times.tolist())
-        if times.size >= 2:
-            durations.extend(np.diff(times).tolist())
-    return np.asarray(durations), np.asarray(arrivals)
+    index = sub.ue_index()
+    rows = index.order[sub.event_types[index.order] == int(EventType[quantity])]
+    same_ue = sub.ue_ids[rows[1:]] == sub.ue_ids[rows[:-1]]
+    return np.diff(sub.times[rows])[same_ue], sub.times[rows]
 
 
 @dataclasses.dataclass

@@ -304,14 +304,16 @@ DeviceCounts = Union[int, Mapping[DeviceType, int]]
 def resolve_device_counts(num_ues: DeviceCounts) -> Dict[DeviceType, int]:
     """Expand a total UE count into per-device counts via the paper's mix."""
     if isinstance(num_ues, Mapping):
-        return {DeviceType(k): int(v) for k, v in num_ues.items()}
-    total = int(num_ues)
-    counts = {
-        dt: int(round(total * frac)) for dt, frac in PAPER_DEVICE_MIX.items()
-    }
-    # Fix rounding drift on the dominant type.
-    drift = total - sum(counts.values())
-    counts[DeviceType.PHONE] += drift
+        counts = {DeviceType(k): int(v) for k, v in num_ues.items()}
+    else:
+        total = int(num_ues)
+        counts = {
+            dt: int(round(total * frac)) for dt, frac in PAPER_DEVICE_MIX.items()
+        }
+        # Fix rounding drift on the dominant type.
+        counts[DeviceType.PHONE] += total - sum(counts.values())
+    if min(counts.values(), default=0) < 0:
+        raise ValueError(f"num_ues must not be negative, got {num_ues!r}")
     return counts
 
 
@@ -337,6 +339,8 @@ def simulate_ground_truth(
     seed:
         Every UE gets an independent, reproducible substream.
     """
+    if not (math.isfinite(duration) and duration > 0):
+        raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     if profiles is None:
         profiles = DEFAULT_PROFILES
     counts = resolve_device_counts(num_ues)

@@ -6,8 +6,8 @@ Python record per transition, would dominate the paper's whole loop at
 flat arrays through each state machine's integer lookup tables
 (:func:`repro.statemachines.compiled_replay.table_for`):
 
-* events are sorted by ``(ue, time)`` and bucketed into hour slots with
-  one ``searchsorted``;
+* events are taken in ``(ue, time)`` order from the trace's one per-UE
+  index and bucketed into hour slots with one ``searchsorted``;
 * state reconstruction runs as a segmented Hillis–Steele scan over
   per-event *state-transformation* rows, so the whole cohort's state
   trajectory falls out in ``O(log n)`` vectorized passes;
@@ -113,31 +113,26 @@ def device_arrays(
     trace: Trace, device_type: DeviceType, total_slots: int
 ) -> Optional[DeviceArrays]:
     """Extract one device's cohort as flat arrays (None if absent)."""
-    mask = trace.device_types == int(device_type)
-    if not mask.any():
+    # A stable sort of the device's rows keeps their whole-trace order.
+    index = trace.ue_index()
+    keep = trace.device_types[index.order] == int(device_type)
+    if not keep.any():
         return None
-    ue = trace.ue_ids[mask]
-    t = trace.times[mask]
-    ev = trace.event_types[mask].astype(np.int64)
-    # Trace rows are already time-sorted, so one stable ue sort yields
-    # the (ue, time) order the reference sees — same permutation as
-    # np.lexsort((t, ue)) at roughly half the cost.
-    order = np.argsort(ue, kind="stable")
-    ue, t, ev = ue[order], t[order], ev[order]
+    rows = index.order[keep]
+    t = trace.times[rows]
+    codes = index.codes()[keep]
+    first = _segment_firsts(codes)
     # Slot membership matches the reference's half-open searchsorted
     # windows exactly (an event at exactly k*3600.0 belongs to slot k);
     # floor division would be a float-rounding hazard here.
     boundaries = np.arange(1, total_slots) * SECONDS_PER_HOUR
     slots = np.searchsorted(boundaries, t, side="right")
-    t_rel = t - slots * SECONDS_PER_HOUR
-    ues = np.unique(ue)
-    ue_code = np.searchsorted(ues, ue)
     return DeviceArrays(
-        ues=ues,
-        ue_code=ue_code,
-        events=ev,
+        ues=index.ues[codes[first]],
+        ue_code=np.cumsum(first) - 1,
+        events=trace.event_types[rows].astype(np.int64),
         slots=slots,
-        t_rel=t_rel,
+        t_rel=t - slots * SECONDS_PER_HOUR,
         total_slots=total_slots,
     )
 
@@ -175,7 +170,8 @@ def _group_std(codes: np.ndarray, values: np.ndarray, num_ues: int) -> np.ndarra
     out = np.zeros(num_ues, dtype=np.float64)
     if codes.size == 0:
         return out
-    present, starts = np.unique(codes, return_index=True)
+    starts = np.flatnonzero(_segment_firsts(codes))
+    present = codes[starts]
     lengths = np.diff(np.append(starts, codes.size))
     for size in np.unique(lengths).tolist():
         if size < 2:
@@ -223,20 +219,20 @@ def fit_device_hour(
     """
     tele = get_telemetry()
     num_slots = len(hour_slots)
-    ue_code, events, t_rel, seg_key, first_raw = dev.hour_rows(hour_slots)
     num_ues = len(dev.ues)
+    with tele.span("fit-arrays"):
+        ue_code, events, t_rel, seg_key, first_raw = dev.hour_rows(hour_slots)
+        # Filtered stream: the EMM-ECM machine only replays Category-1.
+        if machine_kind == "emm_ecm":
+            fmask = np.isin(events, _CATEGORY1_CODES)
+            f_ue = ue_code[fmask]
+            f_ev = events[fmask]
+            f_t = t_rel[fmask]
+            f_seg = seg_key[fmask]
+        else:
+            f_ue, f_ev, f_t, f_seg = ue_code, events, t_rel, seg_key
+        f_first = _segment_firsts(f_seg)
     tele.count("segments_replayed", int(np.count_nonzero(first_raw)))
-
-    # Filtered stream: the EMM-ECM machine only replays Category-1.
-    if machine_kind == "emm_ecm":
-        fmask = np.isin(events, _CATEGORY1_CODES)
-        f_ue = ue_code[fmask]
-        f_ev = events[fmask]
-        f_t = t_rel[fmask]
-        f_seg = seg_key[fmask]
-    else:
-        f_ue, f_ev, f_t, f_seg = ue_code, events, t_rel, seg_key
-    f_first = _segment_firsts(f_seg)
     tele.count("transitions_counted", len(f_ev))
 
     with tele.span("fit-replay"):
@@ -335,9 +331,9 @@ def fit_device_hour(
                     num_segments=num_segments,
                 )
             )
-    return HourModel(
-        clusters=cluster_models, assignment=dict(clustering.assignment)
-    )
+        return HourModel(
+            clusters=cluster_models, assignment=dict(clustering.assignment)
+        )
 
 
 def _cluster_device_hour(
@@ -482,9 +478,10 @@ def fit_job(ctx: dict, device_code: int, slots: Tuple[int, ...]) -> HourModel:
     """
     memo = ctx.get("device_arrays")
     if memo is None or memo[0] != device_code:
-        arrays = device_arrays(
-            ctx["trace"], DeviceType(device_code), ctx["total_slots"]
-        )
+        with get_telemetry().span("fit-arrays"):
+            arrays = device_arrays(
+                ctx["trace"], DeviceType(device_code), ctx["total_slots"]
+            )
         memo = ctx["device_arrays"] = (device_code, arrays)
     fit = ctx["fit"]
     return fit_device_hour(

@@ -27,6 +27,8 @@ import math
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..clustering.quadtree import DEFAULT_THETA_F, DEFAULT_THETA_N
 from ..jobs import Job, check_processes, run_jobs
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
@@ -148,14 +150,15 @@ def _fit_all(
     processes: Optional[int],
 ) -> ModelSet:
     """Plan and run the per-(device, hour) fit jobs for one model set."""
-    total_slots, hour_plan = plan_hour_slots(trace, trace_start_hour)
-
-    device_ues: Dict[DeviceType, List[int]] = {}
-    for device_type in DeviceType:
-        sub = trace.filter_device(device_type)
-        if len(sub) == 0:
-            continue
-        device_ues[device_type] = [int(u) for u in sub.unique_ues()]
+    with get_telemetry().span("fit-arrays"):
+        total_slots, hour_plan = plan_hour_slots(trace, trace_start_hour)
+        # A UE belongs to every device type it has a row of.
+        index = trace.ue_index()
+        seen = np.zeros((len(DeviceType), len(index.ues)), dtype=bool)
+        seen[trace.device_types[index.order], index.codes()] = True
+        device_ues = {
+            dt: index.ues[seen[dt]].tolist() for dt in DeviceType if seen[dt].any()
+        }
 
     plan = [(dt, hour, slots) for dt in device_ues for hour, slots in hour_plan]
     jobs = [

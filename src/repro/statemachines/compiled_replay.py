@@ -12,8 +12,8 @@ once (:class:`MachineTable`, shared with :mod:`repro.model.compiled_fit`
 and :mod:`repro.analysis.gof`) and replays a whole trace as flat
 arrays:
 
-* rows are sorted by ``(ue, time)`` with one stable argsort (traces are
-  already time-sorted);
+* rows are visited in ``(ue, time)`` order through the trace's one
+  per-UE index (:meth:`repro.trace.trace.Trace.ue_index`);
 * the state trajectory of every UE falls out of a segmented
   Hillis–Steele function-composition scan (:func:`_replay_codes`) in
   ``O(log n)`` vectorized passes;
@@ -25,7 +25,7 @@ arrays:
 
 Every extraction is **exactly** equal to a per-UE, per-event walk's
 — same keys, same counts, same sample values in the same order —
-because the ``(ue, time)`` sort reproduces the per-UE iteration order
+because the ``(ue, time)`` order reproduces the per-UE iteration order
 and every group-by uses a stable argsort.  That walk is kept as a test
 oracle (``tests/oracle/replay.py``); equality is pinned per machine ×
 device in the tests.
@@ -403,24 +403,16 @@ def replay_trace(trace: Trace, machine=None) -> TraceReplay:
     if machine is None:
         machine = lte.two_level_machine()
     table = table_for(machine)
-    # Trace rows are already time-sorted, so one stable UE sort yields
-    # the (ue, time) order a per-UE walk visits records in.
-    order = np.argsort(trace.ue_ids, kind="stable")
-    ue = trace.ue_ids[order]
-    times = trace.times[order]
-    events = trace.event_types[order].astype(np.int64)
-    first = np.empty(len(ue), dtype=bool)
-    if len(ue):
-        first[0] = True
-        first[1:] = ue[1:] != ue[:-1]
+    # The trace's UE index orders rows the way a per-UE walk visits them.
+    index = trace.ue_index()
+    events = trace.event_types[index.order].astype(np.int64)
+    first = index.firsts()
     sources, targets, forced = _replay_codes(events, first, table)
-    ues = ue[first] if len(ue) else np.empty(0, dtype=np.int64)
-    ue_code = np.cumsum(first) - 1 if len(ue) else np.empty(0, dtype=np.int64)
     return TraceReplay(
-        ues=ues,
-        ue_code=ue_code,
+        ues=index.ues,
+        ue_code=index.codes(),
         events=events,
-        times=times,
+        times=trace.times[index.order],
         sources=sources,
         targets=targets,
         forced=forced,
@@ -475,14 +467,11 @@ def classify_category2_events(
     n = len(trace)
     if n == 0:
         return counts
-    order = np.argsort(trace.ue_ids, kind="stable")
-    ue = trace.ue_ids[order]
-    events = trace.event_types[order].astype(np.int64)
-    first = np.empty(n, dtype=bool)
-    first[0] = True
-    first[1:] = ue[1:] != ue[:-1]
-    ue_code = np.cumsum(first) - 1
-    num_ues = int(ue_code[-1]) + 1
+    index = trace.ue_index()
+    events = trace.event_types[index.order].astype(np.int64)
+    first = index.firsts()
+    ue_code = index.codes()
+    num_ues = len(index.ues)
     idx = np.arange(n)
 
     # Per-UE initial state: decided by the first Category-1 event, else

@@ -33,12 +33,11 @@ def remap_ue_ids(
     a carrier would discard; tests use it to verify losslessness).
     """
     rng = np.random.default_rng(seed)
-    ues = trace.unique_ues()
-    new_ids = start_id + rng.permutation(len(ues))
-    mapping = {int(old): int(new) for old, new in zip(ues, new_ids)}
-    remapped = np.asarray(
-        [mapping[int(u)] for u in trace.ue_ids], dtype=np.int64
-    )
+    index = trace.ue_index()
+    new_ids = start_id + rng.permutation(len(index.ues))
+    mapping = dict(zip(index.ues.tolist(), new_ids.tolist()))
+    remapped = np.empty(len(trace), dtype=np.int64)
+    remapped[index.order] = new_ids[index.codes()]
     return (
         Trace(
             remapped,

@@ -12,6 +12,7 @@ Two formats are supported:
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 import zipfile
@@ -25,6 +26,33 @@ from .trace import Trace
 PathLike = Union[str, "os.PathLike[str]"]
 
 _CSV_HEADER = ["ue_id", "time", "event", "device"]
+
+_NPZ_COLUMNS = ("ue_ids", "times", "event_types", "device_types")
+
+
+def _parse_ue(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("negative UE id")
+    return value
+
+
+def _parse_time(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite time")
+    if value < 0:
+        raise ValueError("negative time")
+    return value
+
+
+#: One parser per CSV column, in ``_CSV_HEADER`` order.
+_CSV_PARSERS = (
+    _parse_ue,
+    _parse_time,
+    lambda text: int(EventType[text]),
+    lambda text: int(DeviceType[text]),
+)
 
 
 def write_csv(trace: Trace, path: PathLike) -> None:
@@ -44,11 +72,12 @@ def write_csv(trace: Trace, path: PathLike) -> None:
 
 
 def read_csv(path: PathLike) -> Trace:
-    """Read a trace previously written by :func:`write_csv`."""
-    ue_ids = []
-    times = []
-    events = []
-    devices = []
+    """Read a trace previously written by :func:`write_csv`.
+
+    A malformed value raises :class:`ValueError` naming the file, the
+    line and the column.
+    """
+    columns = ([], [], [], [])
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -59,10 +88,18 @@ def read_csv(path: PathLike) -> Trace:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(row)}")
-            ue_ids.append(int(row[0]))
-            times.append(float(row[1]))
-            events.append(int(EventType[row[2]]))
-            devices.append(int(DeviceType[row[3]]))
+            for name, parse, text, column in zip(
+                _CSV_HEADER, _CSV_PARSERS, row, columns
+            ):
+                try:
+                    column.append(parse(text))
+                except (KeyError, ValueError) as exc:
+                    reason = "unknown name" if isinstance(exc, KeyError) else exc
+                    raise ValueError(
+                        f"{path}:{lineno}: column {name!r}: "
+                        f"bad value {text!r} ({reason})"
+                    ) from None
+    ue_ids, times, events, devices = columns
     return Trace(
         np.asarray(ue_ids, dtype=np.int64),
         np.asarray(times, dtype=np.float64),
@@ -143,7 +180,9 @@ def read_npz(path: PathLike, *, mmap: bool = False) -> Trace:
     With ``mmap=True`` and an uncompressed archive the four columns are
     memory-mapped straight out of the file — the trace is never
     materialized in RAM beyond the pages actually touched.  Compressed
-    archives silently fall back to a normal load.
+    archives silently fall back to a normal load.  A missing or
+    malformed column raises :class:`ValueError` naming the file and the
+    column.
     """
     if mmap:
         try:
@@ -151,14 +190,17 @@ def read_npz(path: PathLike, *, mmap: bool = False) -> Trace:
         except (ValueError, OSError, KeyError):
             data = None
         if data is not None:
-            return _trace_from_columns(data)
+            return _trace_from_columns(data, path)
     with np.load(path) as data:
         return _trace_from_columns(
-            {name: data[name] for name in data.files}
+            {name: data[name] for name in data.files}, path
         )
 
 
-def _trace_from_columns(data: Dict[str, np.ndarray]) -> Trace:
+def _trace_from_columns(data: Dict[str, np.ndarray], path: PathLike) -> Trace:
+    for name in _NPZ_COLUMNS:
+        if name not in data:
+            raise ValueError(f"{path}: trace archive lacks column {name!r}")
     ue_ids = data["ue_ids"]
     times = data["times"]
     # Traces are written sorted by (time, ue_id); when that still holds
@@ -169,10 +211,13 @@ def _trace_from_columns(data: Dict[str, np.ndarray]) -> Trace:
         dt = np.diff(times)
         due = np.diff(ue_ids)
         already_sorted = bool(np.all((dt > 0) | ((dt == 0) & (due >= 0))))
-    return Trace(
-        ue_ids,
-        times,
-        data["event_types"],
-        data["device_types"],
-        sort=not already_sorted,
-    )
+    try:
+        return Trace(
+            ue_ids,
+            times,
+            data["event_types"],
+            data["device_types"],
+            sort=not already_sorted,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -11,7 +11,7 @@ a level between per-event and per-UE.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -126,13 +126,12 @@ def session_stats(
     events = np.asarray([s.num_events for s in sessions], dtype=float)
     handovers = np.asarray([s.handovers for s in sessions], dtype=float)
 
-    gaps: List[float] = []
-    by_ue: Dict[int, List[Session]] = {}
-    for s in sessions:
-        by_ue.setdefault(s.ue_id, []).append(s)
-    for ue_sessions in by_ue.values():
-        for prev, nxt in zip(ue_sessions, ue_sessions[1:]):
-            gaps.append(nxt.start - prev.end)
+    # Sessions arrive grouped by UE, so a gap is two neighbours of one UE.
+    gaps = [
+        nxt.start - prev.end
+        for prev, nxt in zip(sessions, sessions[1:])
+        if prev.ue_id == nxt.ue_id
+    ]
 
     num_ues = max(sub.num_ues, 1)
     return SessionStats(

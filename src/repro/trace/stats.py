@@ -81,29 +81,18 @@ def events_per_device_hour(
     UEs with zero events in an hour contribute a zero sample.
     """
     sub = trace.filter_device(device_type)
-    ues = sub.unique_ues()
-    mask = sub.event_types == int(event_type)
-    times = sub.times[mask]
-    ue_ids = sub.ue_ids[mask]
-
+    index = sub.ue_index()
     num_days = max(1, int(math.ceil((trace.duration + 1e-9) / SECONDS_PER_DAY)))
-    hours = (times // SECONDS_PER_HOUR).astype(np.int64)
-    hour_of_day = (hours % 24).astype(np.int64)
-    day = (hours // 24).astype(np.int64)
-
-    out: Dict[int, List[int]] = {}
-    for h in range(24):
-        counts: Dict[tuple, int] = {}
-        sel = hour_of_day == h
-        for ue, d in zip(ue_ids[sel], day[sel]):
-            key = (int(ue), int(d))
-            counts[key] = counts.get(key, 0) + 1
-        samples = []
-        for ue in ues:
-            for d in range(num_days):
-                samples.append(counts.get((int(ue), d), 0))
-        out[h] = samples
-    return out
+    hours = (sub.times[index.order] // SECONDS_PER_HOUR).astype(np.int64)
+    day = hours // 24
+    # One (hour-of-day, UE, day) cell per sample; days past the last
+    # counted one are dropped.
+    rows = (sub.event_types[index.order] == int(event_type)) & (day < num_days)
+    cell = (hours % 24 * len(index.ues) + index.codes()) * num_days + day
+    counts = np.bincount(
+        cell[rows], minlength=24 * len(index.ues) * num_days
+    ).reshape(24, -1)
+    return {h: counts[h].tolist() for h in range(24)}
 
 
 def diurnal_box_stats(

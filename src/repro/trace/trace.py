@@ -11,7 +11,7 @@ copies.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,22 +37,67 @@ class Event:
             raise ValueError(f"event time must be non-negative, got {self.time}")
 
 
-def _check_codes(raw, column: str, kind: str, top: int) -> None:
-    """Reject codes outside ``[0, top]`` (NaN included) in a raw column."""
+def _check_integers(raw, column: str, top: Optional[int], bad: str) -> None:
+    """Reject what the integer cast would hide in a raw column.
+
+    The cast would truncate non-integral values (NaN and infinities
+    included) and wrap codes outside ``[0, top]``; ``top=None`` only
+    bounds the column below.  ``bad`` names an out-of-range value.
+    """
     raw = np.asarray(raw)
-    if raw.size and not (raw.min() >= 0 and raw.max() <= top):
-        raise ValueError(
-            f"trace column {column!r} contains unknown {kind} types"
-        )
+    if not raw.size:
+        return
+    if raw.dtype.kind == "f" and not (
+        np.isfinite(raw).all() and np.array_equal(raw, np.trunc(raw))
+    ):
+        raise ValueError(f"trace column {column!r} contains non-integer values")
+    if raw.min() < 0 or (top is not None and raw.max() > top):
+        raise ValueError(f"trace column {column!r} contains {bad}")
+
+
+@dataclasses.dataclass(frozen=True)
+class UEIndex:
+    """A trace's rows grouped by UE: UE ``ues[i]`` owns rows
+    ``order[bounds[i]:bounds[i + 1]]``, in time order.  Read-only."""
+
+    order: np.ndarray   #: (n,) stable row permutation into (ue, time) order
+    ues: np.ndarray     #: (U,) sorted distinct UE ids
+    bounds: np.ndarray  #: (U + 1,) each UE's run in ``order``
+
+    @classmethod
+    def build(cls, ue_ids: np.ndarray) -> "UEIndex":
+        order = np.argsort(ue_ids, kind="stable")
+        ue = ue_ids[order]
+        first = np.ones(len(ue), dtype=bool)
+        first[1:] = ue[1:] != ue[:-1]
+        starts = np.flatnonzero(first)
+        index = cls(order, ue[starts], np.append(starts, len(ue)))
+        for array in (index.order, index.ues, index.bounds):
+            array.flags.writeable = False
+        return index
+
+    def rows(self, i: int) -> np.ndarray:
+        """Row indices of the ``i``-th UE, in time order."""
+        return self.order[self.bounds[i]: self.bounds[i + 1]]
+
+    def codes(self) -> np.ndarray:
+        """Each row's UE code (index into ``ues``), in ``order``."""
+        return np.repeat(np.arange(len(self.ues)), np.diff(self.bounds))
+
+    def firsts(self) -> np.ndarray:
+        """``True`` at each UE's first row, in ``order``."""
+        first = np.zeros(len(self.order), dtype=bool)
+        first[self.bounds[:-1]] = True
+        return first
 
 
 class Trace:
     """An ordered collection of control-plane events.
 
     Events are kept sorted by ``(time, ue_id)``.  All four columns have
-    equal length.  ``ue_ids`` are arbitrary non-negative integers; the
-    device type of a UE is constant across the trace (checked on
-    construction when ``validate=True``).
+    equal length.  ``ue_ids`` are arbitrary non-negative integers
+    (checked on construction when ``validate=True``).  Every per-UE
+    view reads one :class:`UEIndex`, built on first use.
     """
 
     __slots__ = (
@@ -74,14 +119,14 @@ class Trace:
         sort: bool = True,
         validate: bool = True,
     ) -> None:
-        ue_ids = np.asarray(ue_ids, dtype=np.int64)
         times = np.asarray(times, dtype=np.float64)
         if validate:
-            # Range-check the codes before the int8 cast, which would
-            # silently wrap e.g. 258 to 2.
-            _check_codes(event_types, "event_types", "event", max(EventType))
-            _check_codes(
-                device_types, "device_types", "device", max(DeviceType)
+            _check_integers(ue_ids, "ue_ids", None, "negative UE ids")
+            _check_integers(
+                event_types, "event_types", max(EventType), "unknown event types"
+            )
+            _check_integers(
+                device_types, "device_types", max(DeviceType), "unknown device types"
             )
             if len(times) > 0:
                 # NaN propagates through min(), so two reductions catch
@@ -95,6 +140,7 @@ class Trace:
                     raise ValueError(
                         "trace column 'times' contains negative timestamps"
                     )
+        ue_ids = np.asarray(ue_ids, dtype=np.int64)
         event_types = np.asarray(event_types, dtype=np.int8)
         device_types = np.asarray(device_types, dtype=np.int8)
 
@@ -113,7 +159,7 @@ class Trace:
         self.times = times
         self.event_types = event_types
         self.device_types = device_types
-        self._ue_index: Optional[Dict[int, np.ndarray]] = None
+        self._ue_index: Optional[UEIndex] = None
         self._content_hash: Optional[str] = None
 
     # ------------------------------------------------------------------
@@ -193,7 +239,7 @@ class Trace:
     @property
     def num_ues(self) -> int:
         """Number of distinct UEs appearing in the trace."""
-        return len(np.unique(self.ue_ids))
+        return len(self.ue_index().ues)
 
     @property
     def duration(self) -> float:
@@ -203,8 +249,14 @@ class Trace:
         return float(self.times[-1] - self.times[0])
 
     def unique_ues(self) -> np.ndarray:
-        """Sorted array of distinct UE ids."""
-        return np.unique(self.ue_ids)
+        """Sorted (read-only) array of distinct UE ids."""
+        return self.ue_index().ues
+
+    def ue_index(self) -> UEIndex:
+        """The rows grouped by UE; built on first use, then memoized."""
+        if self._ue_index is None:
+            self._ue_index = UEIndex.build(self.ue_ids)
+        return self._ue_index
 
     def content_hash(self) -> str:
         """SHA-256 over the four column arrays (dtype-normalized bytes).
@@ -230,12 +282,10 @@ class Trace:
         return self._content_hash
 
     def device_of(self) -> Dict[int, DeviceType]:
-        """Map every UE id to its device type."""
-        out: Dict[int, DeviceType] = {}
-        ues, first = np.unique(self.ue_ids, return_index=True)
-        for ue, idx in zip(ues, first):
-            out[int(ue)] = DeviceType(int(self.device_types[idx]))
-        return out
+        """Map every UE id to the device type of its first event."""
+        index = self.ue_index()
+        firsts = self.device_types[index.order[index.bounds[:-1]]]
+        return dict(zip(index.ues.tolist(), map(DeviceType, firsts.tolist())))
 
     # ------------------------------------------------------------------
     # Slicing
@@ -260,9 +310,8 @@ class Trace:
 
     def filter_ues(self, ue_ids: Iterable[int]) -> "Trace":
         """Events belonging to the given set of UEs."""
-        wanted = np.asarray(sorted(set(int(u) for u in ue_ids)), dtype=np.int64)
-        mask = np.isin(self.ue_ids, wanted)
-        return self._select(mask)
+        wanted = np.fromiter(ue_ids, dtype=np.int64)
+        return self._select(np.isin(self.ue_ids, wanted))
 
     def window(self, start: float, end: float) -> "Trace":
         """Events with ``start <= time < end``."""
@@ -290,32 +339,22 @@ class Trace:
     # ------------------------------------------------------------------
     # Per-UE access
     # ------------------------------------------------------------------
-    def _build_ue_index(self) -> Dict[int, np.ndarray]:
-        if self._ue_index is None:
-            index: Dict[int, List[int]] = {}
-            for i, ue in enumerate(self.ue_ids):
-                index.setdefault(int(ue), []).append(i)
-            self._ue_index = {
-                ue: np.asarray(rows, dtype=np.int64) for ue, rows in index.items()
-            }
-        return self._ue_index
-
     def per_ue(self) -> Iterator[Tuple[int, "Trace"]]:
         """Yield ``(ue_id, sub_trace)`` for every UE, in UE-id order.
 
         The sub-traces preserve time order.
         """
-        index = self._build_ue_index()
-        for ue in sorted(index):
-            yield ue, self._select(index[ue])
+        index = self.ue_index()
+        for i, ue in enumerate(index.ues.tolist()):
+            yield ue, self._select(index.rows(i))
 
     def ue_trace(self, ue_id: int) -> "Trace":
         """The events of one UE (time-ordered)."""
-        index = self._build_ue_index()
-        rows = index.get(int(ue_id))
-        if rows is None:
+        index = self.ue_index()
+        i = int(np.searchsorted(index.ues, ue_id))
+        if i == len(index.ues) or index.ues[i] != ue_id:
             return Trace.empty()
-        return self._select(rows)
+        return self._select(index.rows(i))
 
     def events_per_ue(self, event_type: Optional[EventType] = None) -> Dict[int, int]:
         """Count events per UE, optionally restricted to one event type.
@@ -323,15 +362,13 @@ class Trace:
         UEs present in the trace but with zero matching events still
         appear with count 0.
         """
-        counts = {int(ue): 0 for ue in self.unique_ues()}
+        index = self.ue_index()
         if event_type is None:
-            ues, n = np.unique(self.ue_ids, return_counts=True)
+            counts = np.diff(index.bounds)
         else:
-            mask = self.event_types == int(event_type)
-            ues, n = np.unique(self.ue_ids[mask], return_counts=True)
-        for ue, c in zip(ues, n):
-            counts[int(ue)] = int(c)
-        return counts
+            rows = self.event_types[index.order] == int(event_type)
+            counts = np.bincount(index.codes()[rows], minlength=len(index.ues))
+        return dict(zip(index.ues.tolist(), counts.tolist()))
 
     def breakdown(self) -> Dict[EventType, float]:
         """Fraction of events per event type (sums to 1 for non-empty traces)."""

@@ -33,9 +33,8 @@ def per_ue_counts(
 
     ``num_ues`` is the nominal population of that device type (UEs with
     no events at all are invisible in the trace but still part of the
-    population the CDF describes).  Computed with one ``bincount`` over
-    UE codes instead of materializing a per-UE dict — at million-UE
-    scale the dict path dominated the whole Table-5 computation.
+    population the CDF describes).  One ``bincount`` over the cohort's
+    UE codes (:meth:`~repro.trace.trace.Trace.ue_index`).
     """
     return _cohort_counts(trace.filter_device(device_type), event_type, num_ues)
 
@@ -44,15 +43,15 @@ def _cohort_counts(
     sub: Trace, event_type: EventType, num_ues: Optional[int]
 ) -> np.ndarray:
     """:func:`per_ue_counts` of a trace already cut to one device."""
-    ues = sub.unique_ues()
-    present = len(ues)
+    index = sub.ue_index()
+    present = len(index.ues)
     if num_ues is not None and num_ues < present:
         raise ValueError(
             f"num_ues={num_ues} smaller than UEs present ({present})"
         )
-    mask = sub.event_types == int(event_type)
+    rows = sub.event_types[index.order] == int(event_type)
     counts = np.bincount(
-        np.searchsorted(ues, sub.ue_ids[mask]),
+        index.codes()[rows],
         minlength=num_ues if num_ues is not None else present,
     )
     return np.sort(counts.astype(np.float64))

@@ -38,13 +38,13 @@ class TestCorruptTraceFiles:
     def test_npz_missing_column(self, tmp_path, tiny_trace):
         path = tmp_path / "trace.npz"
         np.savez(path, ue_ids=tiny_trace.ue_ids, times=tiny_trace.times)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'event_types'"):
             read_npz(path)
 
     def test_csv_with_garbage_event(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("ue_id,time,event,device\n1,1.0,EXPLODE,PHONE\n")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="'event'.*EXPLODE"):
             read_csv(path)
 
     def test_csv_with_non_numeric_time(self, tmp_path):

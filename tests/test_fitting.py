@@ -5,6 +5,7 @@ import pytest
 
 from repro.model import fit_model_set
 from repro.statemachines import lte
+from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType, EventType, Trace
 
 from conftest import TRACE_START_HOUR, make_trace
@@ -179,3 +180,24 @@ class TestHourSlicing:
         # first-event model saw 2 active segments out of 2 (UE active
         # both days) -> p_active reflects slot accounting.
         assert 0.0 < cm.first_event.p_active <= 1.0
+
+
+class TestFitSpans:
+    def test_child_spans_cover_fit(self, ground_truth_trace):
+        """``fit``'s children -- ``fit-arrays`` (device arrays, hour rows,
+        filtered stream, per-device UE lists), ``fit-replay``,
+        ``fit-cluster`` and ``fit-models`` -- cover its wall time in a
+        serial run."""
+        tele = RunTelemetry()
+        fit_model_set(
+            ground_truth_trace,
+            theta_n=25,
+            trace_start_hour=TRACE_START_HOUR,
+            telemetry=tele,
+        )
+        spans = tele.spans
+        children = sum(
+            spans[name]["wall_s"]
+            for name in ("fit-arrays", "fit-replay", "fit-cluster", "fit-models")
+        )
+        assert children >= 0.95 * spans["fit"]["wall_s"]

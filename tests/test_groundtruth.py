@@ -98,6 +98,14 @@ class TestResolveCounts:
         counts = resolve_device_counts({DeviceType.TABLET: 7})
         assert counts == {DeviceType.TABLET: 7}
 
+    def test_negative_total_rejected(self):
+        with pytest.raises(ValueError, match="num_ues"):
+            resolve_device_counts(-10)
+
+    def test_negative_device_count_rejected(self):
+        with pytest.raises(ValueError, match="num_ues"):
+            resolve_device_counts({DeviceType.PHONE: 3, DeviceType.TABLET: -1})
+
 
 class TestSimulateUe:
     def test_trace_is_single_ue(self, rng):
@@ -123,6 +131,15 @@ class TestSimulateUe:
 
 
 class TestSimulateGroundTruth:
+    @pytest.mark.parametrize("duration", [float("inf"), float("nan"), -1.0, 0.0])
+    def test_bad_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            simulate_ground_truth(1, duration)
+
+    def test_negative_population_rejected(self):
+        with pytest.raises(ValueError, match="num_ues"):
+            simulate_ground_truth(-5, 3600.0)
+
     def test_reproducible(self):
         a = simulate_ground_truth(20, 3600.0, seed=3)
         b = simulate_ground_truth(20, 3600.0, seed=3)

@@ -69,6 +69,34 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"'{column}'"):
             Trace(np.array([1]), np.array([1.0]), **columns)
 
+    @pytest.mark.parametrize(
+        "column,value",
+        [
+            ("ue_ids", 1.7),          # would truncate to UE 1
+            ("ue_ids", np.nan),
+            ("ue_ids", np.inf),
+            ("event_types", 2.5),     # would truncate to the valid code 2
+            ("device_types", 0.5),    # would truncate to PHONE
+        ],
+    )
+    def test_non_integral_value_rejected(self, column, value):
+        columns = {
+            "ue_ids": np.array([1]),
+            "event_types": np.array([0]),
+            "device_types": np.array([0]),
+        }
+        columns[column] = np.array([value])
+        with pytest.raises(ValueError, match=f"'{column}'.*non-integer"):
+            Trace(times=np.array([1.0]), **columns)
+
+    def test_integral_floats_accepted(self):
+        tr = Trace(np.array([3.0]), np.array([1.0]), np.array([2.0]), np.array([1.0]))
+        assert tr[0] == Event(3, 1.0, E.SRV_REQ, CC)
+
+    def test_negative_ue_id_rejected(self):
+        with pytest.raises(ValueError, match="'ue_ids'.*negative"):
+            make_trace([(-1, 1.0, E.ATCH, P)])
+
     def test_validate_false_skips_checks(self):
         tr = Trace(
             np.array([1]),
@@ -78,6 +106,11 @@ class TestConstruction:
             validate=False,
         )
         assert len(tr) == 1
+        unchecked = Trace(
+            np.array([-1.7]), np.array([1.0]), np.array([0]), np.array([0]),
+            validate=False,
+        )
+        assert unchecked.ue_ids.tolist() == [-1]
 
     def test_from_events_roundtrip(self):
         events = [

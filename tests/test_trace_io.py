@@ -68,6 +68,24 @@ class TestCsv:
         with pytest.raises(ValueError, match="4 columns"):
             read_csv(path)
 
+    @pytest.mark.parametrize(
+        "row,column",
+        [
+            ("1,2.0,FOO,PHONE", "event"),
+            ("1,2.0,ATCH,WATCH", "device"),
+            ("x,2.0,ATCH,PHONE", "ue_id"),
+            ("-3,2.0,ATCH,PHONE", "ue_id"),
+            ("1,nan,ATCH,PHONE", "time"),
+            ("1,-2.0,ATCH,PHONE", "time"),
+        ],
+    )
+    def test_bad_value_names_path_line_and_column(self, tmp_path, row, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"ue_id,time,event,device\n0,1.0,ATCH,PHONE\n{row}\n")
+        with pytest.raises(ValueError) as excinfo:
+            read_csv(path)
+        assert f"{path}:3: column '{column}'" in str(excinfo.value)
+
     def test_empty_trace_roundtrip(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv(Trace.empty(), path)
@@ -91,6 +109,31 @@ class TestNpz:
         path = tmp_path / "empty.npz"
         write_npz(Trace.empty(), path)
         assert len(read_npz(path)) == 0
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_missing_column_names_path_and_column(self, tmp_path, mmap):
+        path = tmp_path / "partial.npz"
+        np.savez(path, ue_ids=[1], times=[1.0], event_types=[0])
+        with pytest.raises(ValueError) as excinfo:
+            read_npz(path, mmap=mmap)
+        assert str(path) in str(excinfo.value)
+        assert "'device_types'" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "column,value",
+        [("ue_ids", 1.7), ("device_types", 0.5), ("event_types", 2.5), ("ue_ids", -4)],
+    )
+    def test_malformed_column_names_path_and_column(self, tmp_path, column, value):
+        columns = {
+            "ue_ids": [1], "times": [1.0], "event_types": [0], "device_types": [0]
+        }
+        columns[column] = [value]
+        path = tmp_path / "bad.npz"
+        np.savez(path, **columns)
+        with pytest.raises(ValueError) as excinfo:
+            read_npz(path)
+        assert str(path) in str(excinfo.value)
+        assert f"'{column}'" in str(excinfo.value)
 
 
 class TestNpzMmap:
