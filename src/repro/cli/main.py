@@ -24,12 +24,13 @@ telemetry  summarize a telemetry report written by --telemetry
 
 Traces are read/written by extension: ``.npz`` (compact) or ``.csv``.
 Model sets are JSON, gzipped when the path ends in ``.gz``.  The
-``fit``, ``generate``, ``evaluate`` and ``core`` commands take
-``--telemetry PATH`` to write a versioned, schema-validated
+``simulate``, ``fit``, ``generate``, ``evaluate`` and ``core`` commands
+take ``--telemetry PATH`` to write a versioned, schema-validated
 observability report of the run (see :mod:`repro.telemetry`);
 ``repro telemetry summarize PATH`` renders its per-phase breakdown.
-``fit``, ``generate`` and ``evaluate`` fan their jobs across
-``--processes`` workers (``0`` = all CPUs; default ``1``, in-process).
+``simulate``, ``fit``, ``generate`` and ``evaluate`` fan their jobs
+across ``--processes`` workers (``0`` = all CPUs; default ``1``,
+in-process).
 ``fit`` and ``evaluate`` use the content-addressed model cache under
 ``~/.cache/repro`` (``--no-cache`` and ``--cache-dir`` override);
 ``evaluate`` can emit the full report as ``--json``.
@@ -65,7 +66,7 @@ from ..statemachines import (
 )
 from ..statemachines.dot import machine_to_dot
 from ..stats import hurst_rescaled_range, hurst_variance_time
-from ..telemetry import RunTelemetry, load_report, summarize_report
+from ..telemetry import RunTelemetry, load_report, summarize_report, use_telemetry
 from ..trace import (
     DeviceType,
     Trace,
@@ -125,14 +126,31 @@ def _device_counts(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    trace = simulate_ground_truth(
-        _device_counts(args),
-        duration=args.hours * 3600.0,
-        seed=args.seed,
-        start_hour=args.start_hour,
+    tele = RunTelemetry(
+        {
+            "command": "simulate",
+            "start_hour": args.start_hour,
+            "hours": args.hours,
+            "seed": args.seed,
+            "processes": args.processes,
+        }
     )
-    _save_trace(trace, args.out)
+    if args.progress:
+        tele.on_progress(_print_progress)
+    with use_telemetry(tele):
+        trace = simulate_ground_truth(
+            _device_counts(args),
+            duration=args.hours * 3600.0,
+            seed=args.seed,
+            start_hour=args.start_hour,
+            processes=args.processes,
+        )
+    with tele.span("trace-write"):
+        _save_trace(trace, args.out)
     print(f"wrote {len(trace):,} events / {trace.num_ues} UEs to {args.out}")
+    if args.telemetry:
+        tele.write_report(args.telemetry)
+        print(f"telemetry report -> {args.telemetry}")
     return 0
 
 
@@ -473,6 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hours", type=float, default=24.0)
     p.add_argument("--start-hour", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
+    _add_run_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

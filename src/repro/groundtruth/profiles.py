@@ -23,8 +23,11 @@ the paper tests, so model fitting is a real exercise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, Tuple
+
+import numpy as np
 
 from ..trace.events import DeviceType
 
@@ -36,7 +39,7 @@ class LognormalSpec:
     median: float
     sigma: float
 
-    @property
+    @functools.cached_property
     def mu(self) -> float:
         return math.log(self.median)
 
@@ -53,6 +56,16 @@ class MixtureSpec:
             raise ValueError("weights and components must align")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+
+    @functools.cached_property
+    def cdf(self) -> Tuple[float, ...]:
+        """Cumulative weights, built as ``Generator.choice`` builds them
+        (``cumsum``, then divide by the last entry), so that
+        ``bisect_right(cdf, rng.random())`` picks the component
+        ``rng.choice(len(weights), p=weights)`` would."""
+        cdf = np.asarray(self.weights, dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        return tuple(cdf.tolist())
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 The paper fans its per-UE generator instances over 12 CPUs with one
 tool, GNU ``parallel`` (§8.1).  Here generation chunks, per-(device,
-hour) fit jobs and per-trace evaluation summary jobs fan out through one
-function, :func:`run_jobs`, and fail with one error,
-:class:`JobFailedError`.
+hour) fit jobs, per-trace evaluation summary jobs and ground-truth UE
+ranges fan out through one function, :func:`run_jobs`, and fail with
+one error, :class:`JobFailedError`.
 
 A stage hands :func:`run_jobs` a job function ``fn``, its :class:`Job`
 list and the values every job reads (``shared``).  Each call is
@@ -99,6 +99,7 @@ _STAGES = {
     "generate": ("generate", "chunk_retries"),
     "fit": ("fit", "fit_retries"),
     "eval": ("eval-metrics", "eval_retries"),
+    "simulate": ("simulate", "simulate_retries"),
 }
 
 
@@ -116,7 +117,8 @@ class JobFailedError(RuntimeError):
     Attributes
     ----------
     stage:
-        The stage that ran it (``"generate"``, ``"fit"`` or ``"eval"``).
+        The stage that ran it (``"generate"``, ``"fit"``, ``"eval"`` or
+        ``"simulate"``).
     labels:
         The job's labels, e.g. ``{"device": "PHONE", "hour": 17}``; a
         ``(lo, hi)`` pair is a half-open range.

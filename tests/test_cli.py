@@ -40,9 +40,10 @@ class TestParser:
         assert "--engine" in capsys.readouterr().err
 
     def test_run_flags_shared(self):
-        """fit, generate and evaluate parse the run flags identically."""
+        """simulate, fit, generate and evaluate parse the run flags
+        identically."""
         parser = build_parser()
-        for command in ("fit", "generate", "evaluate"):
+        for command in ("simulate", "fit", "generate", "evaluate"):
             stub = _minimal_args(command)
             default = parser.parse_args(stub)
             assert (default.processes, default.telemetry, default.progress) == (
@@ -89,6 +90,27 @@ class TestSimulate:
         trace = read_npz(out)
         assert trace.num_ues <= 7
         assert "wrote" in capsys.readouterr().out
+
+    def test_processes_and_telemetry(self, tmp_path, capsys):
+        import json
+
+        base = [
+            "simulate", "--phones", "6", "--cars", "3", "--tablets", "2",
+            "--hours", "2", "--start-hour", "18", "--seed", "4",
+        ]
+        report_path = tmp_path / "sim_tele.json"
+        assert main(base + [
+            "--processes", "2", "--telemetry", str(report_path),
+            "--out", str(tmp_path / "pooled.npz"),
+        ]) == 0
+        assert main(base + ["--out", str(tmp_path / "serial.npz")]) == 0
+        pooled = read_npz(tmp_path / "pooled.npz")
+        assert pooled == read_npz(tmp_path / "serial.npz")
+        report = json.loads(report_path.read_text())
+        assert report["run"]["command"] == "simulate"
+        assert report["counters"]["events_emitted"] == len(pooled)
+        assert report["counters"]["ue_hours"] == 11 * 2
+        assert "simulate" in report["spans"]
 
     def test_rejects_conflicting_population(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,8 +1,13 @@
 """Tests for the ground-truth simulator (repro.groundtruth)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from oracle import groundtruth as oracle_groundtruth
 from repro.groundtruth import (
     DEFAULT_PROFILES,
     PAPER_DEVICE_MIX,
@@ -14,6 +19,7 @@ from repro.groundtruth import (
     simulate_ue,
 )
 from repro.statemachines import classify_category2_events, replay_trace
+from repro.telemetry import RunTelemetry, use_telemetry
 from repro.trace import (
     DeviceType,
     EventType,
@@ -106,6 +112,22 @@ class TestResolveCounts:
         with pytest.raises(ValueError, match="num_ues"):
             resolve_device_counts({DeviceType.PHONE: 3, DeviceType.TABLET: -1})
 
+    @pytest.mark.parametrize("total", [10.7, float("nan"), float("inf"), "ten"])
+    def test_non_integral_total_rejected(self, total):
+        with pytest.raises(ValueError, match="num_ues must be a whole number"):
+            resolve_device_counts(total)
+
+    @pytest.mark.parametrize("count", [2.5, float("nan")])
+    def test_non_integral_device_count_rejected(self, count):
+        with pytest.raises(ValueError, match=r"num_ues\[TABLET\]"):
+            resolve_device_counts({DeviceType.PHONE: 3, DeviceType.TABLET: count})
+
+    def test_integral_values_accepted(self):
+        assert resolve_device_counts(np.int64(40)) == resolve_device_counts(40.0)
+        assert resolve_device_counts({DeviceType.CONNECTED_CAR: 4.0}) == {
+            DeviceType.CONNECTED_CAR: 4
+        }
+
 
 class TestSimulateUe:
     def test_trace_is_single_ue(self, rng):
@@ -139,6 +161,58 @@ class TestSimulateGroundTruth:
     def test_negative_population_rejected(self):
         with pytest.raises(ValueError, match="num_ues"):
             simulate_ground_truth(-5, 3600.0)
+
+    @pytest.mark.parametrize("start_hour", [float("nan"), float("inf"), -math.inf])
+    def test_non_finite_start_hour_rejected(self, start_hour):
+        with pytest.raises(ValueError, match="start_hour"):
+            simulate_ground_truth(3, 3600.0, start_hour=start_hour)
+
+    def test_non_integral_population_rejected(self):
+        with pytest.raises(ValueError, match="num_ues"):
+            simulate_ground_truth(10.7, 3600.0)
+
+    def test_non_integral_device_count_rejected(self):
+        with pytest.raises(ValueError, match=r"num_ues\[PHONE\]"):
+            simulate_ground_truth({DeviceType.PHONE: 2.5}, 3600.0)
+
+    def test_profile_missing_for_requested_device_rejected(self):
+        profiles = {DeviceType.PHONE: DEFAULT_PROFILES[DeviceType.PHONE]}
+        with pytest.raises(ValueError, match=r"profiles.*TABLET"):
+            simulate_ground_truth(
+                {DeviceType.PHONE: 2, DeviceType.TABLET: 1},
+                3600.0,
+                profiles=profiles,
+            )
+        # Device types without UEs need no profile.
+        trace = simulate_ground_truth(
+            {DeviceType.PHONE: 2, DeviceType.TABLET: 0}, 3600.0, profiles=profiles
+        )
+        assert set(trace.device_types.tolist()) <= {int(DeviceType.PHONE)}
+
+    def test_negative_processes_rejected(self):
+        with pytest.raises(ValueError, match="processes"):
+            simulate_ground_truth(3, 3600.0, processes=-1)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_telemetry_counts(self, processes):
+        tele = RunTelemetry()
+        counts = {DeviceType.PHONE: 9, DeviceType.CONNECTED_CAR: 4, DeviceType.TABLET: 3}
+        with use_telemetry(tele):
+            trace = simulate_ground_truth(
+                counts, 2 * 3600.0, start_hour=7, seed=2, processes=processes
+            )
+        assert tele.counters["events_emitted"] == len(trace) > 0
+        assert tele.counters["ue_hours"] == 16 * 2
+        assert tele.spans["simulate"]["count"] == 1
+
+    def test_pooled_equals_serial(self):
+        counts = {DeviceType.PHONE: 11, DeviceType.CONNECTED_CAR: 6, DeviceType.TABLET: 5}
+        serial = simulate_ground_truth(counts, 5400.0, start_hour=20, seed=8)
+        for processes in (2, 3):
+            pooled = simulate_ground_truth(
+                counts, 5400.0, start_hour=20, seed=8, processes=processes
+            )
+            assert pooled == serial
 
     def test_reproducible(self):
         a = simulate_ground_truth(20, 3600.0, seed=3)
@@ -210,3 +284,73 @@ class TestSimulateGroundTruth:
         # Top decile of UEs carries a disproportionate share of events.
         top = counts[int(0.9 * len(counts)):].sum()
         assert top / counts.sum() > 0.2
+
+
+ORACLE_SETTINGS = settings(
+    max_examples=25, suppress_health_check=[HealthCheck.too_slow], deadline=None
+)
+
+
+class TestOracleEquality:
+    """The production simulator equals the scalar ``Generator``-method
+    oracle (``tests/oracle/groundtruth.py``) row for row: the exact-draw
+    identities it relies on still hold for this NumPy."""
+
+    @ORACLE_SETTINGS
+    @given(
+        counts=st.fixed_dictionaries(
+            {dt: st.integers(min_value=0, max_value=6) for dt in DeviceType}
+        ),
+        hours=st.floats(min_value=0.05, max_value=6.0),
+        start_hour=st.floats(min_value=0.0, max_value=23.99),
+        seed=st.integers(min_value=0, max_value=2**63),
+        processes=st.sampled_from([1, 2]),
+    )
+    def test_ground_truth_matches_oracle(
+        self, counts, hours, start_hour, seed, processes
+    ):
+        duration = hours * 3600.0
+        expected = oracle_groundtruth.simulate_ground_truth(
+            counts, duration, start_hour=start_hour, seed=seed
+        )
+        actual = simulate_ground_truth(
+            counts, duration, start_hour=start_hour, seed=seed, processes=processes
+        )
+        assert actual == expected
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_total_population_matches_oracle(self, processes):
+        expected = oracle_groundtruth.simulate_ground_truth(
+            23, 3 * 3600.0, start_hour=16.5, seed=12
+        )
+        actual = simulate_ground_truth(
+            23, 3 * 3600.0, start_hour=16.5, seed=12, processes=processes
+        )
+        assert len(actual) > 0
+        assert actual == expected
+
+    @ORACLE_SETTINGS
+    @given(
+        device=st.sampled_from(list(DeviceType)),
+        ue_id=st.integers(min_value=0, max_value=10**6),
+        hours=st.floats(min_value=0.05, max_value=24.0),
+        start_hour=st.floats(min_value=0.0, max_value=23.99),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_simulate_ue_matches_oracle(self, device, ue_id, hours, start_hour, seed):
+        profile = DEFAULT_PROFILES[device]
+        expected = oracle_groundtruth.simulate_ue(
+            ue_id,
+            profile,
+            hours * 3600.0,
+            start_hour=start_hour,
+            rng=np.random.default_rng(seed),
+        )
+        actual = simulate_ue(
+            ue_id,
+            profile,
+            hours * 3600.0,
+            start_hour=start_hour,
+            rng=np.random.default_rng(seed),
+        )
+        assert actual == expected

@@ -1,23 +1,25 @@
-"""The job runner (:mod:`repro.jobs`) behind generation, fitting and
-evaluation.
+"""The job runner (:mod:`repro.jobs`) behind generation, fitting,
+evaluation and ground-truth simulation.
 
-All three stages share one ``processes`` contract and one failure
+All four stages share one ``processes`` contract and one failure
 policy.  These tests pin the contract on every entry point and drive
-the retry paths of the fit and eval stages with real worker deaths and
-poisoned jobs; the generation stage's crash and resume tests live in
-``test_checkpoint.py``.
+the retry paths of the fit, eval and simulate stages with real worker
+deaths and poisoned jobs; the generation stage's crash and resume
+tests live in ``test_checkpoint.py``.
 """
 
+import contextlib
 import os
 
 import pytest
 
 from repro import jobs
 from repro.generator import TrafficGenerator, traffgen
+from repro.groundtruth import simulate_ground_truth
 from repro.harness import evaluate_methods
 from repro.jobs import FAULT_ENV, JobFailedError
 from repro.model import fit_model_set
-from repro.telemetry import RunTelemetry
+from repro.telemetry import RunTelemetry, use_telemetry
 
 from conftest import TRACE_START_HOUR
 
@@ -30,6 +32,7 @@ EVAL = dict(
     seed=5,
 )
 GENERATE = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=3)
+SIMULATE = dict(duration=2 * 3600.0, start_hour=TRACE_START_HOUR, seed=6)
 
 
 def inject_fault(monkeypatch, tmp_path, stage, job, fails, mode):
@@ -64,6 +67,14 @@ def run_stage(ground_truth_trace, holdout_trace, ours_model_set):
                 telemetry=telemetry,
                 **GENERATE,
             )
+        if stage == "simulate":
+            # Ground truth reports to the ambient collector.
+            scope = (
+                use_telemetry(telemetry) if telemetry is not None
+                else contextlib.nullcontext()
+            )
+            with scope:
+                return simulate_ground_truth(40, processes=processes, **SIMULATE)
         if stage == "fit":
             return fit_model_set(
                 ground_truth_trace,
@@ -92,10 +103,11 @@ def serial_results(ground_truth_trace, holdout_trace, ours_model_set):
         "eval": evaluate_methods(
             ground_truth_trace, holdout_trace, **EVAL
         ).to_dict(),
+        "simulate": simulate_ground_truth(40, **SIMULATE),
     }
 
 
-STAGES = ("generate", "fit", "eval")
+STAGES = ("generate", "fit", "eval", "simulate")
 
 
 @pytest.mark.slow
@@ -112,7 +124,14 @@ def test_all_cpus_equals_serial_and_negative_rejected(
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("stage, counter", [("fit", "fit_retries"), ("eval", "eval_retries")])
+@pytest.mark.parametrize(
+    "stage, counter",
+    [
+        ("fit", "fit_retries"),
+        ("eval", "eval_retries"),
+        ("simulate", "simulate_retries"),
+    ],
+)
 def test_killed_worker_recovers_exactly(
     stage, counter, run_stage, serial_results, tmp_path, monkeypatch
 ):
@@ -125,7 +144,8 @@ def test_killed_worker_recovers_exactly(
 
 
 #: Job 1 of each stage: the second 7-UE phone chunk; the phone fit of
-#: the second hour; the base method's trace (job 0 is the real one).
+#: the second hour; the base method's trace (job 0 is the real one);
+#: the second half of the simulated UEs.
 POISONED_LABELS = {
     "generate": {
         "device": "PHONE",
@@ -134,6 +154,7 @@ POISONED_LABELS = {
     },
     "fit": {"device": "PHONE", "hour": TRACE_START_HOUR + 1},
     "eval": {"trace": "base"},
+    "simulate": {"UEs": (20, 40)},
 }
 
 
