@@ -54,7 +54,6 @@ from ..model import (
     default_cache_dir,
     scale_to_nsa,
     scale_to_sa,
-    validate_model_set,
 )
 from ..model.inspect import describe_model_set
 from ..statemachines import (
@@ -303,14 +302,15 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    model = ModelSet.load(args.model)
-    problems = validate_model_set(model)
-    if not problems:
-        print(f"OK: {model.num_models} models, no problems found")
-        return 0
-    for problem in problems:
-        print(f"PROBLEM: {problem}")
-    return 1
+    # Loading checks the tables and audits the model set
+    # (repro.model.checks); a model that fails raises ValueError.
+    try:
+        model = ModelSet.load(args.model)
+    except ValueError as exc:
+        print(f"PROBLEM: {exc}")
+        return 1
+    print(f"OK: {model.num_models} models, no problems found")
+    return 0
 
 
 def _cmd_anonymize(args: argparse.Namespace) -> int:

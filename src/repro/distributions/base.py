@@ -55,19 +55,6 @@ class Distribution(abc.ABC):
     def mean(self) -> float:
         """Expected value (may be ``inf`` for heavy-tailed members)."""
 
-    # -- compilation ---------------------------------------------------
-    def compile_sojourn(self) -> tuple:
-        """Lower the distribution to a flat table for the generation engine.
-
-        Returns either ``("empirical", probs, values)`` — piecewise-
-        linear inverse-CDF knots such that ``ppf(u) == interp(u, probs,
-        values)`` — or ``("exponential", rate)``.  Families that cannot
-        be lowered (they never appear as fitted sojourns) raise.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot be lowered to a compiled sojourn table"
-        )
-
     # -- sampling ------------------------------------------------------
     def sample(
         self, rng: np.random.Generator, size: Optional[int] = None

@@ -70,10 +70,6 @@ class EmpiricalCDF(Distribution):
     def mean(self) -> float:
         return float(self.quantiles.mean())
 
-    def compile_sojourn(self) -> tuple:
-        """Inverse-CDF knots: ``ppf(u) == np.interp(u, probs, values)``."""
-        return ("empirical", self._probs, self.quantiles)
-
     # ------------------------------------------------------------------
     @property
     def support(self) -> tuple:

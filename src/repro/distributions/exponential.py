@@ -44,7 +44,3 @@ class Exponential(Distribution):
 
     def mean(self) -> float:
         return 1.0 / self.rate
-
-    def compile_sojourn(self) -> tuple:
-        """Closed-form inverse transform: ``-log1p(-u) / rate``."""
-        return ("exponential", self.rate)

@@ -8,9 +8,7 @@ from .checkpoint import (
 )
 from .compiled import (
     MAX_EVENTS_PER_HOUR,
-    CompiledModelSet,
     CompiledPopulation,
-    compile_model_set,
 )
 from .streaming import stream_events, stream_to_trace
 from .traffgen import MAX_SEED, TrafficGenerator, validate_run_args
@@ -20,12 +18,10 @@ __all__ = [
     "MAX_SEED",
     "CheckpointError",
     "CheckpointMismatchError",
-    "CompiledModelSet",
     "CompiledPopulation",
     "GenerationCheckpoint",
     "RunKey",
     "TrafficGenerator",
-    "compile_model_set",
     "stream_events",
     "stream_to_trace",
     "validate_run_args",

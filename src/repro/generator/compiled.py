@@ -3,21 +3,21 @@
 A per-UE generator would walk one Python-level :meth:`SemiMarkovChain.step`
 per event: re-read the edge list, draw the edge with ``rng`` calls and
 the dwell with a scalar ``np.interp`` — tens of microseconds of interpreter
-work per event.  This module lowers every (device, hour) model of a
-:class:`~repro.model.model_set.ModelSet` into flat NumPy arrays once
-(:func:`compile_model_set`, memoized per model set) and then advances *all
-active UEs of a device-hour together*, so the per-event cost is a few
-vectorized array operations shared by the whole cohort:
+work per event.  This module steps the flat tables every (device, hour)
+:class:`~repro.model.model_set.HourModel` already is — the fitter writes
+them, there is no lowering step — and advances *all active UEs of a
+device-hour together*, so the per-event cost is a few vectorized array
+operations shared by the whole cohort:
 
 - **Merged edge table (CSR)** — all clusters of an hour model share one
-  flat table: cluster ``c``'s state ``s`` becomes merged code ``c * S + s``
-  (``S`` = number of states in the universe), so UEs in *different
+  flat table: cluster ``c``'s state ``s`` has merged code ``c * S + s``
+  (``S`` = number of machine states), so UEs in *different
   clusters and different states* advance in a single batch.  Edge choice
   is one ``searchsorted`` over the composite keys ``merged_code +
   cum_prob`` queried at ``merged_code + u``.
-- **Quantile-knot matrix** — every edge's sojourn distribution is lowered
-  via :meth:`Distribution.compile_sojourn` to inverse-CDF knots laid out in
-  one flat array keyed by ``edge_index + prob``; a second composite
+- **Quantile-knot matrix** — every empirical edge's sojourn CDF is a run
+  of inverse-CDF knots in one flat array keyed by ``edge_index + prob``;
+  a second composite
   ``searchsorted`` plus linear interpolation reproduces
   ``EmpiricalCDF.ppf``, and exponential edges use the closed-form inverse
   transform.  First-event types and offsets use the same trick keyed by
@@ -46,13 +46,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..model.model_set import ClusterModel, HourModel, ModelSet
+from ..model.model_set import HourModel, ModelSet, state_space
 from ..model.semi_markov import MIN_SOJOURN
-from ..statemachines.compiled_replay import _canonical_source_for
 from ..trace.events import (
     SECONDS_PER_HOUR,
     DeviceType,
@@ -60,9 +59,8 @@ from ..trace.events import (
     quantize_times,
 )
 __all__ = [
-    "CompiledModelSet",
     "CompiledPopulation",
-    "compile_model_set",
+    "check_model_set",
     "philox4x64",
 ]
 
@@ -245,23 +243,6 @@ def _poisson_from_uniform(u: np.ndarray, lam: float) -> np.ndarray:
     return n
 
 
-def _pad_knots(
-    probs: np.ndarray, values: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Guarantee at least two knots per inverse-CDF segment.
-
-    A single-knot empirical CDF (one fitted sample) evaluates to that
-    value for *every* ``u`` under ``np.interp``; two equal-valued knots
-    interpolate to exactly the same constant, so padding preserves the
-    ``np.interp`` semantics while letting :func:`_interp_knots` assume every
-    segment has an interior.
-    """
-    if len(probs) == 1:
-        v = float(values[0])
-        return np.asarray([0.25, 0.75]), np.asarray([v, v])
-    return np.asarray(probs, dtype=np.float64), np.asarray(values, np.float64)
-
-
 def _interp_knots(
     kb: np.ndarray,
     u: np.ndarray,
@@ -276,7 +257,7 @@ def _interp_knots(
     the flat ``kp``/``kv`` arrays); ``key`` holds the composite keys
     ``segment_index + prob``.  Clamps at segment ends reproduce
     ``np.interp``'s behaviour outside the knot range.  Every segment must
-    have at least two knots (see :func:`_pad_knots`).
+    have at least two knots (see :class:`~repro.model.model_set.HourModel`).
     """
     lo = ptr[kb]
     hi = ptr[kb + 1]
@@ -291,322 +272,50 @@ def _interp_knots(
 
 
 # ---------------------------------------------------------------------------
-# Compiled model tables
+# Model tables
 # ---------------------------------------------------------------------------
 
 
-class CompiledCluster:
-    """One cluster model lowered to flat arrays (see module docstring)."""
-
-    __slots__ = (
-        "state_deg",
-        "sel_key",
-        "edge_event",
-        "edge_target",
-        "edge_kind",
-        "edge_rate",
-        "edge_knot_ptr",
-        "knot_key",
-        "knot_p",
-        "knot_v",
-        "p_active",
-        "fe_event",
-        "fe_cum",
-        "fe_state",
-        "fe_off_p",
-        "fe_off_v",
-        "overlay",
-    )
-
-    def __init__(
-        self,
-        cluster: ClusterModel,
-        state_code: Dict[str, int],
-        canonical_next: np.ndarray,
-    ) -> None:
-        table = cluster.chain.edge_table(state_code)
-        self.state_deg = table["state_deg"]
-        self.sel_key = table["sel_key"]
-        self.edge_event = table["edge_event"]
-        self.edge_target = table["edge_target"]
-
-        num_edges = len(self.sel_key)
-        self.edge_kind = np.zeros(num_edges, dtype=np.int8)
-        self.edge_rate = np.ones(num_edges, dtype=np.float64)
-        ptr = np.zeros(num_edges + 1, dtype=np.int64)
-        knot_key: List[np.ndarray] = []
-        knot_p: List[np.ndarray] = []
-        knot_v: List[np.ndarray] = []
-        for e, sojourn in enumerate(table["edge_sojourn"]):
-            lowered = sojourn.compile_sojourn()
-            if lowered[0] == "empirical":
-                probs, values = _pad_knots(lowered[1], lowered[2])
-                knot_key.append(e + probs)
-                knot_p.append(probs)
-                knot_v.append(values)
-                ptr[e + 1] = ptr[e] + len(probs)
-            else:
-                self.edge_kind[e] = 1
-                self.edge_rate[e] = lowered[1]
-                ptr[e + 1] = ptr[e]
-        self.edge_knot_ptr = ptr
-        self.knot_key = (
-            np.concatenate(knot_key) if knot_key else np.empty(0, np.float64)
-        )
-        self.knot_p = (
-            np.concatenate(knot_p) if knot_p else np.empty(0, np.float64)
-        )
-        self.knot_v = (
-            np.concatenate(knot_v) if knot_v else np.empty(0, np.float64)
-        )
-
-        first = cluster.first_event
-        events, cum = first.event_table()
-        self.p_active = float(first.p_active) if len(events) else 0.0
-        self.fe_event = np.asarray([int(e) for e in events], dtype=np.int16)
-        self.fe_cum = np.asarray(cum, dtype=np.float64)
-        self.fe_state = np.asarray(
-            [canonical_next[int(e)] for e in events], dtype=np.int32
-        )
-        if np.any(self.fe_state < 0):
-            bad = [e.name for e in events if canonical_next[int(e)] < 0]
-            raise ValueError(
-                f"first-event types {bad} have no canonical source state"
-            )
-        off_kind, off_p, off_v = first.offset.compile_sojourn()
-        assert off_kind == "empirical"
-        self.fe_off_p, self.fe_off_v = _pad_knots(off_p, off_v)
-
-        self.overlay = sorted(
-            (int(event), float(rate))
-            for event, rate in cluster.overlay_rates.items()
-            if rate > 0
-        )
+def check_model_set(model_set: ModelSet) -> None:
+    """Raise :class:`ValueError` if the model set's first-event types
+    cannot start in its machine (say, a two-level fit relabelled as 5G
+    SA): the generator could not place those UEs in a state."""
+    canonical = state_space(model_set.machine_kind).canonical_next
+    for hours in model_set.models.values():
+        for hm in hours.values():
+            bad = hm.fe_event[canonical[hm.fe_event] < 0]
+            if bad.size:
+                names = sorted({EventType(int(e)).name for e in bad})
+                raise ValueError(
+                    f"first-event types {names} have no canonical source state"
+                )
 
 
-class CompiledHourModel:
-    """One (device, hour) model with all clusters merged into flat tables.
-
-    Cluster ``c``'s state ``s`` lives at merged code ``c * S + s``, so one
-    ``searchsorted`` per round steps every active UE of the hour at once,
-    whatever cluster or state it is in.  First-event tables use the same
-    composite-key layout indexed by cluster.
-    """
-
-    __slots__ = (
-        "clusters",
-        "assign_keys",
-        "assign_vals",
-        "weights_cum",
-        "S",
-        "state_deg",
-        "sel_key",
-        "edge_event",
-        "edge_target",
-        "edge_kind",
-        "edge_rate",
-        "has_exp",
-        "edge_knot_ptr",
-        "knot_key",
-        "knot_p",
-        "knot_v",
-        "p_active",
-        "fe_key",
-        "fe_event",
-        "fe_state",
-        "foff_key",
-        "foff_ptr",
-        "foff_p",
-        "foff_v",
-        "overlay_clusters",
-        "_scalar",
-    )
-
-    def __init__(
-        self,
-        hour_model: HourModel,
-        state_code: Dict[str, int],
-        canonical_next: np.ndarray,
-    ) -> None:
-        self.clusters = [
-            CompiledCluster(c, state_code, canonical_next)
-            for c in hour_model.clusters
-        ]
-        items = sorted(hour_model.assignment.items())
-        self.assign_keys = np.asarray([k for k, _ in items], dtype=np.int64)
-        self.assign_vals = np.asarray([v for _, v in items], dtype=np.int32)
-        cum = np.cumsum(hour_model.weights())
-        if cum.size:
-            cum[-1] = 1.0
-        self.weights_cum = cum
-
-        S = len(state_code)
-        self.S = S
-        sd, sk, ev, tg, kind, rate = [], [], [], [], [], []
-        kptr, kk, kp, kv = [], [], [], []
-        pa, fek, fee, fes = [], [], [], []
-        fok, fop, fov, folen = [], [], [], []
-        edge_off = 0
-        knot_off = 0
-        for c, cc in enumerate(self.clusters):
-            base = c * S
-            sd.append(cc.state_deg)
-            sk.append(cc.sel_key + base)
-            ev.append(cc.edge_event)
-            tg.append(cc.edge_target.astype(np.int64) + base)
-            kind.append(cc.edge_kind)
-            rate.append(cc.edge_rate)
-            kptr.append(cc.edge_knot_ptr[:-1] + knot_off)
-            kk.append(cc.knot_key + edge_off)
-            kp.append(cc.knot_p)
-            kv.append(cc.knot_v)
-            edge_off += cc.sel_key.size
-            knot_off += cc.knot_key.size
-            pa.append(cc.p_active)
-            fek.append(c + cc.fe_cum)
-            fee.append(cc.fe_event)
-            fes.append(cc.fe_state)
-            fok.append(c + cc.fe_off_p)
-            fop.append(cc.fe_off_p)
-            fov.append(cc.fe_off_v)
-            folen.append(cc.fe_off_p.size)
-        kptr.append(np.asarray([knot_off], dtype=np.int64))
-
-        def cat(parts, dtype):
-            return (
-                np.concatenate(parts)
-                if parts
-                else np.empty(0, dtype=dtype)
-            )
-
-        self.state_deg = cat(sd, np.int64)
-        self.sel_key = cat(sk, np.float64)
-        self.edge_event = cat(ev, np.int16)
-        self.edge_target = cat(tg, np.int64)
-        self.edge_kind = cat(kind, np.int8)
-        self.edge_rate = cat(rate, np.float64)
-        self.has_exp = bool((self.edge_kind == 1).any())
-        self.edge_knot_ptr = cat(kptr, np.int64)
-        self.knot_key = cat(kk, np.float64)
-        self.knot_p = cat(kp, np.float64)
-        self.knot_v = cat(kv, np.float64)
-        self.p_active = np.asarray(pa, dtype=np.float64)
-        self.fe_key = cat(fek, np.float64)
-        self.fe_event = cat(fee, np.int16)
-        self.fe_state = cat(fes, np.int32)
-        self.foff_key = cat(fok, np.float64)
-        self.foff_p = cat(fop, np.float64)
-        self.foff_v = cat(fov, np.float64)
-        self.foff_ptr = np.concatenate(
-            [[0], np.cumsum(np.asarray(folen, dtype=np.int64))]
-        )
-        self.overlay_clusters = [
-            c for c, cc in enumerate(self.clusters) if cc.overlay
-        ]
-        self._scalar: Optional[tuple] = None
-
-    def scalar_tables(self) -> tuple:
-        """The merged tables as Python lists, for the scalar drain loop.
-
-        Built lazily on first use; ``bisect`` on a list plus plain float
-        arithmetic is several times faster per element than NumPy calls
-        on singleton arrays.
-        """
-        if self._scalar is None:
-            self._scalar = (
-                self.sel_key.tolist(),
-                self.state_deg.tolist(),
-                self.edge_event.tolist(),
-                self.edge_target.tolist(),
-                self.edge_kind.tolist(),
-                self.edge_rate.tolist(),
-                self.edge_knot_ptr.tolist(),
-                self.knot_key.tolist(),
-                self.knot_p.tolist(),
-                self.knot_v.tolist(),
-                self.has_exp,
-            )
-        return self._scalar
-
-    def clusters_for(
-        self,
-        personas: np.ndarray,
-        k0: np.ndarray,
-        k1: np.ndarray,
-        hour_idx: int,
-        population: "Optional[CompiledPopulation]" = None,
-    ) -> np.ndarray:
-        """Cluster code per UE: assignment lookup, weighted draw if unknown."""
-        if self.assign_keys.size:
-            pos = np.searchsorted(self.assign_keys, personas)
-            pos_c = np.minimum(pos, self.assign_keys.size - 1)
-            known = self.assign_keys[pos_c] == personas
-            cl = np.where(known, self.assign_vals[pos_c], -1).astype(np.int64)
-        else:
-            cl = np.full(personas.shape, -1, dtype=np.int64)
-        unknown = cl < 0
-        if unknown.any():
-            if population is not None:
-                population.rng_draws += int(np.count_nonzero(unknown))
-            u = _uniforms(
-                k0[unknown], k1[unknown], 0, hour_idx, _P_CLUSTER
-            )[0]
-            draw = np.searchsorted(self.weights_cum, u, side="right")
-            cl[unknown] = np.minimum(draw, len(self.clusters) - 1)
-        return cl
-
-
-class CompiledModelSet:
-    """A :class:`ModelSet` lowered for batched generation."""
-
-    __slots__ = ("state_names", "canonical_next", "hours", "device_ues")
-
-    def __init__(self, model_set: ModelSet) -> None:
-        machine = model_set.machine()
-        names = set(machine.states)
-        for hours in model_set.models.values():
-            for hm in hours.values():
-                for cluster in hm.clusters:
-                    for state, sm in cluster.chain.states.items():
-                        names.add(state)
-                        names.update(e.target for e in sm.edges)
-        self.state_names = sorted(names)
-        state_code = {s: i for i, s in enumerate(self.state_names)}
-
-        num_events = max(int(e) for e in EventType) + 1
-        canonical_next = np.full(num_events, -1, dtype=np.int32)
-        for event in EventType:
-            try:
-                source = _canonical_source_for(machine, event)
-            except ValueError:
-                continue
-            canonical_next[int(event)] = state_code[
-                machine.next_state(source, event)
-            ]
-        self.canonical_next = canonical_next
-
-        self.hours: Dict[int, Dict[int, CompiledHourModel]] = {}
-        for device_type, hour_models in model_set.models.items():
-            self.hours[int(device_type)] = {
-                hour: CompiledHourModel(hm, state_code, canonical_next)
-                for hour, hm in hour_models.items()
-            }
-        self.device_ues = {
-            int(dt): np.asarray(ues, dtype=np.int64)
-            for dt, ues in model_set.device_ues.items()
-        }
-
-
-def compile_model_set(model_set: ModelSet) -> CompiledModelSet:
-    """Lower ``model_set``, memoizing the result on the instance."""
-    cached = getattr(model_set, "_compiled_cache", None)
-    if cached is None:
-        from ..telemetry import get_telemetry
-
-        with get_telemetry().span("model-compile"):
-            cached = CompiledModelSet(model_set)
-        model_set._compiled_cache = cached
-    return cached
+def _clusters_for(
+    hm: HourModel,
+    personas: np.ndarray,
+    k0: np.ndarray,
+    k1: np.ndarray,
+    hour_idx: int,
+    population: "CompiledPopulation",
+) -> np.ndarray:
+    """Cluster code per UE: assignment lookup, weighted draw if unknown."""
+    if hm.assign_keys.size:
+        pos = np.searchsorted(hm.assign_keys, personas)
+        pos_c = np.minimum(pos, hm.assign_keys.size - 1)
+        known = hm.assign_keys[pos_c] == personas
+        cl = np.where(known, hm.assign_vals[pos_c], -1).astype(np.int64)
+    else:
+        cl = np.full(personas.shape, -1, dtype=np.int64)
+    unknown = cl < 0
+    if unknown.any():
+        population.rng_draws += int(np.count_nonzero(unknown))
+        u = _uniforms(
+            k0[unknown], k1[unknown], 0, hour_idx, _P_CLUSTER
+        )[0]
+        draw = np.searchsorted(hm.weights_cum, u, side="right")
+        cl[unknown] = np.minimum(draw, hm.num_clusters - 1)
+    return cl
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +341,8 @@ class CompiledPopulation:
         seed: int,
         start_hour: int,
     ) -> None:
-        self.compiled = compile_model_set(model_set)
+        check_model_set(model_set)
+        self.model_set = model_set
         self.device_codes = np.asarray(device_codes, dtype=np.int8)
         self.start_hour = int(start_hour)
         n = len(self.device_codes)
@@ -648,8 +358,11 @@ class CompiledPopulation:
         for code in np.unique(self.device_codes):
             rows = np.flatnonzero(self.device_codes == code)
             self._device_rows[int(code)] = rows
-            personas = self.compiled.device_ues.get(int(code))
-            if personas is None or personas.size == 0:
+            personas = np.asarray(
+                model_set.device_ues.get(DeviceType(int(code)), ()),
+                dtype=np.int64,
+            )
+            if personas.size == 0:
                 raise ValueError(
                     f"no fitted model for device type {DeviceType(int(code)).name}"
                 )
@@ -705,11 +418,11 @@ class CompiledPopulation:
         out_times: List[np.ndarray] = []
         out_events: List[np.ndarray] = []
         for code, rows in self._device_rows.items():
-            chm = self.compiled.hours.get(code, {}).get(hour)
-            if chm is None:
+            hm = self.model_set.models.get(DeviceType(code), {}).get(hour)
+            if hm is None:
                 continue  # unfitted hour-of-day: silent, state kept
             self._advance_device(
-                chm, rows, hour_idx, hour_start, out_rows, out_times, out_events
+                hm, rows, hour_idx, hour_start, out_rows, out_times, out_events
             )
 
         if not out_rows:
@@ -724,7 +437,7 @@ class CompiledPopulation:
     # ------------------------------------------------------------------
     def _advance_device(
         self,
-        chm: CompiledHourModel,
+        hm: HourModel,
         rows: np.ndarray,
         hour_idx: int,
         hour_start: float,
@@ -733,11 +446,11 @@ class CompiledPopulation:
         out_events: List[np.ndarray],
     ) -> None:
         """Advance every UE of one device-hour together (all clusters)."""
-        S = chm.S
+        S = hm.S
         n = rows.size
         k0 = self.k0[rows]
         k1 = self.k1[rows]
-        cl = chm.clusters_for(self.persona[rows], k0, k1, hour_idx, self)
+        cl = _clusters_for(hm, self.persona[rows], k0, k1, hour_idx, self)
         stl = self.state[rows].astype(np.int64)
         t = np.full(n, float(hour_start))
         live = stl >= 0
@@ -749,27 +462,27 @@ class CompiledPopulation:
             u0, u1, u2, _ = _uniforms(
                 k0[fresh], k1[fresh], 0, hour_idx, _P_FIRST
             )
-            awake_m = u0 < chm.p_active[cl[fresh]]
+            awake_m = u0 < hm.p_active[cl[fresh]]
             aw = fresh[awake_m]
             if aw.size:
                 claw = cl[aw]
                 fi = np.searchsorted(
-                    chm.fe_key, claw + u1[awake_m], side="right"
+                    hm.fe_key, claw + u1[awake_m], side="right"
                 )
                 offset = _interp_knots(
                     claw,
                     u2[awake_m],
-                    chm.foff_key,
-                    chm.foff_ptr,
-                    chm.foff_p,
-                    chm.foff_v,
+                    hm.foff_key,
+                    hm.foff_ptr,
+                    hm.foff_p,
+                    hm.foff_v,
                 )
                 offset = np.clip(offset, 0.0, SECONDS_PER_HOUR - 1e-3)
                 t0 = hour_start + offset
                 out_rows.append(rows[aw])
                 out_times.append(t0)
-                out_events.append(chm.fe_event[fi])
-                stl[aw] = chm.fe_state[fi]
+                out_events.append(hm.fe_event[fi])
+                stl[aw] = hm.fe_state[fi]
                 t[aw] = t0
                 live[aw] = True
 
@@ -782,7 +495,7 @@ class CompiledPopulation:
         ak1 = k1[work]
         aemit = np.zeros(work.size, dtype=np.int64)
 
-        deg0 = chm.state_deg[ast] == 0
+        deg0 = hm.state_deg[ast] == 0
         if deg0.any():
             self.state[acoh[deg0]] = ast[deg0] % S  # absorbing on entry
             keep = ~deg0
@@ -799,7 +512,7 @@ class CompiledPopulation:
                 if acoh.size <= _DRAIN_THRESHOLD:
                     for i in range(acoh.size):
                         self._drain_ue(
-                            chm,
+                            hm,
                             int(acoh[i]),
                             int(ast[i]),
                             float(at[i]),
@@ -833,43 +546,43 @@ class CompiledPopulation:
             u_dwell = ud_blk[abr, col]
             self.rng_draws += 2 * int(acoh.size)
 
-            e = np.searchsorted(chm.sel_key, ast + u_edge, side="right")
-            if chm.has_exp:
+            e = np.searchsorted(hm.sel_key, ast + u_edge, side="right")
+            if hm.has_exp:
                 dwell = np.empty(e.size)
-                emp = chm.edge_kind[e] == 0
+                emp = hm.edge_kind[e] == 0
                 if emp.any():
                     dwell[emp] = _interp_knots(
-                        e[emp], u_dwell[emp], chm.knot_key,
-                        chm.edge_knot_ptr, chm.knot_p, chm.knot_v,
+                        e[emp], u_dwell[emp], hm.knot_key,
+                        hm.edge_knot_ptr, hm.knot_p, hm.knot_v,
                     )
                 ex = ~emp
                 if ex.any():
-                    dwell[ex] = -np.log1p(-u_dwell[ex]) / chm.edge_rate[e[ex]]
+                    dwell[ex] = -np.log1p(-u_dwell[ex]) / hm.edge_rate[e[ex]]
             else:
                 dwell = _interp_knots(
-                    e, u_dwell, chm.knot_key,
-                    chm.edge_knot_ptr, chm.knot_p, chm.knot_v,
+                    e, u_dwell, hm.knot_key,
+                    hm.edge_knot_ptr, hm.knot_p, hm.knot_v,
                 )
             t_next = at + np.maximum(dwell, MIN_SOJOURN)
 
             cross = t_next >= hour_end
             go = ~cross
-            tgt = chm.edge_target[e]
+            tgt = hm.edge_target[e]
             if cross.any():
                 # hour boundary: the pending event is dropped, the UE
                 # keeps its pre-step state for the next hour.
                 self.state[acoh[cross]] = ast[cross] % S
                 out_rows.append(acoh[go])
                 out_times.append(t_next[go])
-                out_events.append(chm.edge_event[e[go]])
+                out_events.append(hm.edge_event[e[go]])
             else:
                 out_rows.append(acoh)
                 out_times.append(t_next)
-                out_events.append(chm.edge_event[e])
+                out_events.append(hm.edge_event[e])
             aemit += 1
             # retire emitters whose new state is absorbing or who hit
             # the per-hour safety cap; both keep the post-step state.
-            done = (chm.state_deg[tgt] == 0) | (aemit >= max_events)
+            done = (hm.state_deg[tgt] == 0) | (aemit >= max_events)
             done_go = done & go
             if done_go.any():
                 self.state[acoh[done_go]] = tgt[done_go] % S
@@ -885,14 +598,14 @@ class CompiledPopulation:
 
         # -- state-oblivious Poisson overlays (baseline models) ---------
         self._emit_overlays(
-            chm, rows, cl, k0, k1, hour_idx, hour_start,
+            hm, rows, cl, k0, k1, hour_idx, hour_start,
             out_rows, out_times, out_events,
         )
 
     # ------------------------------------------------------------------
     def _drain_ue(
         self,
-        chm: CompiledHourModel,
+        hm: HourModel,
         row: int,
         st: int,
         tt: float,
@@ -926,7 +639,7 @@ class CompiledPopulation:
             kp,
             kv,
             has_exp,
-        ) = chm.scalar_tables()
+        ) = hm.scalar_tables()
         min_sojourn = float(MIN_SOJOURN)
         times: List[float] = []
         evs: List[int] = []
@@ -978,7 +691,7 @@ class CompiledPopulation:
                     break
             self.rng_draws += 2 * (j + 1)
             r += _DRAIN_BLOCK
-        self.state[row] = final_state % chm.S
+        self.state[row] = final_state % hm.S
         if times:
             out_rows.append(np.full(len(times), row, dtype=np.int64))
             out_times.append(np.asarray(times, dtype=np.float64))
@@ -987,7 +700,7 @@ class CompiledPopulation:
     # ------------------------------------------------------------------
     def _emit_overlays(
         self,
-        chm: CompiledHourModel,
+        hm: HourModel,
         rows: np.ndarray,
         cl: np.ndarray,
         k0: np.ndarray,
@@ -998,15 +711,16 @@ class CompiledPopulation:
         out_times: List[np.ndarray],
         out_events: List[np.ndarray],
     ) -> None:
-        for c in chm.overlay_clusters:
+        for c in hm.overlay_clusters:
             member = cl == c
             rows_c = rows[member]
             if rows_c.size == 0:
                 continue
             k0c = k0[member]
             k1c = k1[member]
-            for event_code, rate in chm.clusters[c].overlay:
-                lam = rate * SECONDS_PER_HOUR
+            for k in np.flatnonzero(hm.overlay_rates[c] > 0).tolist():
+                event_code = int(hm.overlay_events[k])
+                lam = float(hm.overlay_rates[c, k]) * SECONDS_PER_HOUR
                 self.rng_draws += int(rows_c.size)
                 u_n = _uniforms(
                     k0c, k1c, 0, hour_idx, _P_OVERLAY_N, np.uint64(event_code)

@@ -38,7 +38,7 @@ from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType
 from ..trace.trace import Trace
 from .checkpoint import CheckpointError, open_run
-from .compiled import CompiledPopulation, compile_model_set, generate_columns
+from .compiled import CompiledPopulation, check_model_set, generate_columns
 
 DeviceCounts = Union[int, Mapping[DeviceType, int]]
 
@@ -246,9 +246,9 @@ class TrafficGenerator:
         counts = self.resolve_counts(num_ues)
         tele = telemetry if telemetry is not None else get_telemetry()
         with use_telemetry(tele), tele.span("generate"):
-            # A model that does not compile is the caller's error: raise
+            # A model its machine cannot run is the caller's error: raise
             # it here, not as a retried job failure.
-            compile_model_set(self.model_set)
+            check_model_set(self.model_set)
             resumed, save = open_run(
                 checkpoint_path,
                 self.model_set,

@@ -14,9 +14,7 @@ from typing import List
 
 from ..statemachines.compiled_replay import _canonical_source_for
 from ..trace.events import EventType
-from .model_set import ModelSet
-
-_PROB_TOL = 1e-6
+from .model_set import _PROB_TOL, ModelSet
 
 
 def validate_model_set(model_set: ModelSet) -> List[str]:

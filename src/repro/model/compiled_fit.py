@@ -13,7 +13,11 @@ flat arrays through each state machine's integer lookup tables
   trajectory falls out in ``O(log n)`` vectorized passes;
 * ``p_xy`` counts come from one ``bincount`` over
   ``(cluster, source, event)`` keys, sojourn samples from grouped
-  diffs, and the first-event / overlay models from boundary masks.
+  diffs, and the first-event / overlay models from boundary masks;
+* every cluster's results go straight into the hour's generator tables
+  (:class:`~repro.model.model_set.HourModel`): sojourn CDF knots from
+  one group-by sort and one grouped linear quantile
+  (:mod:`repro.model.grouped`), with no per-cluster or per-edge loop.
 
 The fitter is **exactly** equivalent to the per-segment reference
 pipeline kept as a test oracle (``tests/oracle/fit.py``) — same
@@ -36,9 +40,6 @@ import numpy as np
 
 from ..clustering.features import NUM_FEATURES
 from ..clustering.quadtree import ClusteringResult, adaptive_cluster, single_cluster
-from ..distributions.base import FitError
-from ..distributions.empirical import EmpiricalCDF
-from ..distributions.exponential import Exponential
 from ..statemachines.compiled_replay import (
     MachineTable,
     _interval_bounds,
@@ -48,9 +49,8 @@ from ..statemachines.compiled_replay import (
 from ..telemetry import get_telemetry
 from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
 from ..trace.trace import Trace
-from .first_event import FirstEventModel
-from .model_set import ClusterModel, HourModel, build_machine
-from .semi_markov import Edge, SemiMarkovChain, StateModel
+from .grouped import group_means, group_starts, grouped_knots, stable_order
+from .model_set import HourModel, build_machine
 
 #: Fallback sojourn when a transition was observed but never with a
 #: known entry time (e.g. always the first event of a segment).
@@ -149,14 +149,6 @@ def _segment_firsts(seg_key: np.ndarray) -> np.ndarray:
     return first
 
 
-def _group_slices(
-    sorted_keys: np.ndarray, key: int
-) -> slice:
-    lo = int(np.searchsorted(sorted_keys, key, side="left"))
-    hi = int(np.searchsorted(sorted_keys, key, side="right"))
-    return slice(lo, hi)
-
-
 def _group_std(codes: np.ndarray, values: np.ndarray, num_ues: int) -> np.ndarray:
     """Per-UE ``np.std`` over grouped values (0.0 below two samples).
 
@@ -180,24 +172,6 @@ def _group_std(codes: np.ndarray, values: np.ndarray, num_ues: int) -> np.ndarra
         rows = values[starts[sel][:, None] + np.arange(size)]
         out[present[sel]] = np.std(rows, axis=1)
     return out
-
-
-def _fit_sojourn_arrays(
-    samples: np.ndarray,
-    event_pool: np.ndarray,
-    family: str,
-    max_cdf_points: int,
-):
-    """Fit one F_xy, falling back through pooled samples to a default."""
-    source = samples if samples.size else event_pool
-    if source.size == 0:
-        return Exponential(rate=1.0 / _FALLBACK_MEAN_SOJOURN)
-    if family == "empirical":
-        return EmpiricalCDF.fit(source, max_points=max_cdf_points)
-    try:
-        return Exponential.fit(source)
-    except FitError:
-        return Exponential(rate=1.0 / _FALLBACK_MEAN_SOJOURN)
 
 
 def fit_device_hour(
@@ -256,83 +230,116 @@ def fit_device_hour(
         )
 
     with tele.span("fit-models"):
-        num_clusters = len(clustering.clusters)
-        cl_of_ue = np.zeros(num_ues, dtype=np.int64)
-        for i, ue in enumerate(dev.ues.tolist()):
-            cl_of_ue[i] = clustering.assignment[int(ue)]
+        cl_of_ue = np.fromiter(
+            map(clustering.assignment.__getitem__, dev.ues.tolist()),
+            dtype=np.int64,
+            count=num_ues,
+        )
+        sizes = np.asarray([c.size for c in clustering.clusters], dtype=np.int64)
+        C = len(sizes)
+        S = table.num_states
+        E = table.num_events
         cid_f = cl_of_ue[f_ue]
-
-        num_states = table.num_states
-        num_events = table.num_events
         src64 = src.astype(np.int64)
-        combined = (cid_f * num_states + src64) * num_events + f_ev
-        counts = np.bincount(
-            combined, minlength=num_clusters * num_states * num_events
-        ).reshape(num_clusters, num_states, num_events)
 
-        # Sojourn samples: non-forced records only; value is the
-        # slot-relative diff to the previous record of the segment, in
-        # the reference's global (ue, slot, time) append order — the
-        # stable argsorts below preserve it within every group.
+        # -- transitions: p_xy = n / total per (cluster, state) ---------
+        counts = np.bincount((cid_f * S + src64) * E + f_ev, minlength=C * S * E)
+        edge_key = np.flatnonzero(counts)
+        state_key = edge_key // E
+        totals = counts.reshape(C * S, E).sum(axis=1)
+        edge_prob = counts[edge_key] / totals[state_key]
+        edge_event = edge_key % E
+        edge_cluster = state_key // S
+        edge_state = state_key % S
+
+        # -- sojourns: each edge's own samples, else its (cluster,
+        # event) pool, else the Exponential(1/60) fallback --------------
+        # Non-forced records only; the value is the slot-relative diff to
+        # the previous record of the segment.
         nf = np.flatnonzero(~forced)
         sojourns = f_t[nf] - f_t[nf - 1]
-        edge_keys = (cid_f[nf] * num_states + src64[nf]) * num_events + f_ev[nf]
-        edge_order = np.argsort(edge_keys, kind="stable")
-        edge_sorted_keys = edge_keys[edge_order]
-        edge_sorted_vals = sojourns[edge_order]
-        pool_keys = cid_f[nf] * num_events + f_ev[nf]
-        pool_order = np.argsort(pool_keys, kind="stable")
-        pool_sorted_keys = pool_keys[pool_order]
-        pool_sorted_vals = sojourns[pool_order]
+        own_keys = (cid_f[nf] * S + src64[nf]) * E + f_ev[nf]
+        empirical = family == "empirical"
+        values, starts, lengths = _group_values(
+            own_keys, sojourns, edge_key, empirical
+        )
+        pooled = lengths == 0
+        if pooled.any():
+            pool, pool_starts, pool_lengths = _group_values(
+                cid_f[nf] * E + f_ev[nf], sojourns, edge_cluster * E + edge_event,
+                empirical,
+            )
+            starts = np.where(pooled, values.size + pool_starts, starts)
+            lengths = np.where(pooled, pool_lengths, lengths)
+            values = np.concatenate([values, pool])
+        if empirical:
+            edge_rate = np.ones(edge_key.size)  # read on unsampled edges only
+            sojourn_ptr, sojourn_values = grouped_knots(
+                values, starts, lengths, max_cdf_points
+            )
+        else:
+            means = group_means(values, starts, lengths)  # NaN without samples
+            with np.errstate(invalid="ignore", divide="ignore"):
+                edge_rate = np.where(means > 0, 1.0 / means, np.nan)
+            sojourn_ptr = np.zeros(edge_key.size + 1, dtype=np.int64)
+            sojourn_values = np.empty(0)
+        fallback = np.isnan(edge_rate) | (lengths == 0)
+        edge_rate[fallback] = 1.0 / _FALLBACK_MEAN_SOJOURN
 
+        # -- first events (§5.4) ---------------------------------------
         first_pos = np.flatnonzero(f_first)
-        cid_first = cid_f[first_pos] if first_pos.size else first_pos
+        fe_cl = cid_f[first_pos]
+        num_first = np.bincount(fe_cl, minlength=C)
+        num_segments = sizes * num_slots
+        fe_counts = np.bincount(fe_cl * E + f_ev[first_pos], minlength=C * E)
+        fe_key = np.flatnonzero(fe_counts)
+        fe_cluster = fe_key // E
+        offsets, off_starts, off_lengths = _group_values(
+            fe_cl, f_t[first_pos], np.arange(C), True
+        )
+        # A cluster with no first event gets the one-knot CDF at 0.0.
+        silent = off_lengths == 0
+        offset_ptr, offset_values = grouped_knots(
+            np.append(offsets, 0.0),
+            np.where(silent, offsets.size, off_starts),
+            np.where(silent, 1, off_lengths),
+            max_cdf_points,
+        )
 
-        cluster_models = []
-        for cluster in clustering.clusters:
-            cid = cluster.cluster_id
-            chain = _cluster_chain(
-                counts[cid],
-                table,
-                family=family,
-                max_cdf_points=max_cdf_points,
-                cid=cid,
-                edge_sorted_keys=edge_sorted_keys,
-                edge_sorted_vals=edge_sorted_vals,
-                pool_sorted_keys=pool_sorted_keys,
-                pool_sorted_vals=pool_sorted_vals,
+        # -- Poisson HO/TAU overlays (EMM-ECM baselines) ---------------
+        overlay_events = (
+            np.asarray(sorted(int(e) for e in _OVERLAY_EVENTS), dtype=np.int64)
+            if machine_kind == "emm_ecm"
+            else np.empty(0, dtype=np.int64)
+        )
+        overlay_rates = np.zeros((C, overlay_events.size))
+        for k, event in enumerate(overlay_events.tolist()):
+            overlay_rates[:, k] = _overlay_rates(
+                event, cl_of_ue, ue_code, events, t_rel, seg_key, num_segments
             )
-            sel = first_pos[cid_first == cid]
-            first_events = [
-                (EventType(int(f_ev[p])), float(f_t[p])) for p in sel.tolist()
-            ]
-            num_segments = cluster.size * num_slots
-            first_event = FirstEventModel.fit(
-                first_events,
-                max(num_segments, len(first_events)),
-                max_cdf_points=max_cdf_points,
-            )
-            if machine_kind == "emm_ecm":
-                overlay = _cluster_overlay(
-                    cl_of_ue[ue_code] == cid,
-                    events,
-                    t_rel,
-                    seg_key,
-                    num_segments,
-                )
-            else:
-                overlay = {}
-            cluster_models.append(
-                ClusterModel(
-                    chain=chain,
-                    first_event=first_event,
-                    overlay_rates=overlay,
-                    num_ues=cluster.size,
-                    num_segments=num_segments,
-                )
-            )
-        return HourModel(
-            clusters=cluster_models, assignment=dict(clustering.assignment)
+
+        return HourModel.from_columns(
+            machine_kind,
+            num_ues=sizes,
+            num_segments=num_segments,
+            assign_keys=dev.ues,
+            assign_vals=cl_of_ue,
+            edge_cluster=edge_cluster,
+            edge_state=edge_state,
+            edge_event=edge_event,
+            edge_target=table.next_state[edge_state, edge_event],
+            edge_prob=edge_prob,
+            edge_rate=edge_rate,
+            sojourn_ptr=sojourn_ptr,
+            sojourn_values=sojourn_values,
+            p_active=num_first / np.maximum(num_segments, num_first),
+            fe_cluster=fe_cluster,
+            fe_event=fe_key % E,
+            fe_prob=fe_counts[fe_key] / num_first[fe_cluster],
+            offset_ptr=offset_ptr,
+            offset_values=offset_values,
+            overlay_events=overlay_events,
+            overlay_rates=overlay_rates,
         )
 
 
@@ -389,79 +396,68 @@ def _cluster_device_hour(
     return adaptive_cluster(features, theta_f=theta_f, theta_n=theta_n)
 
 
-def _cluster_chain(
-    counts: np.ndarray,
-    table: MachineTable,
-    *,
-    family: str,
-    max_cdf_points: int,
-    cid: int,
-    edge_sorted_keys: np.ndarray,
-    edge_sorted_vals: np.ndarray,
-    pool_sorted_keys: np.ndarray,
-    pool_sorted_vals: np.ndarray,
-) -> SemiMarkovChain:
-    """Build one cluster's chain from its (S, E) count matrix."""
-    num_states = table.num_states
-    num_events = table.num_events
-    row_totals = counts.sum(axis=1)
-    states: Dict[str, StateModel] = {}
-    for s in range(num_states):
-        total = int(row_totals[s])
-        if total == 0:
-            continue
-        edges = []
-        for e in range(num_events):
-            n = int(counts[s, e])
-            if n == 0:
-                continue
-            samples = edge_sorted_vals[
-                _group_slices(
-                    edge_sorted_keys, (cid * num_states + s) * num_events + e
-                )
-            ]
-            pool = pool_sorted_vals[
-                _group_slices(pool_sorted_keys, cid * num_events + e)
-            ]
-            edges.append(
-                Edge(
-                    event=EventType(e),
-                    target=table.names[int(table.next_state[s, e])],
-                    probability=n / total,
-                    sojourn=_fit_sojourn_arrays(
-                        samples, pool, family, max_cdf_points
-                    ),
-                )
-            )
-        states[table.names[s]] = StateModel(edges=tuple(edges))
-    return SemiMarkovChain(states)
+def _group_values(
+    keys: np.ndarray, values: np.ndarray, wanted: np.ndarray, by_value: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group ``values`` by ``keys``; ``(grouped, starts, lengths)`` with
+    ``grouped[starts[i]:starts[i] + lengths[i]]`` the values of key
+    ``wanted[i]`` (length 0 if it has none).
+
+    ``by_value`` sorts each group's values ascending (for CDF knots);
+    otherwise they keep their order (for means, which are
+    order-dependent in floating point).
+    """
+    if by_value:
+        order = np.argsort(values)
+        order = order[stable_order(keys[order])]
+    else:
+        order = stable_order(keys)
+    sorted_keys = keys[order]
+    first = group_starts(sorted_keys)
+    group_keys = sorted_keys[first]
+    sizes = np.diff(np.append(first, sorted_keys.size))
+    starts = np.zeros(wanted.size, dtype=np.int64)
+    lengths = np.zeros(wanted.size, dtype=np.int64)
+    if group_keys.size:
+        pos = np.minimum(np.searchsorted(group_keys, wanted), group_keys.size - 1)
+        hit = group_keys[pos] == wanted
+        starts[hit] = first[pos[hit]]
+        lengths[hit] = sizes[pos[hit]]
+    return values[order], starts, lengths
 
 
-def _cluster_overlay(
-    in_cluster: np.ndarray,
+def _overlay_rates(
+    event: int,
+    cl_of_ue: np.ndarray,
+    ue_code: np.ndarray,
     events: np.ndarray,
     t_rel: np.ndarray,
     seg_key: np.ndarray,
-    num_segments: int,
-) -> Dict[EventType, float]:
-    """One cluster's Poisson HO/TAU overlay rates (EMM–ECM baselines)."""
-    rates: Dict[EventType, float] = {}
-    for event in _OVERLAY_EVENTS:
-        rows = np.flatnonzero(in_cluster & (events == int(event)))
-        count = int(rows.size)
-        if rows.size >= 2:
-            same = seg_key[rows[1:]] == seg_key[rows[:-1]]
-            interarrivals = (t_rel[rows[1:]] - t_rel[rows[:-1]])[same]
-        else:
-            interarrivals = np.empty(0, dtype=np.float64)
-        if interarrivals.size:
-            mean = float(np.mean(interarrivals))
-            rates[event] = 1.0 / max(mean, 1e-3)
-        elif count > 0 and num_segments > 0:
-            rates[event] = count / (num_segments * SECONDS_PER_HOUR)
-        else:
-            rates[event] = 0.0
-    return rates
+    num_segments: np.ndarray,
+) -> np.ndarray:
+    """Every cluster's Poisson rate of one overlay event.
+
+    The rate is ``1 / mean`` of the cluster's within-segment
+    interarrivals, else the event count over the cluster's segment
+    time, else 0.  A segment's rows are contiguous and belong to one UE,
+    so a cluster's consecutive same-segment pairs are exactly the
+    consecutive same-segment pairs of all the event's rows.
+    """
+    rows = np.flatnonzero(events == event)
+    cluster = cl_of_ue[ue_code[rows]]
+    count = np.bincount(cluster, minlength=num_segments.size)
+    same = seg_key[rows[1:]] == seg_key[rows[:-1]]
+    gaps = (t_rel[rows[1:]] - t_rel[rows[:-1]])[same]
+    mean = group_means(
+        *_group_values(cluster[1:][same], gaps, np.arange(count.size), False)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_count = count / (num_segments * SECONDS_PER_HOUR)
+        return np.where(
+            ~np.isnan(mean),
+            1.0 / np.maximum(mean, 1e-3),
+            np.where((count > 0) & (num_segments > 0), by_count, 0.0),
+        )
 
 
 # ---------------------------------------------------------------------------

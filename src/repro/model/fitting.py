@@ -152,7 +152,7 @@ def _fit_all(
     """Plan and run the per-(device, hour) fit jobs for one model set."""
     with get_telemetry().span("fit-arrays"):
         total_slots, hour_plan = plan_hour_slots(trace, trace_start_hour)
-        # A UE belongs to every device type it has a row of.
+        # Each device type's UEs (one type per UE in a validated trace).
         index = trace.ue_index()
         seen = np.zeros((len(DeviceType), len(index.ues)), dtype=bool)
         seen[trace.device_types[index.order], index.codes()] = True

@@ -183,7 +183,7 @@ def summarize_model_set(model_set: ModelSet) -> ModelSetSummary:
         rates = []
         for hour in device_hours:
             hm = model_set.models[device_type][hour]
-            counts.append(len(hm.clusters))
+            counts.append(hm.num_clusters)
             weights = hm.weights()
             p_active = 0.0
             rate = 0.0

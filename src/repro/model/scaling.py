@@ -179,12 +179,13 @@ def _map_model_set(
     models = {}
     for device_type, hours in model_set.models.items():
         models[device_type] = {
-            hour: HourModel(
-                clusters=[
+            hour: HourModel.from_clusters(
+                [
                     _map_cluster(cm, ho_scale=ho_scale, drop_tau=drop_tau)
                     for cm in hm.clusters
                 ],
-                assignment=dict(hm.assignment),
+                hm.assignment,
+                machine_kind,
             )
             for hour, hm in hours.items()
         }

@@ -16,7 +16,7 @@ timer expires.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -95,53 +95,6 @@ class SemiMarkovChain:
             edge = edges[min(idx, len(edges) - 1)]
         dwell = max(float(edge.sojourn.sample(rng)), MIN_SOJOURN)
         return dwell, edge.event, edge.target
-
-    # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-    def edge_table(self, state_code: Mapping[str, int]) -> dict:
-        """Lower the chain to flat CSR-style arrays for batched stepping.
-
-        ``state_code`` maps every state name of the enclosing model
-        universe to a dense integer code.  The returned dict contains,
-        with states ordered by code and zero-probability edges dropped:
-
-        - ``state_deg``: per-state out-degree (0 == absorbing/unknown),
-          indexed by state code over the full universe;
-        - ``sel_key``: ``src_code + cumulative_probability`` per edge —
-          a sorted array such that ``searchsorted(sel_key, code + u,
-          side="right")`` selects the edge drawn by ``u`` in ``[0, 1)``;
-        - ``edge_event`` / ``edge_target``: event codes and target state
-          codes per edge;
-        - ``edge_sojourn``: the per-edge fitted sojourn distributions,
-          in the same order (lowered further by the caller).
-        """
-        num_states = max(state_code.values()) + 1 if state_code else 0
-        state_deg = np.zeros(num_states, dtype=np.int64)
-        sel_key: List[float] = []
-        edge_event: List[int] = []
-        edge_target: List[int] = []
-        edge_sojourn: List[Distribution] = []
-        for name in sorted(self.states, key=lambda s: state_code[s]):
-            model = self.states[name]
-            edges = [e for e in model.edges if e.probability > 0.0]
-            if not edges:
-                continue
-            code = state_code[name]
-            cum = np.cumsum([e.probability for e in edges])
-            cum[-1] = 1.0
-            state_deg[code] = len(edges)
-            sel_key.extend(code + cum)
-            edge_event.extend(int(e.event) for e in edges)
-            edge_target.extend(state_code[e.target] for e in edges)
-            edge_sojourn.extend(e.sojourn for e in edges)
-        return {
-            "state_deg": state_deg,
-            "sel_key": np.asarray(sel_key, dtype=np.float64),
-            "edge_event": np.asarray(edge_event, dtype=np.int16),
-            "edge_target": np.asarray(edge_target, dtype=np.int32),
-            "edge_sojourn": edge_sojourn,
-        }
 
     def transition_matrix(self) -> Dict[str, Dict[Tuple[EventType, str], float]]:
         """``state -> {(event, target): probability}`` for inspection."""

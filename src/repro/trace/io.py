@@ -100,12 +100,15 @@ def read_csv(path: PathLike) -> Trace:
                         f"bad value {text!r} ({reason})"
                     ) from None
     ue_ids, times, events, devices = columns
-    return Trace(
-        np.asarray(ue_ids, dtype=np.int64),
-        np.asarray(times, dtype=np.float64),
-        np.asarray(events, dtype=np.int8),
-        np.asarray(devices, dtype=np.int8),
-    )
+    try:
+        return Trace(
+            np.asarray(ue_ids, dtype=np.int64),
+            np.asarray(times, dtype=np.float64),
+            np.asarray(events, dtype=np.int8),
+            np.asarray(devices, dtype=np.int8),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_npz(trace: Trace, path: PathLike, *, compress: bool = True) -> None:

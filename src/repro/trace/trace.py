@@ -96,7 +96,8 @@ class Trace:
 
     Events are kept sorted by ``(time, ue_id)``.  All four columns have
     equal length.  ``ue_ids`` are arbitrary non-negative integers
-    (checked on construction when ``validate=True``).  Every per-UE
+    (checked on construction when ``validate=True``, as is that each UE
+    keeps one device type).  Every per-UE
     view reads one :class:`UEIndex`, built on first use.
     """
 
@@ -161,6 +162,26 @@ class Trace:
         self.device_types = device_types
         self._ue_index: Optional[UEIndex] = None
         self._content_hash: Optional[str] = None
+        if validate and len(times) > 1:
+            self._check_one_device_per_ue()
+
+    def _check_one_device_per_ue(self) -> None:
+        """Reject a UE whose rows carry more than one device type.
+
+        Reads the per-UE index every consumer builds anyway, so the
+        check costs no extra sort.
+        """
+        index = self.ue_index()
+        devices = self.device_types[index.order]
+        mixed = np.flatnonzero(
+            (devices[1:] != devices[:-1]) & ~index.firsts()[1:]
+        )
+        if mixed.size:
+            ue = index.ues[index.codes()[mixed[0] + 1]]
+            raise ValueError(
+                f"trace column 'device_types' gives UE {int(ue)} more than "
+                "one device type"
+            )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -282,7 +303,7 @@ class Trace:
         return self._content_hash
 
     def device_of(self) -> Dict[int, DeviceType]:
-        """Map every UE id to the device type of its first event."""
+        """Map every UE id to its device type (that of its first event)."""
         index = self.ue_index()
         firsts = self.device_types[index.order[index.bounds[:-1]]]
         return dict(zip(index.ues.tolist(), map(DeviceType, firsts.tolist())))

@@ -198,9 +198,8 @@ def _fit_hour(
                 max_cdf_points=max_cdf_points,
             )
         )
-    return HourModel(
-        clusters=cluster_models,
-        assignment=dict(clustering.assignment),
+    return HourModel.from_clusters(
+        cluster_models, clustering.assignment, machine_kind
     )
 
 

@@ -235,15 +235,17 @@ class TestReplayInvariants:
 class TestTraceInvariants:
     @SETTINGS
     @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=50),
-                st.floats(min_value=0, max_value=1e5, allow_nan=False),
-                st.sampled_from(list(EventType)),
-                st.sampled_from(list(DeviceType)),
+        st.tuples(
+            st.lists(st.sampled_from(list(DeviceType)), min_size=51, max_size=51),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=50),
+                    st.floats(min_value=0, max_value=1e5, allow_nan=False),
+                    st.sampled_from(list(EventType)),
+                ),
+                max_size=100,
             ),
-            max_size=100,
-        )
+        ).map(lambda drawn: [(u, t, e, drawn[0][u]) for u, t, e in drawn[1]])
     )
     def test_trace_always_sorted_and_partitionable(self, rows):
         tr = Trace(

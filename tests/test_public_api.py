@@ -158,6 +158,29 @@ class TestExportIntegrity:
         params = inspect.signature(TraceReplay.sojourn_samples).parameters
         assert "include_forced" not in params
 
+    def test_one_model_representation(self):
+        """A fitted ``HourModel`` is the generator's tables: the lowering
+        step, its per-cluster tables, the per-distribution lowering hooks
+        and the per-model-set compile cache are gone."""
+        from repro.distributions import EmpiricalCDF, Exponential
+        from repro.model import ModelSet, SemiMarkovChain
+
+        for name, old in (
+            ("repro.generator", "compile_model_set"),
+            ("repro.generator", "CompiledModelSet"),
+            ("repro.generator.compiled", "compile_model_set"),
+            ("repro.generator.compiled", "CompiledModelSet"),
+            ("repro.generator.compiled", "CompiledHourModel"),
+            ("repro.generator.compiled", "CompiledCluster"),
+        ):
+            module = importlib.import_module(name)
+            assert not hasattr(module, old), f"{name}.{old}"
+            assert old not in getattr(module, "__all__", ())
+        for cls in (EmpiricalCDF, Exponential):
+            assert not hasattr(cls, "compile_sojourn")
+        assert not hasattr(SemiMarkovChain, "edge_table")
+        assert "__getstate__" not in vars(ModelSet)
+
     def test_one_summary_per_trace(self):
         """Tables 4/5 compare two ``DeviceSummary`` objects: the pairwise
         trace-vs-trace metrics and the duplicate per-UE counter are gone."""

@@ -97,6 +97,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="'ue_ids'.*negative"):
             make_trace([(-1, 1.0, E.ATCH, P)])
 
+    def test_ue_with_two_device_types_rejected(self):
+        """The first such UE (by id) is named, with the column."""
+        with pytest.raises(ValueError, match="'device_types'.* UE 5 more than one"):
+            make_trace(
+                [
+                    (9, 1.0, E.ATCH, P),
+                    (9, 2.0, E.SRV_REQ, CC),
+                    (5, 3.0, E.ATCH, CC),
+                    (5, 0.5, E.HO, P),
+                ]
+            )
+        one_each = make_trace([(5, 0.5, E.ATCH, CC), (9, 1.0, E.ATCH, P)])
+        assert one_each.device_of() == {5: CC, 9: P}
+        with pytest.raises(ValueError, match="'device_types'.* UE 3 "):
+            Trace.from_events(
+                [Event(3, 1.0, E.ATCH, P), Event(3, 2.0, E.SRV_REQ, CC)]
+            )
+
     def test_validate_false_skips_checks(self):
         tr = Trace(
             np.array([1]),

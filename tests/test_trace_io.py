@@ -86,6 +86,19 @@ class TestCsv:
             read_csv(path)
         assert f"{path}:3: column '{column}'" in str(excinfo.value)
 
+    def test_ue_with_two_device_types_names_path_column_and_ue(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(
+            "ue_id,time,event,device\n"
+            "2,1.000,ATCH,PHONE\n"
+            "2,2.000,SRV_REQ,TABLET\n"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            read_csv(path)
+        message = str(excinfo.value)
+        assert str(path) in message and "'device_types'" in message
+        assert "UE 2 " in message
+
     def test_empty_trace_roundtrip(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv(Trace.empty(), path)
@@ -104,6 +117,25 @@ class TestNpz:
         write_npz(sample, path)
         back = read_npz(path)
         assert np.array_equal(back.times, sample.times)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_ue_with_two_device_types_names_path_column_and_ue(
+        self, sample, tmp_path, mmap
+    ):
+        mixed = Trace(
+            sample.ue_ids,
+            sample.times,
+            sample.event_types,
+            np.asarray([int(P), int(P), int(DeviceType.TABLET)], dtype=np.int8),
+            validate=False,
+        )
+        path = tmp_path / "mixed.npz"
+        write_npz(mixed, path)
+        with pytest.raises(ValueError) as excinfo:
+            read_npz(path, mmap=mmap)
+        message = str(excinfo.value)
+        assert str(path) in message and "'device_types'" in message
+        assert "UE 1 " in message
 
     def test_empty_trace_roundtrip(self, tmp_path):
         path = tmp_path / "empty.npz"

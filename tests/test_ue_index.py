@@ -32,18 +32,22 @@ SETTINGS = settings(
     max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
 
-#: Rows of (ue_id, time, event code, device code).  Few distinct UE ids
-#: and devices drawn per row, so UEs with rows of several device types
-#: are common.
-rows_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=12),
-        st.integers(min_value=0, max_value=50).map(float),
-        st.sampled_from([int(e) for e in EventType]),
-        st.sampled_from([int(d) for d in DeviceType]),
+#: Rows of (ue_id, time, event code, device code).  Few distinct UE ids,
+#: each with one device type drawn per UE (``Trace`` rejects a UE whose
+#: rows carry several).
+rows_strategy = st.tuples(
+    st.lists(
+        st.sampled_from([int(d) for d in DeviceType]), min_size=13, max_size=13
     ),
-    max_size=60,
-)
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=12),
+            st.integers(min_value=0, max_value=50).map(float),
+            st.sampled_from([int(e) for e in EventType]),
+        ),
+        max_size=60,
+    ),
+).map(lambda drawn: [(u, t, e, drawn[0][u]) for u, t, e in drawn[1]])
 
 
 def _trace(rows):
@@ -101,20 +105,16 @@ class TestIndexMatchesDerivations:
         assert len(trace.ue_trace(6)) == 0
 
     def test_mixed_device_ue(self):
-        """A UE keeps its first row's device in ``device_of`` but belongs
-        to both device cohorts in the fitter's arrays."""
+        """A UE with rows of two device types is rejected, naming it: it
+        would otherwise belong to both device cohorts of a fit."""
         P, C = int(DeviceType.PHONE), int(DeviceType.CONNECTED_CAR)
-        trace = _trace(
-            [(4, 1.0, 2, C), (4, 2.0, 3, P), (9, 1.5, 2, P), (9, 3.0, 3, P)]
-        )
+        rows = [(9, 1.5, 2, P), (9, 3.0, 3, P), (4, 1.0, 2, C), (4, 2.0, 3, P)]
+        with pytest.raises(ValueError, match="'device_types'.* UE 4 "):
+            _trace(rows)
+        trace = _trace([r[:3] + (P,) for r in rows])
         _check_index(trace)
-        assert trace.device_of() == {4: DeviceType.CONNECTED_CAR, 9: DeviceType.PHONE}
-        assert trace.device_mix()[DeviceType.CONNECTED_CAR] == 1
         phones = device_arrays(trace, DeviceType.PHONE, total_slots=1)
         assert phones.ues.tolist() == [4, 9]
-        assert phones.ue_code.tolist() == [0, 1, 1]
-        cars = device_arrays(trace, DeviceType.CONNECTED_CAR, total_slots=1)
-        assert cars.ues.tolist() == [4]
 
     @SETTINGS
     @given(rows_strategy)
