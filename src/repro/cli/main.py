@@ -321,19 +321,8 @@ def _cmd_anonymize(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale5g(args: argparse.Namespace) -> int:
-    model = ModelSet.load(args.model)
-    if args.mode == "nsa":
-        scaled = (
-            scale_to_nsa(model, args.ho_scale)
-            if args.ho_scale
-            else scale_to_nsa(model)
-        )
-    else:
-        scaled = (
-            scale_to_sa(model, args.ho_scale)
-            if args.ho_scale
-            else scale_to_sa(model)
-        )
+    scale = scale_to_nsa if args.mode == "nsa" else scale_to_sa
+    scaled = scale(ModelSet.load(args.model), args.ho_scale)
     scaled.save(args.out)
     print(f"scaled to 5G {args.mode.upper()} -> {args.out}")
     return 0

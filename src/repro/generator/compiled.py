@@ -1,9 +1,9 @@
 """The generation engine: whole cohorts stepped through flat array tables.
 
-A per-UE generator would walk one Python-level :meth:`SemiMarkovChain.step`
-per event: re-read the edge list, draw the edge with ``rng`` calls and
-the dwell with a scalar ``np.interp`` — tens of microseconds of interpreter
-work per event.  This module steps the flat tables every (device, hour)
+A per-UE generator would walk one Python-level chain step per event:
+re-read the edge list, draw the edge with ``rng`` calls and the dwell
+with a scalar ``np.interp`` — tens of microseconds of interpreter work
+per event.  This module steps the flat tables every (device, hour)
 :class:`~repro.model.model_set.HourModel` already is — the fitter writes
 them, there is no lowering step — and advances *all active UEs of a
 device-hour together*, so the per-event cost is a few vectorized array
@@ -51,7 +51,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..model.model_set import HourModel, ModelSet, state_space
-from ..model.semi_markov import MIN_SOJOURN
 from ..trace.events import (
     SECONDS_PER_HOUR,
     DeviceType,
@@ -63,6 +62,10 @@ __all__ = [
     "check_model_set",
     "philox4x64",
 ]
+
+#: Durations are clamped below by the trace granularity so that a chain
+#: with self-loops can never make zero time progress.
+MIN_SOJOURN = 1e-3
 
 #: Hard per-UE-per-hour event cap; a guard against degenerate fitted
 #: chains (e.g. a self-loop with near-zero sojourn), far above any

@@ -13,7 +13,8 @@ would, without the per-call dispatch:
   of every group in one pass of the same IEEE-754 operations;
 * :func:`grouped_cumsum` is the per-group sequential ``np.cumsum``.
 
-:func:`stable_order` is the stable group-by sort they all start from.
+:func:`stable_order` (from :mod:`repro.trace.trace`) is the stable
+group-by sort they all start from.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+
+from ..trace.trace import stable_order  # noqa: F401 (the fitter's sort)
 
 
 def group_starts(keys: np.ndarray) -> np.ndarray:
@@ -31,19 +34,6 @@ def group_starts(keys: np.ndarray) -> np.ndarray:
     first[0] = True
     first[1:] = keys[1:] != keys[:-1]
     return np.flatnonzero(first)
-
-
-def stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for non-negative integer keys.
-
-    Sorts the composite ``key * n + position`` instead: one plain
-    ``np.sort`` of int64 values, which NumPy runs several times faster
-    than a stable argsort, gives the same permutation.
-    """
-    n = keys.size
-    if n == 0 or int(keys.max()) >= np.iinfo(np.int64).max // n - 1:
-        return np.argsort(keys, kind="stable")
-    return np.sort(keys.astype(np.int64) * n + np.arange(n)) % n
 
 
 def group_means(

@@ -16,57 +16,102 @@ below the steady-state prediction.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
-from .model_set import ClusterModel, ModelSet
-from .semi_markov import SemiMarkovChain
+from .grouped import group_means
+from .model_set import HourModel, ModelSet, state_space
 
 _POWER_ITERATIONS = 500
 _TOL = 1e-12
 
 
-def embedded_transition_matrix(
-    chain: SemiMarkovChain,
-) -> Tuple[List[str], np.ndarray]:
-    """States (sorted) and the embedded DTMC matrix of a chain.
+@dataclasses.dataclass
+class _Chain:
+    """One cluster's embedded chain: its states with out-degree > 0, in
+    code order, each with its edges and its mean dwell."""
 
-    Absorbing states are given a self-loop so the matrix is stochastic.
+    names: List[str]
+    codes: List[int]                                #: state codes
+    edges: List[List[Tuple[EventType, int, float]]]  #: (event, target code, p)
+    dwell: List[float]
+
+
+def _chain(hm: HourModel, cluster: int) -> _Chain:
+    """Read one cluster's chain from the edge CSR.
+
+    An edge's mean sojourn is the mean of its stored knots, or
+    ``1/rate`` for an exponential edge; a state's mean dwell is their
+    probability-weighted sum, added in edge order.
     """
-    states = sorted(chain.states)
-    index = {s: i for i, s in enumerate(states)}
-    n = len(states)
-    matrix = np.zeros((n, n))
-    for state, model in chain.states.items():
-        i = index[state]
-        if model.is_absorbing:
-            matrix[i, i] = 1.0
+    S = hm.S
+    deg = hm.state_deg[cluster * S:(cluster + 1) * S]
+    lo = int(hm.state_deg[:cluster * S].sum())
+    hi = lo + int(deg.sum())
+    kptr = hm.edge_knot_ptr[lo:hi + 1]
+    means = np.where(
+        hm.edge_kind[lo:hi] == 1,
+        1.0 / hm.edge_rate[lo:hi],
+        group_means(hm.knot_v, kptr[:-1], np.diff(kptr) - hm.edge_single[lo:hi]),
+    ).tolist()
+    events = hm.edge_event[lo:hi].tolist()
+    targets = (hm.edge_target[lo:hi] - cluster * S).tolist()
+    probs = hm.edge_prob[lo:hi].tolist()
+    names = state_space(hm.machine_kind).names
+    chain = _Chain([], [], [], [])
+    e = 0
+    for s, d in enumerate(deg.tolist()):
+        if not d:
             continue
-        for edge in model.edges:
-            j = index.get(edge.target)
-            if j is None:
-                # Target never seen as a source: treat as absorbing sink.
-                continue
-            matrix[i, j] += edge.probability
+        chain.names.append(names[s])
+        chain.codes.append(s)
+        chain.edges.append(
+            [(EventType(events[i]), targets[i], probs[i]) for i in range(e, e + d)]
+        )
+        chain.dwell.append(sum(probs[i] * means[i] for i in range(e, e + d)))
+        e += d
+    return chain
+
+
+def embedded_transition_matrix(
+    hm: HourModel, cluster: int
+) -> Tuple[List[str], np.ndarray]:
+    """States and the embedded DTMC matrix of one cluster's chain.
+
+    The states are those with out-degree > 0, in code (name) order.
+    Probability on an edge into any other state is dropped and the row
+    renormalized.
+    """
+    chain = _chain(hm, cluster)
+    index = {s: i for i, s in enumerate(chain.codes)}
+    n = len(chain.codes)
+    matrix = np.zeros((n, n))
+    for i, edges in enumerate(chain.edges):
+        for _, target, prob in edges:
+            j = index.get(target)
+            if j is not None:
+                matrix[i, j] += prob
         row_sum = matrix[i].sum()
         if row_sum <= 0:
             matrix[i, i] = 1.0
         elif abs(row_sum - 1.0) > 1e-9:
             matrix[i] /= row_sum  # renormalize mass lost to unseen targets
-    return states, matrix
+    return chain.names, matrix
 
 
-def stationary_distribution(chain: SemiMarkovChain) -> Dict[str, float]:
-    """Stationary distribution of the embedded jump chain.
+def stationary_distribution(hm: HourModel, cluster: int) -> Dict[str, float]:
+    """Stationary distribution of one cluster's embedded jump chain.
 
     Computed by power iteration from the uniform vector; for chains
     with several closed classes this converges to one mixture of their
     stationary laws, which is the right weighting for a population of
     UEs started uniformly.
     """
-    states, matrix = embedded_transition_matrix(chain)
+    states, matrix = embedded_transition_matrix(hm, cluster)
+    if not states:
+        return {}
     pi = np.full(len(states), 1.0 / len(states))
     for _ in range(_POWER_ITERATIONS):
         nxt = pi @ matrix
@@ -79,47 +124,44 @@ def stationary_distribution(chain: SemiMarkovChain) -> Dict[str, float]:
     return {state: float(p) for state, p in zip(states, pi)}
 
 
-def state_occupancy(chain: SemiMarkovChain) -> Dict[str, float]:
-    """Long-run fraction of *time* spent in each state.
+def state_occupancy(hm: HourModel, cluster: int) -> Dict[str, float]:
+    """Long-run fraction of *time* one cluster's UEs spend in each state.
 
     Semi-Markov occupancy: ``pi_x * m_x / sum_y pi_y * m_y`` where
-    ``m_x`` is the mean dwell in ``x`` (absorbing states get the jump
-    probability itself — they hold forever once entered, so if they
-    carry stationary mass they dominate; in fitted traffic chains they
-    normally carry none).
+    ``m_x`` is the mean dwell in ``x``.
     """
-    pi = stationary_distribution(chain)
-    weights: Dict[str, float] = {}
-    for state, p in pi.items():
-        dwell = chain.expected_dwell(state)
-        if dwell is None:
-            weights[state] = p if p > 1e-9 else 0.0
-        else:
-            weights[state] = p * dwell
+    pi = stationary_distribution(hm, cluster)
+    weights = {
+        state: p * dwell
+        for (state, p), dwell in zip(pi.items(), _chain(hm, cluster).dwell)
+    }
     total = sum(weights.values())
     if total <= 0:
         return {state: 0.0 for state in pi}
     return {state: w / total for state, w in weights.items()}
 
 
-def expected_event_rates(chain: SemiMarkovChain) -> Dict[EventType, float]:
-    """Steady-state rate of each event type, in events per second per UE.
+def expected_event_rates(hm: HourModel, cluster: int) -> Dict[EventType, float]:
+    """Steady-state rate of each event type in one cluster's chain, in
+    events per second per UE.
 
     The transition rate out of state ``x`` is ``occupancy_x / m_x``;
     event ``e``'s share of it is the total probability of ``x``'s
     ``e``-labelled edges.
     """
-    occupancy = state_occupancy(chain)
+    return _event_rates(_chain(hm, cluster), state_occupancy(hm, cluster))
+
+
+def _event_rates(
+    chain: _Chain, occupancy: Dict[str, float]
+) -> Dict[EventType, float]:
     rates: Dict[EventType, float] = {e: 0.0 for e in EventType}
-    for state, model in chain.states.items():
-        if model.is_absorbing:
-            continue
-        dwell = chain.expected_dwell(state)
+    for state, edges, dwell in zip(chain.names, chain.edges, chain.dwell):
         if not dwell or dwell <= 0:
             continue
         exit_rate = occupancy.get(state, 0.0) / dwell
-        for edge in model.edges:
-            rates[edge.event] += exit_rate * edge.probability
+        for event, _, prob in edges:
+            rates[event] += exit_rate * prob
     return rates
 
 
@@ -134,16 +176,19 @@ class ClusterSummary:
     expected_events_per_active_ue_hour: float
 
 
-def summarize_cluster(cluster: ClusterModel) -> ClusterSummary:
+def summarize_cluster(hm: HourModel, cluster: int) -> ClusterSummary:
     """Analytic summary of one fitted cluster model."""
-    rates = expected_event_rates(cluster.chain)
-    for event, overlay_rate in cluster.overlay_rates.items():
-        rates[event] = rates.get(event, 0.0) + overlay_rate
+    occupancy = state_occupancy(hm, cluster)
+    rates = _event_rates(_chain(hm, cluster), occupancy)
+    for event, overlay_rate in zip(
+        hm.overlay_events.tolist(), hm.overlay_rates[cluster].tolist()
+    ):
+        rates[EventType(event)] += overlay_rate
     per_hour = {e: r * SECONDS_PER_HOUR for e, r in rates.items()}
     return ClusterSummary(
-        num_ues=cluster.num_ues,
-        p_active=cluster.first_event.p_active,
-        occupancy=state_occupancy(cluster.chain),
+        num_ues=int(hm.num_ues[cluster]),
+        p_active=float(hm.p_active[cluster]),
+        occupancy=occupancy,
         event_rates_per_hour=per_hour,
         expected_events_per_active_ue_hour=sum(per_hour.values()),
     )
@@ -187,8 +232,8 @@ def summarize_model_set(model_set: ModelSet) -> ModelSetSummary:
             weights = hm.weights()
             p_active = 0.0
             rate = 0.0
-            for w, cluster in zip(weights, hm.clusters):
-                summary = summarize_cluster(cluster)
+            for cluster, w in enumerate(weights):
+                summary = summarize_cluster(hm, cluster)
                 p_active += w * summary.p_active
                 rate += (
                     w

@@ -10,11 +10,10 @@ over clusters "according to the distribution of the UEs in the modeled
 trace").
 
 The tables are the one representation of a fitted model.  The fitter
-writes them directly; :attr:`HourModel.clusters` is a read-only view of
-them as :class:`ClusterModel` objects (semi-Markov chain, sojourn CDFs,
-first-event model) for inspection, 5G scaling, auditing and
-persistence; :meth:`HourModel.from_clusters` builds tables from such
-objects (a loaded JSON file, a scaled model).
+writes them directly; the v1 JSON format (:meth:`HourModel.to_dict` /
+:meth:`HourModel.from_dict`), 5G scaling (:mod:`.scaling`), the audit
+(:meth:`HourModel.problems`) and inspection (:mod:`.inspect`) read and
+write the same columns.
 """
 
 from __future__ import annotations
@@ -26,20 +25,16 @@ import hashlib
 import json
 import os
 import types
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..distributions.empirical import EmpiricalCDF
-from ..distributions.exponential import Exponential
 from ..statemachines.compiled_replay import table_for
 from ..statemachines.fsm import StateMachine
 from ..statemachines.lte import emm_ecm_machine, two_level_machine
 from ..statemachines.nr import nr_sa_machine
 from ..trace.events import DeviceType, EventType
-from .first_event import FirstEventModel
 from .grouped import group_starts, grouped_cumsum
-from .semi_markov import Edge, SemiMarkovChain, StateModel
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -84,54 +79,12 @@ def state_space(machine_kind: str) -> StateSpace:
     )
 
 
-@dataclasses.dataclass
-class ClusterModel:
-    """The fitted model of one (device, hour, cluster) combination."""
-
-    chain: SemiMarkovChain
-    first_event: FirstEventModel
-    overlay_rates: Dict[EventType, float]  #: per-UE rates for HO/TAU overlays
-    num_ues: int
-    num_segments: int
-
-    def to_dict(self) -> dict:
-        return {
-            "chain": self.chain.to_dict(),
-            "first_event": self.first_event.to_dict(),
-            "overlay_rates": {e.name: r for e, r in self.overlay_rates.items()},
-            "num_ues": self.num_ues,
-            "num_segments": self.num_segments,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterModel":
-        parts = {}
-        for field, parse in (
-            ("chain", SemiMarkovChain.from_dict),
-            ("first_event", FirstEventModel.from_dict),
-            ("overlay_rates", _overlay_from_dict),
-        ):
-            try:
-                parts[field] = parse(data[field])
-            except ValueError as exc:
-                raise ValueError(f"{field}: {exc}") from None
-        return cls(
-            num_ues=int(data["num_ues"]),
-            num_segments=int(data["num_segments"]),
-            **parts,
-        )
-
-
-def _overlay_from_dict(data: dict) -> Dict[EventType, float]:
-    return {EventType[name]: float(r) for name, r in data.items()}
-
-
 #: The columns of an :class:`HourModel`.  With ``C`` clusters and ``S``
 #: machine states, cluster ``c``'s state ``s`` has merged code
 #: ``c * S + s``; edges are laid out CSR-style by merged source code and,
 #: within a state, in the chain's edge order (event-code order when
 #: fitted).  The generator steps the first block; the second holds what
-#: the :attr:`HourModel.clusters` view needs beyond it.
+#: the v1 JSON, 5G scaling and inspection read beyond it.
 GENERATOR_COLUMNS = (
     "state_deg",      #: (C*S,) out-degree per merged state (0 = absorbing)
     "sel_key",        #: (E,) merged source code + cumulative probability
@@ -184,12 +137,61 @@ def _weights(num_ues: np.ndarray) -> np.ndarray:
     return counts / total
 
 
-def _probability(value: float, where: str) -> float:
+#: Event names by code, for the v1 JSON.
+_EVENT_NAMES = {int(e): e.name for e in EventType}
+
+
+def _number(value, where: str) -> float:
+    """``value`` as a float, or a :class:`ValueError` naming ``where``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _integer(value, where: str) -> int:
+    """``value`` as an int, rejected if it is not integral."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{where}: {value!r} is not an integer")
+    return number
+
+
+def _probability(value, where: str) -> float:
     """``value`` as a float, rejected unless finite and non-negative."""
-    prob = float(value)
+    prob = _number(value, where)
     if not (np.isfinite(prob) and prob >= 0.0):
         raise ValueError(f"{where} has probability {prob}")
     return prob
+
+
+def _knots(values, where: str) -> np.ndarray:
+    """A stored CDF's knots, sorted; rejected unless there is at least
+    one and all are finite and non-negative."""
+    try:
+        knots = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if knots.size == 0:
+        raise ValueError(f"{where}: an empirical CDF needs at least one sample")
+    if not np.isfinite(knots).all():
+        raise ValueError(f"{where}: samples contain non-finite values")
+    if knots[0] < 0:
+        raise ValueError(f"{where}: samples contain negative durations")
+    return knots
+
+
+def _gather(
+    starts: np.ndarray, lengths: np.ndarray, values: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The slices ``values[starts[i]:starts[i] + lengths[i]]`` laid end to
+    end, as ``(ptr, values)``."""
+    ptr = _offsets(lengths)
+    within = np.arange(ptr[-1]) - np.repeat(ptr[:-1], lengths)
+    return ptr, values[np.repeat(starts, lengths) + within]
 
 
 def _padded(
@@ -225,9 +227,8 @@ class HourModel:
 
     The attributes named in :data:`GENERATOR_COLUMNS` and
     :data:`VIEW_COLUMNS` are NumPy arrays; build them with
-    :meth:`from_columns` (the fitter) or :meth:`from_clusters` (model
-    objects).  ``clusters`` is an object view built on first use, and
-    ``assignment`` a dict built per call.
+    :meth:`from_columns` (the fitter, 5G scaling) or :meth:`from_dict`
+    (v1 JSON).  ``assignment`` is a dict built per call.
     """
 
     def __init__(
@@ -241,20 +242,11 @@ class HourModel:
         self.overlay_clusters = np.flatnonzero(
             (self.overlay_rates > 0).any(axis=1)
         ).tolist()
-        self._clusters: Optional[Tuple[ClusterModel, ...]] = None
-        self._clusters_given = False
         self._scalar: Optional[tuple] = None
 
     def __getstate__(self) -> dict:
-        # Views derived from the tables are rebuilt on demand; clusters
-        # handed to ``from_clusters`` are kept, since they may hold what
-        # the tables drop (state order, empty states, zero-probability
-        # edges) and serialization reads them.
-        state = dict(self.__dict__)
-        state["_scalar"] = None
-        if not self._clusters_given:
-            state["_clusters"] = None
-        return state
+        # The scalar-loop lists are rebuilt on demand.
+        return dict(self.__dict__, _scalar=None)
 
     # ------------------------------------------------------------------
     # Construction
@@ -375,167 +367,53 @@ class HourModel:
             },
         )
 
-    @classmethod
-    def from_clusters(
-        cls,
-        clusters: Sequence[ClusterModel],
-        assignment: Mapping[int, int],
-        machine_kind: str,
-    ) -> "HourModel":
-        """Build the tables of cluster model objects.
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The :meth:`from_columns` arguments that rebuild these tables.
 
-        Zero-probability edges are left out of the tables, as they can
-        never be drawn.  Raises :class:`ValueError` naming the cluster
-        and field for what cannot be tabled: a state or target outside
-        the machine, a negative or non-finite probability, a sojourn
-        family other than empirical or exponential, or a first event no
-        state of the machine can emit.
+        Sojourn and offset knots come un-padded: a one-sample CDF is its
+        one sample again.
         """
-        code = state_space(machine_kind).code
-        edges: List[tuple] = []  # (cluster, state, event, target, p, rate)
-        sojourns: List[np.ndarray] = []
-        firsts: List[tuple] = []  # (cluster, event, p)
-        overlay_events = sorted({int(e) for cm in clusters for e in cm.overlay_rates})
-        overlay_rates = np.zeros((len(clusters), len(overlay_events)))
-        for c, cm in enumerate(clusters):
-            for name in sorted(cm.chain.states, key=lambda s: code.get(s, -1)):
-                if name not in code:
-                    raise ValueError(f"c{c}: chain: state {name!r} unknown to {machine_kind}")
-                for edge in cm.chain.states[name].edges:
-                    prob = _probability(edge.probability, f"c{c}: edge_prob: {name} --{edge.event.name}-->")
-                    if prob == 0.0:
-                        continue
-                    if edge.target not in code:
-                        raise ValueError(
-                            f"c{c}: chain: target {edge.target!r} unknown to {machine_kind}"
-                        )
-                    sojourn = edge.sojourn
-                    if isinstance(sojourn, EmpiricalCDF):
-                        rate, knots = 1.0, sojourn.quantiles
-                    elif isinstance(sojourn, Exponential):
-                        rate, knots = sojourn.rate, np.empty(0)
-                    else:
-                        raise ValueError(
-                            f"c{c}: chain: sojourn family {type(sojourn).__name__} "
-                            "cannot be tabled"
-                        )
-                    edges.append(
-                        (c, code[name], int(edge.event), code[edge.target], prob, rate)
-                    )
-                    sojourns.append(knots)
-            first = cm.first_event
-            for event in first.event_table()[0]:
-                prob = _probability(
-                    first.event_probs[event], f"c{c}: fe_prob: first event {event.name}"
-                )
-                firsts.append((c, int(event), prob))
-            for k, event in enumerate(overlay_events):
-                overlay_rates[c, k] = float(cm.overlay_rates.get(EventType(event), 0.0))
-
-        e_cl, e_st, e_ev, e_tg, e_p, e_rate = zip(*edges) if edges else ((),) * 6
-        f_cl, f_ev, f_p = zip(*firsts) if firsts else ((),) * 3
-        offsets = [cm.first_event.offset.quantiles for cm in clusters]
-        items = sorted((int(u), int(c)) for u, c in assignment.items())
-        hm = cls.from_columns(
-            machine_kind,
-            num_ues=[cm.num_ues for cm in clusters],
-            num_segments=[cm.num_segments for cm in clusters],
-            assign_keys=[u for u, _ in items],
-            assign_vals=[c for _, c in items],
-            edge_cluster=e_cl,
-            edge_state=e_st,
-            edge_event=e_ev,
-            edge_target=e_tg,
-            edge_prob=e_p,
-            edge_rate=np.asarray(e_rate, dtype=np.float64),
-            sojourn_ptr=_offsets([k.size for k in sojourns]),
-            sojourn_values=np.concatenate(sojourns) if sojourns else np.empty(0),
-            p_active=[cm.first_event.p_active for cm in clusters],
-            fe_cluster=f_cl,
-            fe_event=f_ev,
-            fe_prob=f_p,
-            offset_ptr=_offsets([o.size for o in offsets]),
-            offset_values=np.concatenate(offsets) if offsets else np.empty(0),
-            overlay_events=overlay_events,
-            overlay_rates=overlay_rates,
+        S = self.S
+        edge_cluster, edge_state = np.divmod(
+            np.repeat(np.arange(self.state_deg.size), self.state_deg), S
         )
-        hm._clusters = tuple(clusters)
-        hm._clusters_given = True
-        return hm
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    @property
-    def clusters(self) -> Tuple[ClusterModel, ...]:
-        """The cluster models as objects, in cluster order (read-only:
-        changing them does not change the tables)."""
-        if self._clusters is None:
-            self._clusters = self._cluster_view()
-        return self._clusters
+        sojourn_ptr, sojourn_values = _gather(
+            self.edge_knot_ptr[:-1],
+            np.diff(self.edge_knot_ptr) - self.edge_single,
+            self.knot_v,
+        )
+        offset_ptr, offset_values = _gather(
+            self.foff_ptr[:-1], np.diff(self.foff_ptr) - self.foff_single, self.foff_v
+        )
+        return dict(
+            num_ues=self.num_ues,
+            num_segments=self.num_segments,
+            assign_keys=self.assign_keys,
+            assign_vals=self.assign_vals,
+            edge_cluster=edge_cluster,
+            edge_state=edge_state,
+            edge_event=self.edge_event,
+            edge_target=self.edge_target - edge_cluster * S,
+            edge_prob=self.edge_prob,
+            edge_rate=self.edge_rate,
+            sojourn_ptr=sojourn_ptr,
+            sojourn_values=sojourn_values,
+            p_active=self.p_active,
+            fe_cluster=np.repeat(
+                np.arange(self.num_clusters), np.diff(self.fe_ptr)
+            ),
+            fe_event=self.fe_event,
+            fe_prob=self.fe_prob,
+            offset_ptr=offset_ptr,
+            offset_values=offset_values,
+            overlay_events=self.overlay_events,
+            overlay_rates=self.overlay_rates,
+        )
 
     @property
     def assignment(self) -> Dict[int, int]:
         """Training UE id -> cluster index."""
         return dict(zip(self.assign_keys.tolist(), self.assign_vals.tolist()))
-
-    def _cluster_view(self) -> Tuple[ClusterModel, ...]:
-        names = state_space(self.machine_kind).names
-        S = self.S
-        src = np.repeat(np.arange(self.state_deg.size), self.state_deg).tolist()
-        event = self.edge_event.tolist()
-        target = self.edge_target.tolist()
-        prob = self.edge_prob.tolist()
-        kind = self.edge_kind.tolist()
-        rate = self.edge_rate.tolist()
-        kptr = self.edge_knot_ptr.tolist()
-        single = self.edge_single.tolist()
-        states: List[Dict[str, List[Edge]]] = [{} for _ in range(self.num_clusters)]
-        for e in range(len(event)):
-            if kind[e]:
-                sojourn = Exponential(rate=rate[e])
-            else:
-                hi = kptr[e] + 1 if single[e] else kptr[e + 1]
-                sojourn = EmpiricalCDF(self.knot_v[kptr[e]:hi])
-            c, s = divmod(src[e], S)
-            states[c].setdefault(names[s], []).append(
-                Edge(EventType(event[e]), names[target[e] % S], prob[e], sojourn)
-            )
-        overlay_events = [EventType(int(e)) for e in self.overlay_events]
-        fe_ptr = self.fe_ptr.tolist()
-        foff_ptr = self.foff_ptr.tolist()
-        out = []
-        for c in range(self.num_clusters):
-            lo, hi = fe_ptr[c], fe_ptr[c + 1]
-            off_hi = foff_ptr[c] + 1 if self.foff_single[c] else foff_ptr[c + 1]
-            first = FirstEventModel(
-                p_active=float(self.p_active[c]),
-                event_probs={
-                    EventType(int(e)): p
-                    for e, p in zip(
-                        self.fe_event[lo:hi].tolist(), self.fe_prob[lo:hi].tolist()
-                    )
-                },
-                offset=EmpiricalCDF(self.foff_v[foff_ptr[c]:off_hi]),
-            )
-            out.append(
-                ClusterModel(
-                    chain=SemiMarkovChain(
-                        {
-                            name: StateModel(edges=tuple(edges))
-                            for name, edges in states[c].items()
-                        }
-                    ),
-                    first_event=first,
-                    overlay_rates={
-                        e: float(r)
-                        for e, r in zip(overlay_events, self.overlay_rates[c])
-                    },
-                    num_ues=int(self.num_ues[c]),
-                    num_segments=int(self.num_segments[c]),
-                )
-            )
-        return tuple(out)
 
     def scalar_tables(self) -> tuple:
         """The edge and knot columns as Python lists, for scalar stepping.
@@ -565,19 +443,17 @@ class HourModel:
         """UE-count share of each cluster."""
         return _weights(self.num_ues)
 
-    def cluster_for_ue(
-        self, ue_id: int, rng: np.random.Generator
-    ) -> int:
-        """Cluster of a training UE, or a weighted draw if unknown."""
-        pos = int(np.searchsorted(self.assign_keys, ue_id))
-        if pos < self.assign_keys.size and self.assign_keys[pos] == ue_id:
-            return int(self.assign_vals[pos])
-        return int(rng.choice(self.num_clusters, p=self.weights()))
-
     def problems(self) -> List[str]:
-        """The array checks of :meth:`ModelSet.from_dict`, each problem as
-        ``"c<cluster>: <field>: <what>"`` (first offending cluster)."""
+        """The audit of one hour's tables, each problem as
+        ``"c<cluster>: <field>: <what>"`` (first offending cluster).
+
+        Besides the array checks (pointers, probabilities summing to 1,
+        knots, rates, ``p_active``, assignment ids), every edge must be
+        one the machine allows, into the state the machine enters.
+        """
         C, S = self.num_clusters, self.S
+        if C == 0:
+            return ["c0: num_ues: no clusters"]
         for field, ptr, size in (
             ("edge_knot_ptr", self.edge_knot_ptr, self.knot_v.size),
             ("foff_ptr", self.foff_ptr, self.foff_v.size),
@@ -597,15 +473,28 @@ class HourModel:
 
         cl = np.arange(C)
         state_c = np.arange(C * S) // S
-        edge_c = np.repeat(state_c, self.state_deg)
+        src = np.repeat(np.arange(C * S), self.state_deg)
+        edge_c = src // S
+        state_sum = np.bincount(src, weights=self.edge_prob, minlength=C * S)
         fe_c = np.repeat(cl, np.diff(self.fe_ptr))
-        state_sum = np.bincount(
-            np.repeat(np.arange(C * S), self.state_deg),
-            weights=self.edge_prob, minlength=C * S,
-        )
         fe_sum = np.bincount(fe_c, weights=self.fe_prob, minlength=C)
         flag((self.edge_target < 0) | (self.edge_target >= C * S), edge_c,
              "edge_target", "code out of range")
+        table = table_for(build_machine(self.machine_kind))
+        state, target = src % S, self.edge_target % S
+        nxt = table.next_state[state, self.edge_event]
+        for bad, field, what in (
+            (nxt < 0, "edge_event", "forbidden edge {s} --{e}-->"),
+            ((nxt >= 0) & (nxt != target), "edge_target",
+             "edge {s} --{e}--> {t} disagrees with the machine"),
+        ):
+            hit = np.flatnonzero(bad)
+            if hit.size:
+                i = hit[0]
+                found.append(f"c{int(edge_c[i])}: {field}: " + what.format(
+                    s=table.names[state[i]], t=table.names[target[i]],
+                    e=_EVENT_NAMES[int(self.edge_event[i])],
+                ))
         flag(not_finite(self.edge_prob), edge_c, "edge_prob",
              "probability negative or not finite")
         flag((self.state_deg > 0) & ~(np.abs(state_sum - 1.0) <= _PROB_TOL),
@@ -635,9 +524,72 @@ class HourModel:
         return found
 
     # ------------------------------------------------------------------
+    # v1 JSON
+    # ------------------------------------------------------------------
     def to_dict(self) -> dict:
+        """This hour as ``repro-model-set-v1`` JSON.
+
+        Each cluster lists the states that have edges, in state-code
+        order, with their edges in table order; first events in
+        event-code order; every overlay event, zeros included; and each
+        CDF's knots as stored.
+        """
+        names = state_space(self.machine_kind).names
+        cols = self.columns()
+        kptr = cols["sojourn_ptr"].tolist()
+        knots = cols["sojourn_values"].tolist()
+        chains: List[Dict[str, list]] = [{} for _ in range(self.num_clusters)]
+        for e, (c, s, event, target, prob, kind, rate) in enumerate(
+            zip(
+                cols["edge_cluster"].tolist(),
+                cols["edge_state"].tolist(),
+                self.edge_event.tolist(),
+                cols["edge_target"].tolist(),
+                self.edge_prob.tolist(),
+                self.edge_kind.tolist(),
+                self.edge_rate.tolist(),
+            )
+        ):
+            chains[c].setdefault(names[s], []).append(
+                {
+                    "event": _EVENT_NAMES[event],
+                    "target": names[target],
+                    "probability": prob,
+                    "sojourn": (
+                        {"family": "poisson", "rate": rate}
+                        if kind
+                        else {"family": "empirical", "quantiles": knots[kptr[e]:kptr[e + 1]]}
+                    ),
+                }
+            )
+        fe_names = [_EVENT_NAMES[e] for e in self.fe_event.tolist()]
+        fe_prob = self.fe_prob.tolist()
+        fe_ptr = self.fe_ptr.tolist()
+        optr = cols["offset_ptr"].tolist()
+        offsets = cols["offset_values"].tolist()
+        overlay_names = [_EVENT_NAMES[e] for e in self.overlay_events.tolist()]
+        overlay = self.overlay_rates.tolist()
+        p_active = self.p_active.tolist()
+        num_ues = self.num_ues.tolist()
+        num_segments = self.num_segments.tolist()
+        clusters = []
+        for c, chain in enumerate(chains):
+            lo, hi = fe_ptr[c], fe_ptr[c + 1]
+            clusters.append(
+                {
+                    "chain": chain,
+                    "first_event": {
+                        "p_active": p_active[c],
+                        "event_probs": dict(zip(fe_names[lo:hi], fe_prob[lo:hi])),
+                        "offset": offsets[optr[c]:optr[c + 1]],
+                    },
+                    "overlay_rates": dict(zip(overlay_names, overlay[c])),
+                    "num_ues": num_ues[c],
+                    "num_segments": num_segments[c],
+                }
+            )
         return {
-            "clusters": [c.to_dict() for c in self.clusters],
+            "clusters": clusters,
             "assignment": {
                 str(ue): cid
                 for ue, cid in zip(
@@ -648,16 +600,114 @@ class HourModel:
 
     @classmethod
     def from_dict(cls, data: dict, machine_kind: str) -> "HourModel":
-        clusters = []
+        """Build the tables of one hour of :meth:`to_dict` output.
+
+        Knot lists are sorted, and zero-probability edges left out, as
+        they can never be drawn.  Raises :class:`ValueError` naming the
+        cluster and field of the first value that cannot be tabled: a
+        state or target outside the machine, a number that does not
+        parse, a negative or non-finite probability, a state whose
+        probabilities do not sum to 1, ``p_active`` outside [0, 1], an
+        empty, negative or non-finite knot list, a bad rate or sojourn
+        family, or a first event no state of the machine can emit.  A
+        missing key or an unknown event name is a :class:`KeyError`.
+        """
+        code = state_space(machine_kind).code
+        edges: List[tuple] = []  # (cluster, state, event, target, p, rate)
+        sojourns: List[np.ndarray] = []
+        firsts: List[tuple] = []  # (cluster, event, p)
+        offsets: List[np.ndarray] = []
+        overlays: List[Dict[int, float]] = []
+        counts: List[Tuple[int, int]] = []  # (num_ues, num_segments)
+        p_active: List[float] = []
         for c, cluster in enumerate(data["clusters"]):
-            try:
-                clusters.append(ClusterModel.from_dict(cluster))
-            except ValueError as exc:
-                raise ValueError(f"c{c}: {exc}") from None
-        return cls.from_clusters(
-            clusters,
-            {int(ue): int(cid) for ue, cid in data["assignment"].items()},
+            chain = cluster["chain"]
+            for name in sorted(chain, key=lambda s: code.get(s, -1)):
+                if name not in code:
+                    raise ValueError(f"c{c}: chain: state {name!r} unknown to {machine_kind}")
+                total = 0.0
+                for edge in chain[name]:
+                    event = EventType[edge["event"]]
+                    arrow = f"{name} --{event.name}-->"
+                    prob = _probability(edge["probability"], f"c{c}: edge_prob: {arrow}")
+                    total += prob
+                    target = edge["target"]
+                    if target not in code:
+                        raise ValueError(f"c{c}: chain: target {target!r} unknown to {machine_kind}")
+                    sojourn = edge["sojourn"]
+                    where = f"c{c}: chain: {arrow} sojourn"
+                    if sojourn["family"] == "empirical":
+                        rate, knots = 1.0, _knots(sojourn["quantiles"], where)
+                    elif sojourn["family"] == "poisson":
+                        rate, knots = _number(sojourn["rate"], where), np.empty(0)
+                        if not (rate > 0 and np.isfinite(rate)):
+                            raise ValueError(f"{where}: rate must be positive and finite, got {rate}")
+                    else:
+                        raise ValueError(f"{where}: unknown family {sojourn['family']!r}")
+                    if prob > 0.0:
+                        edges.append(
+                            (c, code[name], int(event), code[target], prob, rate)
+                        )
+                        sojourns.append(knots)
+                if chain[name] and abs(total - 1.0) > _PROB_TOL:
+                    raise ValueError(
+                        f"c{c}: edge_prob: probabilities from {name} sum to {total:.6f}"
+                    )
+            first = cluster["first_event"]
+            active = _number(first["p_active"], f"c{c}: p_active")
+            if not 0.0 <= active <= 1.0:
+                raise ValueError(f"c{c}: p_active: must be in [0, 1], got {active}")
+            p_active.append(active)
+            probs = {int(EventType[e]): p for e, p in first["event_probs"].items()}
+            for event in sorted(probs):
+                where = f"c{c}: fe_prob: first event {_EVENT_NAMES[event]}"
+                firsts.append((c, event, _probability(probs[event], where)))
+            offsets.append(_knots(first["offset"], f"c{c}: first_event: offset"))
+            overlays.append(
+                {
+                    int(EventType[e]): _number(r, f"c{c}: overlay_rates: {e}")
+                    for e, r in cluster["overlay_rates"].items()
+                }
+            )
+            counts.append(
+                (
+                    _integer(cluster["num_ues"], f"c{c}: num_ues"),
+                    _integer(cluster["num_segments"], f"c{c}: num_segments"),
+                )
+            )
+
+        overlay_events = sorted({e for rates in overlays for e in rates})
+        overlay_rates = np.zeros((len(overlays), len(overlay_events)))
+        for c, rates in enumerate(overlays):
+            overlay_rates[c] = [rates.get(e, 0.0) for e in overlay_events]
+        assignment = sorted(
+            (_integer(ue, f"assign_keys: UE {ue!r}"), _integer(cid, f"assign_vals: UE {ue}"))
+            for ue, cid in data["assignment"].items()
+        )
+        e_cl, e_st, e_ev, e_tg, e_p, e_rate = zip(*edges) if edges else ((),) * 6
+        f_cl, f_ev, f_p = zip(*firsts) if firsts else ((),) * 3
+        return cls.from_columns(
             machine_kind,
+            num_ues=[n for n, _ in counts],
+            num_segments=[n for _, n in counts],
+            assign_keys=[u for u, _ in assignment],
+            assign_vals=[c for _, c in assignment],
+            edge_cluster=e_cl,
+            edge_state=e_st,
+            edge_event=e_ev,
+            edge_target=e_tg,
+            edge_prob=e_p,
+            edge_rate=np.asarray(e_rate, dtype=np.float64),
+            sojourn_ptr=_offsets([k.size for k in sojourns]),
+            sojourn_values=np.concatenate(sojourns) if sojourns else np.empty(0),
+            p_active=p_active,
+            fe_cluster=f_cl,
+            fe_event=f_ev,
+            fe_prob=f_p,
+            offset_ptr=_offsets([o.size for o in offsets]),
+            offset_values=np.concatenate(offsets) if offsets else np.empty(0),
+            overlay_events=overlay_events,
+            overlay_rates=overlay_rates,
         )
 
 
@@ -740,9 +790,9 @@ class ModelSet:
         """Build a model set from :meth:`to_dict` output, checked.
 
         Raises :class:`ValueError` naming the device, hour, cluster and
-        field of the first problem found while building each hour's
-        tables, then of every problem the array checks and
-        :func:`repro.model.checks.validate_model_set` report.
+        field of the first value an hour's tables cannot be built from
+        (:meth:`HourModel.from_dict`), then of every problem
+        :func:`repro.model.checks.validate_model_set` reports.
         """
         from .checks import validate_model_set
 
@@ -751,16 +801,13 @@ class ModelSet:
         machine_kind = data["machine_kind"]
         build_machine(machine_kind)
         models: Dict[DeviceType, Dict[int, HourModel]] = {}
-        problems: List[str] = []
         for name, hours in data["models"].items():
+            device_models = models.setdefault(DeviceType[name], {})
             for h, hm in hours.items():
-                where = f"{name}/h{h}"
                 try:
-                    hour_model = HourModel.from_dict(hm, machine_kind)
+                    device_models[int(h)] = HourModel.from_dict(hm, machine_kind)
                 except ValueError as exc:
-                    raise ValueError(f"{where}/{exc}") from None
-                problems += [f"{where}/{p}" for p in hour_model.problems()]
-                models.setdefault(DeviceType[name], {})[int(h)] = hour_model
+                    raise ValueError(f"{name}/h{h}/{exc}") from None
         model_set = cls(
             machine_kind=machine_kind,
             family=data["family"],
@@ -773,7 +820,7 @@ class ModelSet:
                 for name, ues in data["device_ues"].items()
             },
         )
-        problems += validate_model_set(model_set)
+        problems = validate_model_set(model_set)
         if problems:
             raise ValueError(
                 "invalid model set: " + "; ".join(problems)

@@ -14,21 +14,24 @@ under 5G mmWave NSA, and the authors' own controlled experiment gives
 Scaling an event's frequency by ``k`` multiplies the odds of its edges
 by ``k`` (renormalizing the rest) and divides its sojourn times by
 ``k`` — more frequent events arrive sooner.
+
+Both work on an hour's columns (:meth:`HourModel.columns`).  Every step
+renormalizes each state's edge probabilities, summed in edge order.  A
+state left with no edges generates nothing, so it is not kept.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from typing import Dict, Optional
 
-from ..distributions.base import Distribution
-from ..distributions.empirical import EmpiricalCDF
-from ..distributions.exponential import Exponential
+import numpy as np
+
 from ..statemachines import lte, nr
 from ..trace.events import EventType
-from .first_event import FirstEventModel
-from .model_set import ClusterModel, HourModel, ModelSet
-from .semi_markov import Edge, SemiMarkovChain, StateModel
+from ..trace.trace import stable_order
+from .model_set import HourModel, ModelSet, _gather, state_space
 
 #: HO scaling factor for 5G mmWave NSA (Hassan et al., SIGCOMM '22).
 NSA_HO_SCALE = 4.6
@@ -43,154 +46,122 @@ _SA_STATE_MAP = {
     lte.S1_REL_S_1: nr.CM_IDLE,
 }
 
-
-def _scale_sojourn(dist: Distribution, factor: float) -> Distribution:
-    """Divide a sojourn distribution's time scale by ``factor``."""
-    if factor == 1.0:
-        return dist
-    if isinstance(dist, EmpiricalCDF):
-        return EmpiricalCDF(dist.quantiles / factor)
-    if isinstance(dist, Exponential):
-        return Exponential(rate=dist.rate * factor)
-    raise TypeError(f"cannot scale sojourn family {type(dist).__name__}")
+_HO, _TAU = int(EventType.HO), int(EventType.TAU)
 
 
-def scale_event_frequency(
-    chain: SemiMarkovChain, event: EventType, factor: float
-) -> SemiMarkovChain:
-    """Scale how often ``event`` fires in a chain by ``factor``.
+def _renormalized(prob: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """``prob`` divided by its group's sum, added in order."""
+    return prob / np.bincount(group, weights=prob)[group]
 
-    The odds of every edge labelled ``event`` are multiplied by
-    ``factor`` and the state's edge probabilities renormalized; the
-    event's sojourn times shrink by the same factor.
-    """
-    if factor <= 0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
-    states = {}
-    for state, model in chain.states.items():
-        weights = []
-        for edge in model.edges:
-            w = edge.probability * (factor if edge.event == event else 1.0)
-            weights.append(w)
-        total = sum(weights)
-        edges = tuple(
-            Edge(
-                event=e.event,
-                target=e.target,
-                probability=w / total,
-                sojourn=(
-                    _scale_sojourn(e.sojourn, factor)
-                    if e.event == event
-                    else e.sojourn
-                ),
-            )
-            for e, w in zip(model.edges, weights)
+
+def _sa_codes() -> np.ndarray:
+    """Each two-level state code's 5G SA code, or -1 if it has none."""
+    lte_code = state_space("two_level").code
+    nr_code = state_space("nr_sa").code
+    codes = np.full(len(lte_code), -1, dtype=np.int64)
+    for old, new in _SA_STATE_MAP.items():
+        codes[lte_code[old]] = nr_code[new]
+    return codes
+
+
+def _scale_hour(hm: HourModel, ho_scale: float, to_sa: bool) -> HourModel:
+    """One hour scaled: HO ``ho_scale`` times as frequent; for 5G SA also
+    TAU dropped and the states mapped onto the SA machine."""
+    cols = hm.columns()
+    S = hm.S
+    cluster = cols["edge_cluster"]
+    state = cols["edge_state"]
+    target = cols["edge_target"]
+    event = cols["edge_event"].astype(np.int64)
+    ho = event == _HO
+    prob = _renormalized(cols["edge_prob"] * np.where(ho, ho_scale, 1.0), cluster * S + state)
+    rate = np.where(ho, cols["edge_rate"] * ho_scale, cols["edge_rate"])
+    ptr, values = cols["sojourn_ptr"], cols["sojourn_values"]
+    values = np.where(np.repeat(ho, np.diff(ptr)), values / ho_scale, values)
+    keep = np.arange(event.size)
+
+    overlay_events = cols["overlay_events"]
+    overlay_rates = cols["overlay_rates"].copy()
+    overlay_rates[:, overlay_events == _HO] *= ho_scale
+    fe_cluster, fe_event = cols["fe_cluster"], cols["fe_event"]
+    fe_prob, p_active = cols["fe_prob"], cols["p_active"]
+
+    machine_kind = "two_level"
+    if to_sa:
+        machine_kind = "nr_sa"
+        codes = _sa_codes()
+        for survives in (
+            event != _TAU,
+            (codes[state] >= 0) & (codes[target] >= 0),
+        ):
+            kept = survives[keep]
+            keep, prob = keep[kept], prob[kept]
+            prob = _renormalized(prob, (cluster * S + state)[keep])
+        state, target = codes[state], codes[target]
+        nr_states = len(state_space(machine_kind).names)
+        order = stable_order((cluster * nr_states + state)[keep])
+        keep, prob = keep[order], prob[order]
+
+        # First events: TAU dropped, the rest renormalized, and p_active
+        # scaled by the share left; a cluster with none left is silent.
+        not_tau = fe_event != _TAU
+        total = np.bincount(
+            fe_cluster[not_tau], weights=fe_prob[not_tau], minlength=hm.num_clusters
         )
-        states[state] = StateModel(edges=edges)
-    return SemiMarkovChain(states)
+        p_active = np.where(total > 0, p_active * (1.0 - (1.0 - total)), 0.0)
+        kept = not_tau & (total > 0)[fe_cluster]
+        fe_cluster, fe_event = fe_cluster[kept], fe_event[kept]
+        fe_prob = fe_prob[kept] / total[fe_cluster]
+        tau = overlay_events == _TAU
+        overlay_events, overlay_rates = overlay_events[~tau], overlay_rates[:, ~tau]
 
-
-def drop_event(chain: SemiMarkovChain, event: EventType) -> SemiMarkovChain:
-    """Remove every edge labelled ``event``, renormalizing the rest."""
-    states = {}
-    for state, model in chain.states.items():
-        kept = [e for e in model.edges if e.event != event]
-        total = sum(e.probability for e in kept)
-        if total <= 0:
-            states[state] = StateModel(edges=())
-            continue
-        states[state] = StateModel(
-            edges=tuple(
-                Edge(e.event, e.target, e.probability / total, e.sojourn)
-                for e in kept
-            )
-        )
-    return SemiMarkovChain(states)
-
-
-def _rename_states(
-    chain: SemiMarkovChain, mapping: Dict[str, str]
-) -> SemiMarkovChain:
-    """Project a chain onto renamed states, dropping unmapped ones."""
-    states = {}
-    for state, model in chain.states.items():
-        if state not in mapping:
-            continue
-        kept = [e for e in model.edges if e.target in mapping]
-        total = sum(e.probability for e in kept)
-        if total <= 0:
-            states[mapping[state]] = StateModel(edges=())
-            continue
-        states[mapping[state]] = StateModel(
-            edges=tuple(
-                Edge(e.event, mapping[e.target], e.probability / total, e.sojourn)
-                for e in kept
-            )
-        )
-    return SemiMarkovChain(states)
-
-
-def _drop_first_event_tau(model: FirstEventModel) -> FirstEventModel:
-    """Remove TAU from a first-event model (no TAU exists in 5G SA)."""
-    probs = {e: p for e, p in model.event_probs.items() if e != EventType.TAU}
-    total = sum(probs.values())
-    if total <= 0:
-        return FirstEventModel(p_active=0.0, event_probs={}, offset=model.offset)
-    tau_share = 1.0 - total
-    return FirstEventModel(
-        p_active=model.p_active * (1.0 - tau_share),
-        event_probs={e: p / total for e, p in probs.items()},
-        offset=model.offset,
+    drawn = prob != 0.0
+    keep, prob = keep[drawn], prob[drawn]
+    sojourn_ptr, sojourn_values = _gather(ptr[:-1][keep], np.diff(ptr)[keep], values)
+    return HourModel.from_columns(
+        machine_kind,
+        **dict(
+            cols,
+            edge_cluster=cluster[keep],
+            edge_state=state[keep],
+            edge_event=event[keep],
+            edge_target=target[keep],
+            edge_prob=prob,
+            edge_rate=rate[keep],
+            sojourn_ptr=sojourn_ptr,
+            sojourn_values=sojourn_values,
+            p_active=p_active,
+            fe_cluster=fe_cluster,
+            fe_event=fe_event,
+            fe_prob=fe_prob,
+            overlay_events=overlay_events,
+            overlay_rates=overlay_rates,
+        ),
     )
 
 
-def _map_cluster(
-    cm: ClusterModel,
-    *,
-    ho_scale: float,
-    drop_tau: bool,
-) -> ClusterModel:
-    chain = scale_event_frequency(cm.chain, EventType.HO, ho_scale)
-    first_event = cm.first_event
-    overlay = dict(cm.overlay_rates)
-    if EventType.HO in overlay:
-        overlay[EventType.HO] = overlay[EventType.HO] * ho_scale
-    if drop_tau:
-        chain = drop_event(chain, EventType.TAU)
-        chain = _rename_states(chain, _SA_STATE_MAP)
-        first_event = _drop_first_event_tau(first_event)
-        overlay.pop(EventType.TAU, None)
-    return ClusterModel(
-        chain=chain,
-        first_event=first_event,
-        overlay_rates=overlay,
-        num_ues=cm.num_ues,
-        num_segments=cm.num_segments,
-    )
-
-
-def _map_model_set(
-    model_set: ModelSet,
-    *,
-    ho_scale: float,
-    drop_tau: bool,
-    machine_kind: str,
+def _scale_model_set(
+    model_set: ModelSet, ho_scale: Optional[float], default: float, to_sa: bool
 ) -> ModelSet:
-    models = {}
+    if model_set.machine_kind != "two_level":
+        raise ValueError("5G scaling requires a two-level LTE model set")
+    if ho_scale is None:
+        ho_scale = default
+    if not (math.isfinite(ho_scale) and ho_scale > 0):
+        raise ValueError(f"ho_scale must be finite and positive, got {ho_scale}")
+    models: Dict = {}
     for device_type, hours in model_set.models.items():
-        models[device_type] = {
-            hour: HourModel.from_clusters(
-                [
-                    _map_cluster(cm, ho_scale=ho_scale, drop_tau=drop_tau)
-                    for cm in hm.clusters
-                ],
-                hm.assignment,
-                machine_kind,
-            )
-            for hour, hm in hours.items()
-        }
+        models[device_type] = {}
+        for hour, hm in hours.items():
+            scaled = _scale_hour(hm, float(ho_scale), to_sa)
+            problems = scaled.problems()
+            if problems:
+                raise ValueError(
+                    f"ho_scale {ho_scale}: {device_type.name}/h{hour}/{problems[0]}"
+                )
+            models[device_type][hour] = scaled
     return ModelSet(
-        machine_kind=machine_kind,
+        machine_kind="nr_sa" if to_sa else "two_level",
         family=model_set.family,
         clustered=model_set.clustered,
         models=models,
@@ -201,24 +172,19 @@ def _map_model_set(
 
 
 def scale_to_nsa(
-    model_set: ModelSet, ho_scale: float = NSA_HO_SCALE
+    model_set: ModelSet, ho_scale: Optional[float] = None
 ) -> ModelSet:
     """Derive a 5G NSA model set from a fitted LTE model set.
 
     NSA runs on LTE's MCN: the machine and event set are unchanged;
-    only the HO frequency scales.
+    only the HO frequency scales, by ``ho_scale`` (``None``:
+    :data:`NSA_HO_SCALE`), which must be finite and positive.
     """
-    if model_set.machine_kind != "two_level":
-        raise ValueError("5G scaling requires a two-level LTE model set")
-    return _map_model_set(
-        model_set, ho_scale=ho_scale, drop_tau=False, machine_kind="two_level"
-    )
+    return _scale_model_set(model_set, ho_scale, NSA_HO_SCALE, to_sa=False)
 
 
-def scale_to_sa(model_set: ModelSet, ho_scale: float = SA_HO_SCALE) -> ModelSet:
-    """Derive a 5G SA model set: HO scaled, TAU removed, states renamed."""
-    if model_set.machine_kind != "two_level":
-        raise ValueError("5G scaling requires a two-level LTE model set")
-    return _map_model_set(
-        model_set, ho_scale=ho_scale, drop_tau=True, machine_kind="nr_sa"
-    )
+def scale_to_sa(model_set: ModelSet, ho_scale: Optional[float] = None) -> ModelSet:
+    """Derive a 5G SA model set: HO scaled by ``ho_scale`` (``None``:
+    :data:`SA_HO_SCALE`; finite and positive), TAU removed, states
+    renamed."""
+    return _scale_model_set(model_set, ho_scale, SA_HO_SCALE, to_sa=True)

@@ -55,6 +55,23 @@ def _check_integers(raw, column: str, top: Optional[int], bad: str) -> None:
         raise ValueError(f"trace column {column!r} contains {bad}")
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys.
+
+    Sorts the composite ``key * n + position`` instead: one plain
+    ``np.sort`` of int64 values, which NumPy runs several times faster
+    than a stable argsort, gives the same permutation.  Negative keys,
+    and keys too large for the composite to fit in int64, fall back to
+    the stable argsort.
+    """
+    n = keys.size
+    if n == 0 or int(keys.min()) < 0 or (
+        int(keys.max()) >= np.iinfo(np.int64).max // n - 1
+    ):
+        return np.argsort(keys, kind="stable")
+    return np.sort(keys.astype(np.int64) * n + np.arange(n)) % n
+
+
 @dataclasses.dataclass(frozen=True)
 class UEIndex:
     """A trace's rows grouped by UE: UE ``ues[i]`` owns rows
@@ -66,7 +83,7 @@ class UEIndex:
 
     @classmethod
     def build(cls, ue_ids: np.ndarray) -> "UEIndex":
-        order = np.argsort(ue_ids, kind="stable")
+        order = stable_order(ue_ids)
         ue = ue_ids[order]
         first = np.ones(len(ue), dtype=bool)
         first[1:] = ue[1:] != ue[:-1]

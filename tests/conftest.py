@@ -117,3 +117,54 @@ def tiny_trace() -> Trace:
             (2, 90.0, E.S1_CONN_REL, P),
         ]
     )
+
+
+def v1_edge(event, target, probability, *, rate=None, quantiles=None) -> dict:
+    """One edge of a ``repro-model-set-v1`` chain: exponential at
+    ``rate``, or empirical with knots ``quantiles``."""
+    sojourn = (
+        {"family": "poisson", "rate": rate}
+        if quantiles is None
+        else {"family": "empirical", "quantiles": list(quantiles)}
+    )
+    return {
+        "event": event.name,
+        "target": target,
+        "probability": probability,
+        "sojourn": sojourn,
+    }
+
+
+def v1_hour(chain) -> dict:
+    """One hour of a v1 model set: one cluster with ``chain`` (state
+    name -> list of :func:`v1_edge`), holding training UE 1."""
+    return {
+        "clusters": [
+            {
+                "chain": chain,
+                "first_event": {
+                    "p_active": 1.0,
+                    "event_probs": {"SRV_REQ": 1.0},
+                    "offset": [5.0],
+                },
+                "overlay_rates": {},
+                "num_ues": 1,
+                "num_segments": 1,
+            }
+        ],
+        "assignment": {"1": 0},
+    }
+
+
+def v1_model_set(chain, machine_kind="two_level") -> dict:
+    """A v1 model set of one phone hour (hour 0) built by :func:`v1_hour`."""
+    return {
+        "format": "repro-model-set-v1",
+        "machine_kind": machine_kind,
+        "family": "empirical",
+        "clustered": False,
+        "theta_f": 5.0,
+        "theta_n": 1000,
+        "models": {"PHONE": {"0": v1_hour(chain)}},
+        "device_ues": {"PHONE": [1]},
+    }

@@ -5,7 +5,7 @@ This is the original lowering: walk each cluster's
 ``SemiMarkovChain``, ``EmpiricalCDF``/``Exponential`` sojourns and
 ``FirstEventModel`` edge by edge into per-cluster CSR arrays, then
 concatenate the clusters of an hour into merged tables.  The fitter now
-writes those tables directly (and :meth:`HourModel.from_clusters`
+writes those tables directly (and ``oracle.objects.from_clusters``
 builds them from objects); both must equal this lowering of the same
 models bit for bit.
 """
@@ -19,10 +19,11 @@ import numpy as np
 from repro.distributions.base import Distribution
 from repro.distributions.empirical import EmpiricalCDF
 from repro.distributions.exponential import Exponential
-from repro.model.model_set import ClusterModel, ModelSet
-from repro.model.semi_markov import SemiMarkovChain
+from repro.model.model_set import ModelSet
 from repro.statemachines.compiled_replay import _canonical_source_for
 from repro.trace.events import EventType
+
+from .objects import ClusterModel, SemiMarkovChain, cluster_view
 
 
 def compile_sojourn(dist: Distribution) -> tuple:
@@ -148,7 +149,7 @@ class CompiledHourModel:
     def __init__(self, hour_model, state_code, canonical_next) -> None:
         self.clusters = [
             CompiledCluster(c, state_code, canonical_next)
-            for c in hour_model.clusters
+            for c in cluster_view(hour_model)
         ]
         items = sorted(hour_model.assignment.items())
         self.assign_keys = np.asarray([k for k, _ in items], dtype=np.int64)
@@ -229,7 +230,7 @@ def compile_model_set(model_set: ModelSet) -> Dict[int, Dict[int, CompiledHourMo
     names = set(machine.states)
     for hours in model_set.models.values():
         for hm in hours.values():
-            for cluster in hm.clusters:
+            for cluster in cluster_view(hm):
                 for state, sm in cluster.chain.states.items():
                     names.add(state)
                     names.update(e.target for e in sm.edges)

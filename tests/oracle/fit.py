@@ -33,14 +33,20 @@ from repro.clustering.quadtree import (
 from repro.distributions.base import FitError
 from repro.distributions.empirical import EmpiricalCDF
 from repro.distributions.exponential import Exponential
-from repro.model.first_event import FirstEventModel
-from repro.model.model_set import ClusterModel, HourModel, ModelSet, build_machine
-from repro.model.semi_markov import Edge, SemiMarkovChain, StateModel
+from repro.model.model_set import HourModel, ModelSet, build_machine
 from repro.statemachines import lte
 from repro.statemachines.fsm import StateMachine
 from repro.trace.events import SECONDS_PER_HOUR, DeviceType, EventType
 from repro.trace.trace import Trace
 
+from .objects import (
+    ClusterModel,
+    Edge,
+    FirstEventModel,
+    SemiMarkovChain,
+    StateModel,
+    from_clusters,
+)
 from .replay import TransitionRecord, replay_ue, top_level_intervals
 
 #: Fallback sojourn when a transition was observed but never with a
@@ -198,9 +204,7 @@ def _fit_hour(
                 max_cdf_points=max_cdf_points,
             )
         )
-    return HourModel.from_clusters(
-        cluster_models, clustering.assignment, machine_kind
-    )
+    return from_clusters(cluster_models, clustering.assignment, machine_kind)
 
 
 def _cluster_ues(

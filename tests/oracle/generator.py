@@ -38,6 +38,8 @@ from repro.trace.events import (
 )
 from repro.trace.trace import Trace
 
+from .objects import cluster_for_ue, cluster_view
+
 
 class UeSession:
     """One UE's generation state, advanced one hour at a time."""
@@ -72,8 +74,9 @@ class UeSession:
 
         rng = self.rng
         machine = self.machine
-        cid = hour_model.cluster_for_ue(self.persona, rng)
-        cluster = hour_model.clusters[cid]
+        cluster = cluster_view(hour_model)[
+            cluster_for_ue(hour_model, self.persona, rng)
+        ]
         hour_start = hour_idx * SECONDS_PER_HOUR
         hour_end = hour_start + SECONDS_PER_HOUR
 

@@ -1,24 +1,30 @@
 """Tests for model validation (repro.model.checks) and anonymization."""
 
-import copy
-
 import numpy as np
 import pytest
 
-from repro.distributions import Exponential
-from repro.model import (
-    Edge,
-    ModelSet,
-    SemiMarkovChain,
-    StateModel,
-    validate_model_set,
-)
+from repro.model import HourModel, ModelSet, validate_model_set
 from repro.trace import DeviceType, EventType, anonymize, remap_ue_ids, shift_epoch
 
-from conftest import make_trace
+from conftest import make_trace, v1_edge
 
 E = EventType
 P = DeviceType.PHONE
+
+
+def corrupt(model_set: ModelSet, mutate):
+    """``model_set`` with one phone hour's v1 dict mutated by ``mutate``:
+    ``(the checked load's error, the hour tables' audit)``."""
+    data = model_set.to_dict()
+    hour = model_set.hours(P)[0]
+    mutate(data["models"][P.name][str(hour)])
+    with pytest.raises(ValueError) as excinfo:
+        ModelSet.from_dict(data)
+    corrupted = ModelSet.from_dict(model_set.to_dict())
+    corrupted.models[P][hour] = HourModel.from_dict(
+        data["models"][P.name][str(hour)], model_set.machine_kind
+    )
+    return str(excinfo.value), validate_model_set(corrupted)
 
 
 class TestValidateModelSet:
@@ -42,52 +48,41 @@ class TestValidateModelSet:
         assert any("no device types" in p for p in problems)
 
     def test_forbidden_edge_detected(self, ours_model_set):
-        corrupted = ModelSet.from_dict(ours_model_set.to_dict())
-        dt = DeviceType.PHONE
-        hour = corrupted.hours(dt)[0]
-        cluster = corrupted.models[dt][hour].clusters[0]
-        # Inject an HO edge out of DEREGISTERED — illegal in Fig. 5.
-        cluster.chain.states["DEREGISTERED"] = StateModel(
-            edges=(
-                Edge(E.HO, "HO_S", 1.0, Exponential(rate=1.0)),
-            )
-        )
-        problems = validate_model_set(corrupted)
-        assert any("forbidden edge" in p for p in problems)
+        def mutate(hour):
+            # Inject an HO edge out of DEREGISTERED — illegal in Fig. 5.
+            hour["clusters"][0]["chain"]["DEREGISTERED"] = [
+                v1_edge(E.HO, "HO_S", 1.0, rate=1.0)
+            ]
+
+        error, problems = corrupt(ours_model_set, mutate)
+        assert any("c0: edge_event: forbidden edge" in p for p in problems)
+        assert "forbidden edge" in error
 
     def test_bad_probabilities_detected(self, ours_model_set):
+        def mutate(hour):
+            chain = hour["clusters"][0]["chain"]
+            edges = next(e for e in chain.values() if e)
+            for edge in edges:
+                edge["probability"] *= 0.5
+
+        with pytest.raises(ValueError, match="c0: edge_prob: .*sum to"):
+            corrupt(ours_model_set, mutate)
+        # The same corruption in tables the reader did not build.
         corrupted = ModelSet.from_dict(ours_model_set.to_dict())
-        dt = DeviceType.PHONE
-        hour = corrupted.hours(dt)[0]
-        cluster = corrupted.models[dt][hour].clusters[0]
-        chain = cluster.chain
-        state, model = next(
-            (s, m) for s, m in chain.states.items() if m.edges
-        )
-        # Bypass StateModel's constructor check to simulate corruption.
-        broken = StateModel.__new__(StateModel)
-        object.__setattr__(
-            broken,
-            "edges",
-            tuple(
-                Edge(e.event, e.target, e.probability * 0.5, e.sojourn)
-                for e in model.edges
-            ),
-        )
-        chain.states[state] = broken
+        hm = corrupted.models[P][corrupted.hours(P)[0]]
+        hm.edge_prob = hm.edge_prob * 0.5
         problems = validate_model_set(corrupted)
         assert any("sum to" in p for p in problems)
 
     def test_wrong_target_detected(self, ours_model_set):
-        corrupted = ModelSet.from_dict(ours_model_set.to_dict())
-        dt = DeviceType.PHONE
-        hour = corrupted.hours(dt)[0]
-        cluster = corrupted.models[dt][hour].clusters[0]
-        cluster.chain.states["DEREGISTERED"] = StateModel(
-            edges=(Edge(E.ATCH, "HO_S", 1.0, Exponential(rate=1.0)),)
-        )
-        problems = validate_model_set(corrupted)
-        assert any("disagrees" in p for p in problems)
+        def mutate(hour):
+            hour["clusters"][0]["chain"]["DEREGISTERED"] = [
+                v1_edge(E.ATCH, "HO_S", 1.0, rate=1.0)
+            ]
+
+        error, problems = corrupt(ours_model_set, mutate)
+        assert any("c0: edge_target: " in p and "disagrees" in p for p in problems)
+        assert "disagrees" in error
 
 
 class TestAnonymize:

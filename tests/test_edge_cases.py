@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.distributions import EmpiricalCDF, Exponential
-from repro.model import Edge, SemiMarkovChain, StateModel
 from repro.statemachines import two_level_machine
 from repro.trace import DeviceType, EventType, Trace, quantize_timestamp
 
 from conftest import TRACE_START_HOUR, make_trace
+from oracle.objects import Edge, SemiMarkovChain, StateModel
 
 E = EventType
 P = DeviceType.PHONE

@@ -1,10 +1,12 @@
-"""Tests for the first-event model (repro.model.first_event)."""
+"""Tests for the first-event model objects of the test oracle
+(oracle.objects), which the reference fitter and generator use."""
 
 import numpy as np
 import pytest
 
-from repro.model import FirstEventModel
 from repro.trace import EventType
+
+from oracle.objects import FirstEventModel
 
 E = EventType
 

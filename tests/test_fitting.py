@@ -9,6 +9,7 @@ from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType, EventType, Trace
 
 from conftest import TRACE_START_HOUR, make_trace
+from oracle.objects import cluster_view
 
 E = EventType
 P = DeviceType.PHONE
@@ -43,7 +44,7 @@ class TestStructure:
 
     def test_num_models_counts_clusters(self, ours_model_set):
         total = sum(
-            len(ours_model_set.models[dt][h].clusters)
+            ours_model_set.models[dt][h].num_clusters
             for dt in ours_model_set.models
             for h in ours_model_set.models[dt]
         )
@@ -55,7 +56,7 @@ class TestStructure:
         assert not base_model_set.clustered
         for dt in DeviceType:
             for h in base_model_set.hours(dt):
-                assert len(base_model_set.models[dt][h].clusters) == 1
+                assert base_model_set.models[dt][h].num_clusters == 1
 
     def test_assignment_covers_training_ues(self, ours_model_set):
         for dt in DeviceType:
@@ -69,7 +70,7 @@ class TestChainContents:
     def test_transition_probs_sum_to_one(self, ours_model_set):
         for dt in DeviceType:
             for h in ours_model_set.hours(dt):
-                for cm in ours_model_set.models[dt][h].clusters:
+                for cm in cluster_view(ours_model_set.models[dt][h]):
                     for state, model in cm.chain.states.items():
                         if model.edges:
                             total = sum(e.probability for e in model.edges)
@@ -79,7 +80,7 @@ class TestChainContents:
         machine = ours_model_set.machine()
         for dt in DeviceType:
             for h in ours_model_set.hours(dt):
-                for cm in ours_model_set.models[dt][h].clusters:
+                for cm in cluster_view(ours_model_set.models[dt][h]):
                     for state, model in cm.chain.states.items():
                         for edge in model.edges:
                             assert machine.can_fire(state, edge.event)
@@ -91,7 +92,7 @@ class TestChainContents:
         found_empirical = False
         for dt in DeviceType:
             for h in ours_model_set.hours(dt):
-                for cm in ours_model_set.models[dt][h].clusters:
+                for cm in cluster_view(ours_model_set.models[dt][h]):
                     for model in cm.chain.states.values():
                         for edge in model.edges:
                             if isinstance(edge.sojourn, EmpiricalCDF):
@@ -103,7 +104,7 @@ class TestChainContents:
 
         for dt in DeviceType:
             for h in base_model_set.hours(dt):
-                for cm in base_model_set.models[dt][h].clusters:
+                for cm in cluster_view(base_model_set.models[dt][h]):
                     for model in cm.chain.states.values():
                         for edge in model.edges:
                             assert isinstance(edge.sojourn, Exponential)
@@ -111,12 +112,12 @@ class TestChainContents:
     def test_overlay_only_for_emm_ecm(self, ours_model_set, base_model_set):
         for dt in DeviceType:
             for h in ours_model_set.hours(dt):
-                for cm in ours_model_set.models[dt][h].clusters:
+                for cm in cluster_view(ours_model_set.models[dt][h]):
                     assert cm.overlay_rates == {}
         found_rate = False
         for dt in DeviceType:
             for h in base_model_set.hours(dt):
-                for cm in base_model_set.models[dt][h].clusters:
+                for cm in cluster_view(base_model_set.models[dt][h]):
                     assert set(cm.overlay_rates) == {E.HO, E.TAU}
                     if cm.overlay_rates[E.HO] > 0:
                         found_rate = True
@@ -141,7 +142,7 @@ class TestSojournFidelity:
         if key not in samples or len(samples[key]) < 30:
             pytest.skip("not enough sojourn samples in this window")
         observed = samples[key]
-        cm = ms.models[P][hour].clusters[0]
+        cm = cluster_view(ms.models[P][hour])[0]
         edge = next(
             e
             for e in cm.chain.states[lte.SRV_REQ_S].edges
@@ -174,7 +175,7 @@ class TestHourSlicing:
         ms = fit_model_set(make_trace(rows), trace_start_hour=0)
         hm = ms.models[P][0]
         # Both days' transitions pooled into hour 0.
-        cm = hm.clusters[0]
+        cm = cluster_view(hm)[0]
         edges = cm.chain.states["SRV_REQ_S"].edges
         assert any(e.event == E.S1_CONN_REL for e in edges)
         # first-event model saw 2 active segments out of 2 (UE active

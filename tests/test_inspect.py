@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.distributions import Exponential
 from repro.model import (
-    Edge,
-    SemiMarkovChain,
-    StateModel,
+    HourModel,
     describe_model_set,
     expected_event_rates,
     state_occupancy,
@@ -17,83 +14,116 @@ from repro.model import (
 )
 from repro.trace import DeviceType, EventType
 
+from conftest import v1_edge, v1_hour
+from oracle.objects import cluster_view
+
 E = EventType
+#: The ping-pong chain's two states.
+A, B = "S1_REL_S_1", "SRV_REQ_S"
 
 
-def ping_pong_chain(rate_ab=1.0, rate_ba=0.5) -> SemiMarkovChain:
+def one_cluster(chain) -> HourModel:
+    """Tables of one cluster with a v1 ``chain``."""
+    return HourModel.from_dict(v1_hour(chain), "two_level")
+
+
+def ping_pong(rate_ab=1.0, rate_ba=0.5) -> HourModel:
     """A <-> B with exponential dwells (mean 1/rate)."""
-    return SemiMarkovChain(
+    return one_cluster(
         {
-            "A": StateModel(
-                edges=(Edge(E.SRV_REQ, "B", 1.0, Exponential(rate=rate_ab)),)
-            ),
-            "B": StateModel(
-                edges=(Edge(E.S1_CONN_REL, "A", 1.0, Exponential(rate=rate_ba)),)
-            ),
+            A: [v1_edge(E.SRV_REQ, B, 1.0, rate=rate_ab)],
+            B: [v1_edge(E.S1_CONN_REL, A, 1.0, rate=rate_ba)],
         }
     )
 
 
 class TestStationary:
     def test_ping_pong_is_uniform_in_jumps(self):
-        pi = stationary_distribution(ping_pong_chain())
-        assert pi["A"] == pytest.approx(0.5, abs=1e-6)
-        assert pi["B"] == pytest.approx(0.5, abs=1e-6)
+        pi = stationary_distribution(ping_pong(), 0)
+        assert pi[A] == pytest.approx(0.5, abs=1e-6)
+        assert pi[B] == pytest.approx(0.5, abs=1e-6)
 
     def test_biased_three_state(self):
-        # A -> B (prob 1), B -> A or C equally, C -> A.
-        chain = SemiMarkovChain(
+        # X -> Y (prob 1), Y -> X or Z equally, Z -> X.
+        X, Y, Z = "DEREGISTERED", "HO_S", "SRV_REQ_S"
+        hm = one_cluster(
             {
-                "A": StateModel(edges=(Edge(E.HO, "B", 1.0, Exponential(1.0)),)),
-                "B": StateModel(
-                    edges=(
-                        Edge(E.TAU, "A", 0.5, Exponential(1.0)),
-                        Edge(E.HO, "C", 0.5, Exponential(1.0)),
-                    )
-                ),
-                "C": StateModel(edges=(Edge(E.TAU, "A", 1.0, Exponential(1.0)),)),
+                X: [v1_edge(E.HO, Y, 1.0, rate=1.0)],
+                Y: [
+                    v1_edge(E.TAU, X, 0.5, rate=1.0),
+                    v1_edge(E.HO, Z, 0.5, rate=1.0),
+                ],
+                Z: [v1_edge(E.TAU, X, 1.0, rate=1.0)],
             }
         )
-        pi = stationary_distribution(chain)
-        # pi_A = 0.4, pi_B = 0.4, pi_C = 0.2 solves pi P = pi.
-        assert pi["A"] == pytest.approx(0.4, abs=1e-6)
-        assert pi["B"] == pytest.approx(0.4, abs=1e-6)
-        assert pi["C"] == pytest.approx(0.2, abs=1e-6)
+        pi = stationary_distribution(hm, 0)
+        # pi_X = 0.4, pi_Y = 0.4, pi_Z = 0.2 solves pi P = pi.
+        assert pi[X] == pytest.approx(0.4, abs=1e-6)
+        assert pi[Y] == pytest.approx(0.4, abs=1e-6)
+        assert pi[Z] == pytest.approx(0.2, abs=1e-6)
 
     def test_sums_to_one(self, ours_model_set):
         hm = ours_model_set.models[DeviceType.PHONE][
             ours_model_set.hours(DeviceType.PHONE)[0]
         ]
-        pi = stationary_distribution(hm.clusters[0].chain)
+        pi = stationary_distribution(hm, 0)
         assert sum(pi.values()) == pytest.approx(1.0)
+
+    def test_mass_into_edgeless_states_is_dropped(self):
+        """Only states with out-degree > 0 are in the chain; an edge into
+        any other state loses its mass and the row is renormalized."""
+        hm = one_cluster(
+            {
+                A: [
+                    v1_edge(E.SRV_REQ, B, 0.5, rate=1.0),
+                    v1_edge(E.DTCH, "DEREGISTERED", 0.5, rate=1.0),
+                ],
+                B: [v1_edge(E.S1_CONN_REL, A, 1.0, rate=1.0)],
+            }
+        )
+        pi = stationary_distribution(hm, 0)
+        assert set(pi) == {A, B}
+        assert pi[A] == pytest.approx(0.5, abs=1e-6)
 
 
 class TestOccupancy:
     def test_time_weighting(self):
         # Dwell in A is 1s, in B 2s -> occupancy 1/3 vs 2/3.
-        occ = state_occupancy(ping_pong_chain(rate_ab=1.0, rate_ba=0.5))
-        assert occ["A"] == pytest.approx(1 / 3, abs=1e-6)
-        assert occ["B"] == pytest.approx(2 / 3, abs=1e-6)
+        occ = state_occupancy(ping_pong(rate_ab=1.0, rate_ba=0.5), 0)
+        assert occ[A] == pytest.approx(1 / 3, abs=1e-6)
+        assert occ[B] == pytest.approx(2 / 3, abs=1e-6)
 
     def test_sums_to_one(self):
-        occ = state_occupancy(ping_pong_chain())
+        occ = state_occupancy(ping_pong(), 0)
         assert sum(occ.values()) == pytest.approx(1.0)
+
+    def test_empirical_dwell_is_the_knot_mean(self):
+        """A one-sample CDF (stored padded) dwells its one sample."""
+        hm = one_cluster(
+            {
+                A: [v1_edge(E.SRV_REQ, B, 1.0, quantiles=[3.0])],
+                B: [v1_edge(E.S1_CONN_REL, A, 1.0, quantiles=[0.5, 1.5])],
+            }
+        )
+        occ = state_occupancy(hm, 0)
+        assert occ[A] == pytest.approx(3 / 4, abs=1e-6)
 
 
 class TestEventRates:
     def test_ping_pong_rates(self):
         # One SRV_REQ and one S1_CONN_REL per 3-second cycle.
-        rates = expected_event_rates(ping_pong_chain(rate_ab=1.0, rate_ba=0.5))
+        rates = expected_event_rates(ping_pong(rate_ab=1.0, rate_ba=0.5), 0)
         assert rates[E.SRV_REQ] == pytest.approx(1 / 3, abs=1e-6)
         assert rates[E.S1_CONN_REL] == pytest.approx(1 / 3, abs=1e-6)
         assert rates[E.HO] == 0.0
 
     def test_analytic_matches_simulation(self, rng):
         """Monte-Carlo check of the steady-state rate computation."""
-        chain = ping_pong_chain(rate_ab=2.0, rate_ba=1.0)
-        rates = expected_event_rates(chain)
+        hm = ping_pong(rate_ab=2.0, rate_ba=1.0)
+        rates = expected_event_rates(hm, 0)
+        chain = cluster_view(hm)[0].chain
         # Simulate the chain for a long horizon.
-        state, t, counts = "A", 0.0, {E.SRV_REQ: 0, E.S1_CONN_REL: 0}
+        state, t, counts = A, 0.0, {E.SRV_REQ: 0, E.S1_CONN_REL: 0}
         horizon = 50_000.0
         while t < horizon:
             dwell, event, target = chain.step(state, rng)
@@ -107,11 +137,37 @@ class TestEventRates:
             )
 
 
+#: ``describe_model_set`` of the shared fixtures, as the object-view
+#: implementation printed it.
+DESCRIBED = {
+    "ours": (
+        "ModelSet: machine=two_level family=empirical clustered=True\n"
+        "  total models: 109\n"
+        "  PHONE: hours=4, avg clusters/hour=15.5, mean P(active)=0.99, "
+        "predicted events/UE-hour=133.3\n"
+        "  CONNECTED_CAR: hours=4, avg clusters/hour=6.2, mean P(active)=0.88, "
+        "predicted events/UE-hour=36.5\n"
+        "  TABLET: hours=4, avg clusters/hour=5.5, mean P(active)=0.80, "
+        "predicted events/UE-hour=196.2"
+    ),
+    "base": (
+        "ModelSet: machine=emm_ecm family=poisson clustered=False\n"
+        "  total models: 12\n"
+        "  PHONE: hours=4, avg clusters/hour=1.0, mean P(active)=0.99, "
+        "predicted events/UE-hour=57.4\n"
+        "  CONNECTED_CAR: hours=4, avg clusters/hour=1.0, mean P(active)=0.88, "
+        "predicted events/UE-hour=38.8\n"
+        "  TABLET: hours=4, avg clusters/hour=1.0, mean P(active)=0.78, "
+        "predicted events/UE-hour=230.0"
+    ),
+}
+
+
 class TestSummaries:
     def test_cluster_summary_includes_overlay(self, base_model_set):
         dt = DeviceType.PHONE
         hm = base_model_set.models[dt][base_model_set.hours(dt)[0]]
-        summary = summarize_cluster(hm.clusters[0])
+        summary = summarize_cluster(hm, 0)
         # Overlay HO rate must appear in the per-hour event rates.
         assert summary.event_rates_per_hour[E.HO] > 0.0
 
@@ -150,3 +206,16 @@ class TestSummaries:
         assert "two_level" in text
         assert "PHONE" in text
         assert "predicted events/UE-hour" in text
+
+    def test_describe_unchanged_on_fixtures(self, ours_model_set, base_model_set):
+        assert describe_model_set(ours_model_set) == DESCRIBED["ours"]
+        assert describe_model_set(base_model_set) == DESCRIBED["base"]
+
+    def test_cluster_without_edges(self):
+        """A cluster with no transitions has an empty chain and no rates."""
+        hm = one_cluster({})
+        assert stationary_distribution(hm, 0) == {}
+        summary = summarize_cluster(hm, 0)
+        assert summary.occupancy == {}
+        assert summary.expected_events_per_active_ue_hour == 0.0
+        assert np.isfinite(summary.p_active)

@@ -7,6 +7,8 @@ from repro.generator import TrafficGenerator
 from repro.model import ModelSet, build_machine
 from repro.trace import DeviceType
 
+from oracle.objects import cluster_for_ue
+
 
 class TestBuildMachine:
     def test_known_kinds(self):
@@ -26,21 +28,21 @@ class TestHourModel:
                 hm = ours_model_set.models[dt][h]
                 w = hm.weights()
                 assert w.sum() == pytest.approx(1.0)
-                assert len(w) == len(hm.clusters)
+                assert len(w) == hm.num_clusters
 
     def test_cluster_for_known_ue(self, ours_model_set, rng):
         dt = DeviceType.PHONE
         h = ours_model_set.hours(dt)[0]
         hm = ours_model_set.models[dt][h]
         ue = next(iter(hm.assignment))
-        assert hm.cluster_for_ue(ue, rng) == hm.assignment[ue]
+        assert cluster_for_ue(hm, ue, rng) == hm.assignment[ue]
 
     def test_cluster_for_unknown_ue_weighted_draw(self, ours_model_set, rng):
         dt = DeviceType.PHONE
         h = ours_model_set.hours(dt)[0]
         hm = ours_model_set.models[dt][h]
-        cid = hm.cluster_for_ue(10**9, rng)
-        assert 0 <= cid < len(hm.clusters)
+        cid = cluster_for_ue(hm, 10**9, rng)
+        assert 0 <= cid < hm.num_clusters
 
 
 class TestPersistence:

@@ -159,11 +159,12 @@ class TestExportIntegrity:
         assert "include_forced" not in params
 
     def test_one_model_representation(self):
-        """A fitted ``HourModel`` is the generator's tables: the lowering
-        step, its per-cluster tables, the per-distribution lowering hooks
-        and the per-model-set compile cache are gone."""
+        """A fitted ``HourModel`` is the generator's tables, and the only
+        model representation: the lowering step, the per-distribution
+        lowering hooks, the compile cache and the object layer (now
+        ``tests/oracle/objects.py``) are gone."""
         from repro.distributions import EmpiricalCDF, Exponential
-        from repro.model import ModelSet, SemiMarkovChain
+        from repro.model import HourModel, ModelSet
 
         for name, old in (
             ("repro.generator", "compile_model_set"),
@@ -172,13 +173,27 @@ class TestExportIntegrity:
             ("repro.generator.compiled", "CompiledModelSet"),
             ("repro.generator.compiled", "CompiledHourModel"),
             ("repro.generator.compiled", "CompiledCluster"),
+            ("repro.model", "ClusterModel"),
+            ("repro.model", "SemiMarkovChain"),
+            ("repro.model", "StateModel"),
+            ("repro.model", "Edge"),
+            ("repro.model", "FirstEventModel"),
+            ("repro.model", "scale_event_frequency"),
+            ("repro.model", "drop_event"),
+            ("repro.model.model_set", "ClusterModel"),
+            ("repro.model.scaling", "scale_event_frequency"),
+            ("repro.model.scaling", "drop_event"),
         ):
             module = importlib.import_module(name)
             assert not hasattr(module, old), f"{name}.{old}"
             assert old not in getattr(module, "__all__", ())
+        for gone in ("repro.model.semi_markov", "repro.model.first_event"):
+            with pytest.raises(ImportError):
+                importlib.import_module(gone)
         for cls in (EmpiricalCDF, Exponential):
             assert not hasattr(cls, "compile_sojourn")
-        assert not hasattr(SemiMarkovChain, "edge_table")
+        for attr in ("from_clusters", "clusters", "cluster_for_ue"):
+            assert not hasattr(HourModel, attr)
         assert "__getstate__" not in vars(ModelSet)
 
     def test_one_summary_per_trace(self):

@@ -1,94 +1,181 @@
 """Tests for 4G -> 5G parameter scaling (repro.model.scaling)."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from repro.distributions import EmpiricalCDF, Exponential
 from repro.generator import TrafficGenerator
 from repro.model import (
     NSA_HO_SCALE,
     SA_HO_SCALE,
-    Edge,
-    SemiMarkovChain,
-    StateModel,
-    drop_event,
-    scale_event_frequency,
+    ModelSet,
     scale_to_nsa,
     scale_to_sa,
 )
+from repro.model.model_set import GENERATOR_COLUMNS, VIEW_COLUMNS
 from repro.statemachines import nr
 from repro.trace import DeviceType, EventType
+
+from conftest import v1_edge, v1_model_set
+from oracle import objects
 
 E = EventType
 
 
-def chain_with_ho() -> SemiMarkovChain:
-    return SemiMarkovChain(
-        {
-            "SRV_REQ_S": StateModel(
-                edges=(
-                    Edge(E.HO, "HO_S", 0.2, Exponential(rate=0.1)),
-                    Edge(E.TAU, "TAU_S_CONN", 0.3, Exponential(rate=0.2)),
-                    Edge(E.S1_CONN_REL, "S1_REL_S_1", 0.5, EmpiricalCDF([10.0, 20.0])),
-                )
-            ),
-        }
+def model_with_ho() -> ModelSet:
+    """One phone cluster whose SRV_REQ_S has HO, TAU and release edges."""
+    return ModelSet.from_dict(
+        v1_model_set(
+            {
+                "SRV_REQ_S": [
+                    v1_edge(E.HO, "HO_S", 0.2, rate=0.1),
+                    v1_edge(E.TAU, "TAU_S_CONN", 0.3, rate=0.2),
+                    v1_edge(E.S1_CONN_REL, "S1_REL_S_1", 0.5, quantiles=[10.0, 20.0]),
+                ],
+            }
+        )
     )
+
+
+def chain_of(model_set: ModelSet) -> dict:
+    """The one cluster's chain, as v1 JSON."""
+    return model_set.to_dict()["models"]["PHONE"]["0"]["clusters"][0]["chain"]
+
+
+def edges_of(model_set: ModelSet, state: str) -> dict:
+    """``event -> edge`` of one state of the one cluster."""
+    return {E[e["event"]]: e for e in chain_of(model_set)[state]}
+
+
+def mean_sojourn(edge: dict) -> float:
+    sojourn = edge["sojourn"]
+    if sojourn["family"] == "poisson":
+        return 1.0 / sojourn["rate"]
+    return float(np.mean(sojourn["quantiles"]))
 
 
 class TestScaleEventFrequency:
     def test_odds_scaling(self):
-        scaled = scale_event_frequency(chain_with_ho(), E.HO, 4.0)
-        probs = {
-            e.event: e.probability
-            for e in scaled.states["SRV_REQ_S"].edges
-        }
+        scaled = scale_to_nsa(model_with_ho(), 4.0)
+        probs = {e: d["probability"] for e, d in edges_of(scaled, "SRV_REQ_S").items()}
         # odds: HO 0.2*4=0.8 vs TAU 0.3 vs REL 0.5 -> normalize by 1.6.
         assert probs[E.HO] == pytest.approx(0.8 / 1.6)
         assert probs[E.TAU] == pytest.approx(0.3 / 1.6)
         assert sum(probs.values()) == pytest.approx(1.0)
 
     def test_sojourn_time_shrinks(self):
-        scaled = scale_event_frequency(chain_with_ho(), E.HO, 4.0)
-        ho_edge = next(
-            e for e in scaled.states["SRV_REQ_S"].edges if e.event == E.HO
-        )
-        assert ho_edge.sojourn.mean() == pytest.approx(10.0 / 4.0)
+        scaled = scale_to_nsa(model_with_ho(), 4.0)
+        ho_edge = edges_of(scaled, "SRV_REQ_S")[E.HO]
+        assert mean_sojourn(ho_edge) == pytest.approx(10.0 / 4.0)
 
     def test_other_sojourns_untouched(self):
-        scaled = scale_event_frequency(chain_with_ho(), E.HO, 4.0)
-        rel_edge = next(
-            e
-            for e in scaled.states["SRV_REQ_S"].edges
-            if e.event == E.S1_CONN_REL
-        )
-        assert rel_edge.sojourn.mean() == pytest.approx(15.0)
+        scaled = scale_to_nsa(model_with_ho(), 4.0)
+        rel_edge = edges_of(scaled, "SRV_REQ_S")[E.S1_CONN_REL]
+        assert mean_sojourn(rel_edge) == pytest.approx(15.0)
 
     def test_identity_scale(self):
-        scaled = scale_event_frequency(chain_with_ho(), E.HO, 1.0)
-        assert scaled.transition_matrix() == chain_with_ho().transition_matrix()
+        scaled = scale_to_nsa(model_with_ho(), 1.0)
+        assert chain_of(scaled) == chain_of(model_with_ho())
 
     def test_rejects_nonpositive_factor(self):
         with pytest.raises(ValueError):
-            scale_event_frequency(chain_with_ho(), E.HO, 0.0)
+            scale_to_nsa(model_with_ho(), 0.0)
 
 
 class TestDropEvent:
     def test_edges_removed_and_renormalized(self):
-        dropped = drop_event(chain_with_ho(), E.TAU)
+        dropped = scale_to_sa(model_with_ho(), 1.0)
         probs = {
-            e.event: e.probability for e in dropped.states["SRV_REQ_S"].edges
+            e: d["probability"] for e, d in edges_of(dropped, "SRV_REQ_S").items()
         }
         assert E.TAU not in probs
         assert sum(probs.values()) == pytest.approx(1.0)
         assert probs[E.HO] == pytest.approx(0.2 / 0.7)
 
     def test_state_with_only_dropped_edges_becomes_absorbing(self):
-        chain = SemiMarkovChain(
-            {"X": StateModel(edges=(Edge(E.TAU, "X", 1.0, Exponential(1.0)),))}
+        model = ModelSet.from_dict(
+            v1_model_set(
+                {"S1_REL_S_1": [v1_edge(E.TAU, "TAU_S_IDLE", 1.0, rate=1.0)]}
+            )
         )
-        dropped = drop_event(chain, E.TAU)
-        assert dropped.states["X"].is_absorbing
+        dropped = scale_to_sa(model, 1.0)
+        hm = dropped.models[DeviceType.PHONE][0]
+        assert hm.state_deg.sum() == 0  # CM_IDLE has no edges left
+        assert chain_of(dropped) == {}
+
+
+class TestHoScaleChecked:
+    """``ho_scale`` must be finite and positive; ``None`` is the default."""
+
+    BAD = [0.0, -1.0, math.nan, math.inf]
+
+    @pytest.mark.parametrize("scale", [scale_to_nsa, scale_to_sa])
+    @pytest.mark.parametrize("ho_scale", BAD)
+    def test_api_rejects(self, scale, ho_scale):
+        with pytest.raises(ValueError, match="ho_scale"):
+            scale(model_with_ho(), ho_scale)
+
+    @pytest.mark.parametrize("mode", ["nsa", "sa"])
+    @pytest.mark.parametrize("ho_scale", ["0", "-1", "nan", "inf"])
+    def test_cli_rejects(self, tmp_path, mode, ho_scale):
+        from repro.cli.main import main
+
+        model = tmp_path / "model.json"
+        model_with_ho().save(model)
+        out = tmp_path / "scaled.json"
+        with pytest.raises(ValueError, match="ho_scale"):
+            main(["scale5g", "--model", str(model), "--mode", mode,
+                  f"--ho-scale={ho_scale}", "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scale,default", [(scale_to_nsa, NSA_HO_SCALE), (scale_to_sa, SA_HO_SCALE)]
+    )
+    def test_none_is_the_default(self, scale, default):
+        model = model_with_ho()
+        assert scale(model, None).content_hash() == scale(model, default).content_hash()
+
+
+def bits_equal(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestOracleEquality:
+    """The column scaling equals the object path (scale each cluster's
+    objects, then table them) bit for bit, and generates the same traces."""
+
+    @pytest.mark.parametrize("mode", ["nsa", "sa"])
+    @pytest.mark.parametrize("ho_scale", [None, 2.5])
+    def test_tables_and_traces(self, ours_model_set, mode, ho_scale):
+        scale = {"nsa": scale_to_nsa, "sa": scale_to_sa}[mode]
+        oracle = {"nsa": objects.scale_to_nsa, "sa": objects.scale_to_sa}[mode]
+        got = scale(ours_model_set, ho_scale)
+        ref = oracle(ours_model_set) if ho_scale is None else oracle(
+            ours_model_set, ho_scale
+        )
+        assert got.machine_kind == ref.machine_kind
+        for dt, hours in ref.models.items():
+            for hour, hm in hours.items():
+                for name in GENERATOR_COLUMNS + VIEW_COLUMNS:
+                    assert bits_equal(
+                        getattr(got.models[dt][hour], name), getattr(hm, name)
+                    ), (dt.name, hour, name)
+        run = dict(num_ues=60, start_hour=18, num_hours=2, seed=3)
+        assert TrafficGenerator(got).generate(**run) == TrafficGenerator(ref).generate(**run)
+
+    def test_sa_json_lists_no_edgeless_state(self, ours_model_set):
+        """States left without edges are not written (they generate
+        nothing), and the scaled JSON loads back to the same hash."""
+        sa = scale_to_sa(ours_model_set)
+        data = json.loads(json.dumps(sa.to_dict()))
+        for hours in data["models"].values():
+            for hm in hours.values():
+                for cluster in hm["clusters"]:
+                    assert all(cluster["chain"].values())
+        assert ModelSet.from_dict(data).content_hash() == sa.content_hash()
 
 
 class TestNsaScaling:
@@ -131,9 +218,10 @@ class TestSaScaling:
         sa = scale_to_sa(ours_model_set)
         dt = DeviceType.PHONE
         h = sa.hours(dt)[0]
-        for cm in sa.models[dt][h].clusters:
-            for state in cm.chain.states:
+        for cluster in sa.to_dict()["models"][dt.name][str(h)]["clusters"]:
+            for state, edges in cluster["chain"].items():
                 assert state in set(nr.NR_STATES)
+                assert {e["target"] for e in edges} <= set(nr.NR_STATES)
 
     def test_sa_ho_between_lte_and_nsa(self, ours_model_set):
         """Table 7: NSA has more HO than SA, both more than LTE."""
@@ -154,5 +242,7 @@ class TestSaScaling:
         sa = scale_to_sa(ours_model_set)
         for dt in sa.models:
             for h in sa.hours(dt):
-                for cm in sa.models[dt][h].clusters:
+                hm = sa.models[dt][h]
+                assert not (hm.fe_event == int(E.TAU)).any()
+                for cm in objects.cluster_view(hm):
                     assert E.TAU not in cm.first_event.event_probs

@@ -1,11 +1,13 @@
-"""Tests for the semi-Markov chain (repro.model.semi_markov)."""
+"""Tests for the semi-Markov chain objects of the test oracle
+(oracle.objects), which the reference fitter and generator walk."""
 
 import numpy as np
 import pytest
 
 from repro.distributions import EmpiricalCDF, Exponential
-from repro.model import Edge, SemiMarkovChain, StateModel
 from repro.trace import EventType
+
+from oracle.objects import Edge, SemiMarkovChain, StateModel
 
 E = EventType
 

@@ -25,7 +25,7 @@ from repro.trace import (
     remap_ue_ids,
     session_stats,
 )
-from repro.trace.trace import UEIndex
+from repro.trace.trace import UEIndex, stable_order
 from repro.validation import summarize
 
 SETTINGS = settings(
@@ -135,6 +135,23 @@ class TestIndexMatchesDerivations:
             assert trace.events_per_ue(event_type) == expected
 
 
+class TestStableOrder:
+    """``stable_order`` (the index's row sort, and the fitter's) is a
+    stable argsort, on both sides of its int64 overflow guard."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=0, max_value=40), data=st.data())
+    def test_equals_stable_argsort(self, n, data):
+        guard = np.iinfo(np.int64).max // max(n, 1) - 1
+        key = st.sampled_from(
+            [0, 1, 2, -1, guard - 2, guard - 1, guard, guard + 1]
+        ) | st.integers(min_value=0, max_value=5)
+        keys = np.asarray(
+            data.draw(st.lists(key, min_size=n, max_size=n)), dtype=np.int64
+        )
+        assert np.array_equal(stable_order(keys), np.argsort(keys, kind="stable"))
+
+
 class TestIndexIsReadOnly:
     def test_arrays_reject_writes(self, ground_truth_trace):
         index = ground_truth_trace.ue_index()
@@ -184,17 +201,21 @@ class TestBuiltOnce:
     def test_summarize_sorts_its_cohort_once(self, builds, monkeypatch):
         trace = simulate_ground_truth({DeviceType.PHONE: 12}, 2 * 3600.0, seed=4)
         sorts = []
-        real_argsort = np.argsort
 
-        def counting_argsort(a, *args, **kwargs):
-            sorts.append(len(a))
-            return real_argsort(a, *args, **kwargs)
+        def counting(real):
+            def sort(a, *args, **kwargs):
+                sorts.append(len(a))
+                return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np, "argsort", counting_argsort)
+            return sort
+
+        monkeypatch.setattr(np, "argsort", counting(np.argsort))
+        monkeypatch.setattr(np, "sort", counting(np.sort))
         summarize(trace, DeviceType.PHONE)
         assert len(builds) == 1
-        # The index's sort is the only one over the cohort's rows; the
-        # sojourn group-by sorts the (fewer) complete intervals.
+        # The index's sort (``stable_order``) is the only one over the
+        # cohort's rows; the sojourn group-by sorts the (fewer) complete
+        # intervals.
         assert sorts.count(len(trace)) == 1
 
 
