@@ -3,7 +3,8 @@
 The paper's per-UE generator took 1.46 / 0.68 / 0.55 seconds to
 synthesize a one-hour trace per phone / connected car / tablet on a
 1.9 GHz Xeon core.  This bench measures the same quantity for this
-implementation (whole-population generation divided by UE count) —
+implementation (whole-population generation divided by UE count, the
+median of ``RUNS`` timed runs, printed with their interquartile range) —
 absolute numbers differ with hardware; the shape is that per-UE cost is
 well under a second and phones (the busiest devices) cost the most.
 """
@@ -11,6 +12,8 @@ well under a second and phones (the busiest devices) cost the most.
 import contextlib
 import time
 from functools import partial
+
+import numpy as np
 
 from oracle import generator as oracle_generator
 from repro.generator import TrafficGenerator
@@ -21,6 +24,10 @@ from repro.validation import format_table
 from conftest import write_result
 
 UES_PER_DEVICE = 200
+
+#: Timed runs per (device, engine) cell; a cell prints their median and
+#: interquartile range, so a change smaller than the spread shows as such.
+RUNS = 7
 
 PAPER_TIMES = {"PHONE": "1.46 s", "CONNECTED_CAR": "0.68 s", "TABLET": "0.55 s"}
 
@@ -40,36 +47,50 @@ def test_generator_per_ue_speed(benchmark, method_models, busy_hour):
     trace = benchmark(_generate_phones)
     assert trace.num_ues > 0
 
+    engines = (
+        ("compiled", generator.generate),
+        ("reference", partial(oracle_generator.generate, generator.model_set)),
+    )
     rows = []
     for dt in DeviceType:
-        per_engine = {}
+        per_engine = {engine: [] for engine, _ in engines}
         events = 0
-        for engine, generate in (
-            ("compiled", generator.generate),
-            ("reference", partial(oracle_generator.generate, generator.model_set)),
-        ):
-            start = time.perf_counter()
-            tr = generate(
-                {dt: UES_PER_DEVICE}, start_hour=busy_hour, num_hours=1, seed=3
-            )
-            per_engine[engine] = time.perf_counter() - start
-            events = len(tr)
+        for _ in range(RUNS):
+            for engine, generate in engines:
+                start = time.perf_counter()
+                tr = generate(
+                    {dt: UES_PER_DEVICE}, start_hour=busy_hour, num_hours=1, seed=3
+                )
+                per_engine[engine].append(time.perf_counter() - start)
+                events = len(tr)
         rows.append(
             [
                 dt.name,
-                f"{per_engine['compiled'] / UES_PER_DEVICE * 1e3:.2f} ms",
-                f"{per_engine['reference'] / UES_PER_DEVICE * 1e3:.2f} ms",
+                _median_iqr_ms(per_engine["compiled"]),
+                _median_iqr_ms(per_engine["reference"]),
                 f"{events:,}",
                 PAPER_TIMES[dt.name],
             ]
         )
     text = format_table(
-        ["Device", "per-UE-hour (compiled)", "per-UE-hour (reference)",
-         "events", "per-UE-hour (paper)"],
+        [
+            "Device",
+            f"per-UE-hour (compiled, median of {RUNS})",
+            f"per-UE-hour (reference, median of {RUNS})",
+            "events",
+            "per-UE-hour (paper)",
+        ],
         rows,
         title="Generator speed: one-hour trace synthesis per UE",
     )
     write_result("generator_speed", text)
+
+
+def _median_iqr_ms(seconds):
+    """Median per-UE time of the runs, with their interquartile range."""
+    per_ue_ms = np.asarray(seconds) / UES_PER_DEVICE * 1e3
+    q1, median, q3 = np.percentile(per_ue_ms, [25, 50, 75])
+    return f"{median:.3f} ms (IQR {q3 - q1:.3f})"
 
 
 class _NullTelemetry(RunTelemetry):

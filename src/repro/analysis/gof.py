@@ -17,9 +17,10 @@ everywhere, which is the motivation for the empirical-CDF model.
 Each (device, hour) is replayed with the fitter's array replay and
 clustered by the fitter's own clustering code
 (:func:`repro.model.compiled_fit._cluster_device_hour`), so the study's
-clusters are the fitted model's by construction.  Samples are pooled
-per cluster with stable group-bys, in the per-segment
-``(ue, slot, time)`` order.
+clusters are the fitted model's by construction.  That gives one
+cluster code per UE; indexing it with each event's UE gives each
+sample its cluster, and samples are pooled per cluster with stable
+group-bys, in the per-segment ``(ue, slot, time)`` order.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def gof_study(
         if len(events) == 0:
             continue
         src, tgt, forced = _replay_codes(events, first, table)
-        clustering = _cluster_device_hour(
+        cluster_of = _cluster_device_hour(
             dev,
             table,
             clustered=clustered,
@@ -220,9 +221,6 @@ def gof_study(
             src=src,
             tgt=tgt,
         )
-        cluster_of = np.asarray(
-            [clustering.assignment[ue] for ue in dev.ues.tolist()], dtype=np.int64
-        )
         cid = cluster_of[ue_code]
         if quantities == "events_and_states":
             samples = _event_and_state_samples(
@@ -234,14 +232,12 @@ def gof_study(
             (quantity, dict(zip(*_group_arrays(keys, values))))
             for quantity, keys, values in samples
         ]
-        active = np.bincount(cid, minlength=len(clustering.clusters)) > 0
         empty = np.empty(0, dtype=np.float64)
 
-        for cluster in clustering.clusters:
-            if not active[cluster.cluster_id]:
-                continue
+        # Clusters with events this hour, in code order.
+        for cluster in np.unique(cid).tolist():
             for quantity, groups in by_cluster:
-                values = groups.get(cluster.cluster_id, empty)
+                values = groups.get(cluster, empty)
                 if len(values) < min_samples:
                     continue
                 combos[quantity] = combos.get(quantity, 0) + 1

@@ -125,6 +125,8 @@ def _device_counts(args: argparse.Namespace):
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if not args.hours > 0:
+        raise ValueError(f"--hours must be positive, got {args.hours:g}")
     tele = RunTelemetry(
         {
             "command": "simulate",
@@ -603,10 +605,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse ``argv`` (default: ``sys.argv[1:]``) and run the command."""
+    """Parse ``argv`` (default: ``sys.argv[1:]``) and run the command.
+
+    A ``ValueError`` from the command (a bad argument value, such as
+    ``--ho-scale 0``) is reported as a usage error: ``repro: error:
+    <message>`` on stderr and exit status 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -9,7 +9,10 @@ type (``SRV_REQ`` and ``S1_CONN_REL``, 84.1%-93.0% of all events):
 
 giving a 4-dimensional feature vector per UE.  The fitter computes
 these per (device type, hour) from its array replay, pooled over the
-hour's slots (:func:`repro.model.compiled_fit._cluster_device_hour`).
+hour's slots, as one ``(n, 4)`` matrix whose rows follow the device's
+sorted UE ids and whose columns follow :data:`FEATURE_NAMES` (counts
+are per slot the UE was seen in); see
+:func:`repro.model.compiled_fit._cluster_device_hour`.
 """
 
 from __future__ import annotations

@@ -8,14 +8,16 @@ feature dimensions this is literally a quadtree; the implementation
 generalizes to ``d`` dimensions by splitting into up to ``2^d``
 children (the paper's 4-feature space yields a 16-way split).
 
-The paper's thresholds — ``theta_f = 5`` for every feature and
+The input is one feature row per UE and the output one cluster code per
+row: the fitter keeps both in its device's sorted-UE order
+(``DeviceArrays.ues``), so no UE-keyed dict or per-cluster object is
+built.  The paper's thresholds — ``theta_f = 5`` for every feature and
 ``theta_n = 1000`` — are the defaults.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -23,132 +25,70 @@ DEFAULT_THETA_F = 5.0
 DEFAULT_THETA_N = 1000
 
 
-@dataclasses.dataclass(frozen=True)
-class Cluster:
-    """One final (unsplit) cell of the adaptive partition."""
-
-    cluster_id: int
-    ue_ids: Tuple[int, ...]
-    lower: np.ndarray  #: inclusive lower corner of the cell
-    upper: np.ndarray  #: inclusive upper corner of the cell
-
-    @property
-    def size(self) -> int:
-        return len(self.ue_ids)
-
-
-@dataclasses.dataclass(frozen=True)
-class ClusteringResult:
-    """The full partition plus the UE -> cluster index."""
-
-    clusters: Tuple[Cluster, ...]
-    assignment: Dict[int, int]  #: ue_id -> cluster_id
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.clusters)
-
-    def cluster_of(self, ue_id: int) -> Cluster:
-        return self.clusters[self.assignment[ue_id]]
-
-    def weights(self) -> np.ndarray:
-        """Fraction of UEs in each cluster (sums to 1)."""
-        total = sum(c.size for c in self.clusters)
-        return np.asarray([c.size / total for c in self.clusters])
-
-
 def adaptive_cluster(
-    features: Mapping[int, np.ndarray],
+    features: np.ndarray,
     *,
     theta_f: float = DEFAULT_THETA_F,
     theta_n: int = DEFAULT_THETA_N,
-) -> ClusteringResult:
-    """Partition UEs by the paper's recursive midpoint-split scheme.
+) -> np.ndarray:
+    """Partition the rows of ``features`` by the paper's midpoint splits.
 
     Parameters
     ----------
     features:
-        ``ue_id -> feature vector`` (equal lengths; any dimensionality).
+        ``(n, d)`` float matrix, one row per UE (any ``d``).
     theta_f:
         A cell stops splitting once ``max - min < theta_f`` holds for
         *every* feature within it.
     theta_n:
         A cell with fewer than ``theta_n`` UEs stops splitting.
+
+    Returns
+    -------
+    ``int64`` array of ``n`` cluster codes ``0 .. C-1``, numbered in
+    depth-first order of the final cells (children in ascending child
+    index).  The codes depend only on the rows' values, not their order:
+    permuting the rows permutes the codes the same way.
     """
-    if not features:
-        return ClusteringResult(clusters=(), assignment={})
-    ue_ids = np.asarray(sorted(features), dtype=np.int64)
-    matrix = np.vstack([features[int(ue)] for ue in ue_ids])
+    matrix = np.asarray(features, dtype=np.float64)
     if matrix.ndim != 2:
-        raise ValueError("feature vectors must share one dimensionality")
-    dims = matrix.shape[1]
-    dim_weights = 1 << np.arange(dims)
-
-    clusters: List[Cluster] = []
-    cluster_of_row = np.empty(len(ue_ids), dtype=np.int64)
-
-    def _finalize(rows: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
-        cluster_id = len(clusters)
-        clusters.append(
-            Cluster(
-                cluster_id=cluster_id,
-                ue_ids=tuple(ue_ids[rows].tolist()),
-                lower=lower.copy(),
-                upper=upper.copy(),
-            )
-        )
-        cluster_of_row[rows] = cluster_id
+        raise ValueError("features must be an (n, d) matrix")
+    codes = np.empty(len(matrix), dtype=np.int64)
+    if len(matrix) == 0:
+        return codes
+    dim_weights = 1 << np.arange(matrix.shape[1])
+    num_clusters = 0
 
     # Depth-first traversal with an explicit stack: no recursion limit,
     # so arbitrarily fine partitions (tiny theta_f on huge populations)
     # cannot hit RecursionError.  Children are pushed in reverse child
-    # order so pops visit them ascending — cluster ids come out in the
+    # order so pops visit them ascending — cluster codes come out in the
     # same order the recursive formulation produced.
     stack: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-        (np.arange(len(ue_ids)), matrix.min(axis=0), matrix.max(axis=0))
+        (np.arange(len(matrix)), matrix.min(axis=0), matrix.max(axis=0))
     ]
     while stack:
         rows, lower, upper = stack.pop()
         cell = matrix[rows]
         spread = cell.max(axis=0) - cell.min(axis=0)
-        if len(rows) < theta_n or bool(np.all(spread < theta_f)):
-            _finalize(rows, lower, upper)
-            continue
-        mid = (lower + upper) / 2.0
-        # Child index: one bit per dimension (above / below the midpoint).
-        bits = (cell >= mid).astype(np.int64)
-        child_index = bits @ dim_weights
-        children = np.unique(child_index)
-        if len(children) == 1:
-            # Every UE falls in one child: midpoint splitting cannot
-            # separate them further (degenerate cell); stop here.
-            _finalize(rows, lower, upper)
-            continue
-        for child in reversed(children):
-            child_rows = rows[child_index == child]
-            child_bits = (int(child) >> np.arange(dims)) & 1
-            child_lower = np.where(child_bits == 1, mid, lower)
-            child_upper = np.where(child_bits == 1, upper, mid)
-            stack.append((child_rows, child_lower, child_upper))
-
-    assignment: Dict[int, int] = dict(
-        zip(ue_ids.tolist(), cluster_of_row.tolist())
-    )
-    return ClusteringResult(clusters=tuple(clusters), assignment=assignment)
-
-
-def single_cluster(ue_ids: Sequence[int], num_features: int) -> ClusteringResult:
-    """A degenerate partition placing every UE in one cluster.
-
-    Used by the ``Base`` baseline, which skips clustering (Table 3).
-    """
-    members = tuple(int(ue) for ue in sorted(ue_ids))
-    cluster = Cluster(
-        cluster_id=0,
-        ue_ids=members,
-        lower=np.zeros(num_features),
-        upper=np.zeros(num_features),
-    )
-    return ClusteringResult(
-        clusters=(cluster,), assignment={ue: 0 for ue in members}
-    )
+        if len(rows) >= theta_n and not np.all(spread < theta_f):
+            mid = (lower + upper) / 2.0
+            # Child index: one bit per dimension (above / below the midpoint).
+            child_index = (cell >= mid).astype(np.int64) @ dim_weights
+            children = np.unique(child_index)
+            # One child means midpoint splitting cannot separate the
+            # rows further (degenerate cell): it stays a cluster.
+            if len(children) > 1:
+                for child in reversed(children):
+                    above = (int(child) & dim_weights) != 0
+                    stack.append(
+                        (
+                            rows[child_index == child],
+                            np.where(above, mid, lower),
+                            np.where(above, upper, mid),
+                        )
+                    )
+                continue
+        codes[rows] = num_clusters
+        num_clusters += 1
+    return codes

@@ -11,6 +11,10 @@ flat arrays through each state machine's integer lookup tables
 * state reconstruction runs as a segmented Hillis–Steele scan over
   per-event *state-transformation* rows, so the whole cohort's state
   trajectory falls out in ``O(log n)`` vectorized passes;
+* the §5.3 clustering features are one ``(n, 4)`` matrix in the
+  device's sorted-UE order, and
+  :func:`~repro.clustering.adaptive_cluster` returns one cluster code
+  per UE, which the per-event arrays index directly;
 * ``p_xy`` counts come from one ``bincount`` over
   ``(cluster, source, event)`` keys, sojourn samples from grouped
   diffs, and the first-event / overlay models from boundary masks;
@@ -24,7 +28,8 @@ pipeline kept as a test oracle (``tests/oracle/fit.py``) — same
 transition probabilities, same CDF knots, same cluster assignment —
 because every reduction preserves the reference's sample *order*
 (``np.mean``/``np.std`` are order-dependent in floating point) and
-performs divisions on Python ints exactly as the reference does.
+divides integer counts, which rounds exactly like the reference's
+Python ``int / int``.
 
 Each (device, hour) fit is one :func:`fit_job` of
 :func:`repro.jobs.run_jobs`, which runs the jobs inline or fans them
@@ -34,12 +39,11 @@ across worker processes that memory-map the training trace.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..clustering.features import NUM_FEATURES
-from ..clustering.quadtree import ClusteringResult, adaptive_cluster, single_cluster
+from ..clustering.quadtree import adaptive_cluster
 from ..statemachines.compiled_replay import (
     MachineTable,
     _interval_bounds,
@@ -193,7 +197,6 @@ def fit_device_hour(
     """
     tele = get_telemetry()
     num_slots = len(hour_slots)
-    num_ues = len(dev.ues)
     with tele.span("fit-arrays"):
         ue_code, events, t_rel, seg_key, first_raw = dev.hour_rows(hour_slots)
         # Filtered stream: the EMM-ECM machine only replays Category-1.
@@ -213,7 +216,7 @@ def fit_device_hour(
         src, tgt, forced = _replay_codes(f_ev, f_first, table)
 
     with tele.span("fit-cluster"):
-        clustering = _cluster_device_hour(
+        cl_of_ue = _cluster_device_hour(
             dev,
             table,
             clustered=clustered,
@@ -230,13 +233,8 @@ def fit_device_hour(
         )
 
     with tele.span("fit-models"):
-        cl_of_ue = np.fromiter(
-            map(clustering.assignment.__getitem__, dev.ues.tolist()),
-            dtype=np.int64,
-            count=num_ues,
-        )
-        sizes = np.asarray([c.size for c in clustering.clusters], dtype=np.int64)
-        C = len(sizes)
+        C = int(cl_of_ue.max()) + 1
+        sizes = np.bincount(cl_of_ue, minlength=C)
         S = table.num_states
         E = table.num_events
         cid_f = cl_of_ue[f_ue]
@@ -358,19 +356,24 @@ def _cluster_device_hour(
     f_seg: np.ndarray,
     src: np.ndarray,
     tgt: np.ndarray,
-) -> ClusteringResult:
-    """Cluster one device-hour's UEs on their pooled §5.3 features."""
-    ues_list = [int(u) for u in dev.ues.tolist()]
+) -> np.ndarray:
+    """Cluster codes of one device-hour's UEs, in ``dev.ues`` order.
+
+    The §5.3 features are pooled over the hour's slots: SRV_REQ and
+    S1_CONN_REL counts per slot the UE was seen in, and the standard
+    deviations of its CONNECTED and IDLE sojourns.  Unclustered fits
+    put every UE in cluster 0.
+    """
+    num_ues = len(dev.ues)
     if not clustered:
-        return single_cluster(ues_list, NUM_FEATURES)
-    num_ues = len(ues_list)
+        return np.zeros(num_ues, dtype=np.int64)
     srv = np.bincount(
         ue_code[events == int(EventType.SRV_REQ)], minlength=num_ues
     )
     rel = np.bincount(
         ue_code[events == int(EventType.S1_CONN_REL)], minlength=num_ues
     )
-    slots_seen = np.bincount(ue_code[first_raw], minlength=num_ues)
+    slots = np.maximum(np.bincount(ue_code[first_raw], minlength=num_ues), 1)
 
     open_b, close_b = _interval_bounds(table, src, tgt, f_seg)
     durations = f_t[close_b] - f_t[open_b]
@@ -381,18 +384,7 @@ def _cluster_device_hour(
     std_conn = _group_std(interval_ue[conn], durations[conn], num_ues)
     std_idle = _group_std(interval_ue[idle], durations[idle], num_ues)
 
-    features: Dict[int, np.ndarray] = {}
-    for i, ue in enumerate(ues_list):
-        slots = max(1, int(slots_seen[i]))
-        features[ue] = np.asarray(
-            [
-                int(srv[i]) / slots,
-                int(rel[i]) / slots,
-                std_conn[i],
-                std_idle[i],
-            ],
-            dtype=np.float64,
-        )
+    features = np.column_stack([srv / slots, rel / slots, std_conn, std_idle])
     return adaptive_cluster(features, theta_f=theta_f, theta_n=theta_n)
 
 

@@ -22,14 +22,8 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.clustering import DEFAULT_THETA_F, DEFAULT_THETA_N
 from repro.clustering.features import NUM_FEATURES
-from repro.clustering.quadtree import (
-    DEFAULT_THETA_F,
-    DEFAULT_THETA_N,
-    ClusteringResult,
-    adaptive_cluster,
-    single_cluster,
-)
 from repro.distributions.base import FitError
 from repro.distributions.empirical import EmpiricalCDF
 from repro.distributions.exponential import Exponential
@@ -39,6 +33,7 @@ from repro.statemachines.fsm import StateMachine
 from repro.trace.events import SECONDS_PER_HOUR, DeviceType, EventType
 from repro.trace.trace import Trace
 
+from .clustering import ClusteringResult, adaptive_cluster, single_cluster
 from .objects import (
     ClusterModel,
     Edge,

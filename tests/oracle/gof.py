@@ -15,17 +15,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.gof import EMM_ECM_STATES, MIN_SAMPLES, TESTS, GofResult, _run_tests
-from repro.clustering.quadtree import (
-    DEFAULT_THETA_F,
-    DEFAULT_THETA_N,
-    adaptive_cluster,
-    single_cluster,
-)
+from repro.clustering import DEFAULT_THETA_F, DEFAULT_THETA_N
 from repro.statemachines import lte
 from repro.statemachines.lte import SECOND_LEVEL_TRANSITIONS, two_level_machine
 from repro.trace.events import DeviceType, EventType
 from repro.trace.trace import Trace
 
+from .clustering import adaptive_cluster, single_cluster
 from .fit import (
     _build_segments,
     _hour_features,

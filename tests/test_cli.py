@@ -362,6 +362,38 @@ class TestExtendedCommands:
         assert "winner" in out
 
 
+class TestBadValues:
+    """A bad argument value is a usage error (exit status 2, the message
+    on stderr), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["scale5g", "--model", "{model}", "--mode", "sa",
+              "--ho-scale", "0", "--out", "{out}"],
+             "ho_scale must be finite and positive, got 0.0"),
+            (["generate", "--model", "{model}", "--ues", "10",
+              "--hours", "0", "--out", "{out}"],
+             "num_hours must be positive, got 0"),
+            (["simulate", "--ues", "10", "--hours", "-1", "--out", "{out}"],
+             "--hours must be positive, got -1"),
+        ],
+        ids=["scale5g-ho-scale-0", "generate-hours-0", "simulate-hours-minus-1"],
+    )
+    def test_usage_error(self, workspace, capsys, argv, message):
+        out = workspace / "out.npz"
+        argv = [
+            a.format(model=workspace / "model.json.gz", out=out) for a in argv
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestFitFlags:
     def _fit_args(self, workspace, out, extra):
         return [

@@ -9,12 +9,12 @@ from repro.clustering import (
     FEATURE_NAMES,
     NUM_FEATURES,
     adaptive_cluster,
-    single_cluster,
 )
 from repro.statemachines import two_level_machine
 from repro.trace import DeviceType, EventType
 
 from conftest import make_trace
+from oracle import clustering as oracle_clustering
 from oracle import fit as oracle_fit
 
 E = EventType
@@ -83,81 +83,97 @@ class TestFeatures:
         assert all(v.shape == (4,) for v in feats.values())
 
 
+def _matrix(features):
+    """Feature dict -> (sorted UE ids, rows in that order)."""
+    ues = sorted(features)
+    return ues, np.vstack([features[ue] for ue in ues])
+
+
 class TestAdaptiveCluster:
     def test_defaults_match_paper(self):
         assert DEFAULT_THETA_F == 5.0
         assert DEFAULT_THETA_N == 1000
 
     def test_empty_input(self):
-        result = adaptive_cluster({})
-        assert result.num_clusters == 0
+        codes = adaptive_cluster(np.empty((0, 4)))
+        assert codes.dtype == np.int64
+        assert codes.shape == (0,)
+
+    def test_rejects_a_vector(self):
+        with pytest.raises(ValueError, match=r"\(n, d\) matrix"):
+            adaptive_cluster(np.zeros(4))
 
     def test_partition_is_exact(self, rng):
-        features = {i: rng.uniform(0, 50, 4) for i in range(300)}
-        result = adaptive_cluster(features, theta_n=20)
-        covered = sorted(
-            ue for c in result.clusters for ue in c.ue_ids
-        )
-        assert covered == sorted(features)
-        # Every UE is assigned to exactly one cluster.
-        assert set(result.assignment) == set(features)
+        matrix = rng.uniform(0, 50, (300, 4))
+        codes = adaptive_cluster(matrix, theta_n=20)
+        assert codes.dtype == np.int64
+        assert codes.shape == (300,)
+        # Codes are 0 .. C-1 and every one of them is used.
+        assert codes.min() == 0
+        assert np.all(np.bincount(codes) > 0)
 
     def test_similar_ues_stay_together(self, rng):
-        features = {i: np.full(4, 10.0) + rng.uniform(0, 1, 4) for i in range(100)}
-        result = adaptive_cluster(features, theta_f=5.0, theta_n=10)
-        assert result.num_clusters == 1
+        matrix = np.full((100, 4), 10.0) + rng.uniform(0, 1, (100, 4))
+        codes = adaptive_cluster(matrix, theta_f=5.0, theta_n=10)
+        assert np.all(codes == 0)
 
     def test_dissimilar_ues_split(self, rng):
-        features = {}
-        for i in range(50):
-            features[i] = rng.uniform(0, 1, 4)
-        for i in range(50, 100):
-            features[i] = rng.uniform(100, 101, 4)
-        result = adaptive_cluster(features, theta_f=5.0, theta_n=5)
-        assert result.num_clusters >= 2
+        matrix = np.vstack(
+            [rng.uniform(0, 1, (50, 4)), rng.uniform(100, 101, (50, 4))]
+        )
+        codes = adaptive_cluster(matrix, theta_f=5.0, theta_n=5)
+        assert codes.max() >= 1
         # The two groups never share a cluster.
-        low = {result.assignment[i] for i in range(50)}
-        high = {result.assignment[i] for i in range(50, 100)}
-        assert low.isdisjoint(high)
+        assert set(codes[:50].tolist()).isdisjoint(codes[50:].tolist())
 
     def test_small_cluster_not_split(self, rng):
-        features = {i: rng.uniform(0, 1000, 4) for i in range(30)}
-        result = adaptive_cluster(features, theta_n=1000)
-        assert result.num_clusters == 1
+        codes = adaptive_cluster(rng.uniform(0, 1000, (30, 4)), theta_n=1000)
+        assert np.all(codes == 0)
 
     def test_theta_f_controls_granularity(self, rng):
-        features = {i: rng.uniform(0, 100, 4) for i in range(400)}
-        coarse = adaptive_cluster(features, theta_f=200.0, theta_n=10)
-        fine = adaptive_cluster(features, theta_f=2.0, theta_n=10)
-        assert fine.num_clusters > coarse.num_clusters
+        matrix = rng.uniform(0, 100, (400, 4))
+        coarse = adaptive_cluster(matrix, theta_f=200.0, theta_n=10)
+        fine = adaptive_cluster(matrix, theta_f=2.0, theta_n=10)
+        assert fine.max() > coarse.max()
 
     def test_weights_sum_to_one(self, rng):
+        """Cluster weights are the code counts over the population, the
+        object oracle's ``weights()``."""
         features = {i: rng.uniform(0, 100, 4) for i in range(200)}
-        result = adaptive_cluster(features, theta_n=20)
-        assert result.weights().sum() == pytest.approx(1.0)
+        _, matrix = _matrix(features)
+        weights = np.bincount(adaptive_cluster(matrix, theta_n=20)) / len(matrix)
+        assert weights.sum() == pytest.approx(1.0)
+        expected = oracle_clustering.adaptive_cluster(features, theta_n=20)
+        assert np.array_equal(weights, expected.weights())
 
     def test_cluster_of(self, rng):
         features = {i: rng.uniform(0, 100, 4) for i in range(100)}
-        result = adaptive_cluster(features, theta_n=10)
-        for ue in features:
-            cluster = result.cluster_of(ue)
+        ues, matrix = _matrix(features)
+        codes = adaptive_cluster(matrix, theta_n=10)
+        expected = oracle_clustering.adaptive_cluster(features, theta_n=10)
+        for ue, code in zip(ues, codes.tolist()):
+            cluster = expected.cluster_of(ue)
+            assert cluster.cluster_id == code
             assert ue in cluster.ue_ids
 
     def test_identical_points_terminate(self):
-        features = {i: np.full(4, 7.0) for i in range(100)}
-        result = adaptive_cluster(features, theta_f=0.0, theta_n=1)
-        assert result.num_clusters == 1
+        codes = adaptive_cluster(np.full((100, 4), 7.0), theta_f=0.0, theta_n=1)
+        assert np.all(codes == 0)
 
     def test_two_dimensional_quadtree(self, rng):
         """With 2 features the scheme is literally a quadtree."""
-        features = {i: rng.uniform(0, 100, 2) for i in range(500)}
-        result = adaptive_cluster(features, theta_f=10.0, theta_n=5)
-        assert result.num_clusters > 4
+        codes = adaptive_cluster(rng.uniform(0, 100, (500, 2)), theta_f=10.0, theta_n=5)
+        assert codes.max() + 1 > 4
 
     def test_cluster_bounds_contain_members(self, rng):
+        """The object oracle's cells hold their members, and its
+        partition is the codes'."""
         features = {i: rng.uniform(0, 100, 4) for i in range(300)}
-        result = adaptive_cluster(features, theta_n=20)
+        ues, matrix = _matrix(features)
+        result = oracle_clustering.adaptive_cluster(features, theta_n=20)
+        codes = adaptive_cluster(matrix, theta_n=20)
         for cluster in result.clusters:
+            assert cluster.ue_ids == tuple(np.asarray(ues)[codes == cluster.cluster_id])
             for ue in cluster.ue_ids:
                 f = features[ue]
                 assert np.all(f >= cluster.lower - 1e-9)
@@ -166,7 +182,7 @@ class TestAdaptiveCluster:
 
 class TestSingleCluster:
     def test_one_cluster_everything(self):
-        result = single_cluster([3, 1, 2], 4)
+        result = oracle_clustering.single_cluster([3, 1, 2], 4)
         assert result.num_clusters == 1
         assert result.clusters[0].ue_ids == (1, 2, 3)
         assert result.assignment == {1: 0, 2: 0, 3: 0}
@@ -221,32 +237,34 @@ class TestIterativeQuadtree:
         for _ in range(5):
             features = {ue: rng.uniform(0.0, 50.0, size=4) for ue in range(200)}
             ref_clusters, ref_assignment = _recursive_reference(features, 5.0, 10)
-            result = adaptive_cluster(features, theta_f=5.0, theta_n=10)
-            assert [c.ue_ids for c in result.clusters] == ref_clusters
-            assert result.assignment == ref_assignment
+            ues, matrix = _matrix(features)
+            codes = adaptive_cluster(matrix, theta_f=5.0, theta_n=10)
+            assert codes.tolist() == [ref_assignment[ue] for ue in ues]
+            assert [
+                tuple(np.asarray(ues)[codes == c].tolist())
+                for c in range(len(ref_clusters))
+            ] == ref_clusters
 
     def test_deep_split_has_no_recursion_limit(self):
         # A geometric ladder of points peels off exactly one UE per
         # midpoint split, driving the tree ~1070 levels deep - far
         # beyond Python's default recursion limit.
-        features = {k: np.array([2.0 ** -k]) for k in range(1070)}
-        features[1070] = np.array([0.0])
-        result = adaptive_cluster(features, theta_f=0.0, theta_n=1)
-        assert result.num_clusters == len(features)
-        assert all(cluster.size == 1 for cluster in result.clusters)
+        matrix = np.append(2.0 ** -np.arange(1070.0), 0.0)[:, None]
+        codes = adaptive_cluster(matrix, theta_f=0.0, theta_n=1)
+        assert sorted(codes.tolist()) == list(range(len(matrix)))
 
     @pytest.mark.slow
     def test_million_row_regression(self):
         rng = np.random.default_rng(7)
         n = 1_000_000
         matrix = rng.uniform(0.0, 100.0, size=(n, 2))
-        features = {ue: matrix[ue] for ue in range(n)}
-        result = adaptive_cluster(features, theta_f=10.0, theta_n=5000)
-        assert sum(c.size for c in result.clusters) == n
-        assert set(result.assignment) == set(range(n))
-        for cluster in result.clusters:
-            rows = np.asarray(cluster.ue_ids)
-            assert result.cluster_of(int(rows[0])) is cluster
-            cell = matrix[rows]
-            spread = cell.max(axis=0) - cell.min(axis=0)
-            assert cluster.size < 5000 or bool(np.all(spread < 10.0))
+        codes = adaptive_cluster(matrix, theta_f=10.0, theta_n=5000)
+        assert codes.shape == (n,)
+        sizes = np.bincount(codes)
+        assert np.all(sizes > 0)
+        # Per-cluster spread from one sort by code.
+        order = np.argsort(codes, kind="stable")
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        cells = matrix[order]
+        spread = np.maximum.reduceat(cells, starts) - np.minimum.reduceat(cells, starts)
+        assert np.all((sizes < 5000) | np.all(spread < 10.0, axis=1))

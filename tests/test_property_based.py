@@ -19,6 +19,7 @@ from repro.statemachines import replay_trace, two_level_machine
 from repro.trace import DeviceType, EventType, Trace
 
 from conftest import TRACE_START_HOUR
+from oracle import clustering as oracle_clustering
 
 SETTINGS = settings(
     max_examples=50, suppress_health_check=[HealthCheck.too_slow], deadline=None
@@ -129,26 +130,40 @@ cluster_features = st.dictionaries(
 cluster_theta_n = st.integers(min_value=1, max_value=50)
 
 
+def _sorted_matrix(raw):
+    """Feature dict -> (sorted UE ids, rows in that order)."""
+    ues = sorted(raw)
+    return ues, np.asarray([raw[ue] for ue in ues], dtype=np.float64)
+
+
 class TestClusteringInvariants:
     @SETTINGS
     @given(cluster_features, cluster_theta_n)
     def test_partition_properties(self, raw, theta_n):
+        _, matrix = _sorted_matrix(raw)
+        codes = adaptive_cluster(matrix, theta_n=theta_n)
+        # Exact partition: one code per row, codes 0 .. C-1, none unused.
+        assert codes.dtype == np.int64
+        assert codes.shape == (len(raw),)
+        assert codes.min() == 0
+        assert np.all(np.bincount(codes) > 0)
+
+    @SETTINGS
+    @given(cluster_features, cluster_theta_n)
+    def test_matches_object_oracle(self, raw, theta_n):
+        """The codes are the object oracle's ``assignment``, taken in
+        sorted-UE order."""
+        ues, matrix = _sorted_matrix(raw)
         features = {ue: np.asarray(v) for ue, v in raw.items()}
-        result = adaptive_cluster(features, theta_n=theta_n)
-        # Exact partition: disjoint clusters that cover every UE.
-        members = [ue for c in result.clusters for ue in c.ue_ids]
-        assert sorted(members) == sorted(features)
-        assert len(members) == len(set(members))
-        # Assignment is consistent.
-        for cluster in result.clusters:
-            for ue in cluster.ue_ids:
-                assert result.assignment[ue] == cluster.cluster_id
+        expected = oracle_clustering.adaptive_cluster(features, theta_n=theta_n)
+        codes = adaptive_cluster(matrix, theta_n=theta_n)
+        assert codes.tolist() == [expected.assignment[ue] for ue in ues]
 
     @SETTINGS
     @given(cluster_features, cluster_theta_n)
     def test_members_lie_in_cell_bounds(self, raw, theta_n):
         features = {ue: np.asarray(v) for ue, v in raw.items()}
-        result = adaptive_cluster(features, theta_n=theta_n)
+        result = oracle_clustering.adaptive_cluster(features, theta_n=theta_n)
         for cluster in result.clusters:
             points = np.vstack([features[ue] for ue in cluster.ue_ids])
             assert np.all(points >= cluster.lower - 1e-9)
@@ -162,7 +177,7 @@ class TestClusteringInvariants:
         below ``theta_f``) or when a midpoint split cannot separate its
         members (degenerate cell)."""
         features = {ue: np.asarray(v) for ue, v in raw.items()}
-        result = adaptive_cluster(features, theta_n=theta_n)
+        result = oracle_clustering.adaptive_cluster(features, theta_n=theta_n)
         for cluster in result.clusters:
             if cluster.size < theta_n:
                 continue
@@ -182,20 +197,14 @@ class TestClusteringInvariants:
     @SETTINGS
     @given(cluster_features, cluster_theta_n, st.randoms())
     def test_permutation_invariance(self, raw, theta_n, rnd):
-        """The partition is a function of the feature *set*: feeding the
-        UEs in any order yields identical clusters and assignment."""
-        features = {ue: np.asarray(v) for ue, v in raw.items()}
-        items = list(features.items())
-        rnd.shuffle(items)
-        baseline = adaptive_cluster(features, theta_n=theta_n)
-        shuffled = adaptive_cluster(dict(items), theta_n=theta_n)
-        assert baseline.assignment == shuffled.assignment
-        assert [c.ue_ids for c in baseline.clusters] == [
-            c.ue_ids for c in shuffled.clusters
-        ]
-        for a, b in zip(baseline.clusters, shuffled.clusters):
-            assert np.array_equal(a.lower, b.lower)
-            assert np.array_equal(a.upper, b.upper)
+        """The codes are a function of each row's values: permuting the
+        rows permutes the codes the same way."""
+        _, matrix = _sorted_matrix(raw)
+        perm = list(range(len(matrix)))
+        rnd.shuffle(perm)
+        baseline = adaptive_cluster(matrix, theta_n=theta_n)
+        shuffled = adaptive_cluster(matrix[perm], theta_n=theta_n)
+        assert np.array_equal(shuffled, baseline[perm])
 
 
 valid_event_walks = st.lists(

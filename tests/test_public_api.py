@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import inspect
 
+import numpy as np
 import pytest
 
 import repro
@@ -195,6 +196,22 @@ class TestExportIntegrity:
         for attr in ("from_clusters", "clusters", "cluster_for_ue"):
             assert not hasattr(HourModel, attr)
         assert "__getstate__" not in vars(ModelSet)
+
+    def test_clustering_is_one_code_array(self):
+        """``adaptive_cluster`` maps a feature matrix to one cluster code
+        per row; the cluster objects and the single-cluster helper (now
+        ``tests/oracle/clustering.py``) are gone."""
+        from repro.clustering import adaptive_cluster
+
+        for name in ("repro.clustering", "repro.clustering.quadtree"):
+            module = importlib.import_module(name)
+            for old in ("Cluster", "ClusteringResult", "single_cluster"):
+                assert not hasattr(module, old), f"{name}.{old}"
+                assert old not in getattr(module, "__all__", ())
+        params = inspect.signature(adaptive_cluster).parameters
+        assert list(params) == ["features", "theta_f", "theta_n"]
+        codes = adaptive_cluster(np.zeros((3, 4)))
+        assert codes.dtype == np.int64 and codes.tolist() == [0, 0, 0]
 
     def test_one_summary_per_trace(self):
         """Tables 4/5 compare two ``DeviceSummary`` objects: the pairwise

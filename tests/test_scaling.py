@@ -119,15 +119,17 @@ class TestHoScaleChecked:
 
     @pytest.mark.parametrize("mode", ["nsa", "sa"])
     @pytest.mark.parametrize("ho_scale", ["0", "-1", "nan", "inf"])
-    def test_cli_rejects(self, tmp_path, mode, ho_scale):
+    def test_cli_rejects(self, tmp_path, capsys, mode, ho_scale):
         from repro.cli.main import main
 
         model = tmp_path / "model.json"
         model_with_ho().save(model)
         out = tmp_path / "scaled.json"
-        with pytest.raises(ValueError, match="ho_scale"):
+        with pytest.raises(SystemExit) as excinfo:
             main(["scale5g", "--model", str(model), "--mode", mode,
                   f"--ho-scale={ho_scale}", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "repro: error: ho_scale must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
