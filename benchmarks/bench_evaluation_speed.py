@@ -9,7 +9,8 @@ mirroring ``BENCH_fitting.json``.  Models are pre-fitted once (outside
 the clock) and passed in, so the timings isolate generation plus the
 Table-4/5 metric computation — whole-cohort array replays versus the
 per-event reference walk.  Also measured: the per-trace summary jobs
-fanned across all CPUs.  The timed engine runs report to the
+fanned across all CPUs.  Each cell is the median of ``RUNS`` timed
+runs, printed with their interquartile range.  The timed engine runs report to the
 bench's ambient telemetry collector, so ``evaluation_speed.telemetry.json``
 carries their ``evaluate`` and ``eval-*`` spans.
 
@@ -24,6 +25,8 @@ import json
 import os
 import time
 from functools import partial
+
+import numpy as np
 
 from oracle import replay as oracle_replay
 from repro.baselines import fit_method
@@ -44,7 +47,9 @@ POPULATIONS = tuple(
 #: event volume, so the bench evaluates the evening peak.
 BENCH_START_HOUR = 19
 
-REPEATS = 2
+#: Timed runs per cell; a cell prints their median and interquartile
+#: range, so a change smaller than the spread shows as such.
+RUNS = 7
 
 METHODS = ("base", "ours")
 
@@ -52,6 +57,26 @@ METHODS = ("base", "ours")
 ASSERT_FLOOR = 20_000
 
 SPEEDUP_FLOOR = 5.0
+
+
+def _median_iqr(seconds):
+    """``(median, interquartile range)`` of the runs, in seconds."""
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return float(median), float(q3 - q1)
+
+
+def _cell(timing):
+    return f"{timing['seconds']:.2f} s (IQR {timing['iqr']:.2f})"
+
+
+def _timed_runs(evaluate, *args, **kwargs):
+    """``RUNS`` timed runs: the timing summary and the last report."""
+    runs = []
+    for _ in range(RUNS):
+        once, report = evaluate(*args, **kwargs)
+        runs.append(once)
+    median, iqr = _median_iqr(runs)
+    return {"seconds": median, "iqr": iqr, "runs": runs}, report
 
 
 def _timed_eval(train, real, models, **kwargs):
@@ -143,12 +168,9 @@ def test_evaluation_engine_speed(monkeypatch):
         per_engine = {}
         reports = {}
         for engine, evaluate in evaluators.items():
-            elapsed = float("inf")
-            for _ in range(REPEATS):
-                once, report = evaluate(train, real, models)
-                elapsed = min(elapsed, once)
-            per_engine[engine] = {"seconds": elapsed}
-            reports[engine] = report
+            per_engine[engine], reports[engine] = _timed_runs(
+                evaluate, train, real, models
+            )
         # The exact-equality guarantee, re-checked where it matters most.
         assert (
             reports["compiled"].to_dict() == reports["reference"].to_dict()
@@ -158,7 +180,9 @@ def test_evaluation_engine_speed(monkeypatch):
             / per_engine["compiled"]["seconds"]
         )
 
-        par_elapsed, par_report = _timed_eval(train, real, models, processes=0)
+        parallel, par_report = _timed_runs(
+            _timed_eval, train, real, models, processes=0
+        )
         assert (
             par_report.to_dict() == reports["compiled"].to_dict()
         ), f"parallel metrics diverged at {num_ues} UEs"
@@ -171,7 +195,7 @@ def test_evaluation_engine_speed(monkeypatch):
                 "compiled": per_engine["compiled"],
                 "speedup": speedup,
                 "compiled_parallel": {
-                    "seconds": par_elapsed,
+                    **parallel,
                     "processes": os.cpu_count(),
                 },
             }
@@ -179,10 +203,10 @@ def test_evaluation_engine_speed(monkeypatch):
         rows.append(
             [
                 f"{num_ues}",
-                f"{per_engine['reference']['seconds']:.2f} s",
-                f"{per_engine['compiled']['seconds']:.2f} s",
+                _cell(per_engine["reference"]),
+                _cell(per_engine["compiled"]),
                 f"{speedup:.1f}x",
-                f"{par_elapsed:.2f} s",
+                _cell(parallel),
             ]
         )
 
@@ -197,7 +221,13 @@ def test_evaluation_engine_speed(monkeypatch):
     json_path.write_text(json.dumps(results, indent=2) + "\n")
 
     text = format_table(
-        ["phone UEs", "reference", "compiled", "speedup", "parallel"],
+        [
+            "phone UEs",
+            f"reference (median of {RUNS})",
+            f"compiled (median of {RUNS})",
+            "speedup (medians)",
+            f"parallel (median of {RUNS})",
+        ],
         rows,
         title="Evaluation speed: 1-hour phone validation, engine vs reference",
     )

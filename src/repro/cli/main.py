@@ -87,9 +87,9 @@ _MACHINES = {
 }
 
 
-def _load_trace(path: str, *, mmap: bool = False) -> Trace:
+def _load_trace(path: str) -> Trace:
     if path.endswith(".npz"):
-        return read_npz(path, mmap=mmap)
+        return read_npz(path)
     if path.endswith(".csv"):
         return read_csv(path)
     raise SystemExit(f"unsupported trace extension: {path} (use .npz or .csv)")
@@ -166,10 +166,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     )
     if args.progress:
         tele.on_progress(_print_progress)
-    # Memory-map uncompressed NPZ traces so multi-GB training data is
-    # not materialized twice (loader copy + Trace columns).
     with tele.span("trace-load"):
-        trace = _load_trace(args.trace, mmap=True)
+        trace = _load_trace(args.trace)
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     model = fit_method(
         args.method,
@@ -272,8 +270,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.progress:
         tele.on_progress(_print_progress)
     with tele.span("trace-load"):
-        train = _load_trace(args.train, mmap=True)
-        real = _load_trace(args.real, mmap=True)
+        train = _load_trace(args.train)
+        real = _load_trace(args.real)
     cache_dir = None if args.no_cache else (args.cache_dir or default_cache_dir())
     report = evaluate_methods(
         train,

@@ -28,19 +28,17 @@ from __future__ import annotations
 
 import os
 from numbers import Integral
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..jobs import Job, check_processes, run_jobs
 from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
-from ..trace.events import DeviceType
+from ..trace.events import DeviceCounts, DeviceType, check_counts
 from ..trace.trace import Trace
 from .checkpoint import CheckpointError, open_run
 from .compiled import CompiledPopulation, check_model_set, generate_columns
-
-DeviceCounts = Union[int, Mapping[DeviceType, int]]
 
 #: Seeds parameterize ``SeedSequence`` entropy and the Philox root key;
 #: both are specified for unsigned 64-bit words.
@@ -165,24 +163,17 @@ class TrafficGenerator:
     def resolve_counts(self, num_ues: DeviceCounts) -> Dict[DeviceType, int]:
         """Split a total UE count by the training trace's device mix.
 
-        This is where every entry point checks its population: a
-        negative count, or a device type the model set has no fitted
-        UEs for, raises ``ValueError`` before any job runs.
+        This is where every entry point checks its population: a count
+        that is not whole, a negative count, a zero total, or a device
+        type the model set has no fitted UEs for, raises ``ValueError``
+        before any job runs.
         """
         device_ues = self.model_set.device_ues
-        if isinstance(num_ues, Mapping):
-            counts = {DeviceType(k): int(v) for k, v in num_ues.items()}
-            negative = {dt.name: n for dt, n in counts.items() if n < 0}
-            if negative:
-                raise ValueError(
-                    f"device counts must be non-negative, got {negative}"
-                )
-        else:
-            total = int(num_ues)
-            if total <= 0:
-                raise ValueError(
-                    f"population size must be positive, got {num_ues}"
-                )
+        counts = check_counts(num_ues)
+        if not isinstance(counts, dict):
+            total = counts
+            if total == 0:
+                raise ValueError("num_ues must be positive, got 0")
             training = {dt: len(ues) for dt, ues in device_ues.items()}
             training_total = sum(training.values())
             counts = {

@@ -35,7 +35,7 @@ from ..generator import TrafficGenerator
 from ..jobs import Job, check_processes, run_jobs
 from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
-from ..trace.events import DeviceType
+from ..trace.events import DeviceType, check_counts
 from ..trace.trace import Trace
 from ..validation.microscopic import MICRO_QUANTITIES
 from ..validation.report import format_comparison
@@ -194,7 +194,8 @@ def evaluate_methods(
         Synthesized population size; defaults to the real trace's UE
         count (the paper's Scenario 1 setup).  Per-device nominal
         populations are resolved by the training device mix and used to
-        pad the zero-event UEs into the count CDFs.
+        pad the zero-event UEs into the count CDFs.  A count that is not
+        whole, or is negative, raises ``ValueError`` before any fit.
     models:
         Pre-fitted model sets by method name — skips fitting for the
         methods present (useful when sweeping scenarios).
@@ -216,6 +217,7 @@ def evaluate_methods(
     check_processes(processes)
     if num_ues is None:
         num_ues = real.num_ues
+    check_counts(num_ues)
 
     tele = telemetry if telemetry is not None else get_telemetry()
     with use_telemetry(tele), tele.span("evaluate"):

@@ -18,10 +18,10 @@ worker count is capped at the number of jobs.  When it comes out as 1
 the jobs run in this process, under the active telemetry collector,
 with nothing staged or pickled.  Otherwise they run on a
 ``ProcessPoolExecutor``: each :class:`~repro.trace.trace.Trace` in
-``shared`` is written once as an uncompressed NPZ that workers
-memory-map on first use, other shared values are pickled once per
-worker, and each job's worker-local telemetry is merged back as it
-finishes.
+``shared`` is written once as four raw ``.npy`` columns that workers
+memory-map on first use, with no copy and no second validation, other
+shared values are pickled once per worker, and each job's worker-local
+telemetry is merged back as it finishes.
 
 **Failure policy.**  Jobs are pure, so failures are retried, inline and
 pooled alike:
@@ -66,8 +66,10 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from .telemetry import RunTelemetry, get_telemetry, use_telemetry
-from .trace.trace import Trace
+from .trace.trace import COLUMNS, Trace
 
 __all__ = [
     "BACKOFF",
@@ -310,16 +312,16 @@ def _pool_round(
 
 
 def _stage(shared: Dict[str, Any], directory: str) -> tuple:
-    """Write each shared Trace as an uncompressed NPZ; the worker
+    """Write each shared Trace as four raw ``.npy`` columns; the worker
     initializer's arguments for the rest."""
-    from .trace.io import write_npz
-
     staged: Dict[str, str] = {}
     values: Dict[str, Any] = {}
     for name, value in shared.items():
         if isinstance(value, Trace):
-            staged[name] = os.path.join(directory, f"shared-{len(staged)}.npz")
-            write_npz(value, staged[name], compress=False)
+            prefix = os.path.join(directory, f"shared-{len(staged)}")
+            staged[name] = prefix
+            for column in COLUMNS:
+                np.save(f"{prefix}-{column}.npy", getattr(value, column))
         else:
             values[name] = value
     return values, staged
@@ -339,9 +341,13 @@ class _WorkerContext(dict):
     def __missing__(self, name: str) -> Any:
         if name not in self._staged:
             raise KeyError(name)
-        from .trace.io import read_npz
-
-        trace = self[name] = read_npz(self._staged[name], mmap=True)
+        # The parent's columns, already checked and sorted: the Trace
+        # keeps the maps as they are.
+        prefix = self._staged[name]
+        trace = self[name] = Trace(
+            *(np.load(f"{prefix}-{c}.npy", mmap_mode="r") for c in COLUMNS),
+            validate=False,
+        )
         return trace
 
 

@@ -78,7 +78,7 @@ def check_trace_columns(trace: Trace) -> None:
     """Reject columns a simulator cannot index or order.
 
     ``Trace(..., validate=False)`` skips the constructor's checks, so
-    the simulators re-check the two columns they index by and sort on
+    the simulators re-check the two columns they index and order by
     before any lookup: a non-finite time has no place in the event
     order, and an event code outside :class:`EventType` would wrap or
     overrun the lowered lookup arrays.
@@ -153,7 +153,8 @@ class CoreNetworkSimulator:
         ``"epc"`` (LTE) or ``"5gc"`` (5G SA).
     workers:
         Worker pool size per network function; either one integer for
-        all functions or a per-function mapping.
+        all functions or a mapping from some of the core's functions
+        (the rest get 4).  A name the core lacks raises ``ValueError``.
     link_delay:
         One-way inter-NF message delay, seconds (same-datacenter scale).
     service_jitter:
@@ -177,6 +178,12 @@ class CoreNetworkSimulator:
                 raise ValueError("workers must be positive")
             self.workers = {nf: workers for nf in self.function_names}
         else:
+            unknown = sorted(set(workers) - set(self.function_names))
+            if unknown:
+                raise ValueError(
+                    f"unknown network functions {unknown} for core {core!r}; "
+                    f"its functions are {list(self.function_names)}"
+                )
             self.workers = {nf: int(workers.get(nf, 4)) for nf in self.function_names}
             if any(w <= 0 for w in self.workers.values()):
                 raise ValueError("workers must be positive")
@@ -221,10 +228,9 @@ class CoreNetworkSimulator:
             )
         low = self._lowered
         proc = low.proc_of_event[trace.event_types]
-        # Initial steps stream in (time, trace index) order: exactly the
-        # order a heap keyed (time, push counter) pops them in.
-        order = np.argsort(trace.times, kind="stable")
-        order = order[proc[order] >= 0]
+        # Initial steps stream in trace order, which is time order: exactly
+        # the order a heap keyed (time, push counter) pops them in.
+        order = np.flatnonzero(proc >= 0)
         num_events = len(order)
         num_messages = int(low.step_counts[proc[order]].sum())
         arrivals = memoryview(trace.times[order])

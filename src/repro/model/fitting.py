@@ -24,6 +24,7 @@ each, optionally fanned across processes;
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -73,7 +74,8 @@ def fit_model_set(
         Hour-of-day at trace time 0, so hour slots map onto the diurnal
         clock correctly.
     max_cdf_points:
-        Compression limit for stored empirical CDFs.
+        Compression limit for stored empirical CDFs: a positive integer,
+        checked before any job runs.
     processes:
         ``None`` or ``1`` fits serially in-process; ``0`` fans
         per-(device, hour) jobs across all CPUs; ``>= 2`` uses that
@@ -94,6 +96,10 @@ def fit_model_set(
         raise ValueError(f"unknown machine_kind {machine_kind!r}")
     if family not in ("empirical", "poisson"):
         raise ValueError(f"unknown sojourn family {family!r}")
+    if not isinstance(max_cdf_points, Integral) or max_cdf_points < 1:
+        raise ValueError(
+            f"max_cdf_points must be a positive integer, got {max_cdf_points!r}"
+        )
     check_processes(processes)
     if len(trace) == 0:
         raise ValueError("cannot fit a model set to an empty trace")

@@ -12,7 +12,7 @@ numpy arrays; the enums carry the human-readable protocol names.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Tuple
+from typing import Dict, Mapping, Tuple, Union
 
 
 class EventType(enum.IntEnum):
@@ -105,6 +105,37 @@ _SHORT_NAMES = {
 
 ALL_EVENT_TYPES: Tuple[EventType, ...] = tuple(EventType)
 ALL_DEVICE_TYPES: Tuple[DeviceType, ...] = tuple(DeviceType)
+
+#: A UE population: one total, or a count per device type.
+DeviceCounts = Union[int, Mapping[DeviceType, int]]
+
+
+def _ue_count(value: object, name: str) -> int:
+    """``value`` as a whole, non-negative UE count; ``ValueError`` naming
+    ``name`` otherwise (``10.7`` UEs is an error, not 10)."""
+    try:
+        n = int(value)  # type: ignore[call-overload]
+        whole = n == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if n < 0:
+        raise ValueError(f"{name} must be non-negative, got {value!r}")
+    return n
+
+
+def check_counts(num_ues: DeviceCounts) -> "int | Dict[DeviceType, int]":
+    """``num_ues`` with every count whole and non-negative: the total,
+    or a dict of counts per device type.  ``ValueError`` names
+    ``num_ues`` or ``num_ues[<DEVICE>]`` otherwise."""
+    if isinstance(num_ues, Mapping):
+        return {
+            DeviceType(k): _ue_count(v, f"num_ues[{DeviceType(k).name}]")
+            for k, v in num_ues.items()
+        }
+    return _ue_count(num_ues, "num_ues")
+
 
 #: Seconds per hour / day, used pervasively when slicing traces.
 SECONDS_PER_HOUR = 3600.0

@@ -2,10 +2,10 @@
 
 A :class:`Trace` stores events as parallel numpy arrays — UE id,
 timestamp (float seconds from the trace epoch), event type, and device
-type — and offers the slicing operations the modeling pipeline needs:
-per-UE views, per-hour windows, and device filters.  The representation
-is immutable by convention; operations return new ``Trace`` views or
-copies.
+type — kept in ``(time, ue_id)`` order whatever built them, and offers
+the slicing operations the modeling pipeline needs: per-UE views,
+per-hour windows, and device filters.  The representation is immutable
+by convention; operations return new ``Trace`` views or copies.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ from .events import (
     DeviceType,
     EventType,
 )
+
+
+#: A Trace's four columns, in constructor order.
+COLUMNS = ("ue_ids", "times", "event_types", "device_types")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,6 +57,20 @@ def _check_integers(raw, column: str, top: Optional[int], bad: str) -> None:
         raise ValueError(f"trace column {column!r} contains non-integer values")
     if raw.min() < 0 or (top is not None and raw.max() > top):
         raise ValueError(f"trace column {column!r} contains {bad}")
+
+
+def _in_time_order(ue_ids: np.ndarray, times: np.ndarray) -> bool:
+    """Whether the rows already run in ``(time, ue_id)`` order.
+
+    One O(n) pass: times never fall (a NaN counts as a fall), and ids
+    never fall between rows with equal times.
+    """
+    if len(times) < 2:
+        return True
+    if not (times[1:] >= times[:-1]).all():
+        return False
+    tied = np.flatnonzero(times[1:] == times[:-1])
+    return bool((ue_ids[tied + 1] >= ue_ids[tied]).all())
 
 
 def stable_order(keys: np.ndarray) -> np.ndarray:
@@ -111,7 +129,9 @@ class UEIndex:
 class Trace:
     """An ordered collection of control-plane events.
 
-    Events are kept sorted by ``(time, ue_id)``.  All four columns have
+    Events are always sorted by ``(time, ue_id)``: the constructor
+    keeps columns already in that order as given (no copy) and
+    reorders others with one stable ``lexsort``.  All four columns have
     equal length.  ``ue_ids`` are arbitrary non-negative integers
     (checked on construction when ``validate=True``, as is that each UE
     keeps one device type).  Every per-UE
@@ -134,7 +154,6 @@ class Trace:
         event_types: np.ndarray,
         device_types: np.ndarray,
         *,
-        sort: bool = True,
         validate: bool = True,
     ) -> None:
         times = np.asarray(times, dtype=np.float64)
@@ -166,7 +185,7 @@ class Trace:
         if len(lengths) != 1:
             raise ValueError(f"column lengths differ: {sorted(lengths)}")
 
-        if sort and len(times) > 1:
+        if not _in_time_order(ue_ids, times):
             order = np.lexsort((ue_ids, times))
             ue_ids = ue_ids[order]
             times = times[order]
@@ -222,7 +241,6 @@ class Trace:
             np.empty(0, dtype=np.float64),
             np.empty(0, dtype=np.int8),
             np.empty(0, dtype=np.int8),
-            sort=False,
             validate=False,
         )
 
@@ -334,7 +352,6 @@ class Trace:
             self.times[mask],
             self.event_types[mask],
             self.device_types[mask],
-            sort=False,
             validate=False,
         )
 
@@ -371,7 +388,6 @@ class Trace:
             self.times + offset,
             self.event_types.copy(),
             self.device_types.copy(),
-            sort=False,
         )
 
     # ------------------------------------------------------------------

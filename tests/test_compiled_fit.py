@@ -188,22 +188,26 @@ class TestExactEquivalence:
 
     @pytest.mark.slow
     def test_failing_job_raises_identically_inline_and_pooled(
-        self, tiny_trace, monkeypatch
+        self, tiny_trace, monkeypatch, tmp_path
     ):
         """A job's own error surfaces the same way serial and pooled:
-        a fit-stage JobFailedError chained from the oracle's error."""
+        a fit-stage JobFailedError chained from the job's exception."""
         monkeypatch.setattr(jobs, "BACKOFF", (0.0, 0.0))
-        with pytest.raises(ValueError) as ref_err:
-            oracle_fit.fit_model_set(tiny_trace, max_cdf_points=0, **FIT_KWARGS)
+        causes = []
         for processes in (1, 2):
+            faults = tmp_path / f"faults-{processes}"
+            faults.mkdir()
+            monkeypatch.setenv(
+                jobs.FAULT_ENV,
+                f"stage=fit;job=0;fails={jobs.RETRIES + 1};mode=raise;dir={faults}",
+            )
             with pytest.raises(JobFailedError) as err:
-                fit_model_set(
-                    tiny_trace, max_cdf_points=0, processes=processes, **FIT_KWARGS
-                )
+                fit_model_set(tiny_trace, processes=processes, **FIT_KWARGS)
             assert err.value.stage == "fit"
             assert err.value.attempts == jobs.RETRIES + 1
-            assert type(err.value.__cause__) is ValueError
-            assert str(err.value.__cause__) == str(ref_err.value)
+            assert "injected fault in fit job 0" in str(err.value.__cause__)
+            causes.append(type(err.value.__cause__))
+        assert causes[0] is causes[1]
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +227,15 @@ class TestValidation:
     def test_negative_processes_rejected(self, tiny_trace):
         with pytest.raises(ValueError, match="processes"):
             fit_model_set(tiny_trace, processes=-1)
+
+    def test_max_cdf_points_checked_before_any_job(self, tiny_trace, monkeypatch):
+        def no_jobs(*args, **kwargs):
+            raise AssertionError("a fit job ran")
+
+        monkeypatch.setattr(repro.model.fitting, "run_jobs", no_jobs)
+        for bad in (0, -3, 2.5, "512"):
+            with pytest.raises(ValueError, match="max_cdf_points"):
+                fit_model_set(tiny_trace, max_cdf_points=bad, **FIT_KWARGS)
 
     def test_fit_job_failed_error_attributes(self):
         err = JobFailedError(

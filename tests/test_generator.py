@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.generator import TrafficGenerator
+from repro.generator import TrafficGenerator, stream_events
+from repro.harness import evaluate_methods
 from repro.model import ModelSet
 from repro.statemachines import replay_trace
 from repro.trace import DeviceType, EventType, Trace
@@ -34,6 +35,36 @@ class TestResolveCounts:
     def test_rejects_nonpositive(self, ours_model_set):
         with pytest.raises(ValueError):
             TrafficGenerator(ours_model_set).resolve_counts(0)
+
+    @pytest.mark.parametrize(
+        "num_ues,message",
+        [
+            (10.7, r"num_ues must be a whole number, got 10\.7"),
+            ({P: 3.9}, r"num_ues\[PHONE\] must be a whole number"),
+            (-5, "num_ues must be non-negative"),
+            (
+                {P: 4, DeviceType.TABLET: -1},
+                r"num_ues\[TABLET\] must be non-negative",
+            ),
+        ],
+    )
+    def test_counts_must_be_whole_and_non_negative(
+        self, ours_model_set, ground_truth_trace, holdout_trace, num_ues, message
+    ):
+        """Every entry point checks its population the way ground truth
+        does, instead of truncating ``10.7`` to 10 UEs."""
+        with pytest.raises(ValueError, match=message):
+            TrafficGenerator(ours_model_set).generate(num_ues, start_hour=18)
+        with pytest.raises(ValueError, match=message):
+            stream_events(ours_model_set, num_ues, start_hour=18)
+        with pytest.raises(ValueError, match=message):
+            evaluate_methods(
+                ground_truth_trace,
+                holdout_trace,
+                num_ues=num_ues,
+                models={"ours": ours_model_set},
+                methods=("ours",),
+            )
 
     def test_rejects_unfitted_device(self, ground_truth_trace):
         from repro.model import fit_model_set

@@ -11,6 +11,7 @@ tests live in ``test_checkpoint.py``.
 import contextlib
 import os
 
+import numpy as np
 import pytest
 
 from repro import jobs
@@ -172,3 +173,27 @@ def test_poisoned_job_names_stage_and_labels(
     assert err.labels == POISONED_LABELS[stage]
     assert err.attempts == 2
     assert "injected fault" in str(err.__cause__)
+
+
+def _staged_trace_job(ctx, _):
+    """A job that reports how its shared trace reached it."""
+    trace = ctx["trace"]
+    return isinstance(trace.times.base, np.memmap), trace.content_hash()
+
+
+@pytest.mark.slow
+def test_pooled_job_reads_staged_trace_memory_mapped(ground_truth_trace):
+    """A pool stages each shared Trace as raw ``.npy`` columns, and its
+    workers map them: no copy, and the parent's content hash."""
+    results = dict(
+        jobs.run_jobs(
+            _staged_trace_job,
+            [jobs.Job((i,), {"job": i}) for i in range(2)],
+            shared={"trace": ground_truth_trace},
+            processes=2,
+            stage="fit",
+        )
+    )
+    assert results == {
+        i: (True, ground_truth_trace.content_hash()) for i in range(2)
+    }

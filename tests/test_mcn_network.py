@@ -79,6 +79,20 @@ class TestSimulatorConstruction:
         assert sim.workers["MME"] == 8
         assert sim.workers["HSS"] == 4  # default
 
+    @pytest.mark.parametrize(
+        "core,workers,unknown",
+        [
+            ("epc", {"MMe": 8, "AMF": 16}, "['AMF', 'MMe']"),
+            ("5gc", {"AMF": 8, "MME": 2}, "['MME']"),
+        ],
+    )
+    def test_rejects_unknown_function_names(self, core, workers, unknown):
+        with pytest.raises(ValueError) as excinfo:
+            CoreNetworkSimulator(core, workers=workers)
+        message = str(excinfo.value)
+        assert unknown in message
+        assert str(list(functions_for(core))) in message
+
 
 class TestProcessing:
     def test_empty_trace_yields_empty_report(self):
@@ -155,14 +169,13 @@ class TestProcessing:
         assert "registration" in report.procedures or "service_request" in report.procedures
 
 
-def _raw_trace(ues, times, codes, *, sort=False):
+def _raw_trace(ues, times, codes):
     """A phone trace built without the constructor's checks."""
     return Trace(
         np.asarray(ues, dtype=np.int64),
         np.asarray(times, dtype=np.float64),
         np.asarray(codes, dtype=np.int8),
         np.zeros(len(times), dtype=np.int8),
-        sort=sort,
         validate=False,
     )
 
@@ -218,11 +231,15 @@ _rows = st.lists(
     min_size=1,
     max_size=60,
 )
-_workers = st.one_of(
-    st.integers(1, 3),
-    st.dictionaries(
-        st.sampled_from(EPC_FUNCTIONS + FIVEGC_FUNCTIONS), st.integers(1, 3)
-    ),
+#: A core and a worker count for all its functions or some of them.
+_core_workers = st.sampled_from(["epc", "5gc"]).flatmap(
+    lambda core: st.tuples(
+        st.just(core),
+        st.one_of(
+            st.integers(1, 3),
+            st.dictionaries(st.sampled_from(functions_for(core)), st.integers(1, 3)),
+        ),
+    )
 )
 _jitter = st.sampled_from([0.0, 0.3])
 
@@ -231,30 +248,28 @@ class TestOracleEquality:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         rows=_rows,
-        sort=st.booleans(),
-        core=st.sampled_from(["epc", "5gc"]),
-        workers=_workers,
+        core_workers=_core_workers,
         jitter=_jitter,
         link_delay=st.sampled_from([0.0, 0.0005]),
         seed=st.integers(0, 2**16),
     )
-    def test_core_equals_oracle(self, rows, sort, core, workers, jitter, link_delay, seed):
+    def test_core_equals_oracle(self, rows, core_workers, jitter, link_delay, seed):
+        core, workers = core_workers
         sim = CoreNetworkSimulator(
             core, workers=workers, link_delay=link_delay, service_jitter=jitter, seed=seed
         )
-        _assert_core_equal(sim, _raw_trace(*zip(*rows), sort=sort))
+        _assert_core_equal(sim, _raw_trace(*zip(*rows)))
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         rows=_rows,
-        sort=st.booleans(),
         workers=st.integers(1, 3),
         jitter=_jitter,
         seed=st.integers(0, 2**16),
     )
-    def test_mme_equals_oracle(self, rows, sort, workers, jitter, seed):
+    def test_mme_equals_oracle(self, rows, workers, jitter, seed):
         sim = MmeSimulator(workers, service_jitter=jitter, seed=seed)
-        _assert_mme_equal(sim, _raw_trace(*zip(*rows), sort=sort))
+        _assert_mme_equal(sim, _raw_trace(*zip(*rows)))
 
     @pytest.mark.parametrize("core", ["epc", "5gc"])
     @pytest.mark.parametrize("workers", [1, 4])

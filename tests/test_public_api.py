@@ -244,6 +244,17 @@ class TestExportIntegrity:
             assert not hasattr(module, old), f"{name}.{old}"
             assert old not in getattr(module, "__all__", ())
 
+    def test_no_trace_order_or_storage_switches(self):
+        """A Trace sorts itself only when its rows are out of order, NPZ
+        traces are always compressed, and workers map staged ``.npy``
+        columns: no switch picks any of it."""
+        from repro.trace import Trace, io
+
+        assert "sort" not in inspect.signature(Trace).parameters
+        assert "mmap" not in inspect.signature(io.read_npz).parameters
+        assert "compress" not in inspect.signature(io.write_npz).parameters
+        assert not hasattr(io, "_mmap_npz_members")
+
     def test_generate_parallel_has_no_retry_knobs(self):
         """Retries, backoff and fault injection are repro.jobs constants;
         the pooled driver, ``TrafficGenerator.generate(processes=)``,

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.trace import DeviceType, Event, EventType, Trace
+from repro.trace.trace import COLUMNS
 
 from conftest import make_trace
 
@@ -22,6 +25,32 @@ class TestConstruction:
     def test_ties_broken_by_ue_id(self):
         tr = make_trace([(5, 1.0, E.HO, P), (2, 1.0, E.TAU, P)])
         assert list(tr.ue_ids) == [2, 5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5)),
+            max_size=40,
+        )
+    )
+    def test_rows_in_lexsort_order_and_sorted_input_kept(self, rows):
+        """Any rows, tied times and ids included, come out in the stable
+        ``(time, ue_id)`` order; rows already in it are kept, not copied."""
+        ue = np.array([r[0] for r in rows], dtype=np.int64)
+        columns = {
+            "ue_ids": ue,
+            "times": np.array([r[1] * 0.5 for r in rows], dtype=np.float64),
+            "event_types": np.array([r[2] for r in rows], dtype=np.int8),
+            "device_types": (ue % 3).astype(np.int8),
+        }
+        tr = Trace(*columns.values())
+        order = np.lexsort((ue, columns["times"]))
+        for name, column in columns.items():
+            assert np.array_equal(getattr(tr, name), column[order])
+        again = Trace(*(getattr(tr, name) for name in COLUMNS))
+        for name in COLUMNS:
+            kept = getattr(again, name)
+            assert np.shares_memory(kept, getattr(tr, name)) or not rows
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
