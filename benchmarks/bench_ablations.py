@@ -52,8 +52,9 @@ def test_ablation_theta_n(benchmark, collection_trace, scenario1, busy_hour):
         title="Ablation: clustering size threshold",
     )
     write_result("ablation_theta_n", text)
-    # More clusters should never make the sojourn fidelity dramatically
-    # worse; the single-cluster end loses microscopic fidelity.
+    # The check is loose: at least one threshold keeps the CONNECTED
+    # dwell-time y-distance under 50%.  The table itself reports how
+    # fidelity moves with the number of clusters.
     micros = [micro for (_, _, micro) in results.values()]
     assert min(micros) < 0.5
 

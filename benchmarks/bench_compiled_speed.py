@@ -87,7 +87,9 @@ def test_compiled_vs_reference_speed(method_models, busy_hour):
         rows,
         title="Engine speed: per-UE-hour synthesis cost",
     )
-    write_result("compiled_speed", text + f"\n[json in {json_path}]")
+    write_result(
+        "compiled_speed", text + f"\n[json in benchmarks/results/{json_path.name}]"
+    )
 
     for pop in results["populations"].values():
         for device in pop.values():

@@ -231,4 +231,6 @@ def test_evaluation_engine_speed(monkeypatch):
         rows,
         title="Evaluation speed: 1-hour phone validation, engine vs reference",
     )
-    write_result("evaluation_speed", text + f"\n[json in {json_path}]")
+    write_result(
+        "evaluation_speed", text + f"\n[json in benchmarks/results/{json_path.name}]"
+    )

@@ -185,4 +185,6 @@ def test_fitting_engine_speed(tmp_path):
         rows,
         title=f"Fitting speed: {HOURS}-hour phone trace, engine vs reference",
     )
-    write_result("fitting_speed", text + f"\n[json in {json_path}]")
+    write_result(
+        "fitting_speed", text + f"\n[json in benchmarks/results/{json_path.name}]"
+    )

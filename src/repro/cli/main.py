@@ -45,7 +45,7 @@ from typing import List, Optional
 
 from ..analysis import TESTS, gof_study
 from ..baselines import METHOD_NAMES, fit_method
-from ..generator import TrafficGenerator
+from ..generator import CheckpointError, TrafficGenerator
 from ..groundtruth import simulate_ground_truth
 from ..mcn import CoreNetworkSimulator, MmeSimulator
 from ..harness import evaluate_methods
@@ -606,14 +606,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Parse ``argv`` (default: ``sys.argv[1:]``) and run the command.
 
     A ``ValueError`` from the command (a bad argument value, such as
-    ``--ho-scale 0``) is reported as a usage error: ``repro: error:
-    <message>`` on stderr and exit status 2.
+    ``--ho-scale 0``) or a :class:`CheckpointError` (a ``--resume``
+    checkpoint that is unreadable or belongs to another run) is reported
+    as a usage error: ``repro: error: <message>`` on stderr and exit
+    status 2.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, CheckpointError) as exc:
         parser.error(str(exc))
 
 

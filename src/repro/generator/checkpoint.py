@@ -10,8 +10,8 @@ set, to a single file that is always replaced atomically
 (write-to-temp + ``os.replace``), so a crash at any instant leaves
 either the previous checkpoint or the new one, never a torn file.
 
-Because every random draw comes from a Philox counter that is a pure
-function of ``(seed, ue position)``, the carryover needed for
+Because every random draw comes from a SplitMix64 counter mix that is a
+pure function of ``(seed, ue position)``, the carryover needed for
 bit-identical continuation is small:
 
 - **generate**: chunks are independent pure functions of the run
@@ -19,15 +19,16 @@ bit-identical continuation is small:
   device type) and the finished chunks' event columns; a resume reruns
   the saved plan's missing chunks under any ``processes``.
 - **stream**: the per-UE chain-state array plus the hour counter
-  (:meth:`CompiledPopulation.snapshot`); personas and Philox keys are
+  (:meth:`CompiledPopulation.snapshot`); personas and per-UE keys are
   replayed from the seed.
 
 A checkpoint is bound to its run by a :class:`RunKey` — every
 generation parameter plus :meth:`ModelSet.content_hash`.  Resuming with
 *any* differing parameter (or a re-fitted model set) raises
 :class:`CheckpointMismatchError` instead of silently producing a trace
-that is not bit-identical to the uninterrupted run.  :func:`open_run`
-is the one place both entry points key, load and snapshot a run.
+that is not bit-identical to the uninterrupted run; so does one whose
+provenance names other random streams (``rng``).  :func:`open_run` is
+the one place both entry points key, load and snapshot a run.
 """
 
 from __future__ import annotations
@@ -70,9 +71,16 @@ class CheckpointMismatchError(CheckpointError):
     """A checkpoint was produced by a run with different parameters."""
 
 
+#: The generator's random streams; a checkpoint drawn from others is
+#: refused, since resuming it would splice two streams into one trace.
+RNG = "splitmix64 counter"
+
+
 def _rng_provenance() -> Dict[str, str]:
-    """What produced the random streams (recorded, checked by humans)."""
-    return {"numpy": np.__version__, "rng": "philox4x64-10 counter"}
+    """What produced the random streams.  ``rng`` is checked on resume;
+    the numpy version is recorded only (the engine's draws are integer
+    arithmetic that does not depend on it)."""
+    return {"numpy": np.__version__, "rng": RNG}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,6 +232,7 @@ class GenerationCheckpoint:
             }
             # A key with unknown or missing fields is malformed too.
             key = RunKey(**meta["key"])
+            provenance = dict(meta.get("provenance", {}))
         except CheckpointError:
             raise
         except (
@@ -240,15 +249,22 @@ class GenerationCheckpoint:
             population_state=population_state,
             chunk_ues=chunk_ues,
             chunk_columns=chunk_columns,
-            provenance=meta.get("provenance", {}),
+            provenance=provenance,
         )
 
     @classmethod
     def load_for_run(
         cls, path: "str | os.PathLike[str]", key: RunKey
     ) -> "GenerationCheckpoint":
-        """Load and verify the checkpoint belongs to the run ``key``."""
+        """Load and verify the checkpoint belongs to the run ``key`` and
+        was drawn from this engine's random streams."""
         checkpoint = cls.load(path)
+        saved = checkpoint.provenance.get("rng")
+        if saved != RNG:
+            raise CheckpointMismatchError(
+                "checkpoint was drawn from other random streams — "
+                f"rng: checkpoint has {saved!r}, run has {RNG!r}"
+            )
         checkpoint.key.validate_against(key)
         return checkpoint
 

@@ -17,9 +17,9 @@ trace.  The paper ran its per-UE generator instances across 12 CPUs
 with GNU ``parallel``; here each device type's UEs are split into
 contiguous chunks, each chunk is one job of :func:`repro.jobs.run_jobs`
 (inline or on a process pool), and the chunks are merged in plan order.
-Every UE draws from a Philox substream keyed on its position in the
-whole generation order, so any chunk plan and any ``processes`` give the
-same bits.  A chunk that keeps failing raises
+Every UE draws from SplitMix64 counter streams keyed on its position in
+the whole generation order, so any chunk plan and any ``processes`` give
+the same bits.  A chunk that keeps failing raises
 :class:`repro.jobs.JobFailedError` (stage ``"generate"``) whose labels
 name the device, UE range and hour range.
 """
@@ -40,8 +40,8 @@ from ..trace.trace import Trace
 from .checkpoint import CheckpointError, open_run
 from .compiled import CompiledPopulation, check_model_set, generate_columns
 
-#: Seeds parameterize ``SeedSequence`` entropy and the Philox root key;
-#: both are specified for unsigned 64-bit words.
+#: Seeds parameterize ``SeedSequence`` entropy, which derives the root
+#: key of the counter mix; both are specified for unsigned 64-bit words.
 MAX_SEED = 2 ** 64
 
 #: Most UE-hours one generation chunk holds.  A chunk is the unit of

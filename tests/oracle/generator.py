@@ -14,7 +14,7 @@ hour, oblivious to the UE state — faithfully reproducing the baseline's
 "HO in IDLE" artifact the paper quantifies in Tables 4/11.
 
 The production engine (:mod:`repro.generator.compiled`) steps whole
-cohorts with counter-based Philox draws; this walk draws from a
+cohorts with counter-based SplitMix64 draws; this walk draws from a
 stateful PCG64 stream per UE, so the two are only *statistically*
 equivalent (the differential tests compare them with two-sample KS).
 """

@@ -182,6 +182,37 @@ class TestSerialCheckpoint:
         message = str(excinfo.value)
         assert "start_hour" in message and "num_hours" in message
 
+    def test_other_rng_rejected(self, generator, tmp_path):
+        """A checkpoint drawn from Philox-4x64-10 streams would splice
+        two streams into one trace."""
+        path = tmp_path / "run.npz"
+        generator.generate(POP, checkpoint_path=path, **RUN)
+        saved = GenerationCheckpoint.load(path)
+        assert saved.provenance["rng"] == "splitmix64 counter"
+        saved.provenance["rng"] = "philox4x64-10 counter"
+        saved.save(path)
+        with pytest.raises(CheckpointMismatchError) as excinfo:
+            generator.generate(POP, checkpoint_path=path, resume=True, **RUN)
+        assert str(excinfo.value).endswith(
+            "rng: checkpoint has 'philox4x64-10 counter', "
+            "run has 'splitmix64 counter'"
+        )
+        del saved.provenance["rng"]
+        saved.save(path)
+        with pytest.raises(CheckpointMismatchError, match="rng: checkpoint has None"):
+            generator.generate(POP, checkpoint_path=path, resume=True, **RUN)
+
+    def test_other_numpy_version_accepted(self, generator, baseline, tmp_path):
+        path = tmp_path / "run.npz"
+        generator.generate(POP, checkpoint_path=path, **RUN)
+        saved = GenerationCheckpoint.load(path)
+        saved.provenance["numpy"] = "1.0.0"
+        saved.save(path)
+        resumed = generator.generate(
+            POP, checkpoint_path=path, resume=True, **RUN
+        )
+        assert resumed == baseline
+
     def test_resume_without_checkpoint_path(self, generator):
         with pytest.raises(ValueError, match="checkpoint_path"):
             generator.generate(POP, resume=True, **RUN)

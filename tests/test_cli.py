@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.generator import GenerationCheckpoint
 from repro.model import ModelSet
 from repro.trace import read_npz
 
@@ -390,6 +391,40 @@ class TestBadValues:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"repro: error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "seed,rng,message",
+        [
+            ("8", None, "seed: checkpoint has 7, run has 8"),
+            ("7", "philox4x64-10 counter",
+             "rng: checkpoint has 'philox4x64-10 counter', "
+             "run has 'splitmix64 counter'"),
+        ],
+        ids=["other-seed", "stale-rng"],
+    )
+    def test_mismatched_checkpoint(self, workspace, capsys, seed, rng, message):
+        """``--resume`` from a checkpoint of another run is a usage
+        error naming the field, not a traceback."""
+        checkpoint = workspace / "ck.npz"
+        run = [
+            "generate", "--model", str(workspace / "model.json.gz"),
+            "--ues", "10", "--start-hour", "18", "--checkpoint",
+            str(checkpoint),
+        ]
+        assert main(run + ["--seed", "7", "--out", str(workspace / "a.npz")]) == 0
+        if rng is not None:
+            saved = GenerationCheckpoint.load(checkpoint)
+            saved.provenance["rng"] = rng
+            saved.save(checkpoint)
+        out = workspace / "b.npz"
+        with pytest.raises(SystemExit) as excinfo:
+            main(run + ["--seed", seed, "--resume", "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro: error: checkpoint" in err and message in err
         assert "Traceback" not in err
         assert not out.exists()
 
