@@ -34,9 +34,9 @@ from repro.groundtruth import simulate_ground_truth
 from repro.harness import evaluate_methods
 from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType
-from repro.validation import breakdown, format_table, summary
+from repro.validation import format_table, summary
 
-from conftest import RESULTS_DIR, write_result
+from conftest import RESULTS_DIR, fresh_trace, write_result
 
 POPULATIONS = tuple(
     int(n)
@@ -69,11 +69,12 @@ def _cell(timing):
     return f"{timing['seconds']:.2f} s (IQR {timing['iqr']:.2f})"
 
 
-def _timed_runs(evaluate, *args, **kwargs):
-    """``RUNS`` timed runs: the timing summary and the last report."""
+def _timed_runs(evaluate, train, real, *args, **kwargs):
+    """``RUNS`` timed runs, each on a fresh copy of the held-out trace:
+    the timing summary and the last report."""
     runs = []
     for _ in range(RUNS):
-        once, report = evaluate(*args, **kwargs)
+        once, report = evaluate(train, fresh_trace(real), *args, **kwargs)
         runs.append(once)
     median, iqr = _median_iqr(runs)
     return {"seconds": median, "iqr": iqr, "runs": runs}, report
@@ -98,9 +99,9 @@ def _reference_metrics(monkeypatch):
     """Swap the per-event reference replay into the metrics."""
     with monkeypatch.context() as patch:
         patch.setattr(
-            breakdown,
-            "classify_category2_events",
-            oracle_replay.classify_category2_events,
+            summary,
+            "classify_category2_by_device",
+            oracle_replay.classify_category2_by_device,
         )
         patch.setattr(summary, "replay_trace", oracle_replay.ReferenceReplay)
         yield

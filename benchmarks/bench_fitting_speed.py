@@ -27,7 +27,7 @@ from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType
 from repro.validation import format_table
 
-from conftest import RESULTS_DIR, write_result
+from conftest import RESULTS_DIR, fresh_trace, write_result
 
 POPULATIONS = tuple(
     int(n)
@@ -108,7 +108,8 @@ def test_fitting_engine_speed(tmp_path):
         for engine, fit in FITTERS.items():
             elapsed = float("inf")
             for _ in range(REPEATS):
-                once, model_set, _ = fit(trace, theta_n)
+                # A fresh copy: a repeat must cluster again.
+                once, model_set, _ = fit(fresh_trace(trace), theta_n)
                 elapsed = min(elapsed, once)
             per_engine[engine] = {
                 "seconds": elapsed,
@@ -124,14 +125,15 @@ def test_fitting_engine_speed(tmp_path):
             / per_engine["compiled"]["seconds"]
         )
 
-        par_elapsed, _, _ = _timed_fit(trace, theta_n, processes=0)
+        par_elapsed, _, _ = _timed_fit(fresh_trace(trace), theta_n, processes=0)
 
         cache_dir = tmp_path / f"cache-{num_ues}"
+        cold_trace = fresh_trace(trace)
         cold_elapsed, cold_model, cold_tele = _timed_fit(
-            trace, theta_n, cache_dir=cache_dir
+            cold_trace, theta_n, cache_dir=cache_dir
         )
         warm_elapsed, warm_model, warm_tele = _timed_fit(
-            trace, theta_n, cache_dir=cache_dir
+            cold_trace, theta_n, cache_dir=cache_dir
         )
         assert cold_tele.counters.get("cache_misses") == 1
         assert warm_tele.counters.get("cache_hits") == 1

@@ -63,6 +63,21 @@ def bench_telemetry(request):
         yield tele
 
 
+def fresh_trace(trace: Trace) -> Trace:
+    """The same events in a new Trace with its per-UE index built.
+
+    A trace holds the summaries and cluster codes computed from it
+    (``Trace.memo``); a speed bench times each run on a fresh copy so
+    every run does that work again, as a first call does.
+    """
+    copy = Trace(
+        trace.ue_ids, trace.times, trace.event_types, trace.device_types,
+        validate=False,
+    )
+    copy.ue_index()
+    return copy
+
+
 def write_result(name: str, text: str) -> None:
     """Write one bench's regenerated artifact and echo it.
 

@@ -209,6 +209,7 @@ def gof_study(
         cluster_of = _cluster_device_hour(
             dev,
             table,
+            slots,
             clustered=clustered,
             theta_f=theta_f,
             theta_n=theta_n,

@@ -14,9 +14,14 @@ arrays:
 
 * rows are visited in ``(ue, time)`` order through the trace's one
   per-UE index (:meth:`repro.trace.trace.Trace.ue_index`);
-* the state trajectory of every UE falls out of a segmented
-  Hillis–Steele function-composition scan (:func:`_replay_codes`) in
-  ``O(log n)`` vectorized passes;
+* the state trajectory of every UE is read off the tables
+  (:func:`_replay_codes`): the state after a *barrier* row — a UE's
+  first row, or an event that reaches one state from every source —
+  is seeded directly; the short runs of source-dependent rows between
+  barriers are resolved forward from their predecessors in a few
+  frontier passes; and runs still unresolved after those fall back to
+  a segmented Hillis–Steele function-composition scan over just their
+  rows, ``O(m log L)`` for ``m`` rows in runs of at most ``L``;
 * the §8 evaluation quantities — sojourn samples per (state, event),
   transition counts, complete top-level state intervals, and the
   Category-2 (``HO``/``TAU``) state classification — are extracted with
@@ -38,7 +43,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..trace.events import EventType
+from ..trace.events import DeviceType, EventType
 from ..trace.trace import Trace
 from . import lte
 from .fsm import HierarchicalStateMachine
@@ -191,14 +196,13 @@ def _replay_codes(
 
     ``events`` is an int array of event codes, ``first`` flags the first
     event of each segment (each segment replays independently, from an
-    unknown initial state).
+    unknown initial state); row 0 must start one.
 
-    The state trajectory is reconstructed with a segmented
-    Hillis–Steele scan over *function* rows: row ``i`` is the total
-    state map of event ``i`` (constant for segment-first events, whose
-    source is forced to the canonical state), and composing rows within
-    a segment yields, in ``O(log n)`` passes, the constant map "state
-    after event ``i``".
+    The state after a *barrier* row is read straight from the tables:
+    a segment's first row is forced to the event's canonical source,
+    and a constant-row event reaches the same state from every source.
+    Only the runs of source-dependent rows between barriers need their
+    predecessor's state; :func:`_resolve_runs` walks them forward.
     """
     n = len(events)
     empty = np.empty(0, dtype=np.int16)
@@ -211,37 +215,89 @@ def _replay_codes(
             f"event {event.name} has no source state in {table.machine_name}"
         )
 
-    rows_f = table.total[events].copy()  # (n, S)
-    rows_f[first] = table.fallback_next[events[first]][:, None]
-    # Scan barriers: segment firsts AND constant-row events.  A constant
-    # row already *is* the map "state after this event", so composition
-    # only has to run inside the (short) runs of source-dependent events
-    # between barriers — for emm_ecm and nr_sa every event is constant
-    # and the loop below exits after one empty pass.
-    reset = first | (table.const_target[events] >= 0)
-    idx = np.arange(n)
-    start_of = np.maximum.accumulate(np.where(reset, idx, -1))
+    # Barriers: a segment's first row is forced to its canonical
+    # source, and a constant-row event reaches one state from any
+    # source, so the state after either is known without looking left.
+    # Every other row is -1 until resolved.
+    state_after = np.where(
+        first, table.fallback_next[events], table.const_target[events]
+    )
+    loose = np.flatnonzero(state_after < 0)
+    if loose.size:
+        if loose[0] == 0:
+            raise ValueError("the first row must start a segment")
+        _resolve_runs(state_after, events, loose, table)
+
+    # The source is the predecessor's state, except where the event is
+    # invalid there (or the row starts a segment): then it is forced to
+    # the event's canonical source.
+    prev = np.empty(n, dtype=np.int16)
+    prev[0] = 0
+    prev[1:] = state_after[:-1]
+    prev[first] = 0
+    invalid = (table.next_state < 0).ravel()
+    forced = first | invalid[prev.astype(np.intp) * _NUM_EVENTS + events]
+    source = np.where(forced, table.canon[events], prev)
+    return source, state_after, forced
+
+
+#: Frontier passes before :func:`_resolve_runs` falls back to doubling.
+#: Each pass resolves one more row of every source-dependent run; on
+#: ground-truth traces runs average about one row.
+_WALK_PASSES = 4
+
+
+def _resolve_runs(
+    state_after: np.ndarray,
+    events: np.ndarray,
+    loose: np.ndarray,
+    table: MachineTable,
+) -> None:
+    """Fill ``state_after`` at the ``loose`` rows, in place.
+
+    ``loose`` lists, ascending, the rows whose state depends on their
+    predecessor's; every run of them follows a resolved row.  A few
+    frontier passes resolve each run's leading rows from their
+    predecessors.  The rows still unresolved after that (long runs
+    only) go through a segmented Hillis–Steele composition of their
+    total-function rows, compacted to those rows: ``O(m log L)`` work
+    for ``m`` rows in runs of at most ``L``.
+    """
+    total = table.total
+    flat = total.ravel()
+    num_states = table.num_states
+    for _ in range(_WALK_PASSES):
+        # One gather reads every predecessor before any write, so a pass
+        # resolves exactly the rows next to a resolved one.
+        prev = state_after[loose - 1]
+        ready = prev >= 0
+        rows = loose[ready]
+        state_after[rows] = flat[events[rows] * num_states + prev[ready]]
+        loose = loose[~ready]
+        if not loose.size:
+            return
+    m = loose.size
+    idx = np.arange(m)
+    head = np.ones(m, dtype=bool)
+    head[1:] = loose[1:] != loose[:-1] + 1
+    # Row j's map; a run's head composes with its resolved predecessor
+    # into the constant map "state after this row".
+    rows_f = total[events[loose]]  # (m, S)
+    heads = loose[head]
+    rows_f[head] = total[events[heads], state_after[heads - 1]][:, None]
+    start_of = np.maximum.accumulate(np.where(head, idx, 0))
     stride = 1
     while True:
-        rows = np.flatnonzero(idx >= stride)
-        rows = rows[(rows - stride) >= start_of[rows]]
+        rows = np.flatnonzero(idx - stride >= start_of)
         if rows.size == 0:
             break
-        # Compose: new[i](s) = F_i(F_{i-stride}(s)).  Both gathers read
+        # Compose: new[j](s) = F_j(F_{j-stride}(s)).  Both gathers read
         # pre-update values before the assignment writes back.
         rows_f[rows] = np.take_along_axis(
             rows_f[rows], rows_f[rows - stride].astype(np.intp), axis=1
         )
         stride *= 2
-    state_after = rows_f[:, 0]
-
-    prev = np.empty(n, dtype=np.int64)
-    prev[0] = 0
-    prev[1:] = state_after[:-1]
-    prev_safe = np.where(first, 0, prev)
-    forced = first | (table.next_state[prev_safe, events] < 0)
-    source = np.where(forced, table.canon[events], prev_safe).astype(np.int16)
-    return source, state_after.astype(np.int16), forced
+    state_after[loose] = rows_f[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +337,13 @@ def _group_arrays(
     return present, groups
 
 
+def _split(keys: np.ndarray, values: np.ndarray):
+    """``(key, values[keys == key])`` for each key present, ascending;
+    each group keeps the values' order.  For a handful of keys."""
+    for key in np.flatnonzero(np.bincount(keys)).tolist():
+        yield key, values[keys == key]
+
+
 @dataclasses.dataclass
 class TraceReplay:
     """Every UE of one trace replayed, kept as flat arrays.
@@ -299,6 +362,7 @@ class TraceReplay:
     targets: np.ndarray    #: (n,) target state codes
     forced: np.ndarray     #: (n,) bool
     first: np.ndarray      #: (n,) bool, True at each UE's first row
+    devices: np.ndarray    #: (U,) device-type code of each UE in ``ues``
     table: MachineTable
 
     def __len__(self) -> int:
@@ -358,8 +422,11 @@ class TraceReplay:
             ] = int(counts[key])
         return out
 
-    def _interval_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Complete top-level intervals as (state_parent, start, duration)."""
+    def _interval_arrays(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Complete top-level intervals as (state_parent, start, duration,
+        ue_code)."""
         open_b, close_b = _interval_bounds(
             self.table, self.sources, self.targets, self.ue_code
         )
@@ -367,6 +434,7 @@ class TraceReplay:
             self.table.parent_code[self.targets[open_b]],
             self.times[open_b],
             self.times[close_b] - self.times[open_b],
+            self.ue_code[open_b],
         )
 
     def top_state_sojourns(self) -> Dict[str, np.ndarray]:
@@ -375,10 +443,26 @@ class TraceReplay:
         This yields the CONNECTED / IDLE / DEREGISTERED sojourn samples
         the paper fits and compares (Figs. 3-4, Table 5).
         """
-        states, _, durations = self._interval_arrays()
-        present, groups = _group_arrays(states.astype(np.int64), durations)
+        states, _, durations, _ = self._interval_arrays()
         names = self.table.parent_names
-        return {names[int(code)]: group for code, group in zip(present, groups)}
+        return {names[code]: group for code, group in _split(states, durations)}
+
+    def device_top_state_sojourns(self) -> Dict[DeviceType, Dict[str, np.ndarray]]:
+        """:meth:`top_state_sojourns` of each device type's UEs, for
+        every device type present.
+
+        UEs replay independently, so each entry equals the sojourns of
+        a replay of that device's cohort alone.
+        """
+        states, _, durations, ue = self._interval_arrays()
+        names = self.table.parent_names
+        key = self.devices[ue].astype(np.int64) * len(names) + states
+        out: Dict[DeviceType, Dict[str, np.ndarray]] = {
+            DeviceType(code): {} for code in np.unique(self.devices).tolist()
+        }
+        for code, group in _split(key, durations):
+            out[DeviceType(code // len(names))][names[code % len(names)]] = group
+        return out
 
     def state_visits(self, state: str) -> Tuple[np.ndarray, np.ndarray]:
         """``(durations, entry_times)`` of complete visits to ``state``.
@@ -386,7 +470,7 @@ class TraceReplay:
         Visits are in ``(ue, time)`` order; ``state`` is a top-level
         state name (e.g. ``"CONNECTED"``).
         """
-        states, starts, durations = self._interval_arrays()
+        states, starts, durations, _ = self._interval_arrays()
         names = self.table.parent_names
         code = names.index(state) if state in names else -1
         keep = states == code
@@ -417,6 +501,7 @@ def replay_trace(trace: Trace, machine=None) -> TraceReplay:
         targets=targets,
         forced=forced,
         first=first,
+        devices=trace.device_types[index.order[index.bounds[:-1]]],
         table=table,
     )
 
@@ -429,7 +514,7 @@ def replay_trace(trace: Trace, machine=None) -> TraceReplay:
 _CONN, _IDLE, _DEREG = 0, 1, 2
 
 #: Top-level state after a Category-1 event (the lenient tracker).
-_FORCE_TO = np.full(_NUM_EVENTS, -1, dtype=np.int64)
+_FORCE_TO = np.full(_NUM_EVENTS, -1, dtype=np.int8)
 _FORCE_TO[int(EventType.ATCH)] = _CONN
 _FORCE_TO[int(EventType.DTCH)] = _DEREG
 _FORCE_TO[int(EventType.SRV_REQ)] = _CONN
@@ -437,7 +522,7 @@ _FORCE_TO[int(EventType.S1_CONN_REL)] = _IDLE
 
 #: Initial top-level state back-inferred from a UE's first Category-1
 #: event.
-_INIT_FROM = np.full(_NUM_EVENTS, -1, dtype=np.int64)
+_INIT_FROM = np.full(_NUM_EVENTS, -1, dtype=np.int8)
 _INIT_FROM[int(EventType.ATCH)] = _DEREG
 _INIT_FROM[int(EventType.SRV_REQ)] = _IDLE
 _INIT_FROM[int(EventType.S1_CONN_REL)] = _CONN
@@ -458,53 +543,85 @@ def classify_category2_events(
     event a UE is in the state that event implies, else CONNECTED when
     it has any ``HO``, else IDLE; ``DEREGISTERED`` counts as ``IDLE``.
     """
-    counts: Dict[Tuple[EventType, str], int] = {
-        (EventType.HO, lte.CONNECTED): 0,
-        (EventType.HO, lte.IDLE): 0,
-        (EventType.TAU, lte.CONNECTED): 0,
-        (EventType.TAU, lte.IDLE): 0,
-    }
-    n = len(trace)
-    if n == 0:
-        return counts
+    events, _, states = _category2_rows(trace)
+    return _category2_dict(events, states)
+
+
+def classify_category2_by_device(
+    trace: Trace,
+) -> Dict[DeviceType, Dict[Tuple[EventType, str], int]]:
+    """:func:`classify_category2_events` of each device type's UEs, for
+    every device type present (UEs are classified independently)."""
     index = trace.ue_index()
-    events = trace.event_types[index.order].astype(np.int64)
-    first = index.firsts()
-    ue_code = index.codes()
-    num_ues = len(index.ues)
-    idx = np.arange(n)
+    present = np.unique(trace.device_types[index.order[index.bounds[:-1]]])
+    events, devices, states = _category2_rows(trace)
+    return {
+        DeviceType(code): _category2_dict(
+            events[devices == code], states[devices == code]
+        )
+        for code in present.tolist()
+    }
+
+
+def _category2_dict(
+    events: np.ndarray, states: np.ndarray
+) -> Dict[Tuple[EventType, str], int]:
+    """The four Category-2 cells, counted over HO/TAU rows."""
+    return {
+        (event, name): int(np.count_nonzero((events == event) & (states == code)))
+        for event in (EventType.HO, EventType.TAU)
+        for name, code in ((lte.CONNECTED, _CONN), (lte.IDLE, _IDLE))
+    }
+
+
+def _category2_rows(trace: Trace) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(event, device, state)`` of every HO/TAU row, in UE order.
+
+    ``state`` is the lenient top-level state the row occurs in, with
+    DEREGISTERED folded into IDLE.  The per-row work is a few one-byte
+    columns and one forward fill of row positions.
+    """
+    index = trace.ue_index()
+    events = trace.event_types[index.order]
+    starts, ends = index.bounds[:-1], index.bounds[1:]
 
     # Per-UE initial state: decided by the first Category-1 event, else
-    # CONNECTED when any HO is present, else IDLE.
+    # CONNECTED when any HO is present, else IDLE.  A UE's rows are one
+    # run, so its first row of a kind is the first at or after its start.
     setter = _FORCE_TO[events]  # -1 for HO/TAU rows
     cat1_pos = np.flatnonzero(setter >= 0)
-    first_cat1 = np.full(num_ues, -1, dtype=np.int64)
-    first_cat1[ue_code[cat1_pos][::-1]] = cat1_pos[::-1]
-    has_ho = np.zeros(num_ues, dtype=bool)
-    has_ho[ue_code[events == int(EventType.HO)]] = True
-    init = np.where(has_ho, _CONN, _IDLE)
+    ho_pos = np.flatnonzero(events == int(EventType.HO))
+    first_cat1 = _first_at_or_after(cat1_pos, starts, ends)
+    has_ho = _first_at_or_after(ho_pos, starts, ends) >= 0
+    init = np.where(has_ho, _CONN, _IDLE).astype(np.int8)
     seen = first_cat1 >= 0
-    init[seen] = _INIT_FROM[events[np.maximum(first_cat1, 0)]][seen]
+    init[seen] = _INIT_FROM[events[first_cat1[seen]]]
 
-    # State at each row = value of the last Category-1 setter strictly
-    # before it within the same UE, else that UE's initial state.
-    start_of = np.maximum.accumulate(np.where(first, idx, -1))
-    last_setter = np.maximum.accumulate(np.where(setter >= 0, idx, -1))
-    prev_setter = np.empty(n, dtype=np.int64)
-    prev_setter[0] = -1
-    prev_setter[1:] = last_setter[:-1]
-    in_segment = prev_setter >= start_of
-    state = np.where(
-        in_segment, setter[np.maximum(prev_setter, 0)], init[ue_code]
-    )
-    state = np.where(state == _DEREG, _IDLE, state)
+    # State after each row: the last Category-1 setter's value so far
+    # within the UE, else its initial state.  Every UE's first row is
+    # defined, so the forward fill never crosses into another UE.
+    after = setter.copy()
+    lead = after[starts] < 0
+    after[starts[lead]] = init[lead]
+    pos = np.arange(len(events))
+    pos[after < 0] = 0
+    np.maximum.accumulate(pos, out=pos)
 
-    for event in (EventType.HO, EventType.TAU):
-        rows = events == int(event)
-        counts[(event, lte.CONNECTED)] = int(
-            np.count_nonzero(rows & (state == _CONN))
-        )
-        counts[(event, lte.IDLE)] = int(
-            np.count_nonzero(rows & (state == _IDLE))
-        )
-    return counts
+    rows = np.flatnonzero(setter < 0)
+    ue = np.searchsorted(starts, rows, side="right") - 1
+    states = np.where(starts[ue] == rows, init[ue], after[pos[rows - 1]])
+    states[states == _DEREG] = _IDLE
+    return events[rows], trace.device_types[index.order[rows]], states
+
+
+def _first_at_or_after(
+    positions: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Per run ``[start, end)``: the first of the sorted ``positions``
+    in it, or -1."""
+    j = np.searchsorted(positions, starts)
+    found = np.full(len(starts), -1, dtype=np.int64)
+    hit = np.flatnonzero(j < len(positions))
+    hit = hit[positions[j[hit]] < ends[hit]]
+    found[hit] = positions[j[hit]]
+    return found

@@ -9,6 +9,8 @@ log archaeology.  :class:`RunTelemetry` is the single collection point:
 - **spans** — named wall/CPU time intervals (``with tele.span("generate")``),
   re-entrant by name: entering the same span name again accumulates into
   the same record (count, total wall seconds, total CPU seconds).
+  ``with tele.phases() as phase`` records back-to-back spans, each
+  ``phase(name)`` ending the previous one at the instant it starts.
 - **counters** — monotonic integer accumulators (events emitted, UE-hours
   advanced, RNG draws, chunk retries, checkpoint snapshots/bytes).
 - **gauges** — last-value-wins measurements with a ``max_gauge`` variant
@@ -77,6 +79,30 @@ class _SpanHandle:
         )
 
 
+class _Phases:
+    """Back-to-back spans; see :meth:`RunTelemetry.phases`."""
+
+    __slots__ = ("_tele", "_name", "_wall0", "_cpu0")
+
+    def __init__(self, tele: "RunTelemetry") -> None:
+        self._tele = tele
+        self._name: Optional[str] = None
+
+    def __enter__(self) -> "_Phases":
+        return self
+
+    def __call__(self, name: Optional[str]) -> None:
+        """End the current phase, if any, and start ``name`` (``None``
+        starts none)."""
+        wall, cpu = time.perf_counter(), time.process_time()
+        if self._name is not None:
+            self._tele._record_span(self._name, wall - self._wall0, cpu - self._cpu0)
+        self._name, self._wall0, self._cpu0 = name, wall, cpu
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self(None)
+
+
 class RunTelemetry:
     """Collects one run's spans, counters, and gauges (see module doc)."""
 
@@ -92,6 +118,22 @@ class RunTelemetry:
     def span(self, name: str) -> _SpanHandle:
         """Time a named phase: ``with tele.span("generate"): ...``."""
         return _SpanHandle(self, name)
+
+    def phases(self) -> _Phases:
+        """Time consecutive phases with no gap between them::
+
+            with tele.phases() as phase:
+                phase("fit-replay")
+                ...
+                phase("fit-models")
+                ...
+
+        Each phase is recorded like a :meth:`span` of that name and ends
+        when the next starts or the block exits, so the time between
+        two ``with tele.span(...)`` blocks (their bookkeeping) is
+        counted in a phase instead of in none.
+        """
+        return _Phases(self)
 
     def _record_span(self, name: str, wall_s: float, cpu_s: float) -> None:
         rec = self._spans.get(name)

@@ -4,14 +4,27 @@ A :class:`Trace` stores events as parallel numpy arrays — UE id,
 timestamp (float seconds from the trace epoch), event type, and device
 type — kept in ``(time, ue_id)`` order whatever built them, and offers
 the slicing operations the modeling pipeline needs: per-UE views,
-per-hour windows, and device filters.  The representation is immutable
-by convention; operations return new ``Trace`` views or copies.
+per-hour windows, and device filters.  The columns are read-only
+views, so whatever a trace derives from them (its per-UE index, its
+content hash, the values held by :meth:`Trace.memo`) stays valid for
+its lifetime; operations return new ``Trace`` views or copies.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -25,6 +38,18 @@ from .events import (
 
 #: A Trace's four columns, in constructor order.
 COLUMNS = ("ue_ids", "times", "event_types", "device_types")
+
+_T = TypeVar("_T")
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    """``column`` if it is read-only, else a read-only view of it (the
+    caller's array keeps its flags)."""
+    if not column.flags.writeable:
+        return column
+    view = column.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,7 +159,8 @@ class Trace:
     reorders others with one stable ``lexsort``.  All four columns have
     equal length.  ``ue_ids`` are arbitrary non-negative integers
     (checked on construction when ``validate=True``, as is that each UE
-    keeps one device type).  Every per-UE
+    keeps one device type).  The columns are read-only views (of the
+    given arrays when no cast or reorder was needed).  Every per-UE
     view reads one :class:`UEIndex`, built on first use.
     """
 
@@ -145,6 +171,7 @@ class Trace:
         "device_types",
         "_ue_index",
         "_content_hash",
+        "_memos",
     )
 
     def __init__(
@@ -192,12 +219,13 @@ class Trace:
             event_types = event_types[order]
             device_types = device_types[order]
 
-        self.ue_ids = ue_ids
-        self.times = times
-        self.event_types = event_types
-        self.device_types = device_types
+        self.ue_ids = _read_only(ue_ids)
+        self.times = _read_only(times)
+        self.event_types = _read_only(event_types)
+        self.device_types = _read_only(device_types)
         self._ue_index: Optional[UEIndex] = None
         self._content_hash: Optional[str] = None
+        self._memos: Dict[Hashable, Any] = {}
         if validate and len(times) > 1:
             self._check_one_device_per_ue()
 
@@ -319,8 +347,7 @@ class Trace:
 
         Two traces with identical events hash identically regardless of
         how they were constructed or stored (compressed NPZ, memory map,
-        in-memory).  The digest is memoized; the columns are immutable
-        by convention.
+        in-memory).  The digest is memoized; the columns are read-only.
         """
         if self._content_hash is None:
             import hashlib
@@ -336,6 +363,20 @@ class Trace:
                 digest.update(np.ascontiguousarray(column).tobytes())
             self._content_hash = digest.hexdigest()
         return self._content_hash
+
+    def memo(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()``, computed on the first call with ``key`` and then
+        held for the trace's lifetime.
+
+        For values derived from the columns: ``key`` must name every
+        other input the value depends on.  The held value is shared by
+        every caller, which must not modify it.
+        """
+        try:
+            return self._memos[key]
+        except KeyError:
+            value = self._memos[key] = build()
+            return value
 
     def device_of(self) -> Dict[int, DeviceType]:
         """Map every UE id to its device type (that of its first event)."""

@@ -39,12 +39,12 @@ def breakdown_with_states(
     trace: Trace,
     device_type: DeviceType,
 ) -> Dict[str, float]:
-    """Eight-row event breakdown (fractions of all events) for one device."""
-    return _cohort_breakdown(trace.filter_device(device_type))
+    """Eight-row event breakdown (fractions of all events) for one device.
 
-
-def _cohort_breakdown(sub: Trace) -> Dict[str, float]:
-    """:func:`breakdown_with_states` of a trace already cut to one device."""
+    Built from the device's own cut of ``trace``; :func:`repro.validation.summarize`
+    gives the same numbers from its one replay of the whole trace.
+    """
+    sub = trace.filter_device(device_type)
     total = len(sub)
     if total == 0:
         return {row: 0.0 for row in BREAKDOWN_ROWS}

@@ -36,13 +36,7 @@ def per_ue_counts(
     population the CDF describes).  One ``bincount`` over the cohort's
     UE codes (:meth:`~repro.trace.trace.Trace.ue_index`).
     """
-    return _cohort_counts(trace.filter_device(device_type), event_type, num_ues)
-
-
-def _cohort_counts(
-    sub: Trace, event_type: EventType, num_ues: Optional[int]
-) -> np.ndarray:
-    """:func:`per_ue_counts` of a trace already cut to one device."""
+    sub = trace.filter_device(device_type)
     index = sub.ue_index()
     present = len(index.ues)
     if num_ues is not None and num_ues < present:

@@ -1,11 +1,14 @@
 """One §8 summary per (trace, device), and the comparisons of Tables 4-6.
 
-:func:`summarize` cuts one device cohort out of a trace once and
-replays it once; the :class:`DeviceSummary` it returns holds everything
-Tables 4, 5 and 6 read from that cohort.  :func:`compare` scores a
-synthesized summary against the real one, so a real trace compared
-with several methods is summarized once per device, not once per
-method.
+:func:`summarize` returns a :class:`DeviceSummary`: everything Tables
+4, 5 and 6 read from one device cohort of a trace.  The first call on
+a trace replays the whole trace once and summarizes every device type
+in it, reading each cohort's rows through the trace's per-UE index (a
+UE has one device type), with no per-device copy.  The summaries are
+held on the trace (:meth:`~repro.trace.trace.Trace.memo`), so a trace
+summarized again, for another device or in another evaluation, is not
+replayed again.  :func:`compare` scores a synthesized summary against
+the real one.
 """
 
 from __future__ import annotations
@@ -16,12 +19,25 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..statemachines import lte
-from ..statemachines.compiled_replay import replay_trace
+from ..statemachines.compiled_replay import classify_category2_by_device, replay_trace
 from ..stats.ecdf import max_y_distance
 from ..trace.events import DeviceType, EventType
 from ..trace.trace import Trace
-from .breakdown import BREAKDOWN_ROWS, _cohort_breakdown
-from .microscopic import MICRO_QUANTITIES, _COUNT_QUANTITIES, _cohort_counts
+from .breakdown import BREAKDOWN_ROWS
+from .microscopic import MICRO_QUANTITIES, _COUNT_QUANTITIES
+
+_NUM_EVENTS = int(max(EventType)) + 1
+
+#: Breakdown rows that count one event type outright.
+_PLAIN_ROWS = ("ATCH", "DTCH", "SRV_REQ", "S1_CONN_REL")
+
+#: Breakdown rows split by the top-level state the event occurs in.
+_STATE_ROWS = {
+    "HO (CONN.)": (EventType.HO, lte.CONNECTED),
+    "HO (IDLE)": (EventType.HO, lte.IDLE),
+    "TAU (CONN.)": (EventType.TAU, lte.CONNECTED),
+    "TAU (IDLE)": (EventType.TAU, lte.IDLE),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,17 +64,69 @@ def summarize(
     ``num_ues`` is the cohort's nominal population: the per-UE counts
     are zero-padded to it (``None`` keeps only the UEs present, which is
     also the right padding for a real trace).  Raises
-    :class:`ValueError` if it is smaller than the UEs present.
+    :class:`ValueError` if it is smaller than the UEs present.  The
+    sample arrays are shared with the trace's held summary and are
+    read-only.
     """
-    sub = trace.filter_device(device_type)
-    samples = {
-        name: _cohort_counts(sub, event_type, num_ues)
-        for name, event_type in _COUNT_QUANTITIES.items()
-    }
-    sojourns = replay_trace(sub).top_state_sojourns()
-    for state in (lte.CONNECTED, lte.IDLE):
-        samples[state] = sojourns.get(state, np.empty(0))
-    return DeviceSummary(device_type, _cohort_breakdown(sub), samples)
+    device_type = DeviceType(device_type)
+    held = trace.memo("validation.summaries", lambda: _device_summaries(trace))
+    cohort = held.get(device_type) or _absent(device_type)
+    samples = dict(cohort.samples)
+    present = samples["SRV_REQ"].size
+    if num_ues is not None:
+        if num_ues < present:
+            raise ValueError(
+                f"num_ues={num_ues} smaller than UEs present ({present})"
+            )
+        # Counts are non-negative, so the padding zeros sort first.
+        pad = np.zeros(num_ues - present)
+        for name in _COUNT_QUANTITIES:
+            samples[name] = np.concatenate([pad, samples[name]])
+    return DeviceSummary(device_type, dict(cohort.breakdown), samples)
+
+
+def _device_summaries(trace: Trace) -> Dict[DeviceType, DeviceSummary]:
+    """The unpadded summary of every device type in ``trace``, from one
+    replay of the whole trace."""
+    index = trace.ue_index()
+    num_ues = len(index.ues)
+    ue_device = trace.device_types[index.order[index.bounds[:-1]]]
+    per_ue = np.bincount(
+        index.codes() * _NUM_EVENTS + trace.event_types[index.order],
+        minlength=num_ues * _NUM_EVENTS,
+    ).reshape(num_ues, _NUM_EVENTS)
+    sojourns = replay_trace(trace).device_top_state_sojourns()
+    category2 = classify_category2_by_device(trace)
+    out: Dict[DeviceType, DeviceSummary] = {}
+    for device_type, by_state in sojourns.items():
+        counts = per_ue[ue_device == device_type]
+        samples = {
+            name: np.sort(counts[:, int(event)].astype(np.float64))
+            for name, event in _COUNT_QUANTITIES.items()
+        }
+        for state in (lte.CONNECTED, lte.IDLE):
+            samples[state] = by_state.get(state, np.empty(0))
+        for array in samples.values():
+            array.flags.writeable = False
+        totals = counts.sum(axis=0)
+        rows = {name: int(totals[int(EventType[name])]) for name in _PLAIN_ROWS}
+        cat2 = category2[device_type]
+        rows.update({name: cat2[key] for name, key in _STATE_ROWS.items()})
+        total = int(totals.sum())
+        breakdown = {row: rows[row] / total for row in BREAKDOWN_ROWS}
+        out[device_type] = DeviceSummary(device_type, breakdown, samples)
+    return out
+
+
+def _absent(device_type: DeviceType) -> DeviceSummary:
+    """The summary of a device type with no events in the trace."""
+    empty = np.empty(0)
+    empty.flags.writeable = False
+    return DeviceSummary(
+        device_type,
+        {row: 0.0 for row in BREAKDOWN_ROWS},
+        {name: empty for name in MICRO_QUANTITIES},
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from repro.statemachines import lte
 from repro.statemachines.compiled_replay import TraceReplay, _canonical_source_for
 from repro.statemachines.fsm import HierarchicalStateMachine
-from repro.trace.events import EventType
+from repro.trace.events import DeviceType, EventType
 from repro.trace.trace import Trace
 
 
@@ -265,15 +265,25 @@ def top_state_sojourns(
 
 
 class ReferenceReplay:
-    """The per-event replay of a trace, behind the one
-    :class:`~repro.statemachines.TraceReplay` method the §8 summary
+    """The per-event replay of a trace, behind the
+    :class:`~repro.statemachines.TraceReplay` methods the §8 summary
     reads; patch it in for ``repro.validation.summary.replay_trace``."""
 
     def __init__(self, trace: Trace) -> None:
+        self.trace = trace
         self.results = replay_trace(trace)
 
     def top_state_sojourns(self) -> Dict[str, np.ndarray]:
         return top_state_sojourns(self.results)
+
+    def device_top_state_sojourns(self) -> Dict[DeviceType, Dict[str, np.ndarray]]:
+        device_of = self.trace.device_of()
+        return {
+            device: top_state_sojourns(
+                {ue: r for ue, r in self.results.items() if device_of[ue] == device}
+            )
+            for device in sorted(set(device_of.values()))
+        }
 
 
 def classify_category2_events(trace: Trace) -> Dict[Tuple[EventType, str], int]:
@@ -305,6 +315,17 @@ def classify_category2_events(trace: Trace) -> Dict[Tuple[EventType, str], int]:
                 if key in counts:
                     counts[key] += 1
     return counts
+
+
+def classify_category2_by_device(
+    trace: Trace,
+) -> Dict[DeviceType, Dict[Tuple[EventType, str], int]]:
+    """:func:`classify_category2_events` of each device type's cut of
+    ``trace``, for every device type present."""
+    return {
+        device: classify_category2_events(trace.filter_device(device))
+        for device in sorted(set(trace.device_of().values()))
+    }
 
 
 def _infer_initial_top_state(event_types: Sequence[int]) -> str:

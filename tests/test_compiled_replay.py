@@ -20,7 +20,11 @@ from repro.statemachines import (
     classify_category2_events,
     replay_trace,
 )
-from repro.statemachines.compiled_replay import table_for
+from repro.statemachines.compiled_replay import (
+    _WALK_PASSES,
+    _replay_codes,
+    table_for,
+)
 from repro.statemachines.lte import emm_ecm_machine, two_level_machine
 from repro.statemachines.nr import nr_sa_machine
 from repro.trace import DeviceType, EventType, Trace
@@ -202,6 +206,105 @@ class TestHypothesisEquality:
             assert decoded[ue].records == ref.records
             assert decoded[ue].violations == ref.violations
             assert decoded[ue].final_state == ref.final_state
+
+
+class TestLongRuns:
+    """Runs of source-dependent events longer than the frontier walk's
+    passes reach the doubling fallback of the replay kernel."""
+
+    @staticmethod
+    def _longest_run(trace, machine):
+        """Longest run of rows whose state depends on the previous row's."""
+        table = table_for(machine)
+        index = trace.ue_index()
+        events = trace.event_types[index.order].astype(np.int64)
+        barrier = index.firsts() | (table.const_target[events] >= 0)
+        starts = np.append(np.flatnonzero(barrier), len(events))
+        return int((np.diff(starts) - 1).max())
+
+    def _check(self, kind, rows):
+        builder, codes = MACHINES[kind]
+        machine = builder()
+        trace = _filter_events(make_trace(rows), codes)
+        assert_replays_equal(trace, machine)
+        if kind == "two_level":
+            assert self._longest_run(trace, machine) > _WALK_PASSES
+        return trace
+
+    @pytest.mark.parametrize("kind", sorted(MACHINES))
+    def test_one_long_alternating_ue(self, kind):
+        rows = [(7, 0.5, E.SRV_REQ, P)] + [
+            (7, 1.0 + i, E.S1_CONN_REL if i % 2 == 0 else E.TAU, P)
+            for i in range(10_000)
+        ]
+        self._check(kind, rows)
+
+    @pytest.mark.parametrize("kind", sorted(MACHINES))
+    def test_long_tau_runs_in_both_states(self, kind):
+        """A TAU run keeps the state it starts in (TAU_S_CONN after a
+        SRV_REQ, TAU_S_IDLE after a release), so only a correct
+        composition gets both blocks right."""
+        events = []
+        for opener, length in ((E.SRV_REQ, 700), (E.S1_CONN_REL, 300), (E.HO, 50)):
+            events += [opener] + [E.TAU] * length
+        rows = [(3, 1.0 + i, e, P) for i, e in enumerate(events)]
+        self._check(kind, rows)
+
+    @pytest.mark.parametrize("kind", sorted(MACHINES))
+    def test_short_segments_with_a_few_long_ones(self, kind):
+        rng = np.random.default_rng(3)
+        dependent = [int(E.S1_CONN_REL), int(E.TAU)]
+        rows = []
+        for ue in range(300):
+            if ue % 60 == 5:  # a few long source-dependent runs
+                events = [int(rng.integers(0, 6))]
+                events += rng.choice(dependent, size=int(rng.integers(20, 400))).tolist()
+                events += [int(E.SRV_REQ)] + [int(E.TAU)] * int(rng.integers(8, 100))
+                events += rng.integers(0, 6, size=5).tolist()
+            else:
+                events = rng.integers(0, 6, size=int(rng.integers(1, 12))).tolist()
+            times = np.cumsum(rng.uniform(0.01, 60.0, size=len(events)))
+            rows.extend((ue, float(t), e, P) for t, e in zip(times, events))
+        trace = self._check(kind, rows)
+        assert trace.num_ues > 1
+
+    @pytest.mark.parametrize("kind", sorted(MACHINES))
+    @SETTINGS
+    @given(data=st.data())
+    def test_long_runs_match_replay_ue(self, kind, data):
+        """Per-UE equality with ``replay_ue`` on UEs made of long runs:
+        blocks of any event, a mixed run of source-dependent events,
+        then a run of one of them."""
+        builder, codes = MACHINES[kind]
+        machine = builder()
+        run_events = [c for c in codes if c in (int(E.S1_CONN_REL), int(E.TAU))]
+        rows = []
+        per_ue = {}
+        for ue in range(data.draw(st.integers(min_value=1, max_value=3))):
+            events = []
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                events.append(data.draw(st.sampled_from(codes)))
+                events += data.draw(
+                    st.lists(st.sampled_from(run_events), min_size=0, max_size=12)
+                )
+                events += [data.draw(st.sampled_from(run_events))] * data.draw(
+                    st.integers(min_value=0, max_value=40)
+                )
+            times = np.arange(1, len(events) + 1, dtype=np.float64)
+            per_ue[ue] = (events, times)
+            rows.extend((ue, t, e, 0) for t, e in zip(times, events))
+        decoded = decode(replay_trace(make_trace(rows), machine))
+        for ue, (events, times) in per_ue.items():
+            ref = replay_ue(events, times, machine)
+            assert decoded[ue].records == ref.records
+            assert decoded[ue].violations == ref.violations
+            assert decoded[ue].final_state == ref.final_state
+
+    def test_first_row_must_start_a_segment(self):
+        table = table_for(two_level_machine())
+        events = np.asarray([int(E.TAU), int(E.TAU)], dtype=np.int64)
+        with pytest.raises(ValueError, match="first row"):
+            _replay_codes(events, np.zeros(2, dtype=bool), table)
 
 
 class TestCategory2Classification:

@@ -7,9 +7,9 @@ from repro.generator import TrafficGenerator
 from repro.harness import DEFAULT_METHODS, evaluate_methods
 from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType, EventType
-from repro.validation import breakdown, summary
+from repro.validation import summary
 
-from conftest import TRACE_START_HOUR, make_trace
+from conftest import TRACE_START_HOUR, fresh_copy, make_trace
 from oracle import replay as oracle_replay
 
 E = EventType
@@ -133,15 +133,16 @@ class TestEvaluationEngines:
         )
         with monkeypatch.context() as patch:
             patch.setattr(
-                breakdown,
-                "classify_category2_events",
-                oracle_replay.classify_category2_events,
+                summary,
+                "classify_category2_by_device",
+                oracle_replay.classify_category2_by_device,
             )
             patch.setattr(
                 summary, "replay_trace", oracle_replay.ReferenceReplay
             )
+            # A fresh held-out trace: the one above holds its summaries.
             reference = evaluate_methods(
-                ground_truth_trace, holdout_trace, **kwargs
+                ground_truth_trace, fresh_copy(holdout_trace), **kwargs
             )
         assert compiled.to_dict() == reference.to_dict() == parallel.to_dict()
         assert compiled.to_text() == reference.to_text()
@@ -249,27 +250,34 @@ class TestOneSummaryPerTrace:
     def test_replays_each_trace_once_per_device(
         self, monkeypatch, ground_truth_trace, holdout_trace, ours_model_set
     ):
-        """M methods over D real devices replay (1 + M) * D cohorts: each
-        (trace, device) once, the real side shared by every method."""
+        """Each trace is replayed once, whatever its device count, and
+        a held-out trace evaluated again is not replayed again."""
         calls = []
         replay = summary.replay_trace
 
         def spy(trace, *args, **kwargs):
-            calls.append(len(trace))
+            calls.append(trace)
             return replay(trace, *args, **kwargs)
 
         monkeypatch.setattr(summary, "replay_trace", spy)
         methods = ("base", "ours")
-        report = evaluate_methods(
-            ground_truth_trace,
-            holdout_trace,
+        real = fresh_copy(holdout_trace)
+        kwargs = dict(
             methods=methods,
             models={"base": ours_model_set, "ours": ours_model_set},
             generation_hour=TRACE_START_HOUR + 1,
         )
-        num_devices = len(report.real_summary)
-        assert num_devices == len(DeviceType)
-        assert len(calls) == (1 + len(methods)) * num_devices
+        report = evaluate_methods(fresh_copy(ground_truth_trace), real, **kwargs)
+        assert len(report.real_summary) == len(DeviceType)
+        synthesized = [report.results[m].synthesized for m in methods]
+        assert [id(t) for t in calls] == [id(t) for t in [real, *synthesized]]
+
+        calls.clear()
+        again = evaluate_methods(fresh_copy(ground_truth_trace), real, **kwargs)
+        assert [id(t) for t in calls] == [
+            id(again.results[m].synthesized) for m in methods
+        ]
+        assert again.to_dict() == report.to_dict()
 
     def test_metric_spans_cover_eval_metrics(
         self, ground_truth_trace, holdout_trace, ours_model_set

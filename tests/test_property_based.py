@@ -111,6 +111,29 @@ class TestStatsInvariants:
         assert max_y_distance(a, a) == 0.0
 
     @SETTINGS
+    @given(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=60),
+        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=60),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_max_y_distance_equals_union_grid(self, a, b, scale):
+        """The merged, undeduplicated grid gives the same double as the
+        union formula, with ties inside and across the samples."""
+        a = np.sort(np.asarray(a, dtype=np.float64) * scale)
+        b = np.sort(np.asarray(b, dtype=np.float64) * scale)
+        grid = np.union1d(a, b)
+        union = float(
+            np.max(
+                np.abs(
+                    np.searchsorted(a, grid, side="right") / a.size
+                    - np.searchsorted(b, grid, side="right") / b.size
+                )
+            )
+        )
+        assert max_y_distance(a, b) == union
+        assert max_y_distance(b[::-1], a[::-1]) == union
+
+    @SETTINGS
     @given(st.floats(min_value=0.0, max_value=10.0))
     def test_kolmogorov_sf_is_probability(self, x):
         q = kolmogorov_sf(x)

@@ -75,6 +75,31 @@ class TestSpans:
             time.sleep(0.01)
         assert tele.spans["nap"]["wall_s"] >= 0.009
 
+    def test_phases_are_back_to_back(self):
+        """Consecutive phases leave no gap: together they cover the
+        enclosing span, bookkeeping included."""
+        tele = RunTelemetry()
+        with tele.span("job"):
+            with tele.phases() as phase:
+                for _ in range(200):
+                    phase("a")
+                    phase("b")
+                time.sleep(0.005)
+        spans = tele.spans
+        assert spans["a"]["count"] == spans["b"]["count"] == 200
+        covered = spans["a"]["wall_s"] + spans["b"]["wall_s"]
+        assert covered <= spans["job"]["wall_s"]
+        assert spans["b"]["wall_s"] >= 0.005  # the last phase ends at exit
+        assert covered >= 0.99 * spans["job"]["wall_s"]
+
+    def test_phase_recorded_on_exception(self):
+        tele = RunTelemetry()
+        with pytest.raises(RuntimeError):
+            with tele.phases() as phase:
+                phase("work")
+                raise RuntimeError("boom")
+        assert tele.spans["work"]["count"] == 1
+
 
 class TestCountersAndGauges:
     def test_counters_accumulate(self):

@@ -189,6 +189,59 @@ class TestConstruction:
         assert len(Trace.concatenate([])) == 0
 
 
+class TestReadOnlyColumns:
+    """The columns are read-only views, so nothing derived from them (the
+    UE index, the content hash, the memos) can go stale."""
+
+    def _columns(self):
+        return (
+            np.array([2, 1, 2], dtype=np.int64),
+            np.array([1.0, 2.0, 3.0]),
+            np.array([int(E.ATCH), int(E.SRV_REQ), int(E.HO)], dtype=np.int8),
+            np.array([int(P)] * 3, dtype=np.int8),
+        )
+
+    def test_writes_raise_caller_arrays_stay_writable(self):
+        columns = self._columns()
+        trace = Trace(*columns)
+        for name, column in zip(COLUMNS, columns):
+            view = getattr(trace, name)
+            assert np.shares_memory(view, column)  # sorted input: no copy
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = view[1]
+            assert column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            trace.times += 1.0
+        columns[1][0] = 0.5  # the caller's own array, still writable
+        assert trace.times[0] == 0.5
+
+    def test_reordered_and_cast_columns_read_only(self):
+        ue, t, ev, dev = self._columns()
+        trace = Trace(ue[::-1], t[::-1].tolist(), ev[::-1], dev[::-1])
+        assert list(trace.times) == [1.0, 2.0, 3.0]
+        for name in COLUMNS:
+            assert not getattr(trace, name).flags.writeable
+
+    def test_slices_read_only(self):
+        trace = Trace(*self._columns())
+        for sub in (trace.window(0.0, 2.5), trace.filter_device(P), trace.shift(1.0)):
+            assert not sub.times.flags.writeable
+
+    def test_memo_builds_once_per_key(self):
+        trace = Trace(*self._columns())
+        calls = []
+
+        def build():
+            calls.append(1)
+            return len(calls)
+
+        assert trace.memo(("a", 1), build) == 1
+        assert trace.memo(("a", 1), build) == 1
+        assert trace.memo(("a", 2), build) == 2
+        assert len(calls) == 2
+        assert Trace(*self._columns()).memo(("a", 1), build) == 3
+
+
 class TestAccess:
     def test_len_and_iter(self, tiny_trace):
         assert len(tiny_trace) == 12

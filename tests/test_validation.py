@@ -9,7 +9,7 @@ from repro.statemachines import lte
 from repro.statemachines.compiled_replay import replay_trace
 from repro.stats.ecdf import max_y_distance
 from repro.trace import DeviceType, EventType
-from repro.validation import breakdown, summary
+from repro.validation import summary
 from repro.validation import (
     BREAKDOWN_ROWS,
     MICRO_QUANTITIES,
@@ -23,7 +23,7 @@ from repro.validation import (
     summarize,
 )
 
-from conftest import make_trace
+from conftest import fresh_copy, make_trace
 from oracle import replay as oracle_replay
 
 E = EventType
@@ -186,16 +186,17 @@ class TestMicroComparisonPartial:
 
     def test_engines_agree(self, ground_truth_trace, synthesized_trace, monkeypatch):
         """Macro and micro metrics equal those computed with the
-        per-event reference replay swapped in."""
+        per-event reference replay swapped in (on fresh trace objects,
+        so no summary held by the first call is reused)."""
         real = ground_truth_trace.window(3600.0, 7200.0)
         compiled = _compare(real, synthesized_trace)
         monkeypatch.setattr(summary, "replay_trace", oracle_replay.ReferenceReplay)
         monkeypatch.setattr(
-            breakdown,
-            "classify_category2_events",
-            oracle_replay.classify_category2_events,
+            summary,
+            "classify_category2_by_device",
+            oracle_replay.classify_category2_by_device,
         )
-        assert _compare(real, synthesized_trace) == compiled
+        assert _compare(fresh_copy(real), fresh_copy(synthesized_trace)) == compiled
 
 
 class TestSummaryComparison:
