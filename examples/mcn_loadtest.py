@@ -44,7 +44,6 @@ def poisson_twin(trace: Trace, seed: int = 0) -> Trace:
         times,
         trace.event_types.copy(),
         trace.device_types.copy(),
-        validate=False,
     )
 
 

@@ -40,7 +40,6 @@ def sample_trace(trace: Trace, rate: float, rng: np.random.Generator) -> Trace:
         trace.times[mask],
         trace.event_types[mask],
         trace.device_types[mask],
-        validate=False,
     )
 
 

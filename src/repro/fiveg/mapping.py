@@ -57,7 +57,6 @@ def to_sa_trace(trace: Trace) -> Trace:
         trace.times[mask],
         trace.event_types[mask],
         trace.device_types[mask],
-        validate=False,
     )
 
 

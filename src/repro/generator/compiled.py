@@ -69,8 +69,10 @@ __all__ = [
 MIN_SOJOURN = 1e-3
 
 #: Hard per-UE-per-hour event cap; a guard against degenerate fitted
-#: chains (e.g. a self-loop with near-zero sojourn), far above any
-#: realistic per-UE volume.  Read at every step, so tests may lower it.
+#: chains (e.g. a self-loop with near-zero sojourn) and overlay rates
+#: (two same-millisecond events fit a rate of 1000/s), far above any
+#: realistic per-UE volume.  Read at every step and overlay draw, so
+#: tests may lower it.
 MAX_EVENTS_PER_HOUR = 100_000
 
 # ---------------------------------------------------------------------------
@@ -768,7 +770,9 @@ class CompiledPopulation:
                 u_n = _uniforms(
                     k0c, k1c, 0, hour_idx, _P_OVERLAY_N, np.uint64(event_code)
                 )[0]
-                counts = _poisson_from_uniform(u_n, lam)
+                counts = np.minimum(
+                    _poisson_from_uniform(u_n, lam), MAX_EVENTS_PER_HOUR
+                )
                 total = int(counts.sum())
                 if total == 0:
                     continue
@@ -801,7 +805,6 @@ def population_for_counts(
     *,
     seed: int,
     start_hour: int,
-    first_index: int = 0,
 ) -> CompiledPopulation:
     """Build the population for a device-count split, in generation order."""
     device_codes = np.concatenate(
@@ -815,7 +818,7 @@ def population_for_counts(
     return CompiledPopulation(
         model_set,
         device_codes,
-        first_index + np.arange(total, dtype=np.int64),
+        np.arange(total, dtype=np.int64),
         seed=seed,
         start_hour=start_hour,
     )

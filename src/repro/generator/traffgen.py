@@ -304,7 +304,7 @@ class TrafficGenerator:
                     else [np.concatenate(column) for column in zip(*parts)]
                 )
                 del parts
-                trace = Trace(*columns, validate=False)
+                trace = Trace(*columns)
         tele.count("events_emitted", len(trace))
         tele.record_peak_rss()
         return trace

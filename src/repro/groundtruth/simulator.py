@@ -347,7 +347,7 @@ def simulate_ue(
         array("b", [int(profile.device_type)]),
         array("q", [len(times)]),
     )
-    return Trace(*columns, validate=False)
+    return Trace(*columns)
 
 
 def resolve_device_counts(num_ues: DeviceCounts) -> Dict[DeviceType, int]:
@@ -491,4 +491,4 @@ def simulate_ground_truth(
             else [np.concatenate(column) for column in zip(*parts)]
         )
         del parts
-        return Trace(*columns, validate=False)
+        return Trace(*columns)

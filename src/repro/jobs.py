@@ -19,9 +19,9 @@ the jobs run in this process, under the active telemetry collector,
 with nothing staged or pickled.  Otherwise they run on a
 ``ProcessPoolExecutor``: each :class:`~repro.trace.trace.Trace` in
 ``shared`` is written once as four raw ``.npy`` columns that workers
-memory-map on first use, with no copy and no second validation, other
-shared values are pickled once per worker, and each job's worker-local
-telemetry is merged back as it finishes.
+memory-map on first use and check like any trace's columns, with no
+copy; other shared values are pickled once per worker, and each job's
+worker-local telemetry is merged back as it finishes.
 
 **Failure policy.**  Jobs are pure, so failures are retried, inline and
 pooled alike:
@@ -341,12 +341,11 @@ class _WorkerContext(dict):
     def __missing__(self, name: str) -> Any:
         if name not in self._staged:
             raise KeyError(name)
-        # The parent's columns, already checked and sorted: the Trace
-        # keeps the maps as they are.
+        # The parent's columns, already sorted: the Trace checks the
+        # maps and keeps them as they are.
         prefix = self._staged[name]
         trace = self[name] = Trace(
-            *(np.load(f"{prefix}-{c}.npy", mmap_mode="r") for c in COLUMNS),
-            validate=False,
+            *(np.load(f"{prefix}-{c}.npy", mmap_mode="r") for c in COLUMNS)
         )
         return trace
 

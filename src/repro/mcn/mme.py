@@ -27,7 +27,6 @@ from ..statemachines.compiled_replay import replay_trace
 from ..telemetry import RunTelemetry, get_telemetry
 from ..trace.events import EventType
 from ..trace.trace import Trace
-from .network import check_trace_columns
 
 #: Default mean service time per event type, seconds.  Attach/detach do
 #: the most signaling work (HSS, session setup); handovers are mid;
@@ -100,7 +99,6 @@ class MmeSimulator:
         n = len(trace)
         if n == 0:
             raise ValueError("cannot process an empty trace")
-        check_trace_columns(trace)
         codes = trace.event_types.astype(np.intp)
         means = np.array(
             [self.service_means.get(e, 0.005) for e in EventType], dtype=np.float64

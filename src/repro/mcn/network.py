@@ -74,25 +74,6 @@ class CoreReport:
         return max(self.functions.values(), key=lambda f: f.utilization).name
 
 
-def check_trace_columns(trace: Trace) -> None:
-    """Reject columns a simulator cannot index or order.
-
-    ``Trace(..., validate=False)`` skips the constructor's checks, so
-    the simulators re-check the two columns they index and order by
-    before any lookup: a non-finite time has no place in the event
-    order, and an event code outside :class:`EventType` would wrap or
-    overrun the lowered lookup arrays.
-    """
-    if not np.isfinite(trace.times).all():
-        raise ValueError("trace column 'times' contains non-finite values")
-    codes = trace.event_types
-    if len(codes) and (codes.min() < 0 or codes.max() > max(EventType)):
-        raise ValueError(
-            f"trace column 'event_types' contains codes outside EventType "
-            f"(0..{int(max(EventType))})"
-        )
-
-
 class _LoweredCore(NamedTuple):
     """A procedure map lowered to flat per-step tables.
 
@@ -216,7 +197,6 @@ class CoreNetworkSimulator:
         return report
 
     def _process(self, trace: Trace) -> CoreReport:
-        check_trace_columns(trace)
         if len(trace) == 0:
             return CoreReport(
                 core=self.core,

@@ -44,7 +44,6 @@ def remap_ue_ids(
             trace.times.copy(),
             trace.event_types.copy(),
             trace.device_types.copy(),
-            validate=False,
         ),
         mapping,
     )

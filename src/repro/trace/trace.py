@@ -157,11 +157,14 @@ class Trace:
     Events are always sorted by ``(time, ue_id)``: the constructor
     keeps columns already in that order as given (no copy) and
     reorders others with one stable ``lexsort``.  All four columns have
-    equal length.  ``ue_ids`` are arbitrary non-negative integers
-    (checked on construction when ``validate=True``, as is that each UE
-    keeps one device type).  The columns are read-only views (of the
-    given arrays when no cast or reorder was needed).  Every per-UE
-    view reads one :class:`UEIndex`, built on first use.
+    equal length.  Every construction checks the columns and names the
+    first bad one in a ``ValueError``: ``ue_ids`` are arbitrary
+    non-negative integers, ``times`` finite and non-negative, the codes
+    in range, and each UE keeps one device type.  Row subsets of a
+    trace (:meth:`filter_device`, :meth:`window`, :meth:`per_ue`, ...)
+    cannot fail the checks and skip them.  The columns are read-only
+    views (of the given arrays when no cast or reorder was needed).
+    Every per-UE view reads one :class:`UEIndex`, built on first use.
     """
 
     __slots__ = (
@@ -180,30 +183,27 @@ class Trace:
         times: np.ndarray,
         event_types: np.ndarray,
         device_types: np.ndarray,
-        *,
-        validate: bool = True,
     ) -> None:
         times = np.asarray(times, dtype=np.float64)
-        if validate:
-            _check_integers(ue_ids, "ue_ids", None, "negative UE ids")
-            _check_integers(
-                event_types, "event_types", max(EventType), "unknown event types"
-            )
-            _check_integers(
-                device_types, "device_types", max(DeviceType), "unknown device types"
-            )
-            if len(times) > 0:
-                # NaN propagates through min(), so two reductions catch
-                # NaN and both infinities.
-                lo, hi = times.min(), times.max()
-                if not (np.isfinite(lo) and np.isfinite(hi)):
-                    raise ValueError(
-                        "trace column 'times' contains non-finite timestamps"
-                    )
-                if lo < 0:
-                    raise ValueError(
-                        "trace column 'times' contains negative timestamps"
-                    )
+        _check_integers(ue_ids, "ue_ids", None, "negative UE ids")
+        _check_integers(
+            event_types, "event_types", max(EventType), "unknown event types"
+        )
+        _check_integers(
+            device_types, "device_types", max(DeviceType), "unknown device types"
+        )
+        if len(times) > 0:
+            # NaN propagates through min(), so two reductions catch NaN
+            # and both infinities.
+            lo, hi = times.min(), times.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(
+                    "trace column 'times' contains non-finite timestamps"
+                )
+            if lo < 0:
+                raise ValueError(
+                    "trace column 'times' contains negative timestamps"
+                )
         ue_ids = np.asarray(ue_ids, dtype=np.int64)
         event_types = np.asarray(event_types, dtype=np.int8)
         device_types = np.asarray(device_types, dtype=np.int8)
@@ -218,16 +218,21 @@ class Trace:
             times = times[order]
             event_types = event_types[order]
             device_types = device_types[order]
+            # Freed before the one-device check builds the UE index:
+            # the caller still holds the unsorted columns.
+            del order
 
-        self.ue_ids = _read_only(ue_ids)
-        self.times = _read_only(times)
-        self.event_types = _read_only(event_types)
-        self.device_types = _read_only(device_types)
+        self._set_columns(ue_ids, times, event_types, device_types)
+        if len(times) > 1:
+            self._check_one_device_per_ue()
+
+    def _set_columns(self, *columns: np.ndarray) -> None:
+        """Hold ``columns`` (in :data:`COLUMNS` order) as read-only views."""
+        for name, column in zip(COLUMNS, columns):
+            setattr(self, name, _read_only(column))
         self._ue_index: Optional[UEIndex] = None
         self._content_hash: Optional[str] = None
         self._memos: Dict[Hashable, Any] = {}
-        if validate and len(times) > 1:
-            self._check_one_device_per_ue()
 
     def _check_one_device_per_ue(self) -> None:
         """Reject a UE whose rows carry more than one device type.
@@ -269,7 +274,6 @@ class Trace:
             np.empty(0, dtype=np.float64),
             np.empty(0, dtype=np.int8),
             np.empty(0, dtype=np.int8),
-            validate=False,
         )
 
     @classmethod
@@ -282,7 +286,6 @@ class Trace:
             np.concatenate([t.times for t in traces]),
             np.concatenate([t.event_types for t in traces]),
             np.concatenate([t.device_types for t in traces]),
-            validate=False,
         )
 
     # ------------------------------------------------------------------
@@ -387,14 +390,21 @@ class Trace:
     # ------------------------------------------------------------------
     # Slicing
     # ------------------------------------------------------------------
-    def _select(self, mask: np.ndarray) -> "Trace":
-        return Trace(
-            self.ue_ids[mask],
-            self.times[mask],
-            self.event_types[mask],
-            self.device_types[mask],
-            validate=False,
+    def _select(self, rows) -> "Trace":
+        """The rows ``rows`` (a mask, a slice or increasing indices).
+
+        A row subset keeps this trace's dtypes and ``(time, ue_id)``
+        order, and passes every constructor check because this trace
+        did, so it is the one construction that skips them.
+        """
+        subset = Trace.__new__(Trace)
+        subset._set_columns(
+            self.ue_ids[rows],
+            self.times[rows],
+            self.event_types[rows],
+            self.device_types[rows],
         )
+        return subset
 
     def filter_device(self, device_type: DeviceType) -> "Trace":
         """Events of UEs of one device type."""

@@ -103,6 +103,13 @@ def inject_reattach_storm(
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    for name, value in (
+        ("at", at),
+        ("outage_duration", outage_duration),
+        ("reattach_spread", reattach_spread),
+    ):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if at < 0 or outage_duration < 0 or reattach_spread < 0:
         raise ValueError("times must be non-negative")
     if len(trace) == 0:
@@ -150,7 +157,6 @@ def inject_reattach_storm(
             ]
         ),
         np.concatenate([trace.device_types[keep], devices[registered], devices]),
-        validate=False,
     )
 
 

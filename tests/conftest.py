@@ -99,10 +99,7 @@ def make_trace(rows):
 def fresh_copy(trace):
     """The same events in a new Trace, which holds none of ``trace``'s
     memoized summaries or cluster codes."""
-    return Trace(
-        trace.ue_ids, trace.times, trace.event_types, trace.device_types,
-        validate=False,
-    )
+    return Trace(trace.ue_ids, trace.times, trace.event_types, trace.device_types)
 
 
 @pytest.fixture()

@@ -209,7 +209,6 @@ def generate(
         np.concatenate(time_col),
         np.concatenate(event_col),
         np.concatenate(device_col),
-        validate=False,
     )
 
 
@@ -225,7 +224,9 @@ def _overlay_events(
     for event, rate in cluster.overlay_rates.items():
         if rate <= 0:
             continue
-        n = rng.poisson(rate * (hour_end - hour_start))
+        n = min(
+            rng.poisson(rate * (hour_end - hour_start)), compiled.MAX_EVENTS_PER_HOUR
+        )
         if n == 0:
             continue
         ts = np.sort(rng.uniform(hour_start, hour_end, size=n))

@@ -291,7 +291,6 @@ def simulate_ue(
         np.asarray(times, dtype=np.float64),
         np.asarray(events, dtype=np.int8),
         np.full(n, int(profile.device_type), dtype=np.int8),
-        validate=False,
     )
 
 

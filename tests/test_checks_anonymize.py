@@ -111,6 +111,11 @@ class TestAnonymize:
         remapped, mapping = remap_ue_ids(sample, seed=1, start_id=1000)
         assert set(remapped.unique_ues()) == {1000, 1001}
 
+    def test_remap_rejects_negative_ids(self, sample):
+        """A negative ``start_id`` would hand out negative UE ids."""
+        with pytest.raises(ValueError, match="'ue_ids'"):
+            remap_ue_ids(sample, seed=1, start_id=-30)
+
     def test_remap_deterministic(self, sample):
         a, _ = remap_ue_ids(sample, seed=7)
         b, _ = remap_ue_ids(sample, seed=7)

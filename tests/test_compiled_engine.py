@@ -378,6 +378,18 @@ class TestStructuralLimits:
             # at most: one first event + the capped chain steps
             assert per_ue.max() <= 4
 
+    def test_max_events_per_hour_caps_overlays(self, monkeypatch):
+        """Two same-millisecond HOs fit a Base overlay rate of 1000/s;
+        the cap bounds its draw as it bounds chain steps."""
+        from repro.generator import compiled
+
+        monkeypatch.setattr(compiled, "MAX_EVENTS_PER_HOUR", 50)
+        trace = make_trace([(0, 0.0, E.HO, P), (0, 0.0, E.HO, P)])
+        ms = fit_method("base", trace, theta_n=5, trace_start_hour=0)
+        synthesized = TrafficGenerator(ms).generate({P: 3}, seed=1)
+        _, per_ue = np.unique(synthesized.ue_ids, return_counts=True)
+        assert per_ue.tolist() == [50, 50, 50]
+
     def test_degenerate_fit_still_bit_identical(self, tiny_trace, monkeypatch):
         """A tiny fit exercises absorbing states and silent hours; the
         three production modes must still agree event for event."""

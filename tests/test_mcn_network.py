@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.mcn import (
     EPC_FUNCTIONS,
     EPC_PROCEDURES,
@@ -169,39 +170,49 @@ class TestProcessing:
         assert "registration" in report.procedures or "service_request" in report.procedures
 
 
-def _raw_trace(ues, times, codes):
-    """A phone trace built without the constructor's checks."""
-    return Trace(
-        np.asarray(ues, dtype=np.int64),
-        np.asarray(times, dtype=np.float64),
-        np.asarray(codes, dtype=np.int8),
-        np.zeros(len(times), dtype=np.int8),
-        validate=False,
-    )
-
-
-#: Every MCN simulator, built fresh per call.
-_SIMULATORS = {
-    "epc": lambda: CoreNetworkSimulator("epc", seed=1),
-    "5gc": lambda: CoreNetworkSimulator("5gc", seed=1),
-    "mme": lambda: MmeSimulator(seed=1),
+#: The CLI command that drives each MCN simulator with a trace file.
+_COMMANDS = {
+    "epc": ["core", "--core", "epc"],
+    "5gc": ["core", "--core", "5gc"],
+    "mme": ["mme"],
 }
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("simulator", sorted(_SIMULATORS))
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_times_name_the_column(self, simulator, bad):
-        tr = _raw_trace(range(3), [0.0, bad, 2.0], [E.SRV_REQ] * 3)
-        with pytest.raises(ValueError, match="'times'"):
-            _SIMULATORS[simulator]().process(tr)
+    """A bad trace never reaches a simulator, which does not re-check
+    its input: the reader's ``Trace`` rejects the column, and each
+    simulator's command reports it as a usage error (exit status 2)."""
 
-    @pytest.mark.parametrize("simulator", sorted(_SIMULATORS))
+    def _assert_rejected(self, simulator, times, codes, column, tmp_path, capsys):
+        path = tmp_path / "bad.npz"
+        np.savez(
+            path,
+            ue_ids=np.arange(3),
+            times=np.asarray(times, dtype=np.float64),
+            event_types=np.asarray(codes),
+            device_types=np.zeros(3, dtype=np.int8),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(_COMMANDS[simulator] + ["--trace", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro: error: {path}: trace column '{column}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("simulator", sorted(_COMMANDS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_name_the_column(self, simulator, bad, tmp_path, capsys):
+        self._assert_rejected(
+            simulator, [0.0, bad, 2.0], [E.SRV_REQ] * 3, "times", tmp_path, capsys
+        )
+
+    @pytest.mark.parametrize("simulator", sorted(_COMMANDS))
     @pytest.mark.parametrize("code", [-1, 6, 127])
-    def test_unknown_event_codes_name_the_column(self, simulator, code):
-        tr = _raw_trace(range(3), [0.0, 1.0, 2.0], [E.SRV_REQ, code, E.HO])
-        with pytest.raises(ValueError, match="'event_types'"):
-            _SIMULATORS[simulator]().process(tr)
+    def test_unknown_event_codes_name_the_column(self, simulator, code, tmp_path, capsys):
+        self._assert_rejected(
+            simulator, [0.0, 1.0, 2.0], [E.SRV_REQ, code, E.HO], "event_types",
+            tmp_path, capsys,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +255,11 @@ _core_workers = st.sampled_from(["epc", "5gc"]).flatmap(
 _jitter = st.sampled_from([0.0, 0.3])
 
 
+def _phone_trace(rows):
+    """A phone trace of ``_rows``' (UE, time, event code) rows."""
+    return make_trace([(ue, t, code, DeviceType.PHONE) for ue, t, code in rows])
+
+
 class TestOracleEquality:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -258,7 +274,7 @@ class TestOracleEquality:
         sim = CoreNetworkSimulator(
             core, workers=workers, link_delay=link_delay, service_jitter=jitter, seed=seed
         )
-        _assert_core_equal(sim, _raw_trace(*zip(*rows)))
+        _assert_core_equal(sim, _phone_trace(rows))
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
@@ -269,7 +285,7 @@ class TestOracleEquality:
     )
     def test_mme_equals_oracle(self, rows, workers, jitter, seed):
         sim = MmeSimulator(workers, service_jitter=jitter, seed=seed)
-        _assert_mme_equal(sim, _raw_trace(*zip(*rows)))
+        _assert_mme_equal(sim, _phone_trace(rows))
 
     @pytest.mark.parametrize("core", ["epc", "5gc"])
     @pytest.mark.parametrize("workers", [1, 4])

@@ -15,6 +15,13 @@ CC = DeviceType.CONNECTED_CAR
 E = EventType
 
 
+#: (UE, half-second time, event) rows with many ties.
+_ROWS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5)),
+    max_size=40,
+)
+
+
 class TestConstruction:
     def test_sorts_by_time(self):
         tr = make_trace(
@@ -27,12 +34,7 @@ class TestConstruction:
         assert list(tr.ue_ids) == [2, 5]
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        rows=st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, 5), st.integers(0, 5)),
-            max_size=40,
-        )
-    )
+    @given(rows=_ROWS)
     def test_rows_in_lexsort_order_and_sorted_input_kept(self, rows):
         """Any rows, tied times and ids included, come out in the stable
         ``(time, ue_id)`` order; rows already in it are kept, not copied."""
@@ -51,6 +53,29 @@ class TestConstruction:
         for name in COLUMNS:
             kept = getattr(again, name)
             assert np.shares_memory(kept, getattr(tr, name)) or not rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_ROWS)
+    def test_row_subsets_equal_a_checked_build(self, rows):
+        """Filters, windows and per-UE views skip the constructor's
+        checks and order; each gives what the constructor gives."""
+        ue = np.array([r[0] for r in rows], dtype=np.int64)
+        tr = Trace(
+            ue,
+            np.array([r[1] * 0.5 for r in rows], dtype=np.float64),
+            np.array([r[2] for r in rows], dtype=np.int8),
+            (ue % 3).astype(np.int8),
+        )
+        subsets = [
+            tr.filter_device(P),
+            tr.filter_event(E.HO),
+            tr.filter_ues([1, 3]),
+            tr.window(0.5, 2.0),
+            tr.ue_trace(2),
+            *(sub for _, sub in tr.per_ue()),
+        ]
+        for sub in subsets:
+            assert sub == Trace(*(getattr(sub, name) for name in COLUMNS))
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError, match="lengths differ"):
@@ -144,21 +169,6 @@ class TestConstruction:
                 [Event(3, 1.0, E.ATCH, P), Event(3, 2.0, E.SRV_REQ, CC)]
             )
 
-    def test_validate_false_skips_checks(self):
-        tr = Trace(
-            np.array([1]),
-            np.array([np.nan]),
-            np.array([0], dtype=np.int8),
-            np.array([0], dtype=np.int8),
-            validate=False,
-        )
-        assert len(tr) == 1
-        unchecked = Trace(
-            np.array([-1.7]), np.array([1.0]), np.array([0]), np.array([0]),
-            validate=False,
-        )
-        assert unchecked.ue_ids.tolist() == [-1]
-
     def test_from_events_roundtrip(self):
         events = [
             Event(1, 2.0, E.SRV_REQ, P),
@@ -184,6 +194,12 @@ class TestConstruction:
         merged = Trace.concatenate([a, b])
         assert list(merged.times) == [5.0, 10.0]
         assert merged.num_ues == 2
+
+    def test_concatenate_rejects_a_ue_with_two_devices(self):
+        phone = make_trace([(0, 1.0, E.ATCH, P)])
+        tablet = make_trace([(0, 2.0, E.ATCH, DeviceType.TABLET)])
+        with pytest.raises(ValueError, match="'device_types'.* UE 0 more than one"):
+            Trace.concatenate([phone, tablet])
 
     def test_concatenate_empty_list(self):
         assert len(Trace.concatenate([])) == 0

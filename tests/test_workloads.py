@@ -142,6 +142,15 @@ class TestReattachStorm:
         with pytest.raises(ValueError):
             inject_reattach_storm(Trace.empty(), at=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["at", "outage_duration", "reattach_spread"])
+    def test_non_finite_parameters_are_named(self, base_trace, name, bad):
+        """A non-finite outage time, length or spread would give the
+        grafted DTCH/ATCH rows non-finite timestamps."""
+        kwargs = {"at": 3600.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            inject_reattach_storm(base_trace, **kwargs)
+
     def test_storm_stresses_mme(self, base_trace):
         """The point of the scenario: storms dominate tail latency."""
         from repro.mcn import MmeSimulator
