@@ -8,8 +8,9 @@ machine-readable JSON (``benchmarks/results/BENCH_evaluation.json``),
 mirroring ``BENCH_fitting.json``.  Models are pre-fitted once (outside
 the clock) and passed in, so the timings isolate generation plus the
 Table-4/5 metric computation — whole-cohort array replays versus the
-per-event reference walk.  Also measured: the per-trace summary jobs
-fanned across all CPUs.  Each cell is the median of ``RUNS`` timed
+per-event reference walk.  Also measured: the same evaluation with
+``processes=0``, which fans the generations across all CPUs (the
+summaries stay in the calling process).  Each cell is the median of ``RUNS`` timed
 runs, printed with their interquartile range.  The timed engine runs report to the
 bench's ambient telemetry collector, so ``evaluation_speed.telemetry.json``
 carries their ``evaluate`` and ``eval-*`` spans.

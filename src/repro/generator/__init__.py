@@ -10,7 +10,7 @@ from .compiled import (
     MAX_EVENTS_PER_HOUR,
     CompiledPopulation,
 )
-from .streaming import stream_events, stream_to_trace
+from .streaming import stream_events
 from .traffgen import MAX_SEED, TrafficGenerator, validate_run_args
 
 __all__ = [
@@ -23,6 +23,5 @@ __all__ = [
     "RunKey",
     "TrafficGenerator",
     "stream_events",
-    "stream_to_trace",
     "validate_run_args",
 ]

@@ -10,7 +10,8 @@ population's traffic (plus one light per-UE state record) in memory.
 The whole population advances through
 :class:`~repro.generator.compiled.CompiledPopulation` in vectorized
 cohort batches; its per-UE randomness matches batch generation, so
-stream and batch outputs match event for event.
+stream and batch outputs match event for event
+(:meth:`~repro.trace.trace.Trace.from_events` materializes a stream).
 
 **Checkpointing.**  With ``checkpoint_path`` the stream snapshots its
 carryover state when it starts and after each fully yielded hour;
@@ -31,7 +32,7 @@ from typing import Callable, Iterator, Optional
 from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry
 from ..trace.events import DeviceType, EventType
-from ..trace.trace import Event, Trace
+from ..trace.trace import Event
 from .checkpoint import CheckpointError, open_run
 from .compiled import CompiledPopulation, population_for_counts
 from .traffgen import DeviceCounts, TrafficGenerator, validate_run_args
@@ -134,8 +135,3 @@ def _stream(
             events_emitted=events_emitted,
             population_state=population.snapshot()[0],
         )
-
-
-def stream_to_trace(events: Iterator[Event]) -> Trace:
-    """Materialize a stream back into a :class:`Trace` (mainly for tests)."""
-    return Trace.from_events(events)

@@ -308,14 +308,3 @@ class TrafficGenerator:
         tele.count("events_emitted", len(trace))
         tele.record_peak_rss()
         return trace
-
-    # ------------------------------------------------------------------
-    def generate_hour(
-        self,
-        num_ues: DeviceCounts,
-        hour: int,
-        *,
-        seed: int = 0,
-    ) -> Trace:
-        """Convenience: synthesize a single one-hour trace at ``hour``."""
-        return self.generate(num_ues, start_hour=hour, num_hours=1, seed=seed)

@@ -7,12 +7,12 @@ microscopic (Table 5) fidelity metrics against a held-out real trace.
 The benchmark suite and the CLI both build on it; downstream users can
 run the identical evaluation on their own traces.
 
-Each trace — the real one and one per method — is one
-:func:`repro.jobs.run_jobs` job that summarizes it once per device
-(:func:`repro.validation.summarize`: one filter, one flat-array
-replay); with ``processes`` they fan out over worker processes that
-memory-map the traces.  The parent then compares each method's
-summaries with the real ones (:func:`repro.validation.compare`).
+Each trace — the real one and one per method — is summarized in the
+calling process (:func:`repro.validation.summarize`: one replay for
+all device types, held on the trace, so a held-out trace evaluated
+again is not replayed again); ``processes`` fans out only the fits and
+the generations.  Each method's summaries are then compared with the
+real ones (:func:`repro.validation.compare`).
 
 Micro-metrics are measured **per quantity**: a quantity that cannot be
 computed (say, no complete IDLE sojourn in a short trace) lands in
@@ -32,7 +32,7 @@ from typing import Dict, Mapping, Optional, Sequence
 
 from ..baselines import fit_method
 from ..generator import TrafficGenerator
-from ..jobs import Job, check_processes, run_jobs
+from ..jobs import check_processes
 from ..model.model_set import ModelSet
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import DeviceType, check_counts
@@ -152,19 +152,6 @@ class EvaluationReport:
         }
 
 
-def _summary_job(ctx: dict, name: str) -> Dict[DeviceType, DeviceSummary]:
-    """Summarize one trace (``"real"`` or a method's) per real device."""
-    populations = ctx["populations"].get(name, {})
-    return {
-        device_type: summarize(
-            ctx[f"trace-{name}"],
-            device_type,
-            num_ues=populations.get(device_type),
-        )
-        for device_type in ctx["devices"]
-    }
-
-
 def evaluate_methods(
     train: Trace,
     real: Trace,
@@ -200,19 +187,18 @@ def evaluate_methods(
         Pre-fitted model sets by method name — skips fitting for the
         methods present (useful when sweeping scenarios).
     processes:
-        ``None`` or ``1`` summarizes the traces serially in-process;
-        ``0`` fans the per-trace summary jobs across all CPUs; ``>= 2``
-        uses that many worker processes (fitting and generation fan out
-        the same way).  A job that keeps failing raises
-        :class:`repro.jobs.JobFailedError` (stage ``"eval"``).
+        Worker processes for the fits and the generations: ``None`` or
+        ``1`` runs them in-process, ``0`` uses all CPUs, ``>= 2`` that
+        many (see :func:`repro.jobs.run_jobs`).  The summaries are
+        always computed in-process.
     cache_dir:
         Content-addressed model-cache directory passed to the fitter
         (``None`` disables caching).
     telemetry:
         Explicit collector; defaults to the ambient one.  Phases appear
         as ``eval-fit`` / ``eval-generate`` / ``eval-metrics`` spans;
-        ``eval-metrics`` splits into ``eval-summarize`` (the summary
-        jobs) and ``eval-compare`` (the comparisons).
+        ``eval-metrics`` splits into ``eval-summarize`` (the summaries)
+        and ``eval-compare`` (the comparisons).
     """
     check_processes(processes)
     if num_ues is None:
@@ -290,25 +276,21 @@ def _evaluate_methods(
             )
     tele.count("eval_methods", len(methods))
 
-    names = ["real", *methods]
-    tele.count("eval_metric_jobs", len(names))
-    shared = {
-        "devices": devices,
-        "populations": populations,
-        "trace-real": real,
-        **{f"trace-{method}": synthesized[method] for method in methods},
-    }
     with tele.span("eval-metrics"):
         with tele.span("eval-summarize"):
+            real_summary = {
+                device_type: summarize(real, device_type) for device_type in devices
+            }
             summaries = {
-                names[i]: summary
-                for i, summary in run_jobs(
-                    _summary_job,
-                    [Job((name,), {"trace": name}) for name in names],
-                    shared=shared,
-                    processes=processes,
-                    stage="eval",
-                )
+                method: {
+                    device_type: summarize(
+                        synthesized[method],
+                        device_type,
+                        num_ues=populations[method].get(device_type),
+                    )
+                    for device_type in devices
+                }
+                for method in methods
             }
         with tele.span("eval-compare"):
             results = {
@@ -318,7 +300,7 @@ def _evaluate_methods(
                     synthesized=synthesized[method],
                     comparisons={
                         device_type: compare(
-                            summaries["real"][device_type],
+                            real_summary[device_type],
                             summaries[method][device_type],
                         )
                         for device_type in devices
@@ -331,6 +313,6 @@ def _evaluate_methods(
         num_ues=num_ues,
         generation_hour=generation_hour,
         results=results,
-        real_summary=summaries["real"],
+        real_summary=real_summary,
     )
 

@@ -1,9 +1,9 @@
 """One fault-tolerant job runner for every fan-out stage.
 
 The paper fans its per-UE generator instances over 12 CPUs with one
-tool, GNU ``parallel`` (§8.1).  Here generation chunks, per-(device,
-hour) fit jobs, per-trace evaluation summary jobs and ground-truth UE
-ranges fan out through one function, :func:`run_jobs`, and fail with
+tool, GNU ``parallel`` (§8.1).  Here the stages that build new data —
+generation chunks, per-(device, hour) fit jobs and ground-truth UE
+ranges — fan out through one function, :func:`run_jobs`, and fail with
 one error, :class:`JobFailedError`.
 
 A stage hands :func:`run_jobs` a job function ``fn``, its :class:`Job`
@@ -100,7 +100,6 @@ FAULT_ENV = "REPRO_TEST_FAULT"
 _STAGES = {
     "generate": ("generate", "chunk_retries"),
     "fit": ("fit", "fit_retries"),
-    "eval": ("eval-metrics", "eval_retries"),
     "simulate": ("simulate", "simulate_retries"),
 }
 
@@ -119,7 +118,7 @@ class JobFailedError(RuntimeError):
     Attributes
     ----------
     stage:
-        The stage that ran it (``"generate"``, ``"fit"``, ``"eval"`` or
+        The stage that ran it (``"generate"``, ``"fit"`` or
         ``"simulate"``).
     labels:
         The job's labels, e.g. ``{"device": "PHONE", "hour": 17}``; a

@@ -242,11 +242,6 @@ class HourModel:
         self.overlay_clusters = np.flatnonzero(
             (self.overlay_rates > 0).any(axis=1)
         ).tolist()
-        self._scalar: Optional[tuple] = None
-
-    def __getstate__(self) -> dict:
-        # The scalar-loop lists are rebuilt on demand.
-        return dict(self.__dict__, _scalar=None)
 
     # ------------------------------------------------------------------
     # Construction
@@ -414,29 +409,6 @@ class HourModel:
     def assignment(self) -> Dict[int, int]:
         """Training UE id -> cluster index."""
         return dict(zip(self.assign_keys.tolist(), self.assign_vals.tolist()))
-
-    def scalar_tables(self) -> tuple:
-        """The edge and knot columns as Python lists, for scalar stepping.
-
-        Built on first use; ``bisect`` on a list plus plain float
-        arithmetic is several times faster per element than NumPy calls
-        on singleton arrays.
-        """
-        if self._scalar is None:
-            self._scalar = (
-                self.sel_key.tolist(),
-                self.state_deg.tolist(),
-                self.edge_event.tolist(),
-                self.edge_target.tolist(),
-                self.edge_kind.tolist(),
-                self.edge_rate.tolist(),
-                self.edge_knot_ptr.tolist(),
-                self.knot_key.tolist(),
-                self.knot_p.tolist(),
-                self.knot_v.tolist(),
-                self.has_exp,
-            )
-        return self._scalar
 
     # ------------------------------------------------------------------
     def weights(self) -> np.ndarray:

@@ -13,6 +13,7 @@ its lifetime; operations return new ``Trace`` views or copies.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import (
     Any,
     Callable,
@@ -62,8 +63,10 @@ class Event:
     device_type: DeviceType
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be non-negative, got {self.time}")
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(
+                f"event time must be finite and non-negative, got {self.time}"
+            )
 
 
 def _check_integers(raw, column: str, top: Optional[int], bad: str) -> None:

@@ -1,17 +1,8 @@
 """Pre-canned workload scenarios for driving MCN evaluations."""
 
-from .scenarios import (
-    busy_hour_workload,
-    full_day_workload,
-    future_year_workload,
-    inject_reattach_storm,
-    storm_peak_rate,
-)
+from .scenarios import inject_reattach_storm, storm_peak_rate
 
 __all__ = [
-    "busy_hour_workload",
-    "full_day_workload",
-    "future_year_workload",
     "inject_reattach_storm",
     "storm_peak_rate",
 ]

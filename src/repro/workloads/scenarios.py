@@ -1,18 +1,18 @@
-"""Pre-canned workload scenarios for MCN studies.
+"""Signaling-storm workloads for MCN studies.
 
-The generator's purpose is driving core-network evaluations (§3.1);
-these helpers wrap the common experiment setups:
+The generator's purpose is driving core-network evaluations (§3.1).
+The paper notes control events also arise from "power outages of base
+stations": when coverage returns, every affected UE re-attaches nearly
+at once, producing the ATCH storm that stresses an MME/AMF far beyond
+steady state.  ``inject_reattach_storm`` grafts such a storm onto any
+trace while keeping every UE's event sequence valid under the
+two-level machine, and ``storm_peak_rate`` measures its peak.
 
-* **busy-hour / full-day workloads** — plain generation at the right
-  hours;
-* **signaling storms** — the paper notes control events also arise from
-  "power outages of base stations": when coverage returns, every
-  affected UE re-attaches nearly at once, producing the ATCH storm that
-  stresses an MME/AMF far beyond steady state.  ``inject_reattach_storm``
-  grafts such a storm onto any trace while keeping every UE's event
-  sequence valid under the two-level machine;
-* **future-year workloads** — population growth scenarios applied
-  before generation.
+Plain workloads are one generator call: a busy hour is
+``TrafficGenerator(model_set).generate(num_ues, start_hour=19)``, a
+full day passes ``num_hours=24``, and a future year generates
+``project_population(counts, years)`` UEs
+(:func:`repro.groundtruth.forecast.project_population`).
 """
 
 from __future__ import annotations
@@ -21,53 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..generator.traffgen import DeviceCounts, TrafficGenerator
-from ..groundtruth.forecast import project_population
-from ..model.model_set import ModelSet
 from ..statemachines import lte
 from ..statemachines.compiled_replay import replay_trace
 from ..trace.events import EventType, quantize_timestamp, quantize_times
 from ..trace.trace import Trace
-
-
-def busy_hour_workload(
-    model_set: ModelSet,
-    num_ues: DeviceCounts,
-    *,
-    hour: int = 19,
-    seed: int = 0,
-) -> Trace:
-    """One synthesized busy hour (default: the 19:00 evening peak)."""
-    return TrafficGenerator(model_set).generate(
-        num_ues, start_hour=hour, num_hours=1, seed=seed
-    )
-
-
-def full_day_workload(
-    model_set: ModelSet,
-    num_ues: DeviceCounts,
-    *,
-    start_hour: int = 0,
-    seed: int = 0,
-) -> Trace:
-    """A synthesized 24-hour day (diurnal structure included)."""
-    return TrafficGenerator(model_set).generate(
-        num_ues, start_hour=start_hour, num_hours=24, seed=seed
-    )
-
-
-def future_year_workload(
-    model_set: ModelSet,
-    base_counts: dict,
-    years: int,
-    *,
-    scenario: str = "baseline",
-    hour: int = 19,
-    seed: int = 0,
-) -> Trace:
-    """A busy hour after ``years`` of population growth (§3.1 usage 2)."""
-    projected = project_population(base_counts, years, scenario=scenario)
-    return busy_hour_workload(model_set, projected, hour=hour, seed=seed)
 
 
 def inject_reattach_storm(

@@ -6,6 +6,7 @@ read-only.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.baselines import fit_method
 from repro.generator import TrafficGenerator
@@ -14,6 +15,12 @@ from repro.trace import DeviceType, EventType, Trace
 
 #: Hour-of-day at which the shared traces start.
 TRACE_START_HOUR = 17
+
+#: ``--hypothesis-profile=fuzz-campaign`` runs the raw-column fuzz of
+#: ``test_trace_fuzz.py`` at campaign size (1,500 examples, about 40 s
+#: on a 2-vCPU VM).  The profile sets nothing itself, so every other
+#: hypothesis test keeps its own settings.
+settings.register_profile("fuzz-campaign")
 
 
 @pytest.fixture(scope="session")

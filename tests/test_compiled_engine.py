@@ -25,7 +25,6 @@ from repro.baselines import METHOD_NAMES, fit_method
 from repro.generator import (
     TrafficGenerator,
     stream_events,
-    stream_to_trace,
     traffgen,
 )
 from repro.generator.compiled import (
@@ -37,7 +36,7 @@ from repro.generator.compiled import (
     splitmix64_counter,
 )
 from repro.model import scale_to_nsa, scale_to_sa
-from repro.trace import DeviceType, EventType
+from repro.trace import DeviceType, EventType, Trace
 from repro.trace.events import quantize_times
 
 from conftest import TRACE_START_HOUR, make_trace
@@ -313,7 +312,7 @@ class TestBitIdentity:
         assert serial == par
 
     def test_streaming_matches_batch(self, ours_model_set, serial):
-        streamed = stream_to_trace(
+        streamed = Trace.from_events(
             stream_events(ours_model_set, 150, **self.KWARGS)
         )
         assert serial == streamed
@@ -402,7 +401,7 @@ class TestStructuralLimits:
             traffgen, "MAX_CHUNK_UE_HOURS", 9 * kwargs["num_hours"]
         )
         par = TrafficGenerator(ms).generate({P: 50}, processes=1, **kwargs)
-        streamed = stream_to_trace(stream_events(ms, {P: 50}, **kwargs))
+        streamed = Trace.from_events(stream_events(ms, {P: 50}, **kwargs))
         assert serial == par
         assert serial == streamed
 

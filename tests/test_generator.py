@@ -127,9 +127,9 @@ class TestGenerate:
         for _, sub in tr.per_ue():
             assert len(set(sub.device_types.tolist())) == 1
 
-    def test_generate_hour_convenience(self, ours_model_set):
+    def test_one_hour_by_default(self, ours_model_set):
         gen = TrafficGenerator(ours_model_set)
-        a = gen.generate_hour(30, 18, seed=4)
+        a = gen.generate(30, start_hour=18, seed=4)
         b = gen.generate(30, start_hour=18, num_hours=1, seed=4)
         assert a == b
 

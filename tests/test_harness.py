@@ -279,11 +279,49 @@ class TestOneSummaryPerTrace:
         ]
         assert again.to_dict() == report.to_dict()
 
+    def test_pooled_evaluation_keeps_the_real_summaries(
+        self, monkeypatch, ground_truth_trace, holdout_trace, ours_model_set
+    ):
+        """With ``processes=2`` the traces are still summarized in the
+        calling process: the caller's real trace holds its summaries, a
+        second pooled evaluation summarizes only the synthesized traces,
+        and the report equals the serial one."""
+        methods = ("base", "ours")
+        kwargs = dict(
+            methods=methods,
+            models={m: ours_model_set for m in methods},
+            generation_hour=TRACE_START_HOUR + 1,
+        )
+        serial = evaluate_methods(
+            ground_truth_trace, fresh_copy(holdout_trace), **kwargs
+        )
+        calls = []
+        device_summaries = summary._device_summaries
+
+        def spy(trace):
+            calls.append(trace)
+            return device_summaries(trace)
+
+        monkeypatch.setattr(summary, "_device_summaries", spy)
+        real = fresh_copy(holdout_trace)
+        pooled = evaluate_methods(ground_truth_trace, real, processes=2, **kwargs)
+        assert len(calls) == 1 + len(methods)
+        real.memo(
+            "validation.summaries",
+            lambda: pytest.fail("the real trace holds no summaries"),
+        )
+        assert pooled.to_dict() == serial.to_dict()
+        assert pooled.to_text() == serial.to_text()
+
+        calls.clear()
+        evaluate_methods(ground_truth_trace, real, processes=2, **kwargs)
+        assert len(calls) == len(methods)
+
     def test_metric_spans_cover_eval_metrics(
         self, ground_truth_trace, holdout_trace, ours_model_set
     ):
-        """``eval-metrics`` splits into ``eval-summarize`` (one job per
-        trace) and ``eval-compare``, which cover its wall time."""
+        """``eval-metrics`` splits into ``eval-summarize`` and
+        ``eval-compare``, which cover its wall time."""
         tele = RunTelemetry()
         evaluate_methods(
             ground_truth_trace,
@@ -296,4 +334,3 @@ class TestOneSummaryPerTrace:
         spans = tele.spans
         children = spans["eval-summarize"]["wall_s"] + spans["eval-compare"]["wall_s"]
         assert children >= 0.95 * spans["eval-metrics"]["wall_s"]
-        assert tele.counters["eval_metric_jobs"] == 2

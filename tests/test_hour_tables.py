@@ -311,16 +311,6 @@ class TestPickle:
                 model_set
             ).generate(**gen)
 
-    def test_derived_view_rebuilt_after_unpickling(self, ours_model_set):
-        """The scalar-loop lists are dropped on pickling and rebuilt from
-        the tables, identical."""
-        hm = next(iter(next(iter(ours_model_set.models.values())).values()))
-        lists = hm.scalar_tables()  # build them before pickling
-        back = pickle.loads(pickle.dumps(hm))
-        assert back._scalar is None
-        assert back.to_dict() == hm.to_dict()
-        assert back.scalar_tables() == lists
-
 
 # ---------------------------------------------------------------------------
 # The checked load boundary

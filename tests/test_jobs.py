@@ -1,11 +1,13 @@
 """The job runner (:mod:`repro.jobs`) behind generation, fitting,
 evaluation and ground-truth simulation.
 
-All four stages share one ``processes`` contract and one failure
-policy.  These tests pin the contract on every entry point and drive
-the retry paths of the fit, eval and simulate stages with real worker
-deaths and poisoned jobs; the generation stage's crash and resume
-tests live in ``test_checkpoint.py``.
+All four entry points share one ``processes`` contract, and the three
+job stages (generate, fit, simulate) one failure policy.  These tests
+pin the contract on every entry point and drive the retry paths of the
+fit and simulate stages with real worker deaths and poisoned jobs; an
+evaluation's fit and generate jobs are those stages' jobs.  The
+generation stage's crash and resume tests live in
+``test_checkpoint.py``.
 """
 
 import contextlib
@@ -108,11 +110,8 @@ def serial_results(ground_truth_trace, holdout_trace, ours_model_set):
     }
 
 
-STAGES = ("generate", "fit", "eval", "simulate")
-
-
 @pytest.mark.slow
-@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("stage", ("generate", "fit", "eval", "simulate"))
 def test_all_cpus_equals_serial_and_negative_rejected(
     stage, run_stage, serial_results
 ):
@@ -129,7 +128,6 @@ def test_all_cpus_equals_serial_and_negative_rejected(
     "stage, counter",
     [
         ("fit", "fit_retries"),
-        ("eval", "eval_retries"),
         ("simulate", "simulate_retries"),
     ],
 )
@@ -145,8 +143,7 @@ def test_killed_worker_recovers_exactly(
 
 
 #: Job 1 of each stage: the second 7-UE phone chunk; the phone fit of
-#: the second hour; the base method's trace (job 0 is the real one);
-#: the second half of the simulated UEs.
+#: the second hour; the second half of the simulated UEs.
 POISONED_LABELS = {
     "generate": {
         "device": "PHONE",
@@ -154,13 +151,12 @@ POISONED_LABELS = {
         "hours": (TRACE_START_HOUR, TRACE_START_HOUR + 2),
     },
     "fit": {"device": "PHONE", "hour": TRACE_START_HOUR + 1},
-    "eval": {"trace": "base"},
     "simulate": {"UEs": (20, 40)},
 }
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("stage", POISONED_LABELS)
 def test_poisoned_job_names_stage_and_labels(
     stage, run_stage, tmp_path, monkeypatch
 ):

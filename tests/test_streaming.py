@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.generator import TrafficGenerator, stream_events, stream_to_trace
-from repro.trace import DeviceType, Event
+from repro.generator import TrafficGenerator, stream_events
+from repro.trace import DeviceType, Event, Trace
 
 from conftest import TRACE_START_HOUR
 from oracle.generator import UeSession, generate_ue_events
@@ -50,7 +50,7 @@ class TestStreamEvents:
         batch = TrafficGenerator(ours_model_set).generate(
             80, start_hour=TRACE_START_HOUR, num_hours=2, seed=9
         )
-        streamed = stream_to_trace(
+        streamed = Trace.from_events(
             stream_events(
                 ours_model_set, 80,
                 start_hour=TRACE_START_HOUR, num_hours=2, seed=9,

@@ -178,9 +178,10 @@ class TestConstruction:
         assert len(tr) == 2
         assert tr[0].event_type == E.ATCH
 
-    def test_event_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            Event(1, -0.1, E.ATCH, P)
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf, -1.0])
+    def test_event_rejects_non_finite_or_negative_time(self, time):
+        with pytest.raises(ValueError, match=f"got {time}"):
+            Event(1, time, E.ATCH, P)
 
     def test_empty(self):
         tr = Trace.empty()

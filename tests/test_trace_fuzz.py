@@ -94,7 +94,16 @@ def _nan_paths(value, path="report"):
     return []
 
 
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+#: 25 examples in tier-1 (under a second), 1,500 under the
+#: ``fuzz-campaign`` profile (``tests/conftest.py``).
+_EXAMPLES = 1500 if settings.get_current_profile_name() == "fuzz-campaign" else 25
+
+
+@settings(
+    max_examples=_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 @given(columns=raw_columns())
 def test_raw_columns_rejected_or_run_clean(columns):
     try:

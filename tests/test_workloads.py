@@ -3,15 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.generator import TrafficGenerator
+from repro.groundtruth import project_population
 from repro.statemachines import replay_trace
 from repro.trace import DeviceType, EventType, Trace
-from repro.workloads import (
-    busy_hour_workload,
-    full_day_workload,
-    future_year_workload,
-    inject_reattach_storm,
-    storm_peak_rate,
-)
+from repro.workloads import inject_reattach_storm, storm_peak_rate
 
 from conftest import TRACE_START_HOUR, make_trace
 
@@ -20,16 +16,19 @@ P = DeviceType.PHONE
 
 
 class TestGenerationWrappers:
+    """The plain workloads named in ``repro.workloads.scenarios``'
+    docstring: one generator call each."""
+
     def test_busy_hour(self, ours_model_set):
-        trace = busy_hour_workload(
-            ours_model_set, 50, hour=TRACE_START_HOUR + 1, seed=1
+        trace = TrafficGenerator(ours_model_set).generate(
+            50, start_hour=TRACE_START_HOUR + 1, seed=1
         )
         assert len(trace) > 0
         assert trace.times.max() < 3600.0
 
     def test_full_day_spans_hours(self, ours_model_set):
-        trace = full_day_workload(
-            ours_model_set, 40, start_hour=TRACE_START_HOUR, seed=1
+        trace = TrafficGenerator(ours_model_set).generate(
+            40, start_hour=TRACE_START_HOUR, num_hours=24, seed=1
         )
         # Only the 4 fitted evening hours produce traffic, but the
         # horizon is a day.
@@ -39,12 +38,14 @@ class TestGenerationWrappers:
 
     def test_future_year_grows_population(self, ours_model_set):
         base = {DeviceType.PHONE: 40}
-        now = future_year_workload(
-            ours_model_set, base, 0, hour=TRACE_START_HOUR + 1, seed=1
-        )
-        later = future_year_workload(
-            ours_model_set, base, 10, scenario="baseline",
-            hour=TRACE_START_HOUR + 1, seed=1,
+        generator = TrafficGenerator(ours_model_set)
+        now, later = (
+            generator.generate(
+                project_population(base, years, scenario="baseline"),
+                start_hour=TRACE_START_HOUR + 1,
+                seed=1,
+            )
+            for years in (0, 10)
         )
         assert later.num_ues > now.num_ues
 
