@@ -16,12 +16,15 @@ device's arrays there).
 ``None`` or ``1`` runs the jobs inline, ``0`` means all CPUs, and the
 worker count is capped at the number of jobs.  When it comes out as 1
 the jobs run in this process, under the active telemetry collector,
-with nothing staged or pickled.  Otherwise they run on a
-``ProcessPoolExecutor``: each :class:`~repro.trace.trace.Trace` in
-``shared`` is written once as four raw ``.npy`` columns that workers
-memory-map on first use and check like any trace's columns, with no
-copy; other shared values are pickled once per worker, and each job's
-worker-local telemetry is merged back as it finishes.
+with nothing pickled.  Otherwise they run on a ``ProcessPoolExecutor``
+whose initializer receives ``shared`` as it is.  A forked worker
+inherits the caller's objects, so a shared
+:class:`~repro.trace.trace.Trace` arrives with its per-UE index,
+content hash and :meth:`~repro.trace.trace.Trace.memo` values, and no
+copy.  Under the ``spawn`` and ``forkserver`` start methods ``shared``
+is pickled once per worker, and a Trace rebuilds through its checked
+constructor, without memos.  Each job's worker-local telemetry is
+merged back as it finishes.
 
 **Failure policy.**  Jobs are pure, so failures are retried, inline and
 pooled alike:
@@ -66,10 +69,7 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from .telemetry import RunTelemetry, get_telemetry, use_telemetry
-from .trace.trace import COLUMNS, Trace
 
 __all__ = [
     "BACKOFF",
@@ -168,8 +168,10 @@ def run_jobs(
 
     Results arrive in completion order; ``index`` is the job's position
     in ``jobs``.  ``fn`` must be a module-level function (pooled runs
-    pickle it by name).  See the module docstring for ``processes``,
-    ``shared`` and the failure policy; ``stage`` names the progress
+    pickle it by name).  A worker's ``ctx`` starts as a copy of
+    ``shared``: of the caller's own objects where workers fork, of
+    unpickled ones otherwise.  See the module docstring for
+    ``processes`` and the failure policy; ``stage`` names the progress
     phase, the retry counter and the stage in :class:`JobFailedError`.
     """
     phase, retry_counter = _STAGES[stage]
@@ -184,58 +186,50 @@ def run_jobs(
     streak: Counter = Counter()
     todo = list(range(len(jobs)))
     failed_rounds = 0
-    staging: Optional[str] = None
-    try:
-        while todo:
-            isolated = [i for i in todo if streak[i] >= 2]
-            batch = isolated[:1] or list(todo)
-            if workers == 1:
-                outcomes = _inline_round(fn, shared, stage, jobs, batch)
-            else:
-                if staging is None:
-                    staging = tempfile.mkdtemp(prefix=f"repro-{stage}-")
-                    init = _stage(shared, staging)
-                outcomes = _pool_round(
-                    fn, init, stage, jobs, batch, 1 if isolated else workers
-                )
-            failed = False
-            with contextlib.closing(outcomes):
-                for i, kind, value in outcomes:
-                    if kind == "done":
-                        result, record = value
-                        if record is not None:
-                            tele.merge_child(record)
-                        todo.remove(i)
-                        streak.pop(i, None)
-                        tele.progress(phase, len(jobs) - len(todo), len(jobs))
-                        yield i, result
-                        continue
-                    failed = True
-                    tele.count(retry_counter)
-                    if kind == "died" and not isolated:
-                        streak[i] += 1
-                        continue
-                    confirmed[i] += 1
-                    if confirmed[i] > RETRIES:
-                        reason = (
-                            "worker process died (pool broken)"
-                            if kind == "died" else repr(value)
-                        )
-                        error = JobFailedError(
-                            stage, jobs[i].labels, confirmed[i], reason
-                        )
-                        if kind == "raised":
-                            raise error from value
-                        raise error
-            if todo and failed:
-                failed_rounds += 1
-                base, cap = BACKOFF
-                delay = min(base * 2 ** (failed_rounds - 1), cap)
-                if delay > 0:
-                    time.sleep(delay)
-    finally:
-        if staging is not None:
-            shutil.rmtree(staging, ignore_errors=True)
+    while todo:
+        isolated = [i for i in todo if streak[i] >= 2]
+        batch = isolated[:1] or list(todo)
+        if workers == 1:
+            outcomes = _inline_round(fn, shared, stage, jobs, batch)
+        else:
+            outcomes = _pool_round(
+                fn, shared, stage, jobs, batch, 1 if isolated else workers
+            )
+        failed = False
+        with contextlib.closing(outcomes):
+            for i, kind, value in outcomes:
+                if kind == "done":
+                    result, record = value
+                    if record is not None:
+                        tele.merge_child(record)
+                    todo.remove(i)
+                    streak.pop(i, None)
+                    tele.progress(phase, len(jobs) - len(todo), len(jobs))
+                    yield i, result
+                    continue
+                failed = True
+                tele.count(retry_counter)
+                if kind == "died" and not isolated:
+                    streak[i] += 1
+                    continue
+                confirmed[i] += 1
+                if confirmed[i] > RETRIES:
+                    reason = (
+                        "worker process died (pool broken)"
+                        if kind == "died" else repr(value)
+                    )
+                    error = JobFailedError(
+                        stage, jobs[i].labels, confirmed[i], reason
+                    )
+                    if kind == "raised":
+                        raise error from value
+                    raise error
+        if todo and failed:
+            failed_rounds += 1
+            base, cap = BACKOFF
+            delay = min(base * 2 ** (failed_rounds - 1), cap)
+            if delay > 0:
+                time.sleep(delay)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +255,7 @@ def _inline_round(
 
 def _pool_round(
     fn: Callable[..., Any],
-    init: tuple,
+    shared: Dict[str, Any],
     stage: str,
     jobs: List[Job],
     batch: List[int],
@@ -273,7 +267,7 @@ def _pool_round(
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_start_worker,
-        initargs=init + (scratch,),
+        initargs=(shared, scratch),
     )
     try:
         futures = {}
@@ -310,54 +304,17 @@ def _pool_round(
         shutil.rmtree(scratch, ignore_errors=True)
 
 
-def _stage(shared: Dict[str, Any], directory: str) -> tuple:
-    """Write each shared Trace as four raw ``.npy`` columns; the worker
-    initializer's arguments for the rest."""
-    staged: Dict[str, str] = {}
-    values: Dict[str, Any] = {}
-    for name, value in shared.items():
-        if isinstance(value, Trace):
-            prefix = os.path.join(directory, f"shared-{len(staged)}")
-            staged[name] = prefix
-            for column in COLUMNS:
-                np.save(f"{prefix}-{column}.npy", getattr(value, column))
-        else:
-            values[name] = value
-    return values, staged
-
-
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
-
-class _WorkerContext(dict):
-    """A worker's ``ctx``: staged traces are memory-mapped on first use."""
-
-    def __init__(self, values: Dict[str, Any], staged: Dict[str, str]) -> None:
-        super().__init__(values)
-        self._staged = staged
-
-    def __missing__(self, name: str) -> Any:
-        if name not in self._staged:
-            raise KeyError(name)
-        # The parent's columns, already sorted: the Trace checks the
-        # maps and keeps them as they are.
-        prefix = self._staged[name]
-        trace = self[name] = Trace(
-            *(np.load(f"{prefix}-{c}.npy", mmap_mode="r") for c in COLUMNS)
-        )
-        return trace
-
 
 #: This worker process's context and scratch directory (set by
 #: :func:`_start_worker`; empty in the parent).
 _PROCESS: Dict[str, Any] = {}
 
 
-def _start_worker(
-    values: Dict[str, Any], staged: Dict[str, str], scratch: str
-) -> None:
-    _PROCESS["ctx"] = _WorkerContext(values, staged)
+def _start_worker(shared: Dict[str, Any], scratch: str) -> None:
+    _PROCESS["ctx"] = dict(shared)
     _PROCESS["scratch"] = scratch
 
 

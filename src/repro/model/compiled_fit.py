@@ -36,7 +36,8 @@ Python ``int / int``.
 
 Each (device, hour) fit is one :func:`fit_job` of
 :func:`repro.jobs.run_jobs`, which runs the jobs inline or fans them
-across worker processes that memory-map the training trace.
+across worker processes; forked workers read the caller's training
+trace and the cluster codes it already holds.
 """
 
 from __future__ import annotations

@@ -319,6 +319,12 @@ class Trace:
             and np.array_equal(self.device_types, other.device_types)
         )
 
+    def __reduce__(self):
+        # Unpickled arrays are writeable, and nothing derived from the
+        # columns travels: the checked constructor makes them read-only
+        # views and starts with no index, hash or memos.
+        return Trace, tuple(getattr(self, column) for column in COLUMNS)
+
     def __repr__(self) -> str:
         span = f"[{self.times[0]:.3f}, {self.times[-1]:.3f}]s" if len(self) else "[]"
         return f"Trace({len(self)} events, {self.num_ues} UEs, span {span})"

@@ -11,9 +11,11 @@ generation stage's crash and resume tests live in
 """
 
 import contextlib
+import multiprocessing
 import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
 from repro import jobs
@@ -21,10 +23,10 @@ from repro.generator import TrafficGenerator, traffgen
 from repro.groundtruth import simulate_ground_truth
 from repro.harness import evaluate_methods
 from repro.jobs import FAULT_ENV, JobFailedError
-from repro.model import fit_model_set
+from repro.model import compiled_fit, fit_model_set
 from repro.telemetry import RunTelemetry, use_telemetry
 
-from conftest import TRACE_START_HOUR
+from conftest import TRACE_START_HOUR, fresh_copy
 
 FIT = dict(theta_n=25, trace_start_hour=TRACE_START_HOUR)
 EVAL = dict(
@@ -171,25 +173,98 @@ def test_poisoned_job_names_stage_and_labels(
     assert "injected fault" in str(err.__cause__)
 
 
-def _staged_trace_job(ctx, _):
-    """A job that reports how its shared trace reached it."""
+def _caller_memo_job(ctx, _):
+    """A job that reports what its shared trace brought along."""
     trace = ctx["trace"]
-    return isinstance(trace.times.base, np.memmap), trace.content_hash()
+    return trace.memo("probe", lambda: None), trace.content_hash()
 
 
 @pytest.mark.slow
-def test_pooled_job_reads_staged_trace_memory_mapped(ground_truth_trace):
-    """A pool stages each shared Trace as raw ``.npy`` columns, and its
-    workers map them: no copy, and the parent's content hash."""
+def test_pooled_job_sees_the_callers_trace(ground_truth_trace, monkeypatch):
+    """Workers get ``shared`` as it is: forked ones the caller's own
+    Trace, memos included; others an unpickled copy with its hash.  A
+    pooled fit of a trace the caller has clustered does not cluster it
+    again where workers fork."""
+    forked = multiprocessing.get_start_method() == "fork"
+    trace = fresh_copy(ground_truth_trace)
+    trace.memo("probe", lambda: 42)
     results = dict(
         jobs.run_jobs(
-            _staged_trace_job,
+            _caller_memo_job,
             [jobs.Job((i,), {"job": i}) for i in range(2)],
-            shared={"trace": ground_truth_trace},
+            shared={"trace": trace},
             processes=2,
             stage="fit",
         )
     )
-    assert results == {
-        i: (True, ground_truth_trace.content_hash()) for i in range(2)
-    }
+    expected = (42 if forked else None, trace.content_hash())
+    assert results == {0: expected, 1: expected}
+    if not forked:
+        return
+
+    serial = fit_model_set(trace, **FIT)
+
+    def clustered_again(*args, **kwargs):
+        raise RuntimeError("clustered again")
+
+    monkeypatch.setattr(compiled_fit, "adaptive_cluster", clustered_again)
+    pooled = fit_model_set(trace, processes=2, **FIT)
+    assert pooled.to_dict() == serial.to_dict()
+
+
+#: Run in a child interpreter under the start method in ``argv[1]``:
+#: pooled fit, generation and ground truth, each checked against its
+#: serial run by content hash.
+_START_METHOD_CHILD = """
+import multiprocessing
+import sys
+
+from repro.generator import TrafficGenerator
+from repro.groundtruth import simulate_ground_truth
+from repro.model import fit_model_set
+from repro.trace import DeviceType
+
+multiprocessing.set_start_method(sys.argv[1])
+ues = {DeviceType.PHONE: 20, DeviceType.CONNECTED_CAR: 8, DeviceType.TABLET: 6}
+runs = {
+    "simulate": lambda p: simulate_ground_truth(
+        ues, 3600.0, start_hour=17, seed=6, processes=p
+    ),
+}
+trace = runs["simulate"](1)
+runs["fit"] = lambda p: fit_model_set(
+    trace, theta_n=5, trace_start_hour=17, processes=p
+)
+model = runs["fit"](1)
+runs["generate"] = lambda p: TrafficGenerator(model).generate(
+    ues, start_hour=17, seed=3, processes=p
+)
+for stage, run in runs.items():
+    serial, pooled = run(1).content_hash(), run(2).content_hash()
+    assert pooled == serial, (stage, pooled, serial)
+print("equal")
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("method", ("spawn", "forkserver"))
+def test_pooled_stages_equal_serial_under_start_method(method):
+    """Workers that do not fork unpickle ``shared``, a Trace through its
+    checked constructor; every pooled stage still equals its serial run.
+    The start method is set only in the child interpreter."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    src = os.path.dirname(os.path.dirname(jobs.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _START_METHOD_CHILD, method],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["equal"]

@@ -245,9 +245,8 @@ class TestExportIntegrity:
             assert old not in getattr(module, "__all__", ())
 
     def test_no_trace_order_or_storage_switches(self):
-        """A Trace sorts itself only when its rows are out of order, NPZ
-        traces are always compressed, and workers map staged ``.npy``
-        columns: no switch picks any of it."""
+        """A Trace sorts itself only when its rows are out of order and
+        NPZ traces are always compressed: no switch picks either."""
         from repro.trace import Trace, io
 
         assert "sort" not in inspect.signature(Trace).parameters

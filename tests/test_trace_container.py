@@ -1,5 +1,7 @@
 """Tests for the Trace container (repro.trace.trace)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,20 @@ class TestReadOnlyColumns:
         assert trace.memo(("a", 2), build) == 2
         assert len(calls) == 2
         assert Trace(*self._columns()).memo(("a", 1), build) == 3
+
+    def test_pickle_rebuilds_through_the_constructor(self):
+        """A pickled trace comes back read-only, equal, with the same
+        content hash, and without the original's memos."""
+        trace = Trace(*self._columns())
+        trace.ue_index()
+        digest = trace.content_hash()
+        trace.memo("probe", lambda: 42)
+        back = pickle.loads(pickle.dumps(trace))
+        for name in COLUMNS:
+            assert not getattr(back, name).flags.writeable
+        assert back == trace
+        assert back.content_hash() == digest
+        assert back.memo("probe", lambda: None) is None
 
 
 class TestAccess:
