@@ -75,6 +75,16 @@ def _timed_reference_fit(trace, theta_n):
 FITTERS = {"compiled": _timed_fit, "reference": _timed_reference_fit}
 
 
+def _best_of(fit, trace, theta_n, **kwargs):
+    """Best wall time of ``REPEATS`` fits, and the last fit's model."""
+    elapsed = float("inf")
+    for _ in range(REPEATS):
+        # A fresh copy: a repeat must cluster again.
+        once, model_set, _ = fit(fresh_trace(trace), theta_n, **kwargs)
+        elapsed = min(elapsed, once)
+    return elapsed, model_set
+
+
 def test_fitting_engine_speed(tmp_path):
     # Warm both fitters (imports, machine lowering) outside the clock.
     warmup = simulate_ground_truth(
@@ -106,11 +116,7 @@ def test_fitting_engine_speed(tmp_path):
         per_engine = {}
         fitted = {}
         for engine, fit in FITTERS.items():
-            elapsed = float("inf")
-            for _ in range(REPEATS):
-                # A fresh copy: a repeat must cluster again.
-                once, model_set, _ = fit(fresh_trace(trace), theta_n)
-                elapsed = min(elapsed, once)
+            elapsed, model_set = _best_of(fit, trace, theta_n)
             per_engine[engine] = {
                 "seconds": elapsed,
                 "per_ue_hour_ms": elapsed / ue_hours * 1e3,
@@ -125,7 +131,7 @@ def test_fitting_engine_speed(tmp_path):
             / per_engine["compiled"]["seconds"]
         )
 
-        par_elapsed, _, _ = _timed_fit(fresh_trace(trace), theta_n, processes=0)
+        par_elapsed, _ = _best_of(_timed_fit, trace, theta_n, processes=0)
 
         cache_dir = tmp_path / f"cache-{num_ues}"
         cold_trace = fresh_trace(trace)

@@ -1,12 +1,5 @@
 """The paper's §4 measurement-study pipelines (Tables 8-10, Figs. 3-4)."""
 
-from .diversity import (
-    DOMINANT_FIG2_EVENTS,
-    DiversityReport,
-    diversity_report,
-    diversity_table,
-    justifies_clustering,
-)
 from .burstiness import (
     FIG34_QUANTITIES,
     BurstinessReport,
@@ -17,21 +10,12 @@ from .burstiness import (
     windowed_durations,
 )
 from .gof import EMM_ECM_STATES, MIN_SAMPLES, TESTS, GofResult, gof_study
-from .model_selection import FamilyScore, rank_families, score_family
 
 __all__ = [
     "BurstinessReport",
     "EMM_ECM_STATES",
     "FIG34_QUANTITIES",
-    "DOMINANT_FIG2_EVENTS",
-    "DiversityReport",
-    "FamilyScore",
-    "diversity_report",
-    "diversity_table",
-    "justifies_clustering",
     "GofResult",
-    "rank_families",
-    "score_family",
     "MIN_SAMPLES",
     "TESTS",
     "TailReport",

@@ -5,7 +5,6 @@ from typing import Dict, Type
 from .base import MIN_DURATION, ArrayLike, Distribution, FitError
 from .empirical import EmpiricalCDF
 from .exponential import Exponential
-from .lognormal import Lognormal
 from .pareto import Pareto
 from .tcplib import Tcplib
 from .weibull import Weibull
@@ -40,7 +39,6 @@ __all__ = [
     "EmpiricalCDF",
     "Exponential",
     "FitError",
-    "Lognormal",
     "MIN_DURATION",
     "Pareto",
     "Tcplib",

@@ -1,11 +1,5 @@
 """Behaviour-driven ground-truth traces (substitute for the carrier data)."""
 
-from .forecast import (
-    DEFAULT_ANNUAL_GROWTH,
-    SCENARIOS,
-    GrowthScenario,
-    project_population,
-)
 from .profiles import (
     CONNECTED_CAR_PROFILE,
     DEFAULT_PROFILES,
@@ -26,10 +20,6 @@ from .simulator import (
 
 __all__ = [
     "CONNECTED_CAR_PROFILE",
-    "DEFAULT_ANNUAL_GROWTH",
-    "GrowthScenario",
-    "SCENARIOS",
-    "project_population",
     "DEFAULT_PROFILES",
     "DeviceProfile",
     "LognormalSpec",

@@ -1,13 +1,8 @@
-"""Tests for aggregate validation, population forecasting, and DOT export."""
+"""Tests for aggregate validation and DOT export."""
 
 import numpy as np
 import pytest
 
-from repro.groundtruth import (
-    SCENARIOS,
-    GrowthScenario,
-    project_population,
-)
 from repro.statemachines import (
     emm_ecm_machine,
     machine_to_dot,
@@ -61,40 +56,6 @@ class TestCompareAggregate:
     def test_rejects_empty(self, ground_truth_trace):
         with pytest.raises(ValueError):
             compare_aggregate(ground_truth_trace, Trace.empty())
-
-
-class TestForecast:
-    def test_flat_scenario_identity(self):
-        base = {DeviceType.PHONE: 100, DeviceType.CONNECTED_CAR: 50}
-        assert project_population(base, 5, scenario="flat") == base
-
-    def test_zero_years_identity(self):
-        base = {DeviceType.PHONE: 10}
-        assert project_population(base, 0) == base
-
-    def test_compound_growth(self):
-        base = {DeviceType.CONNECTED_CAR: 100}
-        out = project_population(base, 2, scenario="baseline")
-        assert out[DeviceType.CONNECTED_CAR] == round(100 * 1.25**2)
-
-    def test_iot_boom_grows_cars_fastest(self):
-        base = {dt: 1000 for dt in DeviceType}
-        out = project_population(base, 5, scenario="iot-boom")
-        assert out[DeviceType.CONNECTED_CAR] > out[DeviceType.TABLET]
-        assert out[DeviceType.TABLET] > out[DeviceType.PHONE]
-
-    def test_unknown_scenario(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            project_population({DeviceType.PHONE: 1}, 1, scenario="moon")
-
-    def test_negative_years_rejected(self):
-        scenario = SCENARIOS["baseline"]
-        with pytest.raises(ValueError):
-            scenario.project({DeviceType.PHONE: 1}, -1)
-
-    def test_custom_scenario(self):
-        s = GrowthScenario("double", {DeviceType.PHONE: 2.0})
-        assert s.project({DeviceType.PHONE: 3}, 2) == {DeviceType.PHONE: 12}
 
 
 class TestDotExport:

@@ -10,14 +10,13 @@ from repro.distributions import (
     EmpiricalCDF,
     Exponential,
     FitError,
-    Lognormal,
     Pareto,
     Tcplib,
     Weibull,
     fit_family,
 )
 
-ALL_CLASSES = [Exponential, Pareto, Weibull, Lognormal, Tcplib]
+ALL_CLASSES = [Exponential, Pareto, Weibull, Tcplib]
 
 
 @pytest.fixture()
@@ -141,31 +140,6 @@ class TestWeibull:
     def test_constant_samples_rejected(self):
         with pytest.raises(FitError, match="constant"):
             Weibull.fit([5.0] * 10)
-
-
-class TestLognormal:
-    def test_parameter_recovery(self, rng):
-        data = rng.lognormal(1.5, 0.8, 20_000)
-        fit = Lognormal.fit(data)
-        assert fit.mu == pytest.approx(1.5, abs=0.03)
-        assert fit.sigma == pytest.approx(0.8, rel=0.05)
-
-    def test_median_is_exp_mu(self):
-        dist = Lognormal(mu=2.0, sigma=1.0)
-        assert dist.ppf(np.array([0.5]))[0] == pytest.approx(math.exp(2.0), rel=1e-6)
-
-    def test_mean_formula(self):
-        dist = Lognormal(mu=0.0, sigma=1.0)
-        assert dist.mean() == pytest.approx(math.exp(0.5))
-
-    def test_cdf_zero_at_origin(self):
-        assert Lognormal(mu=0.0, sigma=1.0).cdf(0.0) == 0.0
-
-    def test_ppf_edges(self):
-        dist = Lognormal(mu=0.0, sigma=1.0)
-        edges = dist.ppf(np.array([0.0, 1.0]))
-        assert edges[0] == 0.0
-        assert edges[1] == math.inf
 
 
 class TestTcplib:

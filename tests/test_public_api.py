@@ -7,6 +7,7 @@ accidental removals and undocumented additions.
 import dataclasses
 import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -28,13 +29,18 @@ SUBPACKAGES = (
     "repro.validation",
     "repro.mcn",
     "repro.harness",
-    "repro.workloads",
     "repro.cli",
     "repro.jobs",
+    "repro.telemetry",
 )
 
 
 class TestExportIntegrity:
+    def test_subpackages_cover_the_package(self):
+        """Every top-level module of ``repro`` has its exports checked."""
+        modules = {"repro." + m.name for m in pkgutil.iter_modules(repro.__path__)}
+        assert set(SUBPACKAGES) == modules - {"repro.__main__"}
+
     @pytest.mark.parametrize("name", SUBPACKAGES)
     def test_all_exports_resolve(self, name):
         module = importlib.import_module(name)
@@ -83,6 +89,31 @@ class TestExportIntegrity:
             ("repro.harness", "EVAL_ENGINES"),
         ):
             assert not hasattr(importlib.import_module(name), constant)
+
+    def test_unreached_extensions_removed(self):
+        """Family ranking, Lognormal, the diversity report, population
+        forecasts and the storm workloads were reached only by their own
+        tests and are gone."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.workloads")
+        for name, old in (
+            ("repro.analysis", "rank_families"),
+            ("repro.analysis", "score_family"),
+            ("repro.analysis", "FamilyScore"),
+            ("repro.analysis", "diversity_report"),
+            ("repro.analysis", "diversity_table"),
+            ("repro.analysis", "justifies_clustering"),
+            ("repro.analysis", "DiversityReport"),
+            ("repro.analysis", "DOMINANT_FIG2_EVENTS"),
+            ("repro.distributions", "Lognormal"),
+            ("repro.groundtruth", "project_population"),
+            ("repro.groundtruth", "GrowthScenario"),
+            ("repro.groundtruth", "SCENARIOS"),
+            ("repro.groundtruth", "DEFAULT_ANNUAL_GROWTH"),
+        ):
+            module = importlib.import_module(name)
+            assert not hasattr(module, old), f"{name}.{old}"
+            assert old not in getattr(module, "__all__", ())
 
     def test_one_job_failure_error(self):
         """The per-stage failure classes gave way to JobFailedError."""
