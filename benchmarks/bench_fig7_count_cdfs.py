@@ -10,7 +10,7 @@ y-distance is smaller than Base's for every device and both events.
 import numpy as np
 
 from repro.trace import DeviceType, EventType
-from repro.validation import format_table, per_ue_counts
+from repro.validation import format_table, summarize
 
 from _macro import compare_methods
 from conftest import write_result
@@ -34,10 +34,10 @@ def test_fig7_count_cdfs(benchmark, scenario2):
     )
 
     # Render the CDF points for one device/event as the figure's data.
-    real_counts = per_ue_counts(scenario2["real"], DeviceType.PHONE, EventType.SRV_REQ)
-    ours_counts = per_ue_counts(
-        scenario2["synthesized"]["ours"], DeviceType.PHONE, EventType.SRV_REQ
-    )
+    real_counts = summarize(scenario2["real"], DeviceType.PHONE).samples["SRV_REQ"]
+    ours_counts = summarize(
+        scenario2["synthesized"]["ours"], DeviceType.PHONE
+    ).samples["SRV_REQ"]
     grid = np.arange(0, max(real_counts.max(), ours_counts.max()) + 1)
     real_cdf = np.searchsorted(real_counts, grid, side="right") / real_counts.size
     ours_cdf = np.searchsorted(ours_counts, grid, side="right") / ours_counts.size

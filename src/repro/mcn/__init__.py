@@ -5,6 +5,9 @@
 * :class:`CoreNetworkSimulator` — a procedure-level discrete-event
   simulation of the full EPC / 5GC control plane (per-function load,
   end-to-end procedure latency, bottleneck analysis).
+
+Both run on one message loop (:mod:`repro.mcn.network`); the MME is
+lowered as a one-function core of one-step procedures.
 """
 
 from .mme import DEFAULT_SERVICE_MEANS, MmeReport, MmeSimulator

@@ -12,13 +12,14 @@ enough to expose the difference between workloads: bursty, realistic
 traffic produces markedly worse tail latency than a Poisson stream of
 the same volume, and baseline-synthesized traffic triggers protocol
 violations (``HO`` in IDLE) that the proposed model's traffic does not.
+The pool runs on :class:`~repro.mcn.network.CoreNetworkSimulator`'s
+message loop: the MME is lowered once as a one-function core in which
+every event type is a one-step procedure at ``MME``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
-from array import array
 from typing import Dict, Optional
 
 import numpy as np
@@ -27,6 +28,8 @@ from ..statemachines.compiled_replay import replay_trace
 from ..telemetry import RunTelemetry, get_telemetry
 from ..trace.events import EventType
 from ..trace.trace import Trace
+from .network import _check_jitter, _check_seconds, _check_workers, _lower, _serve
+from .procedures import MME, Procedure, Step
 
 #: Default mean service time per event type, seconds.  Attach/detach do
 #: the most signaling work (HSS, session setup); handovers are mid;
@@ -71,14 +74,19 @@ class MmeSimulator:
         service_jitter: float = 0.3,
         seed: int = 0,
     ) -> None:
-        if num_workers <= 0:
-            raise ValueError(f"num_workers must be positive, got {num_workers}")
-        if not 0.0 <= service_jitter < 1.0:
-            raise ValueError("service_jitter must be in [0, 1)")
-        self.num_workers = num_workers
+        self.num_workers = _check_workers("num_workers", num_workers)
         self.service_means = dict(service_means or DEFAULT_SERVICE_MEANS)
-        self.service_jitter = service_jitter
+        self.service_jitter = _check_jitter(service_jitter)
         self.seed = seed
+        means = [
+            _check_seconds(f"service_means[{e.name}]", self.service_means.get(e, 0.005))
+            for e in EventType
+        ]
+        self._means = np.array(means)
+        self._lowered = _lower(
+            {e: Procedure(e.name, (Step(MME, e.name, means[e]),)) for e in EventType},
+            (MME,),
+        )
 
     def process(
         self, trace: Trace, *, telemetry: Optional[RunTelemetry] = None
@@ -99,32 +107,24 @@ class MmeSimulator:
         n = len(trace)
         if n == 0:
             raise ValueError("cannot process an empty trace")
-        codes = trace.event_types.astype(np.intp)
-        means = np.array(
-            [self.service_means.get(e, 0.005) for e in EventType], dtype=np.float64
+        served = _serve(
+            self._lowered,
+            (self.num_workers,),
+            trace,
+            link_delay=0.0,
+            service_jitter=self.service_jitter,
+            seed=self.seed,
         )
-        services = means[codes]
-        if self.service_jitter != 0:
-            # One batch holds the same doubles as one scalar draw per event.
-            services *= np.random.default_rng(self.seed).uniform(
-                1.0 - self.service_jitter, 1.0 + self.service_jitter, n
-            )
+        # One-step procedures put no follow-up in flight, so messages are
+        # served in trace order and ``wait`` lines up with ``codes``.
+        codes = trace.event_types.astype(np.intp)
+        services = self._means[codes] * served.factors
+        wait = served.waits[0]
 
         # Lenient per-UE protocol check: a UE's first event starts from
         # its canonical source; every later forced step is a violation.
         violations = replay_trace(trace).violations
         counts = np.bincount(codes, minlength=len(EventType))
-
-        workers = [float(trace.times[0])] * self.num_workers
-        waits = array("d")
-        record_wait = waits.append
-        for arrival, service in zip(memoryview(trace.times), memoryview(services)):
-            free = workers[0]
-            start = arrival if arrival >= free else free
-            heapq.heapreplace(workers, start + service)
-            record_wait(start - arrival)
-        wait = np.frombuffer(waits)
-        busy = float(np.cumsum(services)[-1])  # sequential, in service order
 
         span = float(trace.times[-1] - trace.times[0])
         capacity = self.num_workers * max(span, 1e-9)
@@ -138,7 +138,7 @@ class MmeSimulator:
             p99_wait=float(p99),
             max_wait=float(wait.max()),
             mean_latency=float((wait + services).mean()),
-            utilization=min(1.0, busy / capacity),
+            utilization=min(1.0, served.busy[0] / capacity),
             throughput=n / max(span, 1e-9),
             protocol_violations=violations,
             events_by_type={e: int(counts[e]) for e in EventType},

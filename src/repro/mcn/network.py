@@ -8,8 +8,9 @@ the next step after an inter-NF link delay.
 
 The procedure map is lowered once per simulator to flat per-step
 tables, and all service-time jitter is drawn in one batch, so a run is
-a single loop over messages with heaps only for the worker pools and
-the in-flight follow-up steps.
+a single loop over messages (:func:`_serve`) with heaps only for the
+worker pools and the in-flight follow-up steps.  The same loop runs
+:class:`~repro.mcn.mme.MmeSimulator`, lowered as a one-function core.
 
 Outputs answer the questions the paper's generator exists to answer:
 which function saturates first, what the end-to-end procedure latencies
@@ -21,8 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
+import numbers
 from array import array
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,6 +128,118 @@ def _lower(
     )
 
 
+def _check_workers(name: str, value: object) -> int:
+    """``value`` as a positive worker count (an ``int`` or NumPy integer,
+    not a bool); ``ValueError`` naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_seconds(name: str, value: float) -> float:
+    """``value`` as a finite, non-negative time in seconds; ``ValueError``
+    naming ``name`` otherwise."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
+    return float(value)
+
+
+def _check_jitter(value: float) -> float:
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"service_jitter must be in [0, 1), got {value!r}")
+    return float(value)
+
+
+class _Served(NamedTuple):
+    """What one run of :func:`_serve` measured.  Per-message values are
+    in service order."""
+
+    num_events: int                 #: events that launched a procedure
+    factors: np.ndarray             #: each message's jitter factor
+    waits: List[np.ndarray]         #: per NF: each message's queueing delay
+    busy: List[float]               #: per NF: sequential sum of service times
+    latencies: List[np.ndarray]     #: per bucket: event time to last step's finish
+
+
+def _serve(
+    low: _LoweredCore,
+    workers: Sequence[int],
+    trace: Trace,
+    *,
+    link_delay: float,
+    service_jitter: float,
+    seed: int,
+) -> _Served:
+    """Serve every message the non-empty ``trace`` launches, in time
+    order, through FIFO pools of ``workers[nf]`` workers per NF.
+
+    A step's successor arrives ``link_delay`` after it finishes.  On a
+    time tie an initial step goes first, then follow-ups in launch
+    order.  The ``k``-th message served takes the ``k``-th factor of
+    one ``default_rng(seed).uniform(1 - j, 1 + j)`` batch (ones when
+    ``j == 0``).
+    """
+    proc = low.proc_of_event[trace.event_types]
+    # Initial steps stream in trace order, which is time order: exactly
+    # the order a heap keyed (time, push counter) pops them in.
+    order = np.flatnonzero(proc >= 0)
+    num_events = len(order)
+    num_messages = int(low.step_counts[proc[order]].sum())
+    arrivals = memoryview(trace.times[order])
+    first_steps = memoryview(low.first_step[proc[order]])
+    # The batch holds the same doubles as one scalar draw per message.
+    if service_jitter == 0:
+        factors = np.ones(num_messages)
+    else:
+        factors = np.random.default_rng(seed).uniform(
+            1.0 - service_jitter, 1.0 + service_jitter, num_messages
+        )
+
+    t0 = float(trace.times[0])
+    pools = [[t0] * size for size in workers]
+    busy = [0.0] * len(pools)
+    waits = [array("d") for _ in pools]
+    latencies = [array("d") for _ in low.latency_names]
+    step_nf, step_mean, next_step = low.step_nf, low.step_mean, low.next_step
+    wait_of = [waits[nf].append for nf in step_nf]
+    pool_of = [pools[nf] for nf in step_nf]
+    latency_of = [latencies[b].append for b in low.step_latency]
+
+    # In-flight follow-up steps: (time, counter, step, event time).
+    # An initial step wins a time tie: its counter would be smaller.
+    pending: List[Tuple[float, int, int, float]] = []
+    counter = 0
+    i = 0
+    for factor in memoryview(factors):
+        if i < num_events and (not pending or arrivals[i] <= pending[0][0]):
+            t = started = arrivals[i]
+            g = first_steps[i]
+            i += 1
+        else:
+            t, _, g, started = heapq.heappop(pending)
+        service = step_mean[g] * factor
+        pool = pool_of[g]
+        free = pool[0]
+        start = t if t >= free else free
+        finish = start + service
+        heapq.heapreplace(pool, finish)
+        wait_of[g](start - t)
+        busy[step_nf[g]] += service
+        following = next_step[g]
+        if following >= 0:
+            heapq.heappush(pending, (finish + link_delay, counter, following, started))
+            counter += 1
+        else:
+            latency_of[g](finish - started)
+    return _Served(
+        num_events=num_events,
+        factors=factors,
+        waits=[np.frombuffer(w) for w in waits],
+        busy=busy,
+        latencies=[np.frombuffer(values) for values in latencies],
+    )
+
+
 class CoreNetworkSimulator:
     """Simulates one core generation under a control-plane trace.
 
@@ -154,26 +269,22 @@ class CoreNetworkSimulator:
         self.core = core
         self.procedures = procedures_for(core)
         self.function_names = functions_for(core)
-        if isinstance(workers, int):
-            if workers <= 0:
-                raise ValueError("workers must be positive")
-            self.workers = {nf: workers for nf in self.function_names}
-        else:
+        if isinstance(workers, Mapping):
             unknown = sorted(set(workers) - set(self.function_names))
             if unknown:
                 raise ValueError(
                     f"unknown network functions {unknown} for core {core!r}; "
                     f"its functions are {list(self.function_names)}"
                 )
-            self.workers = {nf: int(workers.get(nf, 4)) for nf in self.function_names}
-            if any(w <= 0 for w in self.workers.values()):
-                raise ValueError("workers must be positive")
-        if link_delay < 0:
-            raise ValueError("link_delay must be non-negative")
-        if not 0.0 <= service_jitter < 1.0:
-            raise ValueError("service_jitter must be in [0, 1)")
-        self.link_delay = link_delay
-        self.service_jitter = service_jitter
+            self.workers = {
+                nf: _check_workers(f"workers[{nf!r}]", workers.get(nf, 4))
+                for nf in self.function_names
+            }
+        else:
+            count = _check_workers("workers", workers)
+            self.workers = {nf: count for nf in self.function_names}
+        self.link_delay = _check_seconds("link_delay", link_delay)
+        self.service_jitter = _check_jitter(service_jitter)
         self.seed = seed
         self._lowered = _lower(self.procedures, self.function_names)
 
@@ -206,80 +317,32 @@ class CoreNetworkSimulator:
                 functions={},
                 procedures={},
             )
-        low = self._lowered
-        proc = low.proc_of_event[trace.event_types]
-        # Initial steps stream in trace order, which is time order: exactly
-        # the order a heap keyed (time, push counter) pops them in.
-        order = np.flatnonzero(proc >= 0)
-        num_events = len(order)
-        num_messages = int(low.step_counts[proc[order]].sum())
-        arrivals = memoryview(trace.times[order])
-        first_steps = memoryview(low.first_step[proc[order]])
-        # One jitter factor per message, consumed in service order; the
-        # batch holds the same doubles as one scalar draw per message.
-        if self.service_jitter == 0:
-            factors = np.ones(num_messages)
-        else:
-            factors = np.random.default_rng(self.seed).uniform(
-                1.0 - self.service_jitter, 1.0 + self.service_jitter, num_messages
-            )
-
-        t0 = float(trace.times[0])
-        pools = [[t0] * self.workers[nf] for nf in self.function_names]
-        busy = [0.0] * len(pools)
-        waits = [array("d") for _ in pools]
-        latencies = [array("d") for _ in low.latency_names]
-        step_nf, step_mean, next_step = low.step_nf, low.step_mean, low.next_step
-        wait_of = [waits[nf].append for nf in step_nf]
-        pool_of = [pools[nf] for nf in step_nf]
-        latency_of = [latencies[b].append for b in low.step_latency]
-        link_delay = self.link_delay
-
-        # In-flight follow-up steps: (time, counter, step, event time).
-        # An initial step wins a time tie: its counter would be smaller.
-        pending: List[Tuple[float, int, int, float]] = []
-        counter = 0
-        i = 0
-        for factor in memoryview(factors):
-            if i < num_events and (not pending or arrivals[i] <= pending[0][0]):
-                t = started = arrivals[i]
-                g = first_steps[i]
-                i += 1
-            else:
-                t, _, g, started = heapq.heappop(pending)
-            service = step_mean[g] * factor
-            pool = pool_of[g]
-            free = pool[0]
-            start = t if t >= free else free
-            finish = start + service
-            heapq.heapreplace(pool, finish)
-            wait_of[g](start - t)
-            busy[step_nf[g]] += service
-            following = next_step[g]
-            if following >= 0:
-                heapq.heappush(pending, (finish + link_delay, counter, following, started))
-                counter += 1
-            else:
-                latency_of[g](finish - started)
-
+        served = _serve(
+            self._lowered,
+            [self.workers[nf] for nf in self.function_names],
+            trace,
+            link_delay=self.link_delay,
+            service_jitter=self.service_jitter,
+            seed=self.seed,
+        )
         span = float(trace.times[-1] - trace.times[0])
         functions = {}
         for nf, name in enumerate(self.function_names):
-            values = np.frombuffer(waits[nf]) if waits[nf] else np.zeros(1)
+            waits = served.waits[nf]
+            values = waits if waits.size else np.zeros(1)
             capacity = self.workers[name] * max(span, 1e-9)
             functions[name] = FunctionReport(
                 name=name,
-                messages=len(waits[nf]),
-                utilization=min(1.0, busy[nf] / capacity),
+                messages=waits.size,
+                utilization=min(1.0, served.busy[nf] / capacity),
                 mean_wait=float(values.mean()),
                 p95_wait=float(np.percentile(values, 95.0)),
                 max_wait=float(values.max()),
             )
         procedures = {}
-        for name, values in zip(low.latency_names, latencies):
-            if not values:
+        for name, arr in zip(self._lowered.latency_names, served.latencies):
+            if not arr.size:
                 continue
-            arr = np.frombuffer(values)
             procedures[name] = ProcedureReport(
                 name=name,
                 count=arr.size,
@@ -290,8 +353,8 @@ class CoreNetworkSimulator:
             )
         return CoreReport(
             core=self.core,
-            num_events=num_events,
-            num_messages=num_messages,
+            num_events=served.num_events,
+            num_messages=served.factors.size,
             span=span,
             functions=functions,
             procedures=procedures,

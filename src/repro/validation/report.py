@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence
 
-from .breakdown import BREAKDOWN_ROWS
 from .microscopic import MICRO_QUANTITIES
-from .summary import Comparison, DeviceSummary
+from .summary import BREAKDOWN_ROWS, Comparison, DeviceSummary
 
 
 def format_table(

@@ -23,7 +23,6 @@ from ..statemachines.compiled_replay import classify_category2_by_device, replay
 from ..stats.ecdf import max_y_distance
 from ..trace.events import DeviceType, EventType
 from ..trace.trace import Trace
-from .breakdown import BREAKDOWN_ROWS
 from .microscopic import MICRO_QUANTITIES, _COUNT_QUANTITIES
 
 _NUM_EVENTS = int(max(EventType)) + 1
@@ -38,6 +37,9 @@ _STATE_ROWS = {
     "TAU (CONN.)": (EventType.TAU, lte.CONNECTED),
     "TAU (IDLE)": (EventType.TAU, lte.IDLE),
 }
+
+#: The macroscopic breakdown's row labels, in the paper's table order.
+BREAKDOWN_ROWS: Tuple[str, ...] = _PLAIN_ROWS + tuple(_STATE_ROWS)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -28,6 +28,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MmeSimulator(service_jitter=1.5)
 
+    def test_accepts_numpy_integer_workers(self):
+        sim = MmeSimulator(np.int64(2))
+        assert sim.num_workers == 2 and type(sim.num_workers) is int
+
+    @pytest.mark.parametrize("workers", [2.5, True, -3, None])
+    def test_rejects_non_integer_workers(self, workers):
+        with pytest.raises(ValueError, match="num_workers must be a positive integer"):
+            MmeSimulator(workers)
+
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, -0.004])
+    def test_rejects_bad_service_means(self, mean):
+        with pytest.raises(
+            ValueError, match=r"service_means\[SRV_REQ\] must be finite"
+        ):
+            MmeSimulator(service_means={E.SRV_REQ: mean})
+
     def test_default_service_covers_all_events(self):
         assert set(DEFAULT_SERVICE_MEANS) == set(EventType)
 

@@ -1,6 +1,7 @@
 """Tests for the procedure-level core simulator (repro.mcn.network)."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -66,19 +67,44 @@ class TestProcedures:
 
 class TestSimulatorConstruction:
     def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            CoreNetworkSimulator(workers=0)
-        with pytest.raises(ValueError):
-            CoreNetworkSimulator(workers={"MME": 0})
+        """Counts must be positive integers; the message names the
+        parameter (a bool or ``2.5`` is not a worker count)."""
+        for workers, name in [
+            (0, "workers"),
+            (2.5, "workers"),
+            (True, "workers"),
+            (np.bool_(True), "workers"),
+            ("4", "workers"),
+            ({"MME": 0}, "workers['MME']"),
+            ({"MME": 2.5}, "workers['MME']"),
+            ({"SGW": False}, "workers['SGW']"),
+        ]:
+            message = re.escape(f"{name} must be a positive integer")
+            with pytest.raises(ValueError, match=message):
+                CoreNetworkSimulator(workers=workers)
 
     def test_rejects_bad_link_delay(self):
-        with pytest.raises(ValueError):
-            CoreNetworkSimulator(link_delay=-1.0)
+        """A NaN delay would make every latency negative."""
+        for delay in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="link_delay must be finite"):
+                CoreNetworkSimulator(link_delay=delay)
 
     def test_per_function_workers(self):
         sim = CoreNetworkSimulator(workers={"MME": 8})
         assert sim.workers["MME"] == 8
         assert sim.workers["HSS"] == 4  # default
+
+    def test_accepts_numpy_integer_workers(self):
+        sim = CoreNetworkSimulator(workers=np.int64(2))
+        assert sim.workers == {nf: 2 for nf in EPC_FUNCTIONS}
+        sim = CoreNetworkSimulator("5gc", workers={"AMF": np.int32(3)})
+        assert sim.workers["AMF"] == 3
+        assert all(type(w) is int for w in sim.workers.values())
+
+    @pytest.mark.parametrize("jitter", [np.nan, -0.1, 1.0])
+    def test_rejects_bad_jitter(self, jitter):
+        with pytest.raises(ValueError, match="service_jitter"):
+            CoreNetworkSimulator(service_jitter=jitter)
 
     @pytest.mark.parametrize(
         "core,workers,unknown",

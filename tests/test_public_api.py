@@ -246,7 +246,8 @@ class TestExportIntegrity:
 
     def test_one_summary_per_trace(self):
         """Tables 4/5 compare two ``DeviceSummary`` objects: the pairwise
-        trace-vs-trace metrics and the duplicate per-UE counter are gone."""
+        trace-vs-trace metrics and the duplicate per-UE counters are gone
+        (``summarize(...).samples`` holds the per-UE counts)."""
         for name, old in (
             ("repro.validation", "breakdown_difference"),
             ("repro.validation", "max_abs_breakdown_difference"),
@@ -270,6 +271,8 @@ class TestExportIntegrity:
             ("repro.harness.evaluation", "_metrics_job"),
             ("repro.trace", "events_per_ue_counts"),
             ("repro.trace.stats", "events_per_ue_counts"),
+            ("repro.validation", "per_ue_counts"),
+            ("repro.validation.microscopic", "per_ue_counts"),
         ):
             module = importlib.import_module(name)
             assert not hasattr(module, old), f"{name}.{old}"

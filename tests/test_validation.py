@@ -8,6 +8,7 @@ import pytest
 from repro.statemachines import lte
 from repro.statemachines.compiled_replay import replay_trace
 from repro.stats.ecdf import max_y_distance
+from repro.generator import TrafficGenerator
 from repro.trace import DeviceType, EventType
 from repro.validation import summary
 from repro.validation import (
@@ -19,15 +20,56 @@ from repro.validation import (
     format_percent,
     format_ratio,
     format_table,
-    per_ue_counts,
     summarize,
 )
 
-from conftest import fresh_copy, make_trace
+from conftest import TRACE_START_HOUR, fresh_copy, make_trace
 from oracle import replay as oracle_replay
 
 E = EventType
 P = DeviceType.PHONE
+
+
+@pytest.fixture(scope="module")
+def base_synthesized_trace(base_model_set):
+    """One Base-synthesized busy hour: its overlay hands over in IDLE."""
+    return TrafficGenerator(base_model_set).generate(
+        150, start_hour=TRACE_START_HOUR + 1, num_hours=1, seed=7
+    )
+
+
+def _expected_breakdown(trace, device_type):
+    """The eight-row breakdown of the device's own cut, with the HO/TAU
+    rows split by the oracle's per-event walk."""
+    sub = trace.filter_device(device_type)
+    if len(sub) == 0:
+        return {row: 0.0 for row in BREAKDOWN_ROWS}
+    cat2 = oracle_replay.classify_category2_events(sub)
+    counts = {
+        name: int(np.count_nonzero(sub.event_types == int(E[name])))
+        for name in ("ATCH", "DTCH", "SRV_REQ", "S1_CONN_REL")
+    }
+    counts.update(
+        {
+            "HO (CONN.)": cat2[(E.HO, lte.CONNECTED)],
+            "HO (IDLE)": cat2[(E.HO, lte.IDLE)],
+            "TAU (CONN.)": cat2[(E.TAU, lte.CONNECTED)],
+            "TAU (IDLE)": cat2[(E.TAU, lte.IDLE)],
+        }
+    )
+    return {row: counts[row] / len(sub) for row in BREAKDOWN_ROWS}
+
+
+def _expected_counts(trace, device_type, event_type, num_ues=None):
+    """Sorted per-UE counts of one event type on the device's own cut,
+    zero-padded to ``num_ues``."""
+    sub = trace.filter_device(device_type)
+    ues, codes = np.unique(sub.ue_ids, return_inverse=True)
+    counts = np.bincount(
+        codes[sub.event_types == int(event_type)],
+        minlength=len(ues) if num_ues is None else num_ues,
+    )
+    return np.sort(counts.astype(np.float64))
 
 
 class TestBreakdownWithStates:
@@ -68,12 +110,21 @@ class TestBreakdownWithStates:
             abs(v) for v in result.macro_diff.values()
         )
 
-    def test_macro_comparison_structure(self, ground_truth_trace):
-        real = summarize(ground_truth_trace, P)
-        assert real.device_type == P
-        assert real.breakdown == breakdown_with_states(ground_truth_trace, P)
+    @pytest.mark.parametrize("source", ["ground_truth", "base_synthesized"])
+    @pytest.mark.parametrize("device_type", list(DeviceType), ids=lambda dt: dt.name)
+    def test_macro_comparison_structure(self, request, source, device_type):
+        trace = request.getfixturevalue(f"{source}_trace")
+        real = summarize(trace, device_type)
+        assert real.device_type == device_type
+        assert real.breakdown == _expected_breakdown(trace, device_type)
+        assert breakdown_with_states(trace, device_type) == real.breakdown
         assert list(real.breakdown) == list(BREAKDOWN_ROWS)
         assert list(real.samples) == list(MICRO_QUANTITIES)
+
+    def test_base_traffic_hands_over_in_idle(self, base_synthesized_trace):
+        """The Base case of the structure test exercises a nonzero
+        ``HO (IDLE)`` row."""
+        assert breakdown_with_states(base_synthesized_trace, P)["HO (IDLE)"] > 0.0
 
 
 def _compare(real, synthesized, device_type=P, *, syn_num_ues=None):
@@ -84,25 +135,25 @@ def _compare(real, synthesized, device_type=P, *, syn_num_ues=None):
 
 
 class TestPerUeCounts:
+    """The per-UE count samples of :func:`summarize`."""
+
     def test_zero_padding(self):
         tr = make_trace([(1, 1.0, E.SRV_REQ, P)])
-        counts = per_ue_counts(tr, P, E.SRV_REQ, num_ues=4)
+        counts = summarize(tr, P, num_ues=4).samples["SRV_REQ"]
         assert list(counts) == [0.0, 0.0, 0.0, 1.0]
 
     def test_padding_smaller_than_present_rejected(self):
         tr = make_trace([(1, 1.0, E.SRV_REQ, P), (2, 2.0, E.SRV_REQ, P)])
         with pytest.raises(ValueError, match="smaller"):
-            per_ue_counts(tr, P, E.SRV_REQ, num_ues=1)
-        with pytest.raises(ValueError, match="smaller"):
             summarize(tr, P, num_ues=1)
 
     def test_includes_zero_count_ues(self):
         tr = make_trace([(1, 1.0, E.SRV_REQ, P), (2, 2.0, E.HO, P)])
-        counts = per_ue_counts(tr, P, E.SRV_REQ)
+        counts = summarize(tr, P).samples["SRV_REQ"]
         assert list(counts) == [0.0, 1.0]
 
     def test_sorted_output(self, ground_truth_trace):
-        counts = per_ue_counts(ground_truth_trace, P, E.SRV_REQ)
+        counts = summarize(ground_truth_trace, P).samples["SRV_REQ"]
         assert np.all(np.diff(counts) >= 0)
 
 
@@ -206,7 +257,9 @@ class TestSummaryComparison:
         self, ground_truth_trace, synthesized_trace, device_type, padded
     ):
         """``compare`` of two summaries equals the Table 4/5 numbers
-        built directly from the primitives, key order included."""
+        built from each device's own cut: the oracle's Category-2 walk,
+        a local ``bincount`` and a replay of the cut, key order
+        included."""
         real = ground_truth_trace.window(3600.0, 7200.0)
         syn_n = None
         if padded:
@@ -216,8 +269,8 @@ class TestSummaryComparison:
             summarize(synthesized_trace, device_type, num_ues=syn_n),
         )
 
-        real_bd = breakdown_with_states(real, device_type)
-        syn_bd = breakdown_with_states(synthesized_trace, device_type)
+        real_bd = _expected_breakdown(real, device_type)
+        syn_bd = _expected_breakdown(synthesized_trace, device_type)
         diff = {row: syn_bd[row] - real_bd[row] for row in BREAKDOWN_ROWS}
         samples = []
         for trace, n in ((real, None), (synthesized_trace, syn_n)):
@@ -226,9 +279,9 @@ class TestSummaryComparison:
             ).top_state_sojourns()
             samples.append(
                 {
-                    "SRV_REQ": per_ue_counts(trace, device_type, E.SRV_REQ, num_ues=n),
-                    "S1_CONN_REL": per_ue_counts(
-                        trace, device_type, E.S1_CONN_REL, num_ues=n
+                    "SRV_REQ": _expected_counts(trace, device_type, E.SRV_REQ, n),
+                    "S1_CONN_REL": _expected_counts(
+                        trace, device_type, E.S1_CONN_REL, n
                     ),
                     "CONNECTED": sojourns[lte.CONNECTED],
                     "IDLE": sojourns[lte.IDLE],
