@@ -6,8 +6,9 @@
   simulation of the full EPC / 5GC control plane (per-function load,
   end-to-end procedure latency, bottleneck analysis).
 
-Both run on one message loop (:mod:`repro.mcn.network`); the MME is
-lowered as a one-function core of one-step procedures.
+Both run on one engine (:mod:`repro.mcn.network`): array passes where
+no message waits, a heap loop over messages where messages queue.  The
+MME is lowered as a one-function core of one-step procedures.
 """
 
 from .mme import DEFAULT_SERVICE_MEANS, MmeReport, MmeSimulator

@@ -13,8 +13,10 @@ traffic produces markedly worse tail latency than a Poisson stream of
 the same volume, and baseline-synthesized traffic triggers protocol
 violations (``HO`` in IDLE) that the proposed model's traffic does not.
 The pool runs on :class:`~repro.mcn.network.CoreNetworkSimulator`'s
-message loop: the MME is lowered once as a one-function core in which
-every event type is a one-step procedure at ``MME``.
+engine: the MME is lowered once as a one-function core in which every
+event type is a one-step procedure at ``MME``.  Windows in which no
+event can wait are served in array passes; only windows in which
+events queue run the heap loop.
 """
 
 from __future__ import annotations
@@ -75,16 +77,23 @@ class MmeSimulator:
         seed: int = 0,
     ) -> None:
         self.num_workers = _check_workers("num_workers", num_workers)
-        self.service_means = dict(service_means or DEFAULT_SERVICE_MEANS)
+        unknown = [key for key in service_means or {} if not isinstance(key, EventType)]
+        if unknown:
+            raise ValueError(
+                f"service_means keys must be EventType members, got {unknown[0]!r}"
+            )
+        # The given means overlay the defaults event by event.
+        merged = {**DEFAULT_SERVICE_MEANS, **(service_means or {})}
+        self.service_means = {
+            e: _check_seconds(f"service_means[{e.name}]", merged[e]) for e in EventType
+        }
         self.service_jitter = _check_jitter(service_jitter)
         self.seed = seed
-        means = [
-            _check_seconds(f"service_means[{e.name}]", self.service_means.get(e, 0.005))
-            for e in EventType
-        ]
-        self._means = np.array(means)
         self._lowered = _lower(
-            {e: Procedure(e.name, (Step(MME, e.name, means[e]),)) for e in EventType},
+            {
+                e: Procedure(e.name, (Step(MME, e.name, mean),))
+                for e, mean in self.service_means.items()
+            },
             (MME,),
         )
 
@@ -94,16 +103,18 @@ class MmeSimulator:
         """Run the trace through the worker pool and report statistics.
 
         Events are served in trace order.  The run is timed under the
-        ``mme-drive`` span and counts ``mme_events`` on ``telemetry``
-        (default: the ambient collector).
+        ``mme-drive`` span and counts ``mme_events``, and the windows it
+        served (``mcn_windows``) and those of them the heap loop served
+        (``mcn_windows_queued``), on ``telemetry`` (default: the ambient
+        collector).
         """
         tele = telemetry if telemetry is not None else get_telemetry()
         with tele.span("mme-drive"):
-            report = self._process(trace)
+            report = self._process(trace, tele)
         tele.count("mme_events", report.num_events)
         return report
 
-    def _process(self, trace: Trace) -> MmeReport:
+    def _process(self, trace: Trace, tele: RunTelemetry) -> MmeReport:
         n = len(trace)
         if n == 0:
             raise ValueError("cannot process an empty trace")
@@ -114,21 +125,28 @@ class MmeSimulator:
             link_delay=0.0,
             service_jitter=self.service_jitter,
             seed=self.seed,
+            services=True,
         )
+        tele.count("mcn_windows", served.windows)
+        tele.count("mcn_windows_queued", served.queued_windows)
         # One-step procedures put no follow-up in flight, so messages are
-        # served in trace order and ``wait`` lines up with ``codes``.
-        codes = trace.event_types.astype(np.intp)
-        services = self._means[codes] * served.factors
-        wait = served.waits[0]
+        # served in trace order: ``wait`` and ``latency`` line up with
+        # the trace's events.  Waits are all zero unless the heap loop
+        # served a window.
+        queued = served.queued_windows > 0
+        wait = served.waits[0] if queued else np.zeros(1)
+        p50, p95, p99 = np.percentile(wait, [50.0, 95.0, 99.0])
+        latency = served.services[0]
+        if queued:
+            latency += wait
 
         # Lenient per-UE protocol check: a UE's first event starts from
         # its canonical source; every later forced step is a violation.
         violations = replay_trace(trace).violations
-        counts = np.bincount(codes, minlength=len(EventType))
+        counts = np.bincount(trace.event_types, minlength=len(EventType))
 
         span = float(trace.times[-1] - trace.times[0])
         capacity = self.num_workers * max(span, 1e-9)
-        p50, p95, p99 = np.percentile(wait, [50.0, 95.0, 99.0])
         return MmeReport(
             num_events=n,
             span=span,
@@ -137,7 +155,7 @@ class MmeSimulator:
             p95_wait=float(p95),
             p99_wait=float(p99),
             max_wait=float(wait.max()),
-            mean_latency=float((wait + services).mean()),
+            mean_latency=float(latency.mean()),
             utilization=min(1.0, served.busy[0] / capacity),
             throughput=n / max(span, 1e-9),
             protocol_violations=violations,

@@ -7,10 +7,20 @@ network function (a FIFO worker pool), is serviced, and hands off to
 the next step after an inter-NF link delay.
 
 The procedure map is lowered once per simulator to flat per-step
-tables, and all service-time jitter is drawn in one batch, so a run is
-a single loop over messages (:func:`_serve`) with heaps only for the
-worker pools and the in-flight follow-up steps.  The same loop runs
-:class:`~repro.mcn.mme.MmeSimulator`, lowered as a one-function core.
+tables.  A run (:func:`_serve`) splits the events into *clusters*: an
+event heads a new one when it arrives after every earlier procedure
+could have finished without waiting.  Runs of whole clusters form
+windows of a few thousand events, which never interact.  Each window
+is served in NumPy array passes as a free-flow schedule, in which
+every step starts when it arrives.  Only the messages of clusters of
+several events can be served out of trace order; since service-time
+jitter is drawn in service order, their order is settled as a fixed
+point.  The schedule stands when it is the FIFO heap's pop order and
+a per-NF check proves that no message waits.  Otherwise the heap loop
+over messages serves the window, with the same jitter, and goes on
+into the next window while messages still queue.  Both give the same
+numbers.  :class:`~repro.mcn.mme.MmeSimulator` runs on the same
+engine, lowered as a one-function core.
 
 Outputs answer the questions the paper's generator exists to answer:
 which function saturates first, what the end-to-end procedure latencies
@@ -25,7 +35,8 @@ import heapq
 import math
 import numbers
 from array import array
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,10 +98,12 @@ class _LoweredCore(NamedTuple):
     proc_of_event: np.ndarray       #: (len(EventType),) procedure index, -1 if unhandled
     first_step: np.ndarray          #: (P,) ``g`` of each procedure's first step
     step_counts: np.ndarray         #: (P,) steps per procedure
-    step_nf: List[int]              #: NF index of step ``g``
-    step_mean: List[float]          #: mean service time of step ``g``
-    next_step: List[int]            #: ``g + 1`` inside a procedure, -1 after its last step
-    step_latency: List[int]         #: latency bucket (procedure name) of step ``g``
+    proc_messages: np.ndarray       #: (P, NF) messages each procedure sends to each NF
+    proc_latency: np.ndarray        #: (P,) latency bucket (procedure name)
+    step_nf: np.ndarray             #: NF index of step ``g``
+    step_mean: np.ndarray           #: mean service time of step ``g``
+    step_last: np.ndarray           #: whether step ``g`` ends its procedure
+    step_latency: np.ndarray        #: latency bucket of step ``g``
     latency_names: Tuple[str, ...]  #: procedure names, in procedure-map order
 
 
@@ -100,30 +113,34 @@ def _lower(
     nf_index = {nf: i for i, nf in enumerate(function_names)}
     distinct = list(dict.fromkeys(procedures.values()))
     names = tuple(dict.fromkeys(p.name for p in distinct))
-    proc_of_event = np.full(len(EventType), -1, dtype=np.int64)
+    proc_of_event = np.full(len(EventType), -1, dtype=np.int8)
     for event, procedure in procedures.items():
         proc_of_event[int(event)] = distinct.index(procedure)
-    step_counts = np.array([len(p.steps) for p in distinct], dtype=np.int64)
-    first_step = np.concatenate(([0], np.cumsum(step_counts)[:-1])).astype(np.int64)
+    step_counts = np.array([len(p.steps) for p in distinct], dtype=np.int8)
+    first_step = np.concatenate(([0], np.cumsum(step_counts)[:-1])).astype(np.int32)
+    proc_messages = np.zeros((len(distinct), len(function_names)), dtype=np.int64)
+    proc_latency = np.array([names.index(p.name) for p in distinct], dtype=np.int8)
     step_nf: List[int] = []
     step_mean: List[float] = []
-    next_step: List[int] = []
+    step_last: List[bool] = []
     step_latency: List[int] = []
-    for procedure in distinct:
-        last = len(step_nf) + len(procedure.steps) - 1
-        for step in procedure.steps:
+    for p, procedure in enumerate(distinct):
+        for k, step in enumerate(procedure.steps):
+            proc_messages[p, nf_index[step.nf]] += 1
             step_nf.append(nf_index[step.nf])
             step_mean.append(float(step.service_mean))
-            next_step.append(len(next_step) + 1 if len(next_step) < last else -1)
-            step_latency.append(names.index(procedure.name))
+            step_last.append(k == len(procedure.steps) - 1)
+            step_latency.append(int(proc_latency[p]))
     return _LoweredCore(
         proc_of_event=proc_of_event,
         first_step=first_step,
         step_counts=step_counts,
-        step_nf=step_nf,
-        step_mean=step_mean,
-        next_step=next_step,
-        step_latency=step_latency,
+        proc_messages=proc_messages,
+        proc_latency=proc_latency,
+        step_nf=np.array(step_nf, dtype=np.int8),
+        step_mean=np.array(step_mean),
+        step_last=np.array(step_last),
+        step_latency=np.array(step_latency, dtype=np.int8),
         latency_names=names,
     )
 
@@ -150,15 +167,445 @@ def _check_jitter(value: float) -> float:
     return float(value)
 
 
+#: A window grows to this many handled events, then ends at the last
+#: cluster boundary before that point (or the first one after it).
+WINDOW_EVENTS = 4096
+
+#: Passes the service order of a window's shared clusters gets to
+#: settle in; a window whose order still moves after them goes to the
+#: heap loop.
+ORDER_PASSES = 10
+
+#: Seconds added to each procedure's latest free-flow end when events
+#: are split into clusters, so that rounding never makes two touch.
+_CUT_SLACK = 1e-6
+
+
 class _Served(NamedTuple):
     """What one run of :func:`_serve` measured.  Per-message values are
     in service order."""
 
     num_events: int                 #: events that launched a procedure
-    factors: np.ndarray             #: each message's jitter factor
+    num_messages: int               #: messages served
     waits: List[np.ndarray]         #: per NF: each message's queueing delay
     busy: List[float]               #: per NF: sequential sum of service times
     latencies: List[np.ndarray]     #: per bucket: event time to last step's finish
+    services: List[np.ndarray]      #: per NF: each message's service time
+    windows: int                    #: windows the events were split into
+    queued_windows: int             #: windows the heap loop served
+
+
+class _Window(NamedTuple):
+    """What one window measured, in service order."""
+
+    services: np.ndarray               #: each message's service time
+    nfs: np.ndarray                    #: each message's NF index
+    waits: Optional[List[np.ndarray]]  #: per NF; ``None`` when nothing waited
+    latencies: np.ndarray              #: each procedure's latency, by last step
+    buckets: np.ndarray                #: the latency bucket of each
+
+
+class _Tally:
+    """The outputs of :func:`_serve`, filled one window at a time.
+
+    ``waits`` start as ``np.zeros`` and are written only for windows in
+    which something waited.  ``busy`` goes on as one sequential sum per
+    NF across windows.  Latencies are kept in service order with their
+    buckets, and split by bucket at the end; with ``services``, per-NF
+    service times are kept instead.
+    """
+
+    def __init__(self, per_nf: np.ndarray, num_events: int, services: bool) -> None:
+        self.waits = [np.zeros(int(k)) for k in per_nf]
+        self.busy = np.zeros(len(per_nf))
+        self.services = [np.empty(int(k)) for k in per_nf] if services else []
+        self.latencies = np.empty(0 if services else num_events)
+        self.buckets = np.empty(self.latencies.size, dtype=np.int8)
+        self._nf_at = np.zeros(len(per_nf), dtype=np.int64)
+        self._event_at = 0
+
+    def add(self, window: _Window) -> None:
+        num_nfs = self.busy.size
+        # ``bincount`` adds each bin's weights one by one in input order:
+        # led by the carried sums, it goes on with each NF's sequence.
+        self.busy = np.bincount(
+            np.concatenate((np.arange(num_nfs), window.nfs)),
+            weights=np.concatenate((self.busy, window.services)),
+            minlength=num_nfs,
+        )
+        ends = self._nf_at + np.bincount(window.nfs, minlength=num_nfs)
+        for nf, (at, end) in enumerate(zip(self._nf_at.tolist(), ends.tolist())):
+            if self.services:
+                self.services[nf][at:end] = window.services[window.nfs == nf]
+            if window.waits is not None:
+                self.waits[nf][at:end] = window.waits[nf]
+        self._nf_at = ends
+        if self.latencies.size:
+            at, end = self._event_at, self._event_at + window.latencies.size
+            self.latencies[at:end] = window.latencies
+            self.buckets[at:end] = window.buckets
+            self._event_at = end
+
+    def by_bucket(self, num_buckets: int) -> List[np.ndarray]:
+        """The latencies of each bucket, in service order."""
+        grouped = self.latencies[np.argsort(self.buckets, kind="stable")]
+        ends = np.cumsum(np.bincount(self.buckets, minlength=num_buckets))
+        return np.split(grouped, ends[:-1])
+
+
+def _plan_windows(
+    low: _LoweredCore, proc: np.ndarray, arrivals: np.ndarray, link_delay: float, jitter: float
+) -> Tuple[List[int], np.ndarray]:
+    """Where the windows start, and which events head a cluster.
+
+    An event heads a cluster when it arrives after every earlier
+    procedure's latest possible free-flow end: its arrival plus the sum
+    of ``mean * (1 + jitter)`` over its steps and its link delays.  A
+    window is a run of whole clusters of about ``WINDOW_EVENTS`` events.
+    Returns the event index each window starts at, then the event
+    count, and the head flags (true for the first event).
+    """
+    horizon = np.array(
+        [
+            float(low.step_mean[first : first + count].sum()) * (1.0 + jitter)
+            + (count - 1) * link_delay
+            + _CUT_SLACK
+            for first, count in zip(low.first_step.tolist(), low.step_counts.tolist())
+        ]
+    )
+    ends = arrivals + horizon[proc]
+    np.maximum.accumulate(ends, out=ends)
+    heads = np.empty(arrivals.size, dtype=bool)
+    heads[0] = True
+    np.greater(arrivals[1:], ends[:-1], out=heads[1:])
+    cuts = np.flatnonzero(heads)
+    starts = [0]
+    while starts[-1] + WINDOW_EVENTS < arrivals.size:
+        k = int(np.searchsorted(cuts, starts[-1] + WINDOW_EVENTS, side="right"))
+        if cuts[k - 1] > starts[-1]:
+            starts.append(int(cuts[k - 1]))
+        elif k < cuts.size:
+            starts.append(int(cuts[k]))
+        else:
+            break
+    starts.append(arrivals.size)
+    return starts, heads
+
+
+class _Steps:
+    """The messages of some events, laid out step-major.
+
+    Block ``s`` holds step ``s`` of the events with more than ``s``
+    steps, longest procedures first, so each block is a prefix of the
+    one before and a message's successor sits at the same position in
+    the next block: a free-flow schedule is a few slice additions.
+    ``events`` maps block 0 back to the events given; ``base`` is each
+    event's rank, were events served one by one (see :func:`_flow`).
+    """
+
+    def __init__(self, low: _LoweredCore, proc: np.ndarray, base: np.ndarray) -> None:
+        counts = low.step_counts[proc]
+        self.events = np.argsort(-counts, kind="stable")
+        proc, base, counts = proc[self.events], base[self.events], counts[self.events]
+        self.sizes = (proc.size - np.cumsum(np.bincount(counts)))[: counts[0]].tolist()
+        self.offsets = np.concatenate(([0], np.cumsum(self.sizes))).tolist()
+        first = low.first_step[proc]
+        self.g = np.empty(self.offsets[-1], dtype=np.intp)
+        self.rank = np.empty(self.offsets[-1], dtype=np.intp)
+        for s, size in enumerate(self.sizes):
+            block = slice(self.offsets[s], self.offsets[s] + size)
+            np.add(first[:size], s, out=self.g[block])
+            np.add(base[:size], s, out=self.rank[block])
+        #: Each event's last message, in block-0 order.
+        self.last = np.array(self.offsets)[counts - 1] + np.arange(proc.size)
+        self.mean = low.step_mean[self.g]
+
+    def schedule(
+        self, arrivals: np.ndarray, service: np.ndarray, link_delay: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Free-flow arrival and finish times: a step starts when it
+        arrives, and its successor arrives ``link_delay`` after it
+        finishes.  ``arrivals`` are in block-0 order."""
+        starts = np.empty(self.offsets[-1])
+        finish = np.empty(self.offsets[-1])
+        starts[: self.sizes[0]] = arrivals
+        for s, size in enumerate(self.sizes):
+            lo = self.offsets[s]
+            np.add(starts[lo : lo + size], service[lo : lo + size], out=finish[lo : lo + size])
+            if s + 1 < len(self.sizes):
+                nxt, hi = self.offsets[s + 1], self.sizes[s + 1]
+                np.add(finish[lo : lo + hi], link_delay, out=starts[nxt : nxt + hi])
+        return starts, finish
+
+    def successors(self) -> np.ndarray:
+        """Each message's successor, -1 after an event's last step."""
+        succ = np.full(self.offsets[-1], -1, dtype=np.intp)
+        for s in range(len(self.sizes) - 1):
+            lo, nxt = self.offsets[s], self.offsets[s + 1]
+            succ[lo : lo + self.sizes[s + 1]] = np.arange(nxt, nxt + self.sizes[s + 1])
+        return succ
+
+    def keys(self, rank: np.ndarray, initial: np.ndarray, offset: int) -> np.ndarray:
+        """Each message's heap tie-break: an initial step's event index
+        ``initial`` (block-0 order), and a follow-up's predecessor's
+        ``rank`` plus ``offset``, which must exceed every event index."""
+        key = np.empty(self.offsets[-1], dtype=np.intp)
+        key[: self.sizes[0]] = initial
+        for s in range(1, len(self.sizes)):
+            lo, prev, size = self.offsets[s], self.offsets[s - 1], self.sizes[s]
+            np.add(rank[prev : prev + size], offset, out=key[lo : lo + size])
+        return key
+
+
+def _last_finish(
+    service: np.ndarray,
+    base: np.ndarray,
+    counts: np.ndarray,
+    arrivals: np.ndarray,
+    link_delay: float,
+) -> np.ndarray:
+    """When each event's last step finishes in free flow, its ``s``-th
+    step taking ``service[base + s]``: :meth:`_Steps.schedule`'s sums,
+    kept for the last steps only, without laying the messages out."""
+    last = arrivals + service[base]
+    longest = int(counts.max())
+    if longest == 1:
+        return last
+    # Longest procedures first: the events with more than ``s`` steps
+    # are a prefix.
+    order = np.argsort(-counts, kind="stable")
+    more = (order.size - np.cumsum(np.bincount(counts)))[:longest].tolist()
+    base, finish = base[order], last[order]
+    for s in range(1, longest):
+        size = more[s]
+        last[order[size : more[s - 1]]] = finish[size:]
+        finish = finish[:size] + link_delay
+        finish += service[base[:size] + s]
+    last[order[: more[-1]]] = finish
+    return last
+
+
+def _flow(
+    low: _LoweredCore,
+    workers: Sequence[int],
+    arrivals: np.ndarray,
+    proc: np.ndarray,
+    counts: np.ndarray,
+    heads: np.ndarray,
+    factors: Optional[np.ndarray],
+    link_delay: float,
+    next_arrival: float,
+    latencies: bool,
+) -> Optional[_Window]:
+    """Serve one window wait-free in array passes.
+
+    ``None`` when the service order of its shared clusters does not
+    settle, when a message might wait, or when a cluster runs into the
+    next one; the heap loop serves the window then.
+    """
+    # Were the events served one by one, in trace order, event ``e``'s
+    # step ``s`` would be the ``base[e] + s``-th message served and take
+    # that factor.  An event alone in its cluster is served so.
+    base = np.cumsum(counts) - counts
+    num_messages = int(base[-1] + counts[-1])
+    step_at = np.repeat(low.first_step[proc] - base, counts) + np.arange(num_messages)
+    service_at = low.step_mean[step_at]
+    if factors is not None:
+        service_at *= factors
+    last_finish = _last_finish(service_at, base, counts, arrivals, link_delay)
+    last_rank = base + counts - 1
+
+    # The window ends where a cluster does.
+    bounds = np.append(heads, True)
+    shared = np.flatnonzero(~(bounds[:-1] & bounds[1:]))
+    if shared.size:
+        steps = _Steps(low, proc[shared], base[shared])
+        events = shared[steps.events]
+        settled = _settle(
+            low, workers, steps, events, arrivals[events], service_at, factors, link_delay
+        )
+        if settled is None:
+            return None
+        rank, service, finish = settled
+        step_at[rank] = steps.g
+        service_at[rank] = service
+        last_finish[events] = finish[steps.last]
+        last_rank[events] = rank[steps.last]
+
+    # Clusters must not meet: each starts after every earlier message
+    # finished (so also after it arrived).  Then a message can wait only
+    # for its own cluster's, and none of a one-event cluster waits.
+    latest = np.maximum.accumulate(last_finish)
+    later = np.flatnonzero(heads[1:])
+    if latest[-1] >= next_arrival or (arrivals[later + 1] <= latest[later]).any():
+        return None
+    if latencies:
+        by_rank = np.argsort(last_rank, kind="stable")
+        values, buckets = (last_finish - arrivals)[by_rank], low.proc_latency[proc[by_rank]]
+    else:
+        values, buckets = np.empty(0), np.empty(0, dtype=np.int8)
+    return _Window(service_at, low.step_nf[step_at], None, values, buckets)
+
+
+def _settle(
+    low: _LoweredCore,
+    workers: Sequence[int],
+    steps: _Steps,
+    events: np.ndarray,
+    arrivals: np.ndarray,
+    service_at: np.ndarray,
+    factors: Optional[np.ndarray],
+    link_delay: float,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Service ranks, service times and finishes of the messages of a
+    window's shared clusters (``steps``, of the window's ``events``), or
+    ``None`` if their order does not settle or one of them might wait.
+
+    The messages keep the ranks they would have were the events served
+    one by one; which message takes which is a fixed point, as the
+    factors go by rank and the times by the factors: sort, reassign
+    factors, recompute times, until the order holds still.  A settled
+    order is the heap's pop order (:func:`_in_pop_order`).
+    """
+    rank = steps.rank
+    moving = np.argsort(rank)
+    slots = rank[moving]
+    slot_factors = factors[slots] if factors is not None else None
+    service = service_at[rank]
+    succ = steps.successors()
+    # Initial steps in trace order, then follow-ups in their
+    # predecessors' order: a stable sort by time breaks ties as the
+    # heap's push counter does.
+    initial = np.argsort(events)
+    for _ in range(ORDER_PASSES):
+        starts, finish = steps.schedule(arrivals, service, link_delay)
+        # The window's message count exceeds every event index.
+        if _in_pop_order(starts, moving, lambda: steps.keys(rank, events, service_at.size)):
+            break
+        following = succ[moving]
+        candidates = np.concatenate((initial, following[following >= 0]))
+        moving = candidates[np.argsort(starts[candidates], kind="stable")]
+        rank[moving] = slots
+        if slot_factors is not None:
+            service[moving] = steps.mean[moving] * slot_factors
+    else:
+        return None
+    # No message waits if each arrives no earlier than the latest finish
+    # among all but the last ``workers - 1`` messages before it at its
+    # NF: one of the NF's workers is free by then.
+    nf = low.step_nf[steps.g[moving]]
+    by_nf = moving[np.argsort(nf, kind="stable")]
+    t, done = starts[by_nf], finish[by_nf]
+    lo = 0
+    for size, hi in zip(workers, np.cumsum(np.bincount(nf, minlength=len(workers))).tolist()):
+        if hi - lo > size and (
+            t[lo + size : hi] < np.maximum.accumulate(done[lo : hi - size])
+        ).any():
+            return None
+        lo = hi
+    return rank, service, finish
+
+
+def _in_pop_order(starts: np.ndarray, ids: np.ndarray, keys: Callable[[], np.ndarray]) -> bool:
+    """Whether the heap pops messages ``ids`` in this order: by time,
+    then by tie-break key (``keys()`` builds them only if times tie)."""
+    t = starts[ids]
+    if (t[1:] < t[:-1]).any():
+        return False
+    tie = t[1:] == t[:-1]
+    if not tie.any():
+        return True
+    key = keys()[ids]
+    return not (key[1:][tie] <= key[:-1][tie]).any()
+
+
+class _Loop:
+    """The FIFO heap loop over the handled events from ``start`` on.
+
+    :meth:`serve` pops the next ``count`` messages in time order; on a
+    time tie an initial step goes first, then follow-ups in launch
+    order.  Its state carries over, so a run that has not settled by
+    the next window's first arrival goes on into that window.
+    """
+
+    def __init__(
+        self,
+        low: _LoweredCore,
+        workers: Sequence[int],
+        arrivals: memoryview,
+        first_steps: memoryview,
+        start: int,
+        link_delay: float,
+    ) -> None:
+        self.arrivals = arrivals
+        self.first_steps = first_steps
+        self.i = start
+        self.link_delay = link_delay
+        self.pools = [[arrivals[start]] * size for size in workers]
+        # In-flight follow-up steps: (time, counter, step, event time).
+        # An initial step wins a time tie: its counter would be smaller.
+        self.pending: List[Tuple[float, int, int, float]] = []
+        self.counter = 0
+        self.waits = [array("d") for _ in workers]
+        self.services = [array("d") for _ in workers]
+        self.latencies = [array("d") for _ in low.latency_names]
+        step_nf = low.step_nf.tolist()
+        self.step_mean = low.step_mean.tolist()
+        self.next_step = [
+            -1 if last else g + 1 for g, last in enumerate(low.step_last.tolist())
+        ]
+        self.pool_of = [self.pools[nf] for nf in step_nf]
+        self.wait_of = [self.waits[nf].append for nf in step_nf]
+        self.service_of = [self.services[nf].append for nf in step_nf]
+        self.latency_of = [self.latencies[b].append for b in low.step_latency.tolist()]
+
+    def serve(self, factors: Optional[np.ndarray], count: int) -> None:
+        arrivals, first_steps, link_delay = self.arrivals, self.first_steps, self.link_delay
+        step_mean, next_step, pool_of = self.step_mean, self.next_step, self.pool_of
+        wait_of, service_of, latency_of = self.wait_of, self.service_of, self.latency_of
+        pending, i, counter = self.pending, self.i, self.counter
+        num_events = len(arrivals)
+        for factor in memoryview(factors) if factors is not None else repeat(1.0, count):
+            if i < num_events and (not pending or arrivals[i] <= pending[0][0]):
+                t = started = arrivals[i]
+                g = first_steps[i]
+                i += 1
+            else:
+                t, _, g, started = heapq.heappop(pending)
+            service = step_mean[g] * factor
+            pool = pool_of[g]
+            free = pool[0]
+            start = t if t >= free else free
+            finish = start + service
+            heapq.heapreplace(pool, finish)
+            wait_of[g](start - t)
+            service_of[g](service)
+            following = next_step[g]
+            if following >= 0:
+                heapq.heappush(pending, (finish + link_delay, counter, following, started))
+                counter += 1
+            else:
+                latency_of[g](finish - started)
+        self.i, self.counter = i, counter
+
+    def settled(self, start: int) -> bool:
+        """Whether every message so far was served before the event at
+        ``start`` arrives, and every worker is free by then."""
+        if self.i != start or self.pending:
+            return False
+        arrival = self.arrivals[start]
+        return all(max(pool) <= arrival for pool in self.pools)
+
+    def window(self) -> _Window:
+        per_nf = [len(values) for values in self.services]
+        per_bucket = [len(values) for values in self.latencies]
+        return _Window(
+            services=np.concatenate([np.frombuffer(v) for v in self.services]),
+            nfs=np.repeat(np.arange(len(per_nf)), per_nf),
+            waits=[np.frombuffer(values) for values in self.waits],
+            latencies=np.concatenate([np.frombuffer(v) for v in self.latencies]),
+            buckets=np.repeat(np.arange(len(per_bucket), dtype=np.int8), per_bucket),
+        )
 
 
 def _serve(
@@ -169,6 +616,7 @@ def _serve(
     link_delay: float,
     service_jitter: float,
     seed: int,
+    services: bool = False,
 ) -> _Served:
     """Serve every message the non-empty ``trace`` launches, in time
     order, through FIFO pools of ``workers[nf]`` workers per NF.
@@ -178,66 +626,95 @@ def _serve(
     order.  The ``k``-th message served takes the ``k``-th factor of
     one ``default_rng(seed).uniform(1 - j, 1 + j)`` batch (ones when
     ``j == 0``).
+
+    The events are split into windows that cannot interact
+    (:func:`_plan_windows`).  A window is served in array passes
+    (:func:`_flow`) unless a message in it might wait; then the heap
+    loop (:class:`_Loop`) serves it with the same factors.  With
+    ``services``, per-NF service times are kept and per-procedure
+    latencies are not.
     """
     proc = low.proc_of_event[trace.event_types]
-    # Initial steps stream in trace order, which is time order: exactly
-    # the order a heap keyed (time, push counter) pops them in.
-    order = np.flatnonzero(proc >= 0)
-    num_events = len(order)
-    num_messages = int(low.step_counts[proc[order]].sum())
-    arrivals = memoryview(trace.times[order])
-    first_steps = memoryview(low.first_step[proc[order]])
-    # The batch holds the same doubles as one scalar draw per message.
-    if service_jitter == 0:
-        factors = np.ones(num_messages)
-    else:
-        factors = np.random.default_rng(seed).uniform(
-            1.0 - service_jitter, 1.0 + service_jitter, num_messages
+    arrivals = trace.times
+    if (proc < 0).any():
+        handled = proc >= 0
+        proc, arrivals = proc[handled], arrivals[handled]
+    per_nf = np.bincount(proc, minlength=len(low.step_counts)) @ low.proc_messages
+    tally = _Tally(per_nf, proc.size, services)
+    windows = queued = 0
+    if proc.size:
+        windows, queued = _serve_windows(
+            low, workers, arrivals, proc, tally, link_delay, service_jitter, seed, not services
         )
-
-    t0 = float(trace.times[0])
-    pools = [[t0] * size for size in workers]
-    busy = [0.0] * len(pools)
-    waits = [array("d") for _ in pools]
-    latencies = [array("d") for _ in low.latency_names]
-    step_nf, step_mean, next_step = low.step_nf, low.step_mean, low.next_step
-    wait_of = [waits[nf].append for nf in step_nf]
-    pool_of = [pools[nf] for nf in step_nf]
-    latency_of = [latencies[b].append for b in low.step_latency]
-
-    # In-flight follow-up steps: (time, counter, step, event time).
-    # An initial step wins a time tie: its counter would be smaller.
-    pending: List[Tuple[float, int, int, float]] = []
-    counter = 0
-    i = 0
-    for factor in memoryview(factors):
-        if i < num_events and (not pending or arrivals[i] <= pending[0][0]):
-            t = started = arrivals[i]
-            g = first_steps[i]
-            i += 1
-        else:
-            t, _, g, started = heapq.heappop(pending)
-        service = step_mean[g] * factor
-        pool = pool_of[g]
-        free = pool[0]
-        start = t if t >= free else free
-        finish = start + service
-        heapq.heapreplace(pool, finish)
-        wait_of[g](start - t)
-        busy[step_nf[g]] += service
-        following = next_step[g]
-        if following >= 0:
-            heapq.heappush(pending, (finish + link_delay, counter, following, started))
-            counter += 1
-        else:
-            latency_of[g](finish - started)
     return _Served(
-        num_events=num_events,
-        factors=factors,
-        waits=[np.frombuffer(w) for w in waits],
-        busy=busy,
-        latencies=[np.frombuffer(values) for values in latencies],
+        num_events=proc.size,
+        num_messages=int(per_nf.sum()),
+        waits=tally.waits,
+        busy=tally.busy.tolist(),
+        latencies=[] if services else tally.by_bucket(len(low.latency_names)),
+        services=tally.services,
+        windows=windows,
+        queued_windows=queued,
     )
+
+
+def _serve_windows(
+    low: _LoweredCore,
+    workers: Sequence[int],
+    arrivals: np.ndarray,
+    proc: np.ndarray,
+    tally: _Tally,
+    link_delay: float,
+    service_jitter: float,
+    seed: int,
+    latencies: bool,
+) -> Tuple[int, int]:
+    """Serve the handled events window by window into ``tally``; return
+    the number of windows and of those the heap loop served."""
+    starts, heads = _plan_windows(low, proc, arrivals, link_delay, service_jitter)
+    counts = low.step_counts[proc]
+    messages = np.add.reduceat(counts, starts[:-1], dtype=np.int64).tolist()
+    rng = np.random.default_rng(seed)
+
+    def draw(w: int) -> Optional[np.ndarray]:
+        # Consecutive draws hold the same doubles as one batch.
+        if service_jitter == 0:
+            return None
+        return rng.uniform(1.0 - service_jitter, 1.0 + service_jitter, messages[w])
+
+    first_steps = None
+    queued = w = 0
+    while w < len(messages):
+        a, b = starts[w], starts[w + 1]
+        factors = draw(w)
+        window = _flow(
+            low,
+            workers,
+            arrivals[a:b],
+            proc[a:b],
+            counts[a:b],
+            heads[a:b],
+            factors,
+            link_delay,
+            arrivals[b] if b < arrivals.size else math.inf,
+            latencies,
+        )
+        if window is not None:
+            tally.add(window)
+            w += 1
+            continue
+        if first_steps is None:
+            first_steps = memoryview(low.first_step[proc])
+        loop = _Loop(low, workers, memoryview(arrivals), first_steps, a, link_delay)
+        while True:
+            loop.serve(factors, messages[w])
+            queued += 1
+            w += 1
+            if w == len(messages) or loop.settled(starts[w]):
+                break
+            factors = draw(w)
+        tally.add(loop.window())
+    return len(messages), queued
 
 
 class CoreNetworkSimulator:
@@ -297,17 +774,19 @@ class CoreNetworkSimulator:
         A zero-event trace yields an empty report (``num_events == 0``,
         no function or procedure entries, ``bottleneck() is None``)
         rather than raising.  The run is timed under the ``mcn-drive``
-        span and counts ``mcn_events`` / ``mcn_messages`` on
-        ``telemetry`` (default: the ambient collector).
+        span and counts ``mcn_events`` / ``mcn_messages``, and the
+        windows it served (``mcn_windows``) and those of them the heap
+        loop served (``mcn_windows_queued``), on ``telemetry``
+        (default: the ambient collector).
         """
         tele = telemetry if telemetry is not None else get_telemetry()
         with tele.span("mcn-drive"):
-            report = self._process(trace)
+            report = self._process(trace, tele)
         tele.count("mcn_events", report.num_events)
         tele.count("mcn_messages", report.num_messages)
         return report
 
-    def _process(self, trace: Trace) -> CoreReport:
+    def _process(self, trace: Trace, tele: RunTelemetry) -> CoreReport:
         if len(trace) == 0:
             return CoreReport(
                 core=self.core,
@@ -325,11 +804,14 @@ class CoreNetworkSimulator:
             service_jitter=self.service_jitter,
             seed=self.seed,
         )
+        tele.count("mcn_windows", served.windows)
+        tele.count("mcn_windows_queued", served.queued_windows)
         span = float(trace.times[-1] - trace.times[0])
         functions = {}
         for nf, name in enumerate(self.function_names):
             waits = served.waits[nf]
-            values = waits if waits.size else np.zeros(1)
+            # Waits are all zero unless the heap loop served a window.
+            values = waits if waits.size and served.queued_windows else np.zeros(1)
             capacity = self.workers[name] * max(span, 1e-9)
             functions[name] = FunctionReport(
                 name=name,
@@ -343,18 +825,19 @@ class CoreNetworkSimulator:
         for name, arr in zip(self._lowered.latency_names, served.latencies):
             if not arr.size:
                 continue
+            p95, p99 = np.percentile(arr, [95.0, 99.0])
             procedures[name] = ProcedureReport(
                 name=name,
                 count=arr.size,
                 mean_latency=float(arr.mean()),
-                p95_latency=float(np.percentile(arr, 95.0)),
-                p99_latency=float(np.percentile(arr, 99.0)),
+                p95_latency=float(p95),
+                p99_latency=float(p99),
                 max_latency=float(arr.max()),
             )
         return CoreReport(
             core=self.core,
             num_events=served.num_events,
-            num_messages=served.factors.size,
+            num_messages=served.num_messages,
             span=span,
             functions=functions,
             procedures=procedures,

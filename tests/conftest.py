@@ -7,10 +7,13 @@ read-only.
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from repro.baselines import fit_method
 from repro.generator import TrafficGenerator
 from repro.groundtruth import simulate_ground_truth
+from repro.mcn import network
+from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType, EventType, Trace
 
 #: Hour-of-day at which the shared traces start.
@@ -107,6 +110,50 @@ def fresh_copy(trace):
     """The same events in a new Trace, which holds none of ``trace``'s
     memoized summaries or cluster codes."""
     return Trace(trace.ue_ids, trace.times, trace.event_types, trace.device_types)
+
+
+#: For the MCN simulators: bursts of rows on a 0.5 ms grid, each after
+#: a quiet gap of 0.1 s or 2 s.  A burst of many rows queues at one or
+#: two workers; the gaps split the events into clusters and, with small
+#: windows, into windows.
+mcn_bursts = st.lists(
+    st.tuples(
+        st.sampled_from([0.1, 2.0]),
+        st.lists(
+            st.tuples(
+                st.integers(0, 5),                   # UE
+                st.integers(0, 8),                   # grid step in the burst
+                st.integers(0, len(EventType) - 1),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+#: Handled events per MCN window (``repro.mcn.network.WINDOW_EVENTS``):
+#: one window per cluster, a few clusters per window, or all in one.
+mcn_window_events = st.sampled_from([1, 3, 16, network.WINDOW_EVENTS])
+
+
+def burst_trace(bursts):
+    """A phone trace of ``mcn_bursts``: each burst starts its gap after
+    the previous burst's start."""
+    rows = []
+    start = 0.0
+    for gap, burst in bursts:
+        start += gap
+        rows += [(ue, start + k * 0.0005, code, DeviceType.PHONE) for ue, k, code in burst]
+    return make_trace(rows)
+
+
+def served_windows(sim, trace):
+    """``sim``'s report on ``trace`` and its (windows, queued windows)."""
+    tele = RunTelemetry()
+    report = sim.process(trace, telemetry=tele)
+    counters = tele.counters
+    return report, (counters["mcn_windows"], counters["mcn_windows_queued"])
 
 
 @pytest.fixture()

@@ -4,8 +4,11 @@ These are the original event-heap implementations of
 ``CoreNetworkSimulator`` and ``MmeSimulator``: one ``heapq`` entry per
 message, one scalar ``rng.uniform`` call per service time, and a
 per-UE dict walk of the two-level machine for MME protocol checks.
-The production engines in :mod:`repro.mcn` lower the same simulation
-to arrays and batched draws; their reports must equal these exactly.
+The production engine in :mod:`repro.mcn` lowers the same simulation
+to per-step tables and draws the jitter in batches.  It serves each
+window of quiet traffic as a free-flow schedule in array passes, and
+runs a heap loop only over windows in which messages queue.  Its
+reports must equal these exactly, whichever way a window was served.
 """
 
 from __future__ import annotations
@@ -150,7 +153,7 @@ def mme_report(sim: MmeSimulator, trace: Trace) -> MmeReport:
     machine = two_level_machine()
 
     def service_time(event: EventType) -> float:
-        mean = sim.service_means.get(event, 0.005)
+        mean = sim.service_means[event]
         if sim.service_jitter == 0:
             return mean
         return mean * rng.uniform(1.0 - sim.service_jitter, 1.0 + sim.service_jitter)

@@ -1,12 +1,23 @@
 """Tests for the MME queueing consumer (repro.mcn)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.mcn import DEFAULT_SERVICE_MEANS, MmeReport, MmeSimulator
+from repro.mcn import DEFAULT_SERVICE_MEANS, MmeReport, MmeSimulator, network
 from repro.trace import DeviceType, EventType, Trace
 
-from conftest import make_trace
+from conftest import (
+    burst_trace,
+    make_trace,
+    mcn_bursts,
+    mcn_window_events,
+    served_windows,
+)
+from oracle.mcn import mme_report
 
 E = EventType
 P = DeviceType.PHONE
@@ -46,6 +57,17 @@ class TestConstruction:
 
     def test_default_service_covers_all_events(self):
         assert set(DEFAULT_SERVICE_MEANS) == set(EventType)
+
+    def test_service_means_overlay_the_defaults(self):
+        """A partial mapping changes only the events it names."""
+        sim = MmeSimulator(service_means={E.SRV_REQ: 0.001})
+        assert sim.service_means == {**DEFAULT_SERVICE_MEANS, E.SRV_REQ: 0.001}
+        assert sim.service_means[E.ATCH] == 0.020
+
+    @pytest.mark.parametrize("key", ["SRV_REQ", 2, None])
+    def test_rejects_keys_that_are_not_event_types(self, key):
+        with pytest.raises(ValueError, match=f"service_means keys .* got {key!r}"):
+            MmeSimulator(service_means={key: 0.1})
 
 
 class TestProcessing:
@@ -116,3 +138,33 @@ class TestProcessing:
         tr = TrafficGenerator(base_model_set).generate(60, start_hour=18, seed=4)
         report = MmeSimulator().process(tr)
         assert report.protocol_violations > 0
+
+
+class TestWindows:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        bursts=mcn_bursts,
+        workers=st.integers(1, 3),
+        jitter=st.sampled_from([0.0, 0.3]),
+        zero_mean=st.sampled_from([None, E.SRV_REQ, E.HO]),
+        seed=st.integers(0, 2**16),
+        window_events=mcn_window_events,
+    )
+    def test_bursts_equal_oracle(self, bursts, workers, jitter, zero_mean, seed, window_events):
+        """Bursts that queue at one or two workers, split into windows;
+        a service mean of 0 s gives zero-length services."""
+        means = None if zero_mean is None else {zero_mean: 0.0}
+        sim = MmeSimulator(workers, service_means=means, service_jitter=jitter, seed=seed)
+        trace = burst_trace(bursts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "WINDOW_EVENTS", window_events)
+            report = sim.process(trace)
+        assert dataclasses.asdict(report) == dataclasses.asdict(mme_report(sim, trace))
+
+    def test_partial_service_means_equal_oracle(self, ground_truth_trace):
+        sim = MmeSimulator(2, service_means={E.SRV_REQ: 0.004, E.HO: 0.0}, seed=1)
+        report, (windows, queued) = served_windows(sim, ground_truth_trace)
+        assert windows >= 1
+        assert dataclasses.asdict(report) == dataclasses.asdict(
+            mme_report(sim, ground_truth_trace)
+        )

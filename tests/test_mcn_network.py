@@ -9,6 +9,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.fiveg import to_sa_trace
+from repro.groundtruth import simulate_ground_truth
 from repro.mcn import (
     EPC_FUNCTIONS,
     EPC_PROCEDURES,
@@ -20,9 +22,16 @@ from repro.mcn import (
     functions_for,
     procedures_for,
 )
+from repro.mcn import network
 from repro.trace import DeviceType, EventType, Trace
 
-from conftest import make_trace
+from conftest import (
+    burst_trace,
+    make_trace,
+    mcn_bursts,
+    mcn_window_events,
+    served_windows,
+)
 from oracle.mcn import core_report, mme_report
 
 E = EventType
@@ -333,3 +342,131 @@ class TestOracleEquality:
         assert _assert_mme_equal(MmeSimulator(seed=2), tr).protocol_violations > 0
         for core in ("epc", "5gc"):
             _assert_core_equal(CoreNetworkSimulator(core, seed=2), tr)
+
+
+# ----------------------------------------------------------------------
+# Windows: quiet traffic in array passes, queues on the heap loop
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def busy_hour():
+    """A ground-truth busy hour of 1,000 UEs: about 28,000 events, so
+    several windows."""
+    return simulate_ground_truth(1000, 3600.0, start_hour=19, seed=5)
+
+
+class TestWindows:
+    @pytest.mark.parametrize("simulator", ["epc", "5gc", "mme"])
+    def test_quiet_hour_is_served_in_array_passes(self, busy_hour, simulator):
+        """At the default parameters and 4 workers, nothing queues in a
+        busy hour: every window is served in array passes, and the
+        report still equals the oracle's."""
+        if simulator == "mme":
+            sim, trace, oracle = MmeSimulator(4, seed=5), busy_hour, mme_report
+        else:
+            sim = CoreNetworkSimulator(simulator, workers=4, seed=5)
+            trace = to_sa_trace(busy_hour) if simulator == "5gc" else busy_hour
+            oracle = core_report
+        report, (windows, queued) = served_windows(sim, trace)
+        assert windows > 1 and queued == 0
+        assert dataclasses.asdict(report) == dataclasses.asdict(oracle(sim, trace))
+
+    @pytest.mark.parametrize("simulator", ["epc", "mme"])
+    def test_overload_queues_some_windows(self, busy_hour, simulator):
+        """At one worker some windows queue and go to the heap loop;
+        the report still equals the oracle's."""
+        if simulator == "mme":
+            sim, oracle = MmeSimulator(1, seed=5), mme_report
+        else:
+            sim, oracle = CoreNetworkSimulator(workers=1, seed=5), core_report
+        report, (windows, queued) = served_windows(sim, busy_hour)
+        assert 0 < queued
+        assert dataclasses.asdict(report) == dataclasses.asdict(oracle(sim, busy_hour))
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        bursts=mcn_bursts,
+        core_workers=_core_workers,
+        jitter=_jitter,
+        link_delay=st.sampled_from([0.0, 0.0005]),
+        seed=st.integers(0, 2**16),
+        window_events=mcn_window_events,
+    )
+    def test_bursts_equal_oracle(
+        self, bursts, core_workers, jitter, link_delay, seed, window_events
+    ):
+        core, workers = core_workers
+        sim = CoreNetworkSimulator(
+            core, workers=workers, link_delay=link_delay, service_jitter=jitter, seed=seed
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "WINDOW_EVENTS", window_events)
+            _assert_core_equal(sim, burst_trace(bursts))
+
+    @pytest.mark.parametrize("link_delay", [0.0, 0.0005])
+    def test_tied_follow_ups_stay_in_array_passes(self, link_delay):
+        """Without jitter, the follow-ups of events launched together
+        tie; the array passes order them by their predecessors' service
+        order, as the heap's push counter does, and serve them."""
+        rows = [(ue, 1.0, code, P) for ue, code in enumerate([E.SRV_REQ, E.HO, E.SRV_REQ])]
+        rows += [(ue, 5.0, code, P) for ue, code in enumerate([E.DTCH, E.S1_CONN_REL, E.TAU])]
+        # A service request's third step and a later handover's second
+        # arrive together (0.002 + 0.002 == 0.001 + 0.003 without link
+        # delay); the handover's step goes first, as its predecessor
+        # was served first, though its event came later.
+        rows += [(3, 0.0, E.SRV_REQ, P), (4, 0.001, E.HO, P)]
+        trace = make_trace(rows)
+        for core in ("epc", "5gc"):
+            sim = CoreNetworkSimulator(core, link_delay=link_delay, service_jitter=0.0)
+            report, (windows, queued) = served_windows(sim, trace)
+            assert queued == 0
+            assert dataclasses.asdict(report) == dataclasses.asdict(core_report(sim, trace))
+
+    @pytest.mark.parametrize("offset", [2.0**36, 2.0**42])
+    def test_coarse_times_equal_oracle(self, offset):
+        """Far from zero, time rounding is coarser than the slack added
+        where clusters are cut; a cluster that runs into the next is
+        caught and served by the heap loop."""
+        rng = np.random.default_rng(4)
+        rows = [
+            (int(ue), offset + float(t), int(code), P)
+            for ue, t, code in zip(
+                rng.integers(0, 50, 400),
+                np.sort(rng.uniform(0.0, 20.0, 400)),
+                rng.integers(0, len(EventType), 400),
+            )
+        ]
+        trace = make_trace(rows)
+        for workers in (1, 4):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(network, "WINDOW_EVENTS", 16)
+                _assert_core_equal(CoreNetworkSimulator(workers=workers, seed=1), trace)
+                _assert_mme_equal(MmeSimulator(workers, seed=1), trace)
+
+    def test_meeting_clusters_are_refused(self):
+        """The array passes refuse a window whose clusters meet: here
+        an attach and a service request 1 ms later are (wrongly) given
+        as clusters of their own."""
+        sim = CoreNetworkSimulator(service_jitter=0.0)
+        low = sim._lowered
+        trace = make_trace([(1, 0.0, E.ATCH, P), (2, 0.001, E.SRV_REQ, P)])
+        proc = low.proc_of_event[trace.event_types]
+        args = (low, [4] * 4, trace.times, proc, low.step_counts[proc])
+        rest = (None, sim.link_delay, np.inf, True)
+        assert network._flow(*args, np.array([True, False]), *rest) is not None
+        assert network._flow(*args, np.array([True, True]), *rest) is None
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_ground_truth_sweep(self, workers, jitter):
+        """A 2,000-UE busy hour through the EPC, the 5GC (after the SA
+        projection) and the MME, equal to the oracle at every worker
+        count, jitter and link delay."""
+        trace = simulate_ground_truth(2000, 3600.0, start_hour=19, seed=workers)
+        for link_delay in (0.0, 0.0005):
+            for core, driven in (("epc", trace), ("5gc", to_sa_trace(trace))):
+                sim = CoreNetworkSimulator(
+                    core, workers=workers, link_delay=link_delay, service_jitter=jitter, seed=7
+                )
+                _assert_core_equal(sim, driven)
+        _assert_mme_equal(MmeSimulator(workers, service_jitter=jitter, seed=7), trace)
