@@ -3,9 +3,11 @@
 Times the ``fit-eval-phone-5k`` set-up (5,000 phones: a two-hour and a
 one-hour trace from 19:00) three ways in rotating order: the scalar
 reference simulator kept as a test oracle, ``simulate_ground_truth``
-serially, and ``simulate_ground_truth(processes=2)``.  All three must
-return the same traces; the table reports the median wall time and the
-quartiles of each arm.
+serially, and ``simulate_ground_truth(processes=2)``.  The serial and
+pooled runs must return the same traces; the oracle draws other random
+streams, so its traces only match in distribution (checked in
+``tests/test_groundtruth.py``).  The table reports the median wall time
+and the quartiles of each arm.
 """
 
 import time
@@ -51,7 +53,7 @@ def test_groundtruth_speed():
         for name in names[r % len(names):] + names[: r % len(names)]:
             seconds, hashes[name] = _setup(ARMS[name])
             times[name].append(seconds)
-    assert len({tuple(h) for h in hashes.values()}) == 1, hashes
+    assert hashes["serial (processes=1)"] == hashes["pooled (processes=2)"], hashes
 
     serial = float(np.median(times["serial (processes=1)"]))
     rows = []

@@ -25,8 +25,9 @@ operations shared by the whole cohort:
 - **Counter-based randomness** — every uniform is a pure function of
   ``(seed, ue_index, hour, purpose, step)``: the slot ``(UE key, hour,
   purpose)`` picks the start of a SplitMix64 stream and the step counter
-  indexes into it (:func:`splitmix64_counter`, a few wrapping ``uint64``
-  multiplies per word).  Step uniforms are drawn in blocks of
+  indexes into it (:func:`~repro.stats.counter_rng.splitmix64_counter`,
+  a few wrapping ``uint64`` multiplies per word; the ground-truth
+  simulator draws from the same module).  Step uniforms are drawn in blocks of
   ``_STEP_BLOCK`` rounds — one counter yields four words, i.e. two
   (edge, dwell) rounds — so the fixed cost of a call is amortized over
   the whole block.  Because no draw depends on cohort
@@ -53,12 +54,26 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..model.model_set import HourModel, ModelSet, state_space
+from ..stats.counter_rng import (
+    P_CLUSTER as _P_CLUSTER,
+    P_FIRST as _P_FIRST,
+    P_KEY as _P_KEY,
+    P_OVERLAY_N as _P_OVERLAY_N,
+    P_OVERLAY_T as _P_OVERLAY_T,
+    P_PERSONA as _P_PERSONA,
+    P_STEP as _P_STEP,
+    norm_ppf,
+    root_key,
+    splitmix64_counter,
+    to_unit,
+)
 from ..trace.events import (
     SECONDS_PER_HOUR,
     TIMESTAMP_GRANULARITY,
     DeviceType,
     EventType,
 )
+
 __all__ = [
     "CompiledPopulation",
     "check_model_set",
@@ -75,28 +90,6 @@ MIN_SOJOURN = 1e-3
 #: realistic per-UE volume.  Read at every step and overlay draw, so
 #: tests may lower it.
 MAX_EVENTS_PER_HOUR = 100_000
-
-# ---------------------------------------------------------------------------
-# Counter-based uniforms: a SplitMix64 mix of (key, slot, counter)
-# ---------------------------------------------------------------------------
-
-_S11 = np.uint64(11)
-_INV_2_53 = float(2.0 ** -53)
-
-#: ``j·γ`` modulo 2^64 for ``j = 0..4``, where γ is SplitMix64's Weyl
-#: increment (Steele, Lea & Flood, OOPSLA 2014); the next two constants
-#: are the multipliers of its output finalizer.
-_GAMMA = tuple(np.uint64((j * 0x9E3779B97F4A7C15) % 2**64) for j in range(5))
-_MIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_M2 = np.uint64(0x94D049BB133111EB)
-_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
-
-#: Odd multipliers that spread the slot words ``(c1, c2, c3)`` over the
-#: 64-bit state before it is mixed with the key: the first three outputs
-#: of SplitMix64 from state 0, with the low bit set.
-_C1 = np.uint64(0xE220A8397B1DCDAF)
-_C2 = np.uint64(0x6E789E6AA1B965F5)
-_C3 = np.uint64(0x06C45D188009454F)
 
 #: Rounds of step uniforms drawn per block.  Each counter yields four
 #: words = two (edge, dwell) rounds, so a block is one
@@ -118,57 +111,6 @@ _DRAIN_THRESHOLD = 16
 #: Rounds of step uniforms drawn per call while draining one UE.
 _DRAIN_BLOCK = 256
 
-#: Domain-separation codes for the ``c2`` slot word, so every kind of
-#: decision a UE makes draws from its own stream.
-_P_KEY = np.uint64(0)       #: per-UE key derivation from the root key
-_P_PERSONA = np.uint64(1)   #: persona draw (once per UE)
-_P_CLUSTER = np.uint64(2)   #: cluster draw for personas without assignment
-_P_FIRST = np.uint64(3)     #: first-event (active / type / offset) draws
-_P_STEP = np.uint64(4)      #: chain stepping (edge + dwell per round)
-_P_OVERLAY_N = np.uint64(5)  #: overlay Poisson count
-_P_OVERLAY_T = np.uint64(6)  #: overlay event times
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output finalizer, a bijection of 64-bit words."""
-    z = (z ^ (z >> _S30)) * _MIX_M1
-    z = (z ^ (z >> _S27)) * _MIX_M2
-    return z ^ (z >> _S31)
-
-
-def splitmix64_counter(
-    c0, c1, c2, c3, k0, k1
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Four 64-bit words per counter ``c0``, vectorized over all inputs.
-
-    A slot ``(k0, k1, c1, c2, c3)`` starts at ``base = mix64(k0 ^
-    mix64(k1 + c1·C1 + c2·C2 + c3·C3))``, and word ``j`` of counter
-    ``c0`` is ``mix64(base + (4·c0 + j)·γ)``: output ``4·c0 + j`` of a
-    SplitMix64 generator whose state starts at ``base - γ``.  For a
-    fixed key both mixes are bijections, so two slots share a stream
-    only if their weighted sums collide modulo 2^64.
-    """
-    with np.errstate(over="ignore"):
-        inner = (
-            np.asarray(k1, dtype=np.uint64)
-            + np.asarray(c1, dtype=np.uint64) * _C1
-            + np.asarray(c2, dtype=np.uint64) * _C2
-            + np.asarray(c3, dtype=np.uint64) * _C3
-        )
-        base = _mix64(np.asarray(k0, dtype=np.uint64) ^ _mix64(inner))
-        state = base + np.asarray(c0, dtype=np.uint64) * _GAMMA[4]
-        return (
-            _mix64(state),
-            _mix64(state + _GAMMA[1]),
-            _mix64(state + _GAMMA[2]),
-            _mix64(state + _GAMMA[3]),
-        )
-
-
-def _to_unit(x: np.ndarray) -> np.ndarray:
-    """Map uint64 words to float64 uniforms in ``[0, 1)`` (53-bit)."""
-    return (x >> _S11).astype(np.float64) * _INV_2_53
-
 
 def _uniforms(
     k0: np.ndarray,
@@ -180,56 +122,13 @@ def _uniforms(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Four independent uniforms per lane for one (purpose, step) slot."""
     x0, x1, x2, x3 = splitmix64_counter(c0, c1, purpose, c3, k0, k1)
-    return _to_unit(x0), _to_unit(x1), _to_unit(x2), _to_unit(x3)
+    return to_unit(x0), to_unit(x1), to_unit(x2), to_unit(x3)
 
 
 #: Past this rate the leading CDF term ``exp(-lam)`` underflows float64
 #: (at lam ~ 745) and term-by-term inversion is both impossible and
 #: pointlessly slow; counts switch to the normal approximation.
 _POISSON_INVERT_MAX = 700.0
-
-# Coefficients of Acklam's rational approximation to the inverse
-# standard-normal CDF (|relative error| < 1.2e-9).
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-          -2.759285104469687e+02, 1.383577518672690e+02,
-          -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-          -1.556989798598866e+02, 6.680131188771972e+01,
-          -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-          -2.400758277161838e+00, -2.549732539343734e+00,
-          4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01,
-          2.445134137142996e+00, 3.754408661907416e+00)
-
-
-def _norm_ppf(u: np.ndarray) -> np.ndarray:
-    """Inverse standard-normal CDF (Acklam), vectorized."""
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    out = np.empty_like(u)
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    lo = u < 0.02425
-    hi = u > 1.0 - 0.02425
-    mid = ~(lo | hi)
-    if lo.any():
-        q = np.sqrt(-2.0 * np.log(u[lo]))
-        out[lo] = (
-            ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if hi.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - u[hi]))
-        out[hi] = -(
-            ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if mid.any():
-        q = u[mid] - 0.5
-        r = q * q
-        out[mid] = (
-            ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        ) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    return out
 
 
 def _poisson_from_uniform(u: np.ndarray, lam: float) -> np.ndarray:
@@ -241,7 +140,7 @@ def _poisson_from_uniform(u: np.ndarray, lam: float) -> np.ndarray:
     and exact term-by-term inversion is numerically impossible.
     """
     if lam > _POISSON_INVERT_MAX:
-        counts = np.rint(lam + math.sqrt(lam) * _norm_ppf(u) - 0.5)
+        counts = np.rint(lam + math.sqrt(lam) * norm_ppf(u) - 0.5)
         return np.maximum(counts, 0.0).astype(np.int64)
     term = math.exp(-lam)
     n = np.zeros(u.shape, dtype=np.int64)
@@ -423,9 +322,9 @@ class CompiledPopulation:
         self.start_hour = int(start_hour)
         n = len(self.device_codes)
 
-        root = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        k0, k1 = root_key(seed)
         idx = np.asarray(ue_indices, dtype=np.uint64)
-        k = splitmix64_counter(idx, 0, _P_KEY, 0, root[0], root[1])
+        k = splitmix64_counter(idx, 0, _P_KEY, 0, k0, k1)
         self.k0, self.k1 = k[0], k[1]
 
         self.persona = np.zeros(n, dtype=np.int64)
@@ -611,10 +510,10 @@ class CompiledPopulation:
                 )
                 ue_blk = np.empty((acoh.size, _STEP_BLOCK))
                 ud_blk = np.empty((acoh.size, _STEP_BLOCK))
-                ue_blk[:, 0::2] = _to_unit(x0)
-                ud_blk[:, 0::2] = _to_unit(x1)
-                ue_blk[:, 1::2] = _to_unit(x2)
-                ud_blk[:, 1::2] = _to_unit(x3)
+                ue_blk[:, 0::2] = to_unit(x0)
+                ud_blk[:, 0::2] = to_unit(x1)
+                ue_blk[:, 1::2] = to_unit(x2)
+                ud_blk[:, 1::2] = to_unit(x3)
                 abr = np.arange(acoh.size)
             u_edge = ue_blk[abr, col]
             u_dwell = ud_blk[abr, col]
@@ -727,10 +626,10 @@ class CompiledPopulation:
             )
             u_edge = np.empty(_DRAIN_BLOCK)
             u_dwell = np.empty(_DRAIN_BLOCK)
-            u_edge[0::2] = _to_unit(x0)
-            u_dwell[0::2] = _to_unit(x1)
-            u_edge[1::2] = _to_unit(x2)
-            u_dwell[1::2] = _to_unit(x3)
+            u_edge[0::2] = to_unit(x0)
+            u_dwell[0::2] = to_unit(x1)
+            u_edge[1::2] = to_unit(x2)
+            u_dwell[1::2] = to_unit(x3)
             uel = u_edge.tolist()
             udl = u_dwell.tolist()
             for j in range(_DRAIN_BLOCK):

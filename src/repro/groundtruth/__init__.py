@@ -10,13 +10,7 @@ from .profiles import (
     LognormalSpec,
     MixtureSpec,
 )
-from .simulator import (
-    UEArchetype,
-    resolve_device_counts,
-    sample_archetype,
-    simulate_ground_truth,
-    simulate_ue,
-)
+from .simulator import resolve_device_counts, simulate_ground_truth
 
 __all__ = [
     "CONNECTED_CAR_PROFILE",
@@ -27,9 +21,6 @@ __all__ = [
     "PAPER_DEVICE_MIX",
     "PHONE_PROFILE",
     "TABLET_PROFILE",
-    "UEArchetype",
     "resolve_device_counts",
-    "sample_archetype",
     "simulate_ground_truth",
-    "simulate_ue",
 ]

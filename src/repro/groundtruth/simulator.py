@@ -12,49 +12,92 @@ family the paper tests: sojourns are lognormal mixtures, idle gaps are
 burst-modulated, activity is lognormally skewed across UEs, and rates
 swing with the hour of day.
 
-**Exact draws.**  UE ``i`` draws from its own stream,
-``SeedSequence(seed).spawn(n)[i]``, so a UE's events depend only on the
-seed, its index and its own draw order — not on which process
-simulates it or on what the other UEs drew.  The scalar draws below
-reproduce NumPy's ``Generator`` methods bit for bit at a fraction of the
-call cost (NumPy's C code computes exactly these expressions):
+**The UE model.**  A UE's life is a run of *phases*: OFF (powered off
+until its ATCH), CONNECTED (a dwell from the connected-sojourn mixture,
+closed by an S1 release, or by a DTCH when the power-off timer fires
+first) and IDLE (a burst gap, or a long gap divided by ``activity ·
+diurnal``, closed by a service request or a DTCH).  Inside a phase,
+below its cutoff (the phase end, the power-off time or the trace end,
+whichever comes first):
 
-- ``rng.choice(k, p=w)`` is ``bisect_right(cdf, rng.random())`` on the
-  cached :attr:`MixtureSpec.cdf`;
-- ``rng.lognormal(mu, s)`` is ``exp(mu + s * rng.standard_normal())``;
-- ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``.
+- CONNECTED: a moving UE (probability: its mobility) hands over on a
+  lognormal renewal process; a HO crosses a tracking area with the
+  profile's probability, and a TAU follows after a lognormal delay.
+  The periodic TAU timer fires too.  Every TAU may be followed by rapid
+  retries (a geometric chain, ``tau_burst_probability``).
+- IDLE: periodic TAUs and mobility TAUs (a bursty lognormal renewal
+  process at ``idle_mobility_tau_rate_scale · mobility · diurnal`` per
+  hour) each open a signalling connection that an S1 release closes,
+  again with retries; a pair that would overrun the next TAU or the
+  cutoff is dropped.
 
-``tests/oracle/groundtruth.py`` keeps the simulator that calls the
-``Generator`` methods, and the suite checks the two agree row for row.
+``tests/oracle/groundtruth.py`` keeps this model as a scalar per-UE
+simulator on NumPy ``Generator`` draws, the statistical oracle.
+
+**Lockstep engine.**  One job simulates a range of UEs in two passes.
+
+1. *Phases.*  Each round advances every live UE by one phase with a
+   fixed set of array operations: one uniform picks the phase's
+   lognormal (sojourn component, burst gap or long gap) and one normal
+   draws it; the power-off timer, the periodic TAU timer and the
+   phase's closing event (ATCH, DTCH, S1 release or service request)
+   follow.  The draws of ``_BLOCK`` rounds come in one block.  The
+   round leaves one *record* per UE-phase.
+2. *Events inside phases.*  Nothing a phase's HO/TAU activity does
+   feeds back into the phases — an idle power-off lands after every
+   release of its phase, because each release lands before the cutoff
+   — so once ``_RECORD_CHUNK`` records are held, the activity inside
+   all of them is drawn in flat arrays (renewals as cumulative sums of
+   blocks of gaps, chains one link per pass) and they become rows.  The
+   working arrays are bounded by the chunk and by lanes × ``_BLOCK``;
+   only the rows grow with the trace.
+
+**Counter-based draws.**  Every draw is a word of a slot ``(seed, UE,
+purpose, c3)`` of :mod:`repro.stats.counter_rng`: round ``r``'s pair
+is words ``2r`` and ``2r + 1`` of ``(UE, P_GT_PHASE, 0)``; the
+activity inside a phase reads slots keyed by the round (and a chain's
+index within it).  A UE's events thus depend on the seed and its index
+alone, and serial and pooled runs give the same bits.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from array import array
-from bisect import bisect_right
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..jobs import Job, check_processes, run_jobs
+from ..stats.counter_rng import (
+    P_GT_BURST,
+    P_GT_GAMMA,
+    P_GT_HO,
+    P_GT_HO_TAU,
+    P_GT_IDLE_TAU,
+    P_GT_INIT,
+    P_GT_PAIR,
+    P_GT_PHASE,
+    norm_ppf,
+    root_key,
+    slot_base,
+    slot_words,
+    to_unit,
+)
 from ..telemetry import get_telemetry
 from ..trace.events import (
     SECONDS_PER_HOUR,
+    TIMESTAMP_GRANULARITY,
     DeviceCounts,
     DeviceType,
     EventType,
     check_counts,
-    quantize_times,
 )
-from ..trace.trace import Trace
+from ..trace.trace import Trace, stable_order
 from .profiles import (
     DEFAULT_PROFILES,
     PAPER_DEVICE_MIX,
     DeviceProfile,
     LognormalSpec,
-    MixtureSpec,
 )
 
 _ATCH = int(EventType.ATCH)
@@ -64,290 +107,507 @@ _S1_CONN_REL = int(EventType.S1_CONN_REL)
 _HO = int(EventType.HO)
 _TAU = int(EventType.TAU)
 
+#: Phase states.
+_OFF, _CONNECTED, _IDLE = 0, 1, 2
+#: A phase's closing event and next state, by ``[powered off, state]``.
+_CLOSE = np.array([[_ATCH, _S1_CONN_REL, _SRV_REQ], [-1, _DTCH, _DTCH]], np.int8)
+_NEXT = np.array([[_CONNECTED, _IDLE, _CONNECTED], [-1, _OFF, _OFF]], np.int8)
 
-@dataclasses.dataclass(frozen=True)
-class UEArchetype:
-    """Per-UE behavioural parameters drawn once from the device profile."""
+#: Duration codes: the lognormal a phase's normal draw feeds.  Code
+#: ``_D_CONNECTED + k`` is the k-th connected-sojourn component.
+_D_OFF, _D_BURST, _D_LONG, _D_CONNECTED = 0, 1, 2, 3
 
-    activity: float        #: usage intensity multiplier (lognormal across UEs)
-    mobility: float        #: in [0, 1]; probability a connection is "on the move"
-    tau_period: float      #: this UE's periodic TAU timer, seconds
-    power_period: float    #: mean seconds between power cycles
-    phase_jitter: float    #: per-UE shift of the diurnal curve, hours
+#: Rounds of phase draws per block (two words per round).
+_BLOCK = 32
+#: Renewal gaps drawn per pass over the phases still inside their cutoff.
+_GAP_BLOCK = 8
+#: Phase records held before the activity inside them is drawn and they
+#: become rows.
+_RECORD_CHUNK = 1 << 16
+
+#: Beta(4m, 4(1 - m)) mobility around the profile's (clamped) mean m.
+_MOBILITY_CONCENTRATION = 4.0
+#: Standard deviation of a UE's diurnal phase shift, hours.
+_JITTER_SIGMA = 0.7
+#: Lognormal shape of idle mobility-TAU gaps.
+_IDLE_TAU_SIGMA = 1.2
+#: A power-off that falls before the idle phase's start is pushed this
+#: many seconds after it.
+_POWER_OFF_PUSH = 0.5
 
 
-def sample_archetype(profile: DeviceProfile, rng: np.random.Generator) -> UEArchetype:
-    """Draw one UE's archetype from a device profile."""
-    activity = float(rng.lognormal(0.0, profile.activity_sigma))
-    # Beta-shaped mobility with the profile's mean; clamp parameters sane.
-    mean = min(max(profile.mobility_mean, 0.02), 0.98)
-    concentration = 4.0
-    a = mean * concentration
-    b = (1.0 - mean) * concentration
-    mobility = float(rng.beta(a, b))
-    tau_period = _sample_lognormal(profile.periodic_tau_period, rng)
-    power_period = _sample_lognormal(profile.power_cycle_period, rng)
-    phase_jitter = float(rng.normal(0.0, 0.7))
-    return UEArchetype(
-        activity=activity,
-        mobility=mobility,
-        tau_period=tau_period,
-        power_period=power_period,
-        phase_jitter=phase_jitter,
+def _c3(rounds: np.ndarray, index=0, kind: int = 0) -> np.ndarray:
+    """The ``c3`` slot word of chain ``index`` of kind ``kind`` (0 or 1)
+    in round ``rounds``."""
+    return (
+        (np.asarray(rounds, dtype=np.uint64) << np.uint64(33))
+        | np.uint64(kind << 32)
+        | np.asarray(index, dtype=np.uint64)
     )
 
 
-def _sample_lognormal(spec: LognormalSpec, rng: np.random.Generator) -> float:
-    return math.exp(spec.mu + spec.sigma * rng.standard_normal())
+def _units(base: np.ndarray, words) -> np.ndarray:
+    """Uniforms at ``words`` of the slots at ``base`` (broadcast)."""
+    return to_unit(slot_words(base, words))
 
 
-def _sample_uniform(lo: float, hi: float, rng: np.random.Generator) -> float:
-    return lo + (hi - lo) * rng.random()
+def _lognormal(spec: LognormalSpec, z: np.ndarray) -> np.ndarray:
+    return np.exp(spec.mu + spec.sigma * z)
 
 
-def _sample_mixture(spec: MixtureSpec, rng: np.random.Generator) -> float:
-    idx = bisect_right(spec.cdf, rng.random())
-    return _sample_lognormal(spec.components[idx], rng)
+class _PhaseTables:
+    """What a round reads of the profiles, by device code ``d``: the
+    lognormal of duration code ``c`` at ``mu[d * codes + c]`` (and
+    ``sigma``), the connected-sojourn cdf (``cdf[d]``, padded with
+    ``inf``; ``cuts[k][d]`` is its entry ``k``), the burst probability
+    and the diurnal curve (``curve[24 * d + hour]``)."""
+
+    def __init__(self, profiles: Mapping[DeviceType, DeviceProfile]) -> None:
+        size = max(int(dt) for dt in profiles) + 1
+        width = max(len(p.connected_sojourn.weights) for p in profiles.values())
+        self.codes = _D_CONNECTED + width
+        mu = np.zeros((size, self.codes))
+        sigma = np.zeros((size, self.codes))
+        self.cdf = np.full((size, width), np.inf)
+        self.burst = np.zeros(size)
+        curve = np.ones((size, 24))
+        for dt, p in profiles.items():
+            d = int(dt)
+            specs = (p.off_duration, p.idle_burst_gap, p.idle_long_gap)
+            specs += p.connected_sojourn.components
+            mu[d, : len(specs)] = [s.mu for s in specs]
+            sigma[d, : len(specs)] = [s.sigma for s in specs]
+            self.cdf[d, : len(p.connected_sojourn.cdf)] = p.connected_sojourn.cdf
+            self.burst[d] = p.burst_probability
+            curve[d] = p.diurnal
+        self.mu, self.sigma, self.curve = mu.ravel(), sigma.ravel(), curve.ravel()
+        # The last entry is 1.0 or inf: no uniform reaches it.
+        self.cuts = [self.cdf[:, k].copy() for k in range(width - 1)]
 
 
-class _UESimulator:
-    """Simulates one UE over ``[0, duration)`` seconds, appending its raw
-    (unquantized) event times and event codes to ``times``/``events``."""
+def _gamma(ues: np.ndarray, shape: float, c3: int, key) -> np.ndarray:
+    """Gamma(shape, 1) per UE by Marsaglia & Tsang (2000).
+
+    Attempt ``k`` reads words ``2k`` (normal) and ``2k + 1`` (uniform)
+    of slot ``(UE, P_GT_GAMMA, c3)``; a rejected UE retries at the next
+    attempt.  A shape below 1 draws Gamma(shape + 1) and scales it by
+    ``U^(1 / shape)``, U from word 0 of slot ``c3 + 2``.
+    """
+    d = (shape + 1.0 if shape < 1.0 else shape) - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    base = slot_base(ues, P_GT_GAMMA, c3, *key)
+    out = np.empty(ues.size)
+    todo = np.arange(ues.size)
+    k = 0
+    while todo.size:
+        w = _units(base[todo, None], np.array([2 * k, 2 * k + 1], np.uint64))
+        x = norm_ppf(w[:, 0])
+        v = (1.0 + c * x) ** 3
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (v > 0) & (np.log(w[:, 1]) < 0.5 * x * x + d - d * v + d * np.log(v))
+        out[todo[ok]] = d * v[ok]
+        todo = todo[~ok]
+        k += 1
+    if shape < 1.0:
+        out *= _units(slot_base(ues, P_GT_GAMMA, c3 + 2, *key), 0) ** (1.0 / shape)
+    return out
+
+
+def _diurnal(curve: np.ndarray, offset, hour: np.ndarray) -> np.ndarray:
+    """``curve[offset + h]`` is the activity at hour ``h``; interpolate
+    it at ``hour`` in ``[0, 24]``."""
+    whole = hour.astype(np.int64)
+    frac = hour - whole
+    return (
+        curve[offset + whole % 24] * (1 - frac)
+        + curve[offset + (whole + 1) % 24] * frac
+    )
+
+
+class _Range:
+    """The lockstep simulation of one range of UEs (one job).
+
+    Pass 1 (:meth:`_phases`) leaves one *record* per UE-phase: the UE's
+    lane, round, state, start time, cutoff and closing event (code -1:
+    none), and the periodic TAU times by record.  Each full chunk of
+    records goes through :meth:`_flush`: pass 2 (:meth:`_inner_events`)
+    draws the activity inside them, and their rows join ``self.rows``.
+    """
 
     def __init__(
         self,
-        profile: DeviceProfile,
-        archetype: UEArchetype,
+        profiles: Mapping[DeviceType, DeviceProfile],
+        ues: np.ndarray,
+        dev: np.ndarray,
         duration: float,
         start_hour: float,
-        rng: np.random.Generator,
-        times: array,
-        events: array,
+        key,
     ) -> None:
-        self.profile = profile
-        self.arch = archetype
+        self.profiles = profiles
+        self.tables = _PhaseTables(profiles)
+        self.ues = ues
+        self.dev = dev.astype(np.int64)
         self.duration = duration
         self.start_hour = start_hour
-        self.rng = rng
-        self.times = times
-        self.events = events
+        self.key = key
+        self.phase_base = slot_base(ues, P_GT_PHASE, 0, *key)
+        self.rounds = 0
+        #: Parts of the lane, millisecond and event columns, in emission
+        #: order per UE.
+        self.rows: Tuple[list, list, list] = ([], [], [])
+        self._archetypes()
 
-    # -- helpers -------------------------------------------------------
-    def _diurnal(self, t: float) -> float:
-        hour = (self.start_hour + self.arch.phase_jitter + t / SECONDS_PER_HOUR) % 24
-        curve = self.profile.diurnal
-        lo = int(hour) % 24
-        hi = (lo + 1) % 24
-        frac = hour - int(hour)
-        return curve[lo] * (1 - frac) + curve[hi] * frac
-
-    def _emit(self, t: float, event: int) -> None:
-        self.times.append(t)
-        self.events.append(event)
-
-    # -- phases --------------------------------------------------------
-    def run(self) -> None:
-        rng = self.rng
-        profile = self.profile
-        t = 0.0
-        # Stagger the periodic-TAU and power-cycle timers for stationarity.
-        next_periodic_tau = t + _sample_uniform(0.0, self.arch.tau_period, rng)
-        next_power_off = t + self.arch.power_period * _sample_uniform(0.2, 1.0, rng)
-
-        if rng.random() < profile.start_off_probability:
-            state = "OFF"
-        else:
-            state = "IDLE"
-            # Burn a random fraction of an idle gap so UEs desynchronize.
-            t += _sample_uniform(0.0, _sample_lognormal(profile.idle_long_gap, rng), rng)
-
-        while t < self.duration:
-            if state == "OFF":
-                t_on = t + _sample_lognormal(profile.off_duration, rng)
-                if t_on >= self.duration:
-                    break
-                self._emit(t_on, _ATCH)
-                next_power_off = t_on + self.arch.power_period * _sample_uniform(
-                    0.5, 1.5, rng
-                )
-                t = t_on
-                state = "CONNECTED"
-            elif state == "CONNECTED":
-                t, state, next_periodic_tau = self._connected_phase(
-                    t, next_power_off, next_periodic_tau
-                )
-            else:  # IDLE
-                t, state, next_periodic_tau = self._idle_phase(
-                    t, next_power_off, next_periodic_tau
-                )
-
-    def _connected_phase(
-        self, t: float, next_power_off: float, next_periodic_tau: float
-    ) -> Tuple[float, str, float]:
-        """One CONNECTED dwell: HO/TAU activity, then release or power-off."""
-        rng = self.rng
-        profile = self.profile
-        # Fast-forward the periodic timer past any time skipped while the
-        # UE was powered off — stale firings must not be emitted.
-        while next_periodic_tau < t:
-            next_periodic_tau += self.arch.tau_period
-        dwell = _sample_mixture(profile.connected_sojourn, rng)
-        end = t + dwell
-        cutoff = min(end, next_power_off, self.duration)
-
-        pending: List[Tuple[float, int]] = []
-
-        def _chain_taus(first_tau: float) -> None:
-            """A TAU plus possible rapid retry/follow-up TAUs."""
-            tau_t = first_tau
-            while tau_t < cutoff:
-                pending.append((tau_t, _TAU))
-                if rng.random() >= profile.tau_burst_probability:
-                    break
-                tau_t = tau_t + _sample_lognormal(profile.tau_burst_delay, rng)
-
-        if rng.random() < self.arch.mobility:
-            s = t + _sample_lognormal(profile.ho_interarrival, rng)
-            while s < cutoff:
-                pending.append((s, _HO))
-                if rng.random() < profile.tau_after_ho_probability:
-                    _chain_taus(s + _sample_lognormal(profile.tau_after_ho_delay, rng))
-                s += _sample_lognormal(profile.ho_interarrival, rng)
-        # Periodic TAU can fire while connected too.
-        while next_periodic_tau < cutoff:
-            _chain_taus(next_periodic_tau)
-            next_periodic_tau += self.arch.tau_period
-
-        for ev_t, ev in sorted(pending):
-            self._emit(ev_t, ev)
-
-        if next_power_off < end and next_power_off < self.duration:
-            self._emit(next_power_off, _DTCH)
-            return next_power_off, "OFF", next_periodic_tau
-        if end >= self.duration:
-            return self.duration, "CONNECTED", next_periodic_tau
-        self._emit(end, _S1_CONN_REL)
-        return end, "IDLE", next_periodic_tau
-
-    def _idle_phase(
-        self, t: float, next_power_off: float, next_periodic_tau: float
-    ) -> Tuple[float, str, float]:
-        """One IDLE gap: TAU/S1-release pairs, then service request."""
-        rng = self.rng
-        profile = self.profile
-        while next_periodic_tau < t:
-            next_periodic_tau += self.arch.tau_period
-        diurnal = self._diurnal(t)
-        if rng.random() < profile.burst_probability:
-            gap = _sample_lognormal(profile.idle_burst_gap, rng)
-        else:
-            modulation = max(self.arch.activity * diurnal, 1e-3)
-            gap = _sample_lognormal(profile.idle_long_gap, rng) / modulation
-        end = t + gap
-        cutoff = min(end, next_power_off, self.duration)
-
-        tau_times: List[float] = []
-        while next_periodic_tau < cutoff:
-            tau_times.append(next_periodic_tau)
-            next_periodic_tau += self.arch.tau_period
-        # Mobility-triggered idle TAUs (tracking-area reselection).
-        # Tracking-area crossings cluster while the user is actually on
-        # the move, so they form a bursty lognormal renewal process, not
-        # a Poisson one (consistent with §4's findings).
-        rate = (
-            profile.idle_mobility_tau_rate_scale
-            * self.arch.mobility
-            * diurnal
-            / SECONDS_PER_HOUR
+    # -- per-UE parameters ----------------------------------------------
+    def _archetypes(self) -> None:
+        """Activity, mobility, TAU and power periods, diurnal shift, and
+        the starting state, from slot ``(UE, P_GT_INIT, 0)``: normals at
+        words 0-4, uniforms at words 5-8."""
+        n = self.ues.size
+        w = _units(
+            slot_base(self.ues, P_GT_INIT, 0, *self.key)[:, None],
+            np.arange(9, dtype=np.uint64),
         )
-        if rate > 0 and cutoff > t:
-            sigma = 1.2
-            median = (1.0 / rate) / math.exp(sigma * sigma / 2.0)
-            mu = math.log(median)
-            # rng.uniform(0.0, 1.0) is rng.random() exactly.
-            s = t + math.exp(mu + sigma * rng.standard_normal()) * rng.random()
-            while s < cutoff:
-                tau_times.append(s)
-                s += math.exp(mu + sigma * rng.standard_normal())
-        tau_times.sort()
-
-        # Each idle TAU is followed by the S1 release of its signaling
-        # connection; both must land before the next TAU / gap end to
-        # keep the event stream valid under the two-level machine.
-        prev_release = t
-        for i, tau_t in enumerate(tau_times):
-            limit = tau_times[i + 1] if i + 1 < len(tau_times) else cutoff
-            if tau_t <= prev_release:
+        z = norm_ppf(w[:, :5])
+        self.act, self.mob, self.tp, self.pp, self.jit = (np.empty(n) for _ in range(5))
+        self.t0, self.npt0, self.npo0 = np.empty(n), np.empty(n), np.empty(n)
+        self.st0 = np.empty(n, dtype=np.int8)
+        for dt, p in self.profiles.items():
+            rows = np.flatnonzero(self.dev == int(dt))
+            if not rows.size:
                 continue
-            while True:
-                release = tau_t + _sample_lognormal(
-                    profile.idle_tau_release_delay, rng
+            zr, ur = z[rows], w[rows, 5:]
+            self.act[rows] = np.exp(p.activity_sigma * zr[:, 0])
+            self.tp[rows] = _lognormal(p.periodic_tau_period, zr[:, 1])
+            self.pp[rows] = _lognormal(p.power_cycle_period, zr[:, 2])
+            self.jit[rows] = _JITTER_SIGMA * zr[:, 3]
+            # Stagger the periodic-TAU and power-cycle timers.
+            self.npt0[rows] = self.tp[rows] * ur[:, 0]
+            self.npo0[rows] = self.pp[rows] * (0.2 + 0.8 * ur[:, 1])
+            off = ur[:, 2] < p.start_off_probability
+            self.st0[rows] = np.where(off, _OFF, _IDLE)
+            # Burn a random fraction of an idle gap so UEs desynchronize.
+            self.t0[rows] = np.where(
+                off, 0.0, _lognormal(p.idle_long_gap, zr[:, 4]) * ur[:, 3]
+            )
+            mean = min(max(p.mobility_mean, 0.02), 0.98)
+            x = _gamma(self.ues[rows], mean * _MOBILITY_CONCENTRATION, 0, self.key)
+            y = _gamma(
+                self.ues[rows], (1.0 - mean) * _MOBILITY_CONCENTRATION, 1, self.key
+            )
+            self.mob[rows] = x / (x + y)
+
+    # -- pass 1: phases --------------------------------------------------
+    def _phases(self) -> None:
+        tb = self.tables
+        D = self.duration
+        lane = np.arange(self.ues.size, dtype=np.int32)
+        t, st = self.t0, self.st0
+        npo, npt = self.npo0, self.npt0
+        # A round adds at most one record per lane.
+        recs = _Records(_RECORD_CHUNK + lane.size)
+        terms: List[tuple] = []
+        r = 0
+        while lane.size:
+            col = r % _BLOCK
+            if col == 0:
+                w = slot_words(
+                    self.phase_base[lane, None],
+                    np.arange(2 * r, 2 * (r + _BLOCK), dtype=np.uint64),
                 )
-                if release >= limit:
-                    break
-                self._emit(tau_t, _TAU)
-                self._emit(release, _S1_CONN_REL)
-                prev_release = release
-                # Rapid retry/follow-up TAU (same signaling burst).
-                if rng.random() >= profile.tau_burst_probability:
-                    break
-                tau_t = release + _sample_lognormal(profile.tau_burst_delay, rng)
-                if tau_t >= limit:
-                    break
+                u_blk = to_unit(w[:, 0::2])
+                z_blk = norm_ppf(to_unit(w[:, 1::2]))
+                row = np.arange(lane.size)
+            u = u_blk[row, col]
+            z = z_blk[row, col]
+            dev = self.dev[lane]
+            off = st == _OFF
+            conn = st == _CONNECTED
+            comp = _D_CONNECTED
+            for cut_k in tb.cuts:
+                comp = comp + (u >= cut_k[dev])
+            code = np.where(
+                off, _D_OFF, np.where(conn, comp, _D_BURST + (u >= tb.burst[dev]))
+            )
+            k = code + dev * tb.codes
+            x = np.exp(tb.mu[k] + tb.sigma[k] * z)
+            li = np.flatnonzero(code == _D_LONG)
+            if li.size:
+                ll = lane[li]
+                h = (self.start_hour + self.jit[ll] + t[li] / SECONDS_PER_HOUR) % 24
+                diurnal = _diurnal(tb.curve, 24 * dev[li], h)
+                x[li] = x[li] / np.maximum(self.act[ll] * diurnal, 1e-3)
+            nt = t + x
+            pw = ~off & (npo < nt) & (npo < D)
+            ev_t = np.where(
+                pw, np.where(conn | (npo > t), npo, t + _POWER_OFF_PUSH), nt
+            )
+            alive = ev_t < D
+            cut = np.where(off, t, np.minimum(np.minimum(nt, npo), D))
+            # The periodic TAU timer: skip what fell before the phase,
+            # record what fires inside it.
+            tp = self.tp[lane]
+            late = npt < t
+            while late.any():
+                npt = np.where(late, npt + tp, npt)
+                late = npt < t
+            due = npt < cut
+            while due.any():
+                i = np.flatnonzero(due)
+                terms.append((recs.size + i, npt[i]))
+                npt = np.where(due, npt + tp, npt)
+                due = npt < cut
+            pwi = pw.astype(np.int8)
+            recs.extend(lane, r, st, t, cut, ev_t, np.where(alive, _CLOSE[pwi, st], -1))
+            npo = np.where(off, nt + self.pp[lane] * (0.5 + u), npo)
+            t = ev_t
+            st = _NEXT[pwi, st]
+            if not alive.all():
+                lane, t, st = lane[alive], t[alive], st[alive]
+                npo, npt, row = npo[alive], npt[alive], row[alive]
+            r += 1
+            if recs.size >= _RECORD_CHUNK or not lane.size:
+                self._flush(recs, terms)
+        self.rounds = r
 
-        if next_power_off < end and next_power_off < self.duration:
-            if next_power_off > prev_release:
-                self._emit(next_power_off, _DTCH)
-                return next_power_off, "OFF", next_periodic_tau
-            # Power-off fell inside a TAU exchange; push it just after.
-            push = prev_release + 0.5
-            if push < self.duration:
-                self._emit(push, _DTCH)
-                return push, "OFF", next_periodic_tau
-            return self.duration, "IDLE", next_periodic_tau
-        if end >= self.duration:
-            return self.duration, "IDLE", next_periodic_tau
-        self._emit(end, _SRV_REQ)
-        return end, "CONNECTED", next_periodic_tau
+    def _flush(self, recs: "_Records", terms: List[tuple]) -> None:
+        """Draw the activity inside the held records, append their rows
+        to ``self.rows`` and empty ``recs`` and ``terms``."""
+        # Views of the records, read by pass 2.
+        self.lane, self.rnd, self.st, self.t, self.cut, ev_t, ev = recs.columns()
+        term_rec = np.concatenate([np.empty(0, np.int64)] + [a for a, _ in terms])
+        term_t = np.concatenate([np.empty(0)] + [b for _, b in terms])
+        rec_in, t_in, ev_in = self._inner_events(term_rec, term_t)
+        closing = np.flatnonzero(ev >= 0)
+        # Per record: its inner events (already in time order), then its
+        # closing event.
+        order = stable_order(np.concatenate([2 * rec_in, 2 * closing + 1]))
+        lane, times, events = (
+            np.concatenate(pair)[order]
+            for pair in (
+                (self.lane[rec_in], self.lane[closing]),
+                (t_in, ev_t[closing]),
+                (ev_in, ev[closing]),
+            )
+        )
+        self.rows[0].append(lane)
+        # Milliseconds, as quantize_times rounds them.
+        self.rows[1].append(np.round(times / TIMESTAMP_GRANULARITY).astype(np.int64))
+        self.rows[2].append(events)
+        recs.size = 0
+        terms.clear()
+
+    # -- pass 2: activity inside the phases ------------------------------
+    def _inner_events(
+        self, term_rec: np.ndarray, term_t: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(record, time, event)`` of every HO, TAU and idle release
+        of the held records, in record and time order; ``term_rec`` and
+        ``term_t`` are the periodic TAUs."""
+        dev, st = self.dev[self.lane], self.st
+        term_dev, term_st = dev[term_rec], st[term_rec]
+        parts: List[tuple] = []
+        for dt, p in self.profiles.items():
+            d = int(dt)
+            for state, fn in ((_CONNECTED, self._connected), (_IDLE, self._idle)):
+                recs = np.flatnonzero((dev == d) & (st == state))
+                if not recs.size:
+                    continue
+                tsel = (term_dev == d) & (term_st == state)
+                parts.extend(fn(p, recs, term_rec[tsel], term_t[tsel]))
+        if not parts:
+            return np.empty(0, np.int64), np.empty(0), np.empty(0, np.int8)
+        rec, times, ev = (np.concatenate(c) for c in zip(*parts))
+        order = np.lexsort((times, rec))
+        return rec[order], times[order], ev[order]
+
+    def _slot(self, recs: np.ndarray, purpose, c3) -> np.ndarray:
+        return slot_base(self.ues[self.lane[recs]], purpose, c3, *self.key)
+
+    def _connected(self, p: DeviceProfile, recs, term_rec, term_t):
+        """HOs, TAUs after HOs and TAU chains of CONNECTED records."""
+        rnd, t, cut = self.rnd[recs], self.t[recs], self.cut[recs]
+        base = self._slot(recs, P_GT_HO, rnd)
+        move = np.flatnonzero(_units(base, 0) < self.mob[self.lane[recs]])
+        item, ho_t, k = _renewal(
+            base[move], t[move], cut[move], p.ho_interarrival.mu, p.ho_interarrival.sigma
+        )
+        ho = move[item]  # positions in recs
+        j = k - 1
+        out = [(recs[ho], ho_t, np.full(ho.size, _HO, np.int8))]
+        w = _units(
+            self._slot(recs[ho], P_GT_HO_TAU, rnd[ho])[:, None],
+            np.stack([2 * j, 2 * j + 1], axis=1).astype(np.uint64),
+        )
+        cross = w[:, 0] < p.tau_after_ho_probability
+        starts = ho_t[cross] + _lognormal(p.tau_after_ho_delay, norm_ppf(w[cross, 1]))
+        # Periodic TAUs start chains too: chain k of kind 1 in the record.
+        pos, per_k, term_t = _rank(np.searchsorted(recs, term_rec), term_t)
+        chain_rec = np.concatenate([ho[cross], pos])
+        chain_c3 = np.concatenate(
+            [_c3(rnd[ho[cross]], j[cross]), _c3(rnd[pos], per_k, 1)]
+        )
+        first = np.concatenate([starts, term_t])
+        item, tau_t = _tau_chain(
+            slot_base(self.ues[self.lane[recs[chain_rec]]], P_GT_BURST, chain_c3, *self.key),
+            first,
+            cut[chain_rec],
+            p.tau_burst_probability,
+            p.tau_burst_delay,
+        )
+        out.append((recs[chain_rec[item]], tau_t, np.full(item.size, _TAU, np.int8)))
+        return out
+
+    def _idle(self, p: DeviceProfile, recs, term_rec, term_t):
+        """TAU / S1-release pairs of IDLE records."""
+        rnd, t, cut = self.rnd[recs], self.t[recs], self.cut[recs]
+        lane = self.lane[recs]
+        # Mobility-triggered idle TAUs (tracking-area reselection): a
+        # bursty lognormal renewal process, not a Poisson one.
+        h = (self.start_hour + self.jit[lane] + t / SECONDS_PER_HOUR) % 24
+        diurnal = _diurnal(np.asarray(p.diurnal), 0, h)
+        rate = p.idle_mobility_tau_rate_scale * self.mob[lane] * diurnal / SECONDS_PER_HOUR
+        on = np.flatnonzero((rate > 0) & (cut > t))
+        sigma = _IDLE_TAU_SIGMA
+        mu = np.log((1.0 / rate[on]) / math.exp(sigma * sigma / 2.0))
+        base = self._slot(recs[on], P_GT_IDLE_TAU, rnd[on])
+        item, mob_t, _ = _renewal(
+            base, t[on], cut[on], mu, sigma, first_scale=_units(base, 0)
+        )
+        # Every TAU of a record, in time order, with its rank.
+        pos = np.concatenate([on[item], np.searchsorted(recs, term_rec)])
+        pos, rank, tau = _rank(pos, np.concatenate([mob_t, term_t]))
+        nxt = np.append(tau[1:], 0.0)
+        last = np.append(pos[1:] != pos[:-1], True)
+        limit = np.where(last, cut[pos], nxt)
+        prev = t.copy()  # the last release of each record so far
+        out = []
+        for i in range(int(rank.max()) + 1 if rank.size else 0):
+            sel = np.flatnonzero(rank == i)
+            sel = sel[tau[sel] > prev[pos[sel]]]
+            if not sel.size:
+                continue
+            tau_i, lim, at = tau[sel], limit[sel], pos[sel]
+            base = self._slot(recs[at], P_GT_PAIR, _c3(rnd[at], i))
+            k = 0
+            while at.size:
+                w = _units(base[:, None], np.arange(3 * k, 3 * k + 3, dtype=np.uint64))
+                release = tau_i + _lognormal(p.idle_tau_release_delay, norm_ppf(w[:, 0]))
+                ok = release < lim
+                tau_i, release, lim, at, w, base = (
+                    a[ok] for a in (tau_i, release, lim, at, w, base)
+                )
+                out.append((recs[at], tau_i, np.full(at.size, _TAU, np.int8)))
+                out.append((recs[at], release, np.full(at.size, _S1_CONN_REL, np.int8)))
+                prev[at] = release
+                # Rapid retry/follow-up TAU (same signalling burst).
+                tau_i = release + _lognormal(p.tau_burst_delay, norm_ppf(w[:, 2]))
+                go = (w[:, 1] < p.tau_burst_probability) & (tau_i < lim)
+                tau_i, lim, at, base = (a[go] for a in (tau_i, lim, at, base))
+                k += 1
+        return out
+
+    # -- the job's columns -------------------------------------------------
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The range's trace columns in trace order, ``(time, UE)`` with
+        ties in emission order."""
+        self._phases()
+        lane, ms, events = (np.concatenate(parts) for parts in self.rows)
+        self.rows = ([], [], [])
+        order = stable_order(ms * self.ues.size + lane)
+        lane, ms, events = lane[order], ms[order], events[order]
+        del order
+        return (
+            self.ues[lane],
+            ms * TIMESTAMP_GRANULARITY,
+            events,
+            self.dev[lane].astype(np.int8),
+        )
 
 
-def _columns(
-    times: array, events: array, ue_ids: np.ndarray, devices: array, per_ue: array
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four (unsorted) trace columns of UEs simulated in ``ue_ids``
-    order into ``times``/``events``; UE ``k`` emitted ``per_ue[k]`` rows
-    and is of device type ``devices[k]``."""
-    counts = np.frombuffer(per_ue, dtype=np.int64)
+class _Records:
+    """Phase records in fixed columns: lane, round, state, start,
+    cutoff, closing time and closing event (-1: none)."""
+
+    DTYPES = (np.int32, np.int32, np.int8, np.float64, np.float64, np.float64, np.int8)
+
+    def __init__(self, capacity: int) -> None:
+        self.size = 0
+        self._columns = [np.empty(capacity, dtype) for dtype in self.DTYPES]
+
+    def extend(self, *values) -> None:
+        end = self.size + len(values[0])
+        for column, value in zip(self._columns, values):
+            column[self.size : end] = value
+        self.size = end
+
+    def columns(self) -> List[np.ndarray]:
+        return [column[: self.size] for column in self._columns]
+
+
+def _renewal(base, start, cutoff, mu, sigma, first_scale=None):
+    """Points of a lognormal renewal process in ``[start, cutoff)`` per item.
+
+    Gap ``k >= 1`` is ``exp(mu + sigma · z)``, ``z`` the normal at word
+    ``k`` of the item's slot; the first gap is scaled by ``first_scale``.
+    Returns ``(item, time, k)`` of every point, ``k`` its gap number.
+    """
+    mu = np.broadcast_to(mu, np.shape(start))
+    items = np.arange(np.size(start))
+    s = np.asarray(start, dtype=np.float64)
+    out_item, out_t, out_k = [np.empty(0, np.int64)], [np.empty(0)], [np.empty(0, np.int64)]
+    k0, width = 1, 1  # most phases see no point: try the first gap alone
+    while items.size:
+        w = np.arange(k0, k0 + width, dtype=np.uint64)
+        gaps = np.exp(mu[items, None] + sigma * norm_ppf(_units(base[items, None], w)))
+        if first_scale is not None and k0 == 1:
+            gaps[:, 0] *= first_scale
+        pts = np.cumsum(np.column_stack([s, gaps]), axis=1)[:, 1:]
+        inside = pts < cutoff[items, None]
+        row, col = np.nonzero(inside)
+        out_item.append(items[row])
+        out_t.append(pts[row, col])
+        out_k.append(k0 + col)
+        more = inside[:, -1]
+        items, s = items[more], pts[more, -1]
+        k0, width = k0 + width, _GAP_BLOCK
     return (
-        np.repeat(ue_ids, counts),
-        quantize_times(np.frombuffer(times, dtype=np.float64)),
-        np.frombuffer(events, dtype=np.int8).copy(),
-        np.repeat(np.frombuffer(devices, dtype=np.int8), counts),
+        np.concatenate(out_item),
+        np.concatenate(out_t),
+        np.concatenate(out_k),
     )
 
 
-def simulate_ue(
-    ue_id: int,
-    profile: DeviceProfile,
-    duration: float,
-    *,
-    start_hour: float = 0.0,
-    rng: np.random.Generator,
-    archetype: Optional[UEArchetype] = None,
-) -> Trace:
-    """Simulate one UE and return its trace."""
-    if archetype is None:
-        archetype = sample_archetype(profile, rng)
-    times, events = array("d"), array("b")
-    _UESimulator(profile, archetype, duration, start_hour, rng, times, events).run()
-    columns = _columns(
-        times,
-        events,
-        np.array([ue_id], dtype=np.int64),
-        array("b", [int(profile.device_type)]),
-        array("q", [len(times)]),
-    )
-    return Trace(*columns)
+def _tau_chain(base, first, cutoff, p_burst, delay):
+    """TAU times of chains that start at ``first``: a TAU is emitted
+    while below the cutoff, and followed by another after a lognormal
+    delay with probability ``p_burst`` (link ``i`` reads the uniform at
+    word ``2i`` and the normal at ``2i + 1``).  Returns ``(item, time)``."""
+    items = np.flatnonzero(first < cutoff)
+    tau = first[items]
+    out_item, out_t = [items], [tau]
+    i = 0
+    while items.size:
+        w = _units(base[items, None], np.array([2 * i, 2 * i + 1], np.uint64))
+        go = w[:, 0] < p_burst
+        items = items[go]
+        tau = tau[go] + _lognormal(delay, norm_ppf(w[go, 1]))
+        keep = tau < cutoff[items]
+        items, tau = items[keep], tau[keep]
+        out_item.append(items)
+        out_t.append(tau)
+        i += 1
+    return np.concatenate(out_item), np.concatenate(out_t)
+
+
+def _rank(group: np.ndarray, times: np.ndarray):
+    """Sort rows by ``(group, times)``: the groups, each row's rank in
+    its group, and the times."""
+    order = np.lexsort((times, group))
+    group = group[order]
+    n = group.size
+    starts = np.flatnonzero(np.append(True, group[1:] != group[:-1])) if n else group
+    rank = np.arange(n) - np.repeat(starts, np.diff(np.append(starts, n)))
+    return group, rank, times[order]
 
 
 def resolve_device_counts(num_ues: DeviceCounts) -> Dict[DeviceType, int]:
@@ -373,41 +633,30 @@ def _simulate_range(
     hi: int,
     duration: float,
     start_hour: float,
-    entropy: int,
+    key: Tuple[np.uint64, np.uint64],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One job: the unsorted trace columns of UEs ``[lo, hi)``.
+    """One job: the trace columns of UEs ``[lo, hi)``, in trace order.
 
     ``ctx["population"]`` lists ``(device_type, count)`` in UE order and
-    ``ctx["profiles"]`` maps each device type to its profile.  UE ``i``
-    draws from ``SeedSequence(entropy, spawn_key=(i,))``, which is
-    ``SeedSequence(entropy).spawn(n)[i]``.
+    ``ctx["profiles"]`` maps each device type to its profile.
     """
-    times, events = array("d"), array("b")
-    devices, per_ue = array("b"), array("q")
+    dev = np.empty(hi - lo, dtype=np.int8)
     first = 0
     for device_type, n in ctx["population"]:
-        profile = ctx["profiles"][device_type]
-        for ue_id in range(max(lo, first), min(hi, first + n)):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy, spawn_key=(ue_id,))
-            )
-            before = len(times)
-            _UESimulator(
-                profile,
-                sample_archetype(profile, rng),
-                duration,
-                start_hour,
-                rng,
-                times,
-                events,
-            ).run()
-            devices.append(int(device_type))
-            per_ue.append(len(times) - before)
+        a, b = max(lo, first), min(hi, first + n)
+        if a < b:
+            dev[a - lo : b - lo] = int(device_type)
         first += n
+    sim = _Range(
+        ctx["profiles"], np.arange(lo, hi, dtype=np.int64), dev,
+        duration, start_hour, key,
+    )
+    columns = sim.columns()
     tele = get_telemetry()
     tele.count("ue_hours", (hi - lo) * math.ceil(duration / SECONDS_PER_HOUR))
-    tele.count("events_emitted", len(times))
-    return _columns(times, events, np.arange(lo, hi, dtype=np.int64), devices, per_ue)
+    tele.count("events_emitted", len(columns[0]))
+    tele.count("simulate_rounds", sim.rounds)
+    return columns
 
 
 def simulate_ground_truth(
@@ -431,7 +680,8 @@ def simulate_ground_truth(
     start_hour:
         Hour-of-day at ``t = 0`` (affects diurnal behaviour).
     seed:
-        Every UE gets an independent, reproducible substream.
+        Keys every draw: UE ``i``'s events depend on ``seed`` and ``i``
+        alone.
     profiles:
         Behaviour per device type (default :data:`DEFAULT_PROFILES`);
         it must cover every device type with UEs.
@@ -439,11 +689,12 @@ def simulate_ground_truth(
         ``None``/``1`` simulates in this process, ``0`` on all CPUs and
         ``>= 2`` on that many workers, each taking a contiguous range
         of UEs through :func:`repro.jobs.run_jobs` (stage
-        ``"simulate"``).  Every UE keeps its own substream, so the
-        trace is the same bits for every ``processes``.
+        ``"simulate"``).  The trace is the same bits for every
+        ``processes``.
 
     The ambient telemetry collector gets a ``simulate`` span and the
-    counters ``ue_hours`` (UEs × started hours) and ``events_emitted``.
+    counters ``ue_hours`` (UEs × started hours), ``events_emitted``
+    and ``simulate_rounds`` (lockstep rounds, summed over jobs).
     """
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
@@ -458,13 +709,11 @@ def simulate_ground_truth(
         raise ValueError(f"profiles has no profile for device types {missing}")
     workers = check_processes(processes)
     total = sum(n for _, n in population)
-    # The root entropy, drawn once here, so that seed=None still gives
-    # every UE a substream of one common root.
-    entropy = np.random.SeedSequence(seed).entropy
+    key = root_key(seed)
     size = max(1, -(-total // workers))
     jobs = [
         Job(
-            (lo, min(lo + size, total), duration, start_hour, entropy),
+            (lo, min(lo + size, total), float(duration), float(start_hour), key),
             {"UEs": (lo, min(lo + size, total))},
         )
         for lo in range(0, total, size)

@@ -16,6 +16,8 @@ from repro.mcn import network
 from repro.telemetry import RunTelemetry
 from repro.trace import DeviceType, EventType, Trace
 
+from oracle import groundtruth as oracle_groundtruth
+
 #: Hour-of-day at which the shared traces start.
 TRACE_START_HOUR = 17
 
@@ -38,6 +40,47 @@ def ground_truth_trace() -> Trace:
         duration=4 * 3600.0,
         seed=42,
         start_hour=TRACE_START_HOUR,
+    )
+
+
+@pytest.fixture(scope="session")
+def oracle_ground_truth_trace() -> Trace:
+    """:func:`ground_truth_trace` as the oracle simulator draws it.
+
+    Tests that pin or gate fitting and generation on a fixed trace read
+    this one, so that their input does not move with the ground-truth
+    engine's random streams.
+    """
+    return oracle_groundtruth.simulate_ground_truth(
+        {
+            DeviceType.PHONE: 90,
+            DeviceType.CONNECTED_CAR: 35,
+            DeviceType.TABLET: 25,
+        },
+        duration=4 * 3600.0,
+        seed=42,
+        start_hour=TRACE_START_HOUR,
+    )
+
+
+@pytest.fixture(scope="session")
+def oracle_ours_model_set(oracle_ground_truth_trace):
+    """The proposed model fitted on the oracle's ground-truth trace."""
+    return fit_method(
+        "ours",
+        oracle_ground_truth_trace,
+        theta_n=25,
+        trace_start_hour=TRACE_START_HOUR,
+    )
+
+
+@pytest.fixture(scope="session")
+def oracle_base_model_set(oracle_ground_truth_trace):
+    """The Base baseline fitted on the oracle's ground-truth trace."""
+    return fit_method(
+        "base",
+        oracle_ground_truth_trace,
+        trace_start_hour=TRACE_START_HOUR,
     )
 
 

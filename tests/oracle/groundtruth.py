@@ -1,13 +1,15 @@
-"""Scalar reference ground-truth simulator, the exact-equality oracle.
+"""Scalar reference ground-truth simulator, the statistical oracle.
 
-This is the per-UE simulator as it was before the production one
-(:mod:`repro.groundtruth.simulator`) switched to cached mixture cdfs,
-direct ``random``/``standard_normal`` draws and one column build.  It
-calls ``Generator.choice``, ``Generator.lognormal`` and
-``Generator.uniform`` and builds one :class:`Trace` per UE, so the
-production simulator must match it row for row: any NumPy release that
-stops computing those draws the way the production code assumes shows
-up here as a mismatch.
+The ground-truth model of :mod:`repro.groundtruth.simulator` written
+as a per-UE simulator on NumPy ``Generator`` methods
+(``Generator.choice``, ``Generator.lognormal``, ``Generator.uniform``),
+one :class:`Trace` per UE.  It draws other random streams than the
+production lockstep engine, so the two are compared in distribution:
+``tests/test_groundtruth.py::TestOracleEquality`` gates per-device
+statistics of both on the median over three seeds.  Its own output is
+pinned by ``GROUND_TRUTH_HASHES`` in ``tests/test_ue_index.py`` and
+feeds ``tests/test_hour_tables.py::pin_traces``, so the fitting and
+generation pins there do not move with the engine's streams.
 """
 
 from __future__ import annotations

@@ -226,14 +226,21 @@ class TestHourSortKey:
 
 
 class TestStatisticalEquivalence:
-    """Compiled vs reference: same fitted model, different RNG streams."""
+    """Compiled vs reference: same fitted model, different RNG streams.
+
+    The model is fitted on the oracle simulator's trace.  On the
+    lockstep engine's trace of the same seed, the pooled-gap KS gate
+    failed (p <= 0.01) for the reference generator against itself on 8
+    of 12 seeds: the pooled gaps follow which personas are drawn.
+    """
 
     @pytest.fixture(scope="class")
-    def traces(self, ours_model_set):
+    def traces(self, oracle_ours_model_set):
+        model_set = oracle_ours_model_set
         kwargs = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=5)
         return (
-            TrafficGenerator(ours_model_set).generate(300, **kwargs),
-            oracle_generator.generate(ours_model_set, 300, **kwargs),
+            TrafficGenerator(model_set).generate(300, **kwargs),
+            oracle_generator.generate(model_set, 300, **kwargs),
         )
 
     def test_volume_is_comparable(self, traces):

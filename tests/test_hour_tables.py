@@ -35,6 +35,7 @@ from repro.trace import DeviceType, EventType
 
 from conftest import TRACE_START_HOUR, v1_edge
 from oracle import compile as oracle_compile
+from oracle import groundtruth as oracle_groundtruth
 
 SETTINGS = settings(
     max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -268,8 +269,11 @@ PINNED = {
 
 @pytest.fixture(scope="module")
 def pin_traces():
+    """The training traces, from the oracle simulator: the pins guard
+    fitting and generation, so their input stays put when the
+    ground-truth engine's random streams change."""
     return {
-        seed: simulate_ground_truth(
+        seed: oracle_groundtruth.simulate_ground_truth(
             {
                 DeviceType.PHONE: 30,
                 DeviceType.CONNECTED_CAR: 12,

@@ -92,8 +92,9 @@ class TestExportIntegrity:
 
     def test_unreached_extensions_removed(self):
         """Family ranking, Lognormal, the diversity report, population
-        forecasts and the storm workloads were reached only by their own
-        tests and are gone."""
+        forecasts, the storm workloads and the per-UE ground-truth entry
+        points (``simulate_ue``, ``sample_archetype``, ``UEArchetype``)
+        were reached only by their own tests and are gone."""
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.workloads")
         for name, old in (
@@ -110,6 +111,10 @@ class TestExportIntegrity:
             ("repro.groundtruth", "GrowthScenario"),
             ("repro.groundtruth", "SCENARIOS"),
             ("repro.groundtruth", "DEFAULT_ANNUAL_GROWTH"),
+            ("repro.groundtruth", "simulate_ue"),
+            ("repro.groundtruth", "sample_archetype"),
+            ("repro.groundtruth", "UEArchetype"),
+            ("repro.groundtruth.simulator", "_UESimulator"),
         ):
             module = importlib.import_module(name)
             assert not hasattr(module, old), f"{name}.{old}"

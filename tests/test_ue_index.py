@@ -28,6 +28,8 @@ from repro.trace import (
 from repro.trace.trace import COLUMNS, UEIndex, stable_order
 from repro.validation import summarize
 
+from oracle import groundtruth as oracle_groundtruth
+
 SETTINGS = settings(
     max_examples=60, suppress_health_check=[HealthCheck.too_slow], deadline=None
 )
@@ -290,10 +292,11 @@ class TestLoopReferences:
         assert stats.mean_intersession_gap == float(np.mean(gaps))
 
 
-#: ``Trace.content_hash`` of ``simulate_ground_truth(population,
-#: duration, start_hour=18, seed=seed)`` -- per device type alone (12
-#: UEs) and for the paper's mix (30 UEs).  Any change that keeps each
-#: UE's draw order must keep these.
+#: ``Trace.content_hash`` of the oracle simulator's
+#: ``simulate_ground_truth(population, duration, start_hour=18,
+#: seed=seed)`` -- per device type alone (12 UEs) and for the paper's
+#: mix (30 UEs).  They pin the scalar ``Generator``-method oracle that
+#: the statistical checks compare the engine with.
 GROUND_TRUTH_HASHES = {
     ("PHONE", 12, 3600.0, 0): "4e4585873be0451add688009732ddd423fe89fe82e0a63eb1065a6442887f7e8",
     ("PHONE", 12, 3600.0, 1): "70c4ed98aff92065670664868c31dfdd6d2810eee6713c984ffe785e3b6c257e",
@@ -305,10 +308,34 @@ GROUND_TRUTH_HASHES = {
     ("MIXED", 30, 7200.0, 5): "67c64155ccb02054728ecb0f57fc49bc4267e43b96abe481728b5a0b3142bfce",
 }
 
+#: The same cases through the lockstep engine
+#: (``repro.groundtruth.simulate_ground_truth``): any change to its
+#: counter streams, its phase arithmetic or its row order moves these.
+ENGINE_HASHES = {
+    ("PHONE", 12, 3600.0, 0): "3a05332fac872169e499421c0f18a11aef23924d36235324c5f4b82eae25df05",
+    ("PHONE", 12, 3600.0, 1): "778397cb9480644b36104ad8711e13c8ddb4c87ab02ac349f767b0ef93a19ace",
+    ("CONNECTED_CAR", 12, 3600.0, 0): "6106dfa0e38def110ce9384dbb04fdc709ebd171b819f45f7f243cdfd9cd7d4f",
+    ("CONNECTED_CAR", 12, 3600.0, 1): "5a9c400cd308a2e0c4d0909b5bd869c0d632da12a2e8de0099307f025c9b9753",
+    ("TABLET", 12, 3600.0, 0): "4afe20da61a1649428e79466a567d061ec6d28bfd57ea2e5f5520303d1c9d23a",
+    ("TABLET", 12, 3600.0, 1): "c59b3b8524585a8532cccb92258a9bce63d702a8d34fd5a5dacc5727f6e4e622",
+    ("MIXED", 30, 7200.0, 0): "fe055330d75c45806afe8cdbef2a70329aedabfbeea8c3784b4d6335453b85c4",
+    ("MIXED", 30, 7200.0, 5): "f82934a8ccc0dde634cf285b75f177f4c6d096fe45cf08b5d7b45f017e3d6545",
+}
+
+
+def _pinned_case(simulate, case):
+    device, num_ues, duration, seed = case
+    population = num_ues if device == "MIXED" else {DeviceType[device]: num_ues}
+    return simulate(population, duration, start_hour=18, seed=seed)
+
 
 @pytest.mark.parametrize("case", sorted(GROUND_TRUTH_HASHES))
 def test_ground_truth_content_hash_pinned(case):
-    device, num_ues, duration, seed = case
-    population = num_ues if device == "MIXED" else {DeviceType[device]: num_ues}
-    trace = simulate_ground_truth(population, duration, start_hour=18, seed=seed)
+    trace = _pinned_case(oracle_groundtruth.simulate_ground_truth, case)
     assert trace.content_hash() == GROUND_TRUTH_HASHES[case]
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_HASHES))
+def test_engine_content_hash_pinned(case):
+    trace = _pinned_case(simulate_ground_truth, case)
+    assert trace.content_hash() == ENGINE_HASHES[case]
