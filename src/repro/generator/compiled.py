@@ -15,13 +15,15 @@ operations shared by the whole cohort:
   clusters and different states* advance in a single batch.  Edge choice
   is one ``searchsorted`` over the composite keys ``merged_code +
   cum_prob`` queried at ``merged_code + u``.
-- **Quantile-knot matrix** — every empirical edge's sojourn CDF is a run
-  of inverse-CDF knots in one flat array keyed by ``edge_index + prob``;
-  a second composite
-  ``searchsorted`` plus linear interpolation reproduces
-  ``EmpiricalCDF.ppf``, and exponential edges use the closed-form inverse
-  transform.  First-event types and offsets use the same trick keyed by
-  cluster index.
+- **Quantile knots by arithmetic** — every empirical edge's sojourn CDF
+  is a run of ``m`` inverse-CDF knots at ``(j + 0.5) / m`` in one flat
+  array, so the interval that holds ``u`` is computed, not searched:
+  its upper knot is ``ceil(u·m − 0.5)`` clipped to ``[1, m − 1]``.
+  Linear interpolation between the two knots reproduces
+  ``EmpiricalCDF.ppf``, and exponential edges use the closed-form
+  inverse transform.  First-event offsets use the same knots per
+  cluster; first-event types use the composite ``searchsorted`` keyed
+  by cluster index.
 - **Counter-based randomness** — every uniform is a pure function of
   ``(seed, ue_index, hour, purpose, step)``: the slot ``(UE key, hour,
   purpose)`` picks the start of a SplitMix64 stream and the step counter
@@ -41,14 +43,15 @@ chain runs hour after hour.  At every hour boundary the pending event is
 dropped and the dwell re-sampled from the new hour's model; a UE whose
 chain parks in a state with no fitted transitions stays silent until a
 later hour's model moves it again.  EMM–ECM baselines additionally
-overlay state-oblivious Poisson ``HO``/``TAU`` events.
+overlay state-oblivious Poisson ``HO``/``TAU`` events, one pass per
+event type over every UE whose cluster overlays it.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -134,33 +137,30 @@ _POISSON_INVERT_MAX = 700.0
 def _poisson_from_uniform(u: np.ndarray, lam: float) -> np.ndarray:
     """Poisson counts by CDF inversion of pre-drawn uniforms.
 
-    Above :data:`_POISSON_INVERT_MAX` the count comes from the normal
+    The count is how many of the CDF values ``P(N <= k)``, ``k < cap``,
+    lie at or below ``u``: one ``searchsorted`` in the table
+    ``cumsum(cumprod([e^-lam, lam/1, ..., lam/(cap-1)]))``.  Both
+    accumulations run left to right in float64, so every entry is the
+    double that adding the terms one at a time reaches.  Above
+    :data:`_POISSON_INVERT_MAX` the count comes from the normal
     approximation ``N(lam, lam)`` (continuity-corrected) of the same
     uniform — at such rates the two are statistically indistinguishable,
-    and exact term-by-term inversion is numerically impossible.
+    and exact inversion is numerically impossible.
     """
     if lam > _POISSON_INVERT_MAX:
         counts = np.rint(lam + math.sqrt(lam) * norm_ppf(u) - 0.5)
         return np.maximum(counts, 0.0).astype(np.int64)
-    term = math.exp(-lam)
-    n = np.zeros(u.shape, dtype=np.int64)
-    terms = np.full(u.shape, term)
-    cdf = terms.copy()
     cap = int(lam + 12.0 * math.sqrt(lam + 1.0) + 64)
-    for k in range(1, cap + 1):
-        active = u >= cdf
-        if not active.any():
-            break
-        terms *= lam / k
-        cdf += terms
-        n[active] += 1
-    return n
+    terms = np.empty(cap)
+    terms[0] = math.exp(-lam)
+    terms[1:] = lam / np.arange(1, cap)
+    cdf = np.cumsum(np.cumprod(terms))
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)
 
 
 def _interp_knots(
     kb: np.ndarray,
     u: np.ndarray,
-    key: np.ndarray,
     ptr: np.ndarray,
     kp: np.ndarray,
     kv: np.ndarray,
@@ -168,15 +168,17 @@ def _interp_knots(
     """Batched ``np.interp(u, probs, values)`` over heterogeneous segments.
 
     ``kb`` selects each element's knot segment (``ptr[kb]:ptr[kb+1]`` in
-    the flat ``kp``/``kv`` arrays); ``key`` holds the composite keys
-    ``segment_index + prob``.  Clamps at segment ends reproduce
+    the flat ``kp``/``kv`` arrays).  A segment's ``m`` knots sit at
+    ``(j + 0.5) / m``, so the first knot at or above ``u`` is
+    ``ceil(u·m − 0.5)``; clipped to ``[1, m − 1]`` it is the upper end of
+    the interval to interpolate in.  Clamps at segment ends reproduce
     ``np.interp``'s behaviour outside the knot range.  Every segment must
     have at least two knots (see :class:`~repro.model.model_set.HourModel`).
     """
     lo = ptr[kb]
-    hi = ptr[kb + 1]
-    pos = np.searchsorted(key, kb + u)
-    pc = np.minimum(np.maximum(pos, lo + 1), hi - 1)
+    m = ptr[kb + 1] - lo
+    j = np.ceil(u * m - 0.5).astype(np.int64)
+    pc = lo + np.minimum(np.maximum(j, 1), m - 1)
     p0 = kp[pc - 1]
     p1 = kp[pc]
     v0 = kv[pc - 1]
@@ -258,7 +260,6 @@ def _drain_lists(hm: HourModel) -> tuple:
             hm.edge_kind.tolist(),
             hm.edge_rate.tolist(),
             hm.edge_knot_ptr.tolist(),
-            hm.knot_key.tolist(),
             hm.knot_p.tolist(),
             hm.knot_v.tolist(),
             hm.has_exp,
@@ -443,12 +444,7 @@ class CompiledPopulation:
                     hm.fe_key, claw + u1[awake_m], side="right"
                 )
                 offset = _interp_knots(
-                    claw,
-                    u2[awake_m],
-                    hm.foff_key,
-                    hm.foff_ptr,
-                    hm.foff_p,
-                    hm.foff_v,
+                    claw, u2[awake_m], hm.foff_ptr, hm.foff_p, hm.foff_v
                 )
                 offset = np.clip(offset, 0.0, SECONDS_PER_HOUR - 1e-3)
                 t0 = hour_start + offset
@@ -525,7 +521,7 @@ class CompiledPopulation:
                 emp = hm.edge_kind[e] == 0
                 if emp.any():
                     dwell[emp] = _interp_knots(
-                        e[emp], u_dwell[emp], hm.knot_key,
+                        e[emp], u_dwell[emp],
                         hm.edge_knot_ptr, hm.knot_p, hm.knot_v,
                     )
                 ex = ~emp
@@ -533,8 +529,7 @@ class CompiledPopulation:
                     dwell[ex] = -np.log1p(-u_dwell[ex]) / hm.edge_rate[e[ex]]
             else:
                 dwell = _interp_knots(
-                    e, u_dwell, hm.knot_key,
-                    hm.edge_knot_ptr, hm.knot_p, hm.knot_v,
+                    e, u_dwell, hm.edge_knot_ptr, hm.knot_p, hm.knot_v
                 )
             t_next = at + np.maximum(dwell, MIN_SOJOURN)
 
@@ -608,7 +603,6 @@ class CompiledPopulation:
             edge_kind,
             edge_rate,
             kptr,
-            kkey,
             kp,
             kv,
             has_exp,
@@ -639,12 +633,9 @@ class CompiledPopulation:
                     dwell = -float(np.log1p(-u)) / edge_rate[e]
                 else:
                     lo = kptr[e]
-                    hi = kptr[e + 1]
-                    pc = bisect_left(kkey, e + u)
-                    if pc < lo + 1:
-                        pc = lo + 1
-                    elif pc > hi - 1:
-                        pc = hi - 1
+                    m = kptr[e + 1] - lo
+                    pc = math.ceil(u * m - 0.5)
+                    pc = lo + (1 if pc < 1 else (m - 1 if pc > m - 1 else pc))
                     p0 = kp[pc - 1]
                     p1 = kp[pc]
                     uu = p0 if u < p0 else (p1 if u > p1 else u)
@@ -686,42 +677,41 @@ class CompiledPopulation:
         out_times: List[np.ndarray],
         out_events: List[np.ndarray],
     ) -> None:
-        for c in hm.overlay_clusters:
-            member = cl == c
-            rows_c = rows[member]
-            if rows_c.size == 0:
+        """One pass per overlay event over every UE whose cluster has a
+        rate for it.  A UE's count draw is keyed by (UE, hour, event) and
+        its time draws by the slot as well, so the pass emits what a
+        pass per cluster would; ``_sort_hour`` orders the hour."""
+        if not hm.overlay_clusters:
+            return
+        for k, event_code in enumerate(hm.overlay_events.tolist()):
+            rate = hm.overlay_rates[cl, k]
+            ues = np.flatnonzero(rate > 0)
+            if ues.size == 0:
                 continue
-            k0c = k0[member]
-            k1c = k1[member]
-            for k in np.flatnonzero(hm.overlay_rates[c] > 0).tolist():
-                event_code = int(hm.overlay_events[k])
-                lam = float(hm.overlay_rates[c, k]) * SECONDS_PER_HOUR
-                self.rng_draws += int(rows_c.size)
-                u_n = _uniforms(
-                    k0c, k1c, 0, hour_idx, _P_OVERLAY_N, np.uint64(event_code)
-                )[0]
-                counts = np.minimum(
-                    _poisson_from_uniform(u_n, lam), MAX_EVENTS_PER_HOUR
-                )
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                rep = np.repeat(np.arange(rows_c.size), counts)
-                slot = np.arange(total) - np.repeat(
-                    np.cumsum(counts) - counts, counts
-                )
-                self.rng_draws += total
-                u_t = _uniforms(
-                    k0c[rep],
-                    k1c[rep],
-                    slot,
-                    hour_idx,
-                    _P_OVERLAY_T,
-                    np.uint64(event_code),
-                )[0]
-                out_rows.append(rows_c[rep])
-                out_times.append(hour_start + u_t * SECONDS_PER_HOUR)
-                out_events.append(np.full(total, event_code, dtype=np.int16))
+            event = np.uint64(event_code)
+            k0e, k1e = k0[ues], k1[ues]
+            self.rng_draws += int(ues.size)
+            u_n = _uniforms(k0e, k1e, 0, hour_idx, _P_OVERLAY_N, event)[0]
+            lam = rate[ues] * SECONDS_PER_HOUR
+            counts = np.empty(ues.size, dtype=np.int64)
+            for value in np.unique(lam).tolist():
+                same = lam == value
+                counts[same] = _poisson_from_uniform(u_n[same], value)
+            np.minimum(counts, MAX_EVENTS_PER_HOUR, out=counts)
+            total = int(counts.sum())
+            if total == 0:
+                continue
+            rep = np.repeat(np.arange(ues.size), counts)
+            slot = np.arange(total) - np.repeat(
+                np.cumsum(counts) - counts, counts
+            )
+            self.rng_draws += total
+            u_t = _uniforms(
+                k0e[rep], k1e[rep], slot, hour_idx, _P_OVERLAY_T, event
+            )[0]
+            out_rows.append(rows[ues[rep]])
+            out_times.append(hour_start + u_t * SECONDS_PER_HOUR)
+            out_events.append(np.full(total, event_code, dtype=np.int16))
 
 
 # ---------------------------------------------------------------------------

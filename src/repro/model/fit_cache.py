@@ -35,7 +35,7 @@ PathLike = Union[str, "os.PathLike[str]"]
 
 #: Bump when the ModelSet schema or fitting semantics change, so stale
 #: cache entries from older code can never be returned.
-FIT_CACHE_SCHEMA = 3
+FIT_CACHE_SCHEMA = 4
 
 #: Environment override for the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

@@ -93,14 +93,12 @@ GENERATOR_COLUMNS = (
     "edge_kind",      #: (E,) int8: 0 empirical sojourn, 1 exponential
     "edge_rate",      #: (E,) exponential rate (1.0 on empirical edges)
     "edge_knot_ptr",  #: (E+1,) knot slice of every edge
-    "knot_key",       #: edge index + knot probability (searchsorted key)
-    "knot_p",         #: inverse-CDF knot probabilities
+    "knot_p",         #: inverse-CDF knot probabilities, (j + 0.5) / m
     "knot_v",         #: inverse-CDF knot values (sorted per edge)
     "p_active",       #: (C,) P(first event this hour), 0 with no events
     "fe_key",         #: cluster + cumulative first-event probability
     "fe_event",       #: int16 first-event type, event-code order
     "fe_state",       #: int32 state a first event enters
-    "foff_key",       #: cluster + first-offset knot probability
     "foff_ptr",       #: (C+1,) first-offset knot slice of every cluster
     "foff_p",         #: first-offset knot probabilities
     "foff_v",         #: first-offset knot values
@@ -194,18 +192,17 @@ def _gather(
     return ptr, values[np.repeat(starts, lengths) + within]
 
 
-def _padded(
-    ptr: np.ndarray, values: np.ndarray, owner_base: np.ndarray
-) -> Tuple[np.ndarray, ...]:
+def _padded(ptr: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Inverse-CDF knots of consecutive sorted-sample slices.
 
     Slice ``i`` (``values[ptr[i]:ptr[i+1]]``, ``n`` samples) gets knot
     probabilities ``(j + 0.5) / n`` — ``EmpiricalCDF.ppf``'s plotting
     positions.  A one-sample slice becomes two equal knots at 0.25 and
     0.75, which interpolate to the same constant, so the generator may
-    assume every non-empty slice has an interior.  Returns ``(knot_ptr,
-    key, p, v, single)`` with ``key = (i - owner_base[i]) + p`` plus
-    ``owner_base[i]``, in that order of additions.
+    assume every non-empty slice has an interior.  Either way a slice of
+    ``m`` knots has them at ``(j + 0.5) / m``, which lets the generator
+    compute a knot's index instead of searching for it.  Returns
+    ``(knot_ptr, p, v, single)``.
     """
     n = np.diff(ptr)
     single = n == 1
@@ -217,9 +214,7 @@ def _padded(
     one = single[owner]
     p[one] = np.where(j[one] == 0, 0.25, 0.75)
     v = values[ptr[:-1][owner] + np.where(one, 0, j)]
-    base = owner_base[owner]
-    key = ((owner - base) + p) + base
-    return knot_ptr, key, p, v, single
+    return knot_ptr, p, v, single
 
 
 class HourModel:
@@ -296,10 +291,9 @@ class HourModel:
         if cum.size:
             cum[np.append(starts[1:], cum.size) - 1] = 1.0
         edge_kind = (np.diff(sojourn_ptr) == 0).astype(np.int8)
-        knot_ptr, knot_key, knot_p, knot_v, edge_single = _padded(
+        knot_ptr, knot_p, knot_v, edge_single = _padded(
             np.asarray(sojourn_ptr, dtype=np.int64),
             np.asarray(sojourn_values, dtype=np.float64),
-            _offsets(np.bincount(edge_cluster, minlength=C))[edge_cluster],
         )
 
         fe_cluster = np.asarray(fe_cluster, dtype=np.int64)
@@ -316,10 +310,9 @@ class HourModel:
         has_fe = np.diff(fe_ptr) > 0
         fe_cum = grouped_cumsum(fe_prob, fe_ptr[:-1][has_fe])
         fe_cum[fe_ptr[1:][has_fe] - 1] = 1.0
-        foff_ptr, foff_key, foff_p, foff_v, foff_single = _padded(
+        foff_ptr, foff_p, foff_v, foff_single = _padded(
             np.asarray(offset_ptr, dtype=np.int64),
             np.asarray(offset_values, dtype=np.float64),
-            np.zeros(C, dtype=np.int64),
         )
 
         weights_cum = np.cumsum(_weights(num_ues))
@@ -336,14 +329,12 @@ class HourModel:
                 "edge_kind": edge_kind,
                 "edge_rate": np.where(edge_kind == 1, edge_rate, 1.0),
                 "edge_knot_ptr": knot_ptr,
-                "knot_key": knot_key,
                 "knot_p": knot_p,
                 "knot_v": knot_v,
                 "p_active": np.where(has_fe, p_active, 0.0),
                 "fe_key": fe_cluster + fe_cum,
                 "fe_event": fe_event,
                 "fe_state": fe_state,
-                "foff_key": foff_key,
                 "foff_ptr": foff_ptr,
                 "foff_p": foff_p,
                 "foff_v": foff_v,

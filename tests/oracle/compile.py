@@ -93,14 +93,12 @@ class CompiledCluster:
         self.edge_kind = np.zeros(num_edges, dtype=np.int8)
         self.edge_rate = np.ones(num_edges, dtype=np.float64)
         ptr = np.zeros(num_edges + 1, dtype=np.int64)
-        knot_key: List[np.ndarray] = []
         knot_p: List[np.ndarray] = []
         knot_v: List[np.ndarray] = []
         for e, sojourn in enumerate(table["edge_sojourn"]):
             lowered = compile_sojourn(sojourn)
             if lowered[0] == "empirical":
                 probs, values = _pad_knots(lowered[1], lowered[2])
-                knot_key.append(e + probs)
                 knot_p.append(probs)
                 knot_v.append(values)
                 ptr[e + 1] = ptr[e] + len(probs)
@@ -109,9 +107,6 @@ class CompiledCluster:
                 self.edge_rate[e] = lowered[1]
                 ptr[e + 1] = ptr[e]
         self.edge_knot_ptr = ptr
-        self.knot_key = (
-            np.concatenate(knot_key) if knot_key else np.empty(0, np.float64)
-        )
         self.knot_p = (
             np.concatenate(knot_p) if knot_p else np.empty(0, np.float64)
         )
@@ -162,10 +157,9 @@ class CompiledHourModel:
         S = len(state_code)
         self.S = S
         sd, sk, ev, tg, kind, rate = [], [], [], [], [], []
-        kptr, kk, kp, kv = [], [], [], []
+        kptr, kp, kv = [], [], []
         pa, fek, fee, fes = [], [], [], []
-        fok, fop, fov, folen = [], [], [], []
-        edge_off = 0
+        fop, fov, folen = [], [], []
         knot_off = 0
         for c, cc in enumerate(self.clusters):
             base = c * S
@@ -176,16 +170,13 @@ class CompiledHourModel:
             kind.append(cc.edge_kind)
             rate.append(cc.edge_rate)
             kptr.append(cc.edge_knot_ptr[:-1] + knot_off)
-            kk.append(cc.knot_key + edge_off)
             kp.append(cc.knot_p)
             kv.append(cc.knot_v)
-            edge_off += cc.sel_key.size
-            knot_off += cc.knot_key.size
+            knot_off += cc.knot_p.size
             pa.append(cc.p_active)
             fek.append(c + cc.fe_cum)
             fee.append(cc.fe_event)
             fes.append(cc.fe_state)
-            fok.append(c + cc.fe_off_p)
             fop.append(cc.fe_off_p)
             fov.append(cc.fe_off_v)
             folen.append(cc.fe_off_p.size)
@@ -206,14 +197,12 @@ class CompiledHourModel:
         self.edge_rate = cat(rate, np.float64)
         self.has_exp = bool((self.edge_kind == 1).any())
         self.edge_knot_ptr = cat(kptr, np.int64)
-        self.knot_key = cat(kk, np.float64)
         self.knot_p = cat(kp, np.float64)
         self.knot_v = cat(kv, np.float64)
         self.p_active = np.asarray(pa, dtype=np.float64)
         self.fe_key = cat(fek, np.float64)
         self.fe_event = cat(fee, np.int16)
         self.fe_state = cat(fes, np.int32)
-        self.foff_key = cat(fok, np.float64)
         self.foff_p = cat(fop, np.float64)
         self.foff_v = cat(fov, np.float64)
         self.foff_ptr = np.concatenate(

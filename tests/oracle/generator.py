@@ -17,10 +17,16 @@ The production engine (:mod:`repro.generator.compiled`) steps whole
 cohorts with counter-based SplitMix64 draws; this walk draws from a
 stateful PCG64 stream per UE, so the two are only *statistically*
 equivalent (the differential tests compare them with two-sample KS).
+
+The module also keeps the searched and looped forms of three pieces of
+the engine's arithmetic, which the engine must equal exactly: the
+term-by-term Poisson inversion, and the knot interval found by a
+composite-key ``searchsorted``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -28,6 +34,7 @@ import numpy as np
 from repro.generator import TrafficGenerator, compiled
 from repro.generator.traffgen import DeviceCounts, validate_run_args
 from repro.model.model_set import ModelSet
+from repro.stats.counter_rng import norm_ppf
 from repro.statemachines.fsm import StateMachine
 from repro.statemachines.compiled_replay import _canonical_source_for
 from repro.trace.events import (
@@ -232,3 +239,62 @@ def _overlay_events(
         ts = np.sort(rng.uniform(hour_start, hour_end, size=n))
         times.extend(quantize_times(ts).tolist())
         events.extend([int(event)] * int(n))
+
+
+# ---------------------------------------------------------------------------
+# Searched and looped forms of the engine's arithmetic
+# ---------------------------------------------------------------------------
+
+
+def poisson_from_uniform(u: np.ndarray, lam: float) -> np.ndarray:
+    """Poisson counts by term-by-term CDF inversion of ``u``: the loop
+    that ``compiled._poisson_from_uniform``'s table must equal bit for
+    bit (the normal branch above ``compiled._POISSON_INVERT_MAX`` is the
+    engine's own)."""
+    if lam > compiled._POISSON_INVERT_MAX:
+        counts = np.rint(lam + math.sqrt(lam) * norm_ppf(u) - 0.5)
+        return np.maximum(counts, 0.0).astype(np.int64)
+    term = math.exp(-lam)
+    n = np.zeros(u.shape, dtype=np.int64)
+    terms = np.full(u.shape, term)
+    cdf = terms.copy()
+    cap = int(lam + 12.0 * math.sqrt(lam + 1.0) + 64)
+    for k in range(1, cap + 1):
+        active = u >= cdf
+        if not active.any():
+            break
+        terms *= lam / k
+        cdf += terms
+        n[active] += 1
+    return n
+
+
+def knot_keys(ptr: np.ndarray, kp: np.ndarray, owner_base: np.ndarray) -> np.ndarray:
+    """Composite search keys ``segment + p`` of a knot table, summed as
+    ``((i - owner_base[i]) + p) + owner_base[i]`` (edges are numbered
+    from their cluster's first edge, then offset by it)."""
+    owner = np.repeat(np.arange(ptr.size - 1), np.diff(ptr))
+    base = owner_base[owner]
+    return ((owner - base) + kp) + base
+
+
+def interp_knots_by_search(
+    kb: np.ndarray,
+    u: np.ndarray,
+    key: np.ndarray,
+    ptr: np.ndarray,
+    kp: np.ndarray,
+    kv: np.ndarray,
+) -> np.ndarray:
+    """``compiled._interp_knots`` with the interval found by a
+    ``searchsorted`` of ``kb + u`` in the composite keys ``key``."""
+    lo = ptr[kb]
+    hi = ptr[kb + 1]
+    pos = np.searchsorted(key, kb + u)
+    pc = np.minimum(np.maximum(pos, lo + 1), hi - 1)
+    p0 = kp[pc - 1]
+    p1 = kp[pc]
+    v0 = kv[pc - 1]
+    v1 = kv[pc]
+    uu = np.minimum(np.maximum(u, p0), p1)
+    return v0 + (uu - p0) * (v1 - v0) / (p1 - p0)

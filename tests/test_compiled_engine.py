@@ -14,6 +14,8 @@ Three layers of guarantees, mirroring the engine's design:
   absorbing states, ``MAX_EVENTS_PER_HOUR``).
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,13 +33,17 @@ from repro.generator.compiled import (
     _P_FIRST,
     _P_KEY,
     _P_STEP,
+    _interp_knots,
+    _poisson_from_uniform,
     _sort_hour,
     _uniforms,
     splitmix64_counter,
 )
 from repro.model import scale_to_nsa, scale_to_sa
+from repro.stats.counter_rng import root_key, to_unit
 from repro.trace import DeviceType, EventType, Trace
 from repro.trace.events import quantize_times
+from repro.trace.trace import _in_time_order
 
 from conftest import TRACE_START_HOUR, make_trace
 from oracle import generator as oracle_generator
@@ -225,23 +231,159 @@ class TestHourSortKey:
         assert got_times[-1] == quantize_times(hour_start + 3600.0)
 
 
+def _counter_uniforms(n: int, seed: int) -> np.ndarray:
+    """``n`` (a multiple of 4) 53-bit counter uniforms."""
+    k0, k1 = root_key(seed)
+    words = splitmix64_counter(np.arange(n // 4, dtype=np.uint64), 0, 0, 0, k0, k1)
+    return np.concatenate([to_unit(w) for w in words])
+
+
+class TestPoissonTable:
+    """Overlay counts read off a cumulative table equal the term-by-term
+    inversion loop (``oracle.generator.poisson_from_uniform``) bit for
+    bit, at the ends of ``[0, 1)``, at random uniforms and on the CDF
+    values themselves."""
+
+    @pytest.mark.parametrize("lam", [1e-6, 0.5, 3.0, 40.0, 300.0, 699.9, 701.0])
+    def test_table_equals_loop(self, lam):
+        term = cdf = math.exp(-lam)
+        steps = [cdf]
+        for k in range(1, int(lam + 12.0 * math.sqrt(lam + 1.0) + 64)):
+            term *= lam / k
+            cdf += term
+            steps.append(cdf)
+        steps = np.asarray(steps)
+        steps = steps[steps < 1.0]
+        u = np.concatenate([
+            [0.0, 1.0 - 2.0**-53],
+            _counter_uniforms(1 << 14, seed=int(lam * 10) + 1),
+            steps,
+            np.nextafter(steps, 0.0),
+            np.nextafter(steps, 1.0),
+        ])
+        got = _poisson_from_uniform(u, lam)
+        want = oracle_generator.poisson_from_uniform(u, lam)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestKnotIndex:
+    """The knot interval computed as ``ceil(u·m − 0.5)`` gives the
+    interpolation that a ``searchsorted`` in the composite keys
+    ``edge + p`` gives (``oracle.generator.interp_knots_by_search``)."""
+
+    @pytest.fixture(scope="class")
+    def hour(self, oracle_ours_model_set):
+        return max(
+            (hm for hours in oracle_ours_model_set.models.values()
+             for hm in hours.values()),
+            key=lambda hm: hm.knot_p.size,
+        )
+
+    @staticmethod
+    def table(hm, which):
+        """(segments with knots, ptr, p, v, composite keys) of a table."""
+        if which == "sojourn":
+            cluster = np.repeat(
+                np.arange(hm.state_deg.size), hm.state_deg
+            ) // hm.S
+            first_edge = np.searchsorted(cluster, cluster)
+            ptr, kp, kv = hm.edge_knot_ptr, hm.knot_p, hm.knot_v
+            segments = np.flatnonzero(hm.edge_kind == 0)
+        else:
+            first_edge = np.zeros(hm.num_clusters, dtype=np.int64)
+            ptr, kp, kv = hm.foff_ptr, hm.foff_p, hm.foff_v
+            segments = np.arange(hm.num_clusters)
+        key = oracle_generator.knot_keys(ptr, kp, first_edge)
+        return segments, ptr, kp, kv, key
+
+    @pytest.mark.parametrize("which", ["sojourn", "offset"])
+    def test_equals_search_on_counter_uniforms(self, hour, which):
+        segments, ptr, kp, kv, key = self.table(hour, which)
+        assert hour.knot_p.size > 1_000
+        n = 1 << 20
+        u = _counter_uniforms(n, seed=31)
+        pick = _counter_uniforms(n, seed=32)
+        kb = segments[(pick * segments.size).astype(np.int64)]
+        got = _interp_knots(kb, u, ptr, kp, kv)
+        want = oracle_generator.interp_knots_by_search(kb, u, key, ptr, kp, kv)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("which", ["sojourn", "offset"])
+    def test_at_knot_probes_agree(self, hour, which):
+        segments, ptr, kp, kv, key = self.table(hour, which)
+        kb = np.repeat(segments, np.diff(ptr)[segments])
+        knots = np.concatenate([np.arange(ptr[s], ptr[s + 1]) for s in segments])
+        for u in (kp[knots], np.nextafter(kp[knots], 0), np.nextafter(kp[knots], 1)):
+            got = _interp_knots(kb, u, ptr, kp, kv)
+            want = oracle_generator.interp_knots_by_search(
+                kb, u, key, ptr, kp, kv
+            )
+            assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want))
+
+
+class TestChunkMerge:
+    """Concatenated chunk columns ordered on the integer key ``ms · span
+    + ue`` come out in the order of ``Trace``'s stable lexsort, so the
+    trace never sorts them."""
+
+    def test_equals_lexsort(self, base_model_set):
+        counts = {
+            DeviceType.PHONE: 30,
+            DeviceType.CONNECTED_CAR: 12,
+            DeviceType.TABLET: 9,
+        }
+        chunks = traffgen._plan_chunks(
+            counts, {dt.name: 5 for dt in counts}, first_ue_id=100
+        )
+        assert len(chunks) > 6
+        parts = [
+            traffgen._generate_chunk(
+                {"model": base_model_set}, *chunk, 9, TRACE_START_HOUR, 2
+            )
+            for chunk in chunks
+        ]
+        columns = [np.concatenate(column) for column in zip(*parts)]
+        assert len(np.unique(columns[3])) == 3
+        assert np.ptp(columns[1]) > 3600.0
+        merged = traffgen._merged(parts, 100, sum(counts.values()))
+        assert parts == []
+        order = np.lexsort((columns[0], columns[1]))
+        assert not np.array_equal(order, np.arange(order.size))
+        for got, column in zip(merged, columns):
+            assert np.array_equal(got, column[order])
+        assert _in_time_order(merged[0], merged[1])
+
+
 class TestStatisticalEquivalence:
     """Compiled vs reference: same fitted model, different RNG streams.
 
     The model is fitted on the oracle simulator's trace.  On the
-    lockstep engine's trace of the same seed, the pooled-gap KS gate
-    failed (p <= 0.01) for the reference generator against itself on 8
-    of 12 seeds: the pooled gaps follow which personas are drawn.
+    lockstep engine's trace of the same seed, the single-seed pooled-gap
+    KS gate failed (p <= 0.01) for the reference generator against
+    itself on 8 of 12 seeds: the pooled gaps follow which personas are
+    drawn.
     """
 
+    #: Generation seeds; the single-seed tests read the first.
+    SEEDS = (5, 6, 7)
+
     @pytest.fixture(scope="class")
-    def traces(self, oracle_ours_model_set):
+    def seed_traces(self, oracle_ours_model_set):
+        """(compiled, reference) traces of 300 UEs over 2 h, per seed."""
         model_set = oracle_ours_model_set
-        kwargs = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=5)
-        return (
-            TrafficGenerator(model_set).generate(300, **kwargs),
-            oracle_generator.generate(model_set, 300, **kwargs),
-        )
+        pairs = []
+        for seed in self.SEEDS:
+            kwargs = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=seed)
+            pairs.append((
+                TrafficGenerator(model_set).generate(300, **kwargs),
+                oracle_generator.generate(model_set, 300, **kwargs),
+            ))
+        return pairs
+
+    @pytest.fixture(scope="class")
+    def traces(self, seed_traces):
+        return seed_traces[0]
 
     def test_volume_is_comparable(self, traces):
         compiled, reference = traces
@@ -257,8 +399,25 @@ class TestStatisticalEquivalence:
         result = stats.ks_2samp(counts(compiled), counts(reference))
         assert result.pvalue > 0.01
 
-    def test_sojourn_distribution_ks(self, traces):
-        """Within-UE inter-event times are the chains' dwell draws."""
+    def test_sojourn_distribution_ks(self, seed_traces):
+        """Within-UE inter-event times are the chains' dwell draws.
+
+        The gate is the median over three generation seeds of the pooled
+        gaps' KS p-value, bound p > 0.01.  On one seed the gate follows
+        which personas are drawn.  Measured over generation seeds 1-60
+        (each engine's seed ``s`` against the reference's ``s`` or
+        ``s + 1000``), one seed failed for the reference against itself
+        on 6 of 60 seeds and for compiled against reference on 14 of 60
+        (4 of the first 20).  The median of three (seeds 1-3, 4-6, ...)
+        failed 0 of 20 and 2 of 20.  Pooled over 20 seeds (373k gaps a
+        side) compiled and reference agree (p = 0.67).  With one knot
+        per CDF in the engine, the gate fails (median p = 0.0).  It
+        cannot see the interpolation reversed inside each knot interval
+        or an interval off by one knot: a uniform ``u`` inside an
+        interval keeps the first mapping's distribution, and the second
+        moves draws by one of up to 512 knots.  ``TestKnotIndex`` and
+        ``GENERATOR_HASHES`` fail on both.
+        """
 
         def gaps(trace):
             order = np.lexsort((trace.times, trace.ue_ids))
@@ -267,9 +426,11 @@ class TestStatisticalEquivalence:
             same = ue[1:] == ue[:-1]
             return np.diff(t)[same]
 
-        compiled, reference = traces
-        result = stats.ks_2samp(gaps(compiled), gaps(reference))
-        assert result.pvalue > 0.01
+        pvalues = [
+            stats.ks_2samp(gaps(compiled), gaps(reference)).pvalue
+            for compiled, reference in seed_traces
+        ]
+        assert np.median(pvalues) > 0.01
 
     def test_event_type_mix_is_comparable(self, traces):
         compiled, reference = traces

@@ -44,9 +44,9 @@ SETTINGS = settings(
 #: Columns the oracle lowering produces under the same names.
 LOWERED = (
     "state_deg", "sel_key", "edge_event", "edge_target", "edge_kind",
-    "edge_rate", "edge_knot_ptr", "knot_key", "knot_p", "knot_v",
-    "p_active", "fe_key", "fe_event", "fe_state", "foff_key", "foff_ptr",
-    "foff_p", "foff_v", "assign_keys", "assign_vals", "weights_cum",
+    "edge_rate", "edge_knot_ptr", "knot_p", "knot_v", "p_active",
+    "fe_key", "fe_event", "fe_state", "foff_ptr", "foff_p", "foff_v",
+    "assign_keys", "assign_vals", "weights_cum",
 )
 
 
