@@ -1,10 +1,9 @@
-"""Ground-truth simulation speed: scalar reference, serial and pooled.
+"""Ground-truth simulation speed: scalar reference against the engine.
 
 Times the ``fit-eval-phone-5k`` set-up (5,000 phones: a two-hour and a
-one-hour trace from 19:00) three ways in rotating order: the scalar
-reference simulator kept as a test oracle, ``simulate_ground_truth``
-serially, and ``simulate_ground_truth(processes=2)``.  The serial and
-pooled runs must return the same traces; the oracle draws other random
+one-hour trace from 19:00) two ways in alternating order: the scalar
+reference simulator kept as a test oracle, and ``simulate_ground_truth``
+(the lockstep engine, in one process).  The oracle draws other random
 streams, so its traces only match in distribution (checked in
 ``tests/test_groundtruth.py``).  The table reports the median wall time
 and the quartiles of each arm.
@@ -27,44 +26,36 @@ ROUNDS = 5
 
 ARMS = {
     "reference (oracle)": oracle_groundtruth.simulate_ground_truth,
-    "serial (processes=1)": simulate_ground_truth,
-    "pooled (processes=2)": (
-        lambda *args, **kw: simulate_ground_truth(*args, processes=2, **kw)
-    ),
+    "lockstep engine": simulate_ground_truth,
 }
 
 
 def _setup(simulate):
     start = time.perf_counter()
-    traces = [
+    for hours, seed in ((2, 11), (1, 12)):
         simulate(POPULATION, hours * 3600.0, start_hour=START_HOUR, seed=seed)
-        for hours, seed in ((2, 11), (1, 12))
-    ]
-    return time.perf_counter() - start, [t.content_hash() for t in traces]
+    return time.perf_counter() - start
 
 
 def test_groundtruth_speed():
-    for simulate in ARMS.values():  # warm imports and worker start-up paths
+    for simulate in ARMS.values():  # warm imports
         simulate(50, 3600.0, start_hour=START_HOUR, seed=1)
     names = list(ARMS)
     times = {name: [] for name in names}
-    hashes = {}
     for r in range(ROUNDS):
         for name in names[r % len(names):] + names[: r % len(names)]:
-            seconds, hashes[name] = _setup(ARMS[name])
-            times[name].append(seconds)
-    assert hashes["serial (processes=1)"] == hashes["pooled (processes=2)"], hashes
+            times[name].append(_setup(ARMS[name]))
 
-    serial = float(np.median(times["serial (processes=1)"]))
+    engine = float(np.median(times["lockstep engine"]))
     rows = []
     for name in names:
         q1, med, q3 = np.percentile(times[name], [25, 50, 75])
         rows.append(
-            [name, f"{med:.2f} s", f"{q1:.2f}-{q3:.2f} s", f"{med / serial:.2f}x"]
+            [name, f"{med:.2f} s", f"{q1:.2f}-{q3:.2f} s", f"{med / engine:.2f}x"]
         )
     n = POPULATION[DeviceType.PHONE]
     text = format_table(
-        ["Simulator", "median wall", "quartiles", "vs serial"],
+        ["Simulator", "median wall", "quartiles", "vs engine"],
         rows,
         title=(
             f"Ground-truth speed: {n:,} phones, 2 h + 1 h from "

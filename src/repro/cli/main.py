@@ -28,9 +28,9 @@ Model sets are JSON, gzipped when the path ends in ``.gz``.  The
 take ``--telemetry PATH`` to write a versioned, schema-validated
 observability report of the run (see :mod:`repro.telemetry`);
 ``repro telemetry summarize PATH`` renders its per-phase breakdown.
-``simulate``, ``fit``, ``generate`` and ``evaluate`` fan their jobs
-across ``--processes`` workers (``0`` = all CPUs; default ``1``,
-in-process).
+``fit``, ``generate`` and ``evaluate`` fan their jobs across
+``--processes`` workers (``0`` = all CPUs; default ``1``, in-process);
+``simulate`` runs in one process.
 ``fit`` and ``evaluate`` use the content-addressed model cache under
 ``~/.cache/repro`` (``--no-cache`` and ``--cache-dir`` override);
 ``evaluate`` can emit the full report as ``--json``.
@@ -133,18 +133,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "start_hour": args.start_hour,
             "hours": args.hours,
             "seed": args.seed,
-            "processes": args.processes,
         }
     )
-    if args.progress:
-        tele.on_progress(_print_progress)
     with use_telemetry(tele):
         trace = simulate_ground_truth(
             _device_counts(args),
             duration=args.hours * 3600.0,
             seed=args.seed,
             start_hour=args.start_hour,
-            processes=args.processes,
         )
     with tele.span("trace-write"):
         _save_trace(trace, args.out)
@@ -480,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hours", type=float, default=24.0)
     p.add_argument("--start-hour", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    _add_run_args(p)
+    p.add_argument("--telemetry", default=None, metavar="PATH",
+                   help="write a schema-validated JSON telemetry report "
+                        "of the run to PATH")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 

@@ -34,7 +34,7 @@ whichever comes first):
 ``tests/oracle/groundtruth.py`` keeps this model as a scalar per-UE
 simulator on NumPy ``Generator`` draws, the statistical oracle.
 
-**Lockstep engine.**  One job simulates a range of UEs in two passes.
+**Lockstep engine.**  :class:`_Range` steps every UE at once, in two passes.
 
 1. *Phases.*  Each round advances every live UE by one phase with a
    fixed set of array operations: one uniform picks the phase's
@@ -57,17 +57,17 @@ purpose, c3)`` of :mod:`repro.stats.counter_rng`: round ``r``'s pair
 is words ``2r`` and ``2r + 1`` of ``(UE, P_GT_PHASE, 0)``; the
 activity inside a phase reads slots keyed by the round (and a chain's
 index within it).  A UE's events thus depend on the seed and its index
-alone, and serial and pooled runs give the same bits.
+alone.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..jobs import Job, check_processes, run_jobs
 from ..stats.counter_rng import (
     P_GT_BURST,
     P_GT_GAMMA,
@@ -225,7 +225,7 @@ def _diurnal(curve: np.ndarray, offset, hour: np.ndarray) -> np.ndarray:
 
 
 class _Range:
-    """The lockstep simulation of one range of UEs (one job).
+    """The lockstep simulation of a range of UEs.
 
     Pass 1 (:meth:`_phases`) leaves one *record* per UE-phase: the UE's
     lane, round, state, start time, cutoff and closing event (code -1:
@@ -506,7 +506,7 @@ class _Range:
                 k += 1
         return out
 
-    # -- the job's columns -------------------------------------------------
+    # -- the range's columns -----------------------------------------------
     def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The range's trace columns in trace order, ``(time, UE)`` with
         ties in emission order."""
@@ -627,38 +627,6 @@ def resolve_device_counts(num_ues: DeviceCounts) -> Dict[DeviceType, int]:
     return counts
 
 
-def _simulate_range(
-    ctx: dict,
-    lo: int,
-    hi: int,
-    duration: float,
-    start_hour: float,
-    key: Tuple[np.uint64, np.uint64],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One job: the trace columns of UEs ``[lo, hi)``, in trace order.
-
-    ``ctx["population"]`` lists ``(device_type, count)`` in UE order and
-    ``ctx["profiles"]`` maps each device type to its profile.
-    """
-    dev = np.empty(hi - lo, dtype=np.int8)
-    first = 0
-    for device_type, n in ctx["population"]:
-        a, b = max(lo, first), min(hi, first + n)
-        if a < b:
-            dev[a - lo : b - lo] = int(device_type)
-        first += n
-    sim = _Range(
-        ctx["profiles"], np.arange(lo, hi, dtype=np.int64), dev,
-        duration, start_hour, key,
-    )
-    columns = sim.columns()
-    tele = get_telemetry()
-    tele.count("ue_hours", (hi - lo) * math.ceil(duration / SECONDS_PER_HOUR))
-    tele.count("events_emitted", len(columns[0]))
-    tele.count("simulate_rounds", sim.rounds)
-    return columns
-
-
 def simulate_ground_truth(
     num_ues: DeviceCounts,
     duration: float,
@@ -666,7 +634,6 @@ def simulate_ground_truth(
     start_hour: float = 0.0,
     seed: int = 0,
     profiles: Optional[Mapping[DeviceType, DeviceProfile]] = None,
-    processes: Optional[int] = 1,
 ) -> Trace:
     """Simulate a full "real" trace for a UE population.
 
@@ -680,26 +647,24 @@ def simulate_ground_truth(
     start_hour:
         Hour-of-day at ``t = 0`` (affects diurnal behaviour).
     seed:
-        Keys every draw: UE ``i``'s events depend on ``seed`` and ``i``
-        alone.
+        A non-negative integer keying every draw: UE ``i``'s events
+        depend on ``seed`` and ``i`` alone.
     profiles:
         Behaviour per device type (default :data:`DEFAULT_PROFILES`);
         it must cover every device type with UEs.
-    processes:
-        ``None``/``1`` simulates in this process, ``0`` on all CPUs and
-        ``>= 2`` on that many workers, each taking a contiguous range
-        of UEs through :func:`repro.jobs.run_jobs` (stage
-        ``"simulate"``).  The trace is the same bits for every
-        ``processes``.
 
     The ambient telemetry collector gets a ``simulate`` span and the
     counters ``ue_hours`` (UEs × started hours), ``events_emitted``
-    and ``simulate_rounds`` (lockstep rounds, summed over jobs).
+    and ``simulate_rounds`` (lockstep rounds).
     """
     if not (math.isfinite(duration) and duration > 0):
         raise ValueError(f"duration must be finite and > 0, got {duration!r}")
     if not math.isfinite(start_hour):
         raise ValueError(f"start_hour must be finite, got {start_hour!r}")
+    if not isinstance(seed, Integral):
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if profiles is None:
         profiles = DEFAULT_PROFILES
     counts = resolve_device_counts(num_ues)
@@ -707,37 +672,24 @@ def simulate_ground_truth(
     missing = [dt.name for dt, _ in population if dt not in profiles]
     if missing:
         raise ValueError(f"profiles has no profile for device types {missing}")
-    workers = check_processes(processes)
-    total = sum(n for _, n in population)
-    key = root_key(seed)
-    size = max(1, -(-total // workers))
-    jobs = [
-        Job(
-            (lo, min(lo + size, total), float(duration), float(start_hour), key),
-            {"UEs": (lo, min(lo + size, total))},
-        )
-        for lo in range(0, total, size)
-    ]
+    dev = np.repeat(
+        np.array([int(dt) for dt, _ in population], np.int8),
+        [n for _, n in population],
+    )
     tele = get_telemetry()
     with tele.span("simulate"):
-        parts: List[tuple] = [()] * len(jobs)
-        for i, columns in run_jobs(
-            _simulate_range,
-            jobs,
-            shared={
-                "population": population,
-                "profiles": {dt: profiles[dt] for dt, _ in population},
-            },
-            processes=workers,
-            stage="simulate",
-        ):
-            parts[i] = columns
-        if not parts:
+        if not dev.size:
             return Trace.empty()
-        columns = (
-            parts[0]
-            if len(parts) == 1
-            else [np.concatenate(column) for column in zip(*parts)]
+        sim = _Range(
+            {dt: profiles[dt] for dt, _ in population},
+            np.arange(dev.size, dtype=np.int64),
+            dev,
+            float(duration),
+            float(start_hour),
+            root_key(int(seed)),
         )
-        del parts
-        return Trace(*columns)
+        trace = Trace(*sim.columns())
+    tele.count("ue_hours", dev.size * math.ceil(duration / SECONDS_PER_HOUR))
+    tele.count("events_emitted", len(trace))
+    tele.count("simulate_rounds", sim.rounds)
+    return trace

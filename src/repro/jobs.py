@@ -1,10 +1,10 @@
 """One fault-tolerant job runner for every fan-out stage.
 
 The paper fans its per-UE generator instances over 12 CPUs with one
-tool, GNU ``parallel`` (§8.1).  Here the stages that build new data —
-generation chunks, per-(device, hour) fit jobs and ground-truth UE
-ranges — fan out through one function, :func:`run_jobs`, and fail with
-one error, :class:`JobFailedError`.
+tool, GNU ``parallel`` (§8.1).  Here the stages that build models and
+synthetic traffic — generation chunks and per-(device, hour) fit jobs —
+fan out through one function, :func:`run_jobs`, and fail with one
+error, :class:`JobFailedError`.
 
 A stage hands :func:`run_jobs` a job function ``fn``, its :class:`Job`
 list and the values every job reads (``shared``).  Each call is
@@ -56,6 +56,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from numbers import Integral
 from typing import (
     Any,
     Callable,
@@ -100,7 +101,6 @@ FAULT_ENV = "REPRO_TEST_FAULT"
 _STAGES = {
     "generate": ("generate", "chunk_retries"),
     "fit": ("fit", "fit_retries"),
-    "simulate": ("simulate", "simulate_retries"),
 }
 
 
@@ -118,8 +118,7 @@ class JobFailedError(RuntimeError):
     Attributes
     ----------
     stage:
-        The stage that ran it (``"generate"``, ``"fit"`` or
-        ``"simulate"``).
+        The stage that ran it (``"generate"`` or ``"fit"``).
     labels:
         The job's labels, e.g. ``{"device": "PHONE", "hour": 17}``; a
         ``(lo, hi)`` pair is a half-open range.
@@ -148,12 +147,19 @@ class JobFailedError(RuntimeError):
 
 def check_processes(processes: Optional[int]) -> int:
     """The worker count ``processes`` asks for: ``None``/``1`` inline,
-    ``0`` all CPUs; a negative count raises ``ValueError``."""
-    if processes is not None and processes < 0:
+    ``0`` all CPUs.  A count that is not an integer raises ``TypeError``
+    and a negative one ``ValueError``, each naming ``processes``."""
+    if processes is None:
+        return 1
+    if not isinstance(processes, Integral):
+        raise TypeError(
+            f"processes must be an integer, got {type(processes).__name__}"
+        )
+    if processes < 0:
         raise ValueError(
             f"processes must be non-negative (0 = all CPUs), got {processes}"
         )
-    return 1 if processes is None else (processes or os.cpu_count() or 1)
+    return int(processes) or os.cpu_count() or 1
 
 
 def run_jobs(

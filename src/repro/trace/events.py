@@ -128,13 +128,20 @@ def _ue_count(value: object, name: str) -> int:
 def check_counts(num_ues: DeviceCounts) -> "int | Dict[DeviceType, int]":
     """``num_ues`` with every count whole and non-negative: the total,
     or a dict of counts per device type.  ``ValueError`` names
-    ``num_ues`` or ``num_ues[<DEVICE>]`` otherwise."""
-    if isinstance(num_ues, Mapping):
-        return {
-            DeviceType(k): _ue_count(v, f"num_ues[{DeviceType(k).name}]")
-            for k, v in num_ues.items()
-        }
-    return _ue_count(num_ues, "num_ues")
+    ``num_ues`` or ``num_ues[<DEVICE>]`` otherwise, a key that is not a
+    device type included."""
+    if not isinstance(num_ues, Mapping):
+        return _ue_count(num_ues, "num_ues")
+    counts = {}
+    for key, value in num_ues.items():
+        try:
+            device = DeviceType(key)
+        except ValueError:
+            raise ValueError(
+                f"num_ues keys must be device types, got {key!r}"
+            ) from None
+        counts[device] = _ue_count(value, f"num_ues[{device.name}]")
+    return counts
 
 
 #: Seconds per hour / day, used pervasively when slicing traces.

@@ -40,11 +40,19 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--processes", "2"], ["--progress"]])
+    def test_simulate_runs_in_one_process(self, flag, capsys):
+        """Ground truth has no worker pool, so ``simulate`` takes no
+        ``--processes`` (nor ``--progress``: it has no jobs to tick)."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(_minimal_args("simulate") + flag)
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
     def test_run_flags_shared(self):
-        """simulate, fit, generate and evaluate parse the run flags
-        identically."""
+        """fit, generate and evaluate parse the run flags identically."""
         parser = build_parser()
-        for command in ("simulate", "fit", "generate", "evaluate"):
+        for command in ("fit", "generate", "evaluate"):
             stub = _minimal_args(command)
             default = parser.parse_args(stub)
             assert (default.processes, default.telemetry, default.progress) == (
@@ -92,24 +100,19 @@ class TestSimulate:
         assert trace.num_ues <= 7
         assert "wrote" in capsys.readouterr().out
 
-    def test_processes_and_telemetry(self, tmp_path, capsys):
+    def test_telemetry(self, tmp_path, capsys):
         import json
 
-        base = [
+        report_path = tmp_path / "sim_tele.json"
+        assert main([
             "simulate", "--phones", "6", "--cars", "3", "--tablets", "2",
             "--hours", "2", "--start-hour", "18", "--seed", "4",
-        ]
-        report_path = tmp_path / "sim_tele.json"
-        assert main(base + [
-            "--processes", "2", "--telemetry", str(report_path),
-            "--out", str(tmp_path / "pooled.npz"),
+            "--telemetry", str(report_path), "--out", str(tmp_path / "t.npz"),
         ]) == 0
-        assert main(base + ["--out", str(tmp_path / "serial.npz")]) == 0
-        pooled = read_npz(tmp_path / "pooled.npz")
-        assert pooled == read_npz(tmp_path / "serial.npz")
         report = json.loads(report_path.read_text())
         assert report["run"]["command"] == "simulate"
-        assert report["counters"]["events_emitted"] == len(pooled)
+        assert "processes" not in report["run"]
+        assert report["counters"]["events_emitted"] == len(read_npz(tmp_path / "t.npz"))
         assert report["counters"]["ue_hours"] == 11 * 2
         assert "simulate" in report["spans"]
 
@@ -378,8 +381,13 @@ class TestBadValues:
              "num_hours must be positive, got 0"),
             (["simulate", "--ues", "10", "--hours", "-1", "--out", "{out}"],
              "--hours must be positive, got -1"),
+            (["simulate", "--ues", "10", "--seed", "-1", "--out", "{out}"],
+             "seed must be non-negative, got -1"),
         ],
-        ids=["scale5g-ho-scale-0", "generate-hours-0", "simulate-hours-minus-1"],
+        ids=[
+            "scale5g-ho-scale-0", "generate-hours-0", "simulate-hours-minus-1",
+            "simulate-seed-minus-1",
+        ],
     )
     def test_usage_error(self, workspace, capsys, argv, message):
         out = workspace / "out.npz"

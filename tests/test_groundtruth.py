@@ -30,6 +30,7 @@ from repro.telemetry import RunTelemetry, use_telemetry
 from repro.trace import (
     DeviceType,
     EventType,
+    Trace,
     breakdown_table,
     peak_to_trough_ratio,
 )
@@ -222,30 +223,53 @@ class TestSimulateGroundTruth:
         )
         assert set(trace.device_types.tolist()) <= {int(DeviceType.PHONE)}
 
-    def test_negative_processes_rejected(self):
-        with pytest.raises(ValueError, match="processes"):
-            simulate_ground_truth(3, 3600.0, processes=-1)
+    @pytest.mark.parametrize(
+        "seed,error", [(-1, ValueError), (1.5, TypeError)], ids=["minus-1", "1.5"]
+    )
+    def test_bad_seed_rejected(self, seed, error):
+        with pytest.raises(error, match="seed"):
+            simulate_ground_truth(3, 3600.0, seed=seed)
 
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_telemetry_counts(self, processes):
+    def test_seed_beyond_64_bits_accepted(self):
+        """``SeedSequence`` keys on the whole integer: no wrap mod 2^64."""
+        big = simulate_ground_truth(8, 3600.0, seed=2**64 + 3)
+        assert len(big) > 0
+        assert big != simulate_ground_truth(8, 3600.0, seed=3)
+
+    @pytest.mark.parametrize("key", ["PHONE", 7])
+    def test_unknown_device_key_rejected(self, key):
+        with pytest.raises(ValueError, match="num_ues"):
+            simulate_ground_truth({key: 3}, 3600.0)
+
+    @pytest.mark.parametrize("num_ues", [0, {DeviceType.PHONE: 0}], ids=["0", "phone-0"])
+    def test_empty_population(self, num_ues):
+        assert len(simulate_ground_truth(num_ues, 3600.0)) == 0
+
+    def test_telemetry_counts(self):
         tele = RunTelemetry()
         counts = {DeviceType.PHONE: 9, DeviceType.CONNECTED_CAR: 4, DeviceType.TABLET: 3}
         with use_telemetry(tele):
-            trace = simulate_ground_truth(
-                counts, 2 * 3600.0, start_hour=7, seed=2, processes=processes
-            )
+            trace = simulate_ground_truth(counts, 2 * 3600.0, start_hour=7, seed=2)
         assert tele.counters["events_emitted"] == len(trace) > 0
         assert tele.counters["ue_hours"] == 16 * 2
+        assert tele.counters["simulate_rounds"] > 0
         assert tele.spans["simulate"]["count"] == 1
 
-    def test_pooled_equals_serial(self):
+    def test_ue_ranges_are_independent(self):
+        """UE ``i``'s events depend on the seed and ``i`` alone: the
+        engine run on two UE ranges, split inside the car cohort, gives
+        the whole population's trace."""
         counts = {DeviceType.PHONE: 11, DeviceType.CONNECTED_CAR: 6, DeviceType.TABLET: 5}
-        serial = simulate_ground_truth(counts, 5400.0, start_hour=20, seed=8)
-        for processes in (2, 3):
-            pooled = simulate_ground_truth(
-                counts, 5400.0, start_hour=20, seed=8, processes=processes
-            )
-            assert pooled == serial
+        dev = np.repeat([int(dt) for dt in counts], list(counts.values()))
+        profiles = {dt: DEFAULT_PROFILES[dt] for dt in counts}
+        parts = [
+            simulator._Range(
+                profiles, np.arange(lo, hi), dev[lo:hi], 5400.0, 20.0, root_key(8)
+            ).columns()
+            for lo, hi in ((0, 14), (14, dev.size))
+        ]
+        joined = Trace(*(np.concatenate(column) for column in zip(*parts)))
+        assert joined == simulate_ground_truth(counts, 5400.0, start_hour=20, seed=8)
 
     def test_reproducible(self):
         a = simulate_ground_truth(20, 3600.0, seed=3)
@@ -540,16 +564,13 @@ class TestOracleEquality:
     def test_ground_truth_matches_oracle(self, pairs):
         assert failed_gates(pairs) == []
 
-    @pytest.mark.parametrize("processes", [1, 2])
-    def test_total_population_matches_oracle(self, processes):
+    def test_total_population_matches_oracle(self):
         """A total population splits and numbers its UEs as the oracle
         does, and replays without a violation."""
         expected = oracle_groundtruth.simulate_ground_truth(
             23, 3 * 3600.0, start_hour=16.5, seed=12
         )
-        actual = simulate_ground_truth(
-            23, 3 * 3600.0, start_hour=16.5, seed=12, processes=processes
-        )
+        actual = simulate_ground_truth(23, 3 * 3600.0, start_hour=16.5, seed=12)
         assert len(actual) > 0
         devices = dict(zip(expected.ue_ids.tolist(), expected.device_types.tolist()))
         devices.update(zip(actual.ue_ids.tolist(), actual.device_types.tolist()))

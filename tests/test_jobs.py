@@ -1,16 +1,14 @@
-"""The job runner (:mod:`repro.jobs`) behind generation, fitting,
-evaluation and ground-truth simulation.
+"""The job runner (:mod:`repro.jobs`) behind generation, fitting and
+evaluation.
 
-All four entry points share one ``processes`` contract, and the three
-job stages (generate, fit, simulate) one failure policy.  These tests
-pin the contract on every entry point and drive the retry paths of the
-fit and simulate stages with real worker deaths and poisoned jobs; an
-evaluation's fit and generate jobs are those stages' jobs.  The
-generation stage's crash and resume tests live in
-``test_checkpoint.py``.
+All three entry points share one ``processes`` contract, and the two
+job stages (generate, fit) one failure policy.  These tests pin the
+contract on every entry point and drive the retry paths with real
+worker deaths and poisoned jobs; an evaluation's fit and generate jobs
+are those stages' jobs.  The generation stage's crash and resume tests
+live in ``test_checkpoint.py``.
 """
 
-import contextlib
 import multiprocessing
 import os
 import subprocess
@@ -20,11 +18,10 @@ import pytest
 
 from repro import jobs
 from repro.generator import TrafficGenerator, traffgen
-from repro.groundtruth import simulate_ground_truth
 from repro.harness import evaluate_methods
 from repro.jobs import FAULT_ENV, JobFailedError
 from repro.model import compiled_fit, fit_model_set
-from repro.telemetry import RunTelemetry, use_telemetry
+from repro.telemetry import RunTelemetry
 
 from conftest import TRACE_START_HOUR, fresh_copy
 
@@ -37,7 +34,6 @@ EVAL = dict(
     seed=5,
 )
 GENERATE = dict(start_hour=TRACE_START_HOUR, num_hours=2, seed=3)
-SIMULATE = dict(duration=2 * 3600.0, start_hour=TRACE_START_HOUR, seed=6)
 
 
 def inject_fault(monkeypatch, tmp_path, stage, job, fails, mode):
@@ -72,14 +68,6 @@ def run_stage(ground_truth_trace, holdout_trace, ours_model_set):
                 telemetry=telemetry,
                 **GENERATE,
             )
-        if stage == "simulate":
-            # Ground truth reports to the ambient collector.
-            scope = (
-                use_telemetry(telemetry) if telemetry is not None
-                else contextlib.nullcontext()
-            )
-            with scope:
-                return simulate_ground_truth(40, processes=processes, **SIMULATE)
         if stage == "fit":
             return fit_model_set(
                 ground_truth_trace,
@@ -108,12 +96,11 @@ def serial_results(ground_truth_trace, holdout_trace, ours_model_set):
         "eval": evaluate_methods(
             ground_truth_trace, holdout_trace, **EVAL
         ).to_dict(),
-        "simulate": simulate_ground_truth(40, **SIMULATE),
     }
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("stage", ("generate", "fit", "eval", "simulate"))
+@pytest.mark.parametrize("stage", ("generate", "fit", "eval"))
 def test_all_cpus_equals_serial_and_negative_rejected(
     stage, run_stage, serial_results
 ):
@@ -125,13 +112,20 @@ def test_all_cpus_equals_serial_and_negative_rejected(
         run_stage(stage, -1)
 
 
+@pytest.mark.parametrize("processes", (1.5, float("nan")))
+@pytest.mark.parametrize("stage", ("generate", "fit", "eval"))
+def test_non_integral_processes_rejected(stage, processes, run_stage):
+    """A worker count that is not an integer is an error naming
+    ``processes`` before any job runs (1.5 used to reach the pool, NaN
+    to run inline)."""
+    with pytest.raises(TypeError, match="processes"):
+        run_stage(stage, processes)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "stage, counter",
-    [
-        ("fit", "fit_retries"),
-        ("simulate", "simulate_retries"),
-    ],
+    [("fit", "fit_retries")],
 )
 def test_killed_worker_recovers_exactly(
     stage, counter, run_stage, serial_results, tmp_path, monkeypatch
@@ -145,7 +139,7 @@ def test_killed_worker_recovers_exactly(
 
 
 #: Job 1 of each stage: the second 7-UE phone chunk; the phone fit of
-#: the second hour; the second half of the simulated UEs.
+#: the second hour.
 POISONED_LABELS = {
     "generate": {
         "device": "PHONE",
@@ -153,7 +147,6 @@ POISONED_LABELS = {
         "hours": (TRACE_START_HOUR, TRACE_START_HOUR + 2),
     },
     "fit": {"device": "PHONE", "hour": TRACE_START_HOUR + 1},
-    "simulate": {"UEs": (20, 40)},
 }
 
 
@@ -213,8 +206,8 @@ def test_pooled_job_sees_the_callers_trace(ground_truth_trace, monkeypatch):
 
 
 #: Run in a child interpreter under the start method in ``argv[1]``:
-#: pooled fit, generation and ground truth, each checked against its
-#: serial run by content hash.
+#: pooled fit and generation of a serially simulated trace, each
+#: checked against its serial run by content hash.
 _START_METHOD_CHILD = """
 import multiprocessing
 import sys
@@ -226,15 +219,12 @@ from repro.trace import DeviceType
 
 multiprocessing.set_start_method(sys.argv[1])
 ues = {DeviceType.PHONE: 20, DeviceType.CONNECTED_CAR: 8, DeviceType.TABLET: 6}
+trace = simulate_ground_truth(ues, 3600.0, start_hour=17, seed=6)
 runs = {
-    "simulate": lambda p: simulate_ground_truth(
-        ues, 3600.0, start_hour=17, seed=6, processes=p
+    "fit": lambda p: fit_model_set(
+        trace, theta_n=5, trace_start_hour=17, processes=p
     ),
 }
-trace = runs["simulate"](1)
-runs["fit"] = lambda p: fit_model_set(
-    trace, theta_n=5, trace_start_hour=17, processes=p
-)
 model = runs["fit"](1)
 runs["generate"] = lambda p: TrafficGenerator(model).generate(
     ues, start_hour=17, seed=3, processes=p
