@@ -14,9 +14,11 @@ the same volume, and baseline-synthesized traffic triggers protocol
 violations (``HO`` in IDLE) that the proposed model's traffic does not.
 The pool runs on :class:`~repro.mcn.network.CoreNetworkSimulator`'s
 engine: the MME is lowered once as a one-function core in which every
-event type is a one-step procedure at ``MME``.  Windows in which no
-event can wait are served in array passes; only windows in which
-events queue run the heap loop.
+event type is a one-step procedure at ``MME``.  The ``i``-th event is
+then message ``i`` and takes the ``i``-th factor of the jitter stream;
+with no follow-up in flight, events are also served in that order.
+Windows in which no event can wait are served in array passes; only
+windows in which events queue run the heap loop.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from ..statemachines.compiled_replay import replay_trace
 from ..telemetry import RunTelemetry, get_telemetry
 from ..trace.events import EventType
 from ..trace.trace import Trace
-from .network import _check_jitter, _check_seconds, _check_workers, _lower, _serve
+from .network import (
+    _check_jitter,
+    _check_seconds,
+    _check_seed,
+    _check_workers,
+    _lower,
+    _serve,
+)
 from .procedures import MME, Procedure, Step
 
 #: Default mean service time per event type, seconds.  Attach/detach do
@@ -88,7 +97,7 @@ class MmeSimulator:
             e: _check_seconds(f"service_means[{e.name}]", merged[e]) for e in EventType
         }
         self.service_jitter = _check_jitter(service_jitter)
-        self.seed = seed
+        self.seed = _check_seed(seed)
         self._lowered = _lower(
             {
                 e: Procedure(e.name, (Step(MME, e.name, mean),))

@@ -12,14 +12,15 @@ event heads a new one when it arrives after every earlier procedure
 could have finished without waiting.  Runs of whole clusters form
 windows of a few thousand events, which never interact.  Each window
 is served in NumPy array passes as a free-flow schedule, in which
-every step starts when it arrives.  Only the messages of clusters of
-several events can be served out of trace order; since service-time
-jitter is drawn in service order, their order is settled as a fixed
-point.  The schedule stands when it is the FIFO heap's pop order and
-a per-NF check proves that no message waits.  Otherwise the heap loop
-over messages serves the window, with the same jitter, and goes on
-into the next window while messages still queue.  Both give the same
-numbers.  :class:`~repro.mcn.mme.MmeSimulator` runs on the same
+every step starts when it arrives.  Step ``s`` of the ``i``-th handled
+event is message ``base[i] + s`` (its *identity*), and takes that
+factor of the service-time jitter stream, so a window's service times
+are known before any schedule.  The schedule stands when a per-NF
+check proves that no message waits.  Otherwise the heap loop over
+messages serves the window, with the same jitter, and goes on into
+the next window while messages still queue.  Both keep per-message
+outputs in identity order and latencies in event order, and give the
+same numbers.  :class:`~repro.mcn.mme.MmeSimulator` runs on the same
 engine, lowered as a one-function core.
 
 Outputs answer the questions the paper's generator exists to answer:
@@ -35,8 +36,7 @@ import heapq
 import math
 import numbers
 from array import array
-from itertools import repeat
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class CoreReport:
 
     def bottleneck(self) -> Optional[str]:
         """The most utilized network function, or ``None`` if no messages flowed."""
-        if not self.functions:
+        if self.num_messages == 0:
             return None
         return max(self.functions.values(), key=lambda f: f.utilization).name
 
@@ -161,6 +161,16 @@ def _check_seconds(name: str, value: float) -> float:
     return float(value)
 
 
+def _check_seed(value: int) -> int:
+    """``value`` as a jitter seed: ``TypeError`` for a non-integer and
+    ``ValueError`` for a negative one, each naming ``seed``."""
+    if not isinstance(value, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {type(value).__name__}")
+    if value < 0:
+        raise ValueError(f"seed must be non-negative, got {value}")
+    return value
+
+
 def _check_jitter(value: float) -> float:
     if not 0.0 <= value < 1.0:
         raise ValueError(f"service_jitter must be in [0, 1), got {value!r}")
@@ -171,11 +181,6 @@ def _check_jitter(value: float) -> float:
 #: cluster boundary before that point (or the first one after it).
 WINDOW_EVENTS = 4096
 
-#: Passes the service order of a window's shared clusters gets to
-#: settle in; a window whose order still moves after them goes to the
-#: heap loop.
-ORDER_PASSES = 10
-
 #: Seconds added to each procedure's latest free-flow end when events
 #: are split into clusters, so that rounding never makes two touch.
 _CUT_SLACK = 1e-6
@@ -183,7 +188,7 @@ _CUT_SLACK = 1e-6
 
 class _Served(NamedTuple):
     """What one run of :func:`_serve` measured.  Per-message values are
-    in service order."""
+    in identity order, latencies in event order (see :func:`_serve`)."""
 
     num_events: int                 #: events that launched a procedure
     num_messages: int               #: messages served
@@ -196,13 +201,13 @@ class _Served(NamedTuple):
 
 
 class _Window(NamedTuple):
-    """What one window measured, in service order."""
+    """What one window measured: per message in identity order, per
+    event in event order."""
 
-    services: np.ndarray               #: each message's service time
-    nfs: np.ndarray                    #: each message's NF index
-    waits: Optional[List[np.ndarray]]  #: per NF; ``None`` when nothing waited
-    latencies: np.ndarray              #: each procedure's latency, by last step
-    buckets: np.ndarray                #: the latency bucket of each
+    services: np.ndarray          #: each message's service time
+    nfs: np.ndarray               #: each message's NF index
+    waits: Optional[np.ndarray]   #: each message's wait; ``None`` when nothing waited
+    latencies: np.ndarray         #: each event's latency (empty when not kept)
 
 
 class _Tally:
@@ -210,9 +215,9 @@ class _Tally:
 
     ``waits`` start as ``np.zeros`` and are written only for windows in
     which something waited.  ``busy`` goes on as one sequential sum per
-    NF across windows.  Latencies are kept in service order with their
-    buckets, and split by bucket at the end; with ``services``, per-NF
-    service times are kept instead.
+    NF across windows.  Latencies are kept in event order, and split by
+    bucket at the end; with ``services``, per-NF service times are kept
+    instead.
     """
 
     def __init__(self, per_nf: np.ndarray, num_events: int, services: bool) -> None:
@@ -220,7 +225,6 @@ class _Tally:
         self.busy = np.zeros(len(per_nf))
         self.services = [np.empty(int(k)) for k in per_nf] if services else []
         self.latencies = np.empty(0 if services else num_events)
-        self.buckets = np.empty(self.latencies.size, dtype=np.int8)
         self._nf_at = np.zeros(len(per_nf), dtype=np.int64)
         self._event_at = 0
 
@@ -234,22 +238,23 @@ class _Tally:
             minlength=num_nfs,
         )
         ends = self._nf_at + np.bincount(window.nfs, minlength=num_nfs)
-        for nf, (at, end) in enumerate(zip(self._nf_at.tolist(), ends.tolist())):
-            if self.services:
-                self.services[nf][at:end] = window.services[window.nfs == nf]
-            if window.waits is not None:
-                self.waits[nf][at:end] = window.waits[nf]
+        if self.services or window.waits is not None:
+            for nf, (at, end) in enumerate(zip(self._nf_at.tolist(), ends.tolist())):
+                mine = window.nfs == nf
+                if self.services:
+                    self.services[nf][at:end] = window.services[mine]
+                if window.waits is not None:
+                    self.waits[nf][at:end] = window.waits[mine]
         self._nf_at = ends
         if self.latencies.size:
             at, end = self._event_at, self._event_at + window.latencies.size
             self.latencies[at:end] = window.latencies
-            self.buckets[at:end] = window.buckets
             self._event_at = end
 
-    def by_bucket(self, num_buckets: int) -> List[np.ndarray]:
-        """The latencies of each bucket, in service order."""
-        grouped = self.latencies[np.argsort(self.buckets, kind="stable")]
-        ends = np.cumsum(np.bincount(self.buckets, minlength=num_buckets))
+    def by_bucket(self, buckets: np.ndarray, num_buckets: int) -> List[np.ndarray]:
+        """The latencies of each bucket (given per event), in event order."""
+        grouped = self.latencies[np.argsort(buckets, kind="stable")]
+        ends = np.cumsum(np.bincount(buckets, minlength=num_buckets))
         return np.split(grouped, ends[:-1])
 
 
@@ -292,97 +297,44 @@ def _plan_windows(
     return starts, heads
 
 
-class _Steps:
-    """The messages of some events, laid out step-major.
-
-    Block ``s`` holds step ``s`` of the events with more than ``s``
-    steps, longest procedures first, so each block is a prefix of the
-    one before and a message's successor sits at the same position in
-    the next block: a free-flow schedule is a few slice additions.
-    ``events`` maps block 0 back to the events given; ``base`` is each
-    event's rank, were events served one by one (see :func:`_flow`).
-    """
-
-    def __init__(self, low: _LoweredCore, proc: np.ndarray, base: np.ndarray) -> None:
-        counts = low.step_counts[proc]
-        self.events = np.argsort(-counts, kind="stable")
-        proc, base, counts = proc[self.events], base[self.events], counts[self.events]
-        self.sizes = (proc.size - np.cumsum(np.bincount(counts)))[: counts[0]].tolist()
-        self.offsets = np.concatenate(([0], np.cumsum(self.sizes))).tolist()
-        first = low.first_step[proc]
-        self.g = np.empty(self.offsets[-1], dtype=np.intp)
-        self.rank = np.empty(self.offsets[-1], dtype=np.intp)
-        for s, size in enumerate(self.sizes):
-            block = slice(self.offsets[s], self.offsets[s] + size)
-            np.add(first[:size], s, out=self.g[block])
-            np.add(base[:size], s, out=self.rank[block])
-        #: Each event's last message, in block-0 order.
-        self.last = np.array(self.offsets)[counts - 1] + np.arange(proc.size)
-        self.mean = low.step_mean[self.g]
-
-    def schedule(
-        self, arrivals: np.ndarray, service: np.ndarray, link_delay: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Free-flow arrival and finish times: a step starts when it
-        arrives, and its successor arrives ``link_delay`` after it
-        finishes.  ``arrivals`` are in block-0 order."""
-        starts = np.empty(self.offsets[-1])
-        finish = np.empty(self.offsets[-1])
-        starts[: self.sizes[0]] = arrivals
-        for s, size in enumerate(self.sizes):
-            lo = self.offsets[s]
-            np.add(starts[lo : lo + size], service[lo : lo + size], out=finish[lo : lo + size])
-            if s + 1 < len(self.sizes):
-                nxt, hi = self.offsets[s + 1], self.sizes[s + 1]
-                np.add(finish[lo : lo + hi], link_delay, out=starts[nxt : nxt + hi])
-        return starts, finish
-
-    def successors(self) -> np.ndarray:
-        """Each message's successor, -1 after an event's last step."""
-        succ = np.full(self.offsets[-1], -1, dtype=np.intp)
-        for s in range(len(self.sizes) - 1):
-            lo, nxt = self.offsets[s], self.offsets[s + 1]
-            succ[lo : lo + self.sizes[s + 1]] = np.arange(nxt, nxt + self.sizes[s + 1])
-        return succ
-
-    def keys(self, rank: np.ndarray, initial: np.ndarray, offset: int) -> np.ndarray:
-        """Each message's heap tie-break: an initial step's event index
-        ``initial`` (block-0 order), and a follow-up's predecessor's
-        ``rank`` plus ``offset``, which must exceed every event index."""
-        key = np.empty(self.offsets[-1], dtype=np.intp)
-        key[: self.sizes[0]] = initial
-        for s in range(1, len(self.sizes)):
-            lo, prev, size = self.offsets[s], self.offsets[s - 1], self.sizes[s]
-            np.add(rank[prev : prev + size], offset, out=key[lo : lo + size])
-        return key
+def _messages(
+    low: _LoweredCore, proc: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each event's first message identity, counted from the first
+    event's, and each message's step ``g``, in identity order."""
+    base = np.cumsum(counts) - counts
+    num_messages = int(base[-1] + counts[-1])
+    return base, np.repeat(low.first_step[proc] - base, counts) + np.arange(num_messages)
 
 
-def _last_finish(
+def _free_flow(
     service: np.ndarray,
     base: np.ndarray,
     counts: np.ndarray,
     arrivals: np.ndarray,
     link_delay: float,
-) -> np.ndarray:
-    """When each event's last step finishes in free flow, its ``s``-th
-    step taking ``service[base + s]``: :meth:`_Steps.schedule`'s sums,
-    kept for the last steps only, without laying the messages out."""
-    last = arrivals + service[base]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Free-flow start and finish of each message, in identity order:
+    an event's first step starts at its arrival, a step finishes
+    ``service`` after it starts, and its successor starts ``link_delay``
+    after that.  These are the loop's own sums when nothing waits."""
     longest = int(counts.max())
     if longest == 1:
-        return last
+        return arrivals, arrivals + service
+    starts = np.empty(service.size)
+    finish = np.empty(service.size)
     # Longest procedures first: the events with more than ``s`` steps
     # are a prefix.
     order = np.argsort(-counts, kind="stable")
     more = (order.size - np.cumsum(np.bincount(counts)))[:longest].tolist()
-    base, finish = base[order], last[order]
-    for s in range(1, longest):
-        size = more[s]
-        last[order[size : more[s - 1]]] = finish[size:]
-        finish = finish[:size] + link_delay
-        finish += service[base[:size] + s]
-    last[order[: more[-1]]] = finish
-    return last
+    first, t = base[order], arrivals[order]
+    for s, size in enumerate(more):
+        ids = first[:size] + s
+        starts[ids] = t[:size]
+        t = t[:size] + service[ids]
+        finish[ids] = t
+        t += link_delay
+    return starts, finish
 
 
 def _flow(
@@ -399,38 +351,16 @@ def _flow(
 ) -> Optional[_Window]:
     """Serve one window wait-free in array passes.
 
-    ``None`` when the service order of its shared clusters does not
-    settle, when a message might wait, or when a cluster runs into the
+    ``None`` when a message might wait, or when a cluster runs into the
     next one; the heap loop serves the window then.
     """
-    # Were the events served one by one, in trace order, event ``e``'s
-    # step ``s`` would be the ``base[e] + s``-th message served and take
-    # that factor.  An event alone in its cluster is served so.
-    base = np.cumsum(counts) - counts
-    num_messages = int(base[-1] + counts[-1])
-    step_at = np.repeat(low.first_step[proc] - base, counts) + np.arange(num_messages)
-    service_at = low.step_mean[step_at]
+    base, step_at = _messages(low, proc, counts)
+    service = low.step_mean[step_at]
     if factors is not None:
-        service_at *= factors
-    last_finish = _last_finish(service_at, base, counts, arrivals, link_delay)
-    last_rank = base + counts - 1
-
-    # The window ends where a cluster does.
-    bounds = np.append(heads, True)
-    shared = np.flatnonzero(~(bounds[:-1] & bounds[1:]))
-    if shared.size:
-        steps = _Steps(low, proc[shared], base[shared])
-        events = shared[steps.events]
-        settled = _settle(
-            low, workers, steps, events, arrivals[events], service_at, factors, link_delay
-        )
-        if settled is None:
-            return None
-        rank, service, finish = settled
-        step_at[rank] = steps.g
-        service_at[rank] = service
-        last_finish[events] = finish[steps.last]
-        last_rank[events] = rank[steps.last]
+        service *= factors
+    starts, finish = _free_flow(service, base, counts, arrivals, link_delay)
+    last_finish = finish[base + counts - 1]
+    nfs = low.step_nf[step_at]
 
     # Clusters must not meet: each starts after every earlier message
     # finished (so also after it arrived).  Then a message can wait only
@@ -439,93 +369,39 @@ def _flow(
     later = np.flatnonzero(heads[1:])
     if latest[-1] >= next_arrival or (arrivals[later + 1] <= latest[later]).any():
         return None
-    if latencies:
-        by_rank = np.argsort(last_rank, kind="stable")
-        values, buckets = (last_finish - arrivals)[by_rank], low.proc_latency[proc[by_rank]]
-    else:
-        values, buckets = np.empty(0), np.empty(0, dtype=np.int8)
-    return _Window(service_at, low.step_nf[step_at], None, values, buckets)
-
-
-def _settle(
-    low: _LoweredCore,
-    workers: Sequence[int],
-    steps: _Steps,
-    events: np.ndarray,
-    arrivals: np.ndarray,
-    service_at: np.ndarray,
-    factors: Optional[np.ndarray],
-    link_delay: float,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Service ranks, service times and finishes of the messages of a
-    window's shared clusters (``steps``, of the window's ``events``), or
-    ``None`` if their order does not settle or one of them might wait.
-
-    The messages keep the ranks they would have were the events served
-    one by one; which message takes which is a fixed point, as the
-    factors go by rank and the times by the factors: sort, reassign
-    factors, recompute times, until the order holds still.  A settled
-    order is the heap's pop order (:func:`_in_pop_order`).
-    """
-    rank = steps.rank
-    moving = np.argsort(rank)
-    slots = rank[moving]
-    slot_factors = factors[slots] if factors is not None else None
-    service = service_at[rank]
-    succ = steps.successors()
-    # Initial steps in trace order, then follow-ups in their
-    # predecessors' order: a stable sort by time breaks ties as the
-    # heap's push counter does.
-    initial = np.argsort(events)
-    for _ in range(ORDER_PASSES):
-        starts, finish = steps.schedule(arrivals, service, link_delay)
-        # The window's message count exceeds every event index.
-        if _in_pop_order(starts, moving, lambda: steps.keys(rank, events, service_at.size)):
-            break
-        following = succ[moving]
-        candidates = np.concatenate((initial, following[following >= 0]))
-        moving = candidates[np.argsort(starts[candidates], kind="stable")]
-        rank[moving] = slots
-        if slot_factors is not None:
-            service[moving] = steps.mean[moving] * slot_factors
-    else:
-        return None
-    # No message waits if each arrives no earlier than the latest finish
-    # among all but the last ``workers - 1`` messages before it at its
-    # NF: one of the NF's workers is free by then.
-    nf = low.step_nf[steps.g[moving]]
-    by_nf = moving[np.argsort(nf, kind="stable")]
-    t, done = starts[by_nf], finish[by_nf]
-    lo = 0
-    for size, hi in zip(workers, np.cumsum(np.bincount(nf, minlength=len(workers))).tolist()):
-        if hi - lo > size and (
-            t[lo + size : hi] < np.maximum.accumulate(done[lo : hi - size])
-        ).any():
-            return None
-        lo = hi
-    return rank, service, finish
-
-
-def _in_pop_order(starts: np.ndarray, ids: np.ndarray, keys: Callable[[], np.ndarray]) -> bool:
-    """Whether the heap pops messages ``ids`` in this order: by time,
-    then by tie-break key (``keys()`` builds them only if times tie)."""
-    t = starts[ids]
-    if (t[1:] < t[:-1]).any():
-        return False
-    tie = t[1:] == t[:-1]
-    if not tie.any():
-        return True
-    key = keys()[ids]
-    return not (key[1:][tie] <= key[:-1][tie]).any()
+    # In a cluster of several events, no message waits if each arrives
+    # no earlier than the latest finish among all but the last
+    # ``workers - 1`` messages before it at its NF: one of the NF's
+    # workers is free by then.  Messages are taken by arrival, a time
+    # tie longest finish first, which bounds every order of the tie.
+    bounds = np.append(heads, True)
+    shared = np.repeat(~(bounds[:-1] & bounds[1:]), counts)
+    if shared.any():
+        nf, t, done = nfs[shared], starts[shared], finish[shared]
+        by_nf = np.lexsort((-done, t, nf))
+        t, done = t[by_nf], done[by_nf]
+        lo = 0
+        for size, hi in zip(workers, np.cumsum(np.bincount(nf, minlength=len(workers))).tolist()):
+            if hi - lo > size and (
+                t[lo + size : hi] < np.maximum.accumulate(done[lo : hi - size])
+            ).any():
+                return None
+            lo = hi
+    values = last_finish - arrivals if latencies else np.empty(0)
+    return _Window(service, nfs, None, values)
 
 
 class _Loop:
-    """The FIFO heap loop over the handled events from ``start`` on.
+    """The FIFO heap loop over handled events, from the first of
+    ``arrivals`` and ``first_steps`` on.
 
-    :meth:`serve` pops the next ``count`` messages in time order; on a
-    time tie an initial step goes first, then follow-ups in launch
-    order.  Its state carries over, so a run that has not settled by
-    the next window's first arrival goes on into that window.
+    :meth:`serve` pops messages in time order; on a time tie an initial
+    step goes first, then follow-ups in launch order.  Message ``m``,
+    counted from the loop's first, takes the ``m``-th factor
+    :meth:`add` was given and writes its outputs at ``m``; an event's
+    latency goes at the event.  The state carries over, so a run that
+    has not settled by the next window's first arrival goes on into
+    that window.
     """
 
     def __init__(
@@ -534,77 +410,90 @@ class _Loop:
         workers: Sequence[int],
         arrivals: memoryview,
         first_steps: memoryview,
-        start: int,
         link_delay: float,
     ) -> None:
         self.arrivals = arrivals
         self.first_steps = first_steps
-        self.i = start
+        self.i = 0
         self.link_delay = link_delay
-        self.pools = [[arrivals[start]] * size for size in workers]
-        # In-flight follow-up steps: (time, counter, step, event time).
+        self.pools = [[arrivals[0]] * size for size in workers]
+        # In-flight follow-up steps: (time, counter, step, message, event).
         # An initial step wins a time tie: its counter would be smaller.
-        self.pending: List[Tuple[float, int, int, float]] = []
+        self.pending: List[Tuple[float, int, int, int, int]] = []
         self.counter = 0
-        self.waits = [array("d") for _ in workers]
-        self.services = [array("d") for _ in workers]
-        self.latencies = [array("d") for _ in low.latency_names]
-        step_nf = low.step_nf.tolist()
+        self.first_message = array("q")
+        self.factors = array("d")
+        self.waits = array("d")
+        self.services = array("d")
+        self.latencies = array("d")
         self.step_mean = low.step_mean.tolist()
         self.next_step = [
             -1 if last else g + 1 for g, last in enumerate(low.step_last.tolist())
         ]
-        self.pool_of = [self.pools[nf] for nf in step_nf]
-        self.wait_of = [self.waits[nf].append for nf in step_nf]
-        self.service_of = [self.services[nf].append for nf in step_nf]
-        self.latency_of = [self.latencies[b].append for b in low.step_latency.tolist()]
+        self.pool_of = [self.pools[nf] for nf in low.step_nf.tolist()]
 
-    def serve(self, factors: Optional[np.ndarray], count: int) -> None:
-        arrivals, first_steps, link_delay = self.arrivals, self.first_steps, self.link_delay
+    def add(self, factors: Optional[np.ndarray], counts: np.ndarray) -> None:
+        """Take on the next window: events of ``counts`` steps, whose
+        messages take ``factors`` (ones if ``None``)."""
+        base = np.cumsum(counts, dtype=np.int64) - counts
+        messages = int(base[-1] + counts[-1])
+        self.first_message.frombytes((base + len(self.factors)).tobytes())
+        self.factors.frombytes((factors if factors is not None else np.ones(messages)).tobytes())
+        self.waits.frombytes(bytes(8 * messages))
+        self.services.frombytes(bytes(8 * messages))
+        self.latencies.frombytes(bytes(8 * counts.size))
+
+    def serve(self, end: int) -> None:
+        """Pop messages until the next one would be event ``end``'s
+        first step, or none is left."""
+        arrivals, first_steps, first_message = self.arrivals, self.first_steps, self.first_message
+        factors, waits, services = self.factors, self.waits, self.services
         step_mean, next_step, pool_of = self.step_mean, self.next_step, self.pool_of
-        wait_of, service_of, latency_of = self.wait_of, self.service_of, self.latency_of
+        latencies, link_delay = self.latencies, self.link_delay
         pending, i, counter = self.pending, self.i, self.counter
-        num_events = len(arrivals)
-        for factor in memoryview(factors) if factors is not None else repeat(1.0, count):
-            if i < num_events and (not pending or arrivals[i] <= pending[0][0]):
-                t = started = arrivals[i]
+        next_arrival = arrivals[end] if end < len(arrivals) else math.inf
+        while True:
+            if i < end and (not pending or arrivals[i] <= pending[0][0]):
+                t = arrivals[i]
                 g = first_steps[i]
+                m = first_message[i]
+                e = i
                 i += 1
+            elif pending and pending[0][0] < next_arrival:
+                t, _, g, m, e = heapq.heappop(pending)
             else:
-                t, _, g, started = heapq.heappop(pending)
-            service = step_mean[g] * factor
+                break
+            service = step_mean[g] * factors[m]
             pool = pool_of[g]
             free = pool[0]
-            start = t if t >= free else free
-            finish = start + service
+            begin = t if t >= free else free
+            finish = begin + service
             heapq.heapreplace(pool, finish)
-            wait_of[g](start - t)
-            service_of[g](service)
+            waits[m] = begin - t
+            services[m] = service
             following = next_step[g]
             if following >= 0:
-                heapq.heappush(pending, (finish + link_delay, counter, following, started))
+                heapq.heappush(pending, (finish + link_delay, counter, following, m + 1, e))
                 counter += 1
             else:
-                latency_of[g](finish - started)
+                latencies[e] = finish - arrivals[e]
         self.i, self.counter = i, counter
 
-    def settled(self, start: int) -> bool:
+    def settled(self, end: int) -> bool:
         """Whether every message so far was served before the event at
-        ``start`` arrives, and every worker is free by then."""
-        if self.i != start or self.pending:
+        ``end`` arrives, and every worker is free by then."""
+        if self.pending:
             return False
-        arrival = self.arrivals[start]
+        arrival = self.arrivals[end]
         return all(max(pool) <= arrival for pool in self.pools)
 
-    def window(self) -> _Window:
-        per_nf = [len(values) for values in self.services]
-        per_bucket = [len(values) for values in self.latencies]
+    def window(self, nfs: np.ndarray) -> _Window:
+        """What the loop measured, its messages at NFs ``nfs``."""
         return _Window(
-            services=np.concatenate([np.frombuffer(v) for v in self.services]),
-            nfs=np.repeat(np.arange(len(per_nf)), per_nf),
-            waits=[np.frombuffer(values) for values in self.waits],
-            latencies=np.concatenate([np.frombuffer(v) for v in self.latencies]),
-            buckets=np.repeat(np.arange(len(per_bucket), dtype=np.int8), per_bucket),
+            np.frombuffer(self.services),
+            nfs,
+            np.frombuffer(self.waits),
+            np.frombuffer(self.latencies),
         )
 
 
@@ -623,9 +512,12 @@ def _serve(
 
     A step's successor arrives ``link_delay`` after it finishes.  On a
     time tie an initial step goes first, then follow-ups in launch
-    order.  The ``k``-th message served takes the ``k``-th factor of
-    one ``default_rng(seed).uniform(1 - j, 1 + j)`` batch (ones when
-    ``j == 0``).
+    order.  Step ``s`` of the ``i``-th handled event is message
+    ``base[i] + s``, ``base`` the running sum of step counts: its
+    *identity*.  Message ``m`` takes the ``m``-th factor of one
+    ``default_rng(seed).uniform(1 - j, 1 + j)`` stream (ones when
+    ``j == 0``), and per-message outputs are kept in identity order,
+    per-event ones in event order, however the messages were served.
 
     The events are split into windows that cannot interact
     (:func:`_plan_windows`).  A window is served in array passes
@@ -651,7 +543,10 @@ def _serve(
         num_messages=int(per_nf.sum()),
         waits=tally.waits,
         busy=tally.busy.tolist(),
-        latencies=[] if services else tally.by_bucket(len(low.latency_names)),
+        latencies=(
+            [] if services
+            else tally.by_bucket(low.proc_latency[proc], len(low.latency_names))
+        ),
         services=tally.services,
         windows=windows,
         queued_windows=queued,
@@ -705,15 +600,17 @@ def _serve_windows(
             continue
         if first_steps is None:
             first_steps = memoryview(low.first_step[proc])
-        loop = _Loop(low, workers, memoryview(arrivals), first_steps, a, link_delay)
+        loop = _Loop(low, workers, memoryview(arrivals)[a:], first_steps[a:], link_delay)
         while True:
-            loop.serve(factors, messages[w])
+            loop.add(factors, counts[starts[w] : starts[w + 1]])
+            loop.serve(starts[w + 1] - a)
             queued += 1
             w += 1
-            if w == len(messages) or loop.settled(starts[w]):
+            if w == len(messages) or loop.settled(starts[w] - a):
                 break
             factors = draw(w)
-        tally.add(loop.window())
+        b = starts[w]
+        tally.add(loop.window(low.step_nf[_messages(low, proc[a:b], counts[a:b])[1]]))
     return len(messages), queued
 
 
@@ -732,6 +629,10 @@ class CoreNetworkSimulator:
         One-way inter-NF message delay, seconds (same-datacenter scale).
     service_jitter:
         Uniform +/- fraction applied to each step's mean service time.
+    seed:
+        Non-negative integer seed of the jitter stream: step ``s`` of
+        the ``i``-th handled event takes the stream's ``base[i] + s``-th
+        factor, ``base`` the running sum of step counts.
     """
 
     def __init__(
@@ -762,7 +663,7 @@ class CoreNetworkSimulator:
             self.workers = {nf: count for nf in self.function_names}
         self.link_delay = _check_seconds("link_delay", link_delay)
         self.service_jitter = _check_jitter(service_jitter)
-        self.seed = seed
+        self.seed = _check_seed(seed)
         self._lowered = _lower(self.procedures, self.function_names)
 
     # ------------------------------------------------------------------

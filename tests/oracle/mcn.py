@@ -4,6 +4,11 @@ These are the original event-heap implementations of
 ``CoreNetworkSimulator`` and ``MmeSimulator``: one ``heapq`` entry per
 message, one scalar ``rng.uniform`` call per service time, and a
 per-UE dict walk of the two-level machine for MME protocol checks.
+Both walks give step ``s`` of the ``i``-th handled event the message
+identity ``base[i] + s`` (``base`` the running sum of step counts);
+``core_report`` gives each message its identity's jitter factor and
+keeps waits, busy time and latencies in identity (and event) order.
+The MME's one-step procedures are served in identity order anyway.
 The production engine in :mod:`repro.mcn` lowers the same simulation
 to per-step tables and draws the jitter in batches.  It serves each
 window of quiet traffic as a free-flow schedule in array passes, and
@@ -34,36 +39,47 @@ from repro.trace.trace import Trace
 
 
 class _FunctionQueue:
-    """A FIFO pool of ``workers`` servers for one network function."""
+    """A FIFO pool of ``workers`` servers for one network function; it
+    records each message's wait and service time under its identity."""
 
-    __slots__ = ("name", "free_at", "busy", "waits")
+    __slots__ = ("name", "free_at", "services", "waits")
 
     def __init__(self, name: str, workers: int, start: float) -> None:
         self.name = name
         self.free_at = [start] * workers
         heapq.heapify(self.free_at)
-        self.busy = 0.0
-        self.waits: List[float] = []
+        self.services: Dict[int, float] = {}
+        self.waits: Dict[int, float] = {}
 
-    def serve(self, arrival: float, service: float) -> float:
+    def serve(self, arrival: float, service: float, message: int) -> float:
         """Admit a message; return its completion time."""
         free = heapq.heappop(self.free_at)
         start = max(arrival, free)
         finish = start + service
         heapq.heappush(self.free_at, finish)
-        self.waits.append(start - arrival)
-        self.busy += service
+        self.waits[message] = start - arrival
+        self.services[message] = service
         return finish
+
+    @property
+    def busy(self) -> float:
+        """The sequential sum of service times, in identity order."""
+        busy = 0.0
+        for message in sorted(self.services):
+            busy += self.services[message]
+        return busy
 
 
 def core_report(sim: CoreNetworkSimulator, trace: Trace) -> CoreReport:
-    """Drive ``trace`` through ``sim``'s core one heap step per message."""
-    rng = np.random.default_rng(sim.seed)
+    """Drive ``trace`` through ``sim``'s core one heap step per message.
 
-    def service_time(mean: float) -> float:
-        if sim.service_jitter == 0:
-            return mean
-        return mean * rng.uniform(1.0 - sim.service_jitter, 1.0 + sim.service_jitter)
+    Step ``s`` of the ``i``-th handled event is message ``base[i] + s``
+    (``base`` the running sum of step counts), its identity: it takes
+    the identity's factor, drawn one per message in identity order
+    before the walk, and waits, busy time and latencies are recorded
+    and reduced in identity (and event) order, not in service order.
+    """
+    rng = np.random.default_rng(sim.seed)
 
     if len(trace) == 0:
         return CoreReport(
@@ -81,9 +97,12 @@ def core_report(sim: CoreNetworkSimulator, trace: Trace) -> CoreReport:
     latencies: Dict[str, List[float]] = {p.name: [] for p in sim.procedures.values()}
     skipped = 0
 
-    # Event heap entries: (time, tiebreak, procedure, step_idx, event_t0)
+    # Event heap entries: (time, tiebreak, procedure, step_idx, event_t0,
+    # message identity, event index)
     counter = itertools.count()
-    heap: List[Tuple[float, int, Procedure, int, float]] = []
+    heap: List[Tuple[float, int, Procedure, int, float, int, int]] = []
+    handled: List[Procedure] = []
+    num_messages = 0
     for i in range(len(trace)):
         event = EventType(int(trace.event_types[i]))
         procedure = sim.procedures.get(event)
@@ -91,28 +110,34 @@ def core_report(sim: CoreNetworkSimulator, trace: Trace) -> CoreReport:
             skipped += 1  # e.g. TAU driven into a 5GC
             continue
         t = float(trace.times[i])
-        heapq.heappush(heap, (t, next(counter), procedure, 0, t))
+        heapq.heappush(heap, (t, next(counter), procedure, 0, t, num_messages, len(handled)))
+        handled.append(procedure)
+        num_messages += len(procedure.steps)
 
-    num_messages = 0
+    j = sim.service_jitter
+    factors = [rng.uniform(1.0 - j, 1.0 + j) if j else 1.0 for _ in range(num_messages)]
+    event_latency: List[float] = [0.0] * len(handled)
     while heap:
-        t, _, procedure, step_idx, started = heapq.heappop(heap)
+        t, _, procedure, step_idx, started, message, index = heapq.heappop(heap)
         step = procedure.steps[step_idx]
-        service = service_time(step.service_mean)
-        finish = queues[step.nf].serve(t, service)
-        num_messages += 1
+        service = step.service_mean * factors[message]
+        finish = queues[step.nf].serve(t, service, message)
         if step_idx + 1 < len(procedure.steps):
             heapq.heappush(
                 heap,
-                (finish + sim.link_delay, next(counter), procedure, step_idx + 1, started),
+                (finish + sim.link_delay, next(counter), procedure, step_idx + 1, started,
+                 message + 1, index),
             )
         else:
-            latencies[procedure.name].append(finish - started)
+            event_latency[index] = finish - started
+    for procedure, latency in zip(handled, event_latency):
+        latencies[procedure.name].append(latency)
 
     span = float(trace.times[-1] - trace.times[0])
     capacity = {nf: sim.workers[nf] * max(span, 1e-9) for nf in queues}
     functions = {}
     for nf, queue in queues.items():
-        waits = np.asarray(queue.waits) if queue.waits else np.zeros(1)
+        waits = np.asarray([queue.waits[m] for m in sorted(queue.waits)] or [0.0])
         functions[nf] = FunctionReport(
             name=nf,
             messages=len(queue.waits),

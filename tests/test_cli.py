@@ -383,16 +383,21 @@ class TestBadValues:
              "--hours must be positive, got -1"),
             (["simulate", "--ues", "10", "--seed", "-1", "--out", "{out}"],
              "seed must be non-negative, got -1"),
+            (["core", "--trace", "{trace}", "--seed", "-1"],
+             "seed must be non-negative, got -1"),
+            (["mme", "--trace", "{trace}", "--seed", "-1"],
+             "seed must be non-negative, got -1"),
         ],
         ids=[
             "scale5g-ho-scale-0", "generate-hours-0", "simulate-hours-minus-1",
-            "simulate-seed-minus-1",
+            "simulate-seed-minus-1", "core-seed-minus-1", "mme-seed-minus-1",
         ],
     )
     def test_usage_error(self, workspace, capsys, argv, message):
         out = workspace / "out.npz"
         argv = [
-            a.format(model=workspace / "model.json.gz", out=out) for a in argv
+            a.format(model=workspace / "model.json.gz", out=out, trace=workspace / "real.npz")
+            for a in argv
         ]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

@@ -180,6 +180,22 @@ class TestMcnBoundaries:
         report = CoreNetworkSimulator().process(Trace.empty())
         assert report.bottleneck() is None
 
+    def test_core_report_without_messages_has_no_bottleneck(self, tmp_path, capsys):
+        """A TAU-only trace launches no 5GC procedure: no message flows,
+        so there is no bottleneck, and ``repro core`` says so."""
+        from repro.cli import main
+        from repro.mcn import CoreNetworkSimulator
+        from repro.trace import write_npz
+
+        tr = make_trace([(1, 5.0, E.TAU, P), (2, 6.0, E.TAU, P)])
+        report = CoreNetworkSimulator("5gc").process(tr)
+        assert report.num_messages == 0
+        assert report.bottleneck() is None
+        path = tmp_path / "tau.npz"
+        write_npz(tr, path)
+        assert main(["core", "--core", "5gc", "--trace", str(path)]) == 0
+        assert "bottleneck: (no traffic)" in capsys.readouterr().out
+
     def test_core_nonempty_report_names_bottleneck(self):
         from repro.mcn import CoreNetworkSimulator
 

@@ -19,6 +19,7 @@ from repro.mcn import (
     FIVEGC_PROCEDURES,
     CoreNetworkSimulator,
     MmeSimulator,
+    ProcedureReport,
     functions_for,
     procedures_for,
 )
@@ -110,6 +111,25 @@ class TestSimulatorConstruction:
         assert sim.workers["AMF"] == 3
         assert all(type(w) is int for w in sim.workers.values())
 
+    @pytest.mark.parametrize("simulator", [CoreNetworkSimulator, MmeSimulator])
+    @pytest.mark.parametrize(
+        "seed,error,message",
+        [
+            (-1, ValueError, "seed must be non-negative, got -1"),
+            (1.5, TypeError, "seed must be an integer, got float"),
+            ("3", TypeError, "seed must be an integer, got str"),
+        ],
+    )
+    def test_rejects_bad_seed(self, simulator, seed, error, message):
+        """A bad seed fails at construction, naming ``seed``, not later
+        inside NumPy and only when jitter is drawn."""
+        with pytest.raises(error, match=re.escape(message)):
+            simulator(seed=seed)
+
+    @pytest.mark.parametrize("simulator", [CoreNetworkSimulator, MmeSimulator])
+    def test_accepts_numpy_integer_seed(self, simulator):
+        assert simulator(seed=np.int64(7)).seed == 7
+
     @pytest.mark.parametrize("jitter", [np.nan, -0.1, 1.0])
     def test_rejects_bad_jitter(self, jitter):
         with pytest.raises(ValueError, match="service_jitter"):
@@ -197,6 +217,41 @@ class TestProcessing:
         report = CoreNetworkSimulator(core="5gc", seed=1).process(tr)
         assert report.num_events == 1  # the TAU is not a 5GC procedure
         assert set(report.functions) == set(FIVEGC_FUNCTIONS)
+
+    @pytest.mark.parametrize("link_delay", [0.0, 0.0005])
+    def test_jitter_goes_by_message_identity(self, link_delay):
+        """Step ``s`` of the ``i``-th handled event takes factor
+        ``base[i] + s`` of ``default_rng(seed)``, whichever order the
+        messages are served in.  With a worker per message, nothing
+        waits, so each latency is the closed form: the steps' service
+        times and link delays added to the arrival, in step order."""
+        codes = [E.ATCH, E.SRV_REQ, E.HO, E.TAU, E.DTCH, E.S1_CONN_REL] * 4
+        rows = [(ue, 0.0007 * ue, code, P) for ue, code in enumerate(codes)]
+        trace = make_trace(rows)
+        sim = CoreNetworkSimulator(
+            workers=64, link_delay=link_delay, service_jitter=0.3, seed=11
+        )
+        procedures = [EPC_PROCEDURES[E(int(code))] for code in trace.event_types]
+        num_messages = sum(len(p.steps) for p in procedures)
+        factors = np.random.default_rng(11).uniform(0.7, 1.3, num_messages)
+        latencies = {}
+        m = 0
+        for arrival, procedure in zip(trace.times.tolist(), procedures):
+            t = arrival
+            for s, step in enumerate(procedure.steps):
+                if s:
+                    t += link_delay
+                t += step.service_mean * factors[m]
+                m += 1
+            latencies.setdefault(procedure.name, []).append(t - arrival)
+        report = sim.process(trace)
+        assert all(f.max_wait == 0.0 for f in report.functions.values())
+        for name, values in latencies.items():
+            arr = np.array(values)
+            p95, p99 = np.percentile(arr, [95.0, 99.0])
+            assert report.procedures[name] == ProcedureReport(
+                name, arr.size, float(arr.mean()), float(p95), float(p99), float(arr.max())
+            )
 
     def test_5gc_procedure_names(self, ground_truth_trace):
         report = CoreNetworkSimulator(core="5gc", seed=1).process(
