@@ -5,9 +5,9 @@ test-only per-segment reference fit (``tests/oracle/fit.py``) at
 several population sizes and writes machine-readable JSON
 (``benchmarks/results/BENCH_fitting.json``) so regressions can be
 tracked across commits, mirroring ``BENCH_generator.json``.  Also
-measured: the engine with per-(device, hour) process fan-out
-(wall-clock wins require more than one core and more hour-jobs than
-workers), and the content-addressed model cache (a warm hit skips the
+measured: the engine with per-hour process fan-out, one job per hour
+of day covering every device type (wall-clock wins require more than
+one core and more hour-jobs than workers), and the content-addressed model cache (a warm hit skips the
 whole pipeline and must cost a small fraction of the cold fit).
 
 ``REPRO_BENCH_FIT_UES`` overrides the population ladder (comma-

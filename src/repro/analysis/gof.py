@@ -16,7 +16,7 @@ everywhere, which is the motivation for the empirical-CDF model.
 
 Each (device, hour) is replayed with the fitter's array replay and
 clustered by the fitter's own clustering code
-(:func:`repro.model.compiled_fit._cluster_device_hour`), so the study's
+(:func:`repro.model.compiled_fit._cluster_codes`), so the study's
 clusters are the fitted model's by construction.  That gives one
 cluster code per UE; indexing it with each event's UE gives each
 sample its cluster, and samples are pooled per cluster with stable
@@ -33,7 +33,7 @@ import numpy as np
 from ..clustering.quadtree import DEFAULT_THETA_F, DEFAULT_THETA_N
 from ..distributions import CLASSIC_FAMILIES
 from ..distributions.base import FitError
-from ..model.compiled_fit import _cluster_device_hour, device_arrays
+from ..model.compiled_fit import _cluster_codes, fit_arrays
 from ..model.fitting import plan_hour_slots
 from ..statemachines.compiled_replay import (
     MachineTable,
@@ -193,8 +193,8 @@ def gof_study(
     if quantities not in ("events_and_states", "transitions"):
         raise ValueError(f"unknown quantities {quantities!r}")
     total_slots, hour_plan = plan_hour_slots(trace, trace_start_hour)
-    dev = device_arrays(trace, device_type, total_slots)
-    if dev is None:
+    arrays = fit_arrays(trace, total_slots, device_type)
+    if not arrays.devices:
         raise ValueError(f"trace has no {device_type.name} events")
     table = table_for(two_level_machine())
 
@@ -202,27 +202,24 @@ def gof_study(
     combos: Dict[str, int] = {}
 
     for _, slots in hour_plan:
-        ue_code, events, t_rel, seg_key, first = dev.hour_rows(slots)
+        rows = arrays.hour_rows(slots)
+        ue_code, events, t_rel, seg_key, first = rows
         if len(events) == 0:
             continue
         src, tgt, forced = _replay_codes(events, first, table)
-        cluster_of = _cluster_device_hour(
-            dev,
+        (codes,) = _cluster_codes(
+            arrays,
             table,
             slots,
+            rows,
+            rows,
+            src,
+            tgt,
             clustered=clustered,
             theta_f=theta_f,
             theta_n=theta_n,
-            ue_code=ue_code,
-            events=events,
-            first_raw=first,
-            f_ue=ue_code,
-            f_t=t_rel,
-            f_seg=seg_key,
-            src=src,
-            tgt=tgt,
         )
-        cid = cluster_of[ue_code]
+        cid = codes[np.searchsorted(arrays.device_ues[0], ue_code)]
         if quantities == "events_and_states":
             samples = _event_and_state_samples(
                 table, cid, events, t_rel, seg_key, first, src, tgt

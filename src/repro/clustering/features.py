@@ -8,11 +8,11 @@ type (``SRV_REQ`` and ``S1_CONN_REL``, 84.1%-93.0% of all events):
    enters (``CONNECTED`` for ``SRV_REQ``, ``IDLE`` for ``S1_CONN_REL``),
 
 giving a 4-dimensional feature vector per UE.  The fitter computes
-these per (device type, hour) from its array replay, pooled over the
-hour's slots, as one ``(n, 4)`` matrix whose rows follow the device's
-sorted UE ids and whose columns follow :data:`FEATURE_NAMES` (counts
-are per slot the UE was seen in); see
-:func:`repro.model.compiled_fit._cluster_device_hour`.
+these per hour from its array replay, pooled over the hour's slots, as
+one ``(n, 4)`` matrix whose rows follow the trace's sorted UE ids and
+whose columns follow :data:`FEATURE_NAMES` (counts are per slot the UE
+was seen in); each device type clusters its own UEs' rows.  See
+:func:`repro.model.compiled_fit._cluster_codes`.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ generalizes to ``d`` dimensions by splitting into up to ``2^d``
 children (the paper's 4-feature space yields a 16-way split).
 
 The input is one feature row per UE and the output one cluster code per
-row: the fitter keeps both in its device's sorted-UE order
-(``DeviceArrays.ues``), so no UE-keyed dict or per-cluster object is
-built.  The paper's thresholds — ``theta_f = 5`` for every feature and
+row: the fitter keeps both in its device's sorted-UE order (a
+device's rows of ``FitArrays.ues``), so no UE-keyed dict or
+per-cluster object is built.  The paper's thresholds — ``theta_f = 5`` for every feature and
 ``theta_n = 1000`` — are the defaults.
 """
 

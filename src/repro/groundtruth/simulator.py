@@ -248,6 +248,11 @@ class _Range:
         self.ues = ues
         self.dev = dev.astype(np.int64)
         self.duration = duration
+        # The last millisecond before the duration: a row time just under
+        # it must not round onto it, out of the simulated window.
+        self.last_ms = math.ceil(duration / TIMESTAMP_GRANULARITY)
+        while self.last_ms * TIMESTAMP_GRANULARITY >= duration:
+            self.last_ms -= 1
         self.start_hour = start_hour
         self.key = key
         self.phase_base = slot_base(ues, P_GT_PHASE, 0, *key)
@@ -390,8 +395,9 @@ class _Range:
             )
         )
         self.rows[0].append(lane)
-        # Milliseconds, as quantize_times rounds them.
-        self.rows[1].append(np.round(times / TIMESTAMP_GRANULARITY).astype(np.int64))
+        # Milliseconds, as quantize_times rounds them, inside the duration.
+        ms = np.round(times / TIMESTAMP_GRANULARITY).astype(np.int64)
+        self.rows[1].append(np.minimum(ms, self.last_ms, out=ms))
         self.rows[2].append(events)
         recs.size = 0
         terms.clear()

@@ -2,15 +2,14 @@
 
 The paper fans its per-UE generator instances over 12 CPUs with one
 tool, GNU ``parallel`` (§8.1).  Here the stages that build models and
-synthetic traffic — generation chunks and per-(device, hour) fit jobs —
-fan out through one function, :func:`run_jobs`, and fail with one
-error, :class:`JobFailedError`.
+synthetic traffic — generation chunks and per-hour fit jobs, each
+covering every device type — fan out through one function,
+:func:`run_jobs`, and fail with one error, :class:`JobFailedError`.
 
 A stage hands :func:`run_jobs` a job function ``fn``, its :class:`Job`
 list and the values every job reads (``shared``).  Each call is
 ``fn(ctx, *job.args)``, where ``ctx`` is a dict per process seeded from
-``shared``; a job may memoize derived data in it (a fit job keeps its
-device's arrays there).
+``shared``; a job may memoize derived data in it.
 
 ``processes`` resolves in one place (:func:`check_processes`):
 ``None`` or ``1`` runs the jobs inline, ``0`` means all CPUs, and the
@@ -120,7 +119,7 @@ class JobFailedError(RuntimeError):
     stage:
         The stage that ran it (``"generate"`` or ``"fit"``).
     labels:
-        The job's labels, e.g. ``{"device": "PHONE", "hour": 17}``; a
+        The job's labels, e.g. ``{"hour": 17}`` for a fit job; a
         ``(lo, hi)`` pair is a half-open range.
     attempts:
         Number of failed attempts, including the first.

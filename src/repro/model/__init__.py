@@ -1,6 +1,7 @@
 """The paper's traffic model: per-(device, hour) semi-Markov tables with
-first-event and overlay models, fitting pipeline, persistence, and 5G
-scaling."""
+first-event and overlay models, the fitting pipeline (one job per hour
+of day, fitting every device type's model of that hour), persistence,
+and 5G scaling."""
 
 from .checks import validate_model_set
 from .inspect import (

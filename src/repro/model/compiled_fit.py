@@ -2,48 +2,56 @@
 
 Walking every (UE, hour-slot) segment event by event, building one
 Python record per transition, would dominate the paper's whole loop at
-"millions of UEs" scale.  This module replays entire device cohorts as
-flat arrays through each state machine's integer lookup tables
+"millions of UEs" scale.  This module replays a whole hour of day —
+every device type at once — as flat arrays through the state machine's
+integer lookup tables
 (:func:`repro.statemachines.compiled_replay.table_for`):
 
-* events are taken in ``(ue, time)`` order from the trace's one per-UE
-  index and bucketed into hour slots with one ``searchsorted``;
+* the trace's rows are taken once per fit in ``(ue, time)`` order from
+  its one per-UE index (:func:`fit_arrays`), with global UE codes, and
+  bucketed into hour slots with one ``searchsorted``; an hour's rows
+  are picked by a lookup table over slots;
 * state reconstruction seeds the state after every barrier row
   (segment firsts, source-independent events) and walks the short
   runs between barriers forward
   (:func:`~repro.statemachines.compiled_replay._replay_codes`);
-* the §5.3 clustering features are one ``(n, 4)`` matrix in the
-  device's sorted-UE order, and
-  :func:`~repro.clustering.adaptive_cluster` returns one cluster code
-  per UE, which the per-event arrays index directly; the codes are
-  held on the trace, so a second fit that clusters the same hour alike
-  reuses them;
-* ``p_xy`` counts come from one ``bincount`` over
+* the §5.3 clustering features are one ``(U, 4)`` matrix over the
+  hour's UEs of every device, and
+  :func:`~repro.clustering.adaptive_cluster` runs on each device's
+  rows of it, returning one cluster code per UE of the device; the
+  codes are held on the trace, so a second fit that clusters the same
+  hour alike reuses them;
+* each device's cluster codes are offset device-major into global
+  cluster IDs, so ``p_xy`` counts come from one ``bincount`` over
   ``(cluster, source, event)`` keys, sojourn samples from grouped
-  diffs, and the first-event / overlay models from boundary masks;
+  diffs, and the first-event / overlay models from boundary masks, for
+  every device at once;
 * every cluster's results go straight into the hour's generator tables
-  (:class:`~repro.model.model_set.HourModel`): sojourn CDF knots from
+  (:class:`~repro.model.model_set.HourModel`), one per device, each
+  built from its device's slice of the columns: sojourn CDF knots from
   one group-by sort and one grouped linear quantile
   (:mod:`repro.model.grouped`), with no per-cluster or per-edge loop.
 
-The fitter is **exactly** equivalent to the per-segment reference
-pipeline kept as a test oracle (``tests/oracle/fit.py``) — same
-transition probabilities, same CDF knots, same cluster assignment —
-because every reduction preserves the reference's sample *order*
+The fitter is **exactly** equivalent to the per-(device, hour)
+reference pipeline kept as a test oracle (``tests/oracle/fit.py``) —
+same transition probabilities, same CDF knots, same cluster assignment
+— because every reduction preserves the reference's sample *order*
 (``np.mean``/``np.std`` are order-dependent in floating point) and
 divides integer counts, which rounds exactly like the reference's
-Python ``int / int``.
+Python ``int / int``.  A group (a UE, a cluster, an edge) never spans
+two devices, and a device's rows keep their relative order among all
+the hour's rows, so pooling the devices changes no group's samples.
 
-Each (device, hour) fit is one :func:`fit_job` of
-:func:`repro.jobs.run_jobs`, which runs the jobs inline or fans them
-across worker processes; forked workers read the caller's training
-trace and the cluster codes it already holds.
+Each hour of day is one :func:`fit_job` of :func:`repro.jobs.run_jobs`,
+which runs the jobs inline or fans them across worker processes;
+forked workers read the caller's arrays, training trace and the
+cluster codes it already holds.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,65 +60,74 @@ from ..statemachines.compiled_replay import (
     MachineTable,
     _interval_bounds,
     _replay_codes,
-    table_for,
 )
 from ..telemetry import get_telemetry
 from ..trace.events import SECONDS_PER_HOUR, DeviceType, EventType
 from ..trace.trace import Trace
 from .grouped import group_means, group_starts, grouped_knots, stable_order
-from .model_set import HourModel, build_machine
+from .model_set import HourModel
 
 #: Fallback sojourn when a transition was observed but never with a
 #: known entry time (e.g. always the first event of a segment).
 _FALLBACK_MEAN_SOJOURN = 60.0
 
-_CATEGORY1_CODES = np.asarray(
-    sorted(
-        int(e)
-        for e in (
-            EventType.ATCH,
-            EventType.DTCH,
-            EventType.SRV_REQ,
-            EventType.S1_CONN_REL,
-        )
-    ),
-    dtype=np.int64,
+_NUM_EVENTS = int(max(EventType)) + 1
+
+#: ``True`` at the Category-1 event codes, the EMM-ECM machine's stream.
+_CATEGORY1 = np.isin(
+    np.arange(_NUM_EVENTS),
+    [EventType.ATCH, EventType.DTCH, EventType.SRV_REQ, EventType.S1_CONN_REL],
 )
 _OVERLAY_EVENTS = (EventType.HO, EventType.TAU)
 
-_NUM_EVENTS = int(max(EventType)) + 1
-
 
 # ---------------------------------------------------------------------------
-# Device cohorts as flat arrays
+# The trace as flat arrays
 # ---------------------------------------------------------------------------
+
+class HourRows(NamedTuple):
+    """One hour's rows in ``(ue, slot, time)`` order."""
+
+    ue_code: np.ndarray  #: per-row index into ``FitArrays.ues``
+    events: np.ndarray   #: per-row event codes (int64)
+    t_rel: np.ndarray    #: per-row slot-relative time, in [0, 3600)
+    seg_key: np.ndarray  #: per-row (UE, slot) segment key
+    first: np.ndarray    #: ``True`` at every segment's first row
+
+    def where(self, mask: np.ndarray) -> "HourRows":
+        """The rows at ``mask``, with their segment firsts recomputed."""
+        seg_key = self.seg_key[mask]
+        return HourRows(
+            self.ue_code[mask],
+            self.events[mask],
+            self.t_rel[mask],
+            seg_key,
+            _segment_firsts(seg_key),
+        )
+
 
 @dataclasses.dataclass
-class DeviceArrays:
-    """One device type's events, sorted by ``(ue, time)`` and slot-bucketed."""
+class FitArrays:
+    """A trace's events, sorted by ``(ue, time)`` and slot-bucketed."""
 
     trace: Trace          #: the trace the rows come from
-    device_type: DeviceType
-    ues: np.ndarray       #: sorted distinct UE ids
+    devices: Tuple[DeviceType, ...]  #: the device types present, by code
+    device_ues: Tuple[np.ndarray, ...]  #: each device's UE codes, ascending
+    ues: np.ndarray       #: sorted distinct UE ids of the trace
     ue_code: np.ndarray   #: per-row index into ``ues``
     events: np.ndarray    #: per-row event codes (int64)
     slots: np.ndarray     #: per-row hour-slot index
     t_rel: np.ndarray     #: per-row slot-relative time, in [0, 3600)
     total_slots: int
 
-    def hour_rows(
-        self, hour_slots: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One hour's rows as ``(ue_code, events, t_rel, seg_key, first)``.
-
-        Rows keep the ``(ue, slot, time)`` order; ``seg_key`` names each
-        row's (UE, slot) segment and ``first`` flags every segment's
-        first row.
-        """
-        mask = np.isin(self.slots, np.asarray(hour_slots, dtype=np.int64))
+    def hour_rows(self, hour_slots: Sequence[int]) -> HourRows:
+        """The rows of one hour of day, in ``(ue, slot, time)`` order."""
+        in_hour = np.zeros(self.total_slots, dtype=bool)
+        in_hour[np.asarray(hour_slots, dtype=np.int64)] = True
+        mask = in_hour[self.slots]
         ue_code = self.ue_code[mask]
         seg_key = ue_code * self.total_slots + self.slots[mask]
-        return (
+        return HourRows(
             ue_code,
             self.events[mask],
             self.t_rel[mask],
@@ -119,29 +136,35 @@ class DeviceArrays:
         )
 
 
-def device_arrays(
-    trace: Trace, device_type: DeviceType, total_slots: int
-) -> Optional[DeviceArrays]:
-    """Extract one device's cohort as flat arrays (None if absent)."""
-    # A stable sort of the device's rows keeps their whole-trace order.
+def fit_arrays(
+    trace: Trace, total_slots: int, device_type: Optional[DeviceType] = None
+) -> FitArrays:
+    """The trace's rows as flat arrays: all of them, or one device's.
+
+    UE codes index the whole trace's sorted UE ids either way, so a
+    device's UEs keep their codes, and their order, among all UEs.
+    """
     index = trace.ue_index()
-    keep = trace.device_types[index.order] == int(device_type)
-    if not keep.any():
-        return None
-    rows = index.order[keep]
+    ue_device = trace.device_types[index.order[index.bounds[:-1]]]
+    rows, codes = index.order, index.codes()
+    if device_type is not None:
+        # A stable pick of the device's rows keeps their whole-trace order.
+        keep = ue_device[codes] == int(device_type)
+        rows, codes = rows[keep], codes[keep]
+    wanted = DeviceType if device_type is None else (device_type,)
+    devices = tuple(dt for dt in wanted if (ue_device == int(dt)).any())
     t = trace.times[rows]
-    codes = index.codes()[keep]
-    first = _segment_firsts(codes)
     # Slot membership matches the reference's half-open searchsorted
     # windows exactly (an event at exactly k*3600.0 belongs to slot k);
     # floor division would be a float-rounding hazard here.
     boundaries = np.arange(1, total_slots) * SECONDS_PER_HOUR
     slots = np.searchsorted(boundaries, t, side="right")
-    return DeviceArrays(
+    return FitArrays(
         trace=trace,
-        device_type=device_type,
-        ues=index.ues[codes[first]],
-        ue_code=np.cumsum(first) - 1,
+        devices=devices,
+        device_ues=tuple(np.flatnonzero(ue_device == int(dt)) for dt in devices),
+        ues=index.ues,
+        ue_code=codes,
         events=trace.event_types[rows].astype(np.int64),
         slots=slots,
         t_rel=t - slots * SECONDS_PER_HOUR,
@@ -150,7 +173,7 @@ def device_arrays(
 
 
 # ---------------------------------------------------------------------------
-# Per-(device, hour) fitting
+# Per-hour fitting
 # ---------------------------------------------------------------------------
 
 def _segment_firsts(seg_key: np.ndarray) -> np.ndarray:
@@ -186,8 +209,8 @@ def _group_std(codes: np.ndarray, values: np.ndarray, num_ues: int) -> np.ndarra
     return out
 
 
-def fit_device_hour(
-    dev: DeviceArrays,
+def fit_hour(
+    arrays: FitArrays,
     hour_slots: Sequence[int],
     phase: Callable[[str], None],
     *,
@@ -198,10 +221,10 @@ def fit_device_hour(
     theta_f: float,
     theta_n: int,
     max_cdf_points: int,
-) -> HourModel:
-    """Fit one (device, hour-of-day) :class:`HourModel` from flat arrays.
+) -> List[HourModel]:
+    """Fit one hour of day: an :class:`HourModel` per ``arrays.devices``.
 
-    Exactly equivalent to the per-segment oracle fit
+    Each model is exactly the per-(device, hour) oracle fit
     (``tests/oracle/fit.py``) of the same ``hour_slots``.  ``phase`` is
     the job's :meth:`~repro.telemetry.RunTelemetry.phases` recorder, in
     its ``fit-arrays`` phase; the fit moves it through ``fit-replay``,
@@ -209,47 +232,42 @@ def fit_device_hour(
     """
     tele = get_telemetry()
     num_slots = len(hour_slots)
-    ue_code, events, t_rel, seg_key, first_raw = dev.hour_rows(hour_slots)
+    rows = arrays.hour_rows(hour_slots)
     # Filtered stream: the EMM-ECM machine only replays Category-1.
-    if machine_kind == "emm_ecm":
-        fmask = np.isin(events, _CATEGORY1_CODES)
-        f_ue = ue_code[fmask]
-        f_ev = events[fmask]
-        f_t = t_rel[fmask]
-        f_seg = seg_key[fmask]
-    else:
-        f_ue, f_ev, f_t, f_seg = ue_code, events, t_rel, seg_key
-    f_first = _segment_firsts(f_seg)
-    tele.count("segments_replayed", int(np.count_nonzero(first_raw)))
-    tele.count("transitions_counted", len(f_ev))
+    f = rows.where(_CATEGORY1[rows.events]) if machine_kind == "emm_ecm" else rows
+    tele.count("segments_replayed", int(np.count_nonzero(rows.first)))
+    tele.count("transitions_counted", len(f.events))
 
     phase("fit-replay")
-    src, tgt, forced = _replay_codes(f_ev, f_first, table)
+    src, tgt, forced = _replay_codes(f.events, f.first, table)
 
     phase("fit-cluster")
-    cl_of_ue = _cluster_device_hour(
-        dev,
+    codes = _cluster_codes(
+        arrays,
         table,
         hour_slots,
+        rows,
+        f,
+        src,
+        tgt,
         clustered=clustered,
         theta_f=theta_f,
         theta_n=theta_n,
-        ue_code=ue_code,
-        events=events,
-        first_raw=first_raw,
-        f_ue=f_ue,
-        f_t=f_t,
-        f_seg=f_seg,
-        src=src,
-        tgt=tgt,
     )
 
     phase("fit-models")
-    C = int(cl_of_ue.max()) + 1
+    # Global cluster IDs: each device's codes, offset device-major.
+    first_cluster = np.zeros(len(codes) + 1, dtype=np.int64)
+    np.cumsum([int(c.max()) + 1 for c in codes], out=first_cluster[1:])
+    cl_of_ue = np.empty(len(arrays.ues), dtype=np.int64)
+    for ues, c, offset in zip(arrays.device_ues, codes, first_cluster.tolist()):
+        cl_of_ue[ues] = c + offset
+    C = int(first_cluster[-1])
     sizes = np.bincount(cl_of_ue, minlength=C)
     S = table.num_states
     E = table.num_events
-    cid_f = cl_of_ue[f_ue]
+    f_ev, f_t = f.events, f.t_rel
+    cid_f = cl_of_ue[f.ue_code]
     src64 = src.astype(np.int64)
 
     # -- transitions: p_xy = n / total per (cluster, state) ---------
@@ -297,7 +315,7 @@ def fit_device_hour(
     edge_rate[fallback] = 1.0 / _FALLBACK_MEAN_SOJOURN
 
     # -- first events (§5.4) ---------------------------------------
-    first_pos = np.flatnonzero(f_first)
+    first_pos = np.flatnonzero(f.first)
     fe_cl = cid_f[first_pos]
     num_first = np.bincount(fe_cl, minlength=C)
     num_segments = sizes * num_slots
@@ -324,102 +342,140 @@ def fit_device_hour(
     )
     overlay_rates = np.zeros((C, overlay_events.size))
     for k, event in enumerate(overlay_events.tolist()):
-        overlay_rates[:, k] = _overlay_rates(
-            event, cl_of_ue, ue_code, events, t_rel, seg_key, num_segments
+        overlay_rates[:, k] = _overlay_rates(event, cl_of_ue, rows, num_segments)
+
+    # -- one HourModel per device, from its slice of the columns ----
+    # Edges and first events are sorted by global cluster, so each
+    # device's are one contiguous run.
+    edge_bounds = np.searchsorted(edge_cluster, first_cluster).tolist()
+    fe_bounds = np.searchsorted(fe_cluster, first_cluster).tolist()
+    bounds = first_cluster.tolist()
+    edge_target = table.next_state[edge_state, edge_event]
+    p_active = num_first / np.maximum(num_segments, num_first)
+    fe_prob = fe_counts[fe_key] / num_first[fe_cluster]
+    models = []
+    for d, (ues, c) in enumerate(zip(arrays.device_ues, codes)):
+        c0, c1 = bounds[d], bounds[d + 1]
+        e0, e1 = edge_bounds[d], edge_bounds[d + 1]
+        q0, q1 = fe_bounds[d], fe_bounds[d + 1]
+        soj_ptr, soj_values = _csr_slice(sojourn_ptr, sojourn_values, e0, e1)
+        off_ptr, off_values = _csr_slice(offset_ptr, offset_values, c0, c1)
+        models.append(
+            HourModel.from_columns(
+                machine_kind,
+                num_ues=sizes[c0:c1],
+                num_segments=num_segments[c0:c1],
+                assign_keys=arrays.ues[ues],
+                assign_vals=c,
+                edge_cluster=edge_cluster[e0:e1] - c0,
+                edge_state=edge_state[e0:e1],
+                edge_event=edge_event[e0:e1],
+                edge_target=edge_target[e0:e1],
+                edge_prob=edge_prob[e0:e1],
+                edge_rate=edge_rate[e0:e1],
+                sojourn_ptr=soj_ptr,
+                sojourn_values=soj_values,
+                p_active=p_active[c0:c1],
+                fe_cluster=fe_cluster[q0:q1] - c0,
+                fe_event=fe_key[q0:q1] % E,
+                fe_prob=fe_prob[q0:q1],
+                offset_ptr=off_ptr,
+                offset_values=off_values,
+                overlay_events=overlay_events,
+                overlay_rates=overlay_rates[c0:c1],
+            )
         )
-
-    return HourModel.from_columns(
-        machine_kind,
-        num_ues=sizes,
-        num_segments=num_segments,
-        assign_keys=dev.ues,
-        assign_vals=cl_of_ue,
-        edge_cluster=edge_cluster,
-        edge_state=edge_state,
-        edge_event=edge_event,
-        edge_target=table.next_state[edge_state, edge_event],
-        edge_prob=edge_prob,
-        edge_rate=edge_rate,
-        sojourn_ptr=sojourn_ptr,
-        sojourn_values=sojourn_values,
-        p_active=num_first / np.maximum(num_segments, num_first),
-        fe_cluster=fe_cluster,
-        fe_event=fe_key % E,
-        fe_prob=fe_counts[fe_key] / num_first[fe_cluster],
-        offset_ptr=offset_ptr,
-        offset_values=offset_values,
-        overlay_events=overlay_events,
-        overlay_rates=overlay_rates,
-    )
+    return models
 
 
-def _cluster_device_hour(
-    dev: DeviceArrays,
+def _csr_slice(
+    ptr: np.ndarray, values: np.ndarray, lo: int, hi: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Groups ``lo..hi-1`` of a ``(ptr, values)`` pair, re-based to 0."""
+    return ptr[lo: hi + 1] - ptr[lo], values[ptr[lo]: ptr[hi]]
+
+
+def _cluster_codes(
+    arrays: FitArrays,
     table: MachineTable,
     hour_slots: Sequence[int],
+    rows: HourRows,
+    f: HourRows,
+    src: np.ndarray,
+    tgt: np.ndarray,
     *,
     clustered: bool,
     theta_f: float,
     theta_n: int,
-    ue_code: np.ndarray,
-    events: np.ndarray,
-    first_raw: np.ndarray,
-    f_ue: np.ndarray,
-    f_t: np.ndarray,
-    f_seg: np.ndarray,
-    src: np.ndarray,
-    tgt: np.ndarray,
-) -> np.ndarray:
-    """Cluster codes of one device-hour's UEs, in ``dev.ues`` order.
+) -> List[np.ndarray]:
+    """Each device's cluster codes for one hour, in its UEs' order.
 
-    The §5.3 features are pooled over the hour's slots: SRV_REQ and
-    S1_CONN_REL counts per slot the UE was seen in, and the standard
-    deviations of its CONNECTED and IDLE sojourns.  Unclustered fits
-    put every UE in cluster 0.
+    ``rows`` are the hour's rows and ``f`` the replayed ones (the same
+    rows, or their Category-1 subset), with the replay's ``src`` and
+    ``tgt`` states.  The §5.3 features are pooled over the hour's
+    slots: SRV_REQ and S1_CONN_REL counts per slot the UE was seen in,
+    and the standard deviations of its CONNECTED and IDLE sojourns.
+    They are computed once for every UE, and each device clusters its
+    own UEs' rows.  Unclustered fits put every UE in cluster 0.
 
-    The codes are held on the trace (:meth:`~repro.trace.trace.Trace.memo`)
-    under everything they depend on besides its rows, so fits that
-    cluster the same hour alike (``v2`` and ``ours``, or a sweep
-    refitting one training trace) compute them once; the array is
-    read-only.
+    Each device's codes are held on the trace
+    (:meth:`~repro.trace.trace.Trace.memo`) under everything they
+    depend on besides its rows, so fits that cluster the same hour
+    alike (``v2`` and ``ours``, a sweep refitting one training trace,
+    or the §4 study) compute them once; the arrays are read-only.
     """
     if not clustered:
-        return np.zeros(len(dev.ues), dtype=np.int64)
-    key = (
-        "compiled_fit.cluster_codes",
-        dev.device_type,
-        dev.total_slots,
-        tuple(int(slot) for slot in hour_slots),
-        table.machine_name,
-        float(theta_f),
-        int(theta_n),
-    )
+        return [np.zeros(ues.size, dtype=np.int64) for ues in arrays.device_ues]
+    features: List[np.ndarray] = []
 
-    def cluster() -> np.ndarray:
-        num_ues = len(dev.ues)
-        srv = np.bincount(
-            ue_code[events == int(EventType.SRV_REQ)], minlength=num_ues
-        )
-        rel = np.bincount(
-            ue_code[events == int(EventType.S1_CONN_REL)], minlength=num_ues
-        )
-        slots = np.maximum(np.bincount(ue_code[first_raw], minlength=num_ues), 1)
-
-        open_b, close_b = _interval_bounds(table, src, tgt, f_seg)
-        durations = f_t[close_b] - f_t[open_b]
-        interval_state = table.parent_code[tgt[open_b]]
-        interval_ue = f_ue[open_b]
-        conn = interval_state == table.connected_code
-        idle = interval_state == table.idle_code
-        std_conn = _group_std(interval_ue[conn], durations[conn], num_ues)
-        std_idle = _group_std(interval_ue[idle], durations[idle], num_ues)
-
-        features = np.column_stack([srv / slots, rel / slots, std_conn, std_idle])
-        codes = adaptive_cluster(features, theta_f=theta_f, theta_n=theta_n)
+    def cluster(ues: np.ndarray) -> np.ndarray:
+        if not features:
+            features.append(_hour_features(len(arrays.ues), table, rows, f, src, tgt))
+        codes = adaptive_cluster(features[0][ues], theta_f=theta_f, theta_n=theta_n)
         codes.flags.writeable = False
         return codes
 
-    return dev.trace.memo(key, cluster)
+    slots = tuple(int(slot) for slot in hour_slots)
+    return [
+        arrays.trace.memo(
+            (
+                "compiled_fit.cluster_codes",
+                dt,
+                arrays.total_slots,
+                slots,
+                table.machine_name,
+                float(theta_f),
+                int(theta_n),
+            ),
+            lambda ues=ues: cluster(ues),
+        )
+        for dt, ues in zip(arrays.devices, arrays.device_ues)
+    ]
+
+
+def _hour_features(
+    num_ues: int,
+    table: MachineTable,
+    rows: HourRows,
+    f: HourRows,
+    src: np.ndarray,
+    tgt: np.ndarray,
+) -> np.ndarray:
+    """The ``(num_ues, 4)`` §5.3 feature matrix of one hour's rows."""
+    ue_code, events = rows.ue_code, rows.events
+    srv = np.bincount(ue_code[events == int(EventType.SRV_REQ)], minlength=num_ues)
+    rel = np.bincount(ue_code[events == int(EventType.S1_CONN_REL)], minlength=num_ues)
+    slots = np.maximum(np.bincount(ue_code[rows.first], minlength=num_ues), 1)
+
+    open_b, close_b = _interval_bounds(table, src, tgt, f.seg_key)
+    durations = f.t_rel[close_b] - f.t_rel[open_b]
+    interval_state = table.parent_code[tgt[open_b]]
+    interval_ue = f.ue_code[open_b]
+    conn = interval_state == table.connected_code
+    idle = interval_state == table.idle_code
+    std_conn = _group_std(interval_ue[conn], durations[conn], num_ues)
+    std_idle = _group_std(interval_ue[idle], durations[idle], num_ues)
+    return np.column_stack([srv / slots, rel / slots, std_conn, std_idle])
 
 
 def _group_values(
@@ -455,10 +511,7 @@ def _group_values(
 def _overlay_rates(
     event: int,
     cl_of_ue: np.ndarray,
-    ue_code: np.ndarray,
-    events: np.ndarray,
-    t_rel: np.ndarray,
-    seg_key: np.ndarray,
+    rows: HourRows,
     num_segments: np.ndarray,
 ) -> np.ndarray:
     """Every cluster's Poisson rate of one overlay event.
@@ -469,11 +522,11 @@ def _overlay_rates(
     so a cluster's consecutive same-segment pairs are exactly the
     consecutive same-segment pairs of all the event's rows.
     """
-    rows = np.flatnonzero(events == event)
-    cluster = cl_of_ue[ue_code[rows]]
+    at = np.flatnonzero(rows.events == event)
+    cluster = cl_of_ue[rows.ue_code[at]]
     count = np.bincount(cluster, minlength=num_segments.size)
-    same = seg_key[rows[1:]] == seg_key[rows[:-1]]
-    gaps = (t_rel[rows[1:]] - t_rel[rows[:-1]])[same]
+    same = rows.seg_key[at[1:]] == rows.seg_key[at[:-1]]
+    gaps = (rows.t_rel[at[1:]] - rows.t_rel[at[:-1]])[same]
     mean = group_means(
         *_group_values(cluster[1:][same], gaps, np.arange(count.size), False)
     )
@@ -490,26 +543,15 @@ def _overlay_rates(
 # The fit job
 # ---------------------------------------------------------------------------
 
-def fit_job(ctx: dict, device_code: int, slots: Tuple[int, ...]) -> HourModel:
-    """Fit one (device, hour) job for :func:`repro.jobs.run_jobs`.
+def fit_job(ctx: dict, slots: Tuple[int, ...]) -> List[HourModel]:
+    """Fit one hour of day for :func:`repro.jobs.run_jobs`.
 
-    ``ctx`` carries the training ``trace``, its ``total_slots`` and the
-    :func:`fit_device_hour` keywords under ``fit``.  Jobs arrive
-    device-major, so the device's arrays are memoized in ``ctx`` until
-    the next device comes up; the machine's table is memoized there for
-    all jobs.
+    ``ctx`` carries the fit's :class:`FitArrays` under ``arrays``, the
+    machine's ``table`` and the :func:`fit_hour` keywords under
+    ``fit``.  Returns the hour's models in ``arrays.devices`` order.
     """
-    fit = ctx["fit"]
     # The job's spans run back to back, so its own bookkeeping (and the
     # teardown of the fit's arrays) is counted in them.
     with get_telemetry().phases() as phase:
         phase("fit-arrays")
-        memo = ctx.get("device_arrays")
-        if memo is None or memo[0] != device_code:
-            arrays = device_arrays(
-                ctx["trace"], DeviceType(device_code), ctx["total_slots"]
-            )
-            if "table" not in ctx:
-                ctx["table"] = table_for(build_machine(fit["machine_kind"]))
-            memo = ctx["device_arrays"] = (device_code, arrays)
-        return fit_device_hour(memo[1], slots, phase, table=ctx["table"], **fit)
+        return fit_hour(ctx["arrays"], slots, phase, table=ctx["table"], **ctx["fit"])

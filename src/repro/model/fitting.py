@@ -13,9 +13,9 @@ The pipeline mirrors the paper end to end:
 4. for the EMM–ECM baselines, additionally fit per-UE Poisson overlay
    rates for the ``HO``/``TAU`` events the machine cannot express.
 
-Steps 2–4 run array-at-a-time per (device, hour) in
-:mod:`repro.model.compiled_fit`, one :func:`repro.jobs.run_jobs` job
-each, optionally fanned across processes;
+Steps 2–4 run array-at-a-time in :mod:`repro.model.compiled_fit`, one
+:func:`repro.jobs.run_jobs` job per hour of day that fits every device
+type at once, optionally fanned across processes;
 ``cache_dir`` additionally enables the content-addressed disk cache
 (:mod:`repro.model.fit_cache`).  The hour-slot planner
 (:func:`plan_hour_slots`) is shared with the §4 goodness-of-fit study.
@@ -28,16 +28,15 @@ from numbers import Integral
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..clustering.quadtree import DEFAULT_THETA_F, DEFAULT_THETA_N
 from ..jobs import Job, check_processes, run_jobs
+from ..statemachines.compiled_replay import table_for
 from ..telemetry import RunTelemetry, get_telemetry, use_telemetry
 from ..trace.events import SECONDS_PER_HOUR, DeviceType
 from ..trace.trace import Trace
 from . import compiled_fit
 from .fit_cache import fit_cache_key, load_cached, store_cached
-from .model_set import HourModel, ModelSet
+from .model_set import HourModel, ModelSet, build_machine
 
 
 def fit_model_set(
@@ -78,7 +77,7 @@ def fit_model_set(
         checked before any job runs.
     processes:
         ``None`` or ``1`` fits serially in-process; ``0`` fans
-        per-(device, hour) jobs across all CPUs; ``>= 2`` uses that
+        the per-hour jobs across all CPUs; ``>= 2`` uses that
         many worker processes (see :func:`repro.jobs.run_jobs`).  A job
         that keeps failing raises :class:`repro.jobs.JobFailedError`
         (stage ``"fit"``).
@@ -155,25 +154,16 @@ def _fit_all(
     max_cdf_points: int,
     processes: Optional[int],
 ) -> ModelSet:
-    """Plan and run the per-(device, hour) fit jobs for one model set."""
+    """Plan and run the per-hour fit jobs for one model set."""
     with get_telemetry().span("fit-arrays"):
         total_slots, hour_plan = plan_hour_slots(trace, trace_start_hour)
-        # Each device type's UEs (one type per UE in a validated trace).
-        index = trace.ue_index()
-        seen = np.zeros((len(DeviceType), len(index.ues)), dtype=bool)
-        seen[trace.device_types[index.order], index.codes()] = True
-        device_ues = {
-            dt: index.ues[seen[dt]].tolist() for dt in DeviceType if seen[dt].any()
-        }
+        arrays = compiled_fit.fit_arrays(trace, total_slots)
+        table = table_for(build_machine(machine_kind))
 
-    plan = [(dt, hour, slots) for dt in device_ues for hour, slots in hour_plan]
-    jobs = [
-        Job((int(dt), tuple(slots)), {"device": dt.name, "hour": hour})
-        for dt, hour, slots in plan
-    ]
+    jobs = [Job((tuple(slots),), {"hour": hour}) for hour, slots in hour_plan]
     shared = {
-        "trace": trace,
-        "total_slots": total_slots,
+        "arrays": arrays,
+        "table": table,
         "fit": {
             "machine_kind": machine_kind,
             "family": family,
@@ -192,9 +182,14 @@ def _fit_all(
             stage="fit",
         )
     )
-    models: Dict[DeviceType, Dict[int, HourModel]] = {}
-    for i, (dt, hour, _) in enumerate(plan):
-        models.setdefault(dt, {})[hour] = fitted[i]
+    models: Dict[DeviceType, Dict[int, HourModel]] = {
+        dt: {hour: fitted[i][d] for i, (hour, _) in enumerate(hour_plan)}
+        for d, dt in enumerate(arrays.devices)
+    }
+    device_ues = {
+        dt: arrays.ues[ues].tolist()
+        for dt, ues in zip(arrays.devices, arrays.device_ues)
+    }
 
     return ModelSet(
         machine_kind=machine_kind,

@@ -14,6 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.model
+from repro.baselines import METHOD_NAMES, fit_method
+from repro.groundtruth import simulate_ground_truth
 from repro.model import build_machine, fit_cache_key, fit_model_set
 from repro import jobs
 from repro.jobs import JobFailedError
@@ -23,9 +25,9 @@ from repro.statemachines.compiled_replay import table_for
 from repro.statemachines.lte import emm_ecm_machine, two_level_machine
 from repro.statemachines.nr import nr_sa_machine
 from repro.telemetry import RunTelemetry
-from repro.trace import DeviceType, EventType, Trace
+from repro.trace import SECONDS_PER_HOUR, DeviceType, EventType, Trace
 
-from conftest import TRACE_START_HOUR
+from conftest import TRACE_START_HOUR, fresh_copy
 from oracle import fit as oracle_fit
 from oracle.replay import ReplayResult, decode, replay_ue
 
@@ -140,6 +142,26 @@ SWEEP = [
 ]
 
 
+@pytest.fixture(scope="module")
+def silent_hour_trace():
+    """A mixed 2-hour trace whose tablets fire in the first hour only."""
+    trace = simulate_ground_truth(
+        {DeviceType.PHONE: 12, DeviceType.CONNECTED_CAR: 6, DeviceType.TABLET: 5},
+        2 * SECONDS_PER_HOUR,
+        start_hour=TRACE_START_HOUR,
+        seed=3,
+    )
+    keep = (trace.device_types != int(DeviceType.TABLET)) | (
+        trace.times < SECONDS_PER_HOUR
+    )
+    return Trace(
+        trace.ue_ids[keep],
+        trace.times[keep],
+        trace.event_types[keep],
+        trace.device_types[keep],
+    )
+
+
 class TestExactEquivalence:
     @pytest.mark.parametrize("machine_kind,family,clustered", SWEEP)
     def test_tiny_trace_sweep(self, tiny_trace, machine_kind, family, clustered):
@@ -151,6 +173,26 @@ class TestExactEquivalence:
         )
         ref = oracle_fit.fit_model_set(tiny_trace, **kwargs)
         fast = fit_model_set(tiny_trace, **kwargs)
+        assert_model_sets_equal(fast, ref)
+
+    @pytest.mark.parametrize("machine_kind,family,clustered", SWEEP)
+    def test_device_silent_in_one_hour_sweep(
+        self, silent_hour_trace, machine_kind, family, clustered
+    ):
+        """An hour's fit job covers every device type; one that has no
+        rows in the hour still gets the oracle's model of it."""
+        kwargs = dict(
+            machine_kind=machine_kind,
+            family=family,
+            clustered=clustered,
+            **FIT_KWARGS,
+        )
+        ref = oracle_fit.fit_model_set(silent_hour_trace, **kwargs)
+        fast = fit_model_set(silent_hour_trace, **kwargs)
+        assert sorted(fast.models[DeviceType.TABLET]) == [
+            TRACE_START_HOUR,
+            TRACE_START_HOUR + 1,
+        ]
         assert_model_sets_equal(fast, ref)
 
     @pytest.mark.slow
@@ -206,8 +248,40 @@ class TestExactEquivalence:
             assert err.value.stage == "fit"
             assert err.value.attempts == jobs.RETRIES + 1
             assert "injected fault in fit job 0" in str(err.value.__cause__)
+            assert sorted(p.name for p in faults.iterdir()) == [
+                f"fault-0-{attempt}" for attempt in range(jobs.RETRIES + 1)
+            ]
             causes.append(type(err.value.__cause__))
         assert causes[0] is causes[1]
+
+
+class TestDeviceIndependence:
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_mixed_fit_equals_each_device_alone(self, ground_truth_trace, method):
+        """An hour's job fits every device type in one pass; each
+        device's models still equal a fit of its own rows alone, so no
+        count, sample or cluster leaks between devices."""
+        kwargs = dict(theta_n=25, trace_start_hour=TRACE_START_HOUR)
+        mixed = fit_method(method, fresh_copy(ground_truth_trace), **kwargs)
+        assert len(mixed.models) == 3
+        for dt, hours in mixed.models.items():
+            alone = fit_method(method, ground_truth_trace.filter_device(dt), **kwargs)
+            assert list(alone.models) == [dt]
+            assert sorted(alone.models[dt]) == sorted(hours)
+            for hour, model in hours.items():
+                assert model.to_dict() == alone.models[dt][hour].to_dict()
+
+    def test_one_job_per_hour(self, ground_truth_trace, monkeypatch):
+        planned = []
+        run_jobs = repro.model.fitting.run_jobs
+
+        def recording(fn, job_list, **kwargs):
+            planned.extend(job.labels for job in job_list)
+            return run_jobs(fn, job_list, **kwargs)
+
+        monkeypatch.setattr(repro.model.fitting, "run_jobs", recording)
+        fit_model_set(ground_truth_trace, **FIT_KWARGS)
+        assert planned == [{"hour": TRACE_START_HOUR + k} for k in range(4)]
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,8 @@ class TestHourSlicing:
 
 class TestFitSpans:
     def test_child_spans_cover_fit(self, ground_truth_trace):
-        """``fit``'s children -- ``fit-arrays`` (device arrays, hour rows,
-        filtered stream, per-device UE lists), ``fit-replay``,
+        """``fit``'s children -- ``fit-arrays`` (the fit's arrays, hour
+        rows, filtered stream), ``fit-replay``,
         ``fit-cluster`` and ``fit-models`` -- cover its wall time in a
         serial run."""
         tele = RunTelemetry()

@@ -25,6 +25,7 @@ from repro.stats.counter_rng import (
     slot_words,
     splitmix64_counter,
 )
+from repro.model.fitting import plan_hour_slots
 from repro.statemachines import classify_category2_events, replay_trace
 from repro.telemetry import RunTelemetry, use_telemetry
 from repro.trace import (
@@ -270,6 +271,16 @@ class TestSimulateGroundTruth:
         ]
         joined = Trace(*(np.concatenate(column) for column in zip(*parts)))
         assert joined == simulate_ground_truth(counts, 5400.0, start_hour=20, seed=8)
+
+    def test_no_row_rounds_onto_the_duration(self):
+        """A time just under the duration used to round onto it (seed 18
+        here), and every fit of that trace then planned a third hour
+        slot, fitted from that one row."""
+        for seed in range(1, 41):
+            trace = simulate_ground_truth(1000, 7200.0, start_hour=19, seed=seed)
+            assert trace.times.max() < 7200.0, seed
+            if seed == 18:
+                assert plan_hour_slots(trace, 19) == (2, [(19, [0]), (20, [1])])
 
     def test_reproducible(self):
         a = simulate_ground_truth(20, 3600.0, seed=3)

@@ -138,15 +138,15 @@ def test_killed_worker_recovers_exactly(
     assert tele.counters[counter] >= 1
 
 
-#: Job 1 of each stage: the second 7-UE phone chunk; the phone fit of
-#: the second hour.
+#: Job 1 of each stage: the second 7-UE phone chunk; the fit of the
+#: second hour, every device type at once.
 POISONED_LABELS = {
     "generate": {
         "device": "PHONE",
         "UEs": (7, 14),
         "hours": (TRACE_START_HOUR, TRACE_START_HOUR + 2),
     },
-    "fit": {"device": "PHONE", "hour": TRACE_START_HOUR + 1},
+    "fit": {"hour": TRACE_START_HOUR + 1},
 }
 
 
@@ -164,6 +164,7 @@ def test_poisoned_job_names_stage_and_labels(
     assert err.labels == POISONED_LABELS[stage]
     assert err.attempts == 2
     assert "injected fault" in str(err.__cause__)
+    assert sorted(os.listdir(tmp_path)) == ["fault-1-0", "fault-1-1"]
 
 
 def _caller_memo_job(ctx, _):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.burstiness import quantity_samples
 from repro.groundtruth import simulate_ground_truth
-from repro.model.compiled_fit import device_arrays
+from repro.model.compiled_fit import fit_arrays
 from repro.statemachines import replay_trace
 from repro.statemachines.compiled_replay import classify_category2_events
 from repro.trace import (
@@ -115,8 +115,8 @@ class TestIndexMatchesDerivations:
             _trace(rows)
         trace = _trace([r[:3] + (P,) for r in rows])
         _check_index(trace)
-        phones = device_arrays(trace, DeviceType.PHONE, total_slots=1)
-        assert phones.ues.tolist() == [4, 9]
+        phones = fit_arrays(trace, total_slots=1, device_type=DeviceType.PHONE)
+        assert phones.ues[phones.device_ues[0]].tolist() == [4, 9]
 
     @SETTINGS
     @given(rows_strategy)
@@ -197,7 +197,7 @@ class TestBuiltOnce:
         trace.device_mix()
         replay_trace(trace)
         classify_category2_events(trace)
-        device_arrays(trace, DeviceType.PHONE, total_slots=1)
+        fit_arrays(trace, total_slots=1)
         assert len(builds) == 1
 
     def test_summarize_sorts_its_cohort_once(self, builds, monkeypatch):
